@@ -123,23 +123,16 @@ class RingData:
             return self._kernel
 
 
-_RING: dict[int, RingData] = {}
-_RING_LOCK = threading.Lock()
-_RING_KEEP: dict[int, FiniteGroup] = {}
-
-
 def ring_data(G: FiniteGroup) -> RingData:
-    key = id(G)
-    hit = _RING.get(key)
-    if hit is not None:
-        return hit
-    with _RING_LOCK:
-        hit = _RING.get(key)
-        if hit is None:
-            hit = RingData(G)
-            _RING[key] = hit
-            _RING_KEEP[key] = G
-        return hit
+    """The ring bookkeeping of G, built once and kept on its analysis."""
+    ana = analysis(G)
+    rd = ana._ring_data
+    if rd is None:
+        with G._lock:
+            rd = ana._ring_data
+            if rd is None:
+                rd = ana._ring_data = RingData(G)
+    return rd
 
 
 def table_of_marks(G: FiniteGroup) -> np.ndarray:
@@ -337,12 +330,6 @@ def kernel_dual_action_matrix(U: ConcreteBiset) -> np.ndarray:
     for row in kq.basis @ Mstar:
         rows.append(kp.coordinates_of(row))
     return obj_matrix(rows, kp.rank)
-
-
-def dual_kernel_projection(G: FiniteGroup) -> np.ndarray:
-    """Restriction of functionals to the kernel lattice: the kernel basis
-    matrix itself, in the column-vector convention."""
-    return ring_data(G).kernel().basis
 
 
 def character_dual_sublattice(G: FiniteGroup) -> IntegerLattice:

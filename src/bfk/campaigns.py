@@ -48,10 +48,11 @@ from .burnside import (
     ring_data,
     sum_of_induced_kernels,
 )
-from .cache import resolve_cache_dir
 from .claims import CAMPAIGNS
 from .groups import analysis, is_prime, parse_descriptor, product_members, sections_in_class
 from .limits import (
+    FAMILY_LABELS,
+    FUNCTOR_NAMES,
     InverseLimit,
     coefficient_system,
     comparison_report,
@@ -69,8 +70,6 @@ from .transfers import (
 )
 from .zlinalg import LatticeBuilder, coords_in_hnf, hnf, lattice_from_rows, obj_eye, obj_zeros
 
-CLASS_CHOICES = ("E", "E2", "E3", "X", "X2", "X3")
-FUNCTOR_CHOICES = ("B", "K", "Bdual", "Kdual")
 FORMAT_CHOICES = ("json", "csv")
 
 REPORT_FORMAT = "bfk-report"
@@ -105,9 +104,9 @@ class RunConfig:
         if m != 1:
             raise ValueError(
                 f"max_order must be a power of p={self.p}, got {self.max_order}")
-        if self.klass not in CLASS_CHOICES + ("custom",):
+        if self.klass not in FAMILY_LABELS + ("custom",):
             raise ValueError(f"unknown section class {self.klass!r}")
-        if self.functor not in FUNCTOR_CHOICES:
+        if self.functor not in FUNCTOR_NAMES:
             raise ValueError(f"unknown functor {self.functor!r}")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
@@ -272,8 +271,13 @@ def _sample_indices(rng, n: int, k: int) -> list[int]:
 LIMIT_FORMAT = "bfk-limit-basis"
 LIMIT_VERSION = 1
 
-_LIMIT_MEMO: dict = {}
-_LIMIT_KEEP: dict = {}
+
+def resolve_cache_dir(explicit=None):
+    """The limit cache directory: the explicit one, else BFK_CACHE_DIR."""
+    if explicit:
+        return str(explicit)
+    env = os.environ.get("BFK_CACHE_DIR")
+    return env or None
 
 
 def limit_payload(lim: InverseLimit, label: str, functor: str) -> dict:
@@ -312,17 +316,18 @@ def _limit_from_payload(system, payload: dict, label: str, functor: str) -> Inve
 
 def cached_inverse_limit(G, label: str, functor: str,
                          cache_dir: str | None = None) -> InverseLimit:
-    """Inverse limit with an in-process memo and optional disk cache.
+    """Inverse limit, kept on its coefficient system, with an optional
+    disk cache.
 
-    The disk payload stores the canonical basis, so loading it back gives
-    the same object a fresh solve would; metadata plus a residual check
-    guard against a stale or foreign file.
+    The in-process result lives on the system, which lives on G's
+    analysis, so it is freed together with G.  The disk payload stores the
+    canonical basis, so loading it back gives the same object a fresh
+    solve would; metadata plus a residual check guard against a stale or
+    foreign file.
     """
-    memo_key = (id(G), label, functor)
-    hit = _LIMIT_MEMO.get(memo_key)
-    if hit is not None:
-        return hit
     system = coefficient_system(G, label, functor)
+    if system._limit is not None:
+        return system._limit
     base = resolve_cache_dir(cache_dir)
     lim = None
     path = None
@@ -345,8 +350,7 @@ def cached_inverse_limit(G, label: str, functor: str,
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump(payload, fh, sort_keys=True)
             os.replace(tmp, path)
-    _LIMIT_MEMO[memo_key] = lim
-    _LIMIT_KEEP[id(G)] = G
+    system._limit = lim
     return lim
 
 
@@ -779,17 +783,9 @@ def _is_normal_inside(Q, sub, top) -> bool:
     return all(Q.mul(Q.mul(t, s), Q.inv_of(t)) in sset for t in top for s in sub)
 
 
-@lru_cache(maxsize=None)
-def _subquotient_fps_cached(key: str):
-    # key is the content hash of a small quotient group kept in _FP_KEEP
-    R = _FP_KEEP[key]
-    fps = set()
-    for sec in analysis(R).sections():
-        fps.add(_fingerprint(sec.group))
-    return fps
-
-
-_FP_KEEP: dict = {}
+# content hash of a group -> fingerprints of all its sections; shared by
+# equal groups built apart, and it holds no group
+_SUBQUOTIENT_FPS: dict[str, set] = {}
 
 
 def _fingerprint(Q) -> tuple:
@@ -799,8 +795,11 @@ def _fingerprint(Q) -> tuple:
 
 def _subquotient_fps(R) -> set:
     key = R.content_hash()
-    _FP_KEEP.setdefault(key, R)
-    return _subquotient_fps_cached(key)
+    fps = _SUBQUOTIENT_FPS.get(key)
+    if fps is None:
+        fps = {_fingerprint(sec.group) for sec in analysis(R).sections()}
+        _SUBQUOTIENT_FPS[key] = fps
+    return fps
 
 
 def _transporter_pool(G, ana, secs_x3) -> list:

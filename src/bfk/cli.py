@@ -20,8 +20,6 @@ import json
 import sys
 
 from .campaigns import (
-    CLASS_CHOICES,
-    FUNCTOR_CHOICES,
     RunConfig,
     cached_inverse_limit,
     catalog_groups,
@@ -32,6 +30,7 @@ from .campaigns import (
     run_campaign,
 )
 from .groups import group_from_spec
+from .limits import FAMILY_LABELS, FUNCTOR_NAMES
 
 CATALOG_FORMAT = "bfk-catalog"
 CATALOG_VERSION = 1
@@ -82,9 +81,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--group", required=True,
                     help="group descriptor (e.g. xsp:3, prod:cyclic:9,cyclic:3) "
                          "or a path to a JSON multiplication table")
-    sp.add_argument("--class", dest="klass", choices=CLASS_CHOICES,
+    sp.add_argument("--class", dest="klass", choices=FAMILY_LABELS,
                     required=True, help="section class")
-    sp.add_argument("--functor", choices=FUNCTOR_CHOICES, required=True,
+    sp.add_argument("--functor", choices=FUNCTOR_NAMES, required=True,
                     help="coefficient functor")
     _add_common(sp)
     return parser

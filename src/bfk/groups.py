@@ -1,8 +1,9 @@
 """Finite p-groups as explicit multiplication tables.
 
 Element 0 is always the identity. Everything downstream (subgroup lattices,
-sections, quotients, classification) lives here, built lazily per group and
-guarded by a lock so threaded callers share one analysis.
+sections, quotients, classification) lives here, built lazily per group,
+kept on the group object and guarded by its lock so threaded callers share
+one analysis.
 """
 
 from __future__ import annotations
@@ -380,19 +381,13 @@ def _closure(table: np.ndarray, gens: Sequence[int]) -> tuple:
 class GroupAnalysis:
     """Subgroup lattice, conjugacy classes, and section data for one group."""
 
-    def __init__(self, group: FiniteGroup, bound: int, cached_payload=None):
+    def __init__(self, group: FiniteGroup, bound: int):
         self.group = group
         self.bound = bound
         G = group
         n = G.order
 
-        if cached_payload is not None:
-            subs = [tuple(m) for m in cached_payload["subgroups"]]
-            classes = [tuple(c) for c in cached_payload["classes"]]
-        else:
-            subs = self._enumerate_subgroups()
-            classes = None
-
+        subs = self._enumerate_subgroups()
         subs.sort(key=lambda m: (len(m), m))
         self.subgroup_members: list[tuple] = subs
         self.n_sub = len(subs)
@@ -407,8 +402,7 @@ class GroupAnalysis:
         sizes = mask.sum(axis=1)
         self.leq = common == sizes[:, None]
 
-        if classes is None:
-            classes = self._conjugacy_classes()
+        classes = self._conjugacy_classes()
         self.classes: list[tuple] = classes
         self.class_of_sub = np.empty(self.n_sub, dtype=np.int32)
         for ci, cls in enumerate(classes):
@@ -432,6 +426,11 @@ class GroupAnalysis:
         self._section_list: list[Section] | None = None
         self._section_index: dict | None = None
         self._section_lock = threading.Lock()
+        # results of other layers, kept here so they live as long as G
+        self._power_memo: dict[int, frozenset] = {}
+        self._derived_memo: dict[int, frozenset] = {}
+        self._families: dict = {}        # label -> limits.SectionFamily
+        self._ring_data = None           # burnside.RingData
 
     # -- construction helpers ------------------------------------------------
 
@@ -594,44 +593,21 @@ class GroupAnalysis:
             raise ValueError("no such section") from None
 
 
-_ANALYSES: dict[int, GroupAnalysis] = {}
-_ANALYSES_LOCK = threading.Lock()
-_KEEPALIVE: dict[int, FiniteGroup] = {}
-
-
-def analysis(G: FiniteGroup, bound: int | None = None,
-             cache_dir=None) -> GroupAnalysis:
-    """The (cached) lattice analysis of G; enumeration refuses huge groups."""
+def analysis(G: FiniteGroup, bound: int | None = None) -> GroupAnalysis:
+    """The lattice analysis of G, built once and kept on G; enumeration
+    refuses huge groups."""
     limit = bound if bound is not None else default_order_bound(G.prime)
     if G.order > limit:
         raise GroupTooLarge(
             f"|G| = {G.order} exceeds the enumeration bound {limit}; "
             f"pass a larger bound explicitly to override")
-    key = id(G)
-    hit = _ANALYSES.get(key)
-    if hit is not None:
-        return hit
-    with _ANALYSES_LOCK:
-        hit = _ANALYSES.get(key)
-        if hit is not None:
-            return hit
-        payload = None
-        if cache_dir is not None:
-            from . import cache as _cache
-            payload = _cache.load_payload(cache_dir, G)
-        ana = GroupAnalysis(G, limit, cached_payload=payload)
-        if cache_dir is not None and payload is None:
-            from . import cache as _cache
-            _cache.save_payload(cache_dir, G, ana)
-        _ANALYSES[key] = ana
-        _KEEPALIVE[key] = G
-        return ana
-
-
-def clear_caches():
-    with _ANALYSES_LOCK:
-        _ANALYSES.clear()
-        _KEEPALIVE.clear()
+    ana = G._analysis
+    if ana is None:
+        with G._lock:
+            ana = G._analysis
+            if ana is None:
+                ana = G._analysis = GroupAnalysis(G, limit)
+    return ana
 
 
 # ---------------------------------------------------------------------------

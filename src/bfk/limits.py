@@ -22,15 +22,16 @@ import json
 
 import numpy as np
 
-from .groups import (FiniteGroup, GroupAnalysis, analysis, _closure,
-                     double_coset_reps, product_members, subgroup_generators)
+from .groups import (SECTION_CLASSES, FiniteGroup, GroupAnalysis, analysis,
+                     _closure, double_coset_reps, product_members,
+                     subgroup_generators)
 from .zlinalg import (LatticeBuilder, coords_in_hnf, kernel_basis,
                       lattice_from_rows, obj_matrix, obj_zeros,
                       residue_mod_hnf, snf_diagonal, sparse_kernel,
                       sparse_snf_invariants)
 from .burnside import ring_data
 
-FAMILY_LABELS = ("E", "E2", "E3", "X", "X2", "X3")
+FAMILY_LABELS = tuple(SECTION_CLASSES)
 FUNCTOR_NAMES = ("B", "K", "Bdual", "Kdual")
 
 # label semantics: E* keeps elementary abelian quotients (digit = rank cap,
@@ -45,31 +46,23 @@ class FamilyError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# subgroup shape caches on the ambient analysis
+# subgroup shape memos on the ambient analysis
 
 
 def _power_closure(ana: GroupAnalysis, ti: int) -> frozenset:
     """Subgroup generated by the p-th powers of the members of subgroup ti."""
-    cache = getattr(ana, "_bfk_agemo", None)
-    if cache is None:
-        cache = {}
-        ana._bfk_agemo = cache
-    got = cache.get(ti)
+    got = ana._power_memo.get(ti)
     if got is None:
         G = ana.group
         gens = sorted({G.power(t, G.prime) for t in ana.subgroup_members[ti]})
         got = frozenset(_closure(G.table, tuple(gens)))
-        cache[ti] = got
+        ana._power_memo[ti] = got
     return got
 
 
 def _derived_closure(ana: GroupAnalysis, ti: int) -> frozenset:
     """Commutator subgroup of subgroup ti."""
-    cache = getattr(ana, "_bfk_derived", None)
-    if cache is None:
-        cache = {}
-        ana._bfk_derived = cache
-    got = cache.get(ti)
+    got = ana._derived_memo.get(ti)
     if got is None:
         G = ana.group
         mem = ana.subgroup_members[ti]
@@ -79,7 +72,7 @@ def _derived_closure(ana: GroupAnalysis, ti: int) -> frozenset:
             for b in mem:
                 comms.add(G.mul(G.mul(ia, G.inv_of(b)), G.mul(a, b)))
         got = frozenset(_closure(G.table, tuple(sorted(comms))))
-        cache[ti] = got
+        ana._derived_memo[ti] = got
     return got
 
 
@@ -281,6 +274,7 @@ class SectionFamily:
                         continue
                     conj.append((i, j, u))
         self.conj_edges = conj
+        self._systems: dict = {}         # functor -> CoefficientSystem
 
     def nested_pairs(self):
         """All ordered pairs (i, j) with section j a subquotient of section i."""
@@ -297,14 +291,9 @@ class SectionFamily:
 
 def section_family(G: FiniteGroup, label: str) -> SectionFamily:
     ana = analysis(G)
-    cache = getattr(ana, "_bfk_families", None)
-    if cache is None:
-        cache = {}
-        ana._bfk_families = cache
-    fam = cache.get(label)
+    fam = ana._families.get(label)
     if fam is None:
-        fam = SectionFamily(G, label)
-        cache[label] = fam
+        fam = ana._families[label] = SectionFamily(G, label)
     return fam
 
 
@@ -379,9 +368,6 @@ class GroupHom:
                 if any(int(x) for x in self.target.reduce(img)):
                     raise ValueError("matrix does not respect the relations")
 
-    def apply(self, vec) -> np.ndarray:
-        return self.matrix @ np.array([int(x) for x in vec], dtype=object)
-
     def compose(self, other: "GroupHom") -> "GroupHom":
         if other.target is not self.source:
             raise ValueError("homs do not compose")
@@ -446,6 +432,7 @@ class CoefficientSystem:
         self.ana = family.ana
         self._edge_cache = {}
         self._base_cache = {}
+        self._limit = None               # set by campaigns.cached_inverse_limit
         if functor in ("K", "Kdual"):
             self._kernels = [_slot_kernel(self.ana, s) for s in family.slots]
             self.dims = [k.shape[0] for k in self._kernels]
@@ -645,14 +632,9 @@ class CoefficientSystem:
 
 def coefficient_system(G: FiniteGroup, label: str, functor: str) -> CoefficientSystem:
     fam = section_family(G, label)
-    cache = getattr(fam, "_systems", None)
-    if cache is None:
-        cache = {}
-        fam._systems = cache
-    sys = cache.get(functor)
+    sys = fam._systems.get(functor)
     if sys is None:
-        sys = CoefficientSystem(fam, functor)
-        cache[functor] = sys
+        sys = fam._systems[functor] = CoefficientSystem(fam, functor)
     return sys
 
 

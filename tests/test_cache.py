@@ -1,50 +1,10 @@
-import json
-
-from bfk import cache
-from bfk.groups import GroupAnalysis, default_order_bound, extraspecial_group
-
-
-def fresh_analysis(G, payload=None):
-    return GroupAnalysis(G, default_order_bound(G.prime), cached_payload=payload)
-
-
-def test_round_trip(tmp_path):
-    X = extraspecial_group(3)
-    ana = fresh_analysis(X)
-    cache.save_payload(tmp_path, X, ana)
-    payload = cache.load_payload(tmp_path, X)
-    assert payload is not None
-    again = fresh_analysis(X, payload)
-    assert again.subgroup_members == ana.subgroup_members
-    assert again.classes == ana.classes
-
-
-def test_corrupt_payload_is_ignored(tmp_path):
-    X = extraspecial_group(3)
-    ana = fresh_analysis(X)
-    cache.save_payload(tmp_path, X, ana)
-    path = cache.cache_path(tmp_path, X)
-
-    with open(path) as fh:
-        data = json.load(fh)
-    data["subgroups"][5] = [0, 1]  # not closed
-    with open(path, "w") as fh:
-        json.dump(data, fh)
-    assert cache.load_payload(tmp_path, X) is None
-
-    with open(path, "w") as fh:
-        fh.write("{not json")
-    assert cache.load_payload(tmp_path, X) is None
-
-
-def test_missing_file(tmp_path):
-    assert cache.load_payload(tmp_path, extraspecial_group(3)) is None
+from bfk.campaigns import resolve_cache_dir
 
 
 def test_resolve_cache_dir(monkeypatch, tmp_path):
     monkeypatch.delenv("BFK_CACHE_DIR", raising=False)
-    assert cache.resolve_cache_dir(None) is None
-    assert cache.resolve_cache_dir(tmp_path) == str(tmp_path)
+    assert resolve_cache_dir(None) is None
+    assert resolve_cache_dir(tmp_path) == str(tmp_path)
     monkeypatch.setenv("BFK_CACHE_DIR", "/somewhere")
-    assert cache.resolve_cache_dir(None) == "/somewhere"
-    assert cache.resolve_cache_dir(tmp_path) == str(tmp_path)
+    assert resolve_cache_dir(None) == "/somewhere"
+    assert resolve_cache_dir(tmp_path) == str(tmp_path)

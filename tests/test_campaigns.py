@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from importlib import resources
 
 import jsonschema
@@ -18,8 +20,9 @@ from bfk.campaigns import (
     recheck,
     run_campaign,
 )
-from bfk.groups import parse_descriptor
-from bfk.limits import coefficient_system
+from bfk.burnside import ring_data
+from bfk.groups import analysis, parse_descriptor
+from bfk.limits import coefficient_system, section_family
 
 CATALOG_81 = [
     (1, "cyclic:1"),
@@ -222,6 +225,18 @@ def test_limit_disk_cache_recovers_from_corruption(tmp_path):
     lim2 = cached_inverse_limit(G2, "E", "B", cache)
     assert lim2.rank == lim1.rank
     assert json.loads(path.read_text())["format"] == "bfk-limit-basis"
+
+
+def test_per_group_results_are_shared_and_freed_with_the_group():
+    G = parse_descriptor("xsp:3", 3)
+    builders = (analysis, ring_data, lambda H: section_family(H, "X3"),
+                lambda H: cached_inverse_limit(H, "X3", "Kdual", None))
+    results = [build(G) for build in builders]
+    assert all(build(G) is got for build, got in zip(builders, results))
+    refs = [weakref.ref(got) for got in results]
+    del G, results
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 def test_int_matmul_is_exact_in_both_regimes():
