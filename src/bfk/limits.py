@@ -25,7 +25,7 @@ import numpy as np
 from .groups import (SECTION_CLASSES, FiniteGroup, GroupAnalysis, analysis,
                      _closure, double_coset_reps, product_members,
                      subgroup_generators)
-from .zlinalg import (LatticeBuilder, coords_in_hnf, kernel_basis,
+from .zlinalg import (LatticeBuilder, coords_in_hnf, hnf_pivots, kernel_basis,
                       lattice_from_rows, obj_matrix, obj_zeros,
                       residue_mod_hnf, snf_diagonal, sparse_kernel,
                       sparse_snf_invariants)
@@ -123,7 +123,8 @@ class SectionSlot:
     index to the position of its class.
     """
 
-    __slots__ = ("ti", "si", "classes", "class_pos", "dim", "_kernel")
+    __slots__ = ("ti", "si", "classes", "class_pos", "dim", "_kernel",
+                 "_kernel_piv")
 
     def __init__(self, ana: GroupAnalysis, ti: int, si: int):
         self.ti = ti
@@ -154,24 +155,30 @@ class SectionSlot:
         self.class_pos = {w: rep_pos[cand[find(pos[w])]] for w in cand}
         self.dim = len(reps)
         self._kernel = None
+        self._kernel_piv = None
 
     def index(self, ana: GroupAnalysis) -> int:
         return (len(ana.subgroup_members[self.ti])
                 // len(ana.subgroup_members[self.si]))
 
 
-def _slot_kernel(ana: GroupAnalysis, slot: SectionSlot) -> np.ndarray:
-    """HNF basis (rows) of the mark kernel of the quotient at this slot.
+def _slot_kernel(ana: GroupAnalysis, slot: SectionSlot) -> tuple[np.ndarray, list]:
+    """HNF basis (rows) of the mark kernel of the quotient at this slot,
+    with the pivot column of each basis row.
 
     Rows of the linearization are indexed by the classes whose quotient
     image is cyclic; the quotient of order dividing p contributes nothing.
     """
-    if slot._kernel is not None:
-        return slot._kernel
+    if slot._kernel is None:
+        slot._kernel = _mark_kernel(ana, slot)
+        slot._kernel_piv = hnf_pivots(slot._kernel)
+    return slot._kernel, slot._kernel_piv
+
+
+def _mark_kernel(ana: GroupAnalysis, slot: SectionSlot) -> np.ndarray:
     p = ana.group.prime
     if slot.index(ana) <= p:
-        slot._kernel = obj_zeros(0, slot.dim)
-        return slot._kernel
+        return obj_zeros(0, slot.dim)
     s_size = len(ana.subgroup_members[slot.si])
     m_sets = ana.member_sets
     cyc = []
@@ -204,8 +211,7 @@ def _slot_kernel(ana: GroupAnalysis, slot: SectionSlot) -> np.ndarray:
             hits = sum(1 for c in orbit if c <= wset)
             row[j] = (mult * hits) // wsize
         rows.append(row)
-    slot._kernel = kernel_basis(obj_matrix(rows, slot.dim))
-    return slot._kernel
+    return kernel_basis(obj_matrix(rows, slot.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -310,18 +316,20 @@ class AbelianPresentation:
             self.relations = obj_zeros(0, self.generators)
         else:
             self.relations = obj_matrix(relations, self.generators)
-        self._hnf = None
+        self._lattice = None
         self._invariants = None
 
     @property
     def is_free(self) -> bool:
         return self.relations.shape[0] == 0
 
+    def _relation_lattice(self):
+        if self._lattice is None:
+            self._lattice = lattice_from_rows(self.generators, self.relations)
+        return self._lattice
+
     def relation_hnf(self) -> np.ndarray:
-        if self._hnf is None:
-            lat = lattice_from_rows(self.generators, self.relations)
-            self._hnf = lat.basis
-        return self._hnf
+        return self._relation_lattice().basis
 
     def invariant_factors(self) -> list:
         """SNF diagonal of the relations, padded with 0 per free generator."""
@@ -337,10 +345,8 @@ class AbelianPresentation:
         return sum(1 for d in self.invariant_factors() if d == 0)
 
     def reduce(self, vec) -> np.ndarray:
-        H = self.relation_hnf()
-        if H.shape[0] == 0:
-            return np.array([int(x) for x in vec], dtype=object)
-        return residue_mod_hnf(H, vec)
+        lat = self._relation_lattice()
+        return residue_mod_hnf(lat.basis, vec, lat._piv)
 
     def same_element(self, a, b) -> bool:
         d = np.array([int(x) - int(y) for x, y in zip(a, b)], dtype=object)
@@ -394,24 +400,23 @@ def _as_i64(mat) -> np.ndarray:
     return out
 
 
-def _kernel_coords(kern: np.ndarray, vec) -> list:
-    c = coords_in_hnf(kern, vec)
+def _kernel_coords(kern: np.ndarray, piv, vec) -> list:
+    c = coords_in_hnf(kern, vec, piv)
     if c is None:
         raise AssertionError("image left the mark kernel; upstream map is wrong")
     return c
 
 
 def _restrict_to_kernels(M: np.ndarray, src_kern: np.ndarray,
-                         dst_kern: np.ndarray) -> np.ndarray:
-    """Rewrite a transitive-basis matrix as a map between kernel bases."""
-    k_src = src_kern.shape[0]
-    k_dst = dst_kern.shape[0]
-    out = obj_zeros(k_dst, k_src)
-    Mo = np.asarray(M, dtype=object)
-    for i in range(k_src):
-        img = Mo @ src_kern[i]
-        for r, v in enumerate(_kernel_coords(dst_kern, img)):
-            out[r, i] = v
+                         dst_kern: np.ndarray, dst_piv) -> np.ndarray:
+    """Rewrite a transitive-basis matrix as a map between kernel bases.
+
+    dst_piv holds the pivot columns of the HNF rows of dst_kern.
+    """
+    out = obj_zeros(dst_kern.shape[0], src_kern.shape[0])
+    images = np.asarray(M, dtype=object) @ src_kern.T
+    for i in range(src_kern.shape[0]):
+        out[:, i] = _kernel_coords(dst_kern, dst_piv, images[:, i])
     return out
 
 
@@ -434,12 +439,14 @@ class CoefficientSystem:
         self._base_cache = {}
         self._limit = None               # set by campaigns.cached_inverse_limit
         if functor in ("K", "Kdual"):
-            self._kernels = [_slot_kernel(self.ana, s) for s in family.slots]
+            kp = [_slot_kernel(self.ana, s) for s in family.slots]
+            self._kernels = [k for k, _ in kp]
+            self._kernel_pivs = [piv for _, piv in kp]
             self.dims = [k.shape[0] for k in self._kernels]
             self.base_kernel = ring_data(self.group).kernel()
             self.base_rank = self.base_kernel.rank
         else:
-            self._kernels = None
+            self._kernels = self._kernel_pivs = None
             self.dims = [s.dim for s in family.slots]
             self.base_rank = ring_data(self.group).n_classes
         self.offsets = []
@@ -521,8 +528,7 @@ class CoefficientSystem:
         elif self.functor == "K":
             B = (self._b_defres_between(a, b) if kind == "cover"
                  else self._b_conj(a, b, tag[1]))
-            M = _as_i64(_restrict_to_kernels(B, self._kernels[src],
-                                             self._kernels[dst]))
+            M = _as_i64(self._restrict(B, src, dst))
         elif self.functor == "Bdual":
             M = self._dual_edge_b(a, b, src, dst, kind, tag)
         else:
@@ -541,8 +547,12 @@ class CoefficientSystem:
             B = self._b_indinf_between(b, a)
         else:
             B = self._b_conj(b, a, self.ana.group.inv_of(tag[1]))
-        N = _restrict_to_kernels(B, self._kernels[dst], self._kernels[src])
-        return _as_i64(N).T.copy()
+        return _as_i64(self._restrict(B, dst, src)).T.copy()
+
+    def _restrict(self, B: np.ndarray, src: int, dst: int) -> np.ndarray:
+        """A transitive-basis map value(src) -> value(dst) on the K bases."""
+        return _restrict_to_kernels(B, self._kernels[src], self._kernels[dst],
+                                    self._kernel_pivs[dst])
 
     # -- maps to and from the value at the whole group ---------------------
 
@@ -579,24 +589,13 @@ class CoefficientSystem:
             M = self._b_defres_from_base(i)
         elif self.functor == "K":
             B = np.asarray(self._b_defres_from_base(i), dtype=object)
-            kern = self._kernels[i]
-            out = obj_zeros(kern.shape[0], self.base_rank)
-            for col in range(self.base_rank):
-                img = B @ self.base_kernel.basis[col]
-                for r, v in enumerate(_kernel_coords(kern, img)):
-                    out[r, col] = v
-            M = _as_i64(out)
+            M = _as_i64(_restrict_to_kernels(
+                B, self.base_kernel.basis, self._kernels[i],
+                self._kernel_pivs[i]))
         elif self.functor == "Bdual":
             M = self._b_indinf_to_base(i).T.copy()
         else:
-            B = np.asarray(self._b_indinf_to_base(i), dtype=object)
-            kern = self._kernels[i]
-            out = obj_zeros(self.base_rank, kern.shape[0])
-            for col in range(kern.shape[0]):
-                img = B @ kern[col]
-                for r, v in enumerate(_kernel_coords(self.base_kernel.basis, img)):
-                    out[r, col] = v
-            M = _as_i64(out).T.copy()
+            M = self._k_indinf_to_base(i).T.copy()
         self._base_cache[key] = M
         return M
 
@@ -611,16 +610,14 @@ class CoefficientSystem:
         if self.functor == "B":
             M = self._b_indinf_to_base(i)
         else:
-            B = np.asarray(self._b_indinf_to_base(i), dtype=object)
-            kern = self._kernels[i]
-            out = obj_zeros(self.base_rank, kern.shape[0])
-            for col in range(kern.shape[0]):
-                img = B @ kern[col]
-                for r, v in enumerate(_kernel_coords(self.base_kernel.basis, img)):
-                    out[r, col] = v
-            M = _as_i64(out)
+            M = self._k_indinf_to_base(i)
         self._base_cache[key] = M
         return M
+
+    def _k_indinf_to_base(self, i: int) -> np.ndarray:
+        base = self.base_kernel
+        return _as_i64(_restrict_to_kernels(
+            self._b_indinf_to_base(i), self._kernels[i], base.basis, base._piv))
 
     def unit_matrix(self) -> np.ndarray:
         """Stacked downward components: F(P) -> product of all values."""
@@ -869,6 +866,17 @@ def _matmul_fits(A, B) -> bool:
     return amax * bmax * max(1, A.shape[1]) < (1 << 62)
 
 
+def _exact_matmul(A, B) -> np.ndarray:
+    """A @ B over the integers: in int64 when no product can wrap."""
+    try:
+        A64, B64 = _as_i64(A), _as_i64(B)
+    except OverflowError:
+        A64 = B64 = None
+    if A64 is not None and _matmul_fits(A64, B64):
+        return A64 @ B64
+    return np.asarray(A, dtype=object) @ np.asarray(B, dtype=object)
+
+
 # ---------------------------------------------------------------------------
 # inverse limits of the built-in systems
 
@@ -967,8 +975,7 @@ def nested_pair_check(system: CoefficientSystem, mat: np.ndarray,
             continue
         B = system._b_defres_between(fam.slots[i], fam.slots[j])
         if system.functor == "K":
-            D = np.asarray(_restrict_to_kernels(
-                B, system._kernels[i], system._kernels[j]), dtype=object)
+            D = system._restrict(B, i, j)
         else:
             D = np.asarray(B, dtype=object)
         a = mat[system.offsets[i]:system.offsets[i] + system.dims[i], :]
@@ -1157,41 +1164,41 @@ def project_between(big: CoefficientSystem, small: CoefficientSystem,
 # colimits of upward systems and the kernel-of-counit probe
 
 
-def _colimit_relations(system: CoefficientSystem):
-    """Sparse relation rows presenting the colimit of an upward system."""
+def _colimit_relations(system: CoefficientSystem) -> list[dict[int, int]]:
+    """Sparse relation rows presenting the colimit of an upward system.
+
+    Each generating move gives a matrix M from value(a) into value(b): the
+    upward map of a cover edge from the subquotient into the larger
+    section, or the matrix of a conjugation edge.  M is built once, checked
+    against the upward maps to the base (the map of b after M equals the
+    map of a), and read off into one relation row per column.
+    """
     if system.functor not in ("B", "K"):
         raise FamilyError("colimits are built from functor B or K")
+    fam = system.family
+    ups = [system.indinf_to_base(i) for i in range(len(system.dims))]
     rows = []
     for src, dst, tag in system.edges():
         if tag[0] == "cover":
             if system.dims[src] == 0 and system.dims[dst] == 0:
                 continue
-            fam = system.family
-            a, b = fam.slots[src], fam.slots[dst]
-            B = system._b_indinf_between(b, a)
+            a, b = dst, src
+            M = system._b_indinf_between(fam.slots[dst], fam.slots[src])
             if system.functor == "K":
-                N = _as_i64(_restrict_to_kernels(
-                    B, system._kernels[dst], system._kernels[src]))
-            else:
-                N = B
-            so, do = system.offsets[src], system.offsets[dst]
-            for j in range(N.shape[1]):
-                row = {do + j: 1}
-                for i in range(N.shape[0]):
-                    v = int(N[i, j])
-                    if v:
-                        row[so + i] = row.get(so + i, 0) - v
-                rows.append({c: v for c, v in row.items() if v})
+                M = system._restrict(M, dst, src)
         else:
-            C = system.edge_matrix(src, dst, tag)
-            so, do = system.offsets[src], system.offsets[dst]
-            for j in range(C.shape[1]):
-                row = {so + j: 1}
-                for i in range(C.shape[0]):
-                    v = int(C[i, j])
-                    if v:
-                        row[do + i] = row.get(do + i, 0) - v
-                rows.append({c: v for c, v in row.items() if v})
+            a, b = src, dst
+            M = system.edge_matrix(src, dst, tag)
+        if _any_nonzero(_exact_matmul(ups[b], M) - ups[a]):
+            raise AssertionError(
+                f"upward maps disagree along {src}->{dst} {tag}")
+        ao, bo = system.offsets[a], system.offsets[b]
+        for j, col in enumerate(M.T.tolist()):
+            row = {ao + j: 1}
+            for i, v in enumerate(col):
+                if v:
+                    row[bo + i] = row.get(bo + i, 0) - int(v)
+            rows.append({c: v for c, v in row.items() if v})
     return rows
 
 
@@ -1203,31 +1210,24 @@ def counit_matrix(system: CoefficientSystem) -> np.ndarray:
     return np.hstack(blocks)
 
 
-def counit_transitivity_check(system: CoefficientSystem) -> None:
-    """Upward maps to the base must agree along every generating move."""
-    for src, dst, tag in system.edges():
-        if tag[0] == "cover":
-            fam = system.family
-            a, b = fam.slots[src], fam.slots[dst]
-            B = system._b_indinf_between(b, a)
-            if system.functor == "K":
-                N = np.asarray(_restrict_to_kernels(
-                    B, system._kernels[dst], system._kernels[src]), dtype=object)
-            else:
-                N = np.asarray(B, dtype=object)
-            lhs = np.asarray(system.indinf_to_base(src), dtype=object) @ N
-            rhs = np.asarray(system.indinf_to_base(dst), dtype=object)
-        else:
-            C = np.asarray(system.edge_matrix(src, dst, tag), dtype=object)
-            lhs = np.asarray(system.indinf_to_base(dst), dtype=object) @ C
-            rhs = np.asarray(system.indinf_to_base(src), dtype=object)
-        if _any_nonzero(lhs - rhs):
-            raise AssertionError(
-                f"upward maps disagree along {src}->{dst} {tag}")
+def _check_counit_kills(U: np.ndarray, rel: list[dict[int, int]]) -> None:
+    """Apply the counit to every relation row; each image must be zero.
+
+    Runs in int64 when the largest entry of U times the largest absolute
+    row sum stays below 2**62, so no product can wrap; else exactly.
+    """
+    reach = max((sum(abs(v) for v in row.values()) for row in rel), default=0)
+    if not (U.dtype == np.int64
+            and (int(np.abs(U).max()) if U.size else 0) * reach < (1 << 62)):
+        U = np.asarray(U, dtype=object)
+    for row in rel:
+        cols = list(row)
+        vals = np.array([row[c] for c in cols], dtype=U.dtype)
+        if _any_nonzero(U[:, cols] @ vals):
+            raise AssertionError("counit does not kill a colimit relation")
 
 
-def counit_kernel_report(system: CoefficientSystem,
-                         full_relation_check: bool = True) -> dict:
+def counit_kernel_report(system: CoefficientSystem) -> dict:
     """Presentation-level data for the kernel of the counit.
 
     The counit descends to the colimit because it kills every relation;
@@ -1237,25 +1237,13 @@ def counit_kernel_report(system: CoefficientSystem,
     """
     if system.functor != "K":
         raise FamilyError("the counit probe is defined for functor K")
-    counit_transitivity_check(system)
-    U = counit_matrix(system)
     rel = _colimit_relations(system)
-    if full_relation_check:
-        Uo = np.asarray(U, dtype=object)
-        for row in rel:
-            img = None
-            for c, v in row.items():
-                col = Uo[:, c] * v
-                img = col if img is None else img + col
-            if img is not None and _any_nonzero(img):
-                raise AssertionError("counit does not kill a colimit relation")
+    U = counit_matrix(system)
+    _check_counit_kills(U, rel)
     invariants, rel_rank = sparse_snf_invariants(rel, system.total)
     base = system.base_kernel
-    image = lattice_from_rows(
-        base.ambient,
-        [np.asarray(base.basis, dtype=object).T @ col
-         for col in np.asarray(U, dtype=object).T] if U.size else [])
-    surjective = image == base
+    surjective = lattice_from_rows(base.ambient,
+                                   _exact_matmul(U.T, base.basis)) == base
     finite = rel_rank + system.base_rank == system.total
     m_invariants = [int(d) for d in invariants if d != 1]
     return {

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groups import FiniteGroup, analysis, product_members
+from .groups import FiniteGroup, product_members
 from .bisets import ConcreteBiset, opposite
 from .zlinalg import obj_zeros
 from .limits import (CoefficientSystem, FamilyError, InverseLimit,
@@ -297,7 +297,8 @@ def act_on_limit_matrix(U: ConcreteBiset, sys_q: CoefficientSystem,
                 B[slot_q.class_pos[ana_q.index_of(tgt)], j] += 1
             if functor == "K":
                 blk = _restrict_to_kernels(B, sys_p._kernels[pj],
-                                           sys_q._kernels[qi])
+                                           sys_q._kernels[qi],
+                                           sys_q._kernel_pivs[qi])
             else:
                 blk = np.asarray(B, dtype=object)
             ro, co = sys_q.offsets[qi], sys_p.offsets[pj]

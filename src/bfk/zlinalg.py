@@ -9,6 +9,7 @@ lattice equality a plain array comparison.
 from __future__ import annotations
 
 import bisect
+import heapq
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -149,51 +150,59 @@ class LatticeBuilder:
         return np.vstack([r.copy() for r in self.rows])
 
 
+def _span(ambient: int, rows) -> LatticeBuilder:
+    lb = LatticeBuilder(ambient)
+    for r in rows:
+        lb.add(r)
+    return lb
+
+
 def hnf(mat) -> np.ndarray:
     """Canonical row-style HNF with zero rows dropped."""
     mat = np.asarray(mat, dtype=object)
     if mat.ndim != 2:
         raise ValueError("need a 2-D matrix")
-    lb = LatticeBuilder(mat.shape[1])
-    for r in mat:
-        lb.add(r)
-    return lb.hnf()
+    return _span(mat.shape[1], mat).hnf()
 
 
 def rank_of(mat) -> int:
     mat = np.asarray(mat, dtype=object)
-    lb = LatticeBuilder(mat.shape[1])
-    for r in mat:
-        lb.add(r)
-    return lb.rank
+    return _span(mat.shape[1], mat).rank
 
 
-def coords_in_hnf(H: np.ndarray, vec) -> list[int] | None:
-    """Coordinates of vec over the HNF basis rows H, or None if not a member."""
+def hnf_pivots(H: np.ndarray) -> list[int]:
+    """Pivot column of each row of an HNF basis."""
+    return [_first_nonzero(r) for r in H]
+
+
+def coords_in_hnf(H: np.ndarray, vec,
+                  piv: Sequence[int] | None = None) -> list[int] | None:
+    """Coordinates of vec over the HNF basis rows H, or None if not a member.
+
+    piv is hnf_pivots(H); callers that keep it beside H pass it in.
+    """
     v = np.array([int(x) for x in vec], dtype=object)
     coords = []
-    piv_cols = [_first_nonzero(r) for r in H]
-    for row, j in zip(H, piv_cols):
+    for row, j in zip(H, hnf_pivots(H) if piv is None else piv):
         x = int(v[j])
-        piv = int(row[j])
-        if x % piv != 0:
+        p = int(row[j])
+        if x % p != 0:
             return None
-        q = x // piv
+        q = x // p
         coords.append(q)
         if q != 0:
             v = v - q * row
-    if _first_nonzero(v) >= 0:
+    if np.count_nonzero(v):
         return None
     return coords
 
 
-def residue_mod_hnf(H: np.ndarray, vec) -> np.ndarray:
+def residue_mod_hnf(H: np.ndarray, vec,
+                    piv: Sequence[int] | None = None) -> np.ndarray:
     """Canonical coset representative of vec modulo the lattice spanned by H."""
     v = np.array([int(x) for x in vec], dtype=object)
-    piv_cols = [_first_nonzero(r) for r in H]
-    for row, j in zip(H, piv_cols):
-        piv = int(row[j])
-        q = int(v[j]) // piv        # floor division, no divisibility needed
+    for row, j in zip(H, hnf_pivots(H) if piv is None else piv):
+        q = int(v[j]) // int(row[j])    # floor division, no divisibility needed
         if q != 0:
             v = v - q * row
     return v
@@ -284,7 +293,13 @@ def sparse_snf_invariants(rows: list[dict[int, int]], ncols: int) -> tuple[list[
 
     Phase 1 eliminates +-1 pivots with Markowitz-style pivot choice (cheap for
     the relation matrices built here, where almost every row carries a unit);
-    phase 2 runs the dense routine on whatever core remains.
+    phase 2 runs the dense routine on whatever core remains.  Pivots come
+    from a lazy heap holding one entry per row push: the row's cheapest unit,
+    costed (len(row)-1)*(len(col)-1).  A row is pushed again whenever an
+    elimination changes it; a popped entry whose row is gone or whose entry
+    is no longer a unit is dropped, and one whose cost has risen is replaced
+    by a fresh push of its row.  Invariant factors are canonical, so the
+    pivot order changes only the work, never the result.
     """
     work: dict[int, dict[int, int]] = {}
     col_rows: dict[int, set[int]] = {}
@@ -295,27 +310,41 @@ def sparse_snf_invariants(rows: list[dict[int, int]], ncols: int) -> tuple[list[
         work[ri] = r
         for c in r:
             col_rows.setdefault(c, set()).add(ri)
-    ones = 0
-    while True:
-        # best unit pivot by fill estimate
+
+    heap: list[tuple[int, int, int]] = []
+
+    def push(ri: int) -> None:
+        r = work[ri]
+        rlen = len(r) - 1
         best = None
-        for ri, r in work.items():
-            rlen = len(r)
-            for c, v in r.items():
-                if v == 1 or v == -1:
-                    cost = (rlen - 1) * (len(col_rows[c]) - 1)
-                    if best is None or cost < best[0]:
-                        best = (cost, ri, c)
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
-            break
-        _, pri, pc = best
-        prow = work.pop(pri)
-        pval = prow[pc]
+        for c, v in r.items():
+            if v == 1 or v == -1:
+                cost = rlen * (len(col_rows[c]) - 1)
+                if best is None or cost < best[0]:
+                    best = (cost, ri, c)
+                    if cost == 0:
+                        break
+        if best is not None:
+            heapq.heappush(heap, best)
+
+    for ri in work:
+        push(ri)
+    ones = 0
+    while heap:
+        cost, pri, pc = heapq.heappop(heap)
+        prow = work.get(pri)
+        if prow is None:
+            continue
+        pval = prow.get(pc)
+        if pval != 1 and pval != -1:
+            continue
+        if (len(prow) - 1) * (len(col_rows[pc]) - 1) > cost:
+            push(pri)
+            continue
+        del work[pri]
         for c in prow:
             col_rows[c].discard(pri)
-        for ri in list(col_rows.get(pc, ())):
+        for ri in col_rows.pop(pc, ()):
             r = work[ri]
             factor = r[pc] * pval          # pval is +-1 so this is r[pc]/pval
             for c, v in prow.items():
@@ -323,14 +352,16 @@ def sparse_snf_invariants(rows: list[dict[int, int]], ncols: int) -> tuple[list[
                 if nv == 0:
                     if c in r:
                         del r[c]
-                        col_rows[c].discard(ri)
+                        if c != pc:
+                            col_rows[c].discard(ri)
                 else:
                     if c not in r:
                         col_rows.setdefault(c, set()).add(ri)
                     r[c] = nv
-            if not r:
+            if r:
+                push(ri)
+            else:
                 del work[ri]
-        col_rows.pop(pc, None)
         ones += 1
     if not work:
         return [1] * ones, ones
@@ -461,26 +492,38 @@ def kernel_basis(mat) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class IntegerLattice:
-    """A sublattice of Z^ambient with a canonical HNF basis."""
+    """A sublattice of Z^ambient with a canonical HNF basis.
+
+    _piv holds the pivot column of each basis row, so membership and
+    coordinates never rescan the basis for them.
+    """
 
     def __init__(self, ambient: int, basis_rows=None):
         self.ambient = ambient
         if basis_rows is None:
             self.basis = np.empty((0, ambient), dtype=object)
-        else:
-            self.basis = hnf(obj_matrix(basis_rows, ambient)
-                             if not isinstance(basis_rows, np.ndarray) else basis_rows)
-        self._piv = [_first_nonzero(r) for r in self.basis]
+            self._piv = []
+            return
+        mat = (basis_rows if isinstance(basis_rows, np.ndarray)
+               else obj_matrix(basis_rows, ambient))
+        if mat.ndim != 2:
+            raise ValueError("need a 2-D matrix")
+        self._set(_span(ambient, mat))
+
+    def _set(self, lb: LatticeBuilder) -> "IntegerLattice":
+        self.basis = lb.hnf()
+        self._piv = list(lb.pivot_cols)
+        return self
 
     @property
     def rank(self) -> int:
         return self.basis.shape[0]
 
     def member(self, vec) -> bool:
-        return coords_in_hnf(self.basis, vec) is not None
+        return coords_in_hnf(self.basis, vec, self._piv) is not None
 
     def coordinates_of(self, vec) -> list[int]:
-        c = coords_in_hnf(self.basis, vec)
+        c = coords_in_hnf(self.basis, vec, self._piv)
         if c is None:
             raise ValueError("vector is not in the lattice")
         return c
@@ -501,15 +544,10 @@ class IntegerLattice:
     def sum(self, other: "IntegerLattice") -> "IntegerLattice":
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
-        lb = LatticeBuilder(self.ambient)
-        for r in self.basis:
-            lb.add(r)
+        lb = _span(self.ambient, self.basis)
         for r in other.basis:
             lb.add(r)
-        out = IntegerLattice(self.ambient)
-        out.basis = lb.hnf()
-        out._piv = [_first_nonzero(r) for r in out.basis]
-        return out
+        return IntegerLattice(self.ambient)._set(lb)
 
     def quotient_invariants(self, sub: "IntegerLattice") -> list[int]:
         """SNF diagonal of self/sub: torsion factors then one 0 per free rank.
@@ -519,7 +557,7 @@ class IntegerLattice:
         """
         coords = []
         for r in sub.basis:
-            c = coords_in_hnf(self.basis, r)
+            c = coords_in_hnf(self.basis, r, self._piv)
             if c is None:
                 raise ValueError("not a sublattice")
             coords.append(c)
@@ -532,10 +570,4 @@ class IntegerLattice:
 
 
 def lattice_from_rows(ambient: int, rows) -> IntegerLattice:
-    lat = IntegerLattice(ambient)
-    lb = LatticeBuilder(ambient)
-    for r in rows:
-        lb.add(r)
-    lat.basis = lb.hnf()
-    lat._piv = [_first_nonzero(r) for r in lat.basis]
-    return lat
+    return IntegerLattice(ambient)._set(_span(ambient, rows))

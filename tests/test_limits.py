@@ -17,6 +17,7 @@ from bfk.limits import (
     ExternalSystem,
     FamilyError,
     GroupHom,
+    _check_counit_kills,
     LimitElement,
     coefficient_system,
     comparison_report,
@@ -251,6 +252,28 @@ def test_counit_probe_x27_family_widens_image():
     assert over_x["kernel_finite"]
     assert over_x["kernel_trivial"]
     assert over_x["relation_rank"] == 5
+
+
+def test_counit_probe_rejects_maps_that_disagree_or_miss_a_relation():
+    system = coefficient_system(X27, "X", "K")
+    counit_kernel_report(system)
+    i = next(i for i, d in enumerate(system.dims) if d)
+    up = system._base_cache[("up", i)]
+    up[0, 0] += 1
+    try:
+        with pytest.raises(AssertionError, match="upward maps disagree"):
+            counit_kernel_report(system)
+    finally:
+        up[0, 0] -= 1
+    U = np.array([[1, 0, 2], [0, 1, 2]], dtype=np.int64)
+    _check_counit_kills(U, [{0: 2, 1: 2, 2: -1}, {}])
+    with pytest.raises(AssertionError, match="does not kill"):
+        _check_counit_kills(U, [{0: 2, 1: 2, 2: -1}, {2: 1}])
+    # entries too wide for int64 take the exact path
+    big = np.array([[2**70, 1]], dtype=object)
+    _check_counit_kills(big, [{0: 1, 1: -2**70}])
+    with pytest.raises(AssertionError, match="does not kill"):
+        _check_counit_kills(big, [{0: 1, 1: 1 - 2**70}])
 
 
 def test_counit_probe_needs_functor_k():

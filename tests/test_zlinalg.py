@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from bfk.zlinalg import (
     IntegerLattice,
     LatticeBuilder,
     coords_in_hnf,
     hnf,
+    hnf_pivots,
     kernel_basis,
     lattice_from_rows,
     obj_matrix,
@@ -97,6 +98,34 @@ def test_sparse_matches_dense_snf():
     assert rank == rank_of(dense)
 
 
+@st.composite
+def sparse_matrices(draw):
+    """Sparse rows rich in +-1 entries, with non-unit cores, repeats and empty rows."""
+    ncols = draw(st.integers(min_value=1, max_value=9))
+    col = st.integers(min_value=0, max_value=ncols - 1)
+    unit_rows = st.dictionaries(col, st.sampled_from([1, -1, 1, -1, 2, -3]),
+                                min_size=1, max_size=4)
+    core_rows = st.dictionaries(col, st.sampled_from([2, -2, 3, -3, 4, 6, 9]),
+                                min_size=1, max_size=3)
+    rows = draw(st.lists(st.one_of(unit_rows, unit_rows, core_rows, st.just({})),
+                         max_size=14))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    return ncols, draw(st.permutations(rows))
+
+
+@seed(20081)
+@settings(max_examples=300, deadline=None, database=None)
+@given(sparse_matrices())
+def test_sparse_snf_matches_dense_on_unit_rich_rows(case):
+    ncols, rows = case
+    dense = obj_matrix([[row.get(c, 0) for c in range(ncols)] for row in rows],
+                       ncols)
+    inv, rank = sparse_snf_invariants(rows, ncols)
+    assert inv == snf_diagonal(dense)
+    assert rank == rank_of(dense)
+
+
 def test_sparse_kernel_agrees_with_dense():
     rows = [{0: 1, 1: -1}, {1: 2, 2: -2}, {0: 3, 3: 1}]
     A = obj_matrix([[1, -1, 0, 0], [0, 2, -2, 0], [3, 0, 0, 1]])
@@ -123,6 +152,58 @@ def test_coords_and_residue():
     # differ by (4,4,1) = 2*(2,1,0)+... only equal residues when difference in lattice
     diff = [5 - 1, 6 - 2, 1 - 0]
     assert (coords_in_hnf(H, diff) is not None) == bool(np.array_equal(r1, r2))
+
+
+# an HNF whose pivots are 2, 3 and 5, in columns 0, 1 and 3
+NON_UNIT_HNF = hnf(obj_matrix([[2, 1, 0, 3], [0, 3, 1, 0], [0, 0, 0, 5]]))
+
+
+def test_non_unit_hnf_pivots():
+    H = NON_UNIT_HNF
+    assert hnf_pivots(H) == [0, 1, 3]
+    assert [int(H[i, j]) for i, j in enumerate(hnf_pivots(H))] == [2, 3, 5]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-12, 12), min_size=4, max_size=4),
+       st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+def test_pivot_list_gives_the_same_coords_and_residue(vec, mult):
+    H = NON_UNIT_HNF
+    piv = hnf_pivots(H)
+    member = [sum(m * int(H[i, j]) for i, m in enumerate(mult)) for j in range(4)]
+    for v in (vec, member):
+        c = coords_in_hnf(H, v)
+        assert coords_in_hnf(H, v, piv) == c
+        assert np.array_equal(residue_mod_hnf(H, v, piv), residue_mod_hnf(H, v))
+    assert coords_in_hnf(H, member, piv) == mult
+
+
+def test_pivot_list_rejects_a_non_member():
+    H = NON_UNIT_HNF
+    piv = hnf_pivots(H)
+    for v in ([1, 0, 0, 0], [0, 0, 0, 1], [2, 1, 0, 4], [0, 0, 1, 0]):
+        assert coords_in_hnf(H, v) is None
+        assert coords_in_hnf(H, v, piv) is None
+        r = residue_mod_hnf(H, v, piv)
+        assert np.array_equal(r, residue_mod_hnf(H, v)) and np.count_nonzero(r)
+
+
+def _first_nonzero_cols(basis):
+    return [next(j for j, x in enumerate(r) if x != 0) for r in basis]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_mat, small_mat)
+def test_lattice_pivots_match_the_basis(rows_a, rows_b):
+    n = len(rows_a[0])
+    rows_b = [(r * n)[:n] for r in rows_b]      # resized to n columns
+    built = [IntegerLattice(n, rows_a), IntegerLattice(n, obj_matrix(rows_a)),
+             lattice_from_rows(n, rows_a), lattice_from_rows(n, rows_b)]
+    built.append(built[2].sum(built[3]))
+    for lat in built + [IntegerLattice(n)]:
+        assert lat._piv == _first_nonzero_cols(lat.basis)
+        for r in lat.basis:
+            assert lat.member(r)
 
 
 def test_quotient_invariants_snf_diagonal():
