@@ -17,30 +17,6 @@ import numpy as np
 from .groups import FiniteGroup, GroupAnalysis, Section
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-
-
 def _same_group(A: FiniteGroup, B: FiniteGroup) -> bool:
     return A is B or (A.order == B.order and np.array_equal(A.table, B.table))
 
@@ -217,36 +193,23 @@ def compose(V: ConcreteBiset, U: ConcreteBiset, return_pairs: bool = False):
     pair to the index of its orbit in the composite."""
     if not _same_group(V.right_group, U.left_group):
         raise ValueError("middle groups do not match")
-    R, P = V.left_group, U.right_group
+    R, Q, P = V.left_group, U.left_group, U.right_group
     nV, nU = V.size, U.size
-    uf = _UnionFind(nV * nU)
-    for q in U.left_group.generators():
-        vq = V.right[:, q]
-        qu = U.left[q, :]
-        for v in range(nV):
-            a = int(vq[v]) * nU
-            b = v * nU
-            for u in range(nU):
-                uf.union(a + u, b + int(qu[u]))
-    roots = sorted({uf.find(x) for x in range(nV * nU)})
-    index = {r: i for i, r in enumerate(roots)}
-    size = len(roots)
-    left = np.empty((R.order, size), dtype=np.int32)
-    right = np.empty((size, P.order), dtype=np.int32)
-    for i, r in enumerate(roots):
-        v, u = divmod(r, nU)
-        for g in range(R.order):
-            left[g, i] = index[uf.find(int(V.left[g, v]) * nU + u)]
-        for p in range(P.order):
-            right[i, p] = index[uf.find(v * nU + int(U.right[u, p]))]
+    # label each pair by the least code v * nU + u in its orbit
+    # {(v.q^-1, q.u) : q in Q}
+    least = np.arange(nV * nU, dtype=np.int64).reshape(nV, nU)
+    for q in range(1, Q.order):
+        np.minimum(least,
+                   V.right[:, Q.inv[q]].astype(np.int64)[:, None] * nU
+                   + U.left[q][None, :], out=least)
+    roots, pairs = np.unique(least, return_inverse=True)
+    pairs = pairs.reshape(nV, nU).astype(np.int32)
+    vs, us = np.divmod(roots, nU)
+    left = pairs[V.left[:, vs], us[None, :]]
+    right = pairs[vs[:, None], U.right[us, :]]
     W = ConcreteBiset(R, P, left, right, name=f"({V.name})o({U.name})")
     if not return_pairs:
         return W
-    pairs = np.empty((nV, nU), dtype=np.int32)
-    for v in range(nV):
-        base = v * nU
-        for u in range(nU):
-            pairs[v, u] = index[uf.find(base + u)]
     return W, pairs
 
 
@@ -267,16 +230,9 @@ def right_transporter(U: ConcreteBiset, t_members, u: int) -> list:
 
 def double_coset_reps(U: ConcreteBiset, t_members) -> list:
     """Least point index in each orbit of T x (right group), ascending."""
-    uf = _UnionFind(U.size)
-    for t in t_members:
-        row = U.left[t, :]
-        for x in range(U.size):
-            uf.union(x, int(row[x]))
-    for p in U.right_group.generators():
-        col = U.right[:, p]
-        for x in range(U.size):
-            uf.union(x, int(col[x]))
-    return sorted({uf.find(x) for x in range(U.size)})
+    # t.x.p = t.(x.p): the least point over T, then over the right group
+    least_t = U.left[np.asarray(t_members, dtype=np.int32), :].min(axis=0)
+    return np.unique(least_t[U.right].min(axis=1)).tolist()
 
 
 def left_quotient_biset(U: ConcreteBiset, c_members) -> ConcreteBiset:

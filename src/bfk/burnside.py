@@ -16,7 +16,7 @@ import threading
 
 import numpy as np
 
-from .bisets import ConcreteBiset, _UnionFind, _coset_ids, opposite
+from .bisets import ConcreteBiset, _coset_ids, opposite
 from .groups import (
     FiniteGroup,
     GroupAnalysis,
@@ -25,7 +25,6 @@ from .groups import (
     classify_group,
     double_coset_reps,
     product_members,
-    subgroup_generators,
     trivial_group,
 )
 from .zlinalg import (
@@ -217,18 +216,9 @@ def decompose_left_action(left: np.ndarray, dq: RingData) -> list:
 def act_on_basis_element(U: ConcreteBiset, t_members, dq: RingData) -> list:
     """Image of the transitive right-group set with the given stabilizer:
     collapse U by the right subgroup action, then decompose the left set."""
-    uf = _UnionFind(U.size)
-    for t in subgroup_generators(U.right_group, t_members):
-        col = U.right[:, t]
-        for u in range(U.size):
-            uf.union(u, int(col[u]))
-    roots = sorted({uf.find(x) for x in range(U.size)})
-    index = {r: i for i, r in enumerate(roots)}
-    Q = U.left_group
-    left = np.empty((Q.order, len(roots)), dtype=np.int32)
-    for i, r in enumerate(roots):
-        for q in range(Q.order):
-            left[q, i] = index[uf.find(int(U.left[q, r]))]
+    least = U.right[:, np.asarray(t_members, dtype=np.int32)].min(axis=1)
+    roots, index = np.unique(least, return_inverse=True)
+    left = index[U.left[:, roots]]
     return decompose_left_action(left, dq)
 
 

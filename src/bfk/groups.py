@@ -386,9 +386,15 @@ class GroupAnalysis:
         self.bound = bound
         G = group
         n = G.order
+        pw = np.zeros(n, dtype=np.int32)
+        for _ in range(G.prime):
+            pw = G.table[pw, np.arange(n)]
+        self.pth_power = pw              # pth_power[g] = g^p
 
-        subs = self._enumerate_subgroups()
-        subs.sort(key=lambda m: (len(m), m))
+        norm = self._enumerate_subgroups()
+        subs = sorted(norm, key=lambda m: (len(m), m))
+        # normalizes[si, x]: x normalizes subgroup si
+        self.normalizes = np.array([norm[m] for m in subs])
         self.subgroup_members: list[tuple] = subs
         self.n_sub = len(subs)
         self.index_by_members = {m: i for i, m in enumerate(subs)}
@@ -422,7 +428,6 @@ class GroupAnalysis:
             if np.array_equal(G.table[x], G.table[:, x]))
 
         self._moebius_memo: dict[tuple, int] = {}
-        self._normal_memo: dict[tuple, bool] = {}
         self._section_list: list[Section] | None = None
         self._section_index: dict | None = None
         self._section_lock = threading.Lock()
@@ -434,30 +439,45 @@ class GroupAnalysis:
 
     # -- construction helpers ------------------------------------------------
 
-    def _enumerate_subgroups(self) -> list[tuple]:
+    def _enumerate_subgroups(self) -> dict:
+        """Every subgroup, level by level, with the mask of the elements
+        that normalize it.  A subgroup K of order p|H| has a normal
+        subgroup H of index p, so K = H u Hg u ... u Hg^(p-1) for any g in
+        K - H, and such g are exactly the elements outside H that normalize
+        H and whose p-th power lies in H."""
         G = self.group
-        table = G.table
-        p = G.prime
-        found = {(0,)}
+        table, inv, p, n = G.table, G.inv, G.prime, G.order
+        everything = np.ones(n, dtype=bool)
+        norm = {}
         current = [(0,)]
         while current:
             nxt = set()
-            target = len(current[0]) * p
-            if target > G.order:
-                break
             for H in current:
-                hset = set(H)
-                for g in range(G.order):
-                    if g in hset:
+                h = np.asarray(H, dtype=np.int32)
+                in_h = np.zeros(n, dtype=bool)
+                in_h[h] = True
+                if G.is_abelian or len(H) == n:
+                    norm[H] = everything
+                else:
+                    # conj[x, j] = x h_j x^-1
+                    norm[H] = in_h[table[table[:, h], inv[:, None]]].all(axis=1)
+                covered = in_h.copy()
+                for g in np.flatnonzero(norm[H] & ~in_h & in_h[self.pth_power]):
+                    if covered[g]:
                         continue
-                    K = _closure(table, H + (g,))
-                    if len(K) == target and K not in found:
-                        nxt.add(K)
-            found |= nxt
+                    gp = [0]
+                    for _ in range(p - 1):
+                        gp.append(int(table[gp[-1], g]))
+                    K = np.sort(table[np.ix_(h, gp)].ravel())
+                    # two such K meet exactly in H, so any g' in K - H gives K again
+                    covered[K] = True
+                    nxt.add(tuple(K.tolist()))
             current = sorted(nxt)
-        return list(found)
+        return norm
 
     def _conjugacy_classes(self) -> list[tuple]:
+        if self.group.is_abelian:
+            return [(i,) for i in range(self.n_sub)]
         G = self.group
         table, inv = G.table, G.inv
         seen = set()
@@ -465,15 +485,13 @@ class GroupAnalysis:
         for i, mem in enumerate(self.subgroup_members):
             if i in seen:
                 continue
-            arr = np.array(mem, dtype=np.int32)
-            orbit = set()
-            for x in range(G.order):
-                cm = table[table[x, arr], inv[x]]
-                orbit.add(self.index_by_members[tuple(sorted(cm.tolist()))])
-            cls = tuple(sorted(orbit))
+            arr = np.asarray(mem, dtype=np.int32)
+            conj = np.unique(np.sort(table[table[:, arr], inv[:, None]], axis=1),
+                             axis=0)
+            cls = tuple(sorted(self.index_by_members[tuple(row)]
+                               for row in conj.tolist()))
             classes.append(cls)
-            seen |= orbit
-        classes.sort(key=lambda c: c[0])
+            seen.update(cls)
         return classes
 
     # -- queries -------------------------------------------------------------
@@ -495,24 +513,11 @@ class GroupAnalysis:
         return tuple(sorted(cm.tolist()))
 
     def is_normal_in(self, si: int, ti: int) -> bool:
-        if not self.leq[si, ti]:
-            return False
-        if self.group.is_abelian:
-            return True
-        key = (si, ti)
-        hit = self._normal_memo.get(key)
-        if hit is not None:
-            return hit
-        mem = self.subgroup_members[si]
-        ok = all(self.conjugate_members(t, mem) == mem
-                 for t in self.subgroup_members[ti])
-        self._normal_memo[key] = ok
-        return ok
+        return bool(self.leq[si, ti]
+                    and self.normalizes[si, list(self.subgroup_members[ti])].all())
 
     def normalizer_members(self, si: int) -> tuple:
-        mem = self.subgroup_members[si]
-        return tuple(x for x in range(self.group.order)
-                     if self.conjugate_members(x, mem) == mem)
+        return tuple(np.flatnonzero(self.normalizes[si]).tolist())
 
     def moebius(self, si: int, ti: int) -> int:
         """Moebius function of the subgroup poset on the interval [si, ti]."""

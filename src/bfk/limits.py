@@ -53,9 +53,9 @@ def _power_closure(ana: GroupAnalysis, ti: int) -> frozenset:
     """Subgroup generated by the p-th powers of the members of subgroup ti."""
     got = ana._power_memo.get(ti)
     if got is None:
-        G = ana.group
-        gens = sorted({G.power(t, G.prime) for t in ana.subgroup_members[ti]})
-        got = frozenset(_closure(G.table, tuple(gens)))
+        m = np.asarray(ana.subgroup_members[ti], dtype=np.int32)
+        got = frozenset(_closure(ana.group.table,
+                                 np.unique(ana.pth_power[m]).tolist()))
         ana._power_memo[ti] = got
     return got
 
@@ -64,14 +64,12 @@ def _derived_closure(ana: GroupAnalysis, ti: int) -> frozenset:
     """Commutator subgroup of subgroup ti."""
     got = ana._derived_memo.get(ti)
     if got is None:
-        G = ana.group
-        mem = ana.subgroup_members[ti]
-        comms = set()
-        for a in mem:
-            ia = G.inv_of(a)
-            for b in mem:
-                comms.add(G.mul(G.mul(ia, G.inv_of(b)), G.mul(a, b)))
-        got = frozenset(_closure(G.table, tuple(sorted(comms))))
+        table, inv = ana.group.table, ana.group.inv
+        m = np.asarray(ana.subgroup_members[ti], dtype=np.int32)
+        # comms[a, b] = (a^-1 b^-1)(a b)
+        comms = table[table[inv[m][:, None], inv[m][None, :]],
+                      table[m[:, None], m[None, :]]]
+        got = frozenset(_closure(table, np.unique(comms).tolist()))
         ana._derived_memo[ti] = got
     return got
 
@@ -162,23 +160,35 @@ class SectionSlot:
                 // len(ana.subgroup_members[self.si]))
 
 
-def _slot_kernel(ana: GroupAnalysis, slot: SectionSlot) -> tuple[np.ndarray, list]:
+def _slot_kernel(family: "SectionFamily", slot: SectionSlot) -> tuple[np.ndarray, list]:
     """HNF basis (rows) of the mark kernel of the quotient at this slot,
     with the pivot column of each basis row.
 
     Rows of the linearization are indexed by the classes whose quotient
     image is cyclic; the quotient of order dividing p contributes nothing.
+    Slots with the same mark rows share one kernel through the family's
+    memo, keyed by the exact rows.
     """
     if slot._kernel is None:
-        slot._kernel = _mark_kernel(ana, slot)
-        slot._kernel_piv = hnf_pivots(slot._kernel)
+        ana = family.ana
+        if slot.index(ana) <= ana.group.prime:
+            kern = obj_zeros(0, slot.dim)
+            got = (kern, hnf_pivots(kern))
+        else:
+            rows = _mark_rows(ana, slot)
+            key = (rows.shape, rows.tobytes())
+            got = family._kernel_memo.get(key)
+            if got is None:
+                kern = kernel_basis(obj_matrix(rows.tolist(), slot.dim))
+                got = family._kernel_memo[key] = (kern, hnf_pivots(kern))
+        slot._kernel, slot._kernel_piv = got
     return slot._kernel, slot._kernel_piv
 
 
-def _mark_kernel(ana: GroupAnalysis, slot: SectionSlot) -> np.ndarray:
+def _mark_rows(ana: GroupAnalysis, slot: SectionSlot) -> np.ndarray:
+    """Marks of the cyclic classes of the quotient at this slot (rows)
+    against all of its classes (columns)."""
     p = ana.group.prime
-    if slot.index(ana) <= p:
-        return obj_zeros(0, slot.dim)
     s_size = len(ana.subgroup_members[slot.si])
     m_sets = ana.member_sets
     cyc = []
@@ -195,8 +205,8 @@ def _mark_kernel(ana: GroupAnalysis, slot: SectionSlot) -> np.ndarray:
         if n_max == 1:
             cyc.append(w)
     t_mem = ana.subgroup_members[slot.ti]
-    rows = []
-    for v in cyc:
+    rows = np.zeros((len(cyc), slot.dim), dtype=np.int64)
+    for i, v in enumerate(cyc):
         vmem = ana.subgroup_members[v]
         if ana.group.is_abelian:
             orbit = [m_sets[v]]
@@ -204,14 +214,12 @@ def _mark_kernel(ana: GroupAnalysis, slot: SectionSlot) -> np.ndarray:
             orbit = list({frozenset(ana.conjugate_members(x, vmem))
                           for x in t_mem})
         mult = len(t_mem) // len(orbit)
-        row = [0] * slot.dim
         for j, w in enumerate(slot.classes):
             wset = m_sets[w]
             wsize = len(ana.subgroup_members[w])
             hits = sum(1 for c in orbit if c <= wset)
-            row[j] = (mult * hits) // wsize
-        rows.append(row)
-    return kernel_basis(obj_matrix(rows, slot.dim))
+            rows[i, j] = (mult * hits) // wsize
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +289,7 @@ class SectionFamily:
                     conj.append((i, j, u))
         self.conj_edges = conj
         self._systems: dict = {}         # functor -> CoefficientSystem
+        self._kernel_memo: dict = {}     # exact mark rows -> (kernel, pivots)
 
     def nested_pairs(self):
         """All ordered pairs (i, j) with section j a subquotient of section i."""
@@ -439,7 +448,7 @@ class CoefficientSystem:
         self._base_cache = {}
         self._limit = None               # set by campaigns.cached_inverse_limit
         if functor in ("K", "Kdual"):
-            kp = [_slot_kernel(self.ana, s) for s in family.slots]
+            kp = [_slot_kernel(family, s) for s in family.slots]
             self._kernels = [k for k, _ in kp]
             self._kernel_pivs = [piv for _, piv in kp]
             self.dims = [k.shape[0] for k in self._kernels]
@@ -1227,6 +1236,14 @@ def _check_counit_kills(U: np.ndarray, rel: list[dict[int, int]]) -> None:
             raise AssertionError("counit does not kill a colimit relation")
 
 
+def _spans_everything(U: np.ndarray) -> bool:
+    """Do the columns of U span all of Z^rows?  True iff the column lattice
+    has full rank and every invariant factor is 1."""
+    cols = [{i: v for i, v in enumerate(col) if v} for col in U.T.tolist()]
+    invariants, rank = sparse_snf_invariants(cols, U.shape[0])
+    return rank == U.shape[0] and all(d == 1 for d in invariants)
+
+
 def counit_kernel_report(system: CoefficientSystem) -> dict:
     """Presentation-level data for the kernel of the counit.
 
@@ -1241,9 +1258,9 @@ def counit_kernel_report(system: CoefficientSystem) -> dict:
     U = counit_matrix(system)
     _check_counit_kills(U, rel)
     invariants, rel_rank = sparse_snf_invariants(rel, system.total)
-    base = system.base_kernel
-    surjective = lattice_from_rows(base.ambient,
-                                   _exact_matmul(U.T, base.basis)) == base
+    # U is written in base-kernel coordinates, and the base-kernel basis has
+    # full row rank, so the counit is onto iff U's columns span Z^base_rank
+    surjective = _spans_everything(U)
     finite = rel_rank + system.base_rank == system.total
     m_invariants = [int(d) for d in invariants if d != 1]
     return {

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .groups import FiniteGroup, product_members
-from .bisets import ConcreteBiset, opposite
+from .bisets import ConcreteBiset, double_coset_reps, opposite
 from .zlinalg import obj_zeros
 from .limits import (CoefficientSystem, FamilyError, InverseLimit,
                      _any_nonzero, _restrict_to_kernels, coefficient_system,
@@ -203,33 +203,6 @@ def adjunction_minus(sys_g: CoefficientSystem, stacked: np.ndarray) -> np.ndarra
 # action of a concrete biset on limit elements
 
 
-def _biset_double_coset_points(U: ConcreteBiset, t_members) -> list:
-    """Least points of the orbits of T x right-group acting on U's points."""
-    n = U.size
-    seen = np.zeros(n, dtype=bool)
-    reps = []
-    p_order = U.right_group.order
-    for x0 in range(n):
-        if seen[x0]:
-            continue
-        reps.append(x0)
-        stack = [x0]
-        seen[x0] = True
-        while stack:
-            x = stack.pop()
-            for t in t_members:
-                y = int(U.left[t, x])
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-            for p in range(p_order):
-                y = int(U.right[x, p])
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-    return reps
-
-
 def _transport_subgroup(U: ConcreteBiset, x: int, members) -> tuple:
     """Elements of the right group glued to the given left subgroup at x."""
     shifted = {int(U.left[t, x]) for t in members}
@@ -279,7 +252,7 @@ def act_on_limit_matrix(U: ConcreteBiset, sys_q: CoefficientSystem,
         t_mem = ana_q.subgroup_members[ti]
         s_mem = ana_q.subgroup_members[si]
         slot_q = sys_q.family.slots[qi]
-        for x in _biset_double_coset_points(U, t_mem):
+        for x in double_coset_reps(U, t_mem):
             tx = ana_p.index_of(_transport_subgroup(U, x, t_mem))
             sx = ana_p.index_of(_transport_subgroup(U, x, s_mem))
             pj = sys_p.family.pos.get((tx, sx))

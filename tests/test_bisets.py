@@ -23,6 +23,7 @@ from bfk.bisets import (
     section_transport,
 )
 from bfk.bisets import double_coset_reps as point_orbit_reps
+from bfk.burnside import act_on_basis_element, decompose_left_action, ring_data
 from bfk.groups import (
     analysis,
     center,
@@ -30,6 +31,8 @@ from bfk.groups import (
     direct_product,
     double_coset_reps,
     extraspecial_group,
+    frattini,
+    subgroup_generators,
 )
 
 
@@ -351,3 +354,105 @@ def test_quotient_interchanges_with_composition():
     lhs = compose(Wq, left_quotient_biset(U, A))
     rhs = left_quotient_biset(compose(V, U), [0, 3, 6])
     assert is_biset_iso(lhs, rhs)
+
+
+# -- orbit labels against a union-find reference ------------------------------
+
+class UnionFind:
+    """Reference for the orbit kernels: merge along generators, keep the
+    least index of each class as its root."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        while self.parent[x] != x:
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = sorted((self.find(a), self.find(b)))
+        self.parent[rb] = ra
+
+    def roots(self):
+        return sorted({self.find(x) for x in range(len(self.parent))})
+
+
+def uf_compose(V, U):
+    nV, nU = V.size, U.size
+    uf = UnionFind(nV * nU)
+    for q in U.left_group.generators():
+        for v in range(nV):
+            for u in range(nU):
+                uf.union(int(V.right[v, q]) * nU + u, v * nU + int(U.left[q, u]))
+    index = {r: i for i, r in enumerate(uf.roots())}
+    label = lambda v, u: index[uf.find(v * nU + u)]
+    left = [[label(int(V.left[g, r // nU]), r % nU) for r in index]
+            for g in range(V.left_group.order)]
+    right = [[label(r // nU, int(U.right[r % nU, p]))
+              for p in range(U.right_group.order)] for r in index]
+    pairs = [[label(v, u) for u in range(nU)] for v in range(nV)]
+    return left, right, pairs
+
+
+def uf_point_orbit_reps(U, t_members):
+    uf = UnionFind(U.size)
+    for x in range(U.size):
+        for t in t_members:
+            uf.union(x, int(U.left[t, x]))
+        for p in U.right_group.generators():
+            uf.union(x, int(U.right[x, p]))
+    return uf.roots()
+
+
+def uf_act_on_basis_element(U, t_members, dq):
+    uf = UnionFind(U.size)
+    for t in subgroup_generators(U.right_group, t_members):
+        for u in range(U.size):
+            uf.union(u, int(U.right[u, t]))
+    index = {r: i for i, r in enumerate(uf.roots())}
+    left = np.array([[index[uf.find(int(U.left[q, r]))] for r in index]
+                     for q in range(U.left_group.order)], dtype=np.int32)
+    return decompose_left_action(left, dq)
+
+
+def orbit_kernel_pairs(G):
+    """(V, U) to compose: induction, restriction, inflation, deflation and
+    transport bisets of a few sections of G, and composites of two and
+    three of them."""
+    ana = analysis(G)
+    secs = [sec for sec in ana.sections()
+            if sec.top.order == 9 and sec.bottom.order == 3][:2]
+    secs.append(ana.section_at(range(G.order), frattini(G).members))
+    out = []
+    for sec in secs:
+        T = sec.top.members
+        ind, res = induction_biset(ana, T), restriction_biset(ana, T)
+        inf, dfl = inflation_biset(ana, sec), deflation_biset(ana, sec)
+        u = next((x for x in range(G.order) if x not in T), 1)
+        target, tr = section_transport(ana, sec, u)
+        ind_t = induction_biset(ana, target.top.members)
+        inf_t = inflation_biset(ana, target)
+        out += [(ind, inf), (dfl, res), (res, ind), (inf_t, tr),
+                (compose(ind_t, inf_t), tr), (dfl, compose(res, ind))]
+    return out
+
+
+@pytest.mark.parametrize("G", [X27, C9x3], ids=["xsp:3", "prod:cyclic:9,cyclic:3"])
+def test_orbit_kernels_match_union_find(G):
+    bisets = []
+    for V, U in orbit_kernel_pairs(G):
+        W, pairs = compose(V, U, return_pairs=True)
+        W.validate()
+        left, right, want_pairs = uf_compose(V, U)
+        assert W.left.tolist() == left and W.right.tolist() == right
+        assert pairs.tolist() == want_pairs
+        plain = compose(V, U)
+        assert np.array_equal(plain.left, W.left) and np.array_equal(plain.right, W.right)
+        bisets += [V, U, W]
+    for U in bisets:
+        dq = ring_data(U.left_group)
+        for tm in ring_data(U.right_group).reps_members:
+            assert act_on_basis_element(U, tm, dq) == uf_act_on_basis_element(U, tm, dq)
+        for tm in dq.reps_members:
+            assert point_orbit_reps(U, tm) == uf_point_orbit_reps(U, tm)

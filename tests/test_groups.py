@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 
+from bfk.campaigns import catalog_groups
 from bfk.groups import (
     DescriptorError,
     FiniteGroup,
@@ -32,6 +33,7 @@ from bfk.groups import (
     sections_in_class,
     trivial_group,
 )
+from bfk.groups import _closure
 
 
 def naive_closure(G, gens):
@@ -55,6 +57,43 @@ def brute_subgroups(G):
         for gens in itertools.combinations(range(1, n), r):
             out.add(naive_closure(G, gens))
     return sorted(out, key=lambda m: (len(m), m))
+
+
+def layered_closure_subgroups(G):
+    """Oracle independent of index-p extension: close each subgroup H of
+    one level with every element outside it and keep the closures of
+    order p|H|."""
+    found = {(0,)}
+    current = [(0,)]
+    while current and len(current[0]) * G.prime <= G.order:
+        target = len(current[0]) * G.prime
+        nxt = set()
+        for H in current:
+            for g in range(G.order):
+                if g not in H:
+                    K = _closure(G.table, H + (g,))
+                    if len(K) == target:
+                        nxt.add(K)
+        found |= nxt
+        current = sorted(nxt)
+    return sorted(found, key=lambda m: (len(m), m))
+
+
+def conjugation_classes(G, subs):
+    """Oracle for the classes: conjugate each subgroup by every element."""
+    index = {m: i for i, m in enumerate(subs)}
+    classes, seen = [], set()
+    for i, mem in enumerate(subs):
+        if i not in seen:
+            orbit = {index[conjugate_by(G, x, mem)] for x in range(G.order)}
+            classes.append(tuple(sorted(orbit)))
+            seen |= orbit
+    return classes
+
+
+def conjugate_by(G, x, members):
+    xi = G.inv_of(x)
+    return tuple(sorted(G.mul(G.mul(x, m), xi) for m in members))
 
 
 def test_cyclic_basics():
@@ -151,6 +190,38 @@ def test_subgroups_match_brute_force_on_c9xc3():
     G = direct_product(cyclic_group(9), cyclic_group(3))
     got = [s.members for s in all_subgroups(G)]
     assert got == brute_subgroups(G)
+
+
+@pytest.mark.parametrize("p,max_order", [(3, 81), (5, 125)])
+def test_lattice_matches_layered_closure_oracle(p, max_order):
+    for _, desc in catalog_groups(p, max_order):
+        G = parse_descriptor(desc, p)
+        ana = analysis(G, max_order)
+        subs = layered_closure_subgroups(G)
+        assert ana.subgroup_members == subs, desc
+        want_leq = [[set(a) <= set(b) for b in subs] for a in subs]
+        assert ana.leq.tolist() == want_leq, desc
+        classes = conjugation_classes(G, subs)
+        assert ana.classes == classes, desc
+        assert ana.class_reps == [c[0] for c in classes], desc
+
+
+def test_normalizers_of_section_quotients_by_direct_conjugation():
+    G = parse_descriptor("prod:xsp:3,cyclic:3")
+    secs = analysis(G).sections()
+    picked = [sec for sec in secs if not sec.group.is_abelian][::3]
+    assert len({sec.group.order for sec in picked}) == 2
+    picked.append(next(sec for sec in secs if sec.group.order == 9))
+    for sec in picked:
+        Q = sec.group
+        qa = analysis(Q)
+        subs = qa.subgroup_members
+        for si, mem in enumerate(subs):
+            stable = [x for x in range(Q.order) if conjugate_by(Q, x, mem) == mem]
+            assert list(qa.normalizer_members(si)) == stable
+            for ti, tmem in enumerate(subs):
+                want = set(mem) <= set(tmem) and set(tmem) <= set(stable)
+                assert qa.is_normal_in(si, ti) == want
 
 
 def test_subgroup_counts_elementary_abelian():

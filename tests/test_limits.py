@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bfk.zlinalg import kernel_basis, lattice_from_rows, obj_matrix
 from bfk.groups import (
     analysis,
     cyclic_group,
@@ -18,10 +19,13 @@ from bfk.limits import (
     FamilyError,
     GroupHom,
     _check_counit_kills,
+    _mark_rows,
+    _spans_everything,
     LimitElement,
     coefficient_system,
     comparison_report,
     counit_kernel_report,
+    counit_matrix,
     external_limit,
     family_contains,
     inverse_limit,
@@ -68,6 +72,20 @@ def test_c3_slot_dimensions():
     fam = section_family(C3, "E")
     assert fam.sections == [(0, 0), (1, 0), (1, 1)]
     assert [s.dim for s in fam.slots] == [1, 2, 1]
+
+
+def test_slots_with_equal_mark_rows_share_one_kernel():
+    for G in (X27, direct_product(X27, C3)):
+        system = coefficient_system(G, "X", "K")
+        fam = system.family
+        distinct = set()
+        for i, slot in enumerate(fam.slots):
+            if slot.index(fam.ana) > 3:
+                rows = _mark_rows(fam.ana, slot)
+                distinct.add((rows.shape, rows.tobytes()))
+                fresh = kernel_basis(obj_matrix(rows.tolist(), slot.dim))
+                assert np.array_equal(system._kernels[i], fresh)
+        assert len(fam._kernel_memo) == len(distinct)
 
 
 def test_extraspecial_section_only_in_x_families():
@@ -252,6 +270,27 @@ def test_counit_probe_x27_family_widens_image():
     assert over_x["kernel_finite"]
     assert over_x["kernel_trivial"]
     assert over_x["relation_rank"] == 5
+
+
+def test_counit_surjectivity_in_base_kernel_coordinates():
+    # columns spanning a proper finite-index sublattice, a rank-deficient
+    # set, and sets that span everything, including Z^0
+    assert not _spans_everything(np.array([[2, 0], [0, 1]], dtype=np.int64))
+    assert not _spans_everything(np.array([[3, 6], [1, 2]], dtype=np.int64))
+    assert _spans_everything(np.array([[2, 3]], dtype=np.int64))
+    assert _spans_everything(np.array([[2, 0, 1], [0, 1, 5]], dtype=np.int64))
+    assert _spans_everything(np.zeros((0, 4), dtype=np.int64))
+    assert not _spans_everything(np.zeros((2, 0), dtype=np.int64))
+    # same answer as comparing the image lattice in the ambient basis,
+    # on a counit that is onto and one that is not
+    for label, onto in (("E", False), ("X", True)):
+        system = coefficient_system(X27, label, "K")
+        U = counit_matrix(system)
+        base = system.base_kernel
+        image = lattice_from_rows(base.ambient, np.asarray(U.T, dtype=object) @ base.basis)
+        assert (image == base) is onto
+        assert _spans_everything(U) is onto
+        assert counit_kernel_report(system)["counit_surjective"] is onto
 
 
 def test_counit_probe_rejects_maps_that_disagree_or_miss_a_relation():
