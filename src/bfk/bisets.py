@@ -309,28 +309,28 @@ def orbit_decompose(U: ConcreteBiset):
     return out
 
 
-def _conj_pair_code(Q: FiniteGroup, P: FiniteGroup, code: int,
-                    a: int, b: int) -> int:
-    nP = P.order
-    q, p = divmod(code, nP)
-    q2 = Q.mul(Q.mul(a, q), Q.inv_of(a))
-    p2 = P.mul(P.mul(P.inv_of(b), p), b)
-    return q2 * nP + p2
-
-
 def canonical_stabilizer(Q: FiniteGroup, P: FiniteGroup, stab) -> tuple:
     """Least tuple in the conjugation orbit of a pair-stabilizer, so equal
-    labels mean conjugate stabilizers and hence isomorphic orbits."""
+    labels mean conjugate stabilizers and hence isomorphic orbits.
+
+    A code is q * |P| + p; conjugation by a generator (a, b) sends it to
+    (a q a^-1) * |P| + (b^-1 p b), read for a whole code set from two
+    lookup arrays.
+    """
+    nP = P.order
+    ids_q, ids_p = np.arange(Q.order), np.arange(nP)
+    moves = ([(Q.table[Q.table[a], Q.inv[a]], ids_p) for a in Q.generators()]
+             + [(ids_q, P.table[P.table[P.inv[b]], b]) for b in P.generators()])
     start = tuple(sorted(stab))
-    gens = [(a, 0) for a in Q.generators()] + [(0, b) for b in P.generators()]
     best = start
     frontier = [start]
     seen = {start}
     while frontier:
         nxt = []
         for cur in frontier:
-            for a, b in gens:
-                img = tuple(sorted(_conj_pair_code(Q, P, c, a, b) for c in cur))
+            q, p = np.divmod(np.asarray(cur, dtype=np.int64), nP)
+            for conj_q, conj_p in moves:
+                img = tuple(np.sort(conj_q[q] * nP + conj_p[p]).tolist())
                 if img not in seen:
                     seen.add(img)
                     nxt.append(img)

@@ -37,7 +37,6 @@ from .zlinalg import (
     obj_matrix,
     obj_zeros,
     rank_of,
-    sparse_kernel,
 )
 
 
@@ -108,17 +107,8 @@ class RingData:
     def kernel(self) -> IntegerLattice:
         with self._lock:
             if self._kernel is None:
-                L = self.linearization()
-                sparse_rows = [{j: int(r[j]) for j in range(self.n_classes)
-                                if r[j] != 0} for r in L]
-                sol = sparse_kernel(self.n_classes, sparse_rows)
-                rows = []
-                for s in sol:
-                    vec = [0] * self.n_classes
-                    for c, v in s.items():
-                        vec[c] = v
-                    rows.append(vec)
-                self._kernel = lattice_from_rows(self.n_classes, rows)
+                self._kernel = IntegerLattice.from_hnf(
+                    kernel_basis(self.linearization()))
             return self._kernel
 
 
@@ -357,7 +347,7 @@ def dual_exactness_report(G: FiniteGroup) -> dict:
     r = len(rd.cyclic_positions)
     K = rd.kernel()
     rstar = character_dual_sublattice(G)
-    kperp = lattice_from_rows(n, kernel_basis(K.basis))
+    kperp = IntegerLattice.from_hnf(kernel_basis(K.basis))
     full = lattice_from_rows(n, obj_eye(n))
     inv = full.quotient_invariants(rstar)
     torsion = [d for d in inv if d not in (0,)]

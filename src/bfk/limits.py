@@ -139,10 +139,10 @@ class SectionSlot:
             return a
 
         if not ana.group.is_abelian:
-            tmem = ana.subgroup_members[ti]
+            gens = subgroup_generators(ana.group, ana.subgroup_members[ti])
             for w in cand:
                 wm = ana.subgroup_members[w]
-                for u in subgroup_generators(ana.group, tmem):
+                for u in gens:
                     cw = pos[ana.index_of(ana.conjugate_members(u, wm))]
                     ra, rb = find(pos[w]), find(cw)
                     if ra != rb:
@@ -161,26 +161,32 @@ class SectionSlot:
 
 
 def _slot_kernel(family: "SectionFamily", slot: SectionSlot) -> tuple[np.ndarray, list]:
-    """HNF basis (rows) of the mark kernel of the quotient at this slot,
-    with the pivot column of each basis row.
+    """HNF basis (rows, int64) of the mark kernel of the quotient at this
+    slot, with the pivot column of each basis row.
 
     Rows of the linearization are indexed by the classes whose quotient
     image is cyclic; the quotient of order dividing p contributes nothing.
     Slots with the same mark rows share one kernel through the family's
-    memo, keyed by the exact rows.
+    memo, keyed by the exact rows.  The whole-group slot (P, 1) has the
+    class representatives as its classes and the linearization as its
+    mark rows, so its entry is the base kernel of ring_data.
     """
     if slot._kernel is None:
         ana = family.ana
         if slot.index(ana) <= ana.group.prime:
-            kern = obj_zeros(0, slot.dim)
-            got = (kern, hnf_pivots(kern))
+            got = (np.zeros((0, slot.dim), dtype=np.int64), [])
         else:
             rows = _mark_rows(ana, slot)
             key = (rows.shape, rows.tobytes())
             got = family._kernel_memo.get(key)
             if got is None:
-                kern = kernel_basis(obj_matrix(rows.tolist(), slot.dim))
-                got = family._kernel_memo[key] = (kern, hnf_pivots(kern))
+                if slot.index(ana) == ana.group.order:
+                    base = ring_data(ana.group).kernel()
+                    kern, piv = base.basis, base._piv
+                else:
+                    kern = kernel_basis(rows)
+                    piv = hnf_pivots(kern)
+                got = family._kernel_memo[key] = (_as_i64(kern), piv)
         slot._kernel, slot._kernel_piv = got
     return slot._kernel, slot._kernel_piv
 
@@ -409,24 +415,29 @@ def _as_i64(mat) -> np.ndarray:
     return out
 
 
-def _kernel_coords(kern: np.ndarray, piv, vec) -> list:
-    c = coords_in_hnf(kern, vec, piv)
-    if c is None:
-        raise AssertionError("image left the mark kernel; upstream map is wrong")
-    return c
-
-
 def _restrict_to_kernels(M: np.ndarray, src_kern: np.ndarray,
                          dst_kern: np.ndarray, dst_piv) -> np.ndarray:
     """Rewrite a transitive-basis matrix as a map between kernel bases.
 
-    dst_piv holds the pivot columns of the HNF rows of dst_kern.
+    The kernels are HNF bases (rows) and dst_piv holds the pivot column of
+    each row of dst_kern.  The coordinates C of the images M @ src_kern.T
+    solve dst_kern.T @ C == images.  When every pivot is 1 the pivot
+    columns of dst_kern form the identity, so C is the pivot rows of the
+    images; otherwise each column is solved by coords_in_hnf.  Either way
+    C is accepted only after the exact product check.
     """
-    out = obj_zeros(dst_kern.shape[0], src_kern.shape[0])
-    images = np.asarray(M, dtype=object) @ src_kern.T
-    for i in range(src_kern.shape[0]):
-        out[:, i] = _kernel_coords(dst_kern, dst_piv, images[:, i])
-    return out
+    images = _exact_matmul(M, src_kern.T)
+    k = dst_kern.shape[0]
+    piv = np.asarray(dst_piv, dtype=np.intp)
+    if (dst_kern[np.arange(k), piv] == 1).all():
+        C = images[piv, :]
+    else:
+        H = np.asarray(dst_kern, dtype=object)
+        cols = [coords_in_hnf(H, v, dst_piv) for v in images.T]
+        C = None if None in cols else obj_matrix(cols, k).T
+    if C is None or not np.array_equal(_exact_matmul(dst_kern.T, C), images):
+        raise AssertionError("image left the mark kernel; upstream map is wrong")
+    return C
 
 
 class CoefficientSystem:
@@ -454,6 +465,7 @@ class CoefficientSystem:
             self.dims = [k.shape[0] for k in self._kernels]
             self.base_kernel = ring_data(self.group).kernel()
             self.base_rank = self.base_kernel.rank
+            self._base_basis = _as_i64(self.base_kernel.basis)
         else:
             self._kernels = self._kernel_pivs = None
             self.dims = [s.dim for s in family.slots]
@@ -597,10 +609,9 @@ class CoefficientSystem:
         if self.functor == "B":
             M = self._b_defres_from_base(i)
         elif self.functor == "K":
-            B = np.asarray(self._b_defres_from_base(i), dtype=object)
             M = _as_i64(_restrict_to_kernels(
-                B, self.base_kernel.basis, self._kernels[i],
-                self._kernel_pivs[i]))
+                self._b_defres_from_base(i), self._base_basis,
+                self._kernels[i], self._kernel_pivs[i]))
         elif self.functor == "Bdual":
             M = self._b_indinf_to_base(i).T.copy()
         else:
@@ -624,9 +635,9 @@ class CoefficientSystem:
         return M
 
     def _k_indinf_to_base(self, i: int) -> np.ndarray:
-        base = self.base_kernel
         return _as_i64(_restrict_to_kernels(
-            self._b_indinf_to_base(i), self._kernels[i], base.basis, base._piv))
+            self._b_indinf_to_base(i), self._kernels[i], self._base_basis,
+            self.base_kernel._piv))
 
     def unit_matrix(self) -> np.ndarray:
         """Stacked downward components: F(P) -> product of all values."""
@@ -729,8 +740,7 @@ class MergeLimitSolver:
     def _kernel_transform(self, rows, k: int):
         """Columns parametrizing the kernel of rows, as a k x k' update."""
         self.n_solves += 1
-        basis = kernel_basis(obj_matrix(
-            [[int(x) for x in r] for r in rows], k))
+        basis = kernel_basis(rows)
         if basis.shape[0] == 0:
             return (np.zeros((k, 0), dtype=np.int64) if self.dt == np.int64
                     else obj_zeros(k, 0))

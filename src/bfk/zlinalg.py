@@ -1,9 +1,12 @@
 """Exact integer linear algebra: Hermite and Smith forms, kernels, lattices.
 
-Matrices are numpy arrays with dtype=object holding Python ints, so nothing
-ever overflows. Vectors are rows; a lattice is the set of integer row
-combinations of its basis. All reduced forms are canonical, which makes
-lattice equality a plain array comparison.
+Results are numpy arrays with dtype=object holding Python ints. Work runs
+in int64 only where a bound proves that no product or sum can wrap (the
+kernel elimination checks it before every row operation); without such a
+bound it runs in Python ints, so no result is ever computed modulo 2**64.
+Vectors are rows; a lattice is the set of integer row combinations of its
+basis. All reduced forms are canonical, which makes lattice equality a
+plain array comparison.
 """
 
 from __future__ import annotations
@@ -471,22 +474,101 @@ def sparse_kernel(ncols: int, rows: Iterable[dict[int, int]]) -> list[dict[int, 
     return [basis[k] for k in sorted(basis)]
 
 
+_WRAP = 1 << 62
+
+
+def _absmax(a: np.ndarray) -> int:
+    """Largest absolute entry as a Python int (0 for an empty array)."""
+    if not a.size:
+        return 0
+    return max(int(a.max()), -int(a.min()))
+
+
+def _sub_multiples(W: np.ndarray, rows: np.ndarray, q: np.ndarray,
+                   src: int) -> np.ndarray:
+    """W[rows] -= q * W[src], returning W (switched to Python ints if needed).
+
+    The step stays in int64 only when max|q| * max|W[src]| + max|W[rows]|
+    is below 2**62, so no product or difference can wrap; otherwise the
+    whole matrix moves to dtype=object and stays there.
+    """
+    if W.dtype == np.int64 and (_absmax(q) * _absmax(W[src])
+                                + _absmax(W[rows]) >= _WRAP):
+        W, q = W.astype(object), q.astype(object)
+    W[rows] -= q[:, None] * W[src]
+    return W
+
+
+def _gcd_down(W: np.ndarray, top: int, j: int) -> tuple[np.ndarray, int]:
+    """Euclid on column j over rows top.. until at most one entry is nonzero.
+
+    Returns W and the row holding the surviving entry, or -1 if none does.
+    """
+    while True:
+        nz = np.flatnonzero(W[top:, j])
+        if nz.size <= 1:
+            return W, (top + int(nz[0]) if nz.size else -1)
+        col = W[top + nz, j]
+        k = int(np.argmin(np.abs(col)))
+        others = top + np.delete(nz, k)
+        src = top + int(nz[k])
+        W = _sub_multiples(W, others, W[others, j] // W[src, j], src)
+
+
+def _int_matrix(mat) -> np.ndarray:
+    """A 2-D copy of mat in int64 when every entry is below 2**62, else object."""
+    A = np.asarray(mat)
+    if A.ndim != 2:
+        raise ValueError("need a 2-D matrix")
+    try:
+        W = A.astype(np.int64)
+    except OverflowError:
+        return A.astype(object)
+    if _absmax(W) >= _WRAP:
+        return A.astype(object)
+    return W
+
+
 def kernel_basis(mat) -> np.ndarray:
-    """Saturated basis (rows) of the right kernel of a dense matrix."""
-    A = np.asarray(mat, dtype=object)
+    """Saturated basis (rows, canonical HNF) of the right kernel of mat.
+
+    Row-reduces [A^T | I_n] (Cohen, GTM 138, 2.4).  Euclid down each
+    column of the A^T part leaves one pivot row for it, which is set
+    aside.  Every step is unimodular, so the I_n parts of the rows left,
+    whose A^T part is zero, are a basis of {x in Z^n : A x = 0}.  Those
+    rows are then put in canonical row HNF (positive pivots, entries above
+    each pivot in [0, pivot)), the form LatticeBuilder gives, so the
+    result is unique.  Work is in int64 under the bound of _sub_multiples,
+    else in Python ints; the result is always dtype=object.
+    """
+    A = _int_matrix(mat)
     m, n = A.shape
-    rows = []
-    for i in range(m):
-        r = {j: int(A[i, j]) for j in range(n) if A[i, j] != 0}
-        rows.append(r)
-    sol = sparse_kernel(n, rows)
-    lb = LatticeBuilder(n)
-    for s in sol:
-        vec = [0] * n
-        for c, v in s.items():
-            vec[c] = v
-        lb.add(vec)
-    return lb.hnf()
+    W = np.concatenate([A.T, np.eye(n, dtype=np.int64).astype(A.dtype)],
+                       axis=1)
+    top = 0
+    for j in range(m):
+        W, r = _gcd_down(W, top, j)
+        if r >= 0:
+            W[[top, r]] = W[[r, top]]
+            top += 1
+    K = W[top:, m:]
+    row = 0
+    for j in range(n):
+        if row == K.shape[0]:
+            break
+        K, r = _gcd_down(K, row, j)
+        if r < 0:
+            continue
+        if r != row:
+            K[[row, r]] = K[[r, row]]
+        if K[row, j] < 0:
+            K[row] = -K[row]
+        q = K[:row, j] // K[row, j]
+        up = np.flatnonzero(q)
+        if up.size:
+            K = _sub_multiples(K, up, q[up], row)
+        row += 1
+    return K.astype(object)
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +591,13 @@ class IntegerLattice:
         if mat.ndim != 2:
             raise ValueError("need a 2-D matrix")
         self._set(_span(ambient, mat))
+
+    @classmethod
+    def from_hnf(cls, basis: np.ndarray) -> "IntegerLattice":
+        """Wrap a basis that is already in canonical HNF."""
+        lat = cls(basis.shape[1])
+        lat.basis, lat._piv = basis, hnf_pivots(basis)
+        return lat
 
     def _set(self, lb: LatticeBuilder) -> "IntegerLattice":
         self.basis = lb.hnf()

@@ -456,3 +456,43 @@ def test_orbit_kernels_match_union_find(G):
             assert act_on_basis_element(U, tm, dq) == uf_act_on_basis_element(U, tm, dq)
         for tm in dq.reps_members:
             assert point_orbit_reps(U, tm) == uf_point_orbit_reps(U, tm)
+
+
+def per_code_canonical_stabilizer(Q, P, stab):
+    """The conjugation-orbit walk one code at a time through G.mul, kept as
+    the reference for the table-lookup version."""
+    def conj(code, a, b):
+        q, p = divmod(code, P.order)
+        q2 = Q.mul(Q.mul(a, q), Q.inv_of(a))
+        p2 = P.mul(P.mul(P.inv_of(b), p), b)
+        return q2 * P.order + p2
+
+    start = tuple(sorted(stab))
+    gens = [(a, 0) for a in Q.generators()] + [(0, b) for b in P.generators()]
+    best, frontier, seen = start, [start], {start}
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            for a, b in gens:
+                img = tuple(sorted(conj(c, a, b) for c in cur))
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+                    best = min(best, img)
+        frontier = nxt
+    return best
+
+
+@pytest.mark.parametrize("G", [X27, C9x3], ids=["xsp:3", "prod:cyclic:9,cyclic:3"])
+def test_canonical_stabilizer_matches_per_code_walk(G):
+    checked = 0
+    for V, U in orbit_kernel_pairs(G):
+        W = compose(V, U)
+        # the opposite puts each side's conjugation moves on the other side
+        for B in (V, U, W, opposite(W)):
+            for _, _, stab in orbit_decompose(B):
+                got = canonical_stabilizer(B.left_group, B.right_group, stab)
+                assert got == per_code_canonical_stabilizer(
+                    B.left_group, B.right_group, stab)
+                checked += 1
+    assert checked == 92

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bfk.zlinalg import kernel_basis, lattice_from_rows, obj_matrix
+from bfk.zlinalg import (coords_in_hnf, hnf_pivots, kernel_basis, lattice_from_rows,
+                         obj_matrix, obj_zeros)
 from bfk.groups import (
     analysis,
     cyclic_group,
@@ -20,6 +21,7 @@ from bfk.limits import (
     GroupHom,
     _check_counit_kills,
     _mark_rows,
+    _restrict_to_kernels,
     _spans_everything,
     LimitElement,
     coefficient_system,
@@ -86,6 +88,61 @@ def test_slots_with_equal_mark_rows_share_one_kernel():
                 fresh = kernel_basis(obj_matrix(rows.tolist(), slot.dim))
                 assert np.array_equal(system._kernels[i], fresh)
         assert len(fam._kernel_memo) == len(distinct)
+
+
+def test_whole_group_slot_takes_the_base_kernel():
+    for G in (X27, V2, V3):
+        system = coefficient_system(G, "X", "K")
+        fam = system.family
+        i = fam.pos[(fam.ana.n_sub - 1, 0)]
+        base = system.base_kernel
+        # the slot reuses the base kernel instead of eliminating again
+        assert system._kernel_pivs[i] is base._piv
+        assert np.array_equal(system._kernels[i], base.basis)
+        rows = _mark_rows(fam.ana, fam.slots[i])
+        assert np.array_equal(kernel_basis(rows), base.basis)
+
+
+def per_column_restrict(M, src_kern, dst_kern):
+    """The former _restrict_to_kernels: object products and coords_in_hnf
+    one column at a time; kept as the reference."""
+    H = np.asarray(dst_kern, dtype=object)
+    images = np.asarray(M, dtype=object) @ np.asarray(src_kern, dtype=object).T
+    out = obj_zeros(H.shape[0], images.shape[1])
+    for i in range(images.shape[1]):
+        c = coords_in_hnf(H, images[:, i])
+        if c is None:
+            raise AssertionError("image left the mark kernel")
+        out[:, i] = c
+    return out
+
+
+@pytest.mark.parametrize("dst_rows", [[[1, 0, 2], [0, 1, -3]], [[2, 1, 0]]],
+                         ids=["unit-pivots", "pivot-2"])
+@pytest.mark.parametrize("scale", [1, 2**70], ids=["int64", "exact"])
+def test_restrict_to_kernels_matches_per_column_coords(dst_rows, scale):
+    H = np.asarray(lattice_from_rows(3, dst_rows).basis, dtype=np.int64)
+    piv = hnf_pivots(H)
+    src = np.array([[1, 1], [0, 1]], dtype=np.int64)
+    src_t_inv = obj_matrix([[1, 0], [-1, 1]])      # inverse of src.T
+    coords = obj_matrix([[1, -2], [3, 5]][:H.shape[0]]) * scale
+    images = np.asarray(H.T, dtype=object) @ coords
+    dtype = np.int64 if scale == 1 else object
+    M = np.asarray(images @ src_t_inv, dtype=dtype)
+    got = _restrict_to_kernels(M, src, H, piv)
+    assert np.array_equal(got, coords)
+    assert np.array_equal(got, per_column_restrict(M, src, H))
+    # an image off the lattice is refused, by coords_in_hnf when a pivot
+    # does not divide and otherwise by the exact product check
+    for off in ([0, 0, 1], [1, 0, 0]):
+        bad = images.copy()
+        bad[:, 1] += np.array(off, dtype=object)
+        assert coords_in_hnf(H.astype(object), bad[:, 1]) is None
+        M_bad = np.asarray(bad @ src_t_inv, dtype=dtype)
+        with pytest.raises(AssertionError, match="image left the mark kernel"):
+            _restrict_to_kernels(M_bad, src, H, piv)
+        with pytest.raises(AssertionError, match="image left the mark kernel"):
+            per_column_restrict(M_bad, src, H)
 
 
 def test_extraspecial_section_only_in_x_families():

@@ -11,6 +11,7 @@ from bfk.zlinalg import (
     kernel_basis,
     lattice_from_rows,
     obj_matrix,
+    obj_zeros,
     rank_of,
     residue_mod_hnf,
     snf_diagonal,
@@ -234,3 +235,64 @@ def test_non_member_raises():
     a = lattice_from_rows(2, [[2, 0]])
     with pytest.raises(ValueError):
         a.coordinates_of([1, 0])
+
+
+def sparse_kernel_hnf(A):
+    """The former kernel_basis: sparse_kernel's xgcd fold, then the HNF of
+    its solution vectors through LatticeBuilder; kept as the reference."""
+    m, n = A.shape
+    rows = [{j: int(A[i, j]) for j in range(n) if A[i, j] != 0} for i in range(m)]
+    lb = LatticeBuilder(n)
+    for sol in sparse_kernel(n, rows):
+        vec = [0] * n
+        for c, v in sol.items():
+            vec[c] = v
+        lb.add(vec)
+    return lb.hnf()
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Small matrices with dependent rows, zero rows and zero columns, and
+    entries from 2**55 up that overflow int64 during or before elimination."""
+    m = draw(st.integers(min_value=0, max_value=6))
+    n = draw(st.integers(min_value=0, max_value=7))
+    small = st.integers(min_value=-9, max_value=9)
+    wide = st.builds(lambda e, s, d: s * (1 << e) + d, st.integers(55, 70),
+                     st.sampled_from([1, -1]), st.integers(-3, 3))
+    if draw(st.booleans()):
+        entry = st.one_of(small, small, small, st.just(0), wide)
+    else:
+        entry = st.one_of(small, st.just(0))
+    A = obj_zeros(m, n)
+    for i in range(m):
+        kind = draw(st.sampled_from(["free", "free", "zero", "dependent"]))
+        if kind == "dependent" and i:
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            A[i] = a * A[draw(st.integers(0, i - 1))] + b * A[draw(st.integers(0, i - 1))]
+        elif kind != "zero":
+            A[i] = draw(st.lists(entry, min_size=n, max_size=n))
+    if n:
+        for j in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+            A[:, j] = 0
+    return A
+
+
+@seed(20082)
+@settings(max_examples=400, deadline=None, database=None)
+@given(kernel_inputs())
+def test_kernel_basis_matches_the_sparse_fold(A):
+    want = sparse_kernel_hnf(A)
+    got = kernel_basis(A)
+    assert got.dtype == object and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert all(type(x) is int for x in got.flat)
+
+
+def test_kernel_basis_switches_to_python_ints_mid_elimination():
+    # int64 inputs whose elimination needs products past 2**62
+    big = (1 << 61) + 1
+    A = np.array([[big, 3, 0], [2, big, 5]], dtype=np.int64)
+    assert np.array_equal(kernel_basis(A), sparse_kernel_hnf(A.astype(object)))
+    assert np.array_equal(kernel_basis(np.zeros((0, 3), dtype=np.int64)),
+                          obj_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
