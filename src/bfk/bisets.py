@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groups import FiniteGroup, GroupAnalysis, Section
+from .groups import FiniteGroup, Section
 
 
 def _same_group(A: FiniteGroup, B: FiniteGroup) -> bool:
@@ -38,30 +38,6 @@ class ConcreteBiset:
             raise ValueError("left table shape mismatch")
         if self.right.shape != (self.size, right_group.order):
             raise ValueError("right table shape mismatch")
-
-    def validate(self):
-        Q, P = self.left_group, self.right_group
-        n = self.size
-        ident = np.arange(n, dtype=np.int32)
-        if not np.array_equal(self.left[0], ident):
-            raise ValueError("left identity must act trivially")
-        if not np.array_equal(self.right[:, 0], ident):
-            raise ValueError("right identity must act trivially")
-        # associativity of both actions and their commutation
-        for q1 in range(Q.order):
-            rows = self.left[:, self.left[q1]]        # rows[q2, x] = q2.(q1.x)
-            want = self.left[Q.table[:, q1]]          # (q2 q1).x
-            if not np.array_equal(rows, want):
-                raise ValueError("left action fails associativity")
-            if not np.array_equal(self.right[self.left[q1], :],
-                                  self.left[q1, self.right]):
-                raise ValueError("actions fail to commute")
-        for p1 in range(P.order):
-            cols = self.right[self.right[:, p1], :]   # cols[x, p2] = (x.p1).p2
-            want = self.right[:, P.table[p1]]         # x.(p1 p2)
-            if not np.array_equal(cols, want):
-                raise ValueError("right action fails associativity")
-        return self
 
     def __repr__(self):
         return (f"ConcreteBiset({self.name or 'biset'}: size={self.size}, "
@@ -120,62 +96,6 @@ def defres_biset(sec: Section) -> ConcreteBiset:
     right = ids[P.table[reps_arr, :]]
     return ConcreteBiset(sec.group, P, left, right,
                          name=f"defres[{sec.key}]")
-
-
-def restriction_biset(ana: GroupAnalysis, members) -> ConcreteBiset:
-    sec = ana.section_at(members, (0,))
-    return defres_biset(sec)
-
-
-def induction_biset(ana: GroupAnalysis, members) -> ConcreteBiset:
-    sec = ana.section_at(members, (0,))
-    return indinf_biset(sec)
-
-
-def inflation_biset(ana: GroupAnalysis, sec: Section) -> ConcreteBiset:
-    """(top-as-group, quotient)-biset: the quotient with the top acting
-    through the projection on the left."""
-    tsec = ana.section_at(sec.top.members, (0,))
-    T, q = tsec.group, sec.group
-    lift = np.asarray(tsec.reps, dtype=np.int32)
-    qreps = np.asarray([sec.reps[t] for t in range(q.order)], dtype=np.int32)
-    left = sec.proj[sec.parent.table[np.ix_(lift, qreps)]]
-    return ConcreteBiset(T, q, left, q.table, name=f"inf[{sec.key}]")
-
-
-def deflation_biset(ana: GroupAnalysis, sec: Section) -> ConcreteBiset:
-    """(quotient, top-as-group)-biset: the quotient with the top acting
-    through the projection on the right."""
-    tsec = ana.section_at(sec.top.members, (0,))
-    T, q = tsec.group, sec.group
-    lift = np.asarray(tsec.reps, dtype=np.int32)
-    qreps = np.asarray([sec.reps[t] for t in range(q.order)], dtype=np.int32)
-    right = sec.proj[sec.parent.table[np.ix_(qreps, lift)]]
-    return ConcreteBiset(q, T, q.table, right, name=f"def[{sec.key}]")
-
-
-def iso_biset(src: FiniteGroup, dst: FiniteGroup, f) -> ConcreteBiset:
-    """(dst, src)-biset carried by a group isomorphism f: src -> dst."""
-    f = np.asarray(f, dtype=np.int32)
-    if sorted(f.tolist()) != list(range(dst.order)) or src.order != dst.order:
-        raise ValueError("f must be a bijection onto dst")
-    if not np.array_equal(dst.table[np.ix_(f, f)], f[src.table]):
-        raise ValueError("f is not a homomorphism")
-    right = dst.table[:, f]
-    return ConcreteBiset(dst, src, dst.table, right, name="iso")
-
-
-def section_transport(ana: GroupAnalysis, sec: Section, u: int):
-    """Conjugate a section by u: returns the target section and the
-    (target-quotient, source-quotient)-biset carried by conjugation."""
-    G = ana.group
-    tmem = ana.conjugate_members(u, sec.top.members)
-    smem = ana.conjugate_members(u, sec.bottom.members)
-    target = ana.section_at(tmem, smem)
-    ui = G.inv_of(u)
-    f = np.array([int(target.proj[G.mul(G.mul(u, sec.reps[t]), ui)])
-                  for t in range(sec.group.order)], dtype=np.int32)
-    return target, iso_biset(sec.group, target.group, f)
 
 
 def opposite(U: ConcreteBiset) -> ConcreteBiset:
@@ -268,23 +188,6 @@ def left_quotient_biset(U: ConcreteBiset, c_members) -> ConcreteBiset:
 
 # ---------------------------------------------------------------------------
 # orbit structure
-
-def left_orbits(U: ConcreteBiset):
-    """Orbits of the left action alone: (sorted orbit, stabilizer members
-    of the representative), representative = least index."""
-    Q = U.left_group
-    out = []
-    seen = np.zeros(U.size, dtype=bool)
-    for x in range(U.size):
-        if seen[x]:
-            continue
-        col = U.left[:, x]
-        orbit = sorted(set(col.tolist()))
-        seen[orbit] = True
-        stab = tuple(int(q) for q in range(Q.order) if col[q] == x)
-        out.append((orbit, stab))
-    return out
-
 
 def orbit_decompose(U: ConcreteBiset):
     """Two-sided orbits with their stabilizer pairs.

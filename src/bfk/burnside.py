@@ -16,16 +16,14 @@ import threading
 
 import numpy as np
 
-from .bisets import ConcreteBiset, _coset_ids, opposite
+from .bisets import ConcreteBiset, opposite
 from .groups import (
     FiniteGroup,
     GroupAnalysis,
     Section,
     analysis,
     classify_group,
-    double_coset_reps,
     product_members,
-    trivial_group,
 )
 from .zlinalg import (
     IntegerLattice,
@@ -62,7 +60,7 @@ def mark_count(ana: GroupAnalysis, s_members, t_members) -> int:
 
 
 class RingData:
-    """Per-group basis bookkeeping, marks, linearization, kernel lattice."""
+    """Per-group basis bookkeeping, linearization, kernel lattice."""
 
     def __init__(self, G: FiniteGroup):
         self.group = G
@@ -73,24 +71,11 @@ class RingData:
         self.orders = [len(m) for m in self.reps_members]
         self.cyclic_positions = list(self.ana.cyclic_class_positions)
         self._lock = threading.RLock()
-        self._marks = None
         self._lin = None
         self._kernel = None
 
     def class_position(self, members) -> int:
         return int(self.ana.class_of_sub[self.ana.index_of(members)])
-
-    def marks(self) -> np.ndarray:
-        with self._lock:
-            if self._marks is None:
-                n = self.n_classes
-                M = obj_zeros(n, n)
-                for i, sm in enumerate(self.reps_members):
-                    for j, tm in enumerate(self.reps_members):
-                        if self.orders[i] <= self.orders[j]:
-                            M[i, j] = mark_count(self.ana, sm, tm)
-                self._marks = M
-            return self._marks
 
     def linearization(self) -> np.ndarray:
         """Rows are fixed-point counts against the cyclic classes."""
@@ -124,22 +109,8 @@ def ring_data(G: FiniteGroup) -> RingData:
     return rd
 
 
-def table_of_marks(G: FiniteGroup) -> np.ndarray:
-    return ring_data(G).marks()
-
-
-def linearization_matrix(G: FiniteGroup) -> np.ndarray:
-    return ring_data(G).linearization()
-
-
 def linearization_kernel(G: FiniteGroup) -> IntegerLattice:
     return ring_data(G).kernel()
-
-
-def character_rank_full(G: FiniteGroup) -> bool:
-    """Whether the linearization has full rank, one per cyclic class."""
-    rd = ring_data(G)
-    return rank_of(rd.linearization()) == len(rd.cyclic_positions)
 
 
 # ---------------------------------------------------------------------------
@@ -223,17 +194,6 @@ def biset_matrix(U: ConcreteBiset) -> np.ndarray:
     return out
 
 
-def point_biset(anaP: GroupAnalysis, t_members) -> ConcreteBiset:
-    """Cosets of a subgroup as a biset with trivial right side; composing
-    any biset with it gives a concrete one-sided oracle for the action."""
-    P = anaP.group
-    ids, reps = _coset_ids(P, tuple(t_members), "left")
-    left = ids[P.table[:, np.asarray(reps, dtype=np.int32)]]
-    right = np.arange(len(reps), dtype=np.int32)[:, None]
-    return ConcreteBiset(P, trivial_group(P.prime), left, right,
-                         name=f"cosets[{tuple(t_members)}]")
-
-
 # ---------------------------------------------------------------------------
 # closed-form maps along sections
 
@@ -249,67 +209,13 @@ def indinf_class_matrix(anaP: GroupAnalysis, sec: Section) -> np.ndarray:
     return out
 
 
-def defres_class_matrix(anaP: GroupAnalysis, sec: Section) -> np.ndarray:
-    """Restrict to the top then deflate to the section quotient, via double
-    cosets of the top against each stabilizer."""
-    G = anaP.group
-    dp = ring_data(G)
-    dq = ring_data(sec.group)
-    tmem = sec.top.members
-    tset = set(tmem)
-    out = obj_zeros(dq.n_classes, dp.n_classes)
-    for j, wmem in enumerate(dp.reps_members):
-        for x in double_coset_reps(G, tmem, wmem):
-            conj = set(anaP.conjugate_members(x, wmem))
-            inter = tuple(sorted(conj & tset))
-            image = sec.image_members(inter)
-            out[dq.class_position(image), j] += 1
-    return out
-
-
-def iso_class_matrix(f, src: FiniteGroup, dst: FiniteGroup) -> np.ndarray:
-    """Permutation of orbit bases induced by a group isomorphism."""
-    f = np.asarray(f, dtype=np.int32)
-    ds = ring_data(src)
-    dd = ring_data(dst)
-    out = obj_zeros(dd.n_classes, ds.n_classes)
-    for j, mem in enumerate(ds.reps_members):
-        image = tuple(sorted(int(f[m]) for m in mem))
-        out[dd.class_position(image), j] = 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # kernel-level and dual maps
-
-def kernel_restricted_matrix(M: np.ndarray, src: IntegerLattice,
-                             dst: IntegerLattice) -> np.ndarray:
-    """Rewrite a basis-level matrix as a map between kernel lattices,
-    in their canonical bases. Raises if the image ever leaves dst."""
-    cols = []
-    for b in src.basis:
-        cols.append(dst.coordinates_of(M @ b))
-    out = obj_zeros(dst.rank, src.rank)
-    for j, c in enumerate(cols):
-        out[:, j] = c
-    return out
-
 
 def dual_action_matrix(U: ConcreteBiset) -> np.ndarray:
     """Action on dual modules: the transpose of the opposite biset's
     matrix, mapping functionals on the right side to the left side."""
     return biset_matrix(opposite(U)).T
-
-
-def kernel_dual_action_matrix(U: ConcreteBiset) -> np.ndarray:
-    """The dual action pushed down to functionals on the kernel lattices."""
-    Mstar = dual_action_matrix(U)
-    kq = ring_data(U.left_group).kernel()
-    kp = ring_data(U.right_group).kernel()
-    rows = []
-    for row in kq.basis @ Mstar:
-        rows.append(kp.coordinates_of(row))
-    return obj_matrix(rows, kp.rank)
 
 
 def character_dual_sublattice(G: FiniteGroup) -> IntegerLattice:

@@ -297,9 +297,3 @@ def claim(claim_id: str) -> Claim:
         return _BY_ID[claim_id]
     except KeyError:
         raise KeyError(f"unknown claim id {claim_id!r}") from None
-
-
-def claims_for(campaign: str) -> tuple[Claim, ...]:
-    if campaign not in CAMPAIGNS:
-        raise KeyError(f"unknown campaign {campaign!r}")
-    return tuple(c for c in CLAIMS if c.campaign == campaign)

@@ -105,14 +105,6 @@ class FiniteGroup:
     def inv_of(self, a: int) -> int:
         return int(self.inv[a])
 
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            a, k = self.inv_of(a), -k
-        acc = 0
-        for _ in range(k):
-            acc = int(self.table[acc, a])
-        return acc
-
     @property
     def is_abelian(self) -> bool:
         if self._abelian is None:
@@ -215,11 +207,6 @@ class Section:
     def preimage(self, quotient_members: Iterable[int]) -> tuple:
         want = set(int(m) for m in quotient_members)
         return tuple(t for t in self.top.members if int(self.proj[t]) in want)
-
-    def image_members(self, parent_members: Iterable[int]) -> tuple:
-        out = {int(self.proj[int(m)]) for m in parent_members
-               if self.proj[int(m)] >= 0}
-        return tuple(sorted(out))
 
     def __repr__(self):
         return (f"Section(|T|={self.top.order}, |S|={self.bottom.order}, "
@@ -324,14 +311,6 @@ def parse_descriptor(desc: str, p_default: int | None = None) -> FiniteGroup:
     except (ValueError, DescriptorError) as e:
         raise DescriptorError(f"bad descriptor {desc!r}: {e}") from e
     raise DescriptorError(f"unrecognized descriptor {desc!r}")
-
-
-def save_group_file(G: FiniteGroup, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"p {G.prime}\n")
-        fh.write(f"order {G.order}\n")
-        for row in G.table:
-            fh.write(" ".join(str(int(x)) for x in row) + "\n")
 
 
 def load_group_file(path, name: str | None = None) -> FiniteGroup:
@@ -516,9 +495,6 @@ class GroupAnalysis:
         return bool(self.leq[si, ti]
                     and self.normalizes[si, list(self.subgroup_members[ti])].all())
 
-    def normalizer_members(self, si: int) -> tuple:
-        return tuple(np.flatnonzero(self.normalizes[si]).tolist())
-
     def moebius(self, si: int, ti: int) -> int:
         """Moebius function of the subgroup poset on the interval [si, ti]."""
         if not self.leq[si, ti]:
@@ -618,47 +594,9 @@ def analysis(G: FiniteGroup, bound: int | None = None) -> GroupAnalysis:
 # ---------------------------------------------------------------------------
 # public wrappers
 
-def all_subgroups(G: FiniteGroup, bound: int | None = None) -> list[Subgroup]:
-    ana = analysis(G, bound)
-    return [ana.subgroup(i) for i in range(ana.n_sub)]
-
-
-def conjugacy_classes_of_subgroups(G: FiniteGroup) -> list[list[Subgroup]]:
-    ana = analysis(G)
-    return [[ana.subgroup(i) for i in cls] for cls in ana.classes]
-
-
-def moebius(S: Subgroup, T: Subgroup) -> int:
-    if S.parent is not T.parent:
-        raise ValueError("subgroups of different parents")
-    ana = analysis(S.parent)
-    return ana.moebius(ana.index_of(S.members), ana.index_of(T.members))
-
-
-def frattini(G: FiniteGroup) -> Subgroup:
-    ana = analysis(G)
-    top = ana.index_of(range(G.order))
-    return ana.subgroup(ana.frattini_of(top))
-
-
 def center(G: FiniteGroup) -> Subgroup:
     ana = analysis(G)
     return Subgroup(G, ana.center_members)
-
-
-def conjugate_subgroup(x: int, S: Subgroup) -> Subgroup:
-    ana = analysis(S.parent)
-    return Subgroup(S.parent, ana.conjugate_members(x, S.members))
-
-
-def is_normal(S: Subgroup, T: Subgroup) -> bool:
-    ana = analysis(S.parent)
-    return ana.is_normal_in(ana.index_of(S.members), ana.index_of(T.members))
-
-
-def normalizer(S: Subgroup) -> Subgroup:
-    ana = analysis(S.parent)
-    return Subgroup(S.parent, ana.normalizer_members(ana.index_of(S.members)))
 
 
 def classify_group(q: FiniteGroup) -> SectionClassLabel:
@@ -695,12 +633,6 @@ def sections_in_class(G: FiniteGroup, klass) -> list[Section]:
     return [sec for sec in ana.sections() if pred(sec.label)]
 
 
-def group_section(G: FiniteGroup) -> Section:
-    """The section (G, 1); its quotient is a relabeled copy of G."""
-    ana = analysis(G)
-    return ana.section_at(range(G.order), [0])
-
-
 def double_coset_reps(G: FiniteGroup, left_members: Sequence[int],
                       right_members: Sequence[int],
                       within: Sequence[int] | None = None) -> list[int]:
@@ -708,19 +640,14 @@ def double_coset_reps(G: FiniteGroup, left_members: Sequence[int],
 
     With `within`, representatives are drawn from that subgroup's members
     (both L and R must then lie inside it), partitioning it instead of G.
+    The least point of LxR is the least over r in R of the least point of
+    L(xr), read off one minimum over L of every point.
     """
-    seen = np.zeros(G.order, dtype=bool)
-    left = np.asarray(left_members, dtype=np.int32)
-    right = np.asarray(right_members, dtype=np.int32)
-    reps = []
-    for x in (range(G.order) if within is None else within):
-        x = int(x)
-        if seen[x]:
-            continue
-        reps.append(x)
-        lx = G.table[left, x]
-        seen[G.table[np.ix_(lx, right)].ravel()] = True
-    return reps
+    least_l = G.table[np.asarray(left_members, dtype=np.int32)].min(axis=0)
+    xr = G.table.T[np.asarray(right_members, dtype=np.int32)]   # xr[j, x] = x r_j
+    if within is not None:
+        xr = xr[:, np.asarray(within, dtype=np.int32)]
+    return np.unique(least_l[xr].min(axis=0)).tolist()
 
 
 def subgroup_generators(G: FiniteGroup, members: Sequence[int]) -> tuple:

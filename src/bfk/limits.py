@@ -12,13 +12,11 @@ Quotient groups are never materialized.  The transitive-set basis of a
 quotient T/S is the set of T-conjugacy classes of intermediate subgroups
 S <= W <= T, and every structure map is written in those coordinates on
 the ambient group.  Large free systems go through a component-merging
-solver whose basis updates are deferred on per-component chains; small or
-torsion-carrying systems go through a direct sparse kernel.
+solver whose basis updates are deferred on per-component chains; small
+systems go through a direct sparse kernel.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 
@@ -26,8 +24,7 @@ from .groups import (SECTION_CLASSES, FiniteGroup, GroupAnalysis, analysis,
                      _closure, double_coset_reps, product_members,
                      subgroup_generators)
 from .zlinalg import (LatticeBuilder, coords_in_hnf, hnf_pivots, kernel_basis,
-                      lattice_from_rows, obj_matrix, obj_zeros,
-                      residue_mod_hnf, snf_diagonal, sparse_kernel,
+                      obj_eye, obj_matrix, obj_zeros, sparse_kernel,
                       sparse_snf_invariants)
 from .burnside import ring_data
 
@@ -297,18 +294,6 @@ class SectionFamily:
         self._systems: dict = {}         # functor -> CoefficientSystem
         self._kernel_memo: dict = {}     # exact mark rows -> (kernel, pivots)
 
-    def nested_pairs(self):
-        """All ordered pairs (i, j) with section j a subquotient of section i."""
-        ana = self.ana
-        out = []
-        for i, (ti, si) in enumerate(self.sections):
-            for j, (tj, sj) in enumerate(self.sections):
-                if i == j:
-                    continue
-                if ana.leq[tj, ti] and ana.leq[si, sj] and ana.leq[sj, tj]:
-                    out.append((i, j))
-        return out
-
 
 def section_family(G: FiniteGroup, label: str) -> SectionFamily:
     ana = analysis(G)
@@ -316,84 +301,6 @@ def section_family(G: FiniteGroup, label: str) -> SectionFamily:
     if fam is None:
         fam = ana._families[label] = SectionFamily(G, label)
     return fam
-
-
-# ---------------------------------------------------------------------------
-# presentations of finitely generated abelian groups
-
-
-class AbelianPresentation:
-    """Z^n modulo the row span of an integer relation matrix."""
-
-    def __init__(self, generators: int, relations=None):
-        self.generators = int(generators)
-        if relations is None:
-            self.relations = obj_zeros(0, self.generators)
-        else:
-            self.relations = obj_matrix(relations, self.generators)
-        self._lattice = None
-        self._invariants = None
-
-    @property
-    def is_free(self) -> bool:
-        return self.relations.shape[0] == 0
-
-    def _relation_lattice(self):
-        if self._lattice is None:
-            self._lattice = lattice_from_rows(self.generators, self.relations)
-        return self._lattice
-
-    def relation_hnf(self) -> np.ndarray:
-        return self._relation_lattice().basis
-
-    def invariant_factors(self) -> list:
-        """SNF diagonal of the relations, padded with 0 per free generator."""
-        if self._invariants is None:
-            diag = snf_diagonal(self.relations) if self.relations.size else []
-            self._invariants = list(diag) + [0] * (self.generators - len(diag))
-        return list(self._invariants)
-
-    def torsion_invariants(self) -> list:
-        return [int(d) for d in self.invariant_factors() if d not in (0, 1)]
-
-    def free_rank(self) -> int:
-        return sum(1 for d in self.invariant_factors() if d == 0)
-
-    def reduce(self, vec) -> np.ndarray:
-        lat = self._relation_lattice()
-        return residue_mod_hnf(lat.basis, vec, lat._piv)
-
-    def same_element(self, a, b) -> bool:
-        d = np.array([int(x) - int(y) for x, y in zip(a, b)], dtype=object)
-        r = self.reduce(d)
-        return not any(int(x) for x in r)
-
-    def __repr__(self):
-        return (f"AbelianPresentation(gen={self.generators}, "
-                f"inv={self.invariant_factors()})")
-
-
-class GroupHom:
-    """Map between presentations, given by an integer matrix on generators."""
-
-    def __init__(self, source: AbelianPresentation, target: AbelianPresentation,
-                 matrix, check: bool = True):
-        self.source = source
-        self.target = target
-        self.matrix = obj_matrix(matrix, source.generators)
-        if self.matrix.shape[0] != target.generators:
-            raise ValueError("matrix shape does not match the presentations")
-        if check and not self.source.is_free:
-            for r in self.source.relations:
-                img = self.matrix @ np.array([int(x) for x in r], dtype=object)
-                if any(int(x) for x in self.target.reduce(img)):
-                    raise ValueError("matrix does not respect the relations")
-
-    def compose(self, other: "GroupHom") -> "GroupHom":
-        if other.target is not self.source:
-            raise ValueError("homs do not compose")
-        return GroupHom(other.source, self.target,
-                        self.matrix @ other.matrix, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -476,18 +383,6 @@ class CoefficientSystem:
             self.offsets.append(run)
             run += d
         self.total = run
-
-    # -- spec-facing value layer -------------------------------------------
-
-    def value(self, i: int) -> AbelianPresentation:
-        return AbelianPresentation(self.dims[i])
-
-    def sections(self):
-        return list(self.family.sections)
-
-    def block(self, vec, i: int):
-        off = self.offsets[i]
-        return vec[off:off + self.dims[i]]
 
     # -- transitive-basis building blocks ----------------------------------
 
@@ -688,7 +583,7 @@ class MergeLimitSolver:
         self.dims = list(dims)
         self.dt = dtype
         self.parent = list(range(self.n))
-        eye = np.eye if dtype == np.int64 else _obj_eye_arr
+        eye = np.eye if dtype == np.int64 else obj_eye
         self.phi = [eye(d) for d in dims]
         self.ptr = []
         self.tail = {}
@@ -863,35 +758,38 @@ class MergeLimitSolver:
         return total, blocks
 
 
-def _obj_eye_arr(n: int) -> np.ndarray:
-    out = obj_zeros(n, n)
-    for i in range(n):
-        out[i, i] = 1
-    return out
-
-
 def _any_nonzero(arr) -> bool:
     if arr.dtype == np.int64:
         return bool(arr.any())
     return any(int(x) for x in arr.flat)
 
 
-def _matmul_fits(A, B) -> bool:
-    """May A @ B be taken in int64 without risking silent wraparound."""
-    if A.dtype != np.int64 or B.dtype != np.int64 or not (A.size and B.size):
-        return A.dtype == np.int64 and B.dtype == np.int64
-    amax = int(np.abs(A).max())
-    bmax = int(np.abs(B).max())
-    return amax * bmax * max(1, A.shape[1]) < (1 << 62)
+def _i64_absmax(mat):
+    """(mat as int64, its largest absolute entry), or (None, None) when an
+    entry lies outside the int64 working range."""
+    arr = np.asarray(mat)
+    if arr.size == 0:
+        return np.zeros(arr.shape, dtype=np.int64), 0
+    if arr.dtype != np.int64:
+        try:
+            arr = arr.astype(np.int64)
+        except (OverflowError, TypeError):
+            return None, None
+    amax = int(np.abs(arr).max())
+    # abs wraps only at -2**63, which it leaves negative
+    return (arr, amax) if 0 <= amax <= _I64_BOUND else (None, None)
 
 
 def _exact_matmul(A, B) -> np.ndarray:
-    """A @ B over the integers: in int64 when no product can wrap."""
-    try:
-        A64, B64 = _as_i64(A), _as_i64(B)
-    except OverflowError:
-        A64 = B64 = None
-    if A64 is not None and _matmul_fits(A64, B64):
+    """A @ B over the integers: in int64 when no product can wrap.
+
+    Each operand is read once for its largest entry; int64 needs every
+    entry within 2**55 and amax * bmax * k below 2**62.
+    """
+    A64, amax = _i64_absmax(A)
+    B64, bmax = _i64_absmax(B)
+    if (A64 is not None and B64 is not None
+            and amax * bmax * max(1, A64.shape[1]) < (1 << 62)):
         return A64 @ B64
     return np.asarray(A, dtype=object) @ np.asarray(B, dtype=object)
 
@@ -920,39 +818,6 @@ class InverseLimit:
                 i += 1
             self.pivots.append(i)
 
-    def projection(self, i: int) -> np.ndarray:
-        off = self.system.offsets[i]
-        return self.basis[off:off + self.system.dims[i], :]
-
-    def element(self, coords) -> "LimitElement":
-        vec = self.basis @ np.array([int(x) for x in coords], dtype=object)
-        return LimitElement(self.system, vec, check=False)
-
-
-class LimitElement:
-    """One compatible tuple of values, stored as a stacked vector."""
-
-    def __init__(self, system: CoefficientSystem, vector, check: bool = True):
-        self.system = system
-        self.vector = np.array([int(x) for x in vector], dtype=object)
-        if self.vector.shape[0] != system.total:
-            raise ValueError("vector length does not match the system")
-        if check:
-            residual_check(system, self.vector.reshape(-1, 1))
-
-    def component(self, ti: int, si: int) -> np.ndarray:
-        i = self.system.family.pos[(ti, si)]
-        return self.system.block(self.vector, i)
-
-    def __eq__(self, other):
-        return (isinstance(other, LimitElement)
-                and self.system is other.system
-                and all(int(a) == int(b)
-                        for a, b in zip(self.vector, other.vector)))
-
-    def __hash__(self):
-        return hash(tuple(int(x) for x in self.vector))
-
 
 def residual_check(system: CoefficientSystem, mat: np.ndarray) -> None:
     """Assert the columns of mat satisfy every generating constraint."""
@@ -966,41 +831,9 @@ def residual_check(system: CoefficientSystem, mat: np.ndarray) -> None:
         D = system.edge_matrix(src, dst, tag)
         a = M[system.offsets[src]:system.offsets[src] + system.dims[src], :]
         b = M[system.offsets[dst]:system.offsets[dst] + system.dims[dst], :]
-        if M.dtype == object or not _matmul_fits(D, a):
-            D = np.asarray(D, dtype=object)
-            a = np.asarray(a, dtype=object)
-            b = np.asarray(b, dtype=object)
-        res = D @ a - b
-        if _any_nonzero(res):
+        if _any_nonzero(_exact_matmul(D, a) - b):
             raise AssertionError(
                 f"constraint {src}->{dst} {tag} violated by the given columns")
-
-
-def nested_pair_check(system: CoefficientSystem, mat: np.ndarray,
-                      pairs=None) -> None:
-    """Re-verify limit columns against arbitrary nested pairs, solver-free.
-
-    Only meaningful for the downward functors B and K, where the map
-    between nested sections is the double-coset formula used edge by edge;
-    the dual functors are exercised through their generating moves alone.
-    """
-    if system.functor not in ("B", "K"):
-        raise FamilyError("nested-pair re-verification needs functor B or K")
-    fam = system.family
-    if pairs is None:
-        pairs = fam.nested_pairs()
-    for i, j in pairs:
-        if system.dims[j] == 0:
-            continue
-        B = system._b_defres_between(fam.slots[i], fam.slots[j])
-        if system.functor == "K":
-            D = system._restrict(B, i, j)
-        else:
-            D = np.asarray(B, dtype=object)
-        a = mat[system.offsets[i]:system.offsets[i] + system.dims[i], :]
-        b = mat[system.offsets[j]:system.offsets[j] + system.dims[j], :]
-        if _any_nonzero(D @ a - b):
-            raise AssertionError(f"nested pair {i}->{j} violated")
 
 
 def _direct_limit_basis(system: CoefficientSystem) -> np.ndarray:
@@ -1051,43 +884,31 @@ def _merge_limit_basis(system: CoefficientSystem, dtype) -> np.ndarray:
     return basis
 
 
-def inverse_limit(system: CoefficientSystem, method: str = "auto",
-                  verify: bool = True) -> InverseLimit:
+def inverse_limit(system: CoefficientSystem) -> InverseLimit:
     """Solve the compatibility constraints; basis columns span the limit.
 
-    The merging solver and the direct sparse kernel agree up to basis
-    change; both outputs are verified against the raw constraints when
-    verify is set.
+    Systems of at most 600 unknowns go through the direct sparse kernel,
+    larger ones through the merging solver (int64, redone in Python ints
+    on overflow).  Both find the same lattice, whose canonical HNF is
+    checked against the raw constraints before it is returned.
     """
-    if method == "auto":
-        method = "merge" if system.total > 600 else "direct"
-    if method == "direct":
+    if system.total <= 600:
         basis = _direct_limit_basis(system)
-    elif method == "merge":
+    else:
         try:
             basis = _merge_limit_basis(system, np.int64)
         except _Overflow:
             basis = _merge_limit_basis(system, object)
-    else:
-        raise ValueError(f"unknown method {method!r}")
     lb = LatticeBuilder(system.total)
     for j in range(basis.shape[1]):
         lb.add(basis[:, j])
     basis = lb.hnf().T.copy()
-    if verify:
-        residual_check(system, basis)
+    residual_check(system, basis)
     return InverseLimit(system, basis)
 
 
 # ---------------------------------------------------------------------------
 # the unit map into the limit and its comparison report
-
-
-def unit_element(system: CoefficientSystem, f) -> LimitElement:
-    """Image in the limit of one value at the whole group."""
-    E = np.asarray(system.unit_matrix(), dtype=object)
-    vec = E @ np.array([int(x) for x in f], dtype=object)
-    return LimitElement(system, vec, check=True)
 
 
 def limit_coordinates(limit: InverseLimit, mat: np.ndarray):
@@ -1159,24 +980,6 @@ def comparison_report(limit: InverseLimit) -> dict:
     report["is_isomorphism"] = bool(
         unit_in_limit and k == r == rank_unit and not report["cokernel_torsion"])
     return report
-
-
-def project_between(big: CoefficientSystem, small: CoefficientSystem,
-                    mat: np.ndarray) -> np.ndarray:
-    """Restrict stacked columns from a larger family to a subfamily."""
-    if (big.group is not small.group or big.functor != small.functor):
-        raise FamilyError("projection needs the same group and functor")
-    rows = []
-    for (ts, d) in zip(small.family.sections, small.dims):
-        if ts not in big.family.pos:
-            raise FamilyError("target family is not contained in the source")
-        i = big.family.pos[ts]
-        if big.dims[i] != d:
-            raise AssertionError("slot dimensions disagree between families")
-        off = big.offsets[i]
-        rows.extend(range(off, off + d))
-    out = mat[rows, :] if mat.ndim == 2 else mat[rows]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1285,190 +1088,3 @@ def counit_kernel_report(system: CoefficientSystem) -> dict:
         "kernel_invariants": m_invariants,
         "kernel_trivial": bool(finite and not m_invariants),
     }
-
-
-# ---------------------------------------------------------------------------
-# external coefficient systems: interchange format and torsion-capable limits
-
-
-class ExternalSystem:
-    """Coefficient data supplied as explicit presentations and matrices.
-
-    Sections are identified by their member tuples inside a given ambient
-    group; maps are stored per edge with a kind tag ("defres", "conj" with
-    an optional acting element, or "indinf").  Construction validates that
-    every matrix respects the presentations, that any two two-step
-    downward paths between the same endpoints agree, and that paired
-    conjugations by an element and its inverse compose to the identity.
-    """
-
-    def __init__(self, G: FiniteGroup, sections, values, maps, validate=True):
-        self.group = G
-        self.ana = analysis(G)
-        self.sections = []
-        for tmem, smem in sections:
-            ti = self.ana.index_of(tuple(sorted(int(x) for x in tmem)))
-            si = self.ana.index_of(tuple(sorted(int(x) for x in smem)))
-            if not self.ana.is_normal_in(si, ti):
-                raise FamilyError("external data names a non-section pair")
-            self.sections.append((ti, si))
-        self.pos = {ts: i for i, ts in enumerate(self.sections)}
-        self.values = [AbelianPresentation(v["generators"], v.get("relations"))
-                       for v in values]
-        self.dims = [v.generators for v in self.values]
-        self.offsets = []
-        run = 0
-        for d in self.dims:
-            self.offsets.append(run)
-            run += d
-        self.total = run
-        self.maps = []
-        for m in maps:
-            src, dst, kind = int(m["src"]), int(m["dst"]), str(m["kind"])
-            elem = None
-            if kind.startswith("conj"):
-                if ":" in kind:
-                    elem = int(kind.split(":", 1)[1])
-                kind = "conj"
-            elif kind not in ("defres", "indinf"):
-                raise FamilyError(f"unknown map kind {m['kind']!r}")
-            hom = GroupHom(self.values[src], self.values[dst], m["matrix"],
-                           check=validate)
-            self.maps.append((src, dst, kind, elem, hom))
-        if validate:
-            self._validate_paths()
-
-    def _hom_is_zero(self, i: int, mat) -> bool:
-        val = self.values[i]
-        for c in range(mat.shape[1]):
-            if _any_nonzero(np.asarray(val.reduce(mat[:, c]), dtype=object)):
-                return False
-        return True
-
-    def _validate_paths(self):
-        down = {}
-        for s, d, k, _, h in self.maps:
-            if k == "defres":
-                down.setdefault((s, d), h)
-        for (a, b1), h1 in down.items():
-            for (b2, c), h2 in down.items():
-                if b2 != b1:
-                    continue
-                for (a2, b3), h3 in down.items():
-                    if a2 != a or b3 == b1:
-                        continue
-                    h4 = down.get((b3, c))
-                    if h4 is None:
-                        continue
-                    diff = (h2.compose(h1).matrix - h4.compose(h3).matrix)
-                    if not self._hom_is_zero(c, diff):
-                        raise FamilyError(
-                            f"downward paths {a}->{c} fail to commute")
-        conj = {}
-        for s, d, k, e, h in self.maps:
-            if k == "conj" and e is not None:
-                conj[(s, d, e)] = h
-        for (s, d, e), h in conj.items():
-            back = conj.get((d, s, self.group.inv_of(e)))
-            if back is None:
-                continue
-            comp = back.compose(h).matrix
-            for j in range(comp.shape[1]):
-                comp[j, j] = comp[j, j] - 1
-            if not self._hom_is_zero(s, comp):
-                raise FamilyError(
-                    f"conjugation {s}->{d} is not undone by its inverse")
-
-
-def external_limit(ext: ExternalSystem) -> AbelianPresentation:
-    """Inverse limit of an external system, torsion included.
-
-    Constraints are solved on the free covers with one auxiliary column
-    per relation of each target value; the solution lattice is then
-    presented modulo the direct sum of all value relations.
-    """
-    down = [(s, d, h) for s, d, k, _, h in ext.maps if k in ("defres", "conj")]
-    rows = []
-    naux = 0
-    for s, d, hom in down:
-        rel = ext.values[d].relations
-        aux_base = ext.total + naux
-        naux += rel.shape[0]
-        so, do = ext.offsets[s], ext.offsets[d]
-        M = hom.matrix
-        for r in range(M.shape[0]):
-            row = {}
-            for c in range(M.shape[1]):
-                v = int(M[r, c])
-                if v:
-                    row[so + c] = row.get(so + c, 0) + v
-            row[do + r] = row.get(do + r, 0) - 1
-            for ri in range(rel.shape[0]):
-                v = int(rel[ri, r])
-                if v:
-                    row[aux_base + ri] = row.get(aux_base + ri, 0) + v
-            rows.append({c: v for c, v in row.items() if v})
-    sol = sparse_kernel(ext.total + naux, rows)
-    lat = lattice_from_rows(
-        ext.total,
-        [[s.get(c, 0) for c in range(ext.total)] for s in sol])
-    basis = lat.basis
-    k = basis.shape[0]
-    rel_rows = []
-    for i, val in enumerate(ext.values):
-        off = ext.offsets[i]
-        for r in val.relations:
-            vec = [0] * ext.total
-            for c in range(val.generators):
-                vec[off + c] = int(r[c])
-            coords = coords_in_hnf(basis, vec) if k else None
-            if coords is None:
-                if any(vec):
-                    raise AssertionError(
-                        "a value relation escapes the solution lattice")
-                coords = [0] * k
-            rel_rows.append(coords)
-    return AbelianPresentation(k, rel_rows if rel_rows else None)
-
-
-def save_system(system: CoefficientSystem, path) -> None:
-    """Write a built-in system in the interchange format."""
-    ana = system.ana
-    sections = []
-    for ti, si in system.family.sections:
-        sections.append([list(ana.subgroup_members[ti]),
-                         list(ana.subgroup_members[si])])
-    values = [{"generators": d, "relations": []} for d in system.dims]
-    maps = []
-    for src, dst, tag in system.edges():
-        M = system.edge_matrix(src, dst, tag)
-        kind = "defres" if tag[0] == "cover" else f"conj:{tag[1]}"
-        maps.append({"src": src, "dst": dst, "kind": kind,
-                     "matrix": [[int(x) for x in row] for row in M]})
-    payload = {
-        "format": "coefficient-system",
-        "version": 1,
-        "prime": system.group.prime,
-        "group_order": system.group.order,
-        "group_name": system.group.name,
-        "family": system.family.label,
-        "functor": system.functor,
-        "sections": sections,
-        "values": values,
-        "maps": maps,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
-def load_external_system(path, G: FiniteGroup,
-                         validate: bool = True) -> ExternalSystem:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != "coefficient-system":
-        raise FamilyError("not a coefficient-system file")
-    if int(payload["group_order"]) != G.order or int(payload["prime"]) != G.prime:
-        raise FamilyError("file was written for a different group")
-    return ExternalSystem(G, payload["sections"], payload["values"],
-                          payload["maps"], validate=validate)

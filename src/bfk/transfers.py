@@ -1,22 +1,20 @@
-"""Transfer maps between limits: retractions, gluing, adjunctions, actions.
+"""Transfer maps between limits: retractions, adjunctions, actions.
 
 Everything here moves values across groups rather than within one system:
 the Moebius-weighted retraction from a limit back to the value at the
-whole group, reassembly of an element from its proper quotients, the two
-adjunction directions between groupwise maps and maps into limits, and
-the action of a concrete biset on limit elements.
+whole group, the two adjunction directions between groupwise maps and
+maps into limits, and the action of a concrete biset on limit elements.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .groups import FiniteGroup, product_members
+from .groups import product_members
 from .bisets import ConcreteBiset, double_coset_reps, opposite
 from .zlinalg import obj_zeros
 from .limits import (CoefficientSystem, FamilyError, InverseLimit,
-                     _any_nonzero, _restrict_to_kernels, coefficient_system,
-                     limit_coordinates)
+                     _any_nonzero, _restrict_to_kernels, coefficient_system)
 
 
 # ---------------------------------------------------------------------------
@@ -77,60 +75,6 @@ def retraction_identity_holds(limit: InverseLimit, reading: str = "A") -> bool:
     lhs = E @ (sig @ limit.basis)
     rhs = system.group.order * limit.basis
     return not _any_nonzero(lhs - rhs)
-
-
-def subfamily_retraction_matrix(system: CoefficientSystem) -> np.ndarray:
-    """Retraction from a limit over a family containing E, via restriction.
-
-    Composes the E-retraction with the projection that forgets the
-    sections outside E; the identity composite then holds on the image of
-    the projection whenever it holds over E.
-    """
-    esys = coefficient_system(system.group, "E", system.functor)
-    sig_e = retraction_matrix(esys, "A")
-    out = obj_zeros(system.base_rank, system.total)
-    for idx, ts in enumerate(esys.family.sections):
-        j = system.family.pos.get(ts)
-        if j is None:
-            raise FamilyError("family does not contain every E-section")
-        d = system.dims[j]
-        if d != esys.dims[idx]:
-            raise AssertionError("slot dimensions disagree between families")
-        out[:, system.offsets[j]:system.offsets[j] + d] = \
-            sig_e[:, esys.offsets[idx]:esys.offsets[idx] + d]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# assembling an element of B(H) from values on its proper quotients
-
-
-def assemble_from_quotients(H: FiniteGroup, quotient_values: dict) -> np.ndarray:
-    """Moebius-weighted inflation sum over the nontrivial normal subgroups.
-
-    quotient_values maps each subgroup index J > 1 of the elementary
-    abelian group H to a vector over the transitive basis of H/J, written
-    on the intermediate-subgroup classes of the section (H, J).  The
-    result lives on the transitive basis of H itself.  No compatibility
-    between the inputs is assumed or implied.
-    """
-    if not (H.is_abelian and H.exponent in (1, H.prime)):
-        raise FamilyError("assembly needs an elementary abelian group")
-    sysb = coefficient_system(H, "E", "B")
-    ana = sysb.ana
-    fam = sysb.family
-    top = ana.n_sub - 1
-    out = obj_zeros(sysb.base_rank, 1)[:, 0]
-    for j_idx in range(ana.n_sub):
-        if len(ana.subgroup_members[j_idx]) == 1:
-            continue
-        vec = quotient_values[j_idx]
-        slot = fam.pos[(top, j_idx)]
-        up = np.asarray(sysb.indinf_to_base(slot), dtype=object)
-        mu = ana.moebius(0, j_idx)
-        term = up @ np.array([int(x) for x in vec], dtype=object)
-        out = out - mu * term
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -278,15 +222,3 @@ def act_on_limit_matrix(U: ConcreteBiset, sys_q: CoefficientSystem,
             A[ro:ro + sys_q.dims[qi], co:co + sys_p.dims[pj]] = \
                 A[ro:ro + sys_q.dims[qi], co:co + sys_p.dims[pj]] + blk
     return A
-
-
-def act_on_limit(U: ConcreteBiset, sys_q: CoefficientSystem,
-                 limit_p: InverseLimit, limit_q: InverseLimit):
-    """Apply the biset action to a limit basis; images get q-coordinates.
-
-    Returns (X, ok): coordinates of the image columns in the target limit
-    basis, with ok false when some image escapes the target lattice.
-    """
-    A = act_on_limit_matrix(U, sys_q, limit_p.system)
-    img = A @ limit_p.basis
-    return limit_coordinates(limit_q, img)

@@ -200,17 +200,6 @@ def coords_in_hnf(H: np.ndarray, vec,
     return coords
 
 
-def residue_mod_hnf(H: np.ndarray, vec,
-                    piv: Sequence[int] | None = None) -> np.ndarray:
-    """Canonical coset representative of vec modulo the lattice spanned by H."""
-    v = np.array([int(x) for x in vec], dtype=object)
-    for row, j in zip(H, hnf_pivots(H) if piv is None else piv):
-        q = int(v[j]) // int(row[j])    # floor division, no divisibility needed
-        if q != 0:
-            v = v - q * row
-    return v
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 
@@ -611,15 +600,6 @@ class IntegerLattice:
     def member(self, vec) -> bool:
         return coords_in_hnf(self.basis, vec, self._piv) is not None
 
-    def coordinates_of(self, vec) -> list[int]:
-        c = coords_in_hnf(self.basis, vec, self._piv)
-        if c is None:
-            raise ValueError("vector is not in the lattice")
-        return c
-
-    def contains(self, other: "IntegerLattice") -> bool:
-        return all(self.member(r) for r in other.basis)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntegerLattice):
             return NotImplemented
@@ -629,14 +609,6 @@ class IntegerLattice:
 
     def __hash__(self):
         return hash((self.ambient, self.basis.shape))
-
-    def sum(self, other: "IntegerLattice") -> "IntegerLattice":
-        if self.ambient != other.ambient:
-            raise ValueError("ambient mismatch")
-        lb = _span(self.ambient, self.basis)
-        for r in other.basis:
-            lb.add(r)
-        return IntegerLattice(self.ambient)._set(lb)
 
     def quotient_invariants(self, sub: "IntegerLattice") -> list[int]:
         """SNF diagonal of self/sub: torsion factors then one 0 per free rank.

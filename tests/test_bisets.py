@@ -6,21 +6,14 @@ from bfk.bisets import (
     canonical_stabilizer,
     compose,
     defres_biset,
-    deflation_biset,
     identity_biset,
     indinf_biset,
-    induction_biset,
-    inflation_biset,
     is_biset_iso,
-    iso_biset,
-    left_orbits,
     left_quotient_biset,
     left_transporter,
     opposite,
     orbit_decompose,
-    restriction_biset,
     right_transporter,
-    section_transport,
 )
 from bfk.bisets import double_coset_reps as point_orbit_reps
 from bfk.burnside import act_on_basis_element, decompose_left_action, ring_data
@@ -31,8 +24,16 @@ from bfk.groups import (
     direct_product,
     double_coset_reps,
     extraspecial_group,
-    frattini,
     subgroup_generators,
+)
+from helpers import (
+    deflation_biset,
+    induction_biset,
+    inflation_biset,
+    normalizer,
+    restriction_biset,
+    section_transport,
+    validate_biset,
 )
 
 
@@ -43,12 +44,12 @@ C9x3 = direct_product(cyclic_group(9), cyclic_group(3))
 def test_constructors_validate_everywhere():
     for G in (X27, C9x3):
         ana = analysis(G)
-        identity_biset(G).validate()
+        validate_biset(identity_biset(G))
         for sec in ana.sections():
-            indinf_biset(sec).validate()
-            defres_biset(sec).validate()
-            inflation_biset(ana, sec).validate()
-            deflation_biset(ana, sec).validate()
+            validate_biset(indinf_biset(sec))
+            validate_biset(defres_biset(sec))
+            validate_biset(inflation_biset(ana, sec))
+            validate_biset(deflation_biset(ana, sec))
 
 
 def test_validate_catches_bad_tables():
@@ -56,11 +57,11 @@ def test_validate_catches_bad_tables():
     shifted = ConcreteBiset(U.left_group, U.right_group, U.left,
                             U.right[:, [1, 0, 2]])
     with pytest.raises(ValueError):
-        shifted.validate()
+        validate_biset(shifted)
     # right action written on the wrong side fails in a nonabelian group
     wrong_side = ConcreteBiset(X27, X27, X27.table, X27.table.T.copy())
     with pytest.raises(ValueError):
-        wrong_side.validate()
+        validate_biset(wrong_side)
 
 
 def test_indinf_of_whole_group_is_identity():
@@ -148,16 +149,6 @@ def test_orbit_sizes_match_stabilizers():
     assert total == U.size
 
 
-def test_left_orbits_of_restriction():
-    ana = analysis(X27)
-    Z = center(X27).members
-    U = restriction_biset(ana, Z)
-    orbs = left_orbits(U)
-    # Z acting on the 27 points of the parent from the left: free orbits
-    assert len(orbs) == 9
-    assert all(stab == (0,) for _, stab in orbs)
-
-
 def test_opposite_reverses_composition():
     ana = analysis(X27)
     Z = center(X27).members
@@ -190,23 +181,16 @@ def test_coset_counts():
         assert defres_biset(sec).size == 27 // ns
 
 
-def test_iso_biset_rejects_non_homomorphism():
-    C9 = cyclic_group(9)
-    f = np.array([0, 2, 1, 3, 4, 5, 6, 7, 8])
-    with pytest.raises(ValueError):
-        iso_biset(C9, C9, f)
-
-
 def test_section_transport_and_cocycle():
     ana = analysis(X27)
     L = next(m for m in ana.subgroup_members
              if len(m) == 3 and m != center(X27).members)
-    N = ana.normalizer_members(ana.index_of(L))
+    N = normalizer(ana, L)
     sec = ana.section_at(N, L)
     u = next(x for x in range(27) if x not in N)
     tgt, cu = section_transport(ana, sec, u)
     assert tgt.key != sec.key
-    cu.validate()
+    validate_biset(cu)
     # transporting twice by u lands at the conjugate by u.u
     tgt2, cuu = section_transport(ana, sec, X27.mul(u, u))
     mid, cu2 = section_transport(ana, tgt, u)
@@ -229,7 +213,7 @@ def test_transport_compatible_with_indinf():
     ana = analysis(X27)
     L = next(m for m in ana.subgroup_members
              if len(m) == 3 and m != center(X27).members)
-    N = ana.normalizer_members(ana.index_of(L))
+    N = normalizer(ana, L)
     sec = ana.section_at(N, L)
     u = next(x for x in range(27) if x not in N)
     tgt, cu = section_transport(ana, sec, u)
@@ -328,7 +312,7 @@ def test_left_quotient_validates_and_rejects():
     M = next(m for m in ana.subgroup_members if len(m) == 9)
     U = induction_biset(ana, M)
     Z = center(X27).members
-    Wq = left_quotient_biset(U, Z).validate()
+    Wq = validate_biset(left_quotient_biset(U, Z))
     assert Wq.size == 9
     same = left_quotient_biset(U, [0])
     assert np.array_equal(same.left, U.left)
@@ -423,7 +407,9 @@ def orbit_kernel_pairs(G):
     ana = analysis(G)
     secs = [sec for sec in ana.sections()
             if sec.top.order == 9 and sec.bottom.order == 3][:2]
-    secs.append(ana.section_at(range(G.order), frattini(G).members))
+    top = ana.n_sub - 1
+    secs.append(ana.section_at(range(G.order),
+                               ana.subgroup_members[ana.frattini_of(top)]))
     out = []
     for sec in secs:
         T = sec.top.members
@@ -443,7 +429,7 @@ def test_orbit_kernels_match_union_find(G):
     bisets = []
     for V, U in orbit_kernel_pairs(G):
         W, pairs = compose(V, U, return_pairs=True)
-        W.validate()
+        validate_biset(W)
         left, right, want_pairs = uf_compose(V, U)
         assert W.left.tolist() == left and W.right.tolist() == right
         assert pairs.tolist() == want_pairs

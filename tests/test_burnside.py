@@ -1,29 +1,21 @@
 import numpy as np
 import pytest
 
-from bfk.bisets import compose, defres_biset, indinf_biset, section_transport
+from bfk.bisets import ConcreteBiset, _coset_ids, compose, defres_biset, indinf_biset
 from bfk.burnside import (
     act_on_basis_element,
     biset_matrix,
     character_dual_sublattice,
-    character_rank_full,
     decompose_left_action,
-    defres_class_matrix,
     dual_action_matrix,
     dual_exactness_report,
     extraspecial_kernel_element,
     indinf_class_matrix,
-    iso_class_matrix,
-    kernel_dual_action_matrix,
-    kernel_restricted_matrix,
     linearization_kernel,
-    linearization_matrix,
     mark_count,
-    point_biset,
     rank_two_kernel_element,
     ring_data,
     sum_of_induced_kernels,
-    table_of_marks,
 )
 from bfk.groups import (
     analysis,
@@ -34,11 +26,52 @@ from bfk.groups import (
     extraspecial_group,
     product_members,
     sections_in_class,
+    trivial_group,
 )
+from bfk.limits import _restrict_to_kernels, coefficient_system
+from bfk.zlinalg import obj_zeros, rank_of
+from helpers import normalizer, per_column_restrict, section_transport
 
 X27 = extraspecial_group(3)
 C9x3 = direct_product(cyclic_group(9), cyclic_group(3))
 E2 = elementary_abelian_group(3, 2)
+
+
+def table_of_marks(G):
+    """Marks of every class representative on every one at least as large;
+    the upper triangle of the table, read through mark_count."""
+    rd = ring_data(G)
+    n = rd.n_classes
+    M = obj_zeros(n, n)
+    for i, sm in enumerate(rd.reps_members):
+        for j, tm in enumerate(rd.reps_members):
+            if rd.orders[i] <= rd.orders[j]:
+                M[i, j] = mark_count(rd.ana, sm, tm)
+    return M
+
+
+def point_biset(anaP, t_members):
+    """Cosets of a subgroup as a biset with trivial right side; composing
+    any biset with it gives a concrete one-sided oracle for the action."""
+    P = anaP.group
+    ids, reps = _coset_ids(P, tuple(t_members), "left")
+    left = ids[P.table[:, np.asarray(reps, dtype=np.int32)]]
+    right = np.arange(len(reps), dtype=np.int32)[:, None]
+    return ConcreteBiset(P, trivial_group(P.prime), left, right)
+
+
+def iso_class_matrix(f, src, dst):
+    """Permutation of orbit bases induced by a group isomorphism."""
+    ds, dd = ring_data(src), ring_data(dst)
+    out = obj_zeros(dd.n_classes, ds.n_classes)
+    for j, mem in enumerate(ds.reps_members):
+        out[dd.class_position(sorted(int(f[m]) for m in mem)), j] = 1
+    return out
+
+
+def character_rank_full(G):
+    rd = ring_data(G)
+    return rank_of(rd.linearization()) == len(rd.cyclic_positions)
 
 
 def test_marks_of_rank_two_by_hand():
@@ -57,7 +90,7 @@ def test_marks_of_rank_two_by_hand():
 def test_marks_shape_and_triangularity():
     for G in (X27, C9x3, cyclic_group(27)):
         rd = ring_data(G)
-        M = rd.marks()
+        M = table_of_marks(G)
         for i in range(rd.n_classes):
             assert M[i, i] > 0
             for j in range(rd.n_classes):
@@ -80,7 +113,7 @@ def test_marks_spot_values_on_extraspecial():
     iz_pos = rd.class_position(iz)
     other_max = next(j for j, m in enumerate(rd.reps_members)
                      if len(m) == 9 and j != iz_pos)
-    M = rd.marks()
+    M = table_of_marks(X27)
     assert M[z_pos, iz_pos] == 3
     assert M[i_pos, z_pos] == 0
     assert M[i_pos, iz_pos] == 3
@@ -117,7 +150,7 @@ def test_rank_bookkeeping_at_81():
 def test_rank_two_kernel_element_frozen():
     eps = rank_two_kernel_element(E2)
     assert tuple(int(x) for x in eps) == (1, -1, -1, -1, -1, 3)
-    assert not np.any(linearization_matrix(E2) @ eps)
+    assert not np.any(ring_data(E2).linearization() @ eps)
     K = linearization_kernel(E2)
     assert K.rank == 1
     assert np.array_equal(K.basis[0], eps)
@@ -128,7 +161,7 @@ def test_rank_two_kernel_element_frozen():
 def test_extraspecial_kernel_element():
     delta = extraspecial_kernel_element(X27)
     assert sorted(int(x) for x in delta) == [-1, -1, 0, 0, 0, 0, 0, 0, 0, 1, 1]
-    assert not np.any(linearization_matrix(X27) @ delta)
+    assert not np.any(ring_data(X27).linearization() @ delta)
     with pytest.raises(ValueError):
         extraspecial_kernel_element(X27, 1, 1)
     with pytest.raises(ValueError):
@@ -169,7 +202,15 @@ def test_fast_paths_match_generic_action():
         for sec in ana.sections():
             assert np.array_equal(indinf_class_matrix(ana, sec),
                                   biset_matrix(indinf_biset(sec)))
-            assert np.array_equal(defres_class_matrix(ana, sec),
+        # the section families write defres in slot coordinates: one class
+        # of intermediate subgroups S <= W <= T per class of W/S in T/S
+        system = coefficient_system(G, "X", "B")
+        for i, slot in enumerate(system.family.slots):
+            sec = ana.section_at(ana.subgroup_members[slot.ti],
+                                 ana.subgroup_members[slot.si])
+            order = [slot.class_pos[ana.index_of(sec.preimage(m))]
+                     for m in ring_data(sec.group).reps_members]
+            assert np.array_equal(system._b_defres_from_base(i)[order],
                                   biset_matrix(defres_biset(sec)))
 
 
@@ -201,7 +242,7 @@ def test_iso_class_matrix_permutes():
     ana = analysis(X27)
     L = next(m for m in ana.subgroup_members
              if len(m) == 3 and m != center(X27).members)
-    N = ana.normalizer_members(ana.index_by_members[L])
+    N = normalizer(ana, L)
     sec = ana.section_at(N, L)
     u = next(x for x in range(27) if x not in N)
     tgt, cu = section_transport(ana, sec, u)
@@ -218,12 +259,13 @@ def test_kernel_is_preserved_by_section_maps():
     K = linearization_kernel(X27)
     for sec in ana.sections():
         kq = linearization_kernel(sec.group)
-        down = defres_class_matrix(ana, sec)
+        down = biset_matrix(defres_biset(sec))
         up = indinf_class_matrix(ana, sec)
-        if K.rank:
-            kernel_restricted_matrix(down, K, kq)   # raises if it leaves kq
-        if kq.rank:
-            kernel_restricted_matrix(up, kq, K)
+        # each raises if an image leaves the target kernel
+        for M, src, dst in ((down, K, kq), (up, kq, K)):
+            got = _restrict_to_kernels(M, src.basis, dst.basis, dst._piv)
+            assert np.array_equal(
+                got, per_column_restrict(M, src.basis, dst.basis))
 
 
 def test_dual_action_of_cosets_transposes_to_the_opposite_map():
@@ -241,8 +283,9 @@ def test_kernel_dual_action_commutes_with_projection():
         Mstar = dual_action_matrix(U)
         kq = ring_data(U.left_group).kernel()
         kp = ring_data(U.right_group).kernel()
-        N = kernel_dual_action_matrix(U)
-        assert np.array_equal(N @ kp.basis, kq.basis @ Mstar)
+        # the dual action sends kernel functionals to kernel functionals
+        for row in kq.basis @ Mstar:
+            assert kp.member(row)
 
 
 def test_dual_exactness_reports():
@@ -258,7 +301,7 @@ def test_dual_exactness_reports():
 def test_character_dual_contains_transposed_rows():
     # every fixed-point functional itself factors through the linearization
     rstar = character_dual_sublattice(E2)
-    for row in linearization_matrix(E2):
+    for row in ring_data(E2).linearization():
         assert rstar.member(row)
 
 
@@ -268,7 +311,7 @@ def test_sum_of_induced_kernels():
         full = sum_of_induced_kernels(G, sections_in_class(G, "X2"))
         assert full == K
         narrow = sum_of_induced_kernels(G, sections_in_class(G, "E2"))
-        assert K.contains(narrow)
+        assert all(K.member(b) for b in narrow.basis)
         for b in K.basis:
             assert narrow.member([3 * int(x) for x in b])
 

@@ -1,6 +1,8 @@
 """Every name a module imports is used in that module."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import bfk
@@ -29,3 +31,39 @@ def test_modules_use_every_name_they_import():
     assert len(modules) >= 8
     unused = [u for p in modules for u in _unused_imports(p)]
     assert unused == []
+
+
+def _code_in_readme() -> set[str]:
+    """Identifiers inside the README's code blocks and inline code."""
+    text = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    code = re.findall(r"```.*?```|`[^`\n]+`", text, flags=re.S)
+    return set(re.findall(r"[A-Za-z_]\w*", " ".join(code)))
+
+
+def _names_in(node) -> set[str]:
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def test_every_public_definition_is_reached():
+    # a top-level public function or class must be named by another
+    # definition or by module-level code in the package, or by the README;
+    # re-exports in __init__.py and uses in tests do not count
+    nodes = [(p.name, node)
+             for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"
+             for node in ast.parse(p.read_text(encoding="utf-8")).body]
+    names = [_names_in(node) for _, node in nodes]
+    count = Counter(n for ns in names for n in ns)
+    readme = _code_in_readme()
+    unreached = [f"{mod}:{node.lineno} {node.name}"
+                 for (mod, node), own in zip(nodes, names)
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 and not node.name.startswith("_")
+                 and count[node.name] == (node.name in own)
+                 and node.name not in readme]
+    assert not unreached, "unreached: " + ", ".join(unreached)

@@ -1,4 +1,3 @@
-import json
 import os
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bfk.zlinalg import (coords_in_hnf, hnf_pivots, kernel_basis, lattice_from_rows,
-                         obj_matrix, obj_zeros)
+                         obj_matrix)
 from bfk.groups import (
     analysis,
     cyclic_group,
@@ -15,31 +14,25 @@ from bfk.groups import (
     extraspecial_group,
 )
 from bfk.limits import (
-    AbelianPresentation,
-    ExternalSystem,
     FamilyError,
-    GroupHom,
     _check_counit_kills,
+    _direct_limit_basis,
+    _exact_matmul,
     _mark_rows,
+    _merge_limit_basis,
     _restrict_to_kernels,
     _spans_everything,
-    LimitElement,
     coefficient_system,
     comparison_report,
     counit_kernel_report,
     counit_matrix,
-    external_limit,
     family_contains,
     inverse_limit,
     limit_coordinates,
-    load_external_system,
-    nested_pair_check,
-    project_between,
     residual_check,
-    save_system,
     section_family,
-    unit_element,
 )
+from helpers import per_column_restrict
 
 C3 = cyclic_group(3)
 C9 = cyclic_group(9)
@@ -103,20 +96,6 @@ def test_whole_group_slot_takes_the_base_kernel():
         assert np.array_equal(kernel_basis(rows), base.basis)
 
 
-def per_column_restrict(M, src_kern, dst_kern):
-    """The former _restrict_to_kernels: object products and coords_in_hnf
-    one column at a time; kept as the reference."""
-    H = np.asarray(dst_kern, dtype=object)
-    images = np.asarray(M, dtype=object) @ np.asarray(src_kern, dtype=object).T
-    out = obj_zeros(H.shape[0], images.shape[1])
-    for i in range(images.shape[1]):
-        c = coords_in_hnf(H, images[:, i])
-        if c is None:
-            raise AssertionError("image left the mark kernel")
-        out[:, i] = c
-    return out
-
-
 @pytest.mark.parametrize("dst_rows", [[[1, 0, 2], [0, 1, -3]], [[2, 1, 0]]],
                          ids=["unit-pivots", "pivot-2"])
 @pytest.mark.parametrize("scale", [1, 2**70], ids=["int64", "exact"])
@@ -143,6 +122,28 @@ def test_restrict_to_kernels_matches_per_column_coords(dst_rows, scale):
             _restrict_to_kernels(M_bad, src, H, piv)
         with pytest.raises(AssertionError, match="image left the mark kernel"):
             per_column_restrict(M_bad, src, H)
+
+
+def test_exact_matmul_takes_int64_only_under_both_bounds():
+    A = np.array([[3, -2], [1, 4]], dtype=np.int64)
+    B = np.array([[5], [-7]], dtype=object)
+    got = _exact_matmul(A, B)
+    assert got.dtype == np.int64 and got.tolist() == [[29], [-23]]
+    # entries within 2**55 whose products could wrap: amax * bmax * k >= 2**62
+    big = np.array([[2**31, 2**31]], dtype=np.int64)
+    got = _exact_matmul(big, big.T)
+    assert got.dtype == object and got.tolist() == [[2**63]]
+    # one entry above 2**55, even with a tiny partner
+    wide = np.array([[2**55 + 1]], dtype=np.int64)
+    got = _exact_matmul(wide, np.array([[1]], dtype=np.int64))
+    assert got.dtype == object and got.tolist() == [[2**55 + 1]]
+    got = _exact_matmul(np.array([[-2**63]], dtype=np.int64), np.array([[1]]))
+    assert got.dtype == object and got.tolist() == [[-2**63]]
+    got = _exact_matmul(np.array([[2**70]], dtype=object), np.array([[2]]))
+    assert got.dtype == object and got.tolist() == [[2**71]]
+    # empty operands stay int64
+    assert _exact_matmul(np.zeros((2, 0), dtype=object),
+                         np.zeros((0, 3), dtype=np.int64)).dtype == np.int64
 
 
 def test_extraspecial_section_only_in_x_families():
@@ -177,28 +178,6 @@ def test_families_closed_under_subquotients(seed):
         assert family_contains(ana, ti, w, label)
         if ana.is_normal_in(si, w):
             assert family_contains(ana, w, si, label)
-
-
-# ---------------------------------------------------------------------------
-# presentations
-
-
-def test_presentation_invariants_and_reduction():
-    pres = AbelianPresentation(3, [[2, 0, 0], [0, 3, 0]])
-    assert pres.invariant_factors() == [1, 6, 0]
-    assert pres.torsion_invariants() == [6]
-    assert pres.free_rank() == 1
-    assert pres.same_element([1, 1, 5], [3, 4, 5])
-    assert not pres.same_element([1, 1, 5], [1, 1, 6])
-
-
-def test_hom_respects_relations():
-    src = AbelianPresentation(1, [[2]])
-    tgt = AbelianPresentation(1, [[4]])
-    with pytest.raises(ValueError):
-        GroupHom(src, tgt, [[1]])
-    GroupHom(src, tgt, [[2]])
-    GroupHom(tgt, src, [[1]])
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +224,20 @@ def test_x27_dual_kernel_over_e_has_small_torsion():
     assert rep["kernel_rank"] == 0
 
 
+def canonical_columns(basis):
+    return lattice_from_rows(basis.shape[0], basis.T).basis
+
+
 def test_merge_and_direct_bases_identical():
+    # the direct sparse kernel is the reference for the merging solver,
+    # in int64 and in Python ints; inverse_limit picks one by system size
     for G, label, functor in ((X27, "X3", "B"), (C9x3, "E", "K"), (V3, "X", "Kdual")):
         sys_f = coefficient_system(G, label, functor)
-        a = inverse_limit(sys_f, method="direct")
-        b = inverse_limit(sys_f, method="merge")
-        assert np.array_equal(a.basis, b.basis)
+        want = canonical_columns(_direct_limit_basis(sys_f))
+        for dtype in (np.int64, object):
+            got = canonical_columns(_merge_limit_basis(sys_f, dtype))
+            assert np.array_equal(got, want)
+        assert np.array_equal(inverse_limit(sys_f).basis.T, want)
 
 
 def test_limit_ranks_frozen_at_81():
@@ -273,14 +260,16 @@ def test_largest_b_system_rank():
 def test_limit_element_and_unit():
     sys_k = coefficient_system(X27, "X3", "Kdual")
     lim = inverse_limit(sys_k)
-    f = [0] * sys_k.base_rank
-    f[0] = 2
-    el = unit_element(sys_k, f)
-    assert isinstance(el, LimitElement)
-    coords, ok = limit_coordinates(lim, el.vector.reshape(-1, 1))
+    f = np.zeros((sys_k.base_rank, 1), dtype=object)
+    f[0, 0] = 2
+    el = np.asarray(sys_k.unit_matrix(), dtype=object) @ f
+    residual_check(sys_k, el)
+    coords, ok = limit_coordinates(lim, el)
     assert ok
-    back = lim.element(coords[:, 0])
-    assert back == el
+    assert np.array_equal(lim.basis @ coords, el)
+    off = el.copy()
+    off[lim.pivots[0], 0] += 1
+    assert not limit_coordinates(lim, off)[1]
 
 
 def test_residual_check_rejects_garbage():
@@ -291,6 +280,24 @@ def test_residual_check_rejects_garbage():
         residual_check(sys_b, bad)
 
 
+def nested_pair_check(system, mat):
+    """Re-verify limit columns against every nested pair of sections, not
+    only the generating moves, with the double-coset formula for B and
+    its restriction to the kernels for K."""
+    fam, ana = system.family, system.ana
+    for i, (ti, si) in enumerate(fam.sections):
+        for j, (tj, sj) in enumerate(fam.sections):
+            if (i == j or system.dims[j] == 0
+                    or not (ana.leq[tj, ti] and ana.leq[si, sj] and ana.leq[sj, tj])):
+                continue
+            D = system._b_defres_between(fam.slots[i], fam.slots[j])
+            if system.functor == "K":
+                D = system._restrict(D, i, j)
+            a = mat[system.offsets[i]:system.offsets[i] + system.dims[i], :]
+            b = mat[system.offsets[j]:system.offsets[j] + system.dims[j], :]
+            assert not np.any(np.asarray(D, dtype=object) @ a - b), (i, j)
+
+
 def test_nested_pairs_beyond_generating_moves():
     for functor in ("B", "K"):
         sys_f = coefficient_system(X27, "X", functor)
@@ -299,13 +306,15 @@ def test_nested_pairs_beyond_generating_moves():
 
 
 def test_projection_restricts_limits():
+    # the X limit read on the sections of E satisfies E's constraints
     big = coefficient_system(X27, "X", "Kdual")
     small = coefficient_system(X27, "E", "Kdual")
     lim = inverse_limit(big)
-    proj = project_between(big, small, lim.basis)
-    residual_check(small, proj)
-    with pytest.raises(FamilyError):
-        project_between(small, big, inverse_limit(small).basis)
+    rows = []
+    for ts in small.family.sections:
+        i = big.family.pos[ts]
+        rows.extend(range(big.offsets[i], big.offsets[i] + big.dims[i]))
+    residual_check(small, lim.basis[rows, :])
 
 
 # ---------------------------------------------------------------------------
@@ -375,73 +384,3 @@ def test_counit_probe_rejects_maps_that_disagree_or_miss_a_relation():
 def test_counit_probe_needs_functor_k():
     with pytest.raises(FamilyError):
         counit_kernel_report(coefficient_system(V2, "E", "B"))
-
-
-# ---------------------------------------------------------------------------
-# external systems
-
-
-def test_interchange_round_trip(tmp_path):
-    sys_k = coefficient_system(V2, "E", "Kdual")
-    path = tmp_path / "system.json"
-    save_system(sys_k, path)
-    ext = load_external_system(path, V2)
-    pres = external_limit(ext)
-    assert pres.free_rank() == 1
-    assert pres.torsion_invariants() == []
-
-
-def test_interchange_rejects_wrong_group(tmp_path):
-    sys_k = coefficient_system(V2, "E", "Kdual")
-    path = tmp_path / "system.json"
-    save_system(sys_k, path)
-    with pytest.raises(FamilyError):
-        load_external_system(path, C27)
-
-
-def _torsion_system_on_c9():
-    fam = section_family(C9, "E")
-    ana = fam.ana
-    secs = [[list(ana.subgroup_members[t]), list(ana.subgroup_members[s])]
-            for t, s in fam.sections]
-    vals = [{"generators": 1, "relations": [[2]]} for _ in fam.sections]
-    maps = [{"src": i, "dst": j, "kind": "defres", "matrix": [[1]]}
-            for i, j, _kind in fam.cover_edges]
-    return ExternalSystem(C9, secs, vals, maps)
-
-
-def test_external_limit_with_torsion_values():
-    pres = external_limit(_torsion_system_on_c9())
-    assert pres.torsion_invariants() == [2]
-    assert pres.free_rank() == 0
-
-
-def test_external_validation_catches_bad_hom():
-    fam = section_family(C9, "E")
-    ana = fam.ana
-    secs = [[list(ana.subgroup_members[t]), list(ana.subgroup_members[s])]
-            for t, s in fam.sections]
-    vals = [{"generators": 1, "relations": [[2]]} for _ in fam.sections]
-    vals[2] = {"generators": 1, "relations": [[4]]}
-    # Z/2 -> Z/4 by the identity matrix is not well defined
-    maps = [{"src": 1, "dst": 2, "kind": "defres", "matrix": [[1]]}]
-    with pytest.raises(ValueError):
-        ExternalSystem(C9, secs, vals, maps)
-
-
-def test_external_validation_catches_non_section():
-    # bottom not contained in top
-    with pytest.raises(FamilyError):
-        ExternalSystem(C9, [[[0, 3, 6], list(range(9))]],
-                       [{"generators": 1, "relations": []}], [])
-
-
-def test_saved_file_is_stable(tmp_path):
-    sys_k = coefficient_system(C3, "E", "B")
-    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    save_system(sys_k, p1)
-    save_system(sys_k, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-    payload = json.loads(p1.read_text())
-    assert payload["format"] == "coefficient-system"
-    assert len(payload["sections"]) == 3

@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from bfk.bisets import (
-    deflation_biset,
-    identity_biset,
-    induction_biset,
-    inflation_biset,
-    iso_biset,
-    restriction_biset,
-)
-from bfk.burnside import biset_matrix, kernel_restricted_matrix, ring_data
+from bfk.bisets import identity_biset
+from bfk.burnside import biset_matrix, ring_data
+from bfk.zlinalg import obj_zeros
 from bfk.groups import (
     analysis,
     cyclic_group,
@@ -17,18 +11,24 @@ from bfk.groups import (
     elementary_abelian_group,
     extraspecial_group,
 )
-from bfk.limits import coefficient_system, inverse_limit, FamilyError
+from bfk.limits import (coefficient_system, inverse_limit, limit_coordinates,
+                        FamilyError)
 from bfk.transfers import (
     NaturalityError,
-    act_on_limit,
     act_on_limit_matrix,
     adjunction_minus,
     adjunction_plus,
-    assemble_from_quotients,
     check_section_naturality,
     retraction_identity_holds,
     retraction_matrix,
-    subfamily_retraction_matrix,
+)
+from helpers import (
+    deflation_biset,
+    induction_biset,
+    inflation_biset,
+    iso_biset,
+    per_column_restrict,
+    restriction_biset,
 )
 
 C3 = cyclic_group(3)
@@ -74,6 +74,19 @@ def test_retraction_requires_family_e():
         retraction_matrix(coefficient_system(V2, "X", "B"))
 
 
+def subfamily_retraction_matrix(system):
+    """The E-retraction read on a larger family: zero on its other sections."""
+    esys = coefficient_system(system.group, "E", system.functor)
+    sig_e = retraction_matrix(esys, "A")
+    out = obj_zeros(system.base_rank, system.total)
+    for idx, ts in enumerate(esys.family.sections):
+        j = system.family.pos[ts]
+        d = system.dims[j]
+        out[:, system.offsets[j]:system.offsets[j] + d] = \
+            sig_e[:, esys.offsets[idx]:esys.offsets[idx] + d]
+    return out
+
+
 def test_subfamily_retraction_both_composites():
     for G in (X27, V3, C9x3):
         for functor in ("B", "Kdual"):
@@ -85,29 +98,6 @@ def test_subfamily_retraction_both_composites():
             assert np.array_equal(onto_limit, G.order * lim.basis)
             through_base = tau @ E
             assert np.array_equal(through_base, G.order * _obj_eye(sys_f.base_rank))
-
-
-# ---------------------------------------------------------------------------
-# gluing from proper quotients
-
-
-def test_glue_regular_orbits_on_rank_two():
-    ana = analysis(V2)
-    fam = coefficient_system(V2, "E", "B").family
-    top = ana.n_sub - 1
-    values = {}
-    for j in range(1, ana.n_sub):
-        d = fam.slots[fam.pos[(top, j)]].dim
-        vec = [0] * d
-        vec[0] = 1  # the orbit with point stabilizer J itself
-        values[j] = vec
-    out = assemble_from_quotients(V2, values)
-    assert [int(x) for x in out] == [0, 1, 1, 1, 1, -3]
-
-
-def test_glue_rejects_non_elementary_groups():
-    with pytest.raises(FamilyError):
-        assemble_from_quotients(C9, {})
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +157,8 @@ def _unit_square(U, sys_q, sys_p):
     Eq = np.asarray(sys_q.unit_matrix(), dtype=object)
     M = np.asarray(biset_matrix(U), dtype=object)
     if sys_q.functor == "K":
-        M = kernel_restricted_matrix(
-            biset_matrix(U),
-            ring_data(sys_p.group).kernel(),
-            ring_data(sys_q.group).kernel(),
-        )
-        M = np.asarray(M, dtype=object)
+        M = per_column_restrict(M, ring_data(sys_p.group).kernel().basis,
+                                ring_data(sys_q.group).kernel().basis)
     return np.array_equal(A @ Ep, Eq @ M)
 
 
@@ -209,7 +195,8 @@ def test_invertible_action_preserves_the_dual_limit():
     U = iso_biset(V2, V2, f)
     sys_f = coefficient_system(V2, "E", "Kdual")
     lim = inverse_limit(sys_f)
-    X, ok = act_on_limit(U, sys_f, lim, lim)
+    A = act_on_limit_matrix(U, sys_f, sys_f)
+    X, ok = limit_coordinates(lim, A @ lim.basis)
     assert ok
     assert X.shape == (1, 1) and abs(int(X[0, 0])) == 1
 
