@@ -383,6 +383,7 @@ class GroupAnalysis:
         mask = np.zeros((self.n_sub, n), dtype=np.int64)
         for i, m in enumerate(subs):
             mask[i, list(m)] = 1
+        self.member_mask = mask          # member_mask[si, x]: x in si
         common = mask @ mask.T
         sizes = mask.sum(axis=1)
         self.leq = common == sizes[:, None]

@@ -11,9 +11,10 @@ out by the compatibility constraints, computed exactly over the integers.
 Quotient groups are never materialized.  The transitive-set basis of a
 quotient T/S is the set of T-conjugacy classes of intermediate subgroups
 S <= W <= T, and every structure map is written in those coordinates on
-the ambient group.  Large free systems go through a component-merging
-solver whose basis updates are deferred on per-component chains; small
-systems go through a direct sparse kernel.
+the ambient group.  Every limit comes from one component-merging solver
+whose basis updates are deferred on per-component chains; it runs in one
+exact pass, taking each product in int64 only under a bound that shows it
+cannot wrap and in Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from .groups import (SECTION_CLASSES, FiniteGroup, GroupAnalysis, analysis,
                      _closure, double_coset_reps, product_members,
                      subgroup_generators)
 from .zlinalg import (LatticeBuilder, coords_in_hnf, hnf_pivots, kernel_basis,
-                      obj_eye, obj_matrix, obj_zeros, sparse_kernel,
-                      sparse_snf_invariants)
+                      obj_matrix, obj_zeros, sparse_snf_invariants)
 from .burnside import ring_data
 
 FAMILY_LABELS = tuple(SECTION_CLASSES)
@@ -246,13 +246,13 @@ class SectionFamily:
         self.label = label
         ana = analysis(G)
         self.ana = ana
-        secs = []
-        for ti in range(ana.n_sub):
-            for si in range(ana.n_sub):
-                if not (ana.leq[si, ti] and ana.is_normal_in(si, ti)):
-                    continue
-                if family_contains(ana, ti, si, label):
-                    secs.append((ti, si))
+        sizes = ana.member_mask.sum(axis=1)
+        # normal[si, ti]: si lies in ti and every member of ti normalizes it
+        normal = ana.leq & (ana.normalizes.astype(np.int64)
+                            @ ana.member_mask.T == sizes)
+        secs = [(ti, si) for ti in range(ana.n_sub)
+                for si in np.flatnonzero(normal[:, ti]).tolist()
+                if family_contains(ana, ti, si, label)]
         self.sections = secs
         self.pos = {ts: i for i, ts in enumerate(secs)}
         self.slots = [SectionSlot(ana, t, s) for t, s in secs]
@@ -260,19 +260,14 @@ class SectionFamily:
         p = G.prime
         cover = []
         for i, (ti, si) in enumerate(secs):
-            so = len(ana.subgroup_members[si])
-            to = len(ana.subgroup_members[ti])
-            for sp in range(ana.n_sub):
-                if (ana.leq[si, sp] and ana.leq[sp, ti]
-                        and len(ana.subgroup_members[sp]) == so * p
-                        and ana.is_normal_in(sp, ti)):
-                    # families are closed under subquotients, so the target
-                    # section is present; a miss is a bug, not a branch
-                    cover.append((i, self.pos[(ti, sp)], "def"))
-            for tm in range(ana.n_sub):
-                if (ana.leq[si, tm] and ana.leq[tm, ti]
-                        and len(ana.subgroup_members[tm]) * p == to):
-                    cover.append((i, self.pos[(tm, si)], "res"))
+            between = ana.leq[si] & ana.leq[:, ti]
+            # families are closed under subquotients, so every target
+            # section is present; a miss is a bug, not a branch
+            for sp in np.flatnonzero(between & (sizes == sizes[si] * p)
+                                     & normal[:, ti]).tolist():
+                cover.append((i, self.pos[(ti, sp)], "def"))
+            for tm in np.flatnonzero(between & (sizes * p == sizes[ti])).tolist():
+                cover.append((i, self.pos[(tm, si)], "res"))
         self.cover_edges = cover
 
         conj = []
@@ -562,10 +557,6 @@ class _Node:
         self.next = None
 
 
-class _Overflow(Exception):
-    pass
-
-
 class MergeLimitSolver:
     """Exact solver for v[dst] = D v[src] constraint systems over Z.
 
@@ -578,13 +569,11 @@ class MergeLimitSolver:
     one multiplication against a suffix product at materialization time.
     """
 
-    def __init__(self, dims, dtype=np.int64):
+    def __init__(self, dims):
         self.n = len(dims)
         self.dims = list(dims)
-        self.dt = dtype
         self.parent = list(range(self.n))
-        eye = np.eye if dtype == np.int64 else obj_eye
-        self.phi = [eye(d) for d in dims]
+        self.phi = [np.eye(d, dtype=np.int64) for d in dims]
         self.ptr = []
         self.tail = {}
         self.kdim = {}
@@ -603,13 +592,10 @@ class MergeLimitSolver:
             a = self.parent[a]
         return a
 
-    def _mul(self, A, B):
-        if self.dt == np.int64 and A.size and B.size:
-            amax = int(np.abs(A).max())
-            bmax = int(np.abs(B).max())
-            if amax * bmax * max(1, A.shape[1]) > _I64_BOUND:
-                raise _Overflow
-        return A @ B
+    @staticmethod
+    def _mul(A, B):
+        # the tighter product bound keeps D a - b from wrapping as well
+        return _exact_matmul(A, B, _I64_BOUND)
 
     def _read(self, s: int):
         node = self.ptr[s]
@@ -637,20 +623,14 @@ class MergeLimitSolver:
         self.n_solves += 1
         basis = kernel_basis(rows)
         if basis.shape[0] == 0:
-            return (np.zeros((k, 0), dtype=np.int64) if self.dt == np.int64
-                    else obj_zeros(k, 0))
-        if self.dt == np.int64:
-            return _as_i64(basis).T.copy()
-        return basis.T.copy()
+            return np.zeros((k, 0), dtype=np.int64)
+        B64, _ = _i64_absmax(basis)
+        return (basis if B64 is None else B64).T.copy()
 
     @staticmethod
     def _is_identity(S) -> bool:
         return (S.shape[0] == S.shape[1]
-                and bool(np.array_equal(S, np.eye(S.shape[0], dtype=S.dtype))
-                         if S.dtype == np.int64
-                         else all(int(S[i, j]) == (1 if i == j else 0)
-                                  for i in range(S.shape[0])
-                                  for j in range(S.shape[1]))))
+                and np.array_equal(S, np.eye(S.shape[0], dtype=np.int64)))
 
     def _append(self, root: int, S):
         t = self.tail[root]
@@ -780,16 +760,16 @@ def _i64_absmax(mat):
     return (arr, amax) if 0 <= amax <= _I64_BOUND else (None, None)
 
 
-def _exact_matmul(A, B) -> np.ndarray:
+def _exact_matmul(A, B, bound: int = (1 << 62) - 1) -> np.ndarray:
     """A @ B over the integers: in int64 when no product can wrap.
 
     Each operand is read once for its largest entry; int64 needs every
-    entry within 2**55 and amax * bmax * k below 2**62.
+    entry within 2**55 and amax * bmax * k at most bound (below 2**62).
     """
     A64, amax = _i64_absmax(A)
     B64, bmax = _i64_absmax(B)
     if (A64 is not None and B64 is not None
-            and amax * bmax * max(1, A64.shape[1]) < (1 << 62)):
+            and amax * bmax * max(1, A64.shape[1]) <= bound):
         return A64 @ B64
     return np.asarray(A, dtype=object) @ np.asarray(B, dtype=object)
 
@@ -836,33 +816,15 @@ def residual_check(system: CoefficientSystem, mat: np.ndarray) -> None:
                 f"constraint {src}->{dst} {tag} violated by the given columns")
 
 
-def _direct_limit_basis(system: CoefficientSystem) -> np.ndarray:
-    rows = []
-    for src, dst, tag in system.edges():
-        if system.dims[dst] == 0:
-            continue
-        D = system.edge_matrix(src, dst, tag)
-        so, do = system.offsets[src], system.offsets[dst]
-        for r in range(D.shape[0]):
-            row = {}
-            for c in range(D.shape[1]):
-                v = int(D[r, c])
-                if v:
-                    row[so + c] = row.get(so + c, 0) + v
-            key = do + r
-            row[key] = row.get(key, 0) - 1
-            if row:
-                rows.append(row)
-    sol = sparse_kernel(system.total, rows)
-    basis = obj_zeros(system.total, len(sol))
-    for j, s in enumerate(sol):
-        for c, v in s.items():
-            basis[c, j] = v
-    return basis
+def inverse_limit(system: CoefficientSystem) -> InverseLimit:
+    """Solve the compatibility constraints; basis columns span the limit.
 
-
-def _merge_limit_basis(system: CoefficientSystem, dtype) -> np.ndarray:
-    solver = MergeLimitSolver(system.dims, dtype=dtype)
+    Every system goes through the merging solver in one exact pass: each
+    product is taken in int64 when a bound shows it cannot wrap and in
+    Python ints otherwise.  The canonical HNF of the solution lattice is
+    checked against the raw constraints before it is returned.
+    """
+    solver = MergeLimitSolver(system.dims)
     edges = system.edges()
     order = sorted(range(len(edges)),
                    key=lambda e: (-system.dims[edges[e][0]],
@@ -874,31 +836,8 @@ def _merge_limit_basis(system: CoefficientSystem, dtype) -> np.ndarray:
         solver.process(src, dst, system.edge_matrix(src, dst, tag))
     total_rank, blocks = solver.finish()
     basis = obj_zeros(system.total, total_rank)
-    for i, (coff, v) in enumerate(blocks):
-        off = system.offsets[i]
-        for r in range(v.shape[0]):
-            for c in range(v.shape[1]):
-                x = int(v[r, c])
-                if x:
-                    basis[off + r, coff + c] = x
-    return basis
-
-
-def inverse_limit(system: CoefficientSystem) -> InverseLimit:
-    """Solve the compatibility constraints; basis columns span the limit.
-
-    Systems of at most 600 unknowns go through the direct sparse kernel,
-    larger ones through the merging solver (int64, redone in Python ints
-    on overflow).  Both find the same lattice, whose canonical HNF is
-    checked against the raw constraints before it is returned.
-    """
-    if system.total <= 600:
-        basis = _direct_limit_basis(system)
-    else:
-        try:
-            basis = _merge_limit_basis(system, np.int64)
-        except _Overflow:
-            basis = _merge_limit_basis(system, object)
+    for off, (coff, v) in zip(system.offsets, blocks):
+        basis[off:off + v.shape[0], coff:coff + v.shape[1]] = v
     lb = LatticeBuilder(system.total)
     for j in range(basis.shape[1]):
         lb.add(basis[:, j])

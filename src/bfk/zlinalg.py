@@ -367,102 +367,6 @@ def sparse_snf_invariants(rows: list[dict[int, int]], ncols: int) -> tuple[list[
     return [1] * ones + rest, ones + len(rest)
 
 
-def sparse_kernel(ncols: int, rows: Iterable[dict[int, int]]) -> list[dict[int, int]]:
-    """Basis of {x in Z^ncols : A x = 0} for sparse constraint rows A.
-
-    Processes one constraint at a time, maintaining an exact basis of the
-    current solution lattice; solving a single linear functional on a lattice
-    is an xgcd fold. The result is automatically saturated.
-    """
-    basis: dict[int, dict[int, int]] = {i: {i: 1} for i in range(ncols)}
-    col_index: dict[int, set[int]] = {i: {i} for i in range(ncols)}
-
-    def unregister(bid, cols):
-        for c in cols:
-            s = col_index.get(c)
-            if s is not None:
-                s.discard(bid)
-                if not s:
-                    del col_index[c]
-
-    def register(bid, cols):
-        for c in cols:
-            col_index.setdefault(c, set()).add(bid)
-
-    def set_vec(bid, vec):
-        old = basis[bid]
-        unregister(bid, old.keys())
-        basis[bid] = vec
-        register(bid, vec.keys())
-
-    for a in rows:
-        a = {c: int(v) for c, v in a.items() if v != 0}
-        if not a:
-            continue
-        cand: set[int] = set()
-        for c in a:
-            cand |= col_index.get(c, set())
-        pairs = []
-        for bid in cand:
-            b = basis[bid]
-            if len(b) < len(a):
-                d = sum(v * a.get(c, 0) for c, v in b.items())
-            else:
-                d = sum(v * b.get(c, 0) for c, v in a.items())
-            if d != 0:
-                pairs.append((bid, d))
-        if not pairs:
-            continue
-        # fold all nonzero dots into one carrier vector
-        pairs.sort(key=lambda t: (abs(t[1]), t[0]))
-        unit = next((t for t in pairs if abs(t[1]) == 1), None)
-        if unit is not None:
-            cid, cd = unit
-            carrier = basis[cid]
-            for bid, d in pairs:
-                if bid == cid:
-                    continue
-                coef = d * cd              # d / cd since cd is +-1
-                vec = dict(basis[bid])
-                for c, v in carrier.items():
-                    nv = vec.get(c, 0) - coef * v
-                    if nv == 0:
-                        vec.pop(c, None)
-                    else:
-                        vec[c] = nv
-                set_vec(bid, vec)
-        else:
-            cid, cd = pairs[0]
-            for bid, d in pairs[1:]:
-                x, y, g = xgcd(cd, d)
-                bvec = basis[bid]
-                cvec = basis[cid]
-                merged: dict[int, int] = {}
-                for c, v in cvec.items():
-                    merged[c] = x * v
-                for c, v in bvec.items():
-                    nv = merged.get(c, 0) + y * v
-                    if nv == 0:
-                        merged.pop(c, None)
-                    else:
-                        merged[c] = nv
-                repl: dict[int, int] = {}
-                for c, v in cvec.items():
-                    repl[c] = -(d // g) * v
-                for c, v in bvec.items():
-                    nv = repl.get(c, 0) + (cd // g) * v
-                    if nv == 0:
-                        repl.pop(c, None)
-                    else:
-                        repl[c] = nv
-                set_vec(cid, merged)
-                set_vec(bid, repl)
-                cd = g
-        unregister(cid, basis[cid].keys())
-        del basis[cid]
-    return [basis[k] for k in sorted(basis)]
-
-
 _WRAP = 1 << 62
 
 

@@ -4,12 +4,18 @@ The package builds bisets only along whole sections (`indinf_biset`,
 `defres_biset`); the one-step builders here (induction, restriction,
 inflation, deflation, isomorphisms, conjugation of a section) give
 independent fixtures for the composition, orbit and action tests.
+`sparse_kernel` and `_direct_limit_basis`, a sparse xgcd fold over the
+raw constraint rows, are the reference the merging limit solver and
+`kernel_basis` are checked against.
 """
+
+from typing import Iterable
 
 import numpy as np
 
 from bfk.bisets import ConcreteBiset, defres_biset, indinf_biset
-from bfk.zlinalg import coords_in_hnf, obj_zeros
+from bfk.limits import CoefficientSystem, family_contains
+from bfk.zlinalg import coords_in_hnf, obj_zeros, xgcd
 
 
 def validate_biset(U: ConcreteBiset) -> ConcreteBiset:
@@ -101,3 +107,153 @@ def per_column_restrict(M, src_kern, dst_kern):
             raise AssertionError("image left the mark kernel")
         out[:, i] = c
     return out
+
+
+def sparse_kernel(ncols: int, rows: Iterable[dict[int, int]]) -> list[dict[int, int]]:
+    """Basis of {x in Z^ncols : A x = 0} for sparse constraint rows A.
+
+    Processes one constraint at a time, maintaining an exact basis of the
+    current solution lattice; solving a single linear functional on a lattice
+    is an xgcd fold. The result is automatically saturated.
+    """
+    basis: dict[int, dict[int, int]] = {i: {i: 1} for i in range(ncols)}
+    col_index: dict[int, set[int]] = {i: {i} for i in range(ncols)}
+
+    def unregister(bid, cols):
+        for c in cols:
+            s = col_index.get(c)
+            if s is not None:
+                s.discard(bid)
+                if not s:
+                    del col_index[c]
+
+    def register(bid, cols):
+        for c in cols:
+            col_index.setdefault(c, set()).add(bid)
+
+    def set_vec(bid, vec):
+        old = basis[bid]
+        unregister(bid, old.keys())
+        basis[bid] = vec
+        register(bid, vec.keys())
+
+    for a in rows:
+        a = {c: int(v) for c, v in a.items() if v != 0}
+        if not a:
+            continue
+        cand: set[int] = set()
+        for c in a:
+            cand |= col_index.get(c, set())
+        pairs = []
+        for bid in cand:
+            b = basis[bid]
+            if len(b) < len(a):
+                d = sum(v * a.get(c, 0) for c, v in b.items())
+            else:
+                d = sum(v * b.get(c, 0) for c, v in a.items())
+            if d != 0:
+                pairs.append((bid, d))
+        if not pairs:
+            continue
+        # fold all nonzero dots into one carrier vector
+        pairs.sort(key=lambda t: (abs(t[1]), t[0]))
+        unit = next((t for t in pairs if abs(t[1]) == 1), None)
+        if unit is not None:
+            cid, cd = unit
+            carrier = basis[cid]
+            for bid, d in pairs:
+                if bid == cid:
+                    continue
+                coef = d * cd              # d / cd since cd is +-1
+                vec = dict(basis[bid])
+                for c, v in carrier.items():
+                    nv = vec.get(c, 0) - coef * v
+                    if nv == 0:
+                        vec.pop(c, None)
+                    else:
+                        vec[c] = nv
+                set_vec(bid, vec)
+        else:
+            cid, cd = pairs[0]
+            for bid, d in pairs[1:]:
+                x, y, g = xgcd(cd, d)
+                bvec = basis[bid]
+                cvec = basis[cid]
+                merged: dict[int, int] = {}
+                for c, v in cvec.items():
+                    merged[c] = x * v
+                for c, v in bvec.items():
+                    nv = merged.get(c, 0) + y * v
+                    if nv == 0:
+                        merged.pop(c, None)
+                    else:
+                        merged[c] = nv
+                repl: dict[int, int] = {}
+                for c, v in cvec.items():
+                    repl[c] = -(d // g) * v
+                for c, v in bvec.items():
+                    nv = repl.get(c, 0) + (cd // g) * v
+                    if nv == 0:
+                        repl.pop(c, None)
+                    else:
+                        repl[c] = nv
+                set_vec(cid, merged)
+                set_vec(bid, repl)
+                cd = g
+        unregister(cid, basis[cid].keys())
+        del basis[cid]
+    return [basis[k] for k in sorted(basis)]
+
+
+def _direct_limit_basis(system: CoefficientSystem) -> np.ndarray:
+    rows = []
+    for src, dst, tag in system.edges():
+        if system.dims[dst] == 0:
+            continue
+        D = system.edge_matrix(src, dst, tag)
+        so, do = system.offsets[src], system.offsets[dst]
+        for r in range(D.shape[0]):
+            row = {}
+            for c in range(D.shape[1]):
+                v = int(D[r, c])
+                if v:
+                    row[so + c] = row.get(so + c, 0) + v
+            key = do + r
+            row[key] = row.get(key, 0) - 1
+            if row:
+                rows.append(row)
+    sol = sparse_kernel(system.total, rows)
+    basis = obj_zeros(system.total, len(sol))
+    for j, s in enumerate(sol):
+        for c, v in s.items():
+            basis[c, j] = v
+    return basis
+
+
+def sections_by_loops(ana, label: str):
+    """The former pair loops of SectionFamily: the sections in (top, bottom)
+    order, their positions and the def/res cover edges; the reference for
+    the normality-matrix reads."""
+    secs = []
+    for ti in range(ana.n_sub):
+        for si in range(ana.n_sub):
+            if not (ana.leq[si, ti] and ana.is_normal_in(si, ti)):
+                continue
+            if family_contains(ana, ti, si, label):
+                secs.append((ti, si))
+    pos = {ts: i for i, ts in enumerate(secs)}
+    p = ana.group.prime
+    cover = []
+    for i, (ti, si) in enumerate(secs):
+        so = len(ana.subgroup_members[si])
+        to = len(ana.subgroup_members[ti])
+        for sp in range(ana.n_sub):
+            if (ana.leq[si, sp] and ana.leq[sp, ti]
+                    and len(ana.subgroup_members[sp]) == so * p
+                    and ana.is_normal_in(sp, ti)):
+                cover.append((i, pos[(ti, sp)], "def"))
+        for tm in range(ana.n_sub):
+            if (ana.leq[si, tm] and ana.leq[tm, ti]
+                    and len(ana.subgroup_members[tm]) * p == to):
+                cover.append((i, pos[(tm, si)], "res"))
+    return secs, pos, cover

@@ -1,25 +1,31 @@
+import hashlib
+import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bfk.campaigns import catalog_groups
 from bfk.zlinalg import (coords_in_hnf, hnf_pivots, kernel_basis, lattice_from_rows,
-                         obj_matrix)
+                         obj_matrix, obj_zeros)
 from bfk.groups import (
     analysis,
     cyclic_group,
     direct_product,
     elementary_abelian_group,
     extraspecial_group,
+    group_from_spec,
 )
 from bfk.limits import (
+    FAMILY_LABELS,
+    FUNCTOR_NAMES,
     FamilyError,
+    MergeLimitSolver,
     _check_counit_kills,
-    _direct_limit_basis,
     _exact_matmul,
     _mark_rows,
-    _merge_limit_basis,
     _restrict_to_kernels,
     _spans_everything,
     coefficient_system,
@@ -32,7 +38,8 @@ from bfk.limits import (
     residual_check,
     section_family,
 )
-from helpers import per_column_restrict
+from helpers import (_direct_limit_basis, per_column_restrict, sections_by_loops,
+                     sparse_kernel)
 
 C3 = cyclic_group(3)
 C9 = cyclic_group(9)
@@ -61,6 +68,18 @@ def test_family_counts_order_81():
     assert len(xfam.sections) == 581
     assert len(xfam.cover_edges) == 1848
     assert len(xfam.conj_edges) == 636
+
+
+def test_sections_and_cover_edges_match_the_pair_loops():
+    # the normality-matrix reads against the former per-pair loops, on
+    # every catalog group at p = 3 to order 81 and p = 5 to order 125
+    for p, max_order in ((3, 81), (5, 125)):
+        for _, spec in catalog_groups(p, max_order):
+            G = group_from_spec(spec, p)
+            for label in FAMILY_LABELS:
+                fam = section_family(G, label)
+                want = sections_by_loops(analysis(G), label)
+                assert (fam.sections, fam.pos, fam.cover_edges) == want, (spec, label)
 
 
 def test_c3_slot_dimensions():
@@ -229,15 +248,77 @@ def canonical_columns(basis):
 
 
 def test_merge_and_direct_bases_identical():
-    # the direct sparse kernel is the reference for the merging solver,
-    # in int64 and in Python ints; inverse_limit picks one by system size
+    # the test-only direct sparse kernel is the reference for the merging
+    # solver, the one solver inverse_limit uses
     for G, label, functor in ((X27, "X3", "B"), (C9x3, "E", "K"), (V3, "X", "Kdual")):
         sys_f = coefficient_system(G, label, functor)
         want = canonical_columns(_direct_limit_basis(sys_f))
-        for dtype in (np.int64, object):
-            got = canonical_columns(_merge_limit_basis(sys_f, dtype))
-            assert np.array_equal(got, want)
         assert np.array_equal(inverse_limit(sys_f).basis.T, want)
+
+
+def test_merge_solver_takes_python_ints_partway():
+    # v[dst] = D v[src] on sections of dims 3, 3, 3, 2, 1.  The second
+    # constraint has entries near 2**55, so its product with the first
+    # would wrap in int64 and _mul must take it in Python ints; the later
+    # constraints merge two components, substitute into a free one and cut
+    # a component from inside.
+    N = 1 << 55
+    dims = [3, 3, 3, 2, 1]
+    offs = np.cumsum([0] + dims).tolist()
+    cons = [
+        (0, 1, [[1, 2, 0], [0, 1, 3], [1025, 0, 1]]),
+        (1, 2, [[N - 3, 1, 0], [2, N - 5, 1], [0, 3, 7 - N]]),
+        (3, 2, [[1, 0], [0, 2], [5, 1]]),
+        (3, 4, [[1, 1]]),
+        (0, 4, [[1, -1, 1]]),
+    ]
+    solver = MergeLimitSolver(dims)
+    for k, (src, dst, D) in enumerate(cons):
+        solver.process(src, dst, np.array(D, dtype=np.int64))
+        if k == 1:
+            assert solver._read(1).dtype == np.int64
+            assert solver._read(2).dtype == object
+    rank, blocks = solver.finish()
+    basis = obj_zeros(offs[-1], rank)
+    for off, (coff, v) in zip(offs, blocks):
+        basis[off:off + v.shape[0], coff:coff + v.shape[1]] = v
+    got = canonical_columns(basis)
+    rows = []
+    for src, dst, D in cons:
+        for r, line in enumerate(D):
+            row = {offs[src] + c: x for c, x in enumerate(line) if x}
+            row[offs[dst] + r] = -1
+            rows.append(row)
+    want = lattice_from_rows(offs[-1], [[s.get(c, 0) for c in range(offs[-1])]
+                                        for s in sparse_kernel(offs[-1], rows)]).basis
+    assert got.shape == (1, offs[-1])
+    assert max(abs(x) for x in got.flat) > 1 << 63
+    assert np.array_equal(got, want)
+
+
+PINNED_BASES = Path(__file__).parent / "data" / "limit_basis_sha256.json"
+
+
+def basis_digest(basis) -> str:
+    """SHA-256 of a limit basis: its shape, then its entries column by column."""
+    rows, cols = basis.shape
+    text = f"{rows} {cols}\n" + " ".join(str(int(x)) for x in basis.T.ravel())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_limit_bases_match_pinned_digests():
+    # keys are "p descriptor label functor"; the digests were recorded from
+    # the two-solver code this single solver replaced
+    pinned = json.loads(PINNED_BASES.read_text(encoding="utf-8"))
+    want_keys = {f"{p} {spec} {label} {functor}"
+                 for p, max_order in ((3, 27), (5, 125))
+                 for _, spec in catalog_groups(p, max_order)
+                 for label in FAMILY_LABELS for functor in FUNCTOR_NAMES}
+    assert set(pinned) == want_keys | {"3 prod:xsp:3,cyclic:3 X3 Kdual"}
+    for key, digest in sorted(pinned.items()):
+        p, spec, label, functor = key.split()
+        system = coefficient_system(group_from_spec(spec, int(p)), label, functor)
+        assert basis_digest(inverse_limit(system).basis) == digest, key
 
 
 def test_limit_ranks_frozen_at_81():

@@ -14,10 +14,10 @@ from bfk.zlinalg import (
     obj_zeros,
     rank_of,
     snf_diagonal,
-    sparse_kernel,
     sparse_snf_invariants,
     xgcd,
 )
+from helpers import sparse_kernel
 
 small_mat = st.integers(min_value=1, max_value=5).flatmap(
     lambda n: st.integers(min_value=1, max_value=5).flatmap(
@@ -224,8 +224,9 @@ def test_lattice_equality_and_sum():
 
 
 def sparse_kernel_hnf(A):
-    """The former kernel_basis: sparse_kernel's xgcd fold, then the HNF of
-    its solution vectors through LatticeBuilder; kept as the reference."""
+    """The former kernel_basis: the test-only sparse_kernel's xgcd fold,
+    then the HNF of its solution vectors through LatticeBuilder; kept as
+    the reference."""
     m, n = A.shape
     rows = [{j: int(A[i, j]) for j in range(n) if A[i, j] != 0} for i in range(m)]
     lb = LatticeBuilder(n)
