@@ -32,31 +32,9 @@ from .zlinalg import (
     kernel_basis,
     lattice_from_rows,
     obj_eye,
-    obj_matrix,
     obj_zeros,
     rank_of,
 )
-
-
-def mark_count(ana: GroupAnalysis, s_members, t_members) -> int:
-    """Fixed points of the first subgroup on cosets of the second."""
-    G = ana.group
-    if G.is_abelian:
-        if set(int(x) for x in s_members) <= set(int(x) for x in t_members):
-            return G.order // len(t_members)
-        return 0
-    t_arr = np.asarray(t_members, dtype=np.int32)
-    s_set = set(int(x) for x in s_members)
-    seen = np.zeros(G.order, dtype=bool)
-    count = 0
-    for x in range(G.order):
-        if seen[x]:
-            continue
-        seen[G.table[x, t_arr]] = True
-        conj = G.table[G.table[x, t_arr], G.inv[x]]
-        if s_set <= set(conj.tolist()):
-            count += 1
-    return count
 
 
 class RingData:
@@ -78,15 +56,20 @@ class RingData:
         return int(self.ana.class_of_sub[self.ana.index_of(members)])
 
     def linearization(self) -> np.ndarray:
-        """Rows are fixed-point counts against the cyclic classes."""
+        """Rows are fixed-point counts against the cyclic classes.
+
+        S fixes |G| / (|cls T| |T|) * #{T' in cls T : S <= T'} points of
+        G/T, one product of the lattice rows with the class indicator.
+        """
         with self._lock:
             if self._lin is None:
-                rows = []
-                for ci in self.cyclic_positions:
-                    sm = self.reps_members[ci]
-                    rows.append([mark_count(self.ana, sm, tm)
-                                 for tm in self.reps_members])
-                self._lin = obj_matrix(rows, self.n_classes)
+                ana = self.ana
+                in_cls = np.zeros((ana.n_sub, self.n_classes), dtype=np.int64)
+                in_cls[np.arange(ana.n_sub), ana.class_of_sub] = 1
+                reps = np.asarray(ana.class_reps)
+                hits = ana.leq[reps[self.cyclic_positions]] @ in_cls
+                scale = self.group.order // (in_cls.sum(axis=0) * ana.sizes[reps])
+                self._lin = (hits * scale).astype(object)
             return self._lin
 
     def kernel(self) -> IntegerLattice:

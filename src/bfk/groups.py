@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -385,15 +386,18 @@ class GroupAnalysis:
             mask[i, list(m)] = 1
         self.member_mask = mask          # member_mask[si, x]: x in si
         common = mask @ mask.T
-        sizes = mask.sum(axis=1)
+        self.sizes = sizes = mask.sum(axis=1)
         self.leq = common == sizes[:, None]
+        # normal[si, ti]: si lies in ti and every member of ti normalizes it
+        self.normal = self.leq & (self.normalizes.astype(np.int64) @ mask.T
+                                  == sizes)
 
-        classes = self._conjugacy_classes()
+        # conj_sub[x, si]: index of the subgroup x si x^-1
+        self.conj_sub, classes = self._conjugation_table()
         self.classes: list[tuple] = classes
         self.class_of_sub = np.empty(self.n_sub, dtype=np.int32)
         for ci, cls in enumerate(classes):
-            for si in cls:
-                self.class_of_sub[si] = ci
+            self.class_of_sub[list(cls)] = ci
         self.class_reps = [cls[0] for cls in classes]
 
         orders = G.element_orders()
@@ -455,24 +459,31 @@ class GroupAnalysis:
             current = sorted(nxt)
         return norm
 
-    def _conjugacy_classes(self) -> list[tuple]:
-        if self.group.is_abelian:
-            return [(i,) for i in range(self.n_sub)]
+    def _conjugation_table(self):
+        """The table conj_sub and the conjugacy classes, in order of least
+        member.  One conjugation array per class representative r gives
+        column r; a member j = g r g^-1 of its class gets column
+        conj_sub[x g, r], since x j x^-1 = (x g) r (x g)^-1."""
         G = self.group
+        n, ns = G.order, self.n_sub
+        if G.is_abelian:
+            ident = np.arange(ns, dtype=np.int32)
+            return np.broadcast_to(ident, (n, ns)), [(i,) for i in range(ns)]
         table, inv = G.table, G.inv
-        seen = set()
+        conj = np.full((n, ns), -1, dtype=np.int32)
         classes = []
         for i, mem in enumerate(self.subgroup_members):
-            if i in seen:
+            if conj[0, i] >= 0:
                 continue
             arr = np.asarray(mem, dtype=np.int32)
-            conj = np.unique(np.sort(table[table[:, arr], inv[:, None]], axis=1),
-                             axis=0)
-            cls = tuple(sorted(self.index_by_members[tuple(row)]
-                               for row in conj.tolist()))
-            classes.append(cls)
-            seen.update(cls)
-        return classes
+            rows = np.sort(table[table[:, arr], inv[:, None]], axis=1)
+            col = np.array([self.index_by_members[tuple(r)]
+                            for r in rows.tolist()], dtype=np.int32)
+            members, first = np.unique(col, return_index=True)
+            for j, g in zip(members.tolist(), first.tolist()):
+                conj[:, j] = col[table[:, g]]
+            classes.append(tuple(members.tolist()))
+        return conj, classes
 
     # -- queries -------------------------------------------------------------
 
@@ -486,15 +497,27 @@ class GroupAnalysis:
         except KeyError:
             raise ValueError("not a subgroup of this group") from None
 
-    def conjugate_members(self, x: int, members: Sequence[int]) -> tuple:
-        G = self.group
-        arr = np.asarray(members, dtype=np.int32)
-        cm = G.table[G.table[x, arr], G.inv[x]]
-        return tuple(sorted(cm.tolist()))
-
     def is_normal_in(self, si: int, ti: int) -> bool:
-        return bool(self.leq[si, ti]
-                    and self.normalizes[si, list(self.subgroup_members[ti])].all())
+        return bool(self.normal[si, ti])
+
+    @cached_property
+    def meet(self) -> np.ndarray:
+        """meet[a, b]: index of the intersection of subgroups a and b, the
+        last subgroup below both (subgroups are ordered by size)."""
+        rev = self.leq[::-1]
+        out = np.empty((self.n_sub, self.n_sub), dtype=np.int32)
+        for b in range(self.n_sub):
+            out[:, b] = self.n_sub - 1 - np.argmax(rev & rev[:, b:b + 1], axis=0)
+        return out
+
+    @cached_property
+    def join(self) -> np.ndarray:
+        """join[a, b]: index of the subgroup generated by a and b, the first
+        subgroup above both."""
+        out = np.empty((self.n_sub, self.n_sub), dtype=np.int32)
+        for b in range(self.n_sub):
+            out[:, b] = np.argmax(self.leq & self.leq[b], axis=1)
+        return out
 
     def moebius(self, si: int, ti: int) -> int:
         """Moebius function of the subgroup poset on the interval [si, ti]."""
@@ -529,13 +552,8 @@ class GroupAnalysis:
     # -- sections ------------------------------------------------------------
 
     def _build_sections(self):
-        G = self.group
-        out = []
-        for ti in range(self.n_sub):
-            for si in range(self.n_sub):
-                if not self.leq[si, ti] or not self.is_normal_in(si, ti):
-                    continue
-                out.append(self._make_section(ti, si))
+        out = [self._make_section(ti, si) for ti in range(self.n_sub)
+               for si in np.flatnonzero(self.normal[:, ti]).tolist()]
         self._section_list = out
         self._section_index = {sec.key: k for k, sec in enumerate(out)}
 
@@ -632,37 +650,6 @@ def sections_in_class(G: FiniteGroup, klass) -> list[Section]:
     pred = SECTION_CLASSES[klass] if isinstance(klass, str) else klass
     ana = analysis(G)
     return [sec for sec in ana.sections() if pred(sec.label)]
-
-
-def double_coset_reps(G: FiniteGroup, left_members: Sequence[int],
-                      right_members: Sequence[int],
-                      within: Sequence[int] | None = None) -> list[int]:
-    """Ascending least representatives of the double cosets L\\G/R.
-
-    With `within`, representatives are drawn from that subgroup's members
-    (both L and R must then lie inside it), partitioning it instead of G.
-    The least point of LxR is the least over r in R of the least point of
-    L(xr), read off one minimum over L of every point.
-    """
-    least_l = G.table[np.asarray(left_members, dtype=np.int32)].min(axis=0)
-    xr = G.table.T[np.asarray(right_members, dtype=np.int32)]   # xr[j, x] = x r_j
-    if within is not None:
-        xr = xr[:, np.asarray(within, dtype=np.int32)]
-    return np.unique(least_l[xr].min(axis=0)).tolist()
-
-
-def subgroup_generators(G: FiniteGroup, members: Sequence[int]) -> tuple:
-    """Small generating set of the subgroup given by its members."""
-    gens: list[int] = []
-    have = {0}
-    for m in members:
-        m = int(m)
-        if m not in have:
-            gens.append(m)
-            have = set(_closure(G.table, gens))
-            if len(have) == len(members):
-                break
-    return tuple(gens)
 
 
 def product_members(G: FiniteGroup, a_members: Sequence[int],

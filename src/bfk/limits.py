@@ -22,8 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .groups import (SECTION_CLASSES, FiniteGroup, GroupAnalysis, analysis,
-                     _closure, double_coset_reps, product_members,
-                     subgroup_generators)
+                     _closure)
 from .zlinalg import (LatticeBuilder, coords_in_hnf, hnf_pivots, kernel_basis,
                       obj_matrix, obj_zeros, sparse_snf_invariants)
 from .burnside import ring_data
@@ -114,8 +113,9 @@ class SectionSlot:
     """Basis data for one section (T, S) of the ambient group.
 
     classes holds one representative subgroup index per T-conjugacy class
-    of intermediate subgroups; class_pos maps every intermediate subgroup
-    index to the position of its class.
+    of intermediate subgroups, the least member of the class; class_pos
+    maps every subgroup index to the position of its class, or -1 for
+    subgroups outside the interval S <= W <= T.
     """
 
     __slots__ = ("ti", "si", "classes", "class_pos", "dim", "_kernel",
@@ -124,30 +124,14 @@ class SectionSlot:
     def __init__(self, ana: GroupAnalysis, ti: int, si: int):
         self.ti = ti
         self.si = si
-        leq = ana.leq
-        cand = [w for w in range(ana.n_sub) if leq[si, w] and leq[w, ti]]
-        pos = {w: i for i, w in enumerate(cand)}
-        parent = list(range(len(cand)))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        if not ana.group.is_abelian:
-            gens = subgroup_generators(ana.group, ana.subgroup_members[ti])
-            for w in cand:
-                wm = ana.subgroup_members[w]
-                for u in gens:
-                    cw = pos[ana.index_of(ana.conjugate_members(u, wm))]
-                    ra, rb = find(pos[w]), find(cw)
-                    if ra != rb:
-                        parent[max(ra, rb)] = min(ra, rb)
-        reps = sorted({cand[find(i)] for i in range(len(cand))})
-        self.classes = reps
-        rep_pos = {w: i for i, w in enumerate(reps)}
-        self.class_pos = {w: rep_pos[cand[find(pos[w])]] for w in cand}
+        cand = np.flatnonzero(ana.leq[si] & ana.leq[:, ti])
+        t_mem = np.asarray(ana.subgroup_members[ti])
+        least = ana.conj_sub[np.ix_(t_mem, cand)].min(axis=0)
+        reps, pos = np.unique(least, return_inverse=True)
+        self.classes = reps.tolist()
+        # the smallest signed type that holds every position and -1
+        self.class_pos = np.full(ana.n_sub, -1, dtype=np.min_scalar_type(-len(reps)))
+        self.class_pos[cand] = pos
         self.dim = len(reps)
         self._kernel = None
         self._kernel_piv = None
@@ -190,39 +174,22 @@ def _slot_kernel(family: "SectionFamily", slot: SectionSlot) -> tuple[np.ndarray
 
 def _mark_rows(ana: GroupAnalysis, slot: SectionSlot) -> np.ndarray:
     """Marks of the cyclic classes of the quotient at this slot (rows)
-    against all of its classes (columns)."""
-    p = ana.group.prime
-    s_size = len(ana.subgroup_members[slot.si])
-    m_sets = ana.member_sets
-    cyc = []
-    for w in slot.classes:
-        wsize = len(ana.subgroup_members[w])
-        if wsize == s_size:
-            cyc.append(w)
-            continue
-        n_max = 0
-        for u in slot.class_pos:
-            if len(ana.subgroup_members[u]) * p == wsize and m_sets[u] <= m_sets[w]:
-                n_max += 1
-        # a p-group quotient is cyclic iff it has a unique maximal subgroup
-        if n_max == 1:
-            cyc.append(w)
-    t_mem = ana.subgroup_members[slot.ti]
-    rows = np.zeros((len(cyc), slot.dim), dtype=np.int64)
-    for i, v in enumerate(cyc):
-        vmem = ana.subgroup_members[v]
-        if ana.group.is_abelian:
-            orbit = [m_sets[v]]
-        else:
-            orbit = list({frozenset(ana.conjugate_members(x, vmem))
-                          for x in t_mem})
-        mult = len(t_mem) // len(orbit)
-        for j, w in enumerate(slot.classes):
-            wset = m_sets[w]
-            wsize = len(ana.subgroup_members[w])
-            hits = sum(1 for c in orbit if c <= wset)
-            rows[i, j] = (mult * hits) // wsize
-    return rows
+    against all of its classes (columns).
+
+    V/S fixes |T| / (|cls V| |W|) * #{V' in cls V : V' <= W} points of
+    T/W, with cls V the T-class of V.
+    """
+    sizes = ana.sizes
+    cls = np.asarray(slot.classes)
+    cand = np.flatnonzero(slot.class_pos >= 0)
+    # a p-group quotient is cyclic iff it has a unique maximal subgroup
+    maximal = (ana.leq[np.ix_(cand, cls)]
+               & (sizes[cand, None] * ana.group.prime == sizes[cls]))
+    cyc = cls[(sizes[cls] == sizes[slot.si]) | (maximal.sum(axis=0) == 1)]
+    in_cls = slot.class_pos[cand] == slot.class_pos[cyc][:, None]
+    hits = in_cls.astype(np.int64) @ ana.leq[np.ix_(cand, cls)]
+    mult = sizes[slot.ti] // in_cls.sum(axis=1)
+    return mult[:, None] * hits // sizes[cls]
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +213,7 @@ class SectionFamily:
         self.label = label
         ana = analysis(G)
         self.ana = ana
-        sizes = ana.member_mask.sum(axis=1)
-        # normal[si, ti]: si lies in ti and every member of ti normalizes it
-        normal = ana.leq & (ana.normalizes.astype(np.int64)
-                            @ ana.member_mask.T == sizes)
+        sizes, normal = ana.sizes, ana.normal
         secs = [(ti, si) for ti in range(ana.n_sub)
                 for si in np.flatnonzero(normal[:, ti]).tolist()
                 if family_contains(ana, ti, si, label)]
@@ -272,17 +236,12 @@ class SectionFamily:
 
         conj = []
         if not G.is_abelian:
-            for i, (ti, si) in enumerate(secs):
-                tmem = ana.subgroup_members[ti]
-                smem = ana.subgroup_members[si]
+            for i, ((ti, si), slot) in enumerate(zip(secs, self.slots)):
                 for u in ana.generators:
-                    ct = ana.index_of(ana.conjugate_members(u, tmem))
-                    cs = ana.index_of(ana.conjugate_members(u, smem))
-                    j = self.pos[(ct, cs)]
-                    if j == i and all(
-                            self.slots[i].class_pos[ana.index_of(
-                                ana.conjugate_members(u, ana.subgroup_members[w]))] == jj
-                            for jj, w in enumerate(self.slots[i].classes)):
+                    cu = ana.conj_sub[u]
+                    j = self.pos[(int(cu[ti]), int(cu[si]))]
+                    if j == i and np.array_equal(slot.class_pos[cu[slot.classes]],
+                                                 np.arange(slot.dim)):
                         continue
                     conj.append((i, j, u))
         self.conj_edges = conj
@@ -342,6 +301,34 @@ def _restrict_to_kernels(M: np.ndarray, src_kern: np.ndarray,
     return C
 
 
+def _defres_counts(ana: GroupAnalysis, top: int, class_pos: np.ndarray,
+                   dst: SectionSlot) -> np.ndarray:
+    """Restrict-then-deflate of B to the section dst = (T', S') from the
+    classes of subgroups under conjugation by top >= T'; class_pos gives
+    the column of each subgroup's class, -1 for none.
+
+    Each double coset T' x W in top sends the class of W to the class of
+    (xWx^-1 meet T') S'.  Summing over every x in top with weight
+    |xWx^-1 meet T'| counts each double coset |T'| |W| times, and x W x^-1
+    runs over each c in cls W |top| / |cls W| times, so the column of W
+    is |top| / (|cls W| |T'| |W|) times the weighted sum over c in cls W.
+    No double coset is listed, and a deflation (T' = top) writes one 1.
+    """
+    sizes = ana.sizes
+    cand = np.flatnonzero(class_pos >= 0)
+    cols = class_pos[cand]
+    inter = ana.meet[cand, dst.ti]
+    D = np.zeros((dst.dim, int(cols.max()) + 1), dtype=np.int64)
+    np.add.at(D, (dst.class_pos[ana.join[inter, dst.si]], cols), sizes[inter])
+    w_size = np.zeros(D.shape[1], dtype=np.int64)
+    w_size[cols] = sizes[cand]
+    D, rem = np.divmod(D * sizes[top],
+                       np.bincount(cols) * w_size * sizes[dst.ti])
+    if rem.any():
+        raise AssertionError("double coset counts must be integral")
+    return D
+
+
 class CoefficientSystem:
     """Values and structure maps of one functor over one section family.
 
@@ -383,19 +370,7 @@ class CoefficientSystem:
 
     def _b_defres_between(self, src: SectionSlot, dst: SectionSlot) -> np.ndarray:
         """Downward map of B between nested sections, ambient coordinates."""
-        ana = self.ana
-        tp_mem = ana.subgroup_members[dst.ti]
-        sp_mem = ana.subgroup_members[dst.si]
-        t_mem = ana.subgroup_members[src.ti]
-        D = np.zeros((dst.dim, src.dim), dtype=np.int64)
-        for j, w in enumerate(src.classes):
-            wmem = ana.subgroup_members[w]
-            for x in double_coset_reps(ana.group, tp_mem, wmem, within=t_mem):
-                cw = ana.conjugate_members(x, wmem)
-                inter = tuple(m for m in cw if m in ana.member_sets[dst.ti])
-                tgt = product_members(ana.group, inter, sp_mem)
-                D[dst.class_pos[ana.index_of(tgt)], j] += 1
-        return D
+        return _defres_counts(self.ana, src.ti, src.class_pos, dst)
 
     def _b_indinf_between(self, src: SectionSlot, dst: SectionSlot) -> np.ndarray:
         """Upward map of B from a subquotient into a nested ambient section.
@@ -404,16 +379,12 @@ class CoefficientSystem:
         class over the larger bottom, induction reads it in the larger top.
         """
         M = np.zeros((dst.dim, src.dim), dtype=np.int64)
-        for j, w in enumerate(src.classes):
-            M[dst.class_pos[w], j] = 1
+        M[dst.class_pos[src.classes], np.arange(src.dim)] = 1
         return M
 
     def _b_conj(self, src: SectionSlot, dst: SectionSlot, u: int) -> np.ndarray:
-        ana = self.ana
         C = np.zeros((dst.dim, src.dim), dtype=np.int64)
-        for j, w in enumerate(src.classes):
-            cw = ana.index_of(ana.conjugate_members(u, ana.subgroup_members[w]))
-            C[dst.class_pos[cw], j] = 1
+        C[dst.class_pos[self.ana.conj_sub[u, src.classes]], np.arange(src.dim)] = 1
         return C
 
     # -- per-edge matrices for the configured functor ----------------------
@@ -469,25 +440,14 @@ class CoefficientSystem:
 
     def _b_defres_from_base(self, i: int) -> np.ndarray:
         ana = self.ana
-        slot = self.family.slots[i]
-        t_mem = ana.subgroup_members[slot.ti]
-        s_mem = ana.subgroup_members[slot.si]
-        reps = [ana.subgroup_members[r] for r in ana.class_reps]
-        M = np.zeros((slot.dim, len(reps)), dtype=np.int64)
-        for col, vmem in enumerate(reps):
-            for x in double_coset_reps(ana.group, t_mem, vmem):
-                cv = ana.conjugate_members(x, vmem)
-                inter = tuple(m for m in cv if m in ana.member_sets[slot.ti])
-                tgt = product_members(ana.group, inter, s_mem)
-                M[slot.class_pos[ana.index_of(tgt)], col] += 1
-        return M
+        return _defres_counts(ana, ana.n_sub - 1, ana.class_of_sub,
+                              self.family.slots[i])
 
     def _b_indinf_to_base(self, i: int) -> np.ndarray:
         ana = self.ana
         slot = self.family.slots[i]
         M = np.zeros((len(ana.class_reps), slot.dim), dtype=np.int64)
-        for j, w in enumerate(slot.classes):
-            M[ana.class_of_sub[w], j] = 1
+        M[ana.class_of_sub[slot.classes], np.arange(slot.dim)] = 1
         return M
 
     def defres_from_base(self, i: int) -> np.ndarray:

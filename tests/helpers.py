@@ -6,14 +6,18 @@ inflation, deflation, isomorphisms, conjugation of a section) give
 independent fixtures for the composition, orbit and action tests.
 `sparse_kernel` and `_direct_limit_basis`, a sparse xgcd fold over the
 raw constraint rows, are the reference the merging limit solver and
-`kernel_basis` are checked against.
+`kernel_basis` are checked against.  The per-subgroup walks at the end
+(conjugates one tuple at a time, marks by walking the group, union-find
+slot classes, double-coset defres) are the references for the reads off
+the conjugation table `GroupAnalysis.conj_sub`.
 """
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from bfk.bisets import ConcreteBiset, defres_biset, indinf_biset
+from bfk.groups import _closure, product_members
 from bfk.limits import CoefficientSystem, family_contains
 from bfk.zlinalg import coords_in_hnf, obj_zeros, xgcd
 
@@ -86,8 +90,8 @@ def section_transport(ana, sec, u: int):
     """Conjugate a section by u: the target section and the
     (target-quotient, source-quotient)-biset carried by conjugation."""
     G = ana.group
-    target = ana.section_at(ana.conjugate_members(u, sec.top.members),
-                            ana.conjugate_members(u, sec.bottom.members))
+    target = ana.section_at(conjugate_members(ana, u, sec.top.members),
+                            conjugate_members(ana, u, sec.bottom.members))
     ui = G.inv_of(u)
     f = [int(target.proj[G.mul(G.mul(u, sec.reps[t]), ui)])
          for t in range(sec.group.order)]
@@ -237,7 +241,7 @@ def sections_by_loops(ana, label: str):
     secs = []
     for ti in range(ana.n_sub):
         for si in range(ana.n_sub):
-            if not (ana.leq[si, ti] and ana.is_normal_in(si, ti)):
+            if not (ana.leq[si, ti] and _normal_by_members(ana, si, ti)):
                 continue
             if family_contains(ana, ti, si, label):
                 secs.append((ti, si))
@@ -250,10 +254,158 @@ def sections_by_loops(ana, label: str):
         for sp in range(ana.n_sub):
             if (ana.leq[si, sp] and ana.leq[sp, ti]
                     and len(ana.subgroup_members[sp]) == so * p
-                    and ana.is_normal_in(sp, ti)):
+                    and _normal_by_members(ana, sp, ti)):
                 cover.append((i, pos[(ti, sp)], "def"))
         for tm in range(ana.n_sub):
             if (ana.leq[si, tm] and ana.leq[tm, ti]
                     and len(ana.subgroup_members[tm]) * p == to):
                 cover.append((i, pos[(tm, si)], "res"))
     return secs, pos, cover
+
+
+def _normal_by_members(ana, si: int, ti: int) -> bool:
+    return bool(ana.leq[si, ti]
+                and ana.normalizes[si, list(ana.subgroup_members[ti])].all())
+
+
+def conjugate_members(ana, x: int, members: Sequence[int]) -> tuple:
+    G = ana.group
+    arr = np.asarray(members, dtype=np.int32)
+    cm = G.table[G.table[x, arr], G.inv[x]]
+    return tuple(sorted(cm.tolist()))
+
+
+def double_coset_reps(G, left_members: Sequence[int],
+                      right_members: Sequence[int],
+                      within: Sequence[int] | None = None) -> list[int]:
+    """Ascending least representatives of the double cosets L\\G/R.
+
+    With `within`, representatives are drawn from that subgroup's members
+    (both L and R must then lie inside it), partitioning it instead of G.
+    The least point of LxR is the least over r in R of the least point of
+    L(xr), read off one minimum over L of every point.
+    """
+    least_l = G.table[np.asarray(left_members, dtype=np.int32)].min(axis=0)
+    xr = G.table.T[np.asarray(right_members, dtype=np.int32)]   # xr[j, x] = x r_j
+    if within is not None:
+        xr = xr[:, np.asarray(within, dtype=np.int32)]
+    return np.unique(least_l[xr].min(axis=0)).tolist()
+
+
+def subgroup_generators(G, members: Sequence[int]) -> tuple:
+    """Small generating set of the subgroup given by its members."""
+    gens: list[int] = []
+    have = {0}
+    for m in members:
+        m = int(m)
+        if m not in have:
+            gens.append(m)
+            have = set(_closure(G.table, gens))
+            if len(have) == len(members):
+                break
+    return tuple(gens)
+
+
+def mark_count(ana, s_members, t_members) -> int:
+    """Fixed points of the first subgroup on cosets of the second."""
+    G = ana.group
+    if G.is_abelian:
+        if set(int(x) for x in s_members) <= set(int(x) for x in t_members):
+            return G.order // len(t_members)
+        return 0
+    t_arr = np.asarray(t_members, dtype=np.int32)
+    s_set = set(int(x) for x in s_members)
+    seen = np.zeros(G.order, dtype=bool)
+    count = 0
+    for x in range(G.order):
+        if seen[x]:
+            continue
+        seen[G.table[x, t_arr]] = True
+        conj = G.table[G.table[x, t_arr], G.inv[x]]
+        if s_set <= set(conj.tolist()):
+            count += 1
+    return count
+
+
+def slot_classes_by_union_find(ana, ti: int, si: int):
+    """The T-classes of intermediate subgroups S <= W <= T by union-find
+    over conjugation by generators of T: (least members, {W: position})."""
+    leq = ana.leq
+    cand = [w for w in range(ana.n_sub) if leq[si, w] and leq[w, ti]]
+    pos = {w: i for i, w in enumerate(cand)}
+    parent = list(range(len(cand)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    if not ana.group.is_abelian:
+        gens = subgroup_generators(ana.group, ana.subgroup_members[ti])
+        for w in cand:
+            wm = ana.subgroup_members[w]
+            for u in gens:
+                cw = pos[ana.index_of(conjugate_members(ana, u, wm))]
+                ra, rb = find(pos[w]), find(cw)
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
+    reps = sorted({cand[find(i)] for i in range(len(cand))})
+    rep_pos = {w: i for i, w in enumerate(reps)}
+    return reps, {w: rep_pos[cand[find(pos[w])]] for w in cand}
+
+
+def mark_rows_by_loops(ana, slot) -> np.ndarray:
+    """Marks of the cyclic classes of the quotient at a slot against all
+    of its classes, walking T for each orbit."""
+    p = ana.group.prime
+    s_size = len(ana.subgroup_members[slot.si])
+    m_sets = ana.member_sets
+    inside = np.flatnonzero(slot.class_pos >= 0).tolist()
+    cyc = []
+    for w in slot.classes:
+        wsize = len(ana.subgroup_members[w])
+        if wsize == s_size:
+            cyc.append(w)
+            continue
+        n_max = 0
+        for u in inside:
+            if len(ana.subgroup_members[u]) * p == wsize and m_sets[u] <= m_sets[w]:
+                n_max += 1
+        # a p-group quotient is cyclic iff it has a unique maximal subgroup
+        if n_max == 1:
+            cyc.append(w)
+    t_mem = ana.subgroup_members[slot.ti]
+    rows = np.zeros((len(cyc), slot.dim), dtype=np.int64)
+    for i, v in enumerate(cyc):
+        vmem = ana.subgroup_members[v]
+        if ana.group.is_abelian:
+            orbit = [m_sets[v]]
+        else:
+            orbit = list({frozenset(conjugate_members(ana, x, vmem))
+                          for x in t_mem})
+        mult = len(t_mem) // len(orbit)
+        for j, w in enumerate(slot.classes):
+            wset = m_sets[w]
+            wsize = len(ana.subgroup_members[w])
+            hits = sum(1 for c in orbit if c <= wset)
+            rows[i, j] = (mult * hits) // wsize
+    return rows
+
+
+def defres_by_double_cosets(ana, top: int, reps, dst) -> np.ndarray:
+    """Restrict-then-deflate of B from the classes of the subgroups `reps`
+    under conjugation by subgroup `top` to the slot dst, one double coset
+    T'xW at a time."""
+    t_mem = ana.subgroup_members[top]
+    tp_mem = ana.subgroup_members[dst.ti]
+    sp_mem = ana.subgroup_members[dst.si]
+    D = np.zeros((dst.dim, len(reps)), dtype=np.int64)
+    for j, w in enumerate(reps):
+        wmem = ana.subgroup_members[w]
+        for x in double_coset_reps(ana.group, tp_mem, wmem, within=t_mem):
+            cw = conjugate_members(ana, x, wmem)
+            inter = tuple(m for m in cw if m in ana.member_sets[dst.ti])
+            tgt = product_members(ana.group, inter, sp_mem)
+            D[dst.class_pos[ana.index_of(tgt)], j] += 1
+    return D

@@ -22,17 +22,17 @@ from bfk.groups import (
     center,
     cyclic_group,
     direct_product,
-    double_coset_reps,
     extraspecial_group,
-    subgroup_generators,
 )
 from helpers import (
     deflation_biset,
+    double_coset_reps,
     induction_biset,
     inflation_biset,
     normalizer,
     restriction_biset,
     section_transport,
+    subgroup_generators,
     validate_biset,
 )
 

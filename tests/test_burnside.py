@@ -12,11 +12,11 @@ from bfk.burnside import (
     extraspecial_kernel_element,
     indinf_class_matrix,
     linearization_kernel,
-    mark_count,
     rank_two_kernel_element,
     ring_data,
     sum_of_induced_kernels,
 )
+from bfk.campaigns import catalog_groups
 from bfk.groups import (
     analysis,
     center,
@@ -24,13 +24,14 @@ from bfk.groups import (
     direct_product,
     elementary_abelian_group,
     extraspecial_group,
+    group_from_spec,
     product_members,
     sections_in_class,
     trivial_group,
 )
 from bfk.limits import _restrict_to_kernels, coefficient_system
 from bfk.zlinalg import obj_zeros, rank_of
-from helpers import normalizer, per_column_restrict, section_transport
+from helpers import mark_count, normalizer, per_column_restrict, section_transport
 
 X27 = extraspecial_group(3)
 C9x3 = direct_product(cyclic_group(9), cyclic_group(3))
@@ -119,6 +120,16 @@ def test_marks_spot_values_on_extraspecial():
     assert M[i_pos, iz_pos] == 3
     assert M[i_pos, other_max] == 0
     assert mark_count(ana, zmem, zmem) == 9
+
+
+@pytest.mark.parametrize("p,max_order", [(3, 81), (5, 125)])
+def test_linearization_matches_mark_counts(p, max_order):
+    for _, desc in catalog_groups(p, max_order):
+        rd = ring_data(group_from_spec(desc, p))
+        want = [[mark_count(rd.ana, rd.reps_members[ci], tm)
+                 for tm in rd.reps_members] for ci in rd.cyclic_positions]
+        L = rd.linearization()
+        assert L.dtype == object and L.tolist() == want, desc
 
 
 def test_rank_bookkeeping():

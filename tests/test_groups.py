@@ -16,7 +16,6 @@ from bfk.groups import (
     cyclic_group,
     default_order_bound,
     direct_product,
-    double_coset_reps,
     elementary_abelian_group,
     extraspecial_group,
     group_from_table,
@@ -26,6 +25,7 @@ from bfk.groups import (
     trivial_group,
 )
 from bfk.groups import _closure
+from helpers import conjugate_members, double_coset_reps
 
 
 def naive_closure(G, gens):
@@ -198,6 +198,31 @@ def test_lattice_matches_layered_closure_oracle(p, max_order):
         assert ana.class_reps == [c[0] for c in classes], desc
 
 
+@pytest.mark.parametrize("p,max_order", [(3, 81), (5, 125)])
+def test_conjugation_table_matches_conjugating_members(p, max_order):
+    for _, desc in catalog_groups(p, max_order):
+        G = parse_descriptor(desc, p)
+        ana = analysis(G, max_order)
+        want = [[ana.index_of(conjugate_members(ana, x, mem))
+                 for mem in ana.subgroup_members] for x in range(G.order)]
+        assert ana.conj_sub.tolist() == want, desc
+        for ci, cls in enumerate(ana.classes):
+            assert (ana.class_of_sub[list(cls)] == ci).all(), desc
+
+
+@pytest.mark.parametrize("desc", ["xsp:3", "elab:3:3", "prod:cyclic:9,cyclic:3",
+                                  "prod:xsp:3,cyclic:3", "xsp:5"])
+def test_meet_and_join_tables_match_member_sets(desc):
+    G = parse_descriptor(desc)
+    ana = analysis(G)
+    sets, subs = ana.member_sets, ana.subgroup_members
+    for a in range(ana.n_sub):
+        assert [ana.index_of(sets[a] & sets[b]) for b in range(ana.n_sub)] \
+            == ana.meet[a].tolist()
+        assert [ana.index_of(_closure(G.table, subs[a] + subs[b]))
+                for b in range(ana.n_sub)] == ana.join[a].tolist()
+
+
 def test_normalizers_of_section_quotients_by_direct_conjugation():
     G = parse_descriptor("prod:xsp:3,cyclic:3")
     secs = analysis(G).sections()
@@ -237,7 +262,7 @@ def test_conjugacy_classes_x27():
     # classes are closed under conjugation and reps are lattice-least
     for cls in ana.classes:
         mem = ana.subgroup_members[cls[0]]
-        orbit = {ana.index_of(ana.conjugate_members(x, mem)) for x in range(27)}
+        orbit = {ana.index_of(conjugate_members(ana, x, mem)) for x in range(27)}
         assert tuple(sorted(orbit)) == cls
 
 
@@ -295,7 +320,7 @@ def test_normality_and_normalizer():
     assert len(N) == 9
     assert ana.is_normal_in(nc, ana.index_of(N))
     y = next(x for x in range(27) if x not in N)
-    assert ana.conjugate_members(y, ana.subgroup_members[nc]) != ana.subgroup_members[nc]
+    assert conjugate_members(ana, y, ana.subgroup_members[nc]) != ana.subgroup_members[nc]
 
 
 def test_classify_group():

@@ -38,7 +38,9 @@ from bfk.limits import (
     residual_check,
     section_family,
 )
-from helpers import (_direct_limit_basis, per_column_restrict, sections_by_loops,
+from helpers import (_direct_limit_basis, defres_by_double_cosets,
+                     mark_rows_by_loops, per_column_restrict,
+                     sections_by_loops, slot_classes_by_union_find,
                      sparse_kernel)
 
 C3 = cyclic_group(3)
@@ -80,6 +82,40 @@ def test_sections_and_cover_edges_match_the_pair_loops():
                 fam = section_family(G, label)
                 want = sections_by_loops(analysis(G), label)
                 assert (fam.sections, fam.pos, fam.cover_edges) == want, (spec, label)
+
+
+def test_slot_classes_and_mark_rows_match_the_loops():
+    # the reads off the conjugation table against union-find over the
+    # generators of T and mark rows by walking T, for every slot
+    for p, max_order in ((3, 81), (5, 125)):
+        for _, spec in catalog_groups(p, max_order):
+            G = group_from_spec(spec, p)
+            ana = analysis(G)
+            for label in FAMILY_LABELS:
+                for slot in section_family(G, label).slots:
+                    reps, pos = slot_classes_by_union_find(ana, slot.ti, slot.si)
+                    inside = np.flatnonzero(slot.class_pos >= 0).tolist()
+                    assert slot.classes == reps, (spec, label)
+                    assert {w: slot.class_pos[w] for w in inside} == pos
+                    if slot.index(ana) > p:
+                        assert np.array_equal(_mark_rows(ana, slot),
+                                              mark_rows_by_loops(ana, slot))
+
+
+@pytest.mark.parametrize("spec,p,label", [
+    ("xsp:3", 3, "X"), ("prod:cyclic:9,cyclic:3", 3, "X"),
+    ("elab:3:3", 3, "E"), ("xsp:5", 5, "X3")])
+def test_defres_counts_match_the_double_coset_loops(spec, p, label):
+    system = coefficient_system(group_from_spec(spec, p), label, "B")
+    ana, slots = system.ana, system.family.slots
+    for src, dst, _ in system.family.cover_edges:
+        want = defres_by_double_cosets(ana, slots[src].ti, slots[src].classes,
+                                       slots[dst])
+        assert np.array_equal(system._b_defres_between(slots[src], slots[dst]),
+                              want)
+    for i, slot in enumerate(slots):
+        want = defres_by_double_cosets(ana, ana.n_sub - 1, ana.class_reps, slot)
+        assert np.array_equal(system._b_defres_from_base(i), want)
 
 
 def test_c3_slot_dimensions():
