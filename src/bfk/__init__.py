@@ -1,6 +1,13 @@
 """Exact Burnside-module and section-limit computations for small odd
 p-groups, with batch verification campaigns over a group catalog."""
 
+import os
+
+# No results path calls BLAS, and a threaded OpenBLAS only burns CPU
+# spinning up; this must run before numpy is first imported.  A value
+# already in the environment wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .campaigns import (
     RunConfig,
     VerificationReport,

@@ -138,21 +138,23 @@ def left_transporter(U: ConcreteBiset, u: int, s_members) -> list:
 
     For a subgroup S of the right group this is a subgroup of the left
     group; ^u{1} is the left stabilizer of u."""
-    us = {int(U.right[u, s]) for s in s_members}
-    return [y for y in range(U.left_group.order) if int(U.left[y, u]) in us]
+    hit = np.zeros(U.size, dtype=bool)
+    hit[U.right[u, np.asarray(s_members, dtype=np.intp)]] = True
+    return np.flatnonzero(hit[U.left[:, u]]).tolist()
 
 
 def right_transporter(U: ConcreteBiset, t_members, u: int) -> list:
     """T^u: all x in the right group with t.u = u.x for some t in T."""
-    tu = {int(U.left[t, u]) for t in t_members}
-    return [x for x in range(U.right_group.order) if int(U.right[u, x]) in tu]
+    hit = np.zeros(U.size, dtype=bool)
+    hit[U.left[np.asarray(t_members, dtype=np.intp), u]] = True
+    return np.flatnonzero(hit[U.right[u, :]]).tolist()
 
 
 def double_coset_reps(U: ConcreteBiset, t_members) -> list:
     """Least point index in each orbit of T x (right group), ascending."""
     # t.x.p = t.(x.p): the least point over T, then over the right group
     least_t = U.left[np.asarray(t_members, dtype=np.int32), :].min(axis=0)
-    return np.unique(least_t[U.right].min(axis=1)).tolist()
+    return np.flatnonzero(np.bincount(least_t[U.right].min(axis=1))).tolist()
 
 
 def left_quotient_biset(U: ConcreteBiset, c_members) -> ConcreteBiset:
@@ -165,14 +167,17 @@ def left_quotient_biset(U: ConcreteBiset, c_members) -> ConcreteBiset:
     cset = set(int(c) for c in c_members)
     if 0 not in cset:
         raise ValueError("subgroup must contain the identity")
-    for a in cset:
-        if Q.inv_of(a) not in cset or any(Q.mul(a, b) not in cset for b in cset):
-            raise ValueError("members do not form a subgroup")
-    for g in Q.generators():
-        gi = Q.inv_of(g)
-        if any(Q.mul(Q.mul(g, c), gi) not in cset for c in cset):
-            raise ValueError("subgroup is not normal in the left group")
+    inside = np.zeros(Q.order, dtype=bool)
     c_arr = np.asarray(sorted(cset), dtype=np.int32)
+    inside[c_arr] = True
+    if not (inside[Q.inv[c_arr]].all()
+            and inside[Q.table[np.ix_(c_arr, c_arr)]].all()):
+        raise ValueError("members do not form a subgroup")
+    gens = np.asarray(Q.generators(), dtype=np.intp)
+    # g c g^-1 for every generator g (rows) and member c (columns)
+    conj = Q.table[Q.table[np.ix_(gens, c_arr)], Q.inv[gens][:, None]]
+    if not inside[conj].all():
+        raise ValueError("subgroup is not normal in the left group")
     ids = np.full(U.size, -1, dtype=np.int32)
     reps = []
     for x in range(U.size):

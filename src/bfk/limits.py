@@ -11,10 +11,12 @@ out by the compatibility constraints, computed exactly over the integers.
 Quotient groups are never materialized.  The transitive-set basis of a
 quotient T/S is the set of T-conjugacy classes of intermediate subgroups
 S <= W <= T, and every structure map is written in those coordinates on
-the ambient group.  Every limit comes from one component-merging solver
-whose basis updates are deferred on per-component chains; it runs in one
-exact pass, taking each product in int64 only under a bound that shows it
-cannot wrap and in Python ints otherwise.
+the ambient group; the kernel functors rewrite whole batches of such maps
+in kernel coordinates at once.  Every limit comes from one
+component-merging solver whose basis updates are deferred on
+per-component chains; it runs in one exact pass, taking each product in
+int64 only under a bound that shows it cannot wrap and in Python ints
+otherwise.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ import numpy as np
 
 from .groups import (SECTION_CLASSES, FiniteGroup, GroupAnalysis, analysis,
                      _closure)
-from .zlinalg import (LatticeBuilder, coords_in_hnf, hnf_pivots, kernel_basis,
-                      obj_matrix, obj_zeros, sparse_snf_invariants)
+from .zlinalg import (_I64_BOUND, LatticeBuilder, _batches, _exact_matmul,
+                      _i64_absmax, _restrict_moves, _stack_shared, hnf_pivots,
+                      kernel_basis, obj_zeros, sparse_snf_invariants)
 from .burnside import ring_data
 
 FAMILY_LABELS = tuple(SECTION_CLASSES)
@@ -33,8 +36,6 @@ FUNCTOR_NAMES = ("B", "K", "Bdual", "Kdual")
 # label semantics: E* keeps elementary abelian quotients (digit = rank cap,
 # no digit = unbounded), X* additionally keeps the extraspecial exponent-p
 # quotient of order p^3.
-
-_I64_BOUND = 1 << 55
 
 
 class FamilyError(ValueError):
@@ -51,7 +52,7 @@ def _power_closure(ana: GroupAnalysis, ti: int) -> frozenset:
     if got is None:
         m = np.asarray(ana.subgroup_members[ti], dtype=np.int32)
         got = frozenset(_closure(ana.group.table,
-                                 np.unique(ana.pth_power[m]).tolist()))
+                                 np.flatnonzero(np.bincount(ana.pth_power[m]))))
         ana._power_memo[ti] = got
     return got
 
@@ -65,7 +66,7 @@ def _derived_closure(ana: GroupAnalysis, ti: int) -> frozenset:
         # comms[a, b] = (a^-1 b^-1)(a b)
         comms = table[table[inv[m][:, None], inv[m][None, :]],
                       table[m[:, None], m[None, :]]]
-        got = frozenset(_closure(table, np.unique(comms).tolist()))
+        got = frozenset(_closure(table, np.flatnonzero(np.bincount(comms.ravel()))))
         ana._derived_memo[ti] = got
     return got
 
@@ -265,40 +266,17 @@ def _as_i64(mat) -> np.ndarray:
     arr = np.asarray(mat)
     if arr.dtype == np.int64:
         return arr
-    if arr.size == 0:
-        return np.zeros(arr.shape, dtype=np.int64)
-    try:
-        out = arr.astype(np.int64)
-    except (OverflowError, TypeError):
-        raise OverflowError("entry exceeds the int64 working range") from None
-    if int(np.abs(out).max()) > _I64_BOUND:
+    out, _ = _i64_absmax(arr)
+    if out is None:
         raise OverflowError("entry exceeds the int64 working range")
     return out
 
 
-def _restrict_to_kernels(M: np.ndarray, src_kern: np.ndarray,
-                         dst_kern: np.ndarray, dst_piv) -> np.ndarray:
-    """Rewrite a transitive-basis matrix as a map between kernel bases.
-
-    The kernels are HNF bases (rows) and dst_piv holds the pivot column of
-    each row of dst_kern.  The coordinates C of the images M @ src_kern.T
-    solve dst_kern.T @ C == images.  When every pivot is 1 the pivot
-    columns of dst_kern form the identity, so C is the pivot rows of the
-    images; otherwise each column is solved by coords_in_hnf.  Either way
-    C is accepted only after the exact product check.
-    """
-    images = _exact_matmul(M, src_kern.T)
-    k = dst_kern.shape[0]
-    piv = np.asarray(dst_piv, dtype=np.intp)
-    if (dst_kern[np.arange(k), piv] == 1).all():
-        C = images[piv, :]
-    else:
-        H = np.asarray(dst_kern, dtype=object)
-        cols = [coords_in_hnf(H, v, dst_piv) for v in images.T]
-        C = None if None in cols else obj_matrix(cols, k).T
-    if C is None or not np.array_equal(_exact_matmul(dst_kern.T, C), images):
-        raise AssertionError("image left the mark kernel; upstream map is wrong")
-    return C
+def _selection_matrix(rows, n: int) -> np.ndarray:
+    """The n-row 0/1 matrix whose column j has its single 1 in rows[j]."""
+    M = np.zeros((n, len(rows)), dtype=np.int64)
+    M[rows, np.arange(len(rows))] = 1
+    return M
 
 
 def _defres_counts(ana: GroupAnalysis, top: int, class_pos: np.ndarray,
@@ -366,28 +344,67 @@ class CoefficientSystem:
             run += d
         self.total = run
 
-    # -- transitive-basis building blocks ----------------------------------
+    # -- structure maps, built in one batched pass per request -------------
 
     def _b_defres_between(self, src: SectionSlot, dst: SectionSlot) -> np.ndarray:
         """Downward map of B between nested sections, ambient coordinates."""
         return _defres_counts(self.ana, src.ti, src.class_pos, dst)
 
-    def _b_indinf_between(self, src: SectionSlot, dst: SectionSlot) -> np.ndarray:
-        """Upward map of B from a subquotient into a nested ambient section.
+    def _b_defres_from_base(self, i: int) -> np.ndarray:
+        ana = self.ana
+        return _defres_counts(ana, ana.n_sub - 1, ana.class_of_sub,
+                              self.family.slots[i])
 
-        Both moves keep the representing subgroup itself: inflation reads a
-        class over the larger bottom, induction reads it in the larger top.
+    def _move(self, key, dual: bool):
+        """(B, src, dst): the transitive-basis move behind the map under a
+        cache key, between value indices, len(dims) being the whole group.
+
+        B is a full matrix, or for a selection move the row of the single
+        1 in each column: induction and inflation keep the subgroup of each
+        class, conjugation moves it.  A dual functor's map is the
+        transpose of the map of the move that runs the other way.
         """
-        M = np.zeros((dst.dim, src.dim), dtype=np.int64)
-        M[dst.class_pos[src.classes], np.arange(src.dim)] = 1
-        return M
+        ana, slots = self.ana, self.family.slots
+        if key[0] in ("down", "up"):
+            i = key[1]
+            if dual and key[0] == "up":
+                raise FamilyError("upward maps to the base need functor B or K")
+            if dual or key[0] == "up":
+                return ana.class_of_sub[slots[i].classes], i, len(slots)
+            return self._b_defres_from_base(i), len(slots), i
+        src, dst, (kind, u) = key
+        a, b = slots[src], slots[dst]
+        if kind == "cover":
+            if dual:
+                return a.class_pos[b.classes], dst, src
+            return self._b_defres_between(a, b), src, dst
+        if dual:
+            return a.class_pos[ana.conj_sub[ana.group.inv_of(u), b.classes]], dst, src
+        return b.class_pos[ana.conj_sub[u, a.classes]], src, dst
 
-    def _b_conj(self, src: SectionSlot, dst: SectionSlot, u: int) -> np.ndarray:
-        C = np.zeros((dst.dim, src.dim), dtype=np.int64)
-        C[dst.class_pos[self.ana.conj_sub[u, src.classes]], np.arange(src.dim)] = 1
-        return C
+    def _restricted(self, moves) -> list:
+        """Moves as maps between this system's values: the transitive-basis
+        matrices for B and Bdual, kernel coordinates for K and Kdual."""
+        if self._kernels is None:
+            dims = self.dims + [self.base_rank]
+            return [B if B.ndim == 2 else _selection_matrix(B, dims[d])
+                    for B, _, d in moves]
+        kernels = self._kernels + [self._base_basis]
+        pivots = self._kernel_pivs + [self.base_kernel._piv]
+        return [_as_i64(C) for C in _restrict_moves(moves, kernels, pivots)]
 
-    # -- per-edge matrices for the configured functor ----------------------
+    def _maps(self, keys) -> list:
+        """The maps under edge keys (src, dst, tag) and base keys ("down",
+        i) or ("up", i); the missing ones are built in one pass."""
+        def cache(key):
+            return self._base_cache if key[0] in ("down", "up") else self._edge_cache
+        missing = [k for k in dict.fromkeys(keys) if k not in cache(k)]
+        if missing:
+            dual = self.functor in ("Bdual", "Kdual")
+            mats = self._restricted([self._move(k, dual) for k in missing])
+            for key, M in zip(missing, mats):
+                cache(key)[key] = M.T if dual else M
+        return [cache(k)[k] for k in keys]
 
     def edges(self):
         fam = self.family
@@ -396,102 +413,28 @@ class CoefficientSystem:
         return out
 
     def edge_matrix(self, src: int, dst: int, tag) -> np.ndarray:
-        """Matrix of the downward move src -> dst on this functor's values."""
+        """Matrix of the downward move src -> dst on this functor's values.
+
+        The first request builds every generating move at once."""
         key = (src, dst, tag)
         got = self._edge_cache.get(key)
-        if got is not None:
-            return got
-        fam = self.family
-        a, b = fam.slots[src], fam.slots[dst]
-        kind = tag[0]
-        if self.functor == "B":
-            M = (self._b_defres_between(a, b) if kind == "cover"
-                 else self._b_conj(a, b, tag[1]))
-        elif self.functor == "K":
-            B = (self._b_defres_between(a, b) if kind == "cover"
-                 else self._b_conj(a, b, tag[1]))
-            M = _as_i64(self._restrict(B, src, dst))
-        elif self.functor == "Bdual":
-            M = self._dual_edge_b(a, b, src, dst, kind, tag)
-        else:
-            M = self._dual_edge_k(a, b, src, dst, kind, tag)
-        self._edge_cache[key] = M
-        return M
-
-    def _dual_edge_b(self, a, b, src, dst, kind, tag):
-        if kind == "cover":
-            return self._b_indinf_between(b, a).T.copy()
-        u_inv = self.ana.group.inv_of(tag[1])
-        return self._b_conj(b, a, u_inv).T.copy()
-
-    def _dual_edge_k(self, a, b, src, dst, kind, tag):
-        if kind == "cover":
-            B = self._b_indinf_between(b, a)
-        else:
-            B = self._b_conj(b, a, self.ana.group.inv_of(tag[1]))
-        return _as_i64(self._restrict(B, dst, src)).T.copy()
-
-    def _restrict(self, B: np.ndarray, src: int, dst: int) -> np.ndarray:
-        """A transitive-basis map value(src) -> value(dst) on the K bases."""
-        return _restrict_to_kernels(B, self._kernels[src], self._kernels[dst],
-                                    self._kernel_pivs[dst])
+        if got is None:
+            got = self._maps(self.edges() + [key])[-1]
+        return got
 
     # -- maps to and from the value at the whole group ---------------------
 
-    def _b_defres_from_base(self, i: int) -> np.ndarray:
-        ana = self.ana
-        return _defres_counts(ana, ana.n_sub - 1, ana.class_of_sub,
-                              self.family.slots[i])
-
-    def _b_indinf_to_base(self, i: int) -> np.ndarray:
-        ana = self.ana
-        slot = self.family.slots[i]
-        M = np.zeros((len(ana.class_reps), slot.dim), dtype=np.int64)
-        M[ana.class_of_sub[slot.classes], np.arange(slot.dim)] = 1
-        return M
-
     def defres_from_base(self, i: int) -> np.ndarray:
         """Component map F(P) -> value(i) of the product-of-downward-maps."""
-        key = ("down", i)
-        got = self._base_cache.get(key)
-        if got is not None:
-            return got
-        if self.functor == "B":
-            M = self._b_defres_from_base(i)
-        elif self.functor == "K":
-            M = _as_i64(_restrict_to_kernels(
-                self._b_defres_from_base(i), self._base_basis,
-                self._kernels[i], self._kernel_pivs[i]))
-        elif self.functor == "Bdual":
-            M = self._b_indinf_to_base(i).T.copy()
-        else:
-            M = self._k_indinf_to_base(i).T.copy()
-        self._base_cache[key] = M
-        return M
+        return self._maps([("down", i)])[0]
 
     def indinf_to_base(self, i: int) -> np.ndarray:
         """Upward map value(i) -> F(P); defined for B and K only."""
-        if self.functor not in ("B", "K"):
-            raise FamilyError("upward maps to the base need functor B or K")
-        key = ("up", i)
-        got = self._base_cache.get(key)
-        if got is not None:
-            return got
-        if self.functor == "B":
-            M = self._b_indinf_to_base(i)
-        else:
-            M = self._k_indinf_to_base(i)
-        self._base_cache[key] = M
-        return M
-
-    def _k_indinf_to_base(self, i: int) -> np.ndarray:
-        return _as_i64(_restrict_to_kernels(
-            self._b_indinf_to_base(i), self._kernels[i], self._base_basis,
-            self.base_kernel._piv))
+        return self._maps([("up", i)])[0]
 
     def unit_matrix(self) -> np.ndarray:
         """Stacked downward components: F(P) -> product of all values."""
-        blocks = [self.defres_from_base(i) for i in range(len(self.dims))]
+        blocks = self._maps([("down", i) for i in range(len(self.dims))])
         if not blocks:
             return np.zeros((0, self.base_rank), dtype=np.int64)
         return np.vstack(blocks)
@@ -704,36 +647,6 @@ def _any_nonzero(arr) -> bool:
     return any(int(x) for x in arr.flat)
 
 
-def _i64_absmax(mat):
-    """(mat as int64, its largest absolute entry), or (None, None) when an
-    entry lies outside the int64 working range."""
-    arr = np.asarray(mat)
-    if arr.size == 0:
-        return np.zeros(arr.shape, dtype=np.int64), 0
-    if arr.dtype != np.int64:
-        try:
-            arr = arr.astype(np.int64)
-        except (OverflowError, TypeError):
-            return None, None
-    amax = int(np.abs(arr).max())
-    # abs wraps only at -2**63, which it leaves negative
-    return (arr, amax) if 0 <= amax <= _I64_BOUND else (None, None)
-
-
-def _exact_matmul(A, B, bound: int = (1 << 62) - 1) -> np.ndarray:
-    """A @ B over the integers: in int64 when no product can wrap.
-
-    Each operand is read once for its largest entry; int64 needs every
-    entry within 2**55 and amax * bmax * k at most bound (below 2**62).
-    """
-    A64, amax = _i64_absmax(A)
-    B64, bmax = _i64_absmax(B)
-    if (A64 is not None and B64 is not None
-            and amax * bmax * max(1, A64.shape[1]) <= bound):
-        return A64 @ B64
-    return np.asarray(A, dtype=object) @ np.asarray(B, dtype=object)
-
-
 # ---------------------------------------------------------------------------
 # inverse limits of the built-in systems
 
@@ -890,30 +803,46 @@ def _colimit_relations(system: CoefficientSystem) -> list[dict[int, int]]:
 
     Each generating move gives a matrix M from value(a) into value(b): the
     upward map of a cover edge from the subquotient into the larger
-    section, or the matrix of a conjugation edge.  M is built once, checked
-    against the upward maps to the base (the map of b after M equals the
-    map of a), and read off into one relation row per column.
+    section (the dual functor's cover map before its transpose), or the
+    matrix of a conjugation edge.  The maps come from one batched pass.
+    Each group of equal shapes is checked against the upward maps to the
+    base (the map of b after M equals the map of a) by one stacked
+    product, and every M is read off into one relation row per column.
+    The counit kills each such row exactly when that check holds.
     """
     if system.functor not in ("B", "K"):
         raise FamilyError("colimits are built from functor B or K")
-    fam = system.family
-    ups = [system.indinf_to_base(i) for i in range(len(system.dims))]
-    rows = []
+    dims = system.dims
+    ups = system._maps([("up", i) for i in range(len(dims))])
+    # a move out of a zero value gives no relation and checks nothing
+    cover, conj = [], []
     for src, dst, tag in system.edges():
-        if tag[0] == "cover":
-            if system.dims[src] == 0 and system.dims[dst] == 0:
-                continue
-            a, b = dst, src
-            M = system._b_indinf_between(fam.slots[dst], fam.slots[src])
-            if system.functor == "K":
-                M = system._restrict(M, dst, src)
-        else:
-            a, b = src, dst
-            M = system.edge_matrix(src, dst, tag)
-        if _any_nonzero(_exact_matmul(ups[b], M) - ups[a]):
-            raise AssertionError(
-                f"upward maps disagree along {src}->{dst} {tag}")
-        ao, bo = system.offsets[a], system.offsets[b]
+        if tag[0] == "conj":
+            if dims[src]:
+                conj.append((src, dst, tag))
+        elif dims[dst]:
+            cover.append((src, dst, tag))
+    maps = (system._restricted([system._move(e, dual=True) for e in cover])
+            + system._maps(conj))
+    pairs = [(d, s) for s, d, _ in cover] + [(s, d) for s, d, _ in conj]
+    groups = {}
+    for e, ((a, b), M) in enumerate(zip(pairs, maps)):
+        groups.setdefault((ups[b].shape, M.shape), []).append(e)
+    bad = []
+    for ((r, kb), (_, ka)), members in groups.items():
+        for chunk in _batches(members, r * (kb + 2 * ka) + kb * ka):
+            lhs = _exact_matmul(_stack_shared([ups[pairs[e][1]] for e in chunk]),
+                                np.stack([maps[e] for e in chunk]))
+            rhs = _stack_shared([ups[pairs[e][0]] for e in chunk])
+            wrong = (lhs != rhs).reshape(len(chunk), -1).any(axis=1)
+            bad.extend(chunk[k] for k in np.flatnonzero(wrong))
+    if bad:
+        src, dst, tag = (cover + conj)[min(bad)]
+        raise AssertionError(f"upward maps disagree along {src}->{dst} {tag}")
+    rows = []
+    offsets = system.offsets
+    for (a, b), M in zip(pairs, maps):
+        ao, bo = offsets[a], offsets[b]
         for j, col in enumerate(M.T.tolist()):
             row = {ao + j: 1}
             for i, v in enumerate(col):
@@ -925,27 +854,10 @@ def _colimit_relations(system: CoefficientSystem) -> list[dict[int, int]]:
 
 def counit_matrix(system: CoefficientSystem) -> np.ndarray:
     """Summed upward maps: product of values -> F(P)."""
-    blocks = [system.indinf_to_base(i) for i in range(len(system.dims))]
+    blocks = system._maps([("up", i) for i in range(len(system.dims))])
     if not blocks:
         return np.zeros((system.base_rank, 0), dtype=np.int64)
     return np.hstack(blocks)
-
-
-def _check_counit_kills(U: np.ndarray, rel: list[dict[int, int]]) -> None:
-    """Apply the counit to every relation row; each image must be zero.
-
-    Runs in int64 when the largest entry of U times the largest absolute
-    row sum stays below 2**62, so no product can wrap; else exactly.
-    """
-    reach = max((sum(abs(v) for v in row.values()) for row in rel), default=0)
-    if not (U.dtype == np.int64
-            and (int(np.abs(U).max()) if U.size else 0) * reach < (1 << 62)):
-        U = np.asarray(U, dtype=object)
-    for row in rel:
-        cols = list(row)
-        vals = np.array([row[c] for c in cols], dtype=U.dtype)
-        if _any_nonzero(U[:, cols] @ vals):
-            raise AssertionError("counit does not kill a colimit relation")
 
 
 def _spans_everything(U: np.ndarray) -> bool:
@@ -968,7 +880,6 @@ def counit_kernel_report(system: CoefficientSystem) -> dict:
         raise FamilyError("the counit probe is defined for functor K")
     rel = _colimit_relations(system)
     U = counit_matrix(system)
-    _check_counit_kills(U, rel)
     invariants, rel_rank = sparse_snf_invariants(rel, system.total)
     # U is written in base-kernel coordinates, and the base-kernel basis has
     # full row rank, so the counit is onto iff U's columns span Z^base_rank

@@ -12,9 +12,9 @@ import numpy as np
 
 from .groups import product_members
 from .bisets import ConcreteBiset, double_coset_reps, opposite
-from .zlinalg import obj_zeros
+from .zlinalg import _restrict_moves, obj_zeros
 from .limits import (CoefficientSystem, FamilyError, InverseLimit,
-                     _any_nonzero, _restrict_to_kernels, coefficient_system)
+                     _any_nonzero, _selection_matrix, coefficient_system)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +189,7 @@ def act_on_limit_matrix(U: ConcreteBiset, sys_q: CoefficientSystem,
         return act_on_limit_matrix(opposite(U), kp, kq).T.copy()
     ana_q = sys_q.ana
     ana_p = sys_p.ana
-    A = obj_zeros(sys_q.total, sys_p.total)
+    moves = []              # (selection rows, source slot, target slot)
     for qi, (ti, si) in enumerate(sys_q.family.sections):
         if sys_q.dims[qi] == 0:
             continue
@@ -206,19 +206,22 @@ def act_on_limit_matrix(U: ConcreteBiset, sys_q: CoefficientSystem,
                 raise AssertionError("transported section left the family")
             if sys_p.dims[pj] == 0:
                 continue
-            slot_p = sys_p.family.slots[pj]
-            B = np.zeros((slot_q.dim, slot_p.dim), dtype=np.int64)
-            for j, w in enumerate(slot_p.classes):
+            rows = []
+            for w in sys_p.family.slots[pj].classes:
                 moved = _left_transport(U, x, t_mem, ana_p.subgroup_members[w])
                 tgt = product_members(ana_q.group, moved, s_mem)
-                B[slot_q.class_pos[ana_q.index_of(tgt)], j] += 1
-            if functor == "K":
-                blk = _restrict_to_kernels(B, sys_p._kernels[pj],
-                                           sys_q._kernels[qi],
-                                           sys_q._kernel_pivs[qi])
-            else:
-                blk = np.asarray(B, dtype=object)
-            ro, co = sys_q.offsets[qi], sys_p.offsets[pj]
-            A[ro:ro + sys_q.dims[qi], co:co + sys_p.dims[pj]] = \
-                A[ro:ro + sys_q.dims[qi], co:co + sys_p.dims[pj]] + blk
+                rows.append(slot_q.class_pos[ana_q.index_of(tgt)])
+            moves.append((np.array(rows), pj, qi))
+    if functor == "K":
+        # source kernels first, then the target kernels after them
+        n_p = len(sys_p.dims)
+        blocks = _restrict_moves([(r, pj, n_p + qi) for r, pj, qi in moves],
+                                 sys_p._kernels + sys_q._kernels,
+                                 sys_p._kernel_pivs + sys_q._kernel_pivs)
+    else:
+        blocks = [_selection_matrix(r, sys_q.dims[qi]) for r, _, qi in moves]
+    A = obj_zeros(sys_q.total, sys_p.total)
+    for (_, pj, qi), blk in zip(moves, blocks):
+        ro, co = sys_q.offsets[qi], sys_p.offsets[pj]
+        A[ro:ro + sys_q.dims[qi], co:co + sys_p.dims[pj]] += blk.astype(object)
     return A

@@ -1,9 +1,11 @@
 """Exact integer linear algebra: Hermite and Smith forms, kernels, lattices.
 
-Results are numpy arrays with dtype=object holding Python ints. Work runs
-in int64 only where a bound proves that no product or sum can wrap (the
-kernel elimination checks it before every row operation); without such a
-bound it runs in Python ints, so no result is ever computed modulo 2**64.
+Lattice results are numpy arrays with dtype=object holding Python ints;
+exact products and batched HNF coordinates come back in int64 when a
+bound shows they fit.  Work runs in int64 only where a bound proves that
+no product or sum can wrap (the kernel elimination checks it before every
+row operation); without such a bound it runs in Python ints, so no result
+is ever computed modulo 2**64.
 Vectors are rows; a lattice is the set of integer row combinations of its
 basis. All reduced forms are canonical, which makes lattice equality a
 plain array comparison.
@@ -197,6 +199,141 @@ def coords_in_hnf(H: np.ndarray, vec,
             v = v - q * row
     if np.count_nonzero(v):
         return None
+    return coords
+
+
+# ---------------------------------------------------------------------------
+# exact products and batched coordinates in HNF bases
+
+_I64_BOUND = 1 << 55
+# an int64 product is taken only when amax * bmax * k stays within this
+_PRODUCT_BOUND = (1 << 62) - 1
+
+
+def _i64_absmax(mat):
+    """(mat as int64, its largest absolute entry), or (None, None) when an
+    entry lies outside the int64 working range."""
+    arr = np.asarray(mat)
+    if arr.size == 0:
+        return np.zeros(arr.shape, dtype=np.int64), 0
+    if arr.dtype != np.int64:
+        try:
+            arr = arr.astype(np.int64)
+        except (OverflowError, TypeError):
+            return None, None
+    amax = int(np.abs(arr).max())
+    # abs wraps only at -2**63, which it leaves negative
+    return (arr, amax) if 0 <= amax <= _I64_BOUND else (None, None)
+
+
+def _exact_matmul(A, B, bound: int = _PRODUCT_BOUND) -> np.ndarray:
+    """A @ B over the integers, also for stacks: in int64 when no product
+    can wrap.
+
+    Each operand is read once for its largest entry; int64 needs every
+    entry within 2**55 and amax * bmax * k at most bound (below 2**62).
+    """
+    A64, amax = _i64_absmax(A)
+    B64, bmax = _i64_absmax(B)
+    if (A64 is not None and B64 is not None
+            and amax * bmax * max(1, A64.shape[-1]) <= bound):
+        return A64 @ B64
+    return np.asarray(A, dtype=object) @ np.asarray(B, dtype=object)
+
+
+# int64 entries of the stacked arrays of one batch, about half a MB
+_BATCH_ENTRIES = 1 << 16
+_OFF_KERNEL = "image left the mark kernel; upstream map is wrong"
+
+
+def _batches(members: list, entries: int):
+    """Consecutive slices of members, each holding about _BATCH_ENTRIES
+    entries when one member holds the given number."""
+    step = max(1, _BATCH_ENTRIES // max(1, entries))
+    return (members[lo:lo + step] for lo in range(0, len(members), step))
+
+
+def _stack_shared(arrs) -> np.ndarray:
+    """np.stack(arrs), or one leading entry to broadcast when every item
+    is the same object."""
+    if all(a is arrs[0] for a in arrs):
+        return np.asarray(arrs[0])[None]
+    return np.stack([np.asarray(a) for a in arrs])
+
+
+def _restrict_moves(moves, kernels, pivots) -> list:
+    """Coordinates, in HNF bases, of the images of kernel bases under many
+    integer maps.
+
+    A move (B, s, d) maps Z^(kernels[s] columns) to Z^(kernels[d]
+    columns), by a full matrix B or, for a selection move, by the row of
+    the single 1 in each column.  kernels[s] is an HNF basis (rows) with
+    pivot columns pivots[s].  The coordinates C of the images
+    B @ kernels[s].T solve kernels[d].T @ C == images.  Moves are batched
+    by kind and by the shapes of both kernels (not by identity: empty
+    kernels are often distinct objects).  Per batch the images are one
+    scatter of kernel columns or one stacked product, C is their pivot
+    rows (coords_in_hnf per column where a pivot is not 1), and C is
+    accepted only after one stacked exact check; where the pivot columns
+    of a kernel form the identity, the check holds on the pivot rows by
+    construction and is taken on the others.  Returns the C of each move,
+    in order, each in int64 or, past the bounds, in Python ints.
+    """
+    out = [None] * len(moves)
+    groups = {}
+    for m, (B, s, d) in enumerate(moves):
+        groups.setdefault((kernels[s].shape, kernels[d].shape, B.ndim),
+                          []).append(m)
+    for ((ks, ds), (kd, dd), _), members in groups.items():
+        for chunk in _batches(members, dd * (ks + ds) + kd * ks):
+            if ks == 0:
+                coords = np.zeros((len(chunk), kd, 0), dtype=np.int64)
+            else:
+                coords = _restrict_batch([moves[m] for m in chunk], kernels, pivots)
+            for m, C in zip(chunk, coords):
+                out[m] = C
+    return out
+
+
+def _restrict_batch(moves, kernels, pivots) -> np.ndarray:
+    """Stacked coordinates (move, kd, ks) of one batch of _restrict_moves."""
+    n = len(moves)
+    src = _stack_shared([kernels[s] for _, s, _ in moves]).transpose(0, 2, 1)
+    dst = _stack_shared([kernels[d] for _, _, d in moves])
+    piv = _stack_shared([pivots[d] for _, _, d in moves]).astype(np.intp)
+    kd, dd = dst.shape[1:]
+    at = np.arange(n)[:, None]
+    if moves[0][0].ndim == 2:
+        images = _exact_matmul(np.stack([B for B, _, _ in moves]), src)
+    else:
+        # images[m, rows[m, j]] += column j of the source kernel
+        rows = np.stack([B for B, _, _ in moves])
+        src64, smax = _i64_absmax(src)
+        wide = src64 is None or smax * rows.shape[1] > _PRODUCT_BOUND
+        images = np.zeros((n, dd, src.shape[2]), dtype=object if wide else np.int64)
+        np.add.at(images, (at, rows), src.astype(object) if wide else src64)
+    coords = images[at, piv]
+    square = np.take_along_axis(dst, piv[:, None, :], axis=2)     # H[:, piv]
+    unit = (np.diagonal(square, axis1=1, axis2=2) == 1).all(axis=1)
+    if not unit.all():
+        coords = coords.astype(object)
+        for m in range(n):
+            k = m if len(dst) > 1 else 0
+            if not unit[k]:
+                H = np.asarray(dst[k], dtype=object)
+                cols = [coords_in_hnf(H, v, piv[k]) for v in images[m].T]
+                if None in cols:
+                    raise AssertionError(_OFF_KERNEL)
+                coords[m] = obj_matrix(cols, kd).T
+    lhs, rhs = dst, images
+    if unit.all() and (square == np.eye(kd, dtype=np.int64)).all():
+        # H.T @ C is C itself on the pivot rows; compare the other rows
+        rest = np.ones((len(dst), dd), dtype=bool)
+        rest[np.arange(len(dst))[:, None], piv] = False
+        rest = np.nonzero(rest)[1].reshape(len(dst), dd - kd)
+        lhs, rhs = np.take_along_axis(dst, rest[:, None, :], axis=2), images[at, rest]
+    if not np.array_equal(_exact_matmul(lhs.transpose(0, 2, 1), coords), rhs):
+        raise AssertionError(_OFF_KERNEL)
     return coords
 
 

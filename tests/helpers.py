@@ -19,7 +19,7 @@ import numpy as np
 from bfk.bisets import ConcreteBiset, defres_biset, indinf_biset
 from bfk.groups import _closure, product_members
 from bfk.limits import CoefficientSystem, family_contains
-from bfk.zlinalg import coords_in_hnf, obj_zeros, xgcd
+from bfk.zlinalg import _exact_matmul, coords_in_hnf, obj_matrix, obj_zeros, xgcd
 
 
 def validate_biset(U: ConcreteBiset) -> ConcreteBiset:
@@ -98,10 +98,36 @@ def section_transport(ana, sec, u: int):
     return target, iso_biset(sec.group, target.group, f)
 
 
+def _restrict_to_kernels(M: np.ndarray, src_kern: np.ndarray,
+                         dst_kern: np.ndarray, dst_piv) -> np.ndarray:
+    """Rewrite a transitive-basis matrix as a map between kernel bases, one
+    move at a time; the reference for zlinalg._restrict_moves.
+
+    The kernels are HNF bases (rows) and dst_piv holds the pivot column of
+    each row of dst_kern.  The coordinates C of the images M @ src_kern.T
+    solve dst_kern.T @ C == images.  When every pivot is 1 the pivot
+    columns of dst_kern form the identity, so C is the pivot rows of the
+    images; otherwise each column is solved by coords_in_hnf.  Either way
+    C is accepted only after the exact product check.
+    """
+    images = _exact_matmul(M, src_kern.T)
+    k = dst_kern.shape[0]
+    piv = np.asarray(dst_piv, dtype=np.intp)
+    if (dst_kern[np.arange(k), piv] == 1).all():
+        C = images[piv, :]
+    else:
+        H = np.asarray(dst_kern, dtype=object)
+        cols = [coords_in_hnf(H, v, dst_piv) for v in images.T]
+        C = None if None in cols else obj_matrix(cols, k).T
+    if C is None or not np.array_equal(_exact_matmul(dst_kern.T, C), images):
+        raise AssertionError("image left the mark kernel; upstream map is wrong")
+    return C
+
+
 def per_column_restrict(M, src_kern, dst_kern):
     """A transitive-basis matrix as a map between kernel bases (HNF rows),
     by object products and coords_in_hnf one column at a time; the
-    reference for limits._restrict_to_kernels."""
+    reference for _restrict_to_kernels."""
     H = np.asarray(dst_kern, dtype=object)
     images = np.asarray(M, dtype=object) @ np.asarray(src_kern, dtype=object).T
     out = obj_zeros(H.shape[0], images.shape[1])
@@ -110,6 +136,58 @@ def per_column_restrict(M, src_kern, dst_kern):
         if c is None:
             raise AssertionError("image left the mark kernel")
         out[:, i] = c
+    return out
+
+
+def _placed(rows_of_columns, n_rows: int) -> np.ndarray:
+    M = np.zeros((n_rows, len(rows_of_columns)), dtype=np.int64)
+    for j, r in enumerate(rows_of_columns):
+        M[r, j] += 1
+    return M
+
+
+def maps_by_edges(system: CoefficientSystem) -> dict:
+    """Every edge matrix and base map of a K or Kdual system, by one
+    limits._restrict_to_kernels call per map on a transitive-basis matrix
+    written column by column; the reference for the batched pass.
+
+    Keys are those of the system's caches: (src, dst, tag) for edges,
+    ("down", i) and, for K, ("up", i).
+    """
+    ana, slots = system.ana, system.family.slots
+    kern, piv = system._kernels, system._kernel_pivs
+    base, base_piv = system._base_basis, system.base_kernel._piv
+
+    def restrict(M, s_kern, d_kern, d_piv):
+        return np.asarray(_restrict_to_kernels(M, s_kern, d_kern, d_piv),
+                          dtype=np.int64)
+
+    def into(src, dst, u=0):
+        # induction, inflation and conjugation by u keep or move the
+        # representing subgroup of each class of src into dst
+        return _placed([int(dst.class_pos[ana.conj_sub[u, w]]) for w in src.classes],
+                       dst.dim)
+
+    out = {}
+    for s, d, tag in system.edges():
+        a, b = slots[s], slots[d]
+        if system.functor == "K":
+            M = (system._b_defres_between(a, b) if tag[0] == "cover"
+                 else into(a, b, tag[1]))
+            out[(s, d, tag)] = restrict(M, kern[s], kern[d], piv[d])
+        else:
+            u_inv = 0 if tag[0] == "cover" else ana.group.inv_of(tag[1])
+            out[(s, d, tag)] = restrict(into(b, a, u_inv), kern[d], kern[s],
+                                        piv[s]).T
+    for i, slot in enumerate(slots):
+        up = restrict(_placed([int(ana.class_of_sub[w]) for w in slot.classes],
+                              len(ana.class_reps)), kern[i], base, base_piv)
+        if system.functor == "K":
+            out[("up", i)] = up
+            out[("down", i)] = restrict(system._b_defres_from_base(i), base,
+                                        kern[i], piv[i])
+        else:
+            out[("down", i)] = up.T
     return out
 
 

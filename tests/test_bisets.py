@@ -316,12 +316,27 @@ def test_left_quotient_validates_and_rejects():
     assert Wq.size == 9
     same = left_quotient_biset(U, [0])
     assert np.array_equal(same.left, U.left)
-    with pytest.raises(ValueError):
-        left_quotient_biset(U, [0, 3])
+    with pytest.raises(ValueError, match="must contain the identity"):
+        left_quotient_biset(U, Z[1:])
+    # one element of order 3 without its inverse, and a set closed under
+    # inverses but not under products
+    x = next(m for m in ana.subgroup_members if len(m) == 3 and m != Z)[1]
+    for members in ([0, x], [0, x, X27.inv_of(x), Z[1], Z[2]]):
+        with pytest.raises(ValueError, match="members do not form a subgroup"):
+            left_quotient_biset(U, members)
     L = next(m for m in ana.subgroup_members
              if len(m) == 3 and m != Z)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="subgroup is not normal"):
         left_quotient_biset(U, L)
+    # the table checks agree with the group's own normality flags
+    for si, members in enumerate(ana.subgroup_members):
+        normal = bool(ana.normal[si, ana.n_sub - 1])
+        try:
+            left_quotient_biset(U, members)
+        except ValueError as err:
+            assert not normal and "not normal" in str(err)
+        else:
+            assert normal
 
 
 def test_quotient_interchanges_with_composition():

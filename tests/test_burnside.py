@@ -29,9 +29,10 @@ from bfk.groups import (
     sections_in_class,
     trivial_group,
 )
-from bfk.limits import _restrict_to_kernels, coefficient_system
-from bfk.zlinalg import obj_zeros, rank_of
-from helpers import mark_count, normalizer, per_column_restrict, section_transport
+from bfk.limits import coefficient_system
+from bfk.zlinalg import _restrict_moves, obj_zeros, rank_of
+from helpers import (_restrict_to_kernels, mark_count, normalizer, per_column_restrict,
+                     section_transport)
 
 X27 = extraspecial_group(3)
 C9x3 = direct_product(cyclic_group(9), cyclic_group(3))
@@ -274,9 +275,12 @@ def test_kernel_is_preserved_by_section_maps():
         up = indinf_class_matrix(ana, sec)
         # each raises if an image leaves the target kernel
         for M, src, dst in ((down, K, kq), (up, kq, K)):
-            got = _restrict_to_kernels(M, src.basis, dst.basis, dst._piv)
+            got = _restrict_moves([(M, 0, 1)], [src.basis, dst.basis],
+                                  [src._piv, dst._piv])[0]
             assert np.array_equal(
                 got, per_column_restrict(M, src.basis, dst.basis))
+            assert np.array_equal(
+                got, _restrict_to_kernels(M, src.basis, dst.basis, dst._piv))
 
 
 def test_dual_action_of_cosets_transposes_to_the_opposite_map():

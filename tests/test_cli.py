@@ -6,16 +6,15 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 import bfk
 
 
-def run_cli(*args, cwd=None):
-    """Run the CLI of the same bfk as the tests, from any directory.
-
-    The child gets no BFK_CACHE_DIR, so a developer's limit cache is never
-    read or written; tests that want a cache pass --cache-dir.
-    """
+def child_env() -> dict:
+    """Environment for a child Python that imports the same bfk as the
+    tests, with no BFK_CACHE_DIR, so a developer's limit cache is never
+    read or written; tests that want a cache pass --cache-dir."""
     # The directory holding the bfk package this process imported: the
     # checkout's src under PYTHONPATH=src, or site-packages after an install.
     root = str(Path(bfk.__file__).resolve().parents[1])
@@ -23,10 +22,14 @@ def run_cli(*args, cwd=None):
     env.pop("BFK_CACHE_DIR", None)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (root, env.get("PYTHONPATH"))))
-    proc = subprocess.run(
+    return env
+
+
+def run_cli(*args, cwd=None):
+    """Run the CLI of the same bfk as the tests, from any directory."""
+    return subprocess.run(
         [sys.executable, "-m", "bfk.cli", *args],
-        capture_output=True, text=True, cwd=cwd, env=env)
-    return proc
+        capture_output=True, text=True, cwd=cwd, env=child_env())
 
 
 def test_catalog_lists_the_default_fourteen_groups(tmp_path):
@@ -109,3 +112,29 @@ def test_bad_prime_exits_one():
     proc = run_cli("catalog", "--p", "2")
     assert proc.returncode == 1
     assert "odd prime" in proc.stderr
+
+
+# runs one CLI command in process, then reports whether numpy.ma was loaded
+_LOADS_NUMPY_MA = """
+import contextlib, io, sys
+from bfk.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+def test_probe_and_limit_do_not_import_numpy_ma(tmp_path):
+    # a plain np.unique imports numpy.ma, about 10 ms per process
+    bare = subprocess.run(
+        [sys.executable, "-c", "import sys, numpy; print('numpy.ma' in sys.modules)"],
+        capture_output=True, text=True, env=child_env())
+    if bare.stdout.strip() != "False":
+        pytest.skip("importing numpy alone loads numpy.ma")
+    for args in (("probe", "m", "--p", "3", "--max-order", "27"),
+                 ("limit", "--group", "xsp:3", "--class", "X3",
+                  "--functor", "Kdual", "--cache-dir", str(tmp_path))):
+        proc = subprocess.run([sys.executable, "-c", _LOADS_NUMPY_MA, *args],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False"], args

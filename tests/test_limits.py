@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bfk.campaigns import catalog_groups
-from bfk.zlinalg import (coords_in_hnf, hnf_pivots, kernel_basis, lattice_from_rows,
-                         obj_matrix, obj_zeros)
+from bfk.zlinalg import (_exact_matmul, _restrict_moves, coords_in_hnf, hnf_pivots,
+                         kernel_basis, lattice_from_rows, obj_matrix, obj_zeros)
 from bfk.groups import (
     analysis,
     cyclic_group,
@@ -23,10 +23,9 @@ from bfk.limits import (
     FUNCTOR_NAMES,
     FamilyError,
     MergeLimitSolver,
-    _check_counit_kills,
-    _exact_matmul,
+    _colimit_relations,
     _mark_rows,
-    _restrict_to_kernels,
+    _selection_matrix,
     _spans_everything,
     coefficient_system,
     comparison_report,
@@ -38,8 +37,8 @@ from bfk.limits import (
     residual_check,
     section_family,
 )
-from helpers import (_direct_limit_basis, defres_by_double_cosets,
-                     mark_rows_by_loops, per_column_restrict,
+from helpers import (_direct_limit_basis, _restrict_to_kernels, defres_by_double_cosets,
+                     maps_by_edges, mark_rows_by_loops, per_column_restrict,
                      sections_by_loops, slot_classes_by_union_find,
                      sparse_kernel)
 
@@ -166,6 +165,8 @@ def test_restrict_to_kernels_matches_per_column_coords(dst_rows, scale):
     got = _restrict_to_kernels(M, src, H, piv)
     assert np.array_equal(got, coords)
     assert np.array_equal(got, per_column_restrict(M, src, H))
+    kernels, pivots = [src, H], [hnf_pivots(src), piv]
+    assert np.array_equal(_restrict_moves([(M, 0, 1)], kernels, pivots)[0], coords)
     # an image off the lattice is refused, by coords_in_hnf when a pivot
     # does not divide and otherwise by the exact product check
     for off in ([0, 0, 1], [1, 0, 0]):
@@ -177,6 +178,104 @@ def test_restrict_to_kernels_matches_per_column_coords(dst_rows, scale):
             _restrict_to_kernels(M_bad, src, H, piv)
         with pytest.raises(AssertionError, match="image left the mark kernel"):
             per_column_restrict(M_bad, src, H)
+        with pytest.raises(AssertionError, match="image left the mark kernel"):
+            _restrict_moves([(M_bad, 0, 1)], kernels, pivots)
+
+
+def _batched_cases():
+    for _, spec in catalog_groups(3, 27):
+        for label in FAMILY_LABELS:
+            for functor in ("K", "Kdual"):
+                yield spec, label, functor
+    for functor in ("K", "Kdual"):
+        yield "prod:xsp:3,cyclic:3", "X3", functor
+    yield "elab:3:4", "E", "K"
+
+
+def test_batched_maps_match_the_per_edge_restriction():
+    for spec, label, functor in _batched_cases():
+        system = coefficient_system(group_from_spec(spec, 3), label, functor)
+        want = maps_by_edges(system)
+        per_slot = 2 if functor == "K" else 1
+        assert len(want) == len(system.edges()) + per_slot * len(system.dims)
+        for key, M in want.items():
+            if key[0] == "down":
+                got = system.defres_from_base(key[1])
+            elif key[0] == "up":
+                got = system.indinf_to_base(key[1])
+            else:
+                got = system.edge_matrix(*key)
+            assert got.dtype == np.int64, (spec, label, functor, key)
+            assert np.array_equal(got, M), (spec, label, functor, key)
+        if functor == "K":
+            # the colimit reads its cover maps as the dual cover edges
+            # before their transpose, and its conjugation maps as K edges
+            dual = maps_by_edges(coefficient_system(system.group, label, "Kdual"))
+            rows = []
+            for s, d, tag in system.edges():
+                if tag[0] == "cover" and system.dims[d]:
+                    a, b, M = d, s, dual[(s, d, tag)].T
+                elif tag[0] == "conj" and system.dims[s]:
+                    a, b, M = s, d, want[(s, d, tag)]
+                else:
+                    continue
+                ao, bo = system.offsets[a], system.offsets[b]
+                for j in range(M.shape[1]):
+                    row = {ao + j: 1}
+                    for i in np.flatnonzero(M[:, j]).tolist():
+                        row[bo + i] = row.get(bo + i, 0) - int(M[i, j])
+                    rows.append({c: v for c, v in row.items() if v})
+            assert _colimit_relations(system) == rows, (spec, label)
+
+
+def _forced_kernels():
+    """Source kernels 0-2 with even entries in column 0, one past 2**55
+    and one past the int64 range; target kernels 3 and 4 with unit pivots
+    (one shape) and 5 with a pivot 2; source kernel 6 with an odd entry."""
+    kernels = [np.array([[2, 1], [0, 1]], dtype=np.int64),
+               np.array([[2**56, 3], [0, 1]], dtype=np.int64),
+               obj_matrix([[2**70, 1], [0, 1]])]
+    kernels += [np.array(lattice_from_rows(3, rows).basis, dtype=np.int64)
+                for rows in ([[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 0, 1]],
+                             [[2, 0, 0], [0, 1, 0]])]
+    kernels.append(np.array([[1, 1], [0, 1]], dtype=np.int64))
+    return kernels, [hnf_pivots(k) for k in kernels]
+
+
+def test_batched_restriction_matches_per_move_on_forced_kernels():
+    kernels, pivots = _forced_kernels()
+    assert pivots[5] == [0, 1] and kernels[5][0, 0] == 2
+    # selection moves whose images stay in each target lattice
+    into = {3: ([0, 1], [1, 1]), 4: ([0, 2], [2, 2]), 5: ([0, 1], [1, 1])}
+    moves = [(np.array(rows), s, d) for s in (0, 1, 2) for d in (3, 4, 5)
+             for rows in into[d]]
+    # full moves onto chosen coordinates, in int64 and past it
+    coords = obj_matrix([[1, -2], [3, 5]])
+    H = np.asarray(kernels[3], dtype=object)
+    src_t_inv = obj_matrix([[1, 0], [-1, 1]])        # inverse of kernels[6].T
+    for scale in (1, 2**70):
+        M = H.T @ (coords * scale) @ src_t_inv
+        moves.append((np.asarray(M, dtype=np.int64 if scale == 1 else object), 6, 3))
+    # all at once, one target kernel at a time, and one move at a time
+    batches = [moves] + [[m for m in moves if m[2] == d] for d in (3, 4, 5)]
+    batches += [[m] for m in moves]
+    for batch in batches:
+        for (B, s, d), C in zip(batch, _restrict_moves(batch, kernels, pivots)):
+            full = _selection_matrix(B, 3) if B.ndim == 1 else B
+            want = _restrict_to_kernels(full, kernels[s], kernels[d], pivots[d])
+            assert C.shape == want.shape and np.array_equal(C, want), (B, s, d)
+            assert np.array_equal(C, per_column_restrict(full, kernels[s],
+                                                         kernels[d]))
+    got = _restrict_moves(moves, kernels, pivots)
+    # entries past the working range come back exact, as Python ints
+    assert got[12].dtype == object and got[12][0, 0] == 2**70
+    assert got[-1].dtype == object and got[-1].tolist() == (coords * 2**70).tolist()
+    # an image off the target lattice is refused: by the product check on a
+    # unit-pivot target, by coords_in_hnf where the pivot 2 does not divide
+    for bad in ((np.array([2, 0]), 0, 3), (np.array([0, 1]), 6, 5)):
+        for batch in ([bad], moves[:6] + [bad]):
+            with pytest.raises(AssertionError, match="image left the mark kernel"):
+                _restrict_moves(batch, kernels, pivots)
 
 
 def test_exact_matmul_takes_int64_only_under_both_bounds():
@@ -409,7 +508,8 @@ def nested_pair_check(system, mat):
                 continue
             D = system._b_defres_between(fam.slots[i], fam.slots[j])
             if system.functor == "K":
-                D = system._restrict(D, i, j)
+                D = _restrict_to_kernels(D, system._kernels[i], system._kernels[j],
+                                         system._kernel_pivs[j])
             a = mat[system.offsets[i]:system.offsets[i] + system.dims[i], :]
             b = mat[system.offsets[j]:system.offsets[j] + system.dims[j], :]
             assert not np.any(np.asarray(D, dtype=object) @ a - b), (i, j)
@@ -487,15 +587,18 @@ def test_counit_probe_rejects_maps_that_disagree_or_miss_a_relation():
             counit_kernel_report(system)
     finally:
         up[0, 0] -= 1
-    U = np.array([[1, 0, 2], [0, 1, 2]], dtype=np.int64)
-    _check_counit_kills(U, [{0: 2, 1: 2, 2: -1}, {}])
-    with pytest.raises(AssertionError, match="does not kill"):
-        _check_counit_kills(U, [{0: 2, 1: 2, 2: -1}, {2: 1}])
-    # entries too wide for int64 take the exact path
-    big = np.array([[2**70, 1]], dtype=object)
-    _check_counit_kills(big, [{0: 1, 1: -2**70}])
-    with pytest.raises(AssertionError, match="does not kill"):
-        _check_counit_kills(big, [{0: 1, 1: 1 - 2**70}])
+    # a conjugation map that is off gives a relation the counit misses
+    key = next(e for e in system.edges()
+               if e[2][0] == "conj" and system.dims[e[0]])
+    conj = system.edge_matrix(*key)
+    conj[0, 0] += 1
+    try:
+        with pytest.raises(AssertionError,
+                           match=f"upward maps disagree along {key[0]}->{key[1]}"):
+            counit_kernel_report(system)
+    finally:
+        conj[0, 0] -= 1
+    counit_kernel_report(system)
 
 
 def test_counit_probe_needs_functor_k():
