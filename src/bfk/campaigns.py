@@ -68,7 +68,8 @@ from .transfers import (
     retraction_identity_holds,
     retraction_matrix,
 )
-from .zlinalg import LatticeBuilder, coords_in_hnf, hnf, lattice_from_rows, obj_eye, obj_zeros
+from .zlinalg import (LatticeBuilder, _exact_matmul, coords_in_hnf, hnf,
+                      lattice_from_rows, obj_eye, obj_zeros)
 
 FORMAT_CHOICES = ("json", "csv")
 
@@ -215,20 +216,6 @@ def _mat_eq(A, B) -> bool:
     A = np.asarray(A, dtype=object)
     B = np.asarray(B, dtype=object)
     return A.shape == B.shape and (A.size == 0 or bool(np.all(A == B)))
-
-
-def _int_matmul(A, B) -> np.ndarray:
-    """Exact matrix product, in int64 whenever magnitudes allow it."""
-    Ao = np.asarray(A)
-    Bo = np.asarray(B)
-    if Ao.size and Bo.size:
-        amax = max(abs(int(v)) for v in Ao.flat)
-        bmax = max(abs(int(v)) for v in Bo.flat)
-        inner = Ao.shape[-1]
-        if amax * bmax * max(inner, 1) < 2 ** 62:
-            C = Ao.astype(np.int64) @ Bo.astype(np.int64)
-            return C.astype(object)
-    return np.asarray(Ao, dtype=object) @ np.asarray(Bo, dtype=object)
 
 
 def _group_key(desc: str) -> int:
@@ -1123,7 +1110,7 @@ def _appendix_limit_action_rows(desc, cfg, G, secs_x3, small, rng) -> list[dict]
             U = defres_biset(sec)
             sys_q = coefficient_system(sec.group, "X3", functor)
             A = act_on_limit_matrix(U, sys_q, sys_p)
-            img = _int_matmul(A, lim_p.basis)
+            img = _exact_matmul(A, lim_p.basis)
             case = {"functor": functor, "top_order": sec.top.order,
                     "bottom_order": sec.bottom.order}
             try:
@@ -1229,7 +1216,7 @@ def _appendix_composite_action_rows(desc, cfg, G, secs_x3, small, rng) -> list[d
                 case = {"functor": functor,
                         "outer_quotient": Q1.order,
                         "inner_quotient": sec2.group.order}
-                got = _int_matmul(M2, M1)
+                got = _exact_matmul(M2, M1)
                 if not _mat_eq(got, MW):
                     bad = None
                     for i in range(MW.shape[0]):
@@ -1298,10 +1285,10 @@ def _appendix_adjunction_rows(desc, cfg, G, small, rng) -> list[dict]:
         columns = [lim.basis]
         if not small:
             mix = rng.integers(-3, 4, size=(lim.rank, 40)).astype(object)
-            columns.append(_int_matmul(lim.basis, mix))
+            columns.append(_exact_matmul(lim.basis, mix))
         for mat in columns:
             base_block = mat[off:off + d0, :]
-            completed = _int_matmul(unit, base_block)
+            completed = _exact_matmul(unit, base_block)
             if not _mat_eq(completed, mat):
                 jbad = 0
                 for j in range(mat.shape[1]):

@@ -12,11 +12,11 @@ Quotient groups are never materialized.  The transitive-set basis of a
 quotient T/S is the set of T-conjugacy classes of intermediate subgroups
 S <= W <= T, and every structure map is written in those coordinates on
 the ambient group; the kernel functors rewrite whole batches of such maps
-in kernel coordinates at once.  Every limit comes from one
-component-merging solver whose basis updates are deferred on
-per-component chains; it runs in one exact pass, taking each product in
-int64 only under a bound that shows it cannot wrap and in Python ints
-otherwise.
+in kernel coordinates at once.  Every limit is the integer kernel of the
+sparse constraint rows v[dst] - D v[src] = 0, solved in one exact pass:
++-1 pivots are eliminated in Markowitz order in Python ints,
+kernel_basis solves the dense core left, and back-substitution fills in
+the eliminated unknowns.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ import numpy as np
 
 from .groups import (SECTION_CLASSES, FiniteGroup, GroupAnalysis, analysis,
                      _closure)
-from .zlinalg import (_I64_BOUND, LatticeBuilder, _batches, _exact_matmul,
-                      _i64_absmax, _restrict_moves, _stack_shared, hnf_pivots,
-                      kernel_basis, obj_zeros, sparse_snf_invariants)
+from .zlinalg import (LatticeBuilder, _batches, _exact_matmul, _i64_absmax,
+                      _restrict_moves, _stack_shared, hnf_pivots, kernel_basis,
+                      obj_zeros, sparse_kernel_basis, sparse_snf_invariants)
 from .burnside import ring_data
 
 FAMILY_LABELS = tuple(SECTION_CLASSES)
@@ -448,199 +448,6 @@ def coefficient_system(G: FiniteGroup, label: str, functor: str) -> CoefficientS
     return sys
 
 
-# ---------------------------------------------------------------------------
-# the component-merging limit solver with deferred updates
-
-
-class _Node:
-    __slots__ = ("mat", "next")
-
-    def __init__(self):
-        self.mat = None
-        self.next = None
-
-
-class MergeLimitSolver:
-    """Exact solver for v[dst] = D v[src] constraint systems over Z.
-
-    Sections start as independent free components.  A constraint into an
-    untouched component substitutes; a constraint inside one component
-    shrinks its parameter space by a small exact kernel; a constraint
-    across two components merges them.  Basis rewrites are not applied to
-    member sections eagerly: each component keeps a chain of update
-    matrices, sections remember their position in it, and catching up is
-    one multiplication against a suffix product at materialization time.
-    """
-
-    def __init__(self, dims):
-        self.n = len(dims)
-        self.dims = list(dims)
-        self.parent = list(range(self.n))
-        self.phi = [np.eye(d, dtype=np.int64) for d in dims]
-        self.ptr = []
-        self.tail = {}
-        self.kdim = {}
-        self.free_at = {}
-        for s in range(self.n):
-            node = _Node()
-            self.ptr.append(node)
-            self.tail[s] = node
-            self.kdim[s] = dims[s]
-            self.free_at[s] = s
-        self.n_solves = 0
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    @staticmethod
-    def _mul(A, B):
-        # the tighter product bound keeps D a - b from wrapping as well
-        return _exact_matmul(A, B, _I64_BOUND)
-
-    def _read(self, s: int):
-        node = self.ptr[s]
-        v = self.phi[s]
-        while node.next is not None:
-            nxt = node.next
-            if nxt.next is not None:
-                # fold the pair; rewiring only this node preserves the
-                # product seen from every pointer into the chain
-                if node.mat is None:
-                    node.mat = nxt.mat
-                elif nxt.mat is not None:
-                    node.mat = self._mul(node.mat, nxt.mat)
-                node.next = nxt.next
-                continue
-            if node.mat is not None:
-                v = self._mul(v, node.mat)
-            node = node.next
-        self.phi[s] = v
-        self.ptr[s] = node
-        return v
-
-    def _kernel_transform(self, rows, k: int):
-        """Columns parametrizing the kernel of rows, as a k x k' update."""
-        self.n_solves += 1
-        basis = kernel_basis(rows)
-        if basis.shape[0] == 0:
-            return np.zeros((k, 0), dtype=np.int64)
-        B64, _ = _i64_absmax(basis)
-        return (basis if B64 is None else B64).T.copy()
-
-    @staticmethod
-    def _is_identity(S) -> bool:
-        return (S.shape[0] == S.shape[1]
-                and np.array_equal(S, np.eye(S.shape[0], dtype=np.int64)))
-
-    def _append(self, root: int, S):
-        t = self.tail[root]
-        t.mat = S
-        new = _Node()
-        t.next = new
-        self.tail[root] = new
-        self.kdim[root] = S.shape[1]
-        self.free_at[root] = None
-
-    def process(self, src: int, dst: int, D):
-        """Impose value[dst] == D @ value[src]."""
-        if D.shape[0] == 0:
-            return
-        if D.shape[1] == 0:
-            # dst must vanish; a constraint entirely inside dst's component
-            c2 = self.find(dst)
-            b = self._read(dst)
-            if not b.size or not _any_nonzero(b):
-                return
-            S = self._kernel_transform(-b, self.kdim[c2])
-            self._append(c2, S)
-            return
-        c1, c2 = self.find(src), self.find(dst)
-        if c1 == c2:
-            a = self._read(src)
-            b = self._read(dst)
-            rows = self._mul(D, a) - b
-            if not _any_nonzero(rows):
-                return
-            S = self._kernel_transform(rows, self.kdim[c1])
-            if not self._is_identity(S):
-                self._append(c1, S)
-            return
-        if self.free_at.get(c2) == dst:
-            # dst's component is parametrized by dst's own value; define it
-            X = self._mul(D, self._read(src))
-            t2 = self.tail[c2]
-            t2.mat = X
-            t2.next = self.tail[c1]
-            self.parent[c2] = c1
-            del self.tail[c2], self.kdim[c2], self.free_at[c2]
-            return
-        a = self._read(src)
-        b = self._read(dst)
-        k1, k2 = self.kdim[c1], self.kdim[c2]
-        rows = np.concatenate([self._mul(D, a), -b], axis=1)
-        S = self._kernel_transform(rows, k1 + k2)
-        S1, S2 = S[:k1], S[k1:]
-        t1, t2 = self.tail[c1], self.tail[c2]
-        if self._is_identity(S1):
-            shared = t1
-        else:
-            t1.mat = S1
-            shared = _Node()
-            t1.next = shared
-            self.free_at[c1] = None
-        t2.mat = None if self._is_identity(S2) else S2
-        t2.next = shared
-        self.tail[c1] = shared
-        self.kdim[c1] = S.shape[1]
-        self.parent[c2] = c1
-        del self.tail[c2], self.kdim[c2], self.free_at[c2]
-
-    def _suffix(self, node, memo):
-        stack = []
-        while id(node) not in memo and node.next is not None:
-            stack.append(node)
-            node = node.next
-        acc = memo.get(id(node))
-        for nd in reversed(stack):
-            if nd.mat is None:
-                cur = acc
-            elif acc is None:
-                cur = nd.mat
-            else:
-                cur = self._mul(nd.mat, acc)
-            memo[id(nd)] = cur
-            acc = cur
-        return acc
-
-    def finish(self):
-        """Materialize every section's basis block and the column layout."""
-        memo = {}
-        roots = []
-        seen = set()
-        for s in range(self.n):
-            r = self.find(s)
-            if r not in seen:
-                seen.add(r)
-                roots.append(r)
-        col_off = {}
-        total = 0
-        for r in roots:
-            col_off[r] = total
-            total += self.kdim[r]
-        blocks = []
-        for s in range(self.n):
-            suf = self._suffix(self.ptr[s], memo)
-            v = self.phi[s] if suf is None else self._mul(self.phi[s], suf)
-            r = self.find(s)
-            if v.shape[1] != self.kdim[r]:
-                raise AssertionError("chain bookkeeping lost a rewrite")
-            blocks.append((col_off[r], v))
-        return total, blocks
-
-
 def _any_nonzero(arr) -> bool:
     if arr.dtype == np.int64:
         return bool(arr.any())
@@ -692,25 +499,25 @@ def residual_check(system: CoefficientSystem, mat: np.ndarray) -> None:
 def inverse_limit(system: CoefficientSystem) -> InverseLimit:
     """Solve the compatibility constraints; basis columns span the limit.
 
-    Every system goes through the merging solver in one exact pass: each
-    product is taken in int64 when a bound shows it cannot wrap and in
-    Python ints otherwise.  The canonical HNF of the solution lattice is
-    checked against the raw constraints before it is returned.
+    Each generating edge src -> dst with matrix D gives the rows of
+    v[dst] - D v[src] = 0 over the unknowns of the product of the values;
+    sparse_kernel_basis solves them exactly.  The canonical HNF of the
+    solution lattice is checked against the raw constraints before it is
+    returned.
     """
-    solver = MergeLimitSolver(system.dims)
-    edges = system.edges()
-    order = sorted(range(len(edges)),
-                   key=lambda e: (-system.dims[edges[e][0]],
-                                  edges[e][0], edges[e][1], edges[e][2][0]))
-    for e in order:
-        src, dst, tag = edges[e]
+    rows = []
+    for src, dst, tag in system.edges():
         if system.dims[dst] == 0:
             continue
-        solver.process(src, dst, system.edge_matrix(src, dst, tag))
-    total_rank, blocks = solver.finish()
-    basis = obj_zeros(system.total, total_rank)
-    for off, (coff, v) in zip(system.offsets, blocks):
-        basis[off:off + v.shape[0], coff:coff + v.shape[1]] = v
+        D = system.edge_matrix(src, dst, tag)
+        so, do = system.offsets[src], system.offsets[dst]
+        block = [{} for _ in range(D.shape[0])]
+        for r, c in zip(*np.nonzero(D)):
+            block[r][so + int(c)] = int(D[r, c])
+        for r, row in enumerate(block):
+            row[do + r] = row.get(do + r, 0) - 1
+        rows.extend(block)
+    basis = sparse_kernel_basis(rows, system.total)
     lb = LatticeBuilder(system.total)
     for j in range(basis.shape[1]):
         lb.add(basis[:, j])

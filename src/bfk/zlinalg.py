@@ -417,18 +417,22 @@ def snf_diagonal(mat) -> list[int]:
 # ---------------------------------------------------------------------------
 # Sparse variants for the large section-indexed systems
 
-def sparse_snf_invariants(rows: list[dict[int, int]], ncols: int) -> tuple[list[int], int]:
-    """Invariant factors and rank of a sparse integer matrix.
+def unit_elimination(rows: list[dict[int, int]]
+                     ) -> tuple[list[tuple[int, dict[int, int]]], list[dict[int, int]]]:
+    """Eliminate the +-1 pivots of a sparse integer matrix in Markowitz order.
 
-    Phase 1 eliminates +-1 pivots with Markowitz-style pivot choice (cheap for
-    the relation matrices built here, where almost every row carries a unit);
-    phase 2 runs the dense routine on whatever core remains.  Pivots come
-    from a lazy heap holding one entry per row push: the row's cheapest unit,
-    costed (len(row)-1)*(len(col)-1).  A row is pushed again whenever an
-    elimination changes it; a popped entry whose row is gone or whose entry
-    is no longer a unit is dropped, and one whose cost has risen is replaced
-    by a fresh push of its row.  Invariant factors are canonical, so the
-    pivot order changes only the work, never the result.
+    Pivots come from a lazy heap holding one entry per row push: the row's
+    cheapest unit, costed (len(row)-1)*(len(col)-1) (Duff, Erisman and
+    Reid, Direct Methods for Sparse Matrices, 1986).  A row is pushed again
+    whenever an elimination changes it; a popped entry whose row is gone or
+    whose entry is no longer a unit is dropped, and one whose cost has
+    risen is replaced by a fresh push of its row.  Each step clears its
+    column from every other row, so every step is unimodular.
+
+    Returns (steps, core).  steps lists (column, pivot row) in elimination
+    order, each pivot row as it stood when taken: a +-1 in its column and
+    no column of an earlier step.  core holds the nonzero rows left, which
+    contain no eliminated column.
     """
     work: dict[int, dict[int, int]] = {}
     col_rows: dict[int, set[int]] = {}
@@ -458,7 +462,7 @@ def sparse_snf_invariants(rows: list[dict[int, int]], ncols: int) -> tuple[list[
 
     for ri in work:
         push(ri)
-    ones = 0
+    steps = []
     while heap:
         cost, pri, pc = heapq.heappop(heap)
         prow = work.get(pri)
@@ -491,17 +495,61 @@ def sparse_snf_invariants(rows: list[dict[int, int]], ncols: int) -> tuple[list[
                 push(ri)
             else:
                 del work[ri]
-        ones += 1
-    if not work:
-        return [1] * ones, ones
-    live_cols = sorted({c for r in work.values() for c in r})
+        steps.append((pc, prow))
+    return steps, list(work.values())
+
+
+def _dense_core(core: list[dict[int, int]]) -> tuple[list[int], np.ndarray]:
+    """The sorted columns that core rows touch, and the rows on them densely."""
+    live_cols = sorted({c for r in core for c in r})
     cmap = {c: i for i, c in enumerate(live_cols)}
-    dense = obj_zeros(len(work), len(live_cols))
-    for i, r in enumerate(work.values()):
+    dense = obj_zeros(len(core), len(live_cols))
+    for i, r in enumerate(core):
         for c, v in r.items():
             dense[i, cmap[c]] = v
-    rest = snf_diagonal(dense)
-    return [1] * ones + rest, ones + len(rest)
+    return live_cols, dense
+
+
+def sparse_snf_invariants(rows: list[dict[int, int]], ncols: int) -> tuple[list[int], int]:
+    """Invariant factors and rank of a sparse integer matrix.
+
+    Phase 1 is unit_elimination (cheap for the relation matrices built
+    here, where almost every row carries a unit); each step contributes an
+    invariant factor 1.  Phase 2 runs the dense routine on whatever core
+    remains.  Invariant factors are canonical, so the pivot order changes
+    only the work, never the result.
+    """
+    steps, core = unit_elimination(rows)
+    rest = snf_diagonal(_dense_core(core)[1])
+    return [1] * len(steps) + rest, len(steps) + len(rest)
+
+
+def sparse_kernel_basis(rows: list[dict[int, int]], ncols: int) -> np.ndarray:
+    """Z-basis (columns, dtype=object) of {x in Z^ncols : A x = 0} for
+    sparse rows A.
+
+    unit_elimination writes each eliminated unknown as an integer
+    combination of later ones; kernel_basis solves the dense core left
+    over its live columns, and an unknown that is neither eliminated nor
+    live is free.  Back-substituting in reverse elimination order extends
+    those solutions to every unknown.  Every step is unimodular, so the
+    columns are a basis of the kernel, not just of a sublattice.
+    """
+    steps, core = unit_elimination(rows)
+    live, dense = _dense_core(core)
+    K = kernel_basis(dense)
+    taken = set(live).union(c for c, _ in steps)
+    free = [c for c in range(ncols) if c not in taken]
+    X = obj_zeros(ncols, len(free) + K.shape[0])
+    X[free, np.arange(len(free))] = 1
+    X[np.ix_(live, np.arange(len(free), X.shape[1]))] = K.T
+    for pc, prow in reversed(steps):
+        acc = 0
+        for c, v in prow.items():
+            if c != pc:
+                acc = acc + v * X[c]
+        X[pc] = -prow[pc] * acc
+    return X
 
 
 _WRAP = 1 << 62

@@ -5,7 +5,7 @@ The package builds bisets only along whole sections (`indinf_biset`,
 inflation, deflation, isomorphisms, conjugation of a section) give
 independent fixtures for the composition, orbit and action tests.
 `sparse_kernel` and `_direct_limit_basis`, a sparse xgcd fold over the
-raw constraint rows, are the reference the merging limit solver and
+raw constraint rows, are the reference the sparse limit solver and
 `kernel_basis` are checked against.  The per-subgroup walks at the end
 (conjugates one tuple at a time, marks by walking the group, union-find
 slot classes, double-coset defres) are the references for the reads off

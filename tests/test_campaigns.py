@@ -10,7 +10,6 @@ import pytest
 from bfk.campaigns import (
     RunConfig,
     _delta_identity_row,
-    _int_matmul,
     _probe_rows,
     cached_inverse_limit,
     catalog_groups,
@@ -237,15 +236,6 @@ def test_per_group_results_are_shared_and_freed_with_the_group():
     del G, results
     gc.collect()
     assert [ref() for ref in refs] == [None] * len(refs)
-
-
-def test_int_matmul_is_exact_in_both_regimes():
-    small = _int_matmul(np.array([[2, 1]], dtype=object),
-                        np.array([[3], [4]], dtype=object))
-    assert int(small[0, 0]) == 10
-    big = _int_matmul(np.array([[2 ** 40]], dtype=object),
-                      np.array([[2 ** 40]], dtype=object))
-    assert int(big[0, 0]) == 2 ** 80
 
 
 def test_main_worker_unit_matrix_matches_systems(tmp_path):

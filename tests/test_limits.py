@@ -1,6 +1,5 @@
 import hashlib
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from bfk.campaigns import catalog_groups
 from bfk.zlinalg import (_exact_matmul, _restrict_moves, coords_in_hnf, hnf_pivots,
-                         kernel_basis, lattice_from_rows, obj_matrix, obj_zeros)
+                         kernel_basis, lattice_from_rows, obj_matrix,
+                         sparse_kernel_basis, unit_elimination)
 from bfk.groups import (
     analysis,
     cyclic_group,
@@ -22,7 +22,6 @@ from bfk.limits import (
     FAMILY_LABELS,
     FUNCTOR_NAMES,
     FamilyError,
-    MergeLimitSolver,
     _colimit_relations,
     _mark_rows,
     _selection_matrix,
@@ -382,21 +381,25 @@ def canonical_columns(basis):
     return lattice_from_rows(basis.shape[0], basis.T).basis
 
 
-def test_merge_and_direct_bases_identical():
-    # the test-only direct sparse kernel is the reference for the merging
-    # solver, the one solver inverse_limit uses
+def test_sparse_solver_and_direct_bases_identical():
+    # the test-only direct sparse kernel is the reference for
+    # sparse_kernel_basis, the one solver inverse_limit uses
     for G, label, functor in ((X27, "X3", "B"), (C9x3, "E", "K"), (V3, "X", "Kdual")):
         sys_f = coefficient_system(G, label, functor)
         want = canonical_columns(_direct_limit_basis(sys_f))
         assert np.array_equal(inverse_limit(sys_f).basis.T, want)
 
 
-def test_merge_solver_takes_python_ints_partway():
+def reference_kernel(ncols, rows):
+    """Canonical row basis of the kernel of rows by the xgcd fold."""
+    return lattice_from_rows(ncols, [[s.get(c, 0) for c in range(ncols)]
+                                     for s in sparse_kernel(ncols, rows)]).basis
+
+
+def test_sparse_solver_takes_python_ints_partway():
     # v[dst] = D v[src] on sections of dims 3, 3, 3, 2, 1.  The second
-    # constraint has entries near 2**55, so its product with the first
-    # would wrap in int64 and _mul must take it in Python ints; the later
-    # constraints merge two components, substitute into a free one and cut
-    # a component from inside.
+    # constraint has entries near 2**55, so back-substituting through it
+    # and the first gives entries past the int64 range.
     N = 1 << 55
     dims = [3, 3, 3, 2, 1]
     offs = np.cumsum([0] + dims).tolist()
@@ -407,28 +410,31 @@ def test_merge_solver_takes_python_ints_partway():
         (3, 4, [[1, 1]]),
         (0, 4, [[1, -1, 1]]),
     ]
-    solver = MergeLimitSolver(dims)
-    for k, (src, dst, D) in enumerate(cons):
-        solver.process(src, dst, np.array(D, dtype=np.int64))
-        if k == 1:
-            assert solver._read(1).dtype == np.int64
-            assert solver._read(2).dtype == object
-    rank, blocks = solver.finish()
-    basis = obj_zeros(offs[-1], rank)
-    for off, (coff, v) in zip(offs, blocks):
-        basis[off:off + v.shape[0], coff:coff + v.shape[1]] = v
-    got = canonical_columns(basis)
     rows = []
     for src, dst, D in cons:
         for r, line in enumerate(D):
             row = {offs[src] + c: x for c, x in enumerate(line) if x}
             row[offs[dst] + r] = -1
             rows.append(row)
-    want = lattice_from_rows(offs[-1], [[s.get(c, 0) for c in range(offs[-1])]
-                                        for s in sparse_kernel(offs[-1], rows)]).basis
+    got = canonical_columns(sparse_kernel_basis(rows, offs[-1]))
     assert got.shape == (1, offs[-1])
     assert max(abs(x) for x in got.flat) > 1 << 63
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, reference_kernel(offs[-1], rows))
+
+
+def test_sparse_solver_with_dense_core_and_free_unknown():
+    # one unit pivot eliminates x0; the three rows left carry no unit, so
+    # kernel_basis solves them over x1..x4; x5 appears in no row
+    rows = [{0: 1, 1: 3, 2: -2}, {1: 2, 3: 2}, {2: 2, 3: 4, 4: 6},
+            {2: 6, 3: 12, 4: 18}]
+    steps, core = unit_elimination(rows)
+    assert [c for c, _ in steps] == [0] and len(core) == 3
+    X = sparse_kernel_basis(rows, 6)
+    assert X.shape == (6, 3)
+    assert not (obj_matrix([[r.get(c, 0) for c in range(6)] for r in rows], 6) @ X).any()
+    want = reference_kernel(6, rows)
+    assert want[-1].tolist() == [0, 0, 0, 0, 0, 1]
+    assert np.array_equal(canonical_columns(X), want)
 
 
 PINNED_BASES = Path(__file__).parent / "data" / "limit_basis_sha256.json"
@@ -443,13 +449,16 @@ def basis_digest(basis) -> str:
 
 def test_limit_bases_match_pinned_digests():
     # keys are "p descriptor label functor"; the digests were recorded from
-    # the two-solver code this single solver replaced
+    # earlier solvers: the catalog ones from the two-solver code, the
+    # extra ones, up to the hardest order-81 systems, from the
+    # component-merging solver
     pinned = json.loads(PINNED_BASES.read_text(encoding="utf-8"))
     want_keys = {f"{p} {spec} {label} {functor}"
                  for p, max_order in ((3, 27), (5, 125))
                  for _, spec in catalog_groups(p, max_order)
                  for label in FAMILY_LABELS for functor in FUNCTOR_NAMES}
-    assert set(pinned) == want_keys | {"3 prod:xsp:3,cyclic:3 X3 Kdual"}
+    assert set(pinned) == want_keys | {"3 prod:xsp:3,cyclic:3 X3 Kdual",
+                                       "3 elab:3:4 E3 Kdual", "3 elab:3:4 E3 K"}
     for key, digest in sorted(pinned.items()):
         p, spec, label, functor = key.split()
         system = coefficient_system(group_from_spec(spec, int(p)), label, functor)
@@ -465,8 +474,6 @@ def test_limit_ranks_frozen_at_81():
     assert inverse_limit(sys_x).rank == 56
 
 
-@pytest.mark.skipif(not os.environ.get("BFK_SLOW"),
-                    reason="minutes-long; set BFK_SLOW=1 to run")
 def test_largest_b_system_rank():
     sys_b = coefficient_system(elementary_abelian_group(3, 4), "X3", "B")
     assert sys_b.total == 9372
