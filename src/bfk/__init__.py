@@ -23,14 +23,12 @@ from .claims import CAMPAIGNS, CLAIMS, Claim, claim
 from .groups import (
     FiniteGroup,
     analysis,
-    classify_group,
     cyclic_group,
     direct_product,
     elementary_abelian_group,
     extraspecial_group,
     group_from_spec,
     parse_descriptor,
-    sections_in_class,
 )
 from .limits import (
     CoefficientSystem,
@@ -57,7 +55,6 @@ __all__ = [
     "cached_inverse_limit",
     "catalog_groups",
     "claim",
-    "classify_group",
     "coefficient_system",
     "comparison_report",
     "counit_kernel_report",
@@ -74,5 +71,4 @@ __all__ = [
     "recheck",
     "run_campaign",
     "section_family",
-    "sections_in_class",
 ]

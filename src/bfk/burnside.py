@@ -5,9 +5,10 @@ deterministic order of the lattice analysis. Everything about an element is
 a column vector over that basis; maps act as matrix-times-column.
 
 Fixed-point counts against cyclic subgroups linearize the ring; the kernel
-of that linearization is the lattice this package mostly studies. Bisets act
-through orbit counting, with closed-form fast paths for the standard
-induce/inflate and restrict/deflate maps along sections.
+of that linearization is the lattice this package mostly studies. Concrete
+bisets act through orbit counting; the sums of kernels induced from the
+sections of a family are read off the families' section slots, with no
+quotient group built.
 """
 
 from __future__ import annotations
@@ -17,14 +18,7 @@ import threading
 import numpy as np
 
 from .bisets import ConcreteBiset, opposite
-from .groups import (
-    FiniteGroup,
-    GroupAnalysis,
-    Section,
-    analysis,
-    classify_group,
-    product_members,
-)
+from .groups import FiniteGroup, analysis, product_members, section_shape
 from .zlinalg import (
     IntegerLattice,
     LatticeBuilder,
@@ -99,13 +93,17 @@ def linearization_kernel(G: FiniteGroup) -> IntegerLattice:
 # ---------------------------------------------------------------------------
 # distinguished kernel elements
 
+def _whole_group_shape(G: FiniteGroup) -> tuple:
+    ana = analysis(G)
+    return section_shape(ana, ana.n_sub - 1, 0)
+
+
 def rank_two_kernel_element(G: FiniteGroup) -> np.ndarray:
     """For an elementary abelian group of rank 2: the generator of the
     linearization kernel, with the point orbit weighted 1, each index-p
     orbit weighted -1, and the trivial orbit weighted p."""
     p = G.prime
-    lab = classify_group(G)
-    if not (lab.kind == "elab" and lab.rank == 2):
+    if _whole_group_shape(G) != ("elab", 2):
         raise ValueError("needs an elementary abelian group of rank 2")
     rd = ring_data(G)
     coeffs = [1 if order == 1 else (-1 if order == p else p)
@@ -118,7 +116,7 @@ def extraspecial_kernel_element(G: FiniteGroup, first: int = 0,
     """For the extraspecial group of order p^3 and exponent p: the kernel
     element supported on two chosen non-central order-p classes and the
     maximal subgroups they generate with the center."""
-    if classify_group(G).kind != "xsp":
+    if _whole_group_shape(G)[0] != "xsp":
         raise ValueError("needs the extraspecial group of exponent p")
     rd = ring_data(G)
     ana = rd.ana
@@ -174,21 +172,6 @@ def biset_matrix(U: ConcreteBiset) -> np.ndarray:
     out = obj_zeros(dq.n_classes, dp.n_classes)
     for j, tm in enumerate(dp.reps_members):
         out[:, j] = act_on_basis_element(U, tm, dq)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# closed-form maps along sections
-
-def indinf_class_matrix(anaP: GroupAnalysis, sec: Section) -> np.ndarray:
-    """Induce from the top after inflating from the section quotient:
-    each quotient orbit goes to the orbit of its preimage subgroup."""
-    dp = ring_data(anaP.group)
-    dq = ring_data(sec.group)
-    out = obj_zeros(dp.n_classes, dq.n_classes)
-    for j, wbar in enumerate(dq.reps_members):
-        w = sec.preimage(wbar)
-        out[dp.class_position(w), j] = 1
     return out
 
 
@@ -255,18 +238,25 @@ def dual_exactness_report(G: FiniteGroup) -> dict:
 # ---------------------------------------------------------------------------
 # sums of induced kernels
 
-def sum_of_induced_kernels(G: FiniteGroup, sections) -> IntegerLattice:
-    """Sublattice of the kernel spanned by the images of all the given
-    sections' kernels under induce-after-inflate."""
-    ana = analysis(G)
+def sum_of_induced_kernels(G: FiniteGroup, label: str) -> IntegerLattice:
+    """Sublattice of the kernel spanned by the images of the kernels of
+    the quotients of all sections in the labeled family under
+    induce-after-inflate.
+
+    Each quotient kernel is its section slot's mark kernel, written over
+    the slot's classes of intermediate subgroups S <= W <= T; inducing
+    after inflating sends the class of W/S to the class of W in G.
+    """
+    from .limits import _selection_matrix, _slot_kernel, section_family
+
+    family = section_family(G, label)
     rd = ring_data(G)
     lb = LatticeBuilder(rd.n_classes)
-    for sec in sections:
-        sub_rd = ring_data(sec.group)
-        sub_kernel = sub_rd.kernel()
-        if sub_kernel.rank == 0:
+    for slot in family.slots:
+        kern, _ = _slot_kernel(family, slot)
+        if not len(kern):
             continue
-        M = indinf_class_matrix(ana, sec)
-        for b in sub_kernel.basis:
-            lb.add(M @ b)
+        up = _selection_matrix(family.ana.class_of_sub[slot.classes], rd.n_classes)
+        for b in kern @ up.T:
+            lb.add(b)
     return lattice_from_rows(rd.n_classes, lb.hnf())

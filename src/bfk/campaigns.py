@@ -42,24 +42,26 @@ from .burnside import (
     dual_action_matrix,
     dual_exactness_report,
     extraspecial_kernel_element,
-    indinf_class_matrix,
     linearization_kernel,
     rank_two_kernel_element,
     ring_data,
     sum_of_induced_kernels,
 )
 from .claims import CAMPAIGNS
-from .groups import analysis, is_prime, parse_descriptor, product_members, sections_in_class
+from .groups import (_derived_closure, analysis, is_prime, parse_descriptor,
+                     product_members, section_shape)
 from .limits import (
     FAMILY_LABELS,
     FUNCTOR_NAMES,
     InverseLimit,
+    SectionSlot,
     coefficient_system,
     comparison_report,
     counit_kernel_report,
     inverse_limit,
     limit_coordinates,
     residual_check,
+    section_family,
 )
 from .transfers import (
     adjunction_minus,
@@ -228,19 +230,34 @@ def _engine_rng(cfg: "RunConfig", desc: str, salt: int) -> np.random.Generator:
     return np.random.default_rng([cfg.seed, _group_key(desc), salt])
 
 
-def _signature_reps(secs, limit: int) -> list:
-    """First section of each (orders, label) shape, up to a count."""
+def _signature_reps(ana, pairs, limit: int) -> list:
+    """First section (ti, si) of each (orders, quotient shape), up to a
+    count."""
     seen = set()
     out = []
-    for sec in secs:
-        sig = (sec.top.order, sec.bottom.order, sec.label.kind, sec.label.rank)
+    for ti, si in pairs:
+        sig = (ana.sizes[ti], ana.sizes[si]) + section_shape(ana, ti, si)
         if sig in seen:
             continue
         seen.add(sig)
-        out.append(sec)
+        out.append((ti, si))
         if len(out) == limit:
             break
     return out
+
+
+def _section(ana, ts):
+    """The concrete section at the pair ts = (ti, si), with its quotient
+    group, for the bisets along it."""
+    ti, si = ts
+    return ana.section_at(ana.subgroup_members[ti], ana.subgroup_members[si])
+
+
+def _x3_quotients(Q, limit: int) -> list:
+    """Concrete sections at the first X3 section of each shape of Q."""
+    fam = section_family(Q, "X3")
+    return [_section(fam.ana, ts)
+            for ts in _signature_reps(fam.ana, fam.sections, limit)]
 
 
 def _sample_indices(rng, n: int, k: int) -> list[int]:
@@ -369,6 +386,18 @@ def _lattice_identity_row(camp, claim, desc, left, right) -> dict:
     return _row(camp, claim, desc, "refuted", witness)
 
 
+def _induced_rank_two(ana, slot: SectionSlot) -> np.ndarray:
+    """Induce-after-inflate image of the rank-two kernel generator of the
+    quotient at an index-p^2 slot: the class of W/S weighs 1, -1 or p by
+    |W|/|S|, and goes to the class of W."""
+    p = ana.group.prime
+    weight = {1: 1, p: -1, p * p: p}
+    out = np.zeros(len(ana.classes), dtype=object)
+    for w in slot.classes:
+        out[ana.class_of_sub[w]] += weight[int(ana.sizes[w] // ana.sizes[slot.si])]
+    return out
+
+
 def _delta_identity_row(cfg: RunConfig, factor: int | None = None) -> dict:
     """Difference of two induced generators against the scaled kernel element.
 
@@ -386,10 +415,7 @@ def _delta_identity_row(cfg: RunConfig, factor: int | None = None) -> dict:
     inds = []
     for pos in noncentral[:2]:
         J = product_members(G, rd.reps_members[pos], sorted(center))
-        sec = ana.section_at(J, [0])
-        M = np.asarray(indinf_class_matrix(ana, sec), dtype=object)
-        eps = np.asarray(rank_two_kernel_element(sec.group), dtype=object)
-        inds.append(M @ eps)
+        inds.append(_induced_rank_two(ana, SectionSlot(ana, ana.index_of(J), 0)))
     scale = p if factor is None else int(factor)
     delta = np.asarray(extraspecial_kernel_element(G, 0, 1), dtype=object)
     left = inds[1] - inds[0]
@@ -427,19 +453,16 @@ def _induction_rows(desc: str, cfg: RunConfig) -> list[dict]:
     rows = []
 
     kern = linearization_kernel(G)
-    x2_sum = sum_of_induced_kernels(G, sections_in_class(G, "X2"))
+    x2_sum = sum_of_induced_kernels(G, "X2")
     rows.append(_lattice_identity_row(
         "induction", "induction-kernel-matches-x2-sum", desc, kern, x2_sum))
 
-    e2 = sections_in_class(G, "E2")
     lb = LatticeBuilder(kern.ambient)
-    for sec in e2:
-        if sec.label.rank != 2:
-            continue
-        M = np.asarray(indinf_class_matrix(ana, sec), dtype=object)
-        lb.add(M @ np.asarray(rank_two_kernel_element(sec.group), dtype=object))
+    for slot in section_family(G, "E2").slots:
+        if slot.index(ana) == p * p:
+            lb.add(_induced_rank_two(ana, slot))
     eps_part = lattice_from_rows(kern.ambient, lb.hnf())
-    e2_sum = sum_of_induced_kernels(G, e2)
+    e2_sum = sum_of_induced_kernels(G, "E2")
     rows.append(_lattice_identity_row(
         "induction", "induction-eps-part-matches-e2-sum", desc, eps_part, e2_sum))
 
@@ -498,7 +521,7 @@ def _exact_rows(desc: str, cfg: RunConfig) -> list[dict]:
     rows.append(_row("exact", "dual-quotient-free", desc,
                      "verified" if ok else "refuted", witness))
 
-    secs = _signature_reps(sections_in_class(G, "X3"), 3)
+    secs = _x3_quotients(G, 3)
     char_g = character_dual_sublattice(G)
     checked = 0
     failure = None
@@ -575,10 +598,10 @@ def _small_x3_iso(desc: str, p: int) -> bool:
     return bool(comparison_report(lim)["is_isomorphism"])
 
 
-def _section_type_descriptor(label, p: int) -> str:
-    if label.kind == "xsp":
+def _section_type_descriptor(shape, p: int) -> str:
+    kind, r = shape
+    if kind == "xsp":
         return f"xsp:{p}"
-    r = label.rank
     if r == 0:
         return "cyclic:1"
     if r == 1:
@@ -685,10 +708,11 @@ def _main_rows(desc: str, cfg: RunConfig) -> list[dict]:
     # bounded-family isomorphism at every smaller section type forces the
     # bounded-family isomorphism at the group
     x_label = "E" if G.is_abelian else "X"
+    ana = analysis(G)
     types = set()
-    for sec in sections_in_class(G, x_label):
-        if sec.top.order // sec.bottom.order < G.order:
-            types.add(_section_type_descriptor(sec.label, p))
+    for ti, si in section_family(G, x_label).sections:
+        if ana.sizes[ti] // ana.sizes[si] < G.order:
+            types.add(_section_type_descriptor(section_shape(ana, ti, si), p))
     sub_types = sorted(types)
     premise_group = bool(reports["X"]["is_isomorphism"])
     premise_subs = all(_small_x3_iso(t, p) for t in sub_types)
@@ -770,29 +794,29 @@ def _is_normal_inside(Q, sub, top) -> bool:
     return all(Q.mul(Q.mul(t, s), Q.inv_of(t)) in sset for t in top for s in sub)
 
 
-# content hash of a group -> fingerprints of all its sections; shared by
-# equal groups built apart, and it holds no group
-_SUBQUOTIENT_FPS: dict[str, set] = {}
+def _fingerprint(ana, ti: int, si: int) -> tuple:
+    """Order, commutativity and sorted element orders of the quotient of
+    section (ti, si), read on the ambient group: the coset tS has order
+    the least p^k with t^(p^k) in S, and each coset has |S| members."""
+    in_s = ana.member_mask[si].astype(bool)
+    x = np.asarray(ana.subgroup_members[ti])
+    orders = np.ones(len(x), dtype=np.int64)
+    live = ~in_s[x]
+    while live.any():
+        orders[live] *= ana.group.prime
+        x = ana.pth_power[x]
+        live = ~in_s[x]
+    return (int(ana.sizes[ti] // ana.sizes[si]),
+            _derived_closure(ana, ti) <= ana.member_sets[si],
+            tuple(np.sort(orders)[::ana.sizes[si]].tolist()))
 
 
-def _fingerprint(Q) -> tuple:
-    return (Q.order, bool(Q.is_abelian),
-            tuple(sorted(int(o) for o in Q.element_orders())))
-
-
-def _subquotient_fps(R) -> set:
-    key = R.content_hash()
-    fps = _SUBQUOTIENT_FPS.get(key)
-    if fps is None:
-        fps = {_fingerprint(sec.group) for sec in analysis(R).sections()}
-        _SUBQUOTIENT_FPS[key] = fps
-    return fps
-
-
-def _transporter_pool(G, ana, secs_x3) -> list:
-    """A few induce-after-inflate bisets with varied shapes."""
-    picks = _signature_reps(secs_x3, 4)
-    return [indinf_biset(sec) for sec in picks]
+def _subquotient_fps(ana, ti: int, si: int) -> set:
+    """Fingerprints of every section of the quotient T/S: those of the
+    sections (T', S') of the ambient group with S <= S' and T' <= T."""
+    tops = np.flatnonzero(ana.leq[si] & ana.leq[:, ti])
+    return {_fingerprint(ana, t, s) for t in tops.tolist()
+            for s in np.flatnonzero(ana.normal[:, t] & ana.leq[si]).tolist()}
 
 
 def _appendix_transporter_rows(desc, cfg, G, ana, pool, small, rng) -> list[dict]:
@@ -880,7 +904,8 @@ def _appendix_transporter_rows(desc, cfg, G, ana, pool, small, rng) -> list[dict
 def _appendix_section_transport_rows(desc, cfg, G, ana, pool, secs_x3,
                                      small, rng) -> list[dict]:
     rows = []
-    sec_choices = _signature_reps(secs_x3, 3)
+    sec_choices = [(ti, si, _subquotient_fps(ana, ti, si))
+                   for ti, si in _signature_reps(ana, secs_x3, 3)]
     cases_b = 0
     fail_b = None
     cases_bp = 0
@@ -894,26 +919,23 @@ def _appendix_section_transport_rows(desc, cfg, G, ana, pool, secs_x3,
             pts = list(range(U.size))
         else:
             pts = _sample_indices(rng, U.size, 4)
-        for sec in sec_choices:
+        for ti, si, fps in sec_choices:
             if fail_b or fail_bp:
                 break
-            tmem = list(sec.top.members)
-            smem = list(sec.bottom.members)
-            fps = _subquotient_fps(sec.group)
+            tmem = list(ana.subgroup_members[ti])
+            smem = list(ana.subgroup_members[si])
             for u in pts:
                 tq = right_transporter(U, tmem, u)
                 sq = right_transporter(U, smem, u)
                 case = {"biset": U.name, "point": int(u),
-                        "top_order": sec.top.order,
-                        "bottom_order": sec.bottom.order}
+                        "top_order": len(tmem), "bottom_order": len(smem)}
                 if not (_is_subgroup(Q, tq) and _is_subgroup(Q, sq)
                         and set(sq) <= set(tq)
                         and _is_normal_inside(Q, sq, tq)):
                     fail_b = (case, _ints(sq), _ints(tq))
                     break
                 cases_b += 1
-                qsec = ana_q.section_at(tq, sq)
-                fp = _fingerprint(qsec.group)
+                fp = _fingerprint(ana_q, ana_q.index_of(tq), ana_q.index_of(sq))
                 if fp not in fps:
                     fail_bp = (case, [fp[0], fp[1], list(fp[2])],
                                sorted([f[0], f[1], list(f[2])] for f in fps))
@@ -1005,25 +1027,23 @@ def _appendix_quotient_collapse_rows(desc, cfg, G, ana, secs_x3, small,
                  for i in _sample_indices(rng, len(normal_cands), 10)]
         sec_limit = 4
     sec_picks = _signature_reps(
-        [s for s in secs_x3 if s.bottom.order > 1 or s.top.order < G.order],
+        ana, [(t, s) for t, s in secs_x3
+             if ana.sizes[s] > 1 or ana.sizes[t] < G.order],
         sec_limit)
     cases = 0
     failure = None
     for cmem in picks:
         if failure:
             break
-        for secv in sec_picks:
+        for ts in sec_picks:
             if failure:
                 break
-            V = indinf_biset(secv)
+            V = indinf_biset(_section(ana, ts))
             Vq = left_quotient_biset(V, cmem)
             Q1 = V.right_group
             ak = [b for b in range(Q1.order)
                   if all(int(Vq.right[x, b]) == x for x in range(Vq.size))]
-            ana1 = analysis(Q1)
-            inner = _signature_reps(sections_in_class(Q1, "X3"),
-                                    2 if small else 4)
-            for secu in inner:
+            for secu in _x3_quotients(Q1, 2 if small else 4):
                 U = indinf_biset(secu)
                 lhs = compose(Vq, left_quotient_biset(U, ak))
                 rhs = left_quotient_biset(compose(V, U), cmem)
@@ -1084,16 +1104,19 @@ def _appendix_unit_component_rows(desc, cfg, G, small) -> list[dict]:
     return rows
 
 
-def _appendix_limit_action_rows(desc, cfg, G, secs_x3, small, rng) -> list[dict]:
+def _appendix_limit_action_rows(desc, cfg, G, ana, secs_x3, small,
+                                rng) -> list[dict]:
     rows = []
     functors = ("B", "K") if small else ("K",)
-    proper = [s for s in secs_x3
-              if s.top.order // s.bottom.order < G.order or s.bottom.order == 1]
+    sizes = ana.sizes
+    proper = [(t, s) for t, s in secs_x3
+              if sizes[t] // sizes[s] < G.order or sizes[s] == 1]
     if small:
-        sec_picks = _signature_reps(proper, 4)
+        sec_picks = _signature_reps(ana, proper, 4)
     else:
-        reps = _signature_reps(proper, 8)
+        reps = _signature_reps(ana, proper, 8)
         sec_picks = [reps[i] for i in _sample_indices(rng, len(reps), 3)]
+    sec_picks = [_section(ana, ts) for ts in sec_picks]
 
     cases = 0
     failure = None
@@ -1179,15 +1202,18 @@ def _appendix_identity_action_rows(desc, cfg, G, small) -> list[dict]:
     return rows
 
 
-def _appendix_composite_action_rows(desc, cfg, G, secs_x3, small, rng) -> list[dict]:
+def _appendix_composite_action_rows(desc, cfg, G, ana, secs_x3, small,
+                                    rng) -> list[dict]:
     rows = []
     functors = ("B", "K") if small else ("K",)
-    outer_all = [s for s in secs_x3 if s.top.order // s.bottom.order < G.order]
+    outer_all = [(t, s) for t, s in secs_x3
+                 if ana.sizes[t] // ana.sizes[s] < G.order]
     if small:
-        outers = _signature_reps(outer_all, 3)
+        outers = _signature_reps(ana, outer_all, 3)
     else:
-        reps = _signature_reps(outer_all, 6)
+        reps = _signature_reps(ana, outer_all, 6)
         outers = [reps[i] for i in _sample_indices(rng, len(reps), 2)]
+    outers = [_section(ana, ts) for ts in outers]
 
     cases = 0
     pairs = 0
@@ -1206,8 +1232,7 @@ def _appendix_composite_action_rows(desc, cfg, G, secs_x3, small, rng) -> list[d
             U = defres_biset(sec1)
             sys1 = coefficient_system(Q1, "X3", functor)
             M1 = act_on_limit_matrix(U, sys1, sys0)
-            inner = _signature_reps(sections_in_class(Q1, "X3"), 2)
-            for sec2 in inner:
+            for sec2 in _x3_quotients(Q1, 2):
                 V = defres_biset(sec2)
                 sys2 = coefficient_system(sec2.group, "X3", functor)
                 M2 = act_on_limit_matrix(V, sys2, sys1)
@@ -1320,8 +1345,9 @@ def _appendix_rows(desc: str, cfg: RunConfig) -> list[dict]:
     G = parse_descriptor(desc, cfg.p)
     ana = analysis(G)
     small = G.order <= 27
-    secs_x3 = sections_in_class(G, "X3")
-    pool = _transporter_pool(G, ana, secs_x3)
+    secs_x3 = section_family(G, "X3").sections
+    # a few induce-after-inflate bisets with varied shapes
+    pool = [indinf_biset(sec) for sec in _x3_quotients(G, 4)]
     rows = []
     rows += _appendix_transporter_rows(
         desc, cfg, G, ana, pool, small, _engine_rng(cfg, desc, 1))
@@ -1333,10 +1359,10 @@ def _appendix_rows(desc: str, cfg: RunConfig) -> list[dict]:
         desc, cfg, G, ana, secs_x3, small, _engine_rng(cfg, desc, 4))
     rows += _appendix_unit_component_rows(desc, cfg, G, small)
     rows += _appendix_limit_action_rows(
-        desc, cfg, G, secs_x3, small, _engine_rng(cfg, desc, 5))
+        desc, cfg, G, ana, secs_x3, small, _engine_rng(cfg, desc, 5))
     rows += _appendix_identity_action_rows(desc, cfg, G, small)
     rows += _appendix_composite_action_rows(
-        desc, cfg, G, secs_x3, small, _engine_rng(cfg, desc, 6))
+        desc, cfg, G, ana, secs_x3, small, _engine_rng(cfg, desc, 6))
     rows += _appendix_adjunction_rows(
         desc, cfg, G, small, _engine_rng(cfg, desc, 7))
     return rows

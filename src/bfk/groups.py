@@ -12,7 +12,7 @@ import hashlib
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -167,51 +167,32 @@ class Subgroup:
         return f"Subgroup(order={self.order}, members={self.members})"
 
 
-@dataclass(frozen=True)
-class SectionClassLabel:
-    kind: str                 # "elab" | "xsp" | "other"
-    rank: int | None          # log_p order for elab, else None
-
-    @property
-    def is_elementary_abelian(self) -> bool:
-        return self.kind == "elab"
-
-    @property
-    def is_extraspecial_exp_p(self) -> bool:
-        return self.kind == "xsp"
-
-
 class Section:
-    """A pair S normal-in T of subgroups of one parent, with its quotient.
+    """A pair S normal-in T of subgroups of one parent, with its quotient
+    built as a group of its own, for the concrete bisets along it.
 
     quotient elements are cosets of S in T, ordered by least parent member,
     so element 0 is the coset S. proj maps parent elements of T to quotient
     indices (-1 outside T); reps holds the least member of each coset.
     """
 
-    __slots__ = ("top", "bottom", "group", "proj", "reps", "label", "key")
+    __slots__ = ("top", "bottom", "group", "proj", "reps", "key")
 
     def __init__(self, top: Subgroup, bottom: Subgroup, group: FiniteGroup,
-                 proj: np.ndarray, reps: list[int], label: SectionClassLabel):
+                 proj: np.ndarray, reps: list[int]):
         self.top = top
         self.bottom = bottom
         self.group = group
         self.proj = proj
         self.reps = reps
-        self.label = label
         self.key = (top.members, bottom.members)
 
     @property
     def parent(self) -> FiniteGroup:
         return self.top.parent
 
-    def preimage(self, quotient_members: Iterable[int]) -> tuple:
-        want = set(int(m) for m in quotient_members)
-        return tuple(t for t in self.top.members if int(self.proj[t]) in want)
-
     def __repr__(self):
-        return (f"Section(|T|={self.top.order}, |S|={self.bottom.order}, "
-                f"label={self.label.kind}:{self.label.rank})")
+        return f"Section(|T|={self.top.order}, |S|={self.bottom.order})"
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +393,10 @@ class GroupAnalysis:
             if np.array_equal(G.table[x], G.table[:, x]))
 
         self._moebius_memo: dict[tuple, int] = {}
-        self._section_list: list[Section] | None = None
-        self._section_index: dict | None = None
-        self._section_lock = threading.Lock()
-        # results of other layers, kept here so they live as long as G
+        self._quotients: dict[tuple, Section] = {}
         self._power_memo: dict[int, frozenset] = {}
         self._derived_memo: dict[int, frozenset] = {}
+        # results of other layers, kept here so they live as long as G
         self._families: dict = {}        # label -> limits.SectionFamily
         self._ring_data = None           # burnside.RingData
 
@@ -549,13 +528,7 @@ class GroupAnalysis:
             inter &= self.member_sets[j]
         return self.index_of(sorted(inter))
 
-    # -- sections ------------------------------------------------------------
-
-    def _build_sections(self):
-        out = [self._make_section(ti, si) for ti in range(self.n_sub)
-               for si in np.flatnonzero(self.normal[:, ti]).tolist()]
-        self._section_list = out
-        self._section_index = {sec.key: k for k, sec in enumerate(out)}
+    # -- concrete section quotients ------------------------------------------
 
     def _make_section(self, ti: int, si: int) -> Section:
         G = self.group
@@ -574,23 +547,18 @@ class GroupAnalysis:
         for a, ra in enumerate(reps):
             qt[a, :] = proj[G.table[ra, np.array(reps, dtype=np.int32)]]
         q = FiniteGroup(G.prime, qt, name=f"{G.name}.sec{ti}.{si}", validate=False)
-        label = classify_group(q)
-        return Section(self.subgroup(ti), self.subgroup(si), q, proj, reps, label)
-
-    def sections(self) -> list[Section]:
-        if self._section_list is None:
-            with self._section_lock:
-                if self._section_list is None:
-                    self._build_sections()
-        return self._section_list
+        return Section(self.subgroup(ti), self.subgroup(si), q, proj, reps)
 
     def section_at(self, t_members, s_members) -> Section:
-        self.sections()
-        key = (tuple(sorted(t_members)), tuple(sorted(s_members)))
-        try:
-            return self._section_list[self._section_index[key]]
-        except KeyError:
-            raise ValueError("no such section") from None
+        """The section (T, S) with its quotient group, built on the first
+        request and kept, so every caller gets the same quotient object."""
+        key = (self.index_of(t_members), self.index_of(s_members))
+        if not self.normal[key[1], key[0]]:
+            raise ValueError("no such section")
+        sec = self._quotients.get(key)
+        if sec is None:
+            sec = self._quotients.setdefault(key, self._make_section(*key))
+        return sec
 
 
 def analysis(G: FiniteGroup, bound: int | None = None) -> GroupAnalysis:
@@ -618,38 +586,47 @@ def center(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, ana.center_members)
 
 
-def classify_group(q: FiniteGroup) -> SectionClassLabel:
-    p = q.prime
-    if q.is_abelian and q.exponent in (1, p):
-        rank = _check_prime_power(q.order, p)
-        return SectionClassLabel("elab", rank)
-    if q.order == p ** 3 and not q.is_abelian and q.exponent == p:
-        return SectionClassLabel("xsp", None)
-    return SectionClassLabel("other", None)
+def _power_closure(ana: GroupAnalysis, ti: int) -> frozenset:
+    """Subgroup generated by the p-th powers of the members of subgroup ti."""
+    got = ana._power_memo.get(ti)
+    if got is None:
+        m = np.asarray(ana.subgroup_members[ti], dtype=np.int32)
+        got = frozenset(_closure(ana.group.table,
+                                 np.flatnonzero(np.bincount(ana.pth_power[m]))))
+        ana._power_memo[ti] = got
+    return got
 
 
-# the named section classes; every one is closed under subquotients
-SECTION_CLASSES: dict[str, Callable[[SectionClassLabel], bool]] = {
-    "E":  lambda lab: lab.is_elementary_abelian,
-    "E2": lambda lab: lab.is_elementary_abelian and lab.rank <= 2,
-    "E3": lambda lab: lab.is_elementary_abelian and lab.rank <= 3,
-    "X":  lambda lab: lab.is_elementary_abelian or lab.is_extraspecial_exp_p,
-    "X2": lambda lab: (lab.is_elementary_abelian and lab.rank <= 2)
-                      or lab.is_extraspecial_exp_p,
-    "X3": lambda lab: (lab.is_elementary_abelian and lab.rank <= 3)
-                      or lab.is_extraspecial_exp_p,
-}
+def _derived_closure(ana: GroupAnalysis, ti: int) -> frozenset:
+    """Commutator subgroup of subgroup ti."""
+    got = ana._derived_memo.get(ti)
+    if got is None:
+        table, inv = ana.group.table, ana.group.inv
+        m = np.asarray(ana.subgroup_members[ti], dtype=np.int32)
+        # comms[a, b] = (a^-1 b^-1)(a b)
+        comms = table[table[inv[m][:, None], inv[m][None, :]],
+                      table[m[:, None], m[None, :]]]
+        got = frozenset(_closure(table, np.flatnonzero(np.bincount(comms.ravel()))))
+        ana._derived_memo[ti] = got
+    return got
 
 
-def sections_in_class(G: FiniteGroup, klass) -> list[Section]:
-    """All sections of G whose quotient label satisfies the class.
+def section_shape(ana: GroupAnalysis, ti: int, si: int) -> tuple:
+    """Shape of the quotient T/S of a section (si normal in ti), read on
+    the ambient group: ("elab", rank), ("xsp", None) for the extraspecial
+    group of order p^3 and exponent p, or ("other", None).
 
-    klass is a name from SECTION_CLASSES or a predicate on SectionClassLabel.
-    The full list (not class representatives) in deterministic order.
+    T/S has exponent p iff the p-th power closure of T lies in S, and it
+    is abelian iff the derived subgroup of T does.  A nonabelian group of
+    order p^3 and exponent p is the extraspecial one.
     """
-    pred = SECTION_CLASSES[klass] if isinstance(klass, str) else klass
-    ana = analysis(G)
-    return [sec for sec in ana.sections() if pred(sec.label)]
+    index = int(ana.sizes[ti] // ana.sizes[si])
+    s_set = ana.member_sets[si]
+    if index > 1 and not _power_closure(ana, ti) <= s_set:
+        return ("other", None)
+    if index == 1 or _derived_closure(ana, ti) <= s_set:
+        return ("elab", _check_prime_power(index, ana.group.prime))
+    return ("xsp", None) if index == ana.group.prime ** 3 else ("other", None)
 
 
 def product_members(G: FiniteGroup, a_members: Sequence[int],

@@ -23,87 +23,33 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groups import (SECTION_CLASSES, FiniteGroup, GroupAnalysis, analysis,
-                     _closure)
+from .groups import FiniteGroup, GroupAnalysis, analysis, section_shape
 from .zlinalg import (LatticeBuilder, _batches, _exact_matmul, _i64_absmax,
                       _restrict_moves, _stack_shared, hnf_pivots, kernel_basis,
                       obj_zeros, sparse_kernel_basis, sparse_snf_invariants)
 from .burnside import ring_data
 
-FAMILY_LABELS = tuple(SECTION_CLASSES)
+# label semantics, encoded in family_contains alone: E* keeps the sections
+# whose quotient is elementary abelian (digit = rank cap, no digit =
+# unbounded), X* additionally the one whose quotient is extraspecial of
+# order p^3 and exponent p; section_shape reads both off the ambient group
+FAMILY_LABELS = ("E", "E2", "E3", "X", "X2", "X3")
 FUNCTOR_NAMES = ("B", "K", "Bdual", "Kdual")
-
-# label semantics: E* keeps elementary abelian quotients (digit = rank cap,
-# no digit = unbounded), X* additionally keeps the extraspecial exponent-p
-# quotient of order p^3.
 
 
 class FamilyError(ValueError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# subgroup shape memos on the ambient analysis
-
-
-def _power_closure(ana: GroupAnalysis, ti: int) -> frozenset:
-    """Subgroup generated by the p-th powers of the members of subgroup ti."""
-    got = ana._power_memo.get(ti)
-    if got is None:
-        m = np.asarray(ana.subgroup_members[ti], dtype=np.int32)
-        got = frozenset(_closure(ana.group.table,
-                                 np.flatnonzero(np.bincount(ana.pth_power[m]))))
-        ana._power_memo[ti] = got
-    return got
-
-
-def _derived_closure(ana: GroupAnalysis, ti: int) -> frozenset:
-    """Commutator subgroup of subgroup ti."""
-    got = ana._derived_memo.get(ti)
-    if got is None:
-        table, inv = ana.group.table, ana.group.inv
-        m = np.asarray(ana.subgroup_members[ti], dtype=np.int32)
-        # comms[a, b] = (a^-1 b^-1)(a b)
-        comms = table[table[inv[m][:, None], inv[m][None, :]],
-                      table[m[:, None], m[None, :]]]
-        got = frozenset(_closure(table, np.flatnonzero(np.bincount(comms.ravel()))))
-        ana._derived_memo[ti] = got
-    return got
-
-
 def family_contains(ana: GroupAnalysis, ti: int, si: int, label: str) -> bool:
     """Does the quotient of section (ti, si) belong to the labeled family?
-
-    Assumes (ti, si) is a section: si normal in ti.  The tests reduce to
-    two containments: the quotient has exponent p iff the p-th power
-    closure of T lies in S, and it is abelian iff the derived subgroup
-    does.  Order p^3 with exponent p and nonabelian is exactly the
-    extraspecial member.
-    """
+    Assumes (ti, si) is a section: si normal in ti."""
     if label not in FAMILY_LABELS:
         raise FamilyError(f"unknown family label {label!r}")
-    p = ana.group.prime
-    index = len(ana.subgroup_members[ti]) // len(ana.subgroup_members[si])
-    s_set = ana.member_sets[si]
-    if index == 1:
-        return True
-    if not _power_closure(ana, ti) <= s_set:
-        return False
-    abelian = _derived_closure(ana, ti) <= s_set
-    if label == "E":
-        return abelian
-    if label == "E2":
-        return abelian and index <= p * p
-    if label == "E3":
-        return abelian and index <= p ** 3
-    if label == "X3":
-        # rank <= 3 elementary abelian, or the extraspecial quotient;
-        # exponent p forces one of the two once the index caps at p^3
-        return index <= p ** 3
-    if label == "X2":
-        return (abelian and index <= p * p) or (not abelian and index == p ** 3)
-    # label == "X"
-    return abelian or index == p ** 3
+    kind, rank = section_shape(ana, ti, si)
+    if kind == "xsp":
+        return label[0] == "X"
+    return kind == "elab" and (len(label) == 1 or rank <= int(label[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,11 @@ raw constraint rows, are the reference the sparse limit solver and
 `kernel_basis` are checked against.  The per-subgroup walks at the end
 (conjugates one tuple at a time, marks by walking the group, union-find
 slot classes, double-coset defres) are the references for the reads off
-the conjugation table `GroupAnalysis.conj_sub`.
+the conjugation table `GroupAnalysis.conj_sub`.  The quotient-based
+section rule (`classify_quotient`, `QUOTIENT_CLASSES`), `preimage` and
+`indinf_class_matrix` work on built quotient groups; they are the
+references for `section_shape`, `family_contains` and the slot-based
+induced kernel sums.
 """
 
 from typing import Iterable, Sequence
@@ -17,7 +21,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from bfk.bisets import ConcreteBiset, defres_biset, indinf_biset
-from bfk.groups import _closure, product_members
+from bfk.burnside import ring_data
+from bfk.groups import _check_prime_power, _closure, product_members
 from bfk.limits import CoefficientSystem, family_contains
 from bfk.zlinalg import _exact_matmul, coords_in_hnf, obj_matrix, obj_zeros, xgcd
 
@@ -41,6 +46,53 @@ def validate_biset(U: ConcreteBiset) -> ConcreteBiset:
         if not np.array_equal(U.right[U.right[:, p1], :], U.right[:, P.table[p1]]):
             raise ValueError("right action fails associativity")
     return U
+
+
+def all_sections(ana) -> list:
+    """Every section (T, S) of the analysed group with its quotient built,
+    in (top index, bottom index) order."""
+    subs = ana.subgroup_members
+    return [ana.section_at(subs[ti], subs[si]) for ti in range(ana.n_sub)
+            for si in np.flatnonzero(ana.normal[:, ti]).tolist()]
+
+
+def classify_quotient(q) -> tuple:
+    """Shape of a built quotient group by its table: ("elab", rank),
+    ("xsp", None) or ("other", None)."""
+    p = q.prime
+    if q.is_abelian and q.exponent in (1, p):
+        return ("elab", _check_prime_power(q.order, p))
+    if q.order == p ** 3 and not q.is_abelian and q.exponent == p:
+        return ("xsp", None)
+    return ("other", None)
+
+
+# each family label as a predicate on the shape of a built quotient
+QUOTIENT_CLASSES = {
+    "E":  lambda kind, rank: kind == "elab",
+    "E2": lambda kind, rank: kind == "elab" and rank <= 2,
+    "E3": lambda kind, rank: kind == "elab" and rank <= 3,
+    "X":  lambda kind, rank: kind in ("elab", "xsp"),
+    "X2": lambda kind, rank: (kind == "elab" and rank <= 2) or kind == "xsp",
+    "X3": lambda kind, rank: (kind == "elab" and rank <= 3) or kind == "xsp",
+}
+
+
+def preimage(sec, quotient_members: Iterable[int]) -> tuple:
+    """Members of the top of sec that project into the given cosets."""
+    want = set(int(m) for m in quotient_members)
+    return tuple(t for t in sec.top.members if int(sec.proj[t]) in want)
+
+
+def indinf_class_matrix(ana, sec) -> np.ndarray:
+    """Induce from the top after inflating from the built quotient: each
+    quotient orbit goes to the orbit of its preimage subgroup."""
+    dp = ring_data(ana.group)
+    dq = ring_data(sec.group)
+    out = obj_zeros(dp.n_classes, dq.n_classes)
+    for j, wbar in enumerate(dq.reps_members):
+        out[dp.class_position(preimage(sec, wbar)), j] = 1
+    return out
 
 
 def normalizer(ana, members) -> tuple:

@@ -12,7 +12,6 @@ from bfk.groups import (
     Subgroup,
     analysis,
     center,
-    classify_group,
     cyclic_group,
     default_order_bound,
     direct_product,
@@ -21,11 +20,12 @@ from bfk.groups import (
     group_from_table,
     load_group_file,
     parse_descriptor,
-    sections_in_class,
+    section_shape,
     trivial_group,
 )
 from bfk.groups import _closure
-from helpers import conjugate_members, double_coset_reps
+from bfk.limits import section_family
+from helpers import all_sections, conjugate_members, double_coset_reps, preimage
 
 
 def naive_closure(G, gens):
@@ -225,7 +225,7 @@ def test_meet_and_join_tables_match_member_sets(desc):
 
 def test_normalizers_of_section_quotients_by_direct_conjugation():
     G = parse_descriptor("prod:xsp:3,cyclic:3")
-    secs = analysis(G).sections()
+    secs = all_sections(analysis(G))
     picked = [sec for sec in secs if not sec.group.is_abelian][::3]
     assert len({sec.group.order for sec in picked}) == 2
     picked.append(next(sec for sec in secs if sec.group.order == 9))
@@ -323,24 +323,29 @@ def test_normality_and_normalizer():
     assert conjugate_members(ana, y, ana.subgroup_members[nc]) != ana.subgroup_members[nc]
 
 
-def test_classify_group():
-    assert classify_group(trivial_group(3)).rank == 0
-    assert classify_group(cyclic_group(3)) == classify_group(cyclic_group(3))
-    assert classify_group(cyclic_group(3)).kind == "elab"
-    assert classify_group(cyclic_group(9)).kind == "other"
-    assert classify_group(elementary_abelian_group(3, 2)).rank == 2
-    assert classify_group(extraspecial_group(3)).kind == "xsp"
-    assert classify_group(direct_product(extraspecial_group(3), cyclic_group(3))).kind == "other"
+def whole_group_shape(G):
+    ana = analysis(G)
+    return section_shape(ana, ana.n_sub - 1, 0)
+
+
+def test_section_shape_of_whole_groups():
+    assert whole_group_shape(trivial_group(3))[1] == 0
+    assert whole_group_shape(cyclic_group(3)) == whole_group_shape(cyclic_group(3))
+    assert whole_group_shape(cyclic_group(3))[0] == "elab"
+    assert whole_group_shape(cyclic_group(9))[0] == "other"
+    assert whole_group_shape(elementary_abelian_group(3, 2))[1] == 2
+    assert whole_group_shape(extraspecial_group(3))[0] == "xsp"
+    assert whole_group_shape(direct_product(extraspecial_group(3), cyclic_group(3)))[0] == "other"
 
 
 def test_sections_of_c3_squared():
     G = elementary_abelian_group(3, 2)
     ana = analysis(G)
-    assert len(ana.sections()) == 15
-    assert len(sections_in_class(G, "E")) == 15
-    assert len(sections_in_class(G, "E2")) == 15
+    assert len(all_sections(ana)) == 15
+    assert len(section_family(G, "E").sections) == 15
+    assert len(section_family(G, "E2").sections) == 15
     # quotient projection is a homomorphism with identity coset first
-    for sec in ana.sections():
+    for sec in all_sections(ana):
         assert sec.proj[sec.top.members[0]] == 0 or sec.top.members[0] != 0
         for a in sec.top.members:
             for b in sec.top.members:
@@ -351,38 +356,41 @@ def test_sections_of_c3_squared():
 
 def test_sections_of_x27():
     X = extraspecial_group(3)
-    secs = sections_in_class(X, "X3")
+    ana = analysis(X)
+    secs = section_family(X, "X3").sections
     assert len(secs) == 58
     by_top = {}
-    for sec in secs:
-        by_top[sec.top.order] = by_top.get(sec.top.order, 0) + 1
+    for ti, _ in secs:
+        by_top[ana.sizes[ti]] = by_top.get(ana.sizes[ti], 0) + 1
     assert by_top == {1: 1, 3: 26, 9: 24, 27: 7}
     # only the full section has an extraspecial quotient
-    xsp = [sec for sec in secs if sec.label.is_extraspecial_exp_p]
+    xsp = [(ti, si) for ti, si in secs if section_shape(ana, ti, si)[0] == "xsp"]
     assert len(xsp) == 1
-    assert xsp[0].top.order == 27 and xsp[0].bottom.order == 1
+    assert ana.sizes[xsp[0][0]] == 27 and ana.sizes[xsp[0][1]] == 1
     # dropping the extraspecial kind loses exactly the X/1 section,
     # and no section here has elementary abelian rank above 2
-    assert len(sections_in_class(X, "E3")) == 57
-    assert len(sections_in_class(X, "E2")) == 57
-    assert len(sections_in_class(X, "E")) == 57
+    assert len(section_family(X, "E3").sections) == 57
+    assert len(section_family(X, "E2").sections) == 57
+    assert len(section_family(X, "E").sections) == 57
 
 
 def test_section_count_c3_4():
     G = elementary_abelian_group(3, 4)
-    assert len(sections_in_class(G, "E")) == 2193
-    assert len(sections_in_class(G, "E3")) == 2192
-    assert len(sections_in_class(G, "X3")) == 2192
+    assert len(section_family(G, "E").sections) == 2193
+    assert len(section_family(G, "E3").sections) == 2192
+    assert len(section_family(G, "X3").sections) == 2192
 
 
 def test_section_quotient_labels():
     X = extraspecial_group(3)
     ana = analysis(X)
     Zm = center(X).members
-    sec = ana.section_at(tuple(range(27)), Zm)
-    assert sec.label.kind == "elab" and sec.label.rank == 2
+    top = ana.n_sub - 1
+    assert section_shape(ana, top, ana.index_of(Zm)) == ("elab", 2)
+    assert section_shape(ana, top, 0) == ("xsp", None)
     full = ana.section_at(range(27), [0])
-    assert full.group.order == 27 and full.label.kind == "xsp"
+    assert full.group.order == 27
+    assert ana.section_at(range(27), [0]) is full
     with pytest.raises(ValueError):
         ana.section_at(tuple(range(27)), (0, 1))
 
@@ -393,7 +401,7 @@ def test_section_preimage_and_image():
     sec = ana.section_at(range(27), [0])
     for members in ana.subgroup_members:
         img = {int(sec.proj[m]) for m in members}
-        assert sec.preimage(img) == members
+        assert preimage(sec, img) == members
 
 
 def test_enumeration_bound():
