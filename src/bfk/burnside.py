@@ -21,7 +21,6 @@ from .bisets import ConcreteBiset, opposite
 from .groups import FiniteGroup, analysis, product_members, section_shape
 from .zlinalg import (
     IntegerLattice,
-    LatticeBuilder,
     hnf,
     kernel_basis,
     lattice_from_rows,
@@ -251,12 +250,9 @@ def sum_of_induced_kernels(G: FiniteGroup, label: str) -> IntegerLattice:
 
     family = section_family(G, label)
     rd = ring_data(G)
-    lb = LatticeBuilder(rd.n_classes)
+    images = [np.empty((0, rd.n_classes), dtype=np.int64)]
     for slot in family.slots:
         kern, _ = _slot_kernel(family, slot)
-        if not len(kern):
-            continue
         up = _selection_matrix(family.ana.class_of_sub[slot.classes], rd.n_classes)
-        for b in kern @ up.T:
-            lb.add(b)
-    return lattice_from_rows(rd.n_classes, lb.hnf())
+        images.append(kern @ up.T)
+    return lattice_from_rows(rd.n_classes, np.vstack(images))

@@ -70,7 +70,7 @@ from .transfers import (
     retraction_identity_holds,
     retraction_matrix,
 )
-from .zlinalg import (LatticeBuilder, _exact_matmul, coords_in_hnf, hnf,
+from .zlinalg import (_exact_matmul, coords_in_hnf, hnf,
                       lattice_from_rows, obj_eye, obj_zeros)
 
 FORMAT_CHOICES = ("json", "csv")
@@ -457,11 +457,9 @@ def _induction_rows(desc: str, cfg: RunConfig) -> list[dict]:
     rows.append(_lattice_identity_row(
         "induction", "induction-kernel-matches-x2-sum", desc, kern, x2_sum))
 
-    lb = LatticeBuilder(kern.ambient)
-    for slot in section_family(G, "E2").slots:
-        if slot.index(ana) == p * p:
-            lb.add(_induced_rank_two(ana, slot))
-    eps_part = lattice_from_rows(kern.ambient, lb.hnf())
+    eps_part = lattice_from_rows(kern.ambient, [
+        _induced_rank_two(ana, slot) for slot in section_family(G, "E2").slots
+        if slot.index(ana) == p * p])
     e2_sum = sum_of_induced_kernels(G, "E2")
     rows.append(_lattice_identity_row(
         "induction", "induction-eps-part-matches-e2-sum", desc, eps_part, e2_sum))
@@ -761,12 +759,18 @@ def _probe_rows(desc: str, cfg: RunConfig) -> list[dict]:
 # appendix campaign: concrete-biset case engines
 
 
-def _census_row(claim: str, desc: str, cases: int, mode: str,
-                extra: dict | None = None) -> dict:
-    witness = {"kind": "case-census", "cases": int(cases), "mode": mode}
-    if extra:
-        witness.update(extra)
-    return _row("appendix", claim, desc, "verified", witness)
+def _outcome(claim: str, desc: str, failure, cases: int, small: bool,
+             extra: dict | None = None) -> list[dict]:
+    """The row of one appendix claim: refuted on its first failure, a
+    (case, left, right) triple, else a census of its cases if it has any."""
+    if failure:
+        return [_fail_row(claim, desc, *failure)]
+    if not cases:
+        return []
+    witness = {"kind": "case-census", "cases": int(cases),
+               "mode": "exhaustive" if small else "sampled"}
+    witness.update(extra or {})
+    return [_row("appendix", claim, desc, "verified", witness)]
 
 
 def _fail_row(claim: str, desc: str, case: dict, left, right) -> dict:
@@ -820,7 +824,6 @@ def _subquotient_fps(ana, ti: int, si: int) -> set:
 
 
 def _appendix_transporter_rows(desc, cfg, G, ana, pool, small, rng) -> list[dict]:
-    rows = []
     # conjugation moves the transported subgroup with the point, on each side
     t_choices = []
     seen_orders = set()
@@ -883,27 +886,14 @@ def _appendix_transporter_rows(desc, cfg, G, ana, pool, small, rng) -> list[dict
                                 "subgroup": _ints(smem)}, conj, moved)
                     break
                 cases_ap += 1
-    mode = "exhaustive" if small else "sampled"
-    if fail_a:
-        case, left, right = fail_a
-        rows.append(_fail_row("transporter-conjugation-right", desc, case,
-                              left, right))
-    elif cases_a:
-        rows.append(_census_row("transporter-conjugation-right", desc,
-                                cases_a, mode))
-    if fail_ap:
-        case, left, right = fail_ap
-        rows.append(_fail_row("transporter-conjugation-left", desc, case,
-                              left, right))
-    elif cases_ap:
-        rows.append(_census_row("transporter-conjugation-left", desc,
-                                cases_ap, mode))
-    return rows
+    return (_outcome("transporter-conjugation-right", desc, fail_a, cases_a,
+                     small)
+            + _outcome("transporter-conjugation-left", desc, fail_ap, cases_ap,
+                       small))
 
 
 def _appendix_section_transport_rows(desc, cfg, G, ana, pool, secs_x3,
                                      small, rng) -> list[dict]:
-    rows = []
     sec_choices = [(ti, si, _subquotient_fps(ana, ti, si))
                    for ti, si in _signature_reps(ana, secs_x3, 3)]
     cases_b = 0
@@ -941,27 +931,14 @@ def _appendix_section_transport_rows(desc, cfg, G, ana, pool, secs_x3,
                                sorted([f[0], f[1], list(f[2])] for f in fps))
                     break
                 cases_bp += 1
-    mode = "exhaustive" if small else "sampled"
-    if fail_b:
-        case, left, right = fail_b
-        rows.append(_fail_row("transported-pair-is-section", desc, case,
-                              left, right))
-    elif cases_b:
-        rows.append(_census_row("transported-pair-is-section", desc,
-                                cases_b, mode))
-    if fail_bp:
-        case, left, right = fail_bp
-        rows.append(_fail_row("transported-quotient-is-subquotient", desc,
-                              case, left, right))
-    elif cases_bp:
-        rows.append(_census_row("transported-quotient-is-subquotient", desc,
-                                cases_bp, mode))
-    return rows
+    return (_outcome("transported-pair-is-section", desc, fail_b, cases_b,
+                     small)
+            + _outcome("transported-quotient-is-subquotient", desc, fail_bp,
+                       cases_bp, small))
 
 
 def _appendix_composite_transporter_rows(desc, cfg, G, ana, pool, small,
                                          rng) -> list[dict]:
-    rows = []
     cases = 0
     failure = None
     for U in pool[:2]:
@@ -999,20 +976,12 @@ def _appendix_composite_transporter_rows(desc, cfg, G, ana, pool, small,
                 failure = (case, lchain, ldirect)
                 break
             cases += 2
-    mode = "exhaustive" if small else "sampled"
-    if failure:
-        case, left, right = failure
-        rows.append(_fail_row("transporter-through-composite", desc, case,
-                              left, right))
-    elif cases:
-        rows.append(_census_row("transporter-through-composite", desc,
-                                cases, mode))
-    return rows
+    return _outcome("transporter-through-composite", desc, failure, cases,
+                    small)
 
 
 def _appendix_quotient_collapse_rows(desc, cfg, G, ana, secs_x3, small,
                                      rng) -> list[dict]:
-    rows = []
     top = ana.n_sub - 1
     normal_cands = []
     for si in range(ana.n_sub):
@@ -1053,15 +1022,8 @@ def _appendix_quotient_collapse_rows(desc, cfg, G, ana, secs_x3, small,
                     failure = (case, [lhs.size], [rhs.size])
                     break
                 cases += 1
-    mode = "exhaustive" if small else "sampled"
-    if failure:
-        case, left, right = failure
-        rows.append(_fail_row("quotient-collapse-composition", desc, case,
-                              left, right))
-    elif cases:
-        rows.append(_census_row("quotient-collapse-composition", desc,
-                                cases, mode))
-    return rows
+    return _outcome("quotient-collapse-composition", desc, failure, cases,
+                    small)
 
 
 def _whole_group_slot(system):
@@ -1070,7 +1032,6 @@ def _whole_group_slot(system):
 
 
 def _appendix_unit_component_rows(desc, cfg, G, small) -> list[dict]:
-    rows = []
     labels = ("E", "E3", "X", "X3") if small else ("E", "X")
     cases = 0
     failure = None
@@ -1093,20 +1054,12 @@ def _appendix_unit_component_rows(desc, cfg, G, small) -> list[dict]:
             combos.append(f"{label}/{functor}")
         if failure:
             break
-    if failure:
-        case, left, right = failure
-        rows.append(_fail_row("whole-group-unit-component-identity", desc,
-                              case, left, right))
-    elif cases:
-        rows.append(_census_row("whole-group-unit-component-identity", desc,
-                                cases, "exhaustive" if small else "sampled",
-                                {"combos": combos}))
-    return rows
+    return _outcome("whole-group-unit-component-identity", desc, failure,
+                    cases, small, {"combos": combos})
 
 
 def _appendix_limit_action_rows(desc, cfg, G, ana, secs_x3, small,
                                 rng) -> list[dict]:
-    rows = []
     functors = ("B", "K") if small else ("K",)
     sizes = ana.sizes
     proper = [(t, s) for t, s in secs_x3
@@ -1157,19 +1110,11 @@ def _appendix_limit_action_rows(desc, cfg, G, ana, secs_x3, small,
             cases += lim_p.rank
         if failure:
             break
-    mode = "exhaustive" if small else "sampled"
-    if failure:
-        case, left, right = failure
-        rows.append(_fail_row("limit-image-stays-compatible", desc, case,
-                              left, right))
-    elif cases:
-        rows.append(_census_row("limit-image-stays-compatible", desc,
-                                cases, mode))
-    return rows
+    return _outcome("limit-image-stays-compatible", desc, failure, cases,
+                    small)
 
 
 def _appendix_identity_action_rows(desc, cfg, G, small) -> list[dict]:
-    rows = []
     functors = ("B", "K") if small else ("K",)
     cases = 0
     failure = None
@@ -1192,19 +1137,12 @@ def _appendix_identity_action_rows(desc, cfg, G, small) -> list[dict]:
                        [bad[2]], [bad[3]])
             break
         cases += system.total
-    if failure:
-        case, left, right = failure
-        rows.append(_fail_row("identity-biset-acts-trivially", desc, case,
-                              left, right))
-    elif cases:
-        rows.append(_census_row("identity-biset-acts-trivially", desc, cases,
-                                "exhaustive" if small else "sampled"))
-    return rows
+    return _outcome("identity-biset-acts-trivially", desc, failure, cases,
+                    small)
 
 
 def _appendix_composite_action_rows(desc, cfg, G, ana, secs_x3, small,
                                     rng) -> list[dict]:
-    rows = []
     functors = ("B", "K") if small else ("K",)
     outer_all = [(t, s) for t, s in secs_x3
                  if ana.sizes[t] // ana.sizes[s] < G.order]
@@ -1257,15 +1195,8 @@ def _appendix_composite_action_rows(desc, cfg, G, ana, secs_x3, small,
                     break
                 pairs += 1
                 cases += max(lim0.rank, 1)
-    mode = "exhaustive" if small else "sampled"
-    if failure:
-        case, left, right = failure
-        rows.append(_fail_row("action-matches-composite", desc, case,
-                              left, right))
-    elif cases:
-        rows.append(_census_row("action-matches-composite", desc, cases,
-                                mode, {"pairs": pairs}))
-    return rows
+    return _outcome("action-matches-composite", desc, failure, cases, small,
+                    {"pairs": pairs})
 
 
 def _appendix_adjunction_rows(desc, cfg, G, small, rng) -> list[dict]:
@@ -1280,7 +1211,6 @@ def _appendix_adjunction_rows(desc, cfg, G, small, rng) -> list[dict]:
     group_cases = 0
     limit_cases = 0
     failure = None
-    mode = "exhaustive" if small else "sampled"
     for label, functor in combos:
         system = coefficient_system(G, label, functor)
         slot = _whole_group_slot(system)
@@ -1335,7 +1265,7 @@ def _appendix_adjunction_rows(desc, cfg, G, small, rng) -> list[dict]:
         witness = {"kind": "adjunction-census",
                    "groupwise_cases": group_cases,
                    "limitwise_cases": limit_cases,
-                   "mode": mode}
+                   "mode": "exhaustive" if small else "sampled"}
         rows.append(_row("appendix", "adjunction-round-trips", desc,
                          "verified", witness))
     return rows

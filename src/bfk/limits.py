@@ -24,8 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from .groups import FiniteGroup, GroupAnalysis, analysis, section_shape
-from .zlinalg import (LatticeBuilder, _batches, _exact_matmul, _i64_absmax,
-                      _restrict_moves, _stack_shared, hnf_pivots, kernel_basis,
+from .zlinalg import (_batches, _exact_matmul, _i64_absmax, _restrict_moves,
+                      _stack_shared, hnf, hnf_pivots, kernel_basis,
                       obj_zeros, sparse_kernel_basis, sparse_snf_invariants)
 from .burnside import ring_data
 
@@ -447,9 +447,9 @@ def inverse_limit(system: CoefficientSystem) -> InverseLimit:
 
     Each generating edge src -> dst with matrix D gives the rows of
     v[dst] - D v[src] = 0 over the unknowns of the product of the values;
-    sparse_kernel_basis solves them exactly.  The canonical HNF of the
-    solution lattice is checked against the raw constraints before it is
-    returned.
+    sparse_kernel_basis solves them exactly.  One zlinalg.hnf call of its
+    solution columns gives the canonical basis, which is checked against
+    the raw constraints before it is returned.
     """
     rows = []
     for src, dst, tag in system.edges():
@@ -463,11 +463,7 @@ def inverse_limit(system: CoefficientSystem) -> InverseLimit:
         for r, row in enumerate(block):
             row[do + r] = row.get(do + r, 0) - 1
         rows.extend(block)
-    basis = sparse_kernel_basis(rows, system.total)
-    lb = LatticeBuilder(system.total)
-    for j in range(basis.shape[1]):
-        lb.add(basis[:, j])
-    basis = lb.hnf().T.copy()
+    basis = hnf(sparse_kernel_basis(rows, system.total).T).T.copy()
     residual_check(system, basis)
     return InverseLimit(system, basis)
 

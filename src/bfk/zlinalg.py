@@ -3,12 +3,13 @@
 Lattice results are numpy arrays with dtype=object holding Python ints;
 exact products and batched HNF coordinates come back in int64 when a
 bound shows they fit.  Work runs in int64 only where a bound proves that
-no product or sum can wrap (the kernel elimination checks it before every
-row operation); without such a bound it runs in Python ints, so no result
-is ever computed modulo 2**64.
+no product or sum can wrap (hnf and the kernel elimination check it
+before every row operation); without such a bound it runs in Python ints,
+so no result is ever computed modulo 2**64.
 Vectors are rows; a lattice is the set of integer row combinations of its
-basis. All reduced forms are canonical, which makes lattice equality a
-plain array comparison.
+basis.  Every lattice (IntegerLattice, lattice_from_rows, rank_of) is
+built by one call of hnf, whose form is canonical, which makes lattice
+equality a plain array comparison.
 """
 
 from __future__ import annotations
@@ -63,121 +64,9 @@ def obj_eye(n: int) -> np.ndarray:
     return out
 
 
-def _first_nonzero(v: np.ndarray) -> int:
-    for j, x in enumerate(v):
-        if x != 0:
-            return j
-    return -1
-
-
-class LatticeBuilder:
-    """Incremental row-span accumulator kept in Hermite normal form.
-
-    add() reduces the incoming vector against the stored rows before and
-    during the pivot cascade, and re-reduces any row a cascade touches, so
-    entries stay bounded by the pivots instead of swelling. Rank and
-    membership are available at any point; hnf() is then just a copy.
-    """
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows: list[np.ndarray] = []     # sorted by pivot column
-        self.pivot_cols: list[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def _reduce_vec(self, v, start: int = 0):
-        """Full-divide v by each stored pivot from row position start on."""
-        for k in range(start, len(self.rows)):
-            q = int(v[self.pivot_cols[k]]) // int(self.rows[k][self.pivot_cols[k]])
-            if q:
-                v = v - q * self.rows[k]
-        return v
-
-    def _reduce_column(self, k: int) -> None:
-        """Bring earlier rows' entries in row k's pivot column into range."""
-        j = self.pivot_cols[k]
-        piv = int(self.rows[k][j])
-        for i in range(k):
-            q = int(self.rows[i][j]) // piv
-            if q:
-                self.rows[i] = self._reduce_vec(self.rows[i] - q * self.rows[k],
-                                                k + 1)
-
-    def add(self, vec) -> bool:
-        """Insert a vector; returns True if the span grew."""
-        v = np.array([int(x) for x in vec], dtype=object)
-        if v.shape[0] != self.ncols:
-            raise ValueError("wrong length")
-        grew = False
-        while True:
-            v = self._reduce_vec(v)
-            j = _first_nonzero(v)
-            if j < 0:
-                return grew
-            k = bisect.bisect_left(self.pivot_cols, j)
-            if k < len(self.pivot_cols) and self.pivot_cols[k] == j:
-                # pivot collision with 0 < v[j] < pivot: shrink the pivot
-                row = self.rows[k]
-                a, b = int(row[j]), int(v[j])
-                x, y, g = xgcd(a, b)
-                combined = x * row + y * v
-                v = (a // g) * v - (b // g) * row
-                self.rows[k] = self._reduce_vec(combined, k + 1)
-                self._reduce_column(k)
-                grew = True
-            else:
-                if v[j] < 0:
-                    v = -v
-                self.rows.insert(k, self._reduce_vec(v, k))
-                self.pivot_cols.insert(k, j)
-                self._reduce_column(k)
-                return True
-
-    def member(self, vec) -> bool:
-        v = np.array([int(x) for x in vec], dtype=object)
-        for j, row in zip(self.pivot_cols, self.rows):
-            x = int(v[j])
-            if x == 0:
-                continue
-            piv = int(row[j])
-            if x % piv != 0:
-                return False
-            v = v - (x // piv) * row
-        return _first_nonzero(v) < 0
-
-    def hnf(self) -> np.ndarray:
-        """Canonical Hermite normal form of the accumulated span."""
-        if not self.rows:
-            return np.empty((0, self.ncols), dtype=object)
-        return np.vstack([r.copy() for r in self.rows])
-
-
-def _span(ambient: int, rows) -> LatticeBuilder:
-    lb = LatticeBuilder(ambient)
-    for r in rows:
-        lb.add(r)
-    return lb
-
-
-def hnf(mat) -> np.ndarray:
-    """Canonical row-style HNF with zero rows dropped."""
-    mat = np.asarray(mat, dtype=object)
-    if mat.ndim != 2:
-        raise ValueError("need a 2-D matrix")
-    return _span(mat.shape[1], mat).hnf()
-
-
-def rank_of(mat) -> int:
-    mat = np.asarray(mat, dtype=object)
-    return _span(mat.shape[1], mat).rank
-
-
 def hnf_pivots(H: np.ndarray) -> list[int]:
     """Pivot column of each row of an HNF basis."""
-    return [_first_nonzero(r) for r in H]
+    return [int(np.flatnonzero(r)[0]) for r in H]
 
 
 def coords_in_hnf(H: np.ndarray, vec,
@@ -615,9 +504,9 @@ def kernel_basis(mat) -> np.ndarray:
     aside.  Every step is unimodular, so the I_n parts of the rows left,
     whose A^T part is zero, are a basis of {x in Z^n : A x = 0}.  Those
     rows are then put in canonical row HNF (positive pivots, entries above
-    each pivot in [0, pivot)), the form LatticeBuilder gives, so the
-    result is unique.  Work is in int64 under the bound of _sub_multiples,
-    else in Python ints; the result is always dtype=object.
+    each pivot in [0, pivot)), the form hnf gives, so the result is
+    unique.  Work is in int64 under the bound of _sub_multiples, else in
+    Python ints; the result is always dtype=object.
     """
     A = _int_matrix(mat)
     m, n = A.shape
@@ -650,6 +539,100 @@ def kernel_basis(mat) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# canonical Hermite normal form by row insertion
+
+def hnf(mat) -> np.ndarray:
+    """Canonical row HNF of the rows of mat, zero rows dropped, dtype=object:
+    positive pivots, entries above each pivot in [0, pivot).
+
+    Each row is inserted into a fully reduced HNF (Kannan and Bachem, SIAM
+    J. Comput. 8, 1979; Storjohann, PhD thesis, ETH Zurich, 2000).  It is
+    reduced by every basis row; a collision with the pivot of its leading
+    column is folded with xgcd, which shrinks that pivot, and what is left
+    is inserted in turn.  A new or changed basis row is reduced by the rows
+    below it and the rows above it are reduced by it, so entries stay
+    bounded by the pivots.  Rows are int64, each with a Python-int bound
+    on its largest entry: a step a*u + b*w stays in int64 while
+    |a|*bound(u) + |b|*bound(w) is below 2**62 (the rule of
+    _sub_multiples).  Past that the exact maxima replace both bounds, and
+    only if the rule still fails do all rows move to Python ints, for good.
+    """
+    A = _int_matrix(mat)
+    rows: list[np.ndarray] = []     # the basis by pivot column, then the row
+    bnd: list[int] = []             # being inserted; bnd[i] >= max|rows[i]|
+    piv: list[int] = []
+    pv: list[int] = []              # pv[i] = rows[i][piv[i]]
+    wide = A.dtype == object
+
+    def comb(i, a, b, k):
+        """rows[i] = a*rows[i] + b*rows[k]."""
+        nonlocal wide
+        if not wide and abs(a) * bnd[i] + abs(b) * bnd[k] >= _WRAP:
+            bnd[i], bnd[k] = _absmax(rows[i]), _absmax(rows[k])
+            if abs(a) * bnd[i] + abs(b) * bnd[k] >= _WRAP:
+                wide = True
+                rows[:] = [r.astype(object) for r in rows]
+        bnd[i] = abs(a) * bnd[i] + abs(b) * bnd[k]
+        rows[i] = (rows[i] if a == 1 else a * rows[i]) + b * rows[k]
+
+    def reduce(i, start):
+        for k in range(start, len(piv)):
+            q = int(rows[i][piv[k]]) // pv[k]
+            if q:
+                comb(i, 1, -q, k)
+
+    def settle(k):
+        """Reduce row k by the rows below it and the rows above by it."""
+        reduce(k, k + 1)
+        for i in range(k):
+            q = int(rows[i][piv[k]]) // pv[k]
+            if q:
+                comb(i, 1, -q, k)
+                reduce(i, k + 1)
+
+    for v in A:
+        r = len(piv)
+        rows.append(v.astype(object) if wide else v)
+        bnd.append(_absmax(v))
+        while True:
+            reduce(r, 0)
+            nz = np.flatnonzero(rows[r])
+            if not nz.size:
+                del rows[r], bnd[r]
+                break
+            j = int(nz[0])
+            k = bisect.bisect_left(piv, j)
+            if k < r and piv[k] == j:
+                # 0 < rows[r][j] < pivot: fold, leaving the gcd as the pivot
+                # and 0 in the row being inserted; the old row k waits at r + 1
+                a, b = pv[k], int(rows[r][j])
+                x, y, g = xgcd(a, b)
+                rows.append(rows[k])
+                bnd.append(bnd[k])
+                comb(k, x, y, r)
+                comb(r, a // g, -(b // g), r + 1)
+                del rows[r + 1], bnd[r + 1]
+                pv[k] = g
+                settle(k)
+                continue
+            if rows[r][j] < 0:
+                rows[r] = -rows[r]
+            rows.insert(k, rows.pop())
+            bnd.insert(k, bnd.pop())
+            piv.insert(k, j)
+            pv.insert(k, int(rows[k][j]))
+            settle(k)
+            break
+    if not rows:
+        return np.empty((0, A.shape[1]), dtype=object)
+    return np.vstack(rows).astype(object)
+
+
+def rank_of(mat) -> int:
+    return hnf(mat).shape[0]
+
+
+# ---------------------------------------------------------------------------
 
 class IntegerLattice:
     """A sublattice of Z^ambient with a canonical HNF basis.
@@ -660,15 +643,13 @@ class IntegerLattice:
 
     def __init__(self, ambient: int, basis_rows=None):
         self.ambient = ambient
-        if basis_rows is None:
-            self.basis = np.empty((0, ambient), dtype=object)
-            self._piv = []
-            return
-        mat = (basis_rows if isinstance(basis_rows, np.ndarray)
+        mat = (np.empty((0, ambient), dtype=object) if basis_rows is None
+               else basis_rows if isinstance(basis_rows, np.ndarray)
                else obj_matrix(basis_rows, ambient))
-        if mat.ndim != 2:
-            raise ValueError("need a 2-D matrix")
-        self._set(_span(ambient, mat))
+        if mat.ndim != 2 or mat.shape[1] != ambient:
+            raise ValueError(f"need a 2-D matrix with {ambient} columns")
+        self.basis = hnf(mat)
+        self._piv = hnf_pivots(self.basis)
 
     @classmethod
     def from_hnf(cls, basis: np.ndarray) -> "IntegerLattice":
@@ -676,11 +657,6 @@ class IntegerLattice:
         lat = cls(basis.shape[1])
         lat.basis, lat._piv = basis, hnf_pivots(basis)
         return lat
-
-    def _set(self, lb: LatticeBuilder) -> "IntegerLattice":
-        self.basis = lb.hnf()
-        self._piv = list(lb.pivot_cols)
-        return self
 
     @property
     def rank(self) -> int:
@@ -720,4 +696,4 @@ class IntegerLattice:
 
 
 def lattice_from_rows(ambient: int, rows) -> IntegerLattice:
-    return IntegerLattice(ambient)._set(_span(ambient, rows))
+    return IntegerLattice(ambient, rows)

@@ -4,18 +4,21 @@ The package builds bisets only along whole sections (`indinf_biset`,
 `defres_biset`); the one-step builders here (induction, restriction,
 inflation, deflation, isomorphisms, conjugation of a section) give
 independent fixtures for the composition, orbit and action tests.
-`sparse_kernel` and `_direct_limit_basis`, a sparse xgcd fold over the
-raw constraint rows, are the reference the sparse limit solver and
-`kernel_basis` are checked against.  The per-subgroup walks at the end
-(conjugates one tuple at a time, marks by walking the group, union-find
-slot classes, double-coset defres) are the references for the reads off
-the conjugation table `GroupAnalysis.conj_sub`.  The quotient-based
-section rule (`classify_quotient`, `QUOTIENT_CLASSES`), `preimage` and
+`LatticeBuilder`, a per-vector HNF cascade on Python-int rows, is the
+reference `hnf` is checked against.  `sparse_kernel` and
+`_direct_limit_basis`, a sparse xgcd fold over the raw constraint rows,
+are the reference the sparse limit solver and `kernel_basis` are checked
+against.  The per-subgroup walks at the end (conjugates one tuple at a
+time, marks by walking the group, union-find slot classes, double-coset
+defres) are the references for the reads off the conjugation table
+`GroupAnalysis.conj_sub`.  The quotient-based section rule
+(`classify_quotient`, `QUOTIENT_CLASSES`), `preimage` and
 `indinf_class_matrix` work on built quotient groups; they are the
 references for `section_shape`, `family_contains` and the slot-based
 induced kernel sums.
 """
 
+import bisect
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -241,6 +244,98 @@ def maps_by_edges(system: CoefficientSystem) -> dict:
         else:
             out[("down", i)] = up.T
     return out
+
+
+def _first_nonzero(v: np.ndarray) -> int:
+    for j, x in enumerate(v):
+        if x != 0:
+            return j
+    return -1
+
+
+class LatticeBuilder:
+    """Incremental row-span accumulator kept in Hermite normal form.
+
+    add() reduces the incoming vector against the stored rows before and
+    during the pivot cascade, and re-reduces any row a cascade touches, so
+    entries stay bounded by the pivots instead of swelling. Rank and
+    membership are available at any point; hnf() is then just a copy.
+    """
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.rows: list[np.ndarray] = []     # sorted by pivot column
+        self.pivot_cols: list[int] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def _reduce_vec(self, v, start: int = 0):
+        """Full-divide v by each stored pivot from row position start on."""
+        for k in range(start, len(self.rows)):
+            q = int(v[self.pivot_cols[k]]) // int(self.rows[k][self.pivot_cols[k]])
+            if q:
+                v = v - q * self.rows[k]
+        return v
+
+    def _reduce_column(self, k: int) -> None:
+        """Bring earlier rows' entries in row k's pivot column into range."""
+        j = self.pivot_cols[k]
+        piv = int(self.rows[k][j])
+        for i in range(k):
+            q = int(self.rows[i][j]) // piv
+            if q:
+                self.rows[i] = self._reduce_vec(self.rows[i] - q * self.rows[k],
+                                                k + 1)
+
+    def add(self, vec) -> bool:
+        """Insert a vector; returns True if the span grew."""
+        v = np.array([int(x) for x in vec], dtype=object)
+        if v.shape[0] != self.ncols:
+            raise ValueError("wrong length")
+        grew = False
+        while True:
+            v = self._reduce_vec(v)
+            j = _first_nonzero(v)
+            if j < 0:
+                return grew
+            k = bisect.bisect_left(self.pivot_cols, j)
+            if k < len(self.pivot_cols) and self.pivot_cols[k] == j:
+                # pivot collision with 0 < v[j] < pivot: shrink the pivot
+                row = self.rows[k]
+                a, b = int(row[j]), int(v[j])
+                x, y, g = xgcd(a, b)
+                combined = x * row + y * v
+                v = (a // g) * v - (b // g) * row
+                self.rows[k] = self._reduce_vec(combined, k + 1)
+                self._reduce_column(k)
+                grew = True
+            else:
+                if v[j] < 0:
+                    v = -v
+                self.rows.insert(k, self._reduce_vec(v, k))
+                self.pivot_cols.insert(k, j)
+                self._reduce_column(k)
+                return True
+
+    def member(self, vec) -> bool:
+        v = np.array([int(x) for x in vec], dtype=object)
+        for j, row in zip(self.pivot_cols, self.rows):
+            x = int(v[j])
+            if x == 0:
+                continue
+            piv = int(row[j])
+            if x % piv != 0:
+                return False
+            v = v - (x // piv) * row
+        return _first_nonzero(v) < 0
+
+    def hnf(self) -> np.ndarray:
+        """Canonical Hermite normal form of the accumulated span."""
+        if not self.rows:
+            return np.empty((0, self.ncols), dtype=object)
+        return np.vstack([r.copy() for r in self.rows])
 
 
 def sparse_kernel(ncols: int, rows: Iterable[dict[int, int]]) -> list[dict[int, int]]:

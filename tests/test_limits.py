@@ -458,6 +458,8 @@ def test_limit_bases_match_pinned_digests():
                  for _, spec in catalog_groups(p, max_order)
                  for label in FAMILY_LABELS for functor in FUNCTOR_NAMES}
     assert set(pinned) == want_keys | {"3 prod:xsp:3,cyclic:3 X3 Kdual",
+                                       "3 prod:xsp:3,cyclic:3 X3 K",
+                                       "3 prod:xsp:3,cyclic:3 X3 B",
                                        "3 elab:3:4 E3 Kdual", "3 elab:3:4 E3 K"}
     for key, digest in sorted(pinned.items()):
         p, spec, label, functor = key.split()

@@ -4,7 +4,6 @@ from hypothesis import given, seed, settings, strategies as st
 
 from bfk.zlinalg import (
     IntegerLattice,
-    LatticeBuilder,
     coords_in_hnf,
     hnf,
     hnf_pivots,
@@ -17,7 +16,7 @@ from bfk.zlinalg import (
     sparse_snf_invariants,
     xgcd,
 )
-from helpers import sparse_kernel
+from helpers import LatticeBuilder, sparse_kernel
 
 small_mat = st.integers(min_value=1, max_value=5).flatmap(
     lambda n: st.integers(min_value=1, max_value=5).flatmap(
@@ -124,6 +123,25 @@ def test_sparse_snf_matches_dense_on_unit_rich_rows(case):
     inv, rank = sparse_snf_invariants(rows, ncols)
     assert inv == snf_diagonal(dense)
     assert rank == rank_of(dense)
+
+
+def test_hnf_switches_to_python_ints_mid_insertion():
+    # entries near 2**60 start in int64, and their reductions pass 2**62
+    big = 1 << 60
+    rows = [[big + 3, 3 * big + 1, 5, -big],
+            [3 * big - 1, big + 5, -2 * big, 9],
+            [2 * big + 2, -3 * big, big + 11, 3 * big - 3],
+            [2, 3 * big, 7, -2 * big]]
+    # a dense, tall int64 matrix whose entries stay small
+    dense = np.random.default_rng(5).integers(-3, 4, size=(60, 200))
+    for A in (np.array(rows, dtype=np.int64), dense):
+        lb = LatticeBuilder(A.shape[1])
+        for r in A:
+            lb.add(r)
+        H = hnf(A)
+        assert H.dtype == object
+        assert np.array_equal(H, lb.hnf())
+        assert all(type(x) is int for x in H.ravel())
 
 
 def test_sparse_kernel_agrees_with_dense():
