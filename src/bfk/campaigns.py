@@ -20,7 +20,6 @@ import io
 import json
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -48,8 +47,8 @@ from .burnside import (
     sum_of_induced_kernels,
 )
 from .claims import CAMPAIGNS
-from .groups import (_derived_closure, analysis, is_prime, parse_descriptor,
-                     product_members, section_shape)
+from .groups import (analysis, is_prime, parse_descriptor, product_members,
+                     section_shape)
 from .limits import (
     FAMILY_LABELS,
     FUNCTOR_NAMES,
@@ -412,10 +411,12 @@ def _delta_identity_row(cfg: RunConfig, factor: int | None = None) -> dict:
     center = set(ana.center_members)
     noncentral = [i for i, m in enumerate(rd.reps_members)
                   if len(m) == p and any(x not in center for x in m)]
+    # J / 1 is elementary abelian of order p^2, so it is a slot of E2
+    fam = section_family(G, "E2")
     inds = []
     for pos in noncentral[:2]:
         J = product_members(G, rd.reps_members[pos], sorted(center))
-        inds.append(_induced_rank_two(ana, SectionSlot(ana, ana.index_of(J), 0)))
+        inds.append(_induced_rank_two(ana, fam.slots[fam.pos[(ana.index_of(J), 0)]]))
     scale = p if factor is None else int(factor)
     delta = np.asarray(extraspecial_kernel_element(G, 0, 1), dtype=object)
     left = inds[1] - inds[0]
@@ -811,7 +812,7 @@ def _fingerprint(ana, ti: int, si: int) -> tuple:
         x = ana.pth_power[x]
         live = ~in_s[x]
     return (int(ana.sizes[ti] // ana.sizes[si]),
-            _derived_closure(ana, ti) <= ana.member_sets[si],
+            bool(ana.leq[ana.derived[ti], si]),
             tuple(np.sort(orders)[::ana.sizes[si]].tolist()))
 
 
@@ -1348,6 +1349,8 @@ def run_campaign(campaign: str, cfg: RunConfig) -> dict:
     tasks = [(campaign, desc, asdict(cfg))
              for _, desc in catalog_groups(cfg.p, cfg.max_order)]
     if cfg.jobs > 1 and len(tasks) > 1:
+        # imported here: a serial run should not pay for loading it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             chunks = list(pool.map(_task, tasks))
     else:

@@ -360,8 +360,6 @@ class GroupAnalysis:
         self.n_sub = len(subs)
         self.index_by_members = {m: i for i, m in enumerate(subs)}
 
-        sets = [frozenset(m) for m in subs]
-        self.member_sets = sets
         mask = np.zeros((self.n_sub, n), dtype=np.int64)
         for i, m in enumerate(subs):
             mask[i, list(m)] = 1
@@ -392,10 +390,7 @@ class GroupAnalysis:
             int(x) for x in range(n)
             if np.array_equal(G.table[x], G.table[:, x]))
 
-        self._moebius_memo: dict[tuple, int] = {}
         self._quotients: dict[tuple, Section] = {}
-        self._power_memo: dict[int, frozenset] = {}
-        self._derived_memo: dict[int, frozenset] = {}
         # results of other layers, kept here so they live as long as G
         self._families: dict = {}        # label -> limits.SectionFamily
         self._ring_data = None           # burnside.RingData
@@ -498,35 +493,56 @@ class GroupAnalysis:
             out[:, b] = np.argmax(self.leq & self.leq[b], axis=1)
         return out
 
+    def _generated(self, sets: np.ndarray) -> np.ndarray:
+        """Index of the subgroup generated by each row of a (k x order)
+        element mask: the first subgroup, in size order, holding it."""
+        outside = sets.astype(np.int64) @ (1 - self.member_mask).T
+        return np.argmax(outside == 0, axis=1)
+
+    @cached_property
+    def derived(self) -> np.ndarray:
+        """derived[ti]: index of the commutator subgroup of subgroup ti."""
+        if self.group.is_abelian:
+            return np.zeros(self.n_sub, dtype=np.intp)
+        t, inv = self.group.table, self.group.inv
+        comm = t[t[inv[:, None], inv[None, :]], t]         # a^-1 b^-1 a b
+        comms = np.zeros(self.member_mask.shape, dtype=bool)
+        for i, mem in enumerate(self.subgroup_members):
+            comms[i, comm[np.ix_(mem, mem)]] = True
+        return self._generated(comms)
+
+    @cached_property
+    def shapes(self) -> np.ndarray:
+        """shapes[ti, si] (int8): the rank of T/S when it is elementary
+        abelian, SHAPE_XSP when it is extraspecial of order p^3 and exponent
+        p, else SHAPE_OTHER, also off the sections.  T/S has exponent p iff
+        the p-th power closure of T lies in S, and it is abelian iff the
+        derived subgroup of T does."""
+        G, mask = self.group, self.member_mask
+        rows, cols = np.nonzero(mask)
+        powers = np.zeros(mask.shape, dtype=bool)
+        powers[rows, self.pth_power[cols]] = True
+        exp_p = self.leq[self._generated(powers)]          # [ti, si]: T^p <= S
+        abelian = self.leq[self.derived]                   # [ti, si]: T' <= S
+        level = np.array([_check_prime_power(int(n), G.prime) for n in self.sizes])
+        rank = level[:, None] - level[None, :]
+        code = np.where(exp_p & abelian, rank,
+                        np.where(exp_p & (rank == 3), SHAPE_XSP, SHAPE_OTHER))
+        return np.where(self.normal.T, code, SHAPE_OTHER).astype(np.int8)
+
     def moebius(self, si: int, ti: int) -> int:
-        """Moebius function of the subgroup poset on the interval [si, ti]."""
+        """Moebius function of the subgroup poset on the interval [si, ti].
+        In a p-group it is (-1)^k p^(k(k-1)/2) when T/S is elementary
+        abelian of rank k, and 0 otherwise (P. Hall, 1936)."""
         if not self.leq[si, ti]:
             raise ValueError("moebius needs nested subgroups")
-        key = (si, ti)
-        hit = self._moebius_memo.get(key)
-        if hit is not None:
-            return hit
-        if si == ti:
-            val = 1
-        else:
-            val = -sum(self.moebius(si, ui)
-                       for ui in range(self.n_sub)
-                       if ui != ti and self.leq[si, ui] and self.leq[ui, ti])
-        self._moebius_memo[key] = val
-        return val
+        k = int(self.shapes[ti, si])
+        return 0 if k < 0 else (-1) ** k * self.group.prime ** (k * (k - 1) // 2)
 
     def frattini_of(self, ti: int) -> int:
-        """Subgroup index of the Frattini subgroup of subgroup ti."""
-        mem = self.subgroup_members[ti]
-        size = len(mem)
-        if size == 1:
-            return ti
-        maximals = [j for j in range(self.n_sub)
-                    if self.leq[j, ti] and len(self.subgroup_members[j]) * self.group.prime == size]
-        inter = set(mem)
-        for j in maximals:
-            inter &= self.member_sets[j]
-        return self.index_of(sorted(inter))
+        """Subgroup index of the Frattini subgroup of subgroup ti: the
+        least S with T/S elementary abelian."""
+        return int(np.argmax(self.shapes[ti] >= 0))
 
     # -- concrete section quotients ------------------------------------------
 
@@ -586,47 +602,17 @@ def center(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, ana.center_members)
 
 
-def _power_closure(ana: GroupAnalysis, ti: int) -> frozenset:
-    """Subgroup generated by the p-th powers of the members of subgroup ti."""
-    got = ana._power_memo.get(ti)
-    if got is None:
-        m = np.asarray(ana.subgroup_members[ti], dtype=np.int32)
-        got = frozenset(_closure(ana.group.table,
-                                 np.flatnonzero(np.bincount(ana.pth_power[m]))))
-        ana._power_memo[ti] = got
-    return got
-
-
-def _derived_closure(ana: GroupAnalysis, ti: int) -> frozenset:
-    """Commutator subgroup of subgroup ti."""
-    got = ana._derived_memo.get(ti)
-    if got is None:
-        table, inv = ana.group.table, ana.group.inv
-        m = np.asarray(ana.subgroup_members[ti], dtype=np.int32)
-        # comms[a, b] = (a^-1 b^-1)(a b)
-        comms = table[table[inv[m][:, None], inv[m][None, :]],
-                      table[m[:, None], m[None, :]]]
-        got = frozenset(_closure(table, np.flatnonzero(np.bincount(comms.ravel()))))
-        ana._derived_memo[ti] = got
-    return got
+# the codes of GroupAnalysis.shapes that are no elementary abelian rank
+SHAPE_OTHER = -1
+SHAPE_XSP = -2
 
 
 def section_shape(ana: GroupAnalysis, ti: int, si: int) -> tuple:
-    """Shape of the quotient T/S of a section (si normal in ti), read on
-    the ambient group: ("elab", rank), ("xsp", None) for the extraspecial
-    group of order p^3 and exponent p, or ("other", None).
-
-    T/S has exponent p iff the p-th power closure of T lies in S, and it
-    is abelian iff the derived subgroup of T does.  A nonabelian group of
-    order p^3 and exponent p is the extraspecial one.
-    """
-    index = int(ana.sizes[ti] // ana.sizes[si])
-    s_set = ana.member_sets[si]
-    if index > 1 and not _power_closure(ana, ti) <= s_set:
-        return ("other", None)
-    if index == 1 or _derived_closure(ana, ti) <= s_set:
-        return ("elab", _check_prime_power(index, ana.group.prime))
-    return ("xsp", None) if index == ana.group.prime ** 3 else ("other", None)
+    """Shape of the quotient T/S of a section (si normal in ti), read off
+    the shape table: ("elab", rank), ("xsp", None) for the extraspecial
+    group of order p^3 and exponent p, or ("other", None)."""
+    code = int(ana.shapes[ti, si])
+    return ("elab", code) if code >= 0 else ("xsp" if code == SHAPE_XSP else "other", None)
 
 
 def product_members(G: FiniteGroup, a_members: Sequence[int],

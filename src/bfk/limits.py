@@ -12,27 +12,26 @@ Quotient groups are never materialized.  The transitive-set basis of a
 quotient T/S is the set of T-conjugacy classes of intermediate subgroups
 S <= W <= T, and every structure map is written in those coordinates on
 the ambient group; the kernel functors rewrite whole batches of such maps
-in kernel coordinates at once.  Every limit is the integer kernel of the
-sparse constraint rows v[dst] - D v[src] = 0, solved in one exact pass:
-+-1 pivots are eliminated in Markowitz order in Python ints,
-kernel_basis solves the dense core left, and back-substitution fills in
-the eliminated unknowns.
+in kernel coordinates at once.  The shape table picks a family's sections,
+and (sections x subgroups) arrays give its slots and edges.  Every limit
+is the integer kernel of the sparse constraint rows v[dst] - D v[src] = 0,
+solved in one exact pass: +-1 pivots are eliminated in Markowitz order in
+Python ints, kernel_basis solves the dense core left, and back-substitution
+fills in the eliminated unknowns.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from .groups import FiniteGroup, GroupAnalysis, analysis, section_shape
+from .groups import SHAPE_XSP, FiniteGroup, GroupAnalysis, analysis
 from .zlinalg import (_batches, _exact_matmul, _i64_absmax, _restrict_moves,
                       _stack_shared, hnf, hnf_pivots, kernel_basis,
                       obj_zeros, sparse_kernel_basis, sparse_snf_invariants)
 from .burnside import ring_data
 
-# label semantics, encoded in family_contains alone: E* keeps the sections
-# whose quotient is elementary abelian (digit = rank cap, no digit =
-# unbounded), X* additionally the one whose quotient is extraspecial of
-# order p^3 and exponent p; section_shape reads both off the ambient group
 FAMILY_LABELS = ("E", "E2", "E3", "X", "X2", "X3")
 FUNCTOR_NAMES = ("B", "K", "Bdual", "Kdual")
 
@@ -41,15 +40,22 @@ class FamilyError(ValueError):
     pass
 
 
-def family_contains(ana: GroupAnalysis, ti: int, si: int, label: str) -> bool:
-    """Does the quotient of section (ti, si) belong to the labeled family?
-    Assumes (ti, si) is a section: si normal in ti."""
+def _admits(label: str, shape):
+    """Which shape codes (GroupAnalysis.shapes, elementwise) the labeled
+    family admits; the one place the labels are read.  E* keeps the
+    elementary abelian quotients (digit = rank cap, no digit = unbounded),
+    X* also the extraspecial one of order p^3 and exponent p."""
     if label not in FAMILY_LABELS:
         raise FamilyError(f"unknown family label {label!r}")
-    kind, rank = section_shape(ana, ti, si)
-    if kind == "xsp":
-        return label[0] == "X"
-    return kind == "elab" and (len(label) == 1 or rank <= int(label[1]))
+    keep = shape >= 0
+    if len(label) > 1:
+        keep = keep & (shape <= int(label[1]))
+    return keep | (shape == SHAPE_XSP) if label[0] == "X" else keep
+
+
+def family_contains(ana: GroupAnalysis, ti: int, si: int, label: str) -> bool:
+    """Does the quotient of section (ti, si) belong to the labeled family?"""
+    return bool(_admits(label, ana.shapes[ti, si]))
 
 
 # ---------------------------------------------------------------------------
@@ -68,18 +74,12 @@ class SectionSlot:
     __slots__ = ("ti", "si", "classes", "class_pos", "dim", "_kernel",
                  "_kernel_piv")
 
-    def __init__(self, ana: GroupAnalysis, ti: int, si: int):
+    def __init__(self, ti: int, si: int, classes: list, class_pos: np.ndarray):
         self.ti = ti
         self.si = si
-        cand = np.flatnonzero(ana.leq[si] & ana.leq[:, ti])
-        t_mem = np.asarray(ana.subgroup_members[ti])
-        least = ana.conj_sub[np.ix_(t_mem, cand)].min(axis=0)
-        reps, pos = np.unique(least, return_inverse=True)
-        self.classes = reps.tolist()
-        # the smallest signed type that holds every position and -1
-        self.class_pos = np.full(ana.n_sub, -1, dtype=np.min_scalar_type(-len(reps)))
-        self.class_pos[cand] = pos
-        self.dim = len(reps)
+        self.classes = classes
+        self.class_pos = class_pos
+        self.dim = len(classes)
         self._kernel = None
         self._kernel_piv = None
 
@@ -129,12 +129,12 @@ def _mark_rows(ana: GroupAnalysis, slot: SectionSlot) -> np.ndarray:
     sizes = ana.sizes
     cls = np.asarray(slot.classes)
     cand = np.flatnonzero(slot.class_pos >= 0)
+    below = ana.leq[cand][:, cls]
     # a p-group quotient is cyclic iff it has a unique maximal subgroup
-    maximal = (ana.leq[np.ix_(cand, cls)]
-               & (sizes[cand, None] * ana.group.prime == sizes[cls]))
+    maximal = below & (sizes[cand, None] * ana.group.prime == sizes[cls])
     cyc = cls[(sizes[cls] == sizes[slot.si]) | (maximal.sum(axis=0) == 1)]
     in_cls = slot.class_pos[cand] == slot.class_pos[cyc][:, None]
-    hits = in_cls.astype(np.int64) @ ana.leq[np.ix_(cand, cls)]
+    hits = in_cls.astype(np.int64) @ below
     mult = sizes[slot.ti] // in_cls.sum(axis=1)
     return mult[:, None] * hits // sizes[cls]
 
@@ -144,56 +144,86 @@ def _mark_rows(ana: GroupAnalysis, slot: SectionSlot) -> np.ndarray:
 
 
 class SectionFamily:
-    """All sections of one group whose quotient fits the family label.
-
-    Sections are ordered by (top index, bottom index) over the canonical
-    subgroup ordering, so every derived listing is deterministic.  Edges
-    record the generating moves: one-step deflations (grow the bottom by
-    p), one-step restrictions (shrink the top by p), and conjugation by
-    the group generators when the group is nonabelian.
-    """
+    """All sections (T, S) of one group whose shape the label admits, in
+    (top index, bottom index) order.  Slots are read off (sections x
+    subgroups) arrays: the interval mask S <= W <= T, the least T-conjugate
+    of each W, and a running count of the class representatives; each
+    class_pos is a row of the counts.  The edges, one-step deflations (grow
+    the bottom by p) and restrictions (shrink the top by p) and conjugation
+    by the generators, are read off masks of that shape on first use."""
 
     def __init__(self, G: FiniteGroup, label: str):
-        if label not in FAMILY_LABELS:
-            raise FamilyError(f"unknown family label {label!r}")
         self.group = G
         self.label = label
-        ana = analysis(G)
-        self.ana = ana
-        sizes, normal = ana.sizes, ana.normal
-        secs = [(ti, si) for ti in range(ana.n_sub)
-                for si in np.flatnonzero(normal[:, ti]).tolist()
-                if family_contains(ana, ti, si, label)]
-        self.sections = secs
-        self.pos = {ts: i for i, ts in enumerate(secs)}
-        self.slots = [SectionSlot(ana, t, s) for t, s in secs]
-
-        p = G.prime
-        cover = []
-        for i, (ti, si) in enumerate(secs):
-            between = ana.leq[si] & ana.leq[:, ti]
-            # families are closed under subquotients, so every target
-            # section is present; a miss is a bug, not a branch
-            for sp in np.flatnonzero(between & (sizes == sizes[si] * p)
-                                     & normal[:, ti]).tolist():
-                cover.append((i, self.pos[(ti, sp)], "def"))
-            for tm in np.flatnonzero(between & (sizes * p == sizes[ti])).tolist():
-                cover.append((i, self.pos[(tm, si)], "res"))
-        self.cover_edges = cover
-
-        conj = []
-        if not G.is_abelian:
-            for i, ((ti, si), slot) in enumerate(zip(secs, self.slots)):
-                for u in ana.generators:
-                    cu = ana.conj_sub[u]
-                    j = self.pos[(int(cu[ti]), int(cu[si]))]
-                    if j == i and np.array_equal(slot.class_pos[cu[slot.classes]],
-                                                 np.arange(slot.dim)):
-                        continue
-                    conj.append((i, j, u))
-        self.conj_edges = conj
+        ana = self.ana = analysis(G)
+        tops, bots = self._tops, self._bots = np.nonzero(_admits(label, ana.shapes))
+        self.sections = list(zip(tops.tolist(), bots.tolist()))
+        self.pos = {ts: i for i, ts in enumerate(self.sections)}
+        n = ana.n_sub
+        pos_t = np.min_scalar_type(-n - 1)   # holds -1 and every count up to n
+        if G.is_abelian:
+            least = np.arange(n, dtype=pos_t)[None, :]
+        else:
+            least = np.zeros((n, n), dtype=pos_t)
+            for t in np.flatnonzero(np.bincount(tops, minlength=n)).tolist():
+                least[t] = ana.conj_sub[list(ana.subgroup_members[t])].min(axis=0)
+            least = least[tops]
+        between = ana.leq[bots] & ana.leq[:, tops].T
+        reps = between & (least == np.arange(n))
+        count = np.cumsum(reps, axis=1, dtype=pos_t)
+        dims = count[:, -1].tolist()
+        count -= 1
+        cp = self._class_pos = np.take_along_axis(
+            count, np.broadcast_to(least, count.shape), axis=1)
+        cp[~between] = -1
+        classes = np.nonzero(reps)[1].tolist()
+        self.slots = [SectionSlot(t, s, classes[e - d:e], row)
+                      for (t, s), row, d, e in zip(self.sections, cp, dims,
+                                                   np.cumsum(dims).tolist())]
         self._systems: dict = {}         # functor -> CoefficientSystem
         self._kernel_memo: dict = {}     # exact mark rows -> (kernel, pivots)
+
+    def _edges(self, src, tops, bots, tags, kind) -> list:
+        """(src, position of (tops, bots), tags[kind]), sharing the ints of
+        pos; families are closed under the moves, so a miss is a bug."""
+        at = np.full(self.ana.leq.shape, -1, dtype=np.int32)
+        at[self._tops, self._bots] = np.arange(len(self.sections))
+        dst = at[tops, bots]
+        if (dst < 0).any():
+            raise AssertionError("a generating move left the family")
+        ids = list(self.pos.values())
+        return [(ids[s], ids[d], tags[k])
+                for s, d, k in zip(src.tolist(), dst.tolist(), kind.tolist())]
+
+    @cached_property
+    def cover_edges(self) -> list:
+        """(src, dst, "def" | "res") by source, its deflations first, each
+        run in subgroup order of the new bottom or top."""
+        ana, tops, bots = self.ana, self._tops, self._bots
+        sizes, p = ana.sizes, self.group.prime
+        between = ana.leq[bots] & ana.leq[:, tops].T
+        grow = between & (sizes == sizes[bots, None] * p) & ana.normal[:, tops].T
+        shrink = between & (sizes * p == sizes[tops, None])
+        src, w = np.nonzero(np.hstack([grow, shrink]))
+        res, w = np.divmod(w, ana.n_sub)
+        return self._edges(src, np.where(res, w, tops[src]),
+                           np.where(res, bots[src], w), ("def", "res"), res)
+
+    @cached_property
+    def conj_edges(self) -> list:
+        """(src, dst, u) by source and then generator, for each generator u
+        that moves the section or one of its classes."""
+        if self.group.is_abelian:
+            return []
+        ana, tops, bots, cp = self.ana, self._tops, self._bots, self._class_pos
+        cu = ana.conj_sub[list(ana.generators)]           # (generator, subgroup)
+        keep = (cu[:, tops] != tops) | (cu[:, bots] != bots)
+        for k, row in enumerate(cu):
+            fixed = np.flatnonzero(~keep[k])
+            keep[k, fixed] = (cp[fixed][:, row] != cp[fixed]).any(axis=1)
+        src, k = np.nonzero(keep.T)
+        return self._edges(src, cu[k, tops[src]], cu[k, bots[src]],
+                           ana.generators, k)
 
 
 def section_family(G: FiniteGroup, label: str) -> SectionFamily:
@@ -547,23 +577,13 @@ def comparison_report(limit: InverseLimit) -> dict:
 # colimits of upward systems and the kernel-of-counit probe
 
 
-def _colimit_relations(system: CoefficientSystem) -> list[dict[int, int]]:
-    """Sparse relation rows presenting the colimit of an upward system.
-
-    Each generating move gives a matrix M from value(a) into value(b): the
-    upward map of a cover edge from the subquotient into the larger
-    section (the dual functor's cover map before its transpose), or the
-    matrix of a conjugation edge.  The maps come from one batched pass.
-    Each group of equal shapes is checked against the upward maps to the
-    base (the map of b after M equals the map of a) by one stacked
-    product, and every M is read off into one relation row per column.
-    The counit kills each such row exactly when that check holds.
-    """
+def _upward_moves(system: CoefficientSystem) -> tuple[list, list, list]:
+    """(edges, pairs, maps): maps[e] sends value(a) into value(b), (a, b) =
+    pairs[e], along edges[e]: the dual cover map before its transpose or
+    the conjugation matrix.  Moves out of a zero value are left out."""
     if system.functor not in ("B", "K"):
         raise FamilyError("colimits are built from functor B or K")
     dims = system.dims
-    ups = system._maps([("up", i) for i in range(len(dims))])
-    # a move out of a zero value gives no relation and checks nothing
     cover, conj = [], []
     for src, dst, tag in system.edges():
         if tag[0] == "conj":
@@ -574,31 +594,61 @@ def _colimit_relations(system: CoefficientSystem) -> list[dict[int, int]]:
     maps = (system._restricted([system._move(e, dual=True) for e in cover])
             + system._maps(conj))
     pairs = [(d, s) for s, d, _ in cover] + [(s, d) for s, d, _ in conj]
+    return cover + conj, pairs, maps
+
+
+def _colimit_relations(system: CoefficientSystem) -> list[dict[int, int]]:
+    """Sparse relation rows presenting the colimit of an upward system.
+
+    Moves M with equal shapes of M and of the upward map of b are stacked
+    in batches; per batch one product checks that the map of b after M is
+    the map of a, so that the counit kills the rows (see _relation_rows)
+    read off the same stack."""
+    edges, pairs, maps = _upward_moves(system)
+    ups = system._maps([("up", i) for i in range(len(system.dims))])
     groups = {}
     for e, ((a, b), M) in enumerate(zip(pairs, maps)):
         groups.setdefault((ups[b].shape, M.shape), []).append(e)
+    starts = np.cumsum([0] + [M.shape[1] for M in maps]).tolist()
+    rows = [None] * starts[-1]
     bad = []
     for ((r, kb), (_, ka)), members in groups.items():
-        for chunk in _batches(members, r * (kb + 2 * ka) + kb * ka):
-            lhs = _exact_matmul(_stack_shared([ups[pairs[e][1]] for e in chunk]),
-                                np.stack([maps[e] for e in chunk]))
+        # an up map every member shares is stacked once and broadcast
+        shared = len({pairs[e][1] for e in members}) == 1
+        for chunk in _batches(members, r * (kb * (not shared) + 2 * ka) + kb * ka,
+                              r * kb * shared):
+            Ms = np.stack([maps[e] for e in chunk])
+            lhs = _exact_matmul(_stack_shared([ups[pairs[e][1]] for e in chunk]), Ms)
             rhs = _stack_shared([ups[pairs[e][0]] for e in chunk])
             wrong = (lhs != rhs).reshape(len(chunk), -1).any(axis=1)
             bad.extend(chunk[k] for k in np.flatnonzero(wrong))
+            got = _relation_rows(system.offsets, [pairs[e] for e in chunk], Ms)
+            for m, e in enumerate(chunk):
+                rows[starts[e]:starts[e + 1]] = got[m * ka:(m + 1) * ka]
     if bad:
-        src, dst, tag = (cover + conj)[min(bad)]
+        src, dst, tag = edges[min(bad)]
         raise AssertionError(f"upward maps disagree along {src}->{dst} {tag}")
-    rows = []
-    offsets = system.offsets
-    for (a, b), M in zip(pairs, maps):
-        ao, bo = offsets[a], offsets[b]
-        for j, col in enumerate(M.T.tolist()):
-            row = {ao + j: 1}
-            for i, v in enumerate(col):
-                if v:
-                    row[bo + i] = row.get(bo + i, 0) - int(v)
-            rows.append({c: v for c, v in row.items() if v})
     return rows
+
+
+def _relation_rows(off: list, pairs: list, Ms: np.ndarray) -> list[dict[int, int]]:
+    """Per move of a stack (move, kb, ka) and column j, {a_j: 1} less column
+    j over the b generators, keys in that order, zeros dropped; a move
+    inside one value folds its own entry into the leading 1."""
+    k, kb, ka = Ms.shape
+    vals = np.empty((k, ka, kb + 1), dtype=np.int64)
+    keys = np.empty_like(vals)
+    vals[..., 0] = 1
+    vals[..., 1:] = -Ms.transpose(0, 2, 1)
+    keys[..., 0] = np.array([off[a] for a, _ in pairs])[:, None] + np.arange(ka)
+    keys[..., 1:] = np.array([off[b] for _, b in pairs])[:, None, None] + np.arange(kb)
+    own = keys[..., 1:] == keys[..., :1]
+    vals[..., 0] += (vals[..., 1:] * own).sum(axis=2)
+    vals[..., 1:][own] = 0
+    live = vals != 0
+    ks, vs = keys[live].tolist(), vals[live].tolist()
+    ends = np.cumsum(live.sum(axis=2)).tolist()
+    return [dict(zip(ks[lo:hi], vs[lo:hi])) for lo, hi in zip([0] + ends, ends)]
 
 
 def counit_matrix(system: CoefficientSystem) -> np.ndarray:

@@ -135,10 +135,10 @@ _BATCH_ENTRIES = 1 << 16
 _OFF_KERNEL = "image left the mark kernel; upstream map is wrong"
 
 
-def _batches(members: list, entries: int):
-    """Consecutive slices of members, each holding about _BATCH_ENTRIES
-    entries when one member holds the given number."""
-    step = max(1, _BATCH_ENTRIES // max(1, entries))
+def _batches(members: list, entries: int, shared: int = 0):
+    """Consecutive slices of members, each about _BATCH_ENTRIES entries
+    when one member holds `entries` and each slice `shared` once."""
+    step = max(1, (_BATCH_ENTRIES - shared) // max(1, entries))
     return (members[lo:lo + step] for lo in range(0, len(members), step))
 
 

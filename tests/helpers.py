@@ -15,7 +15,10 @@ defres) are the references for the reads off the conjugation table
 (`classify_quotient`, `QUOTIENT_CLASSES`), `preimage` and
 `indinf_class_matrix` work on built quotient groups; they are the
 references for `section_shape`, `family_contains` and the slot-based
-induced kernel sums.
+induced kernel sums.  `sections_by_loops`, `conj_edges_by_loops` and
+`relation_rows_by_columns` are the former per-pair, per-generator and
+per-column loops of `SectionFamily` and of the colimit relations, the
+references for their whole-family array reads.
 """
 
 import bisect
@@ -26,7 +29,7 @@ import numpy as np
 from bfk.bisets import ConcreteBiset, defres_biset, indinf_biset
 from bfk.burnside import ring_data
 from bfk.groups import _check_prime_power, _closure, product_members
-from bfk.limits import CoefficientSystem, family_contains
+from bfk.limits import CoefficientSystem, _upward_moves, family_contains
 from bfk.zlinalg import _exact_matmul, coords_in_hnf, obj_matrix, obj_zeros, xgcd
 
 
@@ -488,6 +491,42 @@ def sections_by_loops(ana, label: str):
     return secs, pos, cover
 
 
+def conj_edges_by_loops(fam) -> list:
+    """The former per-section x generator loop of SectionFamily: the
+    conjugation edges (i, j, u), skipping a generator that fixes the
+    section and each of its classes; the reference for the mask read."""
+    ana = fam.ana
+    conj = []
+    if not fam.group.is_abelian:
+        for i, ((ti, si), slot) in enumerate(zip(fam.sections, fam.slots)):
+            for u in ana.generators:
+                cu = ana.conj_sub[u]
+                j = fam.pos[(int(cu[ti]), int(cu[si]))]
+                if j == i and np.array_equal(slot.class_pos[cu[slot.classes]],
+                                             np.arange(slot.dim)):
+                    continue
+                conj.append((i, j, u))
+    return conj
+
+
+def relation_rows_by_columns(system: CoefficientSystem) -> list:
+    """The former per-column read of limits._colimit_relations: one row
+    per column of each upward move, entry by entry; the reference for the
+    stacked read of each shape group."""
+    _, pairs, maps = _upward_moves(system)
+    rows = []
+    offsets = system.offsets
+    for (a, b), M in zip(pairs, maps):
+        ao, bo = offsets[a], offsets[b]
+        for j, col in enumerate(M.T.tolist()):
+            row = {ao + j: 1}
+            for i, v in enumerate(col):
+                if v:
+                    row[bo + i] = row.get(bo + i, 0) - int(v)
+            rows.append({c: v for c, v in row.items() if v})
+    return rows
+
+
 def _normal_by_members(ana, si: int, ti: int) -> bool:
     return bool(ana.leq[si, ti]
                 and ana.normalizes[si, list(ana.subgroup_members[ti])].all())
@@ -585,7 +624,7 @@ def mark_rows_by_loops(ana, slot) -> np.ndarray:
     of its classes, walking T for each orbit."""
     p = ana.group.prime
     s_size = len(ana.subgroup_members[slot.si])
-    m_sets = ana.member_sets
+    m_sets = [frozenset(m) for m in ana.subgroup_members]
     inside = np.flatnonzero(slot.class_pos >= 0).tolist()
     cyc = []
     for w in slot.classes:
@@ -625,12 +664,13 @@ def defres_by_double_cosets(ana, top: int, reps, dst) -> np.ndarray:
     t_mem = ana.subgroup_members[top]
     tp_mem = ana.subgroup_members[dst.ti]
     sp_mem = ana.subgroup_members[dst.si]
+    t_set = frozenset(tp_mem)
     D = np.zeros((dst.dim, len(reps)), dtype=np.int64)
     for j, w in enumerate(reps):
         wmem = ana.subgroup_members[w]
         for x in double_coset_reps(ana.group, tp_mem, wmem, within=t_mem):
             cw = conjugate_members(ana, x, wmem)
-            inter = tuple(m for m in cw if m in ana.member_sets[dst.ti])
+            inter = tuple(m for m in cw if m in t_set)
             tgt = product_members(ana.group, inter, sp_mem)
             D[dst.class_pos[ana.index_of(tgt)], j] += 1
     return D

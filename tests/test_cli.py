@@ -114,27 +114,32 @@ def test_bad_prime_exits_one():
     assert "odd prime" in proc.stderr
 
 
-# runs one CLI command in process, then reports whether numpy.ma was loaded
+# runs one CLI command in process, then reports whether numpy.ma and the
+# process pool module were loaded
 _LOADS_NUMPY_MA = """
 import contextlib, io, sys
 from bfk.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, "numpy.ma" in sys.modules)
+print(code, "numpy.ma" in sys.modules, "concurrent.futures.process" in sys.modules)
 """
 
 
 def test_probe_and_limit_do_not_import_numpy_ma(tmp_path):
-    # a plain np.unique imports numpy.ma, about 10 ms per process
+    # a plain np.unique imports numpy.ma, about 10 ms per process; the
+    # process pool behind --jobs costs about 16 ms to import
     bare = subprocess.run(
         [sys.executable, "-c", "import sys, numpy; print('numpy.ma' in sys.modules)"],
         capture_output=True, text=True, env=child_env())
-    if bare.stdout.strip() != "False":
-        pytest.skip("importing numpy alone loads numpy.ma")
-    for args in (("probe", "m", "--p", "3", "--max-order", "27"),
+    numpy_alone_loads_ma = bare.stdout.strip() != "False"
+    for args in (("probe", "m", "--p", "3", "--max-order", "27", "--jobs", "1"),
                  ("limit", "--group", "xsp:3", "--class", "X3",
-                  "--functor", "Kdual", "--cache-dir", str(tmp_path))):
+                  "--functor", "Kdual", "--cache-dir", str(tmp_path),
+                  "--jobs", "1")):
         proc = subprocess.run([sys.executable, "-c", _LOADS_NUMPY_MA, *args],
                               capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "False"], args
+        code, loads_ma, loads_pool = proc.stdout.split()
+        assert (code, loads_pool) == ("0", "False"), args
+        if not numpy_alone_loads_ma:
+            assert loads_ma == "False", args

@@ -215,7 +215,8 @@ def test_conjugation_table_matches_conjugating_members(p, max_order):
 def test_meet_and_join_tables_match_member_sets(desc):
     G = parse_descriptor(desc)
     ana = analysis(G)
-    sets, subs = ana.member_sets, ana.subgroup_members
+    subs = ana.subgroup_members
+    sets = [frozenset(m) for m in subs]
     for a in range(ana.n_sub):
         assert [ana.index_of(sets[a] & sets[b]) for b in range(ana.n_sub)] \
             == ana.meet[a].tolist()

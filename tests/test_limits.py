@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from bfk.groups import (
     extraspecial_group,
     group_from_spec,
 )
+from bfk import limits
 from bfk.limits import (
     FAMILY_LABELS,
     FUNCTOR_NAMES,
@@ -36,8 +38,9 @@ from bfk.limits import (
     residual_check,
     section_family,
 )
-from helpers import (_direct_limit_basis, _restrict_to_kernels, defres_by_double_cosets,
-                     maps_by_edges, mark_rows_by_loops, per_column_restrict,
+from helpers import (_direct_limit_basis, _restrict_to_kernels, conj_edges_by_loops,
+                     defres_by_double_cosets, maps_by_edges, mark_rows_by_loops,
+                     per_column_restrict, relation_rows_by_columns,
                      sections_by_loops, slot_classes_by_union_find,
                      sparse_kernel)
 
@@ -80,6 +83,17 @@ def test_sections_and_cover_edges_match_the_pair_loops():
                 fam = section_family(G, label)
                 want = sections_by_loops(analysis(G), label)
                 assert (fam.sections, fam.pos, fam.cover_edges) == want, (spec, label)
+
+
+def test_conj_edges_match_the_generator_loop():
+    # the mask read against the former per-section x generator loop, on
+    # every catalog group at p = 3 to order 81 and p = 5 to order 125
+    for p, max_order in ((3, 81), (5, 125)):
+        for _, spec in catalog_groups(p, max_order):
+            G = group_from_spec(spec, p)
+            for label in FAMILY_LABELS:
+                fam = section_family(G, label)
+                assert fam.conj_edges == conj_edges_by_loops(fam), (spec, label)
 
 
 def test_slot_classes_and_mark_rows_match_the_loops():
@@ -225,6 +239,17 @@ def test_batched_maps_match_the_per_edge_restriction():
                         row[bo + i] = row.get(bo + i, 0) - int(M[i, j])
                     rows.append({c: v for c, v in row.items() if v})
             assert _colimit_relations(system) == rows, (spec, label)
+
+
+@pytest.mark.parametrize("spec,label", [
+    ("elab:3:3", "E"), ("xsp:3", "X"), ("prod:xsp:3,cyclic:3", "X3")])
+def test_relation_rows_match_the_column_loop(spec, label):
+    system = coefficient_system(group_from_spec(spec, 3), label, "K")
+    got = _colimit_relations(system)
+    want = relation_rows_by_columns(system)
+    # the same rows with their keys in the same order, which sets the
+    # Markowitz pivot order of the Smith invariants
+    assert [list(r.items()) for r in got] == [list(r.items()) for r in want]
 
 
 def _forced_kernels():
@@ -585,7 +610,7 @@ def test_counit_surjectivity_in_base_kernel_coordinates():
         assert counit_kernel_report(system)["counit_surjective"] is onto
 
 
-def test_counit_probe_rejects_maps_that_disagree_or_miss_a_relation():
+def test_counit_probe_rejects_maps_that_disagree_or_miss_a_relation(monkeypatch):
     system = coefficient_system(X27, "X", "K")
     counit_kernel_report(system)
     i = next(i for i, d in enumerate(system.dims) if d)
@@ -607,6 +632,21 @@ def test_counit_probe_rejects_maps_that_disagree_or_miss_a_relation():
             counit_kernel_report(system)
     finally:
         conj[0, 0] -= 1
+    # and so does one flipped entry of a cover map; cover maps are built
+    # afresh on each call, so the flip goes in through _upward_moves
+    edges, pairs, maps = limits._upward_moves(system)
+    ups = system._maps([("up", i) for i in range(len(system.dims))])
+    e = max(e for e, (_, _, tag) in enumerate(edges)
+            if tag[0] == "cover" and ups[pairs[e][1]].any())
+    flipped = list(maps)
+    flipped[e] = maps[e].copy()
+    flipped[e][np.flatnonzero(ups[pairs[e][1]].any(axis=0))[0], 0] += 1
+    src, dst, tag = edges[e]
+    with monkeypatch.context() as m:
+        m.setattr(limits, "_upward_moves", lambda _: (edges, pairs, flipped))
+        with pytest.raises(AssertionError,
+                           match=re.escape(f"disagree along {src}->{dst} {tag}")):
+            _colimit_relations(system)
     counit_kernel_report(system)
 
 
