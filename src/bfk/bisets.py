@@ -8,6 +8,11 @@ the opposite biset swaps the two sides through inverses.
 Group-valued sides are always FiniteGroup objects; a subgroup T of P enters
 as the quotient of the section (T, 1), whose table is literally P's table
 restricted and relabeled. Two sides match when their tables are equal.
+
+Orbit labels and transporters are whole-biset arrays: cosets, quotient
+points and composite points are numbered by least member in one pass, and
+`left_transporters` / `right_transporters` give every point's transporter
+as one row of a (points x group) bool mask.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .groups import FiniteGroup, Section
+from .zlinalg import _batches
 
 
 def _same_group(A: FiniteGroup, B: FiniteGroup) -> bool:
@@ -55,18 +61,12 @@ def _coset_ids(P: FiniteGroup, members, side: str):
     """Index cosets of a subgroup by ascending least representative.
 
     side 'left' indexes cosets xS, side 'right' indexes cosets Sx.
-    Returns (ids array over P, reps list).
+    Returns (ids array over P, reps array).
     """
-    arr = np.asarray(sorted(members), dtype=np.int32)
-    ids = np.full(P.order, -1, dtype=np.int32)
-    reps = []
-    for x in range(P.order):
-        if ids[x] >= 0:
-            continue
-        coset = P.table[x, arr] if side == "left" else P.table[arr, x]
-        ids[coset] = len(reps)
-        reps.append(x)
-    return ids, reps
+    arr = np.asarray(members, dtype=np.intp)
+    least = P.table[:, arr].min(axis=1) if side == "left" else P.table[arr, :].min(axis=0)
+    reps, ids = np.unique(least, return_inverse=True)
+    return ids.astype(np.int32), reps
 
 
 def indinf_biset(sec: Section) -> ConcreteBiset:
@@ -74,11 +74,9 @@ def indinf_biset(sec: Section) -> ConcreteBiset:
     (parent, quotient)-biset. Composing with it induces from the top after
     inflating from the quotient."""
     P = sec.parent
-    ids, reps = _coset_ids(P, sec.bottom.members, "left")
-    reps_arr = np.asarray(reps, dtype=np.int32)
+    ids, reps_arr = _coset_ids(P, sec.bottom.members, "left")
     left = ids[P.table[:, reps_arr]]
-    qreps = np.asarray([sec.reps[t] for t in range(sec.group.order)],
-                       dtype=np.int32)
+    qreps = np.asarray(sec.reps, dtype=np.int32)
     right = ids[P.table[np.ix_(reps_arr, qreps)]]
     return ConcreteBiset(P, sec.group, left, right,
                          name=f"indinf[{sec.key}]")
@@ -88,10 +86,8 @@ def defres_biset(sec: Section) -> ConcreteBiset:
     """Right cosets of the bottom of sec, as a (quotient, parent)-biset.
     Composing with it restricts to the top then deflates to the quotient."""
     P = sec.parent
-    ids, reps = _coset_ids(P, sec.bottom.members, "right")
-    reps_arr = np.asarray(reps, dtype=np.int32)
-    qreps = np.asarray([sec.reps[t] for t in range(sec.group.order)],
-                       dtype=np.int32)
+    ids, reps_arr = _coset_ids(P, sec.bottom.members, "right")
+    qreps = np.asarray(sec.reps, dtype=np.int32)
     left = ids[P.table[np.ix_(qreps, reps_arr)]]
     right = ids[P.table[reps_arr, :]]
     return ConcreteBiset(sec.group, P, left, right,
@@ -116,12 +112,12 @@ def compose(V: ConcreteBiset, U: ConcreteBiset, return_pairs: bool = False):
     R, Q, P = V.left_group, U.left_group, U.right_group
     nV, nU = V.size, U.size
     # label each pair by the least code v * nU + u in its orbit
-    # {(v.q^-1, q.u) : q in Q}
+    # {(v.q^-1, q.u) : q in Q}, over chunks of Q
     least = np.arange(nV * nU, dtype=np.int64).reshape(nV, nU)
-    for q in range(1, Q.order):
-        np.minimum(least,
-                   V.right[:, Q.inv[q]].astype(np.int64)[:, None] * nU
-                   + U.left[q][None, :], out=least)
+    for qs in _batches(np.arange(1, Q.order), nV * nU):
+        codes = (V.right[:, Q.inv[qs]].T.astype(np.int64)[:, :, None] * nU
+                 + U.left[qs][:, None, :])
+        np.minimum(least, codes.min(axis=0), out=least)
     roots, pairs = np.unique(least, return_inverse=True)
     pairs = pairs.reshape(nV, nU).astype(np.int32)
     vs, us = np.divmod(roots, nU)
@@ -133,21 +129,25 @@ def compose(V: ConcreteBiset, U: ConcreteBiset, return_pairs: bool = False):
     return W, pairs
 
 
-def left_transporter(U: ConcreteBiset, u: int, s_members) -> list:
-    """^uS: all y in the left group with y.u = u.s for some s in S.
+def left_transporters(U: ConcreteBiset, s_members) -> np.ndarray:
+    """mask[u, y]: y lies in ^uS, the y of the left group with y.u = u.s for
+    some s in S, one row per point.
 
-    For a subgroup S of the right group this is a subgroup of the left
+    For a subgroup S of the right group each row is a subgroup of the left
     group; ^u{1} is the left stabilizer of u."""
-    hit = np.zeros(U.size, dtype=bool)
-    hit[U.right[u, np.asarray(s_members, dtype=np.intp)]] = True
-    return np.flatnonzero(hit[U.left[:, u]]).tolist()
+    at = np.arange(U.size)[:, None]
+    hit = np.zeros((U.size, U.size), dtype=bool)        # hit[u, w]: w in u.S
+    hit[at, U.right[:, np.asarray(s_members, dtype=np.intp)]] = True
+    return hit[at, U.left.T]
 
 
-def right_transporter(U: ConcreteBiset, t_members, u: int) -> list:
-    """T^u: all x in the right group with t.u = u.x for some t in T."""
-    hit = np.zeros(U.size, dtype=bool)
-    hit[U.left[np.asarray(t_members, dtype=np.intp), u]] = True
-    return np.flatnonzero(hit[U.right[u, :]]).tolist()
+def right_transporters(U: ConcreteBiset, t_members) -> np.ndarray:
+    """mask[u, x]: x lies in T^u, the x of the right group with t.u = u.x
+    for some t in T, one row per point."""
+    at = np.arange(U.size)
+    hit = np.zeros((U.size, U.size), dtype=bool)        # hit[u, w]: w in T.u
+    hit[at, U.left[np.asarray(t_members, dtype=np.intp)]] = True
+    return hit[at[:, None], U.right]
 
 
 def double_coset_reps(U: ConcreteBiset, t_members) -> list:
@@ -164,28 +164,21 @@ def left_quotient_biset(U: ConcreteBiset, c_members) -> ConcreteBiset:
     because the two actions commute. The left group object is kept, now
     acting through the quotient."""
     Q = U.left_group
-    cset = set(int(c) for c in c_members)
-    if 0 not in cset:
-        raise ValueError("subgroup must contain the identity")
     inside = np.zeros(Q.order, dtype=bool)
-    c_arr = np.asarray(sorted(cset), dtype=np.int32)
-    inside[c_arr] = True
+    inside[np.asarray(list(c_members), dtype=np.intp)] = True
+    if not inside[0]:
+        raise ValueError("subgroup must contain the identity")
+    c_arr = np.flatnonzero(inside)
     if not (inside[Q.inv[c_arr]].all()
-            and inside[Q.table[np.ix_(c_arr, c_arr)]].all()):
+            and inside[Q.table[c_arr[:, None], c_arr]].all()):
         raise ValueError("members do not form a subgroup")
     gens = np.asarray(Q.generators(), dtype=np.intp)
     # g c g^-1 for every generator g (rows) and member c (columns)
-    conj = Q.table[Q.table[np.ix_(gens, c_arr)], Q.inv[gens][:, None]]
+    conj = Q.table[Q.table[gens[:, None], c_arr], Q.inv[gens][:, None]]
     if not inside[conj].all():
         raise ValueError("subgroup is not normal in the left group")
-    ids = np.full(U.size, -1, dtype=np.int32)
-    reps = []
-    for x in range(U.size):
-        if ids[x] >= 0:
-            continue
-        ids[U.left[c_arr, x]] = len(reps)
-        reps.append(x)
-    reps_arr = np.asarray(reps, dtype=np.int32)
+    reps_arr, ids = np.unique(U.left[c_arr, :].min(axis=0), return_inverse=True)
+    ids = ids.astype(np.int32)
     left = ids[U.left[:, reps_arr]]
     right = ids[U.right[reps_arr, :]]
     return ConcreteBiset(Q, U.right_group, left, right, name=f"quot[{U.name}]")
@@ -211,9 +204,9 @@ def orbit_decompose(U: ConcreteBiset):
         block = U.left[:, U.right[x, :]]        # block[q, p] = q.(x.p)
         orbit = sorted(set(block.ravel().tolist()))
         seen[orbit] = True
+        # row-major, so the codes come out ascending
         qs, ps = np.nonzero(block == x)
-        stab = tuple(sorted(int(q) * nP + int(p) for q, p in zip(qs, ps)))
-        out.append((x, orbit, stab))
+        out.append((x, orbit, tuple((qs * nP + ps).tolist())))
     return out
 
 

@@ -32,9 +32,9 @@ from .bisets import (
     indinf_biset,
     is_biset_iso,
     left_quotient_biset,
-    left_transporter,
+    left_transporters,
     opposite,
-    right_transporter,
+    right_transporters,
 )
 from .burnside import (
     character_dual_sublattice,
@@ -69,7 +69,7 @@ from .transfers import (
     retraction_identity_holds,
     retraction_matrix,
 )
-from .zlinalg import (_exact_matmul, coords_in_hnf, hnf,
+from .zlinalg import (_batches, _exact_matmul, coords_in_hnf, hnf,
                       lattice_from_rows, obj_eye, obj_zeros)
 
 FORMAT_CHOICES = ("json", "csv")
@@ -217,6 +217,16 @@ def _mat_eq(A, B) -> bool:
     A = np.asarray(A, dtype=object)
     B = np.asarray(B, dtype=object)
     return A.shape == B.shape and (A.size == 0 or bool(np.all(A == B)))
+
+
+def _first(bad) -> int | None:
+    """Index of the first true entry, else None."""
+    bad = np.flatnonzero(bad)
+    return int(bad[0]) if len(bad) else None
+
+
+def _members(row) -> list[int]:
+    return np.flatnonzero(row).tolist()
 
 
 def _group_key(desc: str) -> int:
@@ -692,11 +702,7 @@ def _main_rows(desc: str, cfg: RunConfig) -> list[dict]:
             E = np.asarray(sys_e.unit_matrix(), dtype=object)
             comp = E @ (R @ lim_e.basis)
             want = G.order * lim_e.basis
-            jbad = 0
-            for j in range(lim_e.rank):
-                if not _mat_eq(comp[:, j], want[:, j]):
-                    jbad = j
-                    break
+            jbad = _first((comp != want).any(axis=0)) or 0
             witness = {"kind": "vector-identity", "reading": "A",
                        "left": _ints(comp[:, jbad]),
                        "right": _ints(want[:, jbad])}
@@ -780,23 +786,33 @@ def _fail_row(claim: str, desc: str, case: dict, left, right) -> dict:
     return _row("appendix", claim, desc, "refuted", witness)
 
 
-def _conj_sorted(Q, x: int, members, inverse_first: bool) -> list[int]:
-    xi = Q.inv_of(x)
-    if inverse_first:
-        return sorted(Q.mul(Q.mul(xi, m), x) for m in members)
-    return sorted(Q.mul(Q.mul(x, m), xi) for m in members)
+def _conjugation_cases(U, mask, members, us, gs, conj, moved):
+    """(first failure or None, cases passed before it) where mask row us[i]
+    read through conj[i] must equal mask row moved[i]."""
+    lhs, rhs = mask[us[:, None], conj], mask[moved]
+    i = _first((lhs != rhs).any(axis=1))
+    if i is None:
+        return None, len(us)
+    return ({"biset": U.name, "point": int(us[i]), "element": int(gs[i]),
+             "subgroup": _ints(members)}, _members(lhs[i]), _members(rhs[i])), i
 
 
-def _is_subgroup(Q, members) -> bool:
-    mset = set(members)
-    if 0 not in mset:
-        return False
-    return all(Q.mul(a, b) in mset for a in members for b in members)
+def _closed(table, left, right, into) -> np.ndarray:
+    """Per row of three stacked (rows x group) masks: table[a, b] lies in
+    `into` for every a in `left` and b in `right`."""
+    at = np.arange(len(into))[:, None, None]
+    return ~(left[:, :, None] & right[:, None, :] & ~into[at, table]).any(axis=(1, 2))
 
 
-def _is_normal_inside(Q, sub, top) -> bool:
-    sset = set(sub)
-    return all(Q.mul(Q.mul(t, s), Q.inv_of(t)) in sset for t in top for s in sub)
+def _through(A, B, C) -> np.ndarray:
+    """out[i, x]: B[i, g] == C[i, x] for some g with A[i, g], one bool
+    product over the middle group per row: with B[i], C[i] a biset's two
+    actions at one point, the transporter of the set A[i] through it."""
+    out = np.empty(C.shape, dtype=bool)
+    for rows in _batches(np.arange(len(A)), B.shape[1] * C.shape[1]):
+        out[rows] = (A[rows, :, None]
+                     & (B[rows, :, None] == C[rows, None, :])).any(axis=1)
+    return out
 
 
 def _fingerprint(ana, ti: int, si: int) -> tuple:
@@ -863,30 +879,24 @@ def _appendix_transporter_rows(desc, cfg, G, ana, pool, small, rng) -> list[dict
                    for _ in range(10)]
             lefts = [(int(rng.integers(U.size)), int(rng.integers(G.order)))
                      for _ in range(10)]
+        # z lies in T^(u.x) iff x z x^-1 lies in T^u, and in ^(y.u)S iff
+        # y^-1 z y lies in ^uS
+        us, xs = np.array(pts).T
         for tmem in t_choices[:2]:
             if fail_a:
                 break
-            for u, x in pts:
-                base = right_transporter(U, tmem, u)
-                moved = right_transporter(U, tmem, int(U.right[u, x]))
-                conj = _conj_sorted(Q, x, base, inverse_first=True)
-                if conj != moved:
-                    fail_a = ({"biset": U.name, "point": u, "element": x,
-                               "subgroup": _ints(tmem)}, conj, moved)
-                    break
-                cases_a += 1
+            fail_a, n = _conjugation_cases(
+                U, right_transporters(U, tmem), tmem, us, xs,
+                Q.table[Q.table[xs], Q.inv[xs][:, None]], U.right[us, xs])
+            cases_a += n
+        us, ys = np.array(lefts).T
         for smem in s_choices[:2]:
             if fail_ap:
                 break
-            for u, y in lefts:
-                base = left_transporter(U, u, smem)
-                moved = left_transporter(U, int(U.left[y, u]), smem)
-                conj = _conj_sorted(G, y, base, inverse_first=False)
-                if conj != moved:
-                    fail_ap = ({"biset": U.name, "point": u, "element": y,
-                                "subgroup": _ints(smem)}, conj, moved)
-                    break
-                cases_ap += 1
+            fail_ap, n = _conjugation_cases(
+                U, left_transporters(U, smem), smem, us, ys,
+                G.table[G.table[G.inv[ys]], ys[:, None]], U.left[ys, us])
+            cases_ap += n
     return (_outcome("transporter-conjugation-right", desc, fail_a, cases_a,
                      small)
             + _outcome("transporter-conjugation-left", desc, fail_ap, cases_ap,
@@ -910,23 +920,24 @@ def _appendix_section_transport_rows(desc, cfg, G, ana, pool, secs_x3,
             pts = list(range(U.size))
         else:
             pts = _sample_indices(rng, U.size, 4)
+        conj = Q.table[Q.table, Q.inv[:, None]]         # conj[t, s] = t s t^-1
         for ti, si, fps in sec_choices:
             if fail_b or fail_bp:
                 break
-            tmem = list(ana.subgroup_members[ti])
-            smem = list(ana.subgroup_members[si])
-            for u in pts:
-                tq = right_transporter(U, tmem, u)
-                sq = right_transporter(U, smem, u)
+            tmem, smem = ana.subgroup_members[ti], ana.subgroup_members[si]
+            tq, sq = (right_transporters(U, m)[pts] for m in (tmem, smem))
+            ok = (tq[:, 0] & sq[:, 0] & ~(sq & ~tq).any(axis=1)
+                  & _closed(Q.table, tq, tq, tq) & _closed(Q.table, sq, sq, sq)
+                  & _closed(conj, tq, sq, sq))
+            for i, u in enumerate(pts):
                 case = {"biset": U.name, "point": int(u),
                         "top_order": len(tmem), "bottom_order": len(smem)}
-                if not (_is_subgroup(Q, tq) and _is_subgroup(Q, sq)
-                        and set(sq) <= set(tq)
-                        and _is_normal_inside(Q, sq, tq)):
-                    fail_b = (case, _ints(sq), _ints(tq))
+                if not ok[i]:
+                    fail_b = (case, _members(sq[i]), _members(tq[i]))
                     break
                 cases_b += 1
-                fp = _fingerprint(ana_q, ana_q.index_of(tq), ana_q.index_of(sq))
+                fp = _fingerprint(ana_q, ana_q.index_of(_members(tq[i])),
+                                  ana_q.index_of(_members(sq[i])))
                 if fp not in fps:
                     fail_bp = (case, [fp[0], fp[1], list(fp[2])],
                                sorted([f[0], f[1], list(f[2])] for f in fps))
@@ -963,20 +974,23 @@ def _appendix_composite_transporter_rows(desc, cfg, G, ana, pool, small,
         else:
             pvu = [(int(rng.integers(V.size)), int(rng.integers(U.size)))
                    for _ in range(18)]
-        for v, u in pvu:
-            w = int(pairs[v, u])
-            case = {"biset": U.name, "v": int(v), "u": int(u), "w": w}
-            chain = right_transporter(U, right_transporter(V, tmem, v), u)
-            direct = right_transporter(W, tmem, w)
-            if chain != direct:
-                failure = (case, chain, direct)
-                break
-            lchain = left_transporter(V, v, left_transporter(U, u, smem))
-            ldirect = left_transporter(W, w, smem)
-            if lchain != ldirect:
-                failure = (case, lchain, ldirect)
-                break
-            cases += 2
+        vs, us = np.array(pvu).T
+        ws = pairs[vs, us]
+        # (T^v)^u: the x with g.u = u.x for some g in T^v, and ^v(^uS)
+        chain = _through(right_transporters(V, tmem)[vs], U.left[:, us].T,
+                         U.right[us])
+        direct = right_transporters(W, tmem)[ws]
+        lchain = _through(left_transporters(U, smem)[us], V.right[vs],
+                          V.left[:, vs].T)
+        ldirect = left_transporters(W, smem)[ws]
+        bad_right = (chain != direct).any(axis=1)
+        i = _first(bad_right | (lchain != ldirect).any(axis=1))
+        cases += 2 * (len(pvu) if i is None else i)
+        if i is not None:
+            case = {"biset": U.name, "v": int(vs[i]), "u": int(us[i]),
+                    "w": int(ws[i])}
+            lhs, rhs = (chain, direct) if bad_right[i] else (lchain, ldirect)
+            failure = (case, _members(lhs[i]), _members(rhs[i]))
     return _outcome("transporter-through-composite", desc, failure, cases,
                     small)
 
@@ -1000,6 +1014,7 @@ def _appendix_quotient_collapse_rows(desc, cfg, G, ana, secs_x3, small,
         ana, [(t, s) for t, s in secs_x3
              if ana.sizes[s] > 1 or ana.sizes[t] < G.order],
         sec_limit)
+    built = {}              # ts -> outer biset, [(inner biset, composite)]
     cases = 0
     failure = None
     for cmem in picks:
@@ -1008,15 +1023,17 @@ def _appendix_quotient_collapse_rows(desc, cfg, G, ana, secs_x3, small,
         for ts in sec_picks:
             if failure:
                 break
-            V = indinf_biset(_section(ana, ts))
+            if ts not in built:
+                V = indinf_biset(_section(ana, ts))
+                inner = _x3_quotients(V.right_group, 2 if small else 4)
+                built[ts] = V, [(U, compose(V, U)) for U in map(indinf_biset, inner)]
+            V, inner = built[ts]
             Vq = left_quotient_biset(V, cmem)
-            Q1 = V.right_group
-            ak = [b for b in range(Q1.order)
-                  if all(int(Vq.right[x, b]) == x for x in range(Vq.size))]
-            for secu in _x3_quotients(Q1, 2 if small else 4):
-                U = indinf_biset(secu)
+            ak = np.flatnonzero((Vq.right == np.arange(Vq.size)[:, None])
+                                .all(axis=0)).tolist()
+            for U, VU in inner:
                 lhs = compose(Vq, left_quotient_biset(U, ak))
-                rhs = left_quotient_biset(compose(V, U), cmem)
+                rhs = left_quotient_biset(VU, cmem)
                 case = {"collapsed": _ints(cmem), "outer": V.name,
                         "inner": U.name}
                 if not is_biset_iso(lhs, rhs):
@@ -1099,12 +1116,8 @@ def _appendix_limit_action_rows(desc, cfg, G, ana, secs_x3, small,
             lim_q = inverse_limit(sys_q)
             _, ok = limit_coordinates(lim_q, img)
             if not ok:
-                jbad = 0
-                for j in range(img.shape[1]):
-                    _, okj = limit_coordinates(lim_q, img[:, j:j + 1])
-                    if not okj:
-                        jbad = j
-                        break
+                jbad = next((j for j in range(img.shape[1]) if not
+                             limit_coordinates(lim_q, img[:, j:j + 1])[1]), 0)
                 failure = (case, _ints(img[:, jbad]),
                            [_ints(lim_q.basis[:, j]) for j in range(lim_q.rank)])
                 break
@@ -1124,18 +1137,11 @@ def _appendix_identity_action_rows(desc, cfg, G, small) -> list[dict]:
         if system.total == 0:
             continue
         A = act_on_limit_matrix(identity_biset(G), system, system)
-        if not _mat_eq(A, obj_eye(system.total)):
-            bad = None
-            for i in range(system.total):
-                for j in range(system.total):
-                    want = 1 if i == j else 0
-                    if int(A[i, j]) != want:
-                        bad = (i, j, int(A[i, j]), want)
-                        break
-                if bad:
-                    break
-            failure = ({"functor": functor, "cell": [bad[0], bad[1]]},
-                       [bad[2]], [bad[3]])
+        eye = obj_eye(system.total)
+        if not _mat_eq(A, eye):
+            i, j = np.argwhere(A != eye)[0].tolist()
+            failure = ({"functor": functor, "cell": [i, j]},
+                       [int(A[i, j])], [int(eye[i, j])])
             break
         cases += system.total
     return _outcome("identity-biset-acts-trivially", desc, failure, cases,
@@ -1182,17 +1188,9 @@ def _appendix_composite_action_rows(desc, cfg, G, ana, secs_x3, small,
                         "inner_quotient": sec2.group.order}
                 got = _exact_matmul(M2, M1)
                 if not _mat_eq(got, MW):
-                    bad = None
-                    for i in range(MW.shape[0]):
-                        for j in range(MW.shape[1]):
-                            if int(got[i, j]) != int(MW[i, j]):
-                                bad = (i, j)
-                                break
-                        if bad:
-                            break
-                    case["cell"] = [bad[0], bad[1]]
-                    failure = (case, [int(got[bad[0], bad[1]])],
-                               [int(MW[bad[0], bad[1]])])
+                    i, j = np.argwhere(got != MW)[0].tolist()
+                    case["cell"] = [i, j]
+                    failure = (case, [int(got[i, j])], [int(MW[i, j])])
                     break
                 pairs += 1
                 cases += max(lim0.rank, 1)
@@ -1246,11 +1244,7 @@ def _appendix_adjunction_rows(desc, cfg, G, small, rng) -> list[dict]:
             base_block = mat[off:off + d0, :]
             completed = _exact_matmul(unit, base_block)
             if not _mat_eq(completed, mat):
-                jbad = 0
-                for j in range(mat.shape[1]):
-                    if not _mat_eq(completed[:, j], mat[:, j]):
-                        jbad = j
-                        break
+                jbad = _first((completed != mat).any(axis=0)) or 0
                 failure = ({"family": label, "functor": functor,
                             "column": jbad},
                            _ints(completed[:, jbad]), _ints(mat[:, jbad]))

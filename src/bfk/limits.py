@@ -662,7 +662,10 @@ def counit_matrix(system: CoefficientSystem) -> np.ndarray:
 def _spans_everything(U: np.ndarray) -> bool:
     """Do the columns of U span all of Z^rows?  True iff the column lattice
     has full rank and every invariant factor is 1."""
-    cols = [{i: v for i, v in enumerate(col) if v} for col in U.T.tolist()]
+    cs, rs = np.nonzero(U.T)
+    ends = np.cumsum(np.bincount(cs, minlength=U.shape[1])).tolist()
+    ks, vs = rs.tolist(), U.T[cs, rs].tolist()
+    cols = [dict(zip(ks[lo:hi], vs[lo:hi])) for lo, hi in zip([0] + ends, ends)]
     invariants, rank = sparse_snf_invariants(cols, U.shape[0])
     return rank == U.shape[0] and all(d == 1 for d in invariants)
 

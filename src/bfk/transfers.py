@@ -11,10 +11,11 @@ from __future__ import annotations
 import numpy as np
 
 from .groups import product_members
-from .bisets import ConcreteBiset, double_coset_reps, opposite
-from .zlinalg import _restrict_moves, obj_zeros
-from .limits import (CoefficientSystem, FamilyError, InverseLimit,
-                     _any_nonzero, _selection_matrix, coefficient_system)
+from .bisets import (ConcreteBiset, double_coset_reps, opposite,
+                     right_transporters)
+from .zlinalg import _batches, _exact_matmul, _restrict_moves, obj_zeros
+from .limits import (CoefficientSystem, FamilyError, InverseLimit, _any_nonzero,
+                     _as_i64, _selection_matrix, coefficient_system)
 
 
 # ---------------------------------------------------------------------------
@@ -94,15 +95,32 @@ class NaturalityError(ValueError):
 
 def check_section_naturality(sys_f: CoefficientSystem, sys_g: CoefficientSystem,
                              components) -> None:
-    """components[i]: F-value(i) -> G-value(i) must commute with every move."""
-    for src, dst, tag in sys_f.edges():
-        Df = np.asarray(sys_f.edge_matrix(src, dst, tag), dtype=object)
-        Dg = np.asarray(sys_g.edge_matrix(src, dst, tag), dtype=object)
-        lhs = Dg @ np.asarray(components[src], dtype=object)
-        rhs = np.asarray(components[dst], dtype=object) @ Df
-        if _any_nonzero(lhs - rhs):
-            raise NaturalityError(
-                f"components are not natural along {src}->{dst}", (src, dst, tag))
+    """components[i]: F-value(i) -> G-value(i) must commute with every move.
+
+    Edges whose four matrices have equal shapes are checked in stacked
+    exact products; the error names the first failing edge in edge order."""
+    edges = sys_f.edges()
+    try:                    # int64 where it fits, so no stack is converted
+        comps = [_as_i64(c) for c in components]
+    except OverflowError:
+        comps = [np.asarray(c, dtype=object) for c in components]
+    quads = [(Dg, comps[s], comps[d], Df) for (s, d, _), Dg, Df
+             in zip(edges, sys_g._maps(edges), sys_f._maps(edges))]
+    groups = {}
+    for e, (Dg, Cs, Cd, Df) in enumerate(quads):
+        groups.setdefault((Dg.shape, Cs.shape, Cd.shape, Df.shape), []).append(e)
+    bad = []
+    for shapes, members in groups.items():
+        gd, fs = shapes[0][0], shapes[3][1]
+        size = sum(a * b for a, b in shapes) + 2 * gd * fs
+        for chunk in _batches(members, size):
+            Dg, Cs, Cd, Df = (np.stack([quads[e][k] for e in chunk]) for k in range(4))
+            wrong = (_exact_matmul(Dg, Cs) != _exact_matmul(Cd, Df)).reshape(len(chunk), -1)
+            bad.extend(chunk[k] for k in np.flatnonzero(wrong.any(axis=1)))
+    if bad:
+        src, dst, tag = edges[min(bad)]
+        raise NaturalityError(
+            f"components are not natural along {src}->{dst}", (src, dst, tag))
 
 
 def adjunction_plus(sys_f: CoefficientSystem, sys_g: CoefficientSystem,
@@ -119,8 +137,7 @@ def adjunction_plus(sys_f: CoefficientSystem, sys_g: CoefficientSystem,
     check_section_naturality(sys_f, sys_g, components)
     blocks = []
     for i in range(len(sys_f.dims)):
-        down = np.asarray(sys_f.defres_from_base(i), dtype=object)
-        blocks.append(np.asarray(components[i], dtype=object) @ down)
+        blocks.append(_exact_matmul(components[i], sys_f.defres_from_base(i)))
     if not blocks:
         return obj_zeros(0, sys_f.base_rank)
     return np.vstack(blocks)
@@ -145,19 +162,6 @@ def adjunction_minus(sys_g: CoefficientSystem, stacked: np.ndarray) -> np.ndarra
 
 # ---------------------------------------------------------------------------
 # action of a concrete biset on limit elements
-
-
-def _transport_subgroup(U: ConcreteBiset, x: int, members) -> tuple:
-    """Elements of the right group glued to the given left subgroup at x."""
-    shifted = {int(U.left[t, x]) for t in members}
-    return tuple(p for p in range(U.right_group.order)
-                 if int(U.right[x, p]) in shifted)
-
-
-def _left_transport(U: ConcreteBiset, x: int, t_members, w_members) -> tuple:
-    """Members t of T with t.x inside x.W, for W in the right group."""
-    xw = {int(U.right[x, w]) for w in w_members}
-    return tuple(t for t in t_members if int(U.left[t, x]) in xw)
 
 
 def act_on_limit_matrix(U: ConcreteBiset, sys_q: CoefficientSystem,
@@ -187,18 +191,20 @@ def act_on_limit_matrix(U: ConcreteBiset, sys_q: CoefficientSystem,
         kp = coefficient_system(sys_p.group, sys_p.family.label, base)
         kq = coefficient_system(sys_q.group, sys_q.family.label, base)
         return act_on_limit_matrix(opposite(U), kp, kq).T.copy()
-    ana_q = sys_q.ana
-    ana_p = sys_p.ana
+    ana_q, ana_p = sys_q.ana, sys_p.ana
+    up = {}                 # T^x for every point x, by subgroup T
     moves = []              # (selection rows, source slot, target slot)
     for qi, (ti, si) in enumerate(sys_q.family.sections):
         if sys_q.dims[qi] == 0:
             continue
-        t_mem = ana_q.subgroup_members[ti]
-        s_mem = ana_q.subgroup_members[si]
-        slot_q = sys_q.family.slots[qi]
+        t_mem, s_mem = ana_q.subgroup_members[ti], ana_q.subgroup_members[si]
+        t_arr, slot_q = np.asarray(t_mem), sys_q.family.slots[qi]
+        up.update({i: right_transporters(U, ana_q.subgroup_members[i])
+                   for i in (ti, si) if i not in up})
         for x in double_coset_reps(U, t_mem):
-            tx = ana_p.index_of(_transport_subgroup(U, x, t_mem))
-            sx = ana_p.index_of(_transport_subgroup(U, x, s_mem))
+            # the section (T^x, S^x) of the right group
+            tx = ana_p.index_of(np.flatnonzero(up[ti][x]))
+            sx = ana_p.index_of(np.flatnonzero(up[si][x]))
             pj = sys_p.family.pos.get((tx, sx))
             # section families are closed under the transported sections,
             # so a missing slot indicates corrupted biset data
@@ -208,7 +214,10 @@ def act_on_limit_matrix(U: ConcreteBiset, sys_q: CoefficientSystem,
                 continue
             rows = []
             for w in sys_p.family.slots[pj].classes:
-                moved = _left_transport(U, x, t_mem, ana_p.subgroup_members[w])
+                # the t in T with t.x in x.W, times S
+                xw = np.zeros(U.size, dtype=bool)
+                xw[U.right[x, np.asarray(ana_p.subgroup_members[w])]] = True
+                moved = t_arr[xw[U.left[t_arr, x]]]
                 tgt = product_members(ana_q.group, moved, s_mem)
                 rows.append(slot_q.class_pos[ana_q.index_of(tgt)])
             moves.append((np.array(rows), pj, qi))

@@ -18,7 +18,13 @@ references for `section_shape`, `family_contains` and the slot-based
 induced kernel sums.  `sections_by_loops`, `conj_edges_by_loops` and
 `relation_rows_by_columns` are the former per-pair, per-generator and
 per-column loops of `SectionFamily` and of the colimit relations, the
-references for their whole-family array reads.
+references for their whole-family array reads.  The per-point biset
+references at the end (`left_transporter`, `right_transporter` and the
+former `transfers` forms `transport_subgroup` and `left_transport`; the
+coset, quotient and composition walks; and the three appendix engines
+that called them one point at a time, with their set checks) are the
+references for the whole-biset masks and array passes of `bisets` and
+of the appendix engines.
 """
 
 import bisect
@@ -26,9 +32,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from bfk.bisets import ConcreteBiset, defres_biset, indinf_biset
+from bfk.bisets import ConcreteBiset, compose, defres_biset, indinf_biset, opposite
 from bfk.burnside import ring_data
-from bfk.groups import _check_prime_power, _closure, product_members
+from bfk.campaigns import (_fingerprint, _ints, _outcome, _sample_indices,
+                           _signature_reps, _subquotient_fps)
+from bfk.groups import _check_prime_power, _closure, analysis, product_members
 from bfk.limits import CoefficientSystem, _upward_moves, family_contains
 from bfk.zlinalg import _exact_matmul, coords_in_hnf, obj_matrix, obj_zeros, xgcd
 
@@ -674,3 +682,258 @@ def defres_by_double_cosets(ana, top: int, reps, dst) -> np.ndarray:
             tgt = product_members(ana.group, inter, sp_mem)
             D[dst.class_pos[ana.index_of(tgt)], j] += 1
     return D
+
+
+# -- per-point biset references -----------------------------------------------
+
+def left_transporter(U: ConcreteBiset, u: int, s_members) -> list:
+    """^uS: all y in the left group with y.u = u.s for some s in S.
+
+    For a subgroup S of the right group this is a subgroup of the left
+    group; ^u{1} is the left stabilizer of u."""
+    hit = np.zeros(U.size, dtype=bool)
+    hit[U.right[u, np.asarray(s_members, dtype=np.intp)]] = True
+    return np.flatnonzero(hit[U.left[:, u]]).tolist()
+
+
+def right_transporter(U: ConcreteBiset, t_members, u: int) -> list:
+    """T^u: all x in the right group with t.u = u.x for some t in T."""
+    hit = np.zeros(U.size, dtype=bool)
+    hit[U.left[np.asarray(t_members, dtype=np.intp), u]] = True
+    return np.flatnonzero(hit[U.right[u, :]]).tolist()
+
+
+def transport_subgroup(U: ConcreteBiset, x: int, members) -> tuple:
+    """Elements of the right group glued to the given left subgroup at x."""
+    shifted = {int(U.left[t, x]) for t in members}
+    return tuple(p for p in range(U.right_group.order)
+                 if int(U.right[x, p]) in shifted)
+
+
+def left_transport(U: ConcreteBiset, x: int, t_members, w_members) -> tuple:
+    """Members t of T with t.x inside x.W, for W in the right group."""
+    xw = {int(U.right[x, w]) for w in w_members}
+    return tuple(t for t in t_members if int(U.left[t, x]) in xw)
+
+
+def coset_ids_by_loop(P, members, side: str):
+    """The former walk of bisets._coset_ids: (ids over P, reps), cosets in
+    order of their least member."""
+    arr = np.asarray(sorted(members), dtype=np.int32)
+    ids = np.full(P.order, -1, dtype=np.int32)
+    reps = []
+    for x in range(P.order):
+        if ids[x] >= 0:
+            continue
+        coset = P.table[x, arr] if side == "left" else P.table[arr, x]
+        ids[coset] = len(reps)
+        reps.append(x)
+    return ids, reps
+
+
+def quotient_ids_by_loop(U: ConcreteBiset, c_members):
+    """The former walk of left_quotient_biset: (ids over the points, reps),
+    C-orbits in order of their least point."""
+    c_arr = np.asarray(sorted(set(int(c) for c in c_members)), dtype=np.int32)
+    ids = np.full(U.size, -1, dtype=np.int32)
+    reps = []
+    for x in range(U.size):
+        if ids[x] >= 0:
+            continue
+        ids[U.left[c_arr, x]] = len(reps)
+        reps.append(x)
+    return ids, reps
+
+
+def compose_by_loop(V: ConcreteBiset, U: ConcreteBiset):
+    """The former compose, one element of the middle group at a time:
+    (left, right, pairs) of the composite."""
+    Q = U.left_group
+    nV, nU = V.size, U.size
+    least = np.arange(nV * nU, dtype=np.int64).reshape(nV, nU)
+    for q in range(1, Q.order):
+        np.minimum(least,
+                   V.right[:, Q.inv[q]].astype(np.int64)[:, None] * nU
+                   + U.left[q][None, :], out=least)
+    roots, pairs = np.unique(least, return_inverse=True)
+    pairs = pairs.reshape(nV, nU).astype(np.int32)
+    vs, us = np.divmod(roots, nU)
+    left = pairs[V.left[:, vs], us[None, :]]
+    right = pairs[vs[:, None], U.right[us, :]]
+    return left, right, pairs
+
+
+def conj_sorted(Q, x: int, members, inverse_first: bool) -> list[int]:
+    xi = Q.inv_of(x)
+    if inverse_first:
+        return sorted(Q.mul(Q.mul(xi, m), x) for m in members)
+    return sorted(Q.mul(Q.mul(x, m), xi) for m in members)
+
+
+def is_subgroup(Q, members) -> bool:
+    mset = set(members)
+    if 0 not in mset:
+        return False
+    return all(Q.mul(a, b) in mset for a in members for b in members)
+
+
+def is_normal_inside(Q, sub, top) -> bool:
+    sset = set(sub)
+    return all(Q.mul(Q.mul(t, s), Q.inv_of(t)) in sset for t in top for s in sub)
+
+
+def transporter_rows_by_points(desc, cfg, G, ana, pool, small, rng) -> list[dict]:
+    # conjugation moves the transported subgroup with the point, on each side
+    t_choices = []
+    seen_orders = set()
+    for ci in ana.class_reps:
+        members = ana.subgroup_members[ci]
+        if len(members) in seen_orders or len(members) == 1:
+            continue
+        seen_orders.add(len(members))
+        t_choices.append(list(members))
+        if len(t_choices) == 3:
+            break
+    if not t_choices:
+        t_choices = [[0]]
+
+    cases_a = 0
+    fail_a = None
+    cases_ap = 0
+    fail_ap = None
+    for U in pool:
+        Q = U.right_group
+        ana_q = analysis(Q)
+        s_choices = []
+        for ci in ana_q.class_reps:
+            m = ana_q.subgroup_members[ci]
+            if 1 < len(m):
+                s_choices.append(list(m))
+            if len(s_choices) == 2:
+                break
+        if not s_choices:
+            s_choices = [[0]]
+        if small:
+            pts = [(u, x) for u in range(U.size) for x in range(Q.order)]
+            lefts = [(u, y) for u in range(U.size) for y in range(G.order)]
+        else:
+            pts = [(int(rng.integers(U.size)), int(rng.integers(Q.order)))
+                   for _ in range(10)]
+            lefts = [(int(rng.integers(U.size)), int(rng.integers(G.order)))
+                     for _ in range(10)]
+        for tmem in t_choices[:2]:
+            if fail_a:
+                break
+            for u, x in pts:
+                base = right_transporter(U, tmem, u)
+                moved = right_transporter(U, tmem, int(U.right[u, x]))
+                conj = conj_sorted(Q, x, base, inverse_first=True)
+                if conj != moved:
+                    fail_a = ({"biset": U.name, "point": u, "element": x,
+                               "subgroup": _ints(tmem)}, conj, moved)
+                    break
+                cases_a += 1
+        for smem in s_choices[:2]:
+            if fail_ap:
+                break
+            for u, y in lefts:
+                base = left_transporter(U, u, smem)
+                moved = left_transporter(U, int(U.left[y, u]), smem)
+                conj = conj_sorted(G, y, base, inverse_first=False)
+                if conj != moved:
+                    fail_ap = ({"biset": U.name, "point": u, "element": y,
+                                "subgroup": _ints(smem)}, conj, moved)
+                    break
+                cases_ap += 1
+    return (_outcome("transporter-conjugation-right", desc, fail_a, cases_a,
+                     small)
+            + _outcome("transporter-conjugation-left", desc, fail_ap, cases_ap,
+                       small))
+
+
+def section_transport_rows_by_points(desc, cfg, G, ana, pool, secs_x3,
+                                     small, rng) -> list[dict]:
+    sec_choices = [(ti, si, _subquotient_fps(ana, ti, si))
+                   for ti, si in _signature_reps(ana, secs_x3, 3)]
+    cases_b = 0
+    fail_b = None
+    cases_bp = 0
+    fail_bp = None
+    for U in pool:
+        if fail_b or fail_bp:
+            break
+        Q = U.right_group
+        ana_q = analysis(Q)
+        if small:
+            pts = list(range(U.size))
+        else:
+            pts = _sample_indices(rng, U.size, 4)
+        for ti, si, fps in sec_choices:
+            if fail_b or fail_bp:
+                break
+            tmem = list(ana.subgroup_members[ti])
+            smem = list(ana.subgroup_members[si])
+            for u in pts:
+                tq = right_transporter(U, tmem, u)
+                sq = right_transporter(U, smem, u)
+                case = {"biset": U.name, "point": int(u),
+                        "top_order": len(tmem), "bottom_order": len(smem)}
+                if not (is_subgroup(Q, tq) and is_subgroup(Q, sq)
+                        and set(sq) <= set(tq)
+                        and is_normal_inside(Q, sq, tq)):
+                    fail_b = (case, _ints(sq), _ints(tq))
+                    break
+                cases_b += 1
+                fp = _fingerprint(ana_q, ana_q.index_of(tq), ana_q.index_of(sq))
+                if fp not in fps:
+                    fail_bp = (case, [fp[0], fp[1], list(fp[2])],
+                               sorted([f[0], f[1], list(f[2])] for f in fps))
+                    break
+                cases_bp += 1
+    return (_outcome("transported-pair-is-section", desc, fail_b, cases_b,
+                     small)
+            + _outcome("transported-quotient-is-subquotient", desc, fail_bp,
+                       cases_bp, small))
+
+
+def composite_transporter_rows_by_points(desc, cfg, G, ana, pool, small,
+                                         rng) -> list[dict]:
+    cases = 0
+    failure = None
+    for U in pool[:2]:
+        if failure:
+            break
+        V = opposite(U)
+        W, pairs = compose(V, U, return_pairs=True)
+        Q = V.left_group
+        ana_q = analysis(Q)
+        tmem = list(ana_q.subgroup_members[ana_q.class_reps[-1]])
+        smem = None
+        for ci in ana_q.class_reps:
+            m = ana_q.subgroup_members[ci]
+            if 1 < len(m) < Q.order:
+                smem = list(m)
+                break
+        if smem is None:
+            smem = [0]
+        if small:
+            pvu = [(v, u) for v in range(V.size) for u in range(U.size)]
+        else:
+            pvu = [(int(rng.integers(V.size)), int(rng.integers(U.size)))
+                   for _ in range(18)]
+        for v, u in pvu:
+            w = int(pairs[v, u])
+            case = {"biset": U.name, "v": int(v), "u": int(u), "w": w}
+            chain = right_transporter(U, right_transporter(V, tmem, v), u)
+            direct = right_transporter(W, tmem, w)
+            if chain != direct:
+                failure = (case, chain, direct)
+                break
+            lchain = left_transporter(V, v, left_transporter(U, u, smem))
+            ldirect = left_transporter(W, w, smem)
+            if lchain != ldirect:
+                failure = (case, lchain, ldirect)
+                break
+            cases += 2
+    return _outcome("transporter-through-composite", desc, failure, cases,
+                    small)

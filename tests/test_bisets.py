@@ -9,31 +9,41 @@ from bfk.bisets import (
     identity_biset,
     indinf_biset,
     is_biset_iso,
+    _coset_ids,
     left_quotient_biset,
-    left_transporter,
+    left_transporters,
     opposite,
     orbit_decompose,
-    right_transporter,
+    right_transporters,
 )
 from bfk.bisets import double_coset_reps as point_orbit_reps
 from bfk.burnside import act_on_basis_element, decompose_left_action, ring_data
+from bfk.campaigns import _x3_quotients, catalog_groups
 from bfk.groups import (
     analysis,
     center,
     cyclic_group,
     direct_product,
     extraspecial_group,
+    parse_descriptor,
 )
 from helpers import (
     all_sections,
+    compose_by_loop,
+    coset_ids_by_loop,
     deflation_biset,
     double_coset_reps,
     induction_biset,
     inflation_biset,
+    left_transport,
+    left_transporter,
     normalizer,
+    quotient_ids_by_loop,
     restriction_biset,
+    right_transporter,
     section_transport,
     subgroup_generators,
+    transport_subgroup,
     validate_biset,
 )
 
@@ -232,14 +242,18 @@ def test_canonical_stabilizer_is_conjugation_invariant():
     assert len(labels) == 1
 
 
+def _row(mask, u: int) -> list:
+    return np.flatnonzero(mask[u]).tolist()
+
+
 def test_trivial_transporters_are_stabilizers():
     ana = analysis(X27)
     Z = center(X27).members
     U = indinf_biset(ana.section_at(range(27), Z))
+    left, right = left_transporters(U, [0]), right_transporters(U, [0])
     for u in range(U.size):
-        assert left_transporter(U, u, [0]) == \
-            [y for y in range(27) if U.left[y, u] == u]
-        assert right_transporter(U, [0], u) == \
+        assert _row(left, u) == [y for y in range(27) if U.left[y, u] == u]
+        assert _row(right, u) == \
             [x for x in range(U.right_group.order) if U.right[u, x] == u]
 
 
@@ -250,10 +264,10 @@ def test_left_transporter_of_induction_is_conjugation():
     U = induction_biset(ana, M)
     T = U.right_group
     emb = [int(U.right[0, t]) for t in range(T.order)]
+    mask = left_transporters(U, range(T.order))
     for u in (0, 4, 11, 25):
-        got = left_transporter(U, u, range(T.order))
         want = sorted(X27.mul(X27.mul(u, m), X27.inv_of(u)) for m in emb)
-        assert got == want
+        assert _row(mask, u) == want
 
 
 def test_transporters_move_with_the_point():
@@ -265,14 +279,14 @@ def test_transporters_move_with_the_point():
     S = [t for t in range(T.order) if int(U.right[0, t]) in set(Z)]
     L = next(m for m in ana.subgroup_members
              if len(m) == 3 and m != Z)
+    right, left = right_transporters(U, L), left_transporters(U, S)
     for u in (1, 7, 20):
-        A = right_transporter(U, L, u)
-        B = left_transporter(U, u, S)
+        A, B = _row(right, u), _row(left, u)
         for x in (1, 2, 5):
-            moved = right_transporter(U, L, int(U.right[u, x]))
+            moved = _row(right, int(U.right[u, x]))
             assert sorted(T.mul(T.mul(T.inv_of(x), a), x) for a in A) == moved
         for y in (1, 4, 9):
-            moved = left_transporter(U, int(U.left[y, u]), S)
+            moved = _row(left, int(U.left[y, u]))
             assert sorted(Q.mul(Q.mul(y, b), Q.inv_of(y)) for b in B) == moved
 
 
@@ -286,13 +300,89 @@ def test_composite_transporters_through_pair_map():
     assert pairs.shape == (V.size, U.size)
     assert sorted(set(pairs.ravel().tolist())) == list(range(W.size))
     S = [t for t in range(U.right_group.order) if int(U.right[0, t]) in set(Z)]
+    right_w, left_w = right_transporters(W, S), left_transporters(W, S)
+    right_v, left_u = right_transporters(V, S), left_transporters(U, S)
     for v in (0, 3, 12):
         for u in (0, 5, 17):
             w = int(pairs[v, u])
-            step = right_transporter(U, right_transporter(V, S, v), u)
-            assert step == right_transporter(W, S, w)
-            step = left_transporter(V, v, left_transporter(U, u, S))
-            assert step == left_transporter(W, w, S)
+            step = right_transporters(U, _row(right_v, v))[u]
+            assert np.array_equal(step, right_w[w])
+            step = left_transporters(V, _row(left_u, u))[v]
+            assert np.array_equal(step, left_w[w])
+
+
+# -- whole-biset arrays against the per-point and loop references ------------
+
+SMALL_CATALOG = ([(3, d) for o, d in catalog_groups(3, 27)]
+                 + [(5, d) for o, d in catalog_groups(5, 25)])
+
+
+def _pool(p: int, desc: str) -> list:
+    G = parse_descriptor(desc, p)
+    return [indinf_biset(sec) for sec in _x3_quotients(G, 4)]
+
+
+def _member_lists(G) -> list:
+    """Every subgroup of G, and {1, 2} (no identity, so no subgroup)."""
+    return list(analysis(G).subgroup_members) + [list(range(1, min(3, G.order)))]
+
+
+@pytest.mark.parametrize("p,desc", SMALL_CATALOG)
+def test_transporter_masks_match_per_point_reference(p, desc):
+    checked = 0
+    for U in _pool(p, desc):
+        for T in _member_lists(U.left_group):
+            mask = right_transporters(U, T)
+            assert mask.shape == (U.size, U.right_group.order)
+            for u in range(U.size):
+                assert _row(mask, u) == right_transporter(U, T, u)
+                assert tuple(_row(mask, u)) == transport_subgroup(U, u, T)
+            checked += 1
+        for S in _member_lists(U.right_group):
+            mask = left_transporters(U, S)
+            assert mask.shape == (U.size, U.left_group.order)
+            for u in range(U.size):
+                assert _row(mask, u) == left_transporter(U, u, S)
+                T = range(1, U.left_group.order, 2)
+                assert tuple(y for y in _row(mask, u) if y in T) == \
+                    left_transport(U, u, T, S)
+            checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("p,desc", SMALL_CATALOG)
+def test_orbit_ids_match_the_loops(p, desc):
+    G = parse_descriptor(desc, p)
+    ana = analysis(G)
+    for members in ana.subgroup_members:
+        for side in ("left", "right"):
+            ids, reps = _coset_ids(G, members, side)
+            want_ids, want_reps = coset_ids_by_loop(G, members, side)
+            assert np.array_equal(ids, want_ids) and reps.tolist() == want_reps
+    pool = _pool(p, desc)
+    for U in pool:
+        for si, members in enumerate(ana.subgroup_members):
+            if not ana.normal[si, ana.n_sub - 1]:
+                continue
+            got = left_quotient_biset(U, members)
+            ids, reps = quotient_ids_by_loop(U, members)
+            assert np.array_equal(got.left, ids[U.left[:, reps]])
+            assert np.array_equal(got.right, ids[U.right[reps, :]])
+    for V, U in [(opposite(U), U) for U in pool] + [(pool[0], opposite(pool[0]))]:
+        W, pairs = compose(V, U, return_pairs=True)
+        left, right, want_pairs = compose_by_loop(V, U)
+        assert np.array_equal(W.left, left) and np.array_equal(W.right, right)
+        assert np.array_equal(pairs, want_pairs)
+
+
+def test_compose_in_several_chunks_of_the_middle_group():
+    # 125 x 125 pairs over a middle group of order 125: chunks of 4 elements
+    U = _pool(5, "xsp:5")[0]
+    V = opposite(U)
+    W, pairs = compose(V, U, return_pairs=True)
+    left, right, want_pairs = compose_by_loop(V, U)
+    assert np.array_equal(W.left, left) and np.array_equal(W.right, right)
+    assert np.array_equal(pairs, want_pairs)
 
 
 def test_point_orbit_reps_match_group_double_cosets():

@@ -7,10 +7,17 @@ import jsonschema
 import numpy as np
 import pytest
 
+from bfk.bisets import ConcreteBiset, identity_biset, indinf_biset
 from bfk.campaigns import (
     RunConfig,
+    _appendix_composite_transporter_rows,
+    _appendix_identity_action_rows,
+    _appendix_section_transport_rows,
+    _appendix_transporter_rows,
     _delta_identity_row,
+    _engine_rng,
     _probe_rows,
+    _x3_quotients,
     cached_inverse_limit,
     catalog_groups,
     emit_csv,
@@ -22,6 +29,11 @@ from bfk.campaigns import (
 from bfk.burnside import ring_data
 from bfk.groups import analysis, parse_descriptor
 from bfk.limits import coefficient_system, section_family
+from helpers import (
+    composite_transporter_rows_by_points,
+    section_transport_rows_by_points,
+    transporter_rows_by_points,
+)
 
 CATALOG_81 = [
     (1, "cyclic:1"),
@@ -244,3 +256,81 @@ def test_main_worker_unit_matrix_matches_systems(tmp_path):
     lim = cached_inverse_limit(G, "X3", "Kdual", str(tmp_path))
     system = coefficient_system(G, "X3", "Kdual")
     assert lim.basis.shape == (system.total, lim.rank)
+
+
+def _tampered_pool(G):
+    """The appendix pool of G with one right-action entry of its second
+    biset pointed at another point."""
+    pool = [indinf_biset(sec) for sec in _x3_quotients(G, 4)]
+    U = pool[1]
+    right = U.right.copy()
+    right[1, 1] = (right[1, 1] + 1) % U.size
+    pool[1] = ConcreteBiset(U.left_group, U.right_group, U.left, right,
+                            name=U.name + "*")
+    return pool
+
+
+@pytest.mark.parametrize("p,desc", [(3, "xsp:3"), (3, "elab:3:3"), (5, "xsp:5")])
+def test_biset_engines_fail_like_the_reference_loops(p, desc):
+    G = parse_descriptor(desc, p)
+    ana = analysis(G)
+    cfg = RunConfig(p=p, max_order=G.order)
+    small = G.order <= 27
+    pool = _tampered_pool(G)
+    secs_x3 = section_family(G, "X3").sections
+    engines = [
+        (_appendix_transporter_rows, transporter_rows_by_points, 1, ()),
+        (_appendix_section_transport_rows, section_transport_rows_by_points,
+         2, (secs_x3,)),
+        (_appendix_composite_transporter_rows,
+         composite_transporter_rows_by_points, 3, ()),
+    ]
+    rows = []
+    for engine, reference, salt, extra in engines:
+        got = engine(desc, cfg, G, ana, pool, *extra, small,
+                     _engine_rng(cfg, desc, salt))
+        want = reference(desc, cfg, G, ana, pool, *extra, small,
+                         _engine_rng(cfg, desc, salt))
+        assert got == want
+        rows += got
+    refuted = {r["claim"] for r in rows if r["status"] == "refuted"}
+    if small:
+        assert {"transporter-conjugation-right", "transporter-conjugation-left",
+                "transported-pair-is-section",
+                "transporter-through-composite"} <= refuted
+        assert all(recheck(r) for r in rows if r["status"] == "refuted")
+
+
+def test_section_transport_refutes_a_pair_that_is_no_section():
+    # transport keeps subgroups, so only a bottom that is not normal in
+    # its top reaches the normality read
+    G = parse_descriptor("xsp:3", 3)
+    ana = analysis(G)
+    top = ana.n_sub - 1
+    bottom = next(si for si in range(ana.n_sub) if not ana.normal[si, top])
+    cfg = RunConfig(p=3, max_order=27)
+    args = ("xsp:3", cfg, G, ana, [identity_biset(G)], [(top, bottom)], True)
+    got = _appendix_section_transport_rows(*args, _engine_rng(cfg, "xsp:3", 2))
+    want = section_transport_rows_by_points(*args, _engine_rng(cfg, "xsp:3", 2))
+    assert got == want
+    assert got[0]["claim"] == "transported-pair-is-section"
+    assert got[0]["status"] == "refuted"
+
+
+def test_identity_action_names_the_first_wrong_cell(monkeypatch):
+    import bfk.campaigns as campaigns
+    act = campaigns.act_on_limit_matrix
+
+    def tampered(U, sys_q, sys_p):
+        A = act(U, sys_q, sys_p).copy()
+        A[2, 1] += 3
+        A[3, 0] += 1
+        return A
+
+    monkeypatch.setattr(campaigns, "act_on_limit_matrix", tampered)
+    G = parse_descriptor("elab:3:2", 3)
+    row, = _appendix_identity_action_rows("elab:3:2", RunConfig(), G, True)
+    assert row["status"] == "refuted"
+    assert row["witness"]["case"] == {"functor": "B", "cell": [2, 1]}
+    assert (row["witness"]["left"], row["witness"]["right"]) == ([3], [0])
+    assert recheck(row)

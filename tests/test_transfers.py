@@ -11,8 +11,8 @@ from bfk.groups import (
     elementary_abelian_group,
     extraspecial_group,
 )
-from bfk.limits import (coefficient_system, inverse_limit, limit_coordinates,
-                        FamilyError)
+from bfk.limits import (CoefficientSystem, coefficient_system, inverse_limit,
+                        limit_coordinates, section_family, FamilyError)
 from bfk.transfers import (
     NaturalityError,
     act_on_limit_matrix,
@@ -130,6 +130,29 @@ def test_naturality_failure_names_the_edge():
     with pytest.raises(NaturalityError) as exc:
         check_section_naturality(sys_f, sys_f, comps)
     assert exc.value.witness == (1, 2, ("cover", "def"))
+
+
+def test_naturality_names_the_earlier_of_two_broken_edges():
+    # two edges in different shape groups, the later one in the group
+    # that is checked first, so the error must not follow batch order
+    sys_f = coefficient_system(X27, "E", "B")
+    sys_g = CoefficientSystem(section_family(X27, "E"), "B")
+    edges = sys_g.edges()
+    shapes = [sys_g.edge_matrix(*e).shape for e in edges]
+    first = next(e for e in range(len(edges)) if shapes[e] != shapes[0])
+    later = next(e for e in range(first + 1, len(edges)) if shapes[e] == shapes[0])
+    for e in (later, first):
+        D = sys_g.edge_matrix(*edges[e]).copy()
+        D[0, 0] += 1
+        sys_g._edge_cache[edges[e]] = D
+    comps = [_obj_eye(d) for d in sys_f.dims]
+    with pytest.raises(NaturalityError) as exc:
+        check_section_naturality(sys_f, sys_g, comps)
+    assert exc.value.witness == edges[first]
+    sys_g._edge_cache[edges[first]] = sys_f.edge_matrix(*edges[first])
+    with pytest.raises(NaturalityError) as exc:
+        check_section_naturality(sys_f, sys_g, comps)
+    assert exc.value.witness == edges[later]
 
 
 def test_adjunction_requires_shared_family():
