@@ -52,13 +52,15 @@ from .groups import (analysis, is_prime, parse_descriptor, product_members,
 from .limits import (
     FAMILY_LABELS,
     FUNCTOR_NAMES,
+    ConstraintViolation,
     InverseLimit,
     SectionSlot,
+    _sparse_rows,
     coefficient_system,
     comparison_report,
+    constraint_rows,
     counit_kernel_report,
     inverse_limit,
-    limit_coordinates,
     residual_check,
     section_family,
 )
@@ -70,7 +72,8 @@ from .transfers import (
     retraction_matrix,
 )
 from .zlinalg import (_batches, _exact_matmul, coords_in_hnf, hnf,
-                      lattice_from_rows, obj_eye, obj_zeros)
+                      lattice_from_rows, obj_eye, obj_matrix,
+                      sparse_snf_invariants)
 
 FORMAT_CHOICES = ("json", "csv")
 
@@ -316,15 +319,16 @@ def _limit_from_payload(system, payload: dict, label: str, functor: str) -> Inve
             or payload.get("functor") != functor
             or payload.get("total") != system.total):
         raise ValueError("limit cache metadata does not match the system")
-    rows = payload["basis"]
-    basis = obj_zeros(system.total, len(rows))
-    for j, r in enumerate(rows):
-        if len(r) != system.total:
-            raise ValueError("limit cache basis has the wrong width")
-        for i, v in enumerate(r):
-            basis[i, j] = int(v)
-    residual_check(system, basis)
-    return InverseLimit(system, basis)
+    H = obj_matrix(payload["basis"], system.total)
+    residual_check(system, H.T)
+    # a saturated sublattice of the limit with its rank is the limit, and
+    # its canonical HNF is the basis a fresh solve gives
+    n = system.total
+    rank = n - sparse_snf_invariants(constraint_rows(system), n)[1]
+    saturated = set(sparse_snf_invariants(_sparse_rows(H), n)[0]) <= {1}
+    if not (H.shape[0] == rank and saturated and np.array_equal(hnf(H), H)):
+        raise ValueError("limit cache basis is not the canonical limit basis")
+    return InverseLimit(system, H.T.copy())
 
 
 def cached_inverse_limit(G, label: str, functor: str,
@@ -335,8 +339,10 @@ def cached_inverse_limit(G, label: str, functor: str,
     The in-process result lives on the system, which lives on G's
     analysis, so it is freed together with G.  The disk payload stores the
     canonical basis, so loading it back gives the same object a fresh
-    solve would; metadata plus a residual check guard against a stale or
-    foreign file.
+    solve would.  A file is read back only if its metadata match and its
+    basis satisfies every constraint, has the limit's rank, is saturated
+    and is in canonical HNF; any other file is solved anew and
+    overwritten.
     """
     system = coefficient_system(G, label, functor)
     if system._limit is not None:
@@ -377,17 +383,12 @@ def _lattice_identity_row(camp, claim, desc, left, right) -> dict:
         witness = {"kind": "lattice-identity",
                    "rank": left.rank, "ambient": left.ambient}
         return _row(camp, claim, desc, "verified", witness)
-    for r in left.basis:
-        if not right.member(r):
-            witness = {"kind": "membership-failure", "vector": _ints(r),
-                       "basis": [_ints(b) for b in right.basis],
-                       "ambient": right.ambient}
-            return _row(camp, claim, desc, "refuted", witness)
-    for r in right.basis:
-        if not left.member(r):
-            witness = {"kind": "membership-failure", "vector": _ints(r),
-                       "basis": [_ints(b) for b in left.basis],
-                       "ambient": left.ambient}
+    for a, b in ((left, right), (right, left)):
+        j = _first(~b.members(a.basis.T))
+        if j is not None:
+            witness = {"kind": "membership-failure", "vector": _ints(a.basis[j]),
+                       "basis": [_ints(r) for r in b.basis],
+                       "ambient": b.ambient}
             return _row(camp, claim, desc, "refuted", witness)
     # same members, different HNF cannot happen; keep the row honest anyway
     witness = {"kind": "lattice-identity", "rank": left.rank,
@@ -475,21 +476,15 @@ def _induction_rows(desc: str, cfg: RunConfig) -> list[dict]:
     rows.append(_lattice_identity_row(
         "induction", "induction-eps-part-matches-e2-sum", desc, eps_part, e2_sum))
 
-    scaled_ok = True
-    bad = None
-    for r in kern.basis:
-        v = p * np.asarray(r, dtype=object)
-        if not eps_part.member(v):
-            scaled_ok = False
-            bad = v
-            break
-    if scaled_ok:
+    scaled = p * kern.basis.T
+    bad = _first(~eps_part.members(scaled))
+    if bad is None:
         witness = {"kind": "scaled-membership", "scale": p,
                    "checked": kern.rank}
         rows.append(_row("induction", "induction-scaling-lands-in-eps-part",
                          desc, "verified", witness))
     else:
-        witness = {"kind": "membership-failure", "vector": _ints(bad),
+        witness = {"kind": "membership-failure", "vector": _ints(scaled[:, bad]),
                    "basis": [_ints(b) for b in eps_part.basis],
                    "ambient": eps_part.ambient}
         rows.append(_row("induction", "induction-scaling-lands-in-eps-part",
@@ -537,22 +532,13 @@ def _exact_rows(desc: str, cfg: RunConfig) -> list[dict]:
     for sec in secs:
         U = indinf_biset(sec)
         char_q = character_dual_sublattice(sec.group)
-        up = np.asarray(dual_action_matrix(U), dtype=object)
-        for r in char_q.basis:
-            v = up @ np.asarray(r, dtype=object)
-            if not char_g.member(v):
-                failure = (v, char_g)
+        for biset, src, dst in ((U, char_q, char_g), (opposite(U), char_g, char_q)):
+            images = _exact_matmul(dual_action_matrix(biset), src.basis.T)
+            j = _first(~dst.members(images))
+            if j is not None:
+                failure = (images[:, j], dst)
                 break
-            checked += 1
-        if failure:
-            break
-        down = np.asarray(dual_action_matrix(opposite(U)), dtype=object)
-        for r in char_g.basis:
-            v = down @ np.asarray(r, dtype=object)
-            if not char_q.member(v):
-                failure = (v, char_q)
-                break
-            checked += 1
+            checked += src.rank
         if failure:
             break
     if failure is None:
@@ -580,24 +566,6 @@ _UNIT_LANDS = {
     "X": "unit-lands-in-limit-x",
     "X3": "unit-lands-in-limit-x3",
 }
-
-
-def _constraint_violation_witness(system, columns: np.ndarray) -> dict:
-    """First violated compatibility edge of the given stacked columns."""
-    M = np.asarray(columns, dtype=object)
-    for src, dst, tag in system.edges():
-        if system.dims[dst] == 0:
-            continue
-        D = np.asarray(system.edge_matrix(src, dst, tag), dtype=object)
-        a = M[system.offsets[src]:system.offsets[src] + system.dims[src], :]
-        b = M[system.offsets[dst]:system.offsets[dst] + system.dims[dst], :]
-        res = D @ a - b
-        flat = [int(v) for v in res.ravel()]
-        if any(flat):
-            return {"kind": "constraint-violation",
-                    "edge": [int(src), int(dst), str(tag)],
-                    "residual": flat}
-    return {"kind": "constraint-violation", "edge": None, "residual": []}
 
 
 @lru_cache(maxsize=None)
@@ -648,9 +616,12 @@ def _main_rows(desc: str, cfg: RunConfig) -> list[dict]:
             rows.append(_row("main", _UNIT_LANDS[label], desc,
                              "verified", witness))
         else:
-            sysL = systems[label]
-            witness = _constraint_violation_witness(
-                sysL, np.asarray(sysL.unit_matrix(), dtype=object))
+            witness = {"kind": "constraint-violation", "edge": None,
+                       "residual": []}
+            try:
+                residual_check(systems[label], systems[label].unit_matrix())
+            except ConstraintViolation as err:
+                witness.update(edge=err.edge, residual=err.residual)
             witness["family"] = label
             rows.append(_row("main", _UNIT_LANDS[label], desc,
                              "refuted", witness))
@@ -1109,15 +1080,12 @@ def _appendix_limit_action_rows(desc, cfg, G, ana, secs_x3, small,
                     "bottom_order": sec.bottom.order}
             try:
                 residual_check(sys_q, img)
-            except AssertionError:
-                witness = _constraint_violation_witness(sys_q, img)
-                failure = (case, witness["edge"], witness["residual"])
+            except ConstraintViolation as err:
+                failure = (case, err.edge, err.residual)
                 break
             lim_q = inverse_limit(sys_q)
-            _, ok = limit_coordinates(lim_q, img)
-            if not ok:
-                jbad = next((j for j in range(img.shape[1]) if not
-                             limit_coordinates(lim_q, img[:, j:j + 1])[1]), 0)
+            jbad = _first(~coords_in_hnf(lim_q.basis.T, img, lim_q.pivots)[1])
+            if jbad is not None:
                 failure = (case, _ints(img[:, jbad]),
                            [_ints(lim_q.basis[:, j]) for j in range(lim_q.rank)])
                 break
@@ -1404,13 +1372,8 @@ def _recheck_vector_identity(row, w) -> bool:
 def _recheck_membership_failure(row, w) -> bool:
     if row["status"] != "refuted":
         return False
-    basis = [[int(v) for v in r] for r in w["basis"]]
     vec = [int(v) for v in w["vector"]]
-    if basis and any(len(r) != len(vec) for r in basis):
-        return False
-    H = hnf(np.array(basis, dtype=object)) if basis else np.empty(
-        (0, len(vec)), dtype=object)
-    return coords_in_hnf(H, np.array(vec, dtype=object)) is None
+    return not lattice_from_rows(len(vec), w["basis"]).member(vec)
 
 
 def _recheck_case_failure(row, w) -> bool:

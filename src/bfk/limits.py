@@ -17,7 +17,10 @@ and (sections x subgroups) arrays give its slots and edges.  Every limit
 is the integer kernel of the sparse constraint rows v[dst] - D v[src] = 0,
 solved in one exact pass: +-1 pivots are eliminated in Markowitz order in
 Python ints, kernel_basis solves the dense core left, and back-substitution
-fills in the eliminated unknowns.
+fills in the eliminated unknowns.  Columns are checked against every
+constraint at once by residual_check, in stacked exact products of the
+edges with one shape, and are written in the canonical limit basis by
+zlinalg.coords_in_hnf.
 """
 
 from __future__ import annotations
@@ -27,9 +30,10 @@ from functools import cached_property
 import numpy as np
 
 from .groups import SHAPE_XSP, FiniteGroup, GroupAnalysis, analysis
-from .zlinalg import (_batches, _exact_matmul, _i64_absmax, _restrict_moves,
-                      _stack_shared, hnf, hnf_pivots, kernel_basis,
-                      obj_zeros, sparse_kernel_basis, sparse_snf_invariants)
+from .zlinalg import (_batches, _exact_matmul, _first_mismatch, _i64_absmax,
+                      _restrict_moves, _stack_shared, coords_in_hnf, hnf,
+                      hnf_pivots, kernel_basis, sparse_kernel_basis,
+                      sparse_snf_invariants)
 from .burnside import ring_data
 
 FAMILY_LABELS = ("E", "E2", "E3", "X", "X2", "X3")
@@ -298,8 +302,7 @@ class CoefficientSystem:
         self.functor = functor
         self.group = family.group
         self.ana = family.ana
-        self._edge_cache = {}
-        self._base_cache = {}
+        self._map_cache = {}             # edge and base keys -> matrix
         self._limit = None               # set by campaigns.cached_inverse_limit
         if functor in ("K", "Kdual"):
             kp = [_slot_kernel(family, s) for s in family.slots]
@@ -372,15 +375,14 @@ class CoefficientSystem:
     def _maps(self, keys) -> list:
         """The maps under edge keys (src, dst, tag) and base keys ("down",
         i) or ("up", i); the missing ones are built in one pass."""
-        def cache(key):
-            return self._base_cache if key[0] in ("down", "up") else self._edge_cache
-        missing = [k for k in dict.fromkeys(keys) if k not in cache(k)]
+        cache = self._map_cache
+        missing = [k for k in dict.fromkeys(keys) if k not in cache]
         if missing:
             dual = self.functor in ("Bdual", "Kdual")
             mats = self._restricted([self._move(k, dual) for k in missing])
             for key, M in zip(missing, mats):
-                cache(key)[key] = M.T if dual else M
-        return [cache(k)[k] for k in keys]
+                cache[key] = M.T if dual else M
+        return [cache[k] for k in keys]
 
     def edges(self):
         fam = self.family
@@ -393,7 +395,7 @@ class CoefficientSystem:
 
         The first request builds every generating move at once."""
         key = (src, dst, tag)
-        got = self._edge_cache.get(key)
+        got = self._map_cache.get(key)
         if got is None:
             got = self._maps(self.edges() + [key])[-1]
         return got
@@ -424,12 +426,6 @@ def coefficient_system(G: FiniteGroup, label: str, functor: str) -> CoefficientS
     return sys
 
 
-def _any_nonzero(arr) -> bool:
-    if arr.dtype == np.int64:
-        return bool(arr.any())
-    return any(int(x) for x in arr.flat)
-
-
 # ---------------------------------------------------------------------------
 # inverse limits of the built-in systems
 
@@ -446,46 +442,49 @@ class InverseLimit:
         self.system = system
         self.basis = basis          # total x rank, object entries
         self.rank = basis.shape[1]
-        self.pivots = []
-        for j in range(self.rank):
-            col = basis[:, j]
-            i = 0
-            while i < basis.shape[0] and not col[i]:
-                i += 1
-            self.pivots.append(i)
+        self.pivots = hnf_pivots(basis.T)
+
+
+class ConstraintViolation(AssertionError):
+    """Columns that break a constraint v[dst] = D v[src]: edge is the first
+    such edge in edge order as [src, dst, tag text], residual the entries
+    of D v[src] - v[dst] on it, row by row."""
+
+    def __init__(self, edge: list, residual: list[int]):
+        super().__init__(f"constraint {edge[0]}->{edge[1]} {edge[2]} "
+                         "violated by the given columns")
+        self.edge = edge
+        self.residual = residual
 
 
 def residual_check(system: CoefficientSystem, mat: np.ndarray) -> None:
-    """Assert the columns of mat satisfy every generating constraint."""
+    """Assert the columns of mat satisfy every generating constraint.
+
+    Edges whose matrices have one shape are checked in stacked exact
+    products; a failure raises ConstraintViolation."""
     try:
         M = _as_i64(mat)
     except OverflowError:
         M = np.asarray(mat, dtype=object)
-    for src, dst, tag in system.edges():
-        if system.dims[dst] == 0:
-            continue
-        D = system.edge_matrix(src, dst, tag)
-        a = M[system.offsets[src]:system.offsets[src] + system.dims[src], :]
-        b = M[system.offsets[dst]:system.offsets[dst] + system.dims[dst], :]
-        if _any_nonzero(_exact_matmul(D, a) - b):
-            raise AssertionError(
-                f"constraint {src}->{dst} {tag} violated by the given columns")
+    blocks = [M[o:o + d] for o, d in zip(system.offsets, system.dims)]
+    edges = system.edges()
+    live = [(e, D) for e, D in zip(edges, system._maps(edges)) if D.shape[0]]
+    e = _first_mismatch([(D, blocks[s], blocks[d], None) for (s, d, _), D in live])
+    if e is not None:
+        (src, dst, tag), D = live[e]
+        res = np.asarray(_exact_matmul(D, blocks[src]), dtype=object) - blocks[dst]
+        raise ConstraintViolation([int(src), int(dst), str(tag)],
+                                  [int(v) for v in res.ravel()])
 
 
-def inverse_limit(system: CoefficientSystem) -> InverseLimit:
-    """Solve the compatibility constraints; basis columns span the limit.
-
-    Each generating edge src -> dst with matrix D gives the rows of
-    v[dst] - D v[src] = 0 over the unknowns of the product of the values;
-    sparse_kernel_basis solves them exactly.  One zlinalg.hnf call of its
-    solution columns gives the canonical basis, which is checked against
-    the raw constraints before it is returned.
-    """
+def constraint_rows(system: CoefficientSystem) -> list[dict[int, int]]:
+    """Sparse rows v[dst] - D v[src] = 0 over the unknowns of the product
+    of the values, one per generating edge and entry of v[dst]."""
     rows = []
-    for src, dst, tag in system.edges():
-        if system.dims[dst] == 0:
+    edges = system.edges()
+    for (src, dst, _), D in zip(edges, system._maps(edges)):
+        if not D.shape[0]:
             continue
-        D = system.edge_matrix(src, dst, tag)
         so, do = system.offsets[src], system.offsets[dst]
         block = [{} for _ in range(D.shape[0])]
         for r, c in zip(*np.nonzero(D)):
@@ -493,40 +492,23 @@ def inverse_limit(system: CoefficientSystem) -> InverseLimit:
         for r, row in enumerate(block):
             row[do + r] = row.get(do + r, 0) - 1
         rows.extend(block)
-    basis = hnf(sparse_kernel_basis(rows, system.total).T).T.copy()
+    return rows
+
+
+def inverse_limit(system: CoefficientSystem) -> InverseLimit:
+    """Solve the compatibility constraints; basis columns span the limit.
+
+    sparse_kernel_basis solves the constraint rows exactly.  One
+    zlinalg.hnf call of its solution columns gives the canonical basis,
+    which is checked against the raw constraints before it is returned.
+    """
+    basis = hnf(sparse_kernel_basis(constraint_rows(system), system.total).T).T.copy()
     residual_check(system, basis)
     return InverseLimit(system, basis)
 
 
 # ---------------------------------------------------------------------------
 # the unit map into the limit and its comparison report
-
-
-def limit_coordinates(limit: InverseLimit, mat: np.ndarray):
-    """Coordinates of stacked columns in the canonical limit basis.
-
-    Returns (X, ok): basis @ X == mat and ok is true exactly when every
-    column lies in the limit lattice.  The echelon shape of the basis
-    makes this a single vectorized back-substitution with no entry growth.
-    """
-    V = np.asarray(mat, dtype=object).copy()
-    r = V.shape[1]
-    k = limit.rank
-    X = obj_zeros(k, r)
-    for j in range(k):
-        piv = limit.pivots[j]
-        d = int(limit.basis[piv, j])
-        q = V[piv, :] // d
-        rem = V[piv, :] - q * d
-        if _any_nonzero(np.asarray(rem, dtype=object)):
-            return X, False
-        X[j, :] = q
-        if not any(int(x) for x in q):
-            continue
-        col = limit.basis[:, j]
-        nz = np.nonzero(col)[0]
-        V[nz, :] = V[nz, :] - np.outer(col[nz], q)
-    return X, not _any_nonzero(V)
 
 
 def comparison_report(limit: InverseLimit) -> dict:
@@ -538,17 +520,13 @@ def comparison_report(limit: InverseLimit) -> dict:
     """
     system = limit.system
     E = system.unit_matrix()
-    residual_check(system, np.asarray(E, dtype=object))
+    residual_check(system, E)
     k = limit.rank
     r = E.shape[1]
-    X, unit_in_limit = limit_coordinates(limit, E)
+    X, member = coords_in_hnf(limit.basis.T, E, limit.pivots)
+    unit_in_limit = bool(member.all())
     if unit_in_limit:
-        rows = []
-        for i in range(k):
-            row = {j: int(X[i, j]) for j in range(r) if X[i, j]}
-            if row:
-                rows.append(row)
-        inv, rank_unit = sparse_snf_invariants(rows, r)
+        inv, rank_unit = sparse_snf_invariants(_sparse_rows(X), r)
     else:
         # the unit satisfies every constraint, so this cannot happen for
         # a correctly solved limit; report it rather than assert
@@ -659,14 +637,19 @@ def counit_matrix(system: CoefficientSystem) -> np.ndarray:
     return np.hstack(blocks)
 
 
+def _sparse_rows(M: np.ndarray) -> list[dict[int, int]]:
+    """The rows of M as {column: entry} dicts, zeros dropped."""
+    rs, cs = np.nonzero(M)
+    ends = np.cumsum(np.bincount(rs, minlength=M.shape[0])).tolist()
+    ks, vs = cs.tolist(), M[rs, cs].tolist()
+    return [dict(zip(ks[lo:hi], vs[lo:hi])) for lo, hi in zip([0] + ends, ends)]
+
+
 def _spans_everything(U: np.ndarray) -> bool:
     """Do the columns of U span all of Z^rows?  True iff the column lattice
-    has full rank and every invariant factor is 1."""
-    cs, rs = np.nonzero(U.T)
-    ends = np.cumsum(np.bincount(cs, minlength=U.shape[1])).tolist()
-    ks, vs = rs.tolist(), U.T[cs, rs].tolist()
-    cols = [dict(zip(ks[lo:hi], vs[lo:hi])) for lo, hi in zip([0] + ends, ends)]
-    invariants, rank = sparse_snf_invariants(cols, U.shape[0])
+    has full rank and every invariant factor is 1; for the rows of an
+    echelon basis, iff their lattice is saturated."""
+    invariants, rank = sparse_snf_invariants(_sparse_rows(U.T), U.shape[0])
     return rank == U.shape[0] and all(d == 1 for d in invariants)
 
 

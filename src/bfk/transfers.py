@@ -13,9 +13,9 @@ import numpy as np
 from .groups import product_members
 from .bisets import (ConcreteBiset, double_coset_reps, opposite,
                      right_transporters)
-from .zlinalg import _batches, _exact_matmul, _restrict_moves, obj_zeros
-from .limits import (CoefficientSystem, FamilyError, InverseLimit, _any_nonzero,
-                     _as_i64, _selection_matrix, coefficient_system)
+from .zlinalg import _exact_matmul, _first_mismatch, _restrict_moves, obj_zeros
+from .limits import (CoefficientSystem, FamilyError, InverseLimit, _as_i64,
+                     _selection_matrix, coefficient_system)
 
 
 # ---------------------------------------------------------------------------
@@ -72,10 +72,8 @@ def retraction_identity_holds(limit: InverseLimit, reading: str = "A") -> bool:
     """Does unit-after-retraction scale the limit by the group order?"""
     system = limit.system
     sig = retraction_matrix(system, reading)
-    E = np.asarray(system.unit_matrix(), dtype=object)
-    lhs = E @ (sig @ limit.basis)
-    rhs = system.group.order * limit.basis
-    return not _any_nonzero(lhs - rhs)
+    lhs = _exact_matmul(system.unit_matrix(), _exact_matmul(sig, limit.basis))
+    return np.array_equal(lhs, system.group.order * limit.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -104,21 +102,10 @@ def check_section_naturality(sys_f: CoefficientSystem, sys_g: CoefficientSystem,
         comps = [_as_i64(c) for c in components]
     except OverflowError:
         comps = [np.asarray(c, dtype=object) for c in components]
-    quads = [(Dg, comps[s], comps[d], Df) for (s, d, _), Dg, Df
-             in zip(edges, sys_g._maps(edges), sys_f._maps(edges))]
-    groups = {}
-    for e, (Dg, Cs, Cd, Df) in enumerate(quads):
-        groups.setdefault((Dg.shape, Cs.shape, Cd.shape, Df.shape), []).append(e)
-    bad = []
-    for shapes, members in groups.items():
-        gd, fs = shapes[0][0], shapes[3][1]
-        size = sum(a * b for a, b in shapes) + 2 * gd * fs
-        for chunk in _batches(members, size):
-            Dg, Cs, Cd, Df = (np.stack([quads[e][k] for e in chunk]) for k in range(4))
-            wrong = (_exact_matmul(Dg, Cs) != _exact_matmul(Cd, Df)).reshape(len(chunk), -1)
-            bad.extend(chunk[k] for k in np.flatnonzero(wrong.any(axis=1)))
-    if bad:
-        src, dst, tag = edges[min(bad)]
+    e = _first_mismatch([(Dg, comps[s], comps[d], Df) for (s, d, _), Dg, Df
+                         in zip(edges, sys_g._maps(edges), sys_f._maps(edges))])
+    if e is not None:
+        src, dst, tag = edges[e]
         raise NaturalityError(
             f"components are not natural along {src}->{dst}", (src, dst, tag))
 
@@ -135,9 +122,8 @@ def adjunction_plus(sys_f: CoefficientSystem, sys_g: CoefficientSystem,
     if sys_f.family is not sys_g.family:
         raise FamilyError("both functors must live over one section family")
     check_section_naturality(sys_f, sys_g, components)
-    blocks = []
-    for i in range(len(sys_f.dims)):
-        blocks.append(_exact_matmul(components[i], sys_f.defres_from_base(i)))
+    downs = sys_f._maps([("down", i) for i in range(len(sys_f.dims))])
+    blocks = [_exact_matmul(c, down) for c, down in zip(components, downs)]
     if not blocks:
         return obj_zeros(0, sys_f.base_rank)
     return np.vstack(blocks)

@@ -69,28 +69,6 @@ def hnf_pivots(H: np.ndarray) -> list[int]:
     return [int(np.flatnonzero(r)[0]) for r in H]
 
 
-def coords_in_hnf(H: np.ndarray, vec,
-                  piv: Sequence[int] | None = None) -> list[int] | None:
-    """Coordinates of vec over the HNF basis rows H, or None if not a member.
-
-    piv is hnf_pivots(H); callers that keep it beside H pass it in.
-    """
-    v = np.array([int(x) for x in vec], dtype=object)
-    coords = []
-    for row, j in zip(H, hnf_pivots(H) if piv is None else piv):
-        x = int(v[j])
-        p = int(row[j])
-        if x % p != 0:
-            return None
-        q = x // p
-        coords.append(q)
-        if q != 0:
-            v = v - q * row
-    if np.count_nonzero(v):
-        return None
-    return coords
-
-
 # ---------------------------------------------------------------------------
 # exact products and batched coordinates in HNF bases
 
@@ -130,6 +108,41 @@ def _exact_matmul(A, B, bound: int = _PRODUCT_BOUND) -> np.ndarray:
     return np.asarray(A, dtype=object) @ np.asarray(B, dtype=object)
 
 
+def coords_in_hnf(H: np.ndarray, V, piv: Sequence[int] | None = None):
+    """(C, member): coordinates C of the columns of V over the HNF basis
+    rows H, and a mask of the columns that lie in the lattice.
+
+    H[:, piv] is upper triangular with positive diagonal, so C comes from
+    forward substitution on the pivot rows of V alone; a column is kept at
+    zero from the first step whose pivot does not divide it.  One exact
+    product H.T @ C == V then certifies each column, and that check alone
+    makes a column a member.  The substitution runs in int64 while every
+    step stays under the bound of _exact_matmul, else in Python ints.
+    piv is hnf_pivots(H); callers that keep it beside H pass it in.
+    """
+    V = np.asarray(V)
+    piv = hnf_pivots(H) if piv is None else piv
+    T, tmax = _i64_absmax(H[:, piv])
+    W, wmax = _i64_absmax(V[piv])
+    wide = T is None or W is None
+    if wide:
+        T, W = H[:, piv].astype(object), V[piv].astype(object)
+    C = np.zeros(W.shape, dtype=W.dtype)
+    ok = np.ones(W.shape[1], dtype=bool)
+    cmax = 0
+    for j in range(len(piv)):
+        if not wide and wmax + j * tmax * cmax > _PRODUCT_BOUND:
+            wide = True
+            T, W, C = T.astype(object), W.astype(object), C.astype(object)
+        r = W[j] - T[:j, j] @ C[:j]
+        q = r // T[j, j]
+        ok &= r == q * T[j, j]
+        C[j] = np.where(ok, q, 0)
+        if not wide:
+            cmax = max(cmax, _absmax(C[j]))
+    return C, (_exact_matmul(H.T, C) == V).all(axis=0)
+
+
 # int64 entries of the stacked arrays of one batch, about half a MB
 _BATCH_ENTRIES = 1 << 16
 _OFF_KERNEL = "image left the mark kernel; upstream map is wrong"
@@ -150,6 +163,33 @@ def _stack_shared(arrs) -> np.ndarray:
     return np.stack([np.asarray(a) for a in arrs])
 
 
+def _first_mismatch(quads) -> int | None:
+    """Index of the first (A, B, C, D) with A @ B != C @ D, D None standing
+    for C alone, or None when every item agrees.
+
+    Items whose operands have the same shapes are stacked in batches of
+    about _BATCH_ENTRIES entries, each checked by one exact product per
+    side; a group's batches run in item order, so its first failing batch
+    holds its first failure.
+    """
+    groups = {}
+    for e, quad in enumerate(quads):
+        groups.setdefault(tuple(x.shape for x in quad if x is not None), []).append(e)
+    first = None
+    for shapes, members in groups.items():
+        size = sum(a * b for a, b in shapes) + 2 * shapes[0][0] * shapes[1][1]
+        for chunk in _batches(members, size):
+            A, B, C, *D = (np.stack([quads[e][k] for e in chunk])
+                           for k in range(len(shapes)))
+            rhs = _exact_matmul(C, D[0]) if D else C
+            wrong = (_exact_matmul(A, B) != rhs).reshape(len(chunk), -1).any(axis=1)
+            if wrong.any():
+                e = chunk[int(np.argmax(wrong))]
+                first = e if first is None else min(first, e)
+                break
+    return first
+
+
 def _restrict_moves(moves, kernels, pivots) -> list:
     """Coordinates, in HNF bases, of the images of kernel bases under many
     integer maps.
@@ -162,11 +202,12 @@ def _restrict_moves(moves, kernels, pivots) -> list:
     by kind and by the shapes of both kernels (not by identity: empty
     kernels are often distinct objects).  Per batch the images are one
     scatter of kernel columns or one stacked product, C is their pivot
-    rows (coords_in_hnf per column where a pivot is not 1), and C is
-    accepted only after one stacked exact check; where the pivot columns
-    of a kernel form the identity, the check holds on the pivot rows by
-    construction and is taken on the others.  Returns the C of each move,
-    in order, each in int64 or, past the bounds, in Python ints.
+    rows where the pivot columns of the target kernel form the identity
+    (else one coords_in_hnf solve per move), and C is accepted only after
+    one stacked exact check; where every target is of the first kind, the
+    check holds on the pivot rows by construction and is taken on the
+    others.  Returns the C of each move, in order, each in int64 or, past
+    the bounds, in Python ints.
     """
     out = [None] * len(moves)
     groups = {}
@@ -203,19 +244,16 @@ def _restrict_batch(moves, kernels, pivots) -> np.ndarray:
         np.add.at(images, (at, rows), src.astype(object) if wide else src64)
     coords = images[at, piv]
     square = np.take_along_axis(dst, piv[:, None, :], axis=2)     # H[:, piv]
-    unit = (np.diagonal(square, axis1=1, axis2=2) == 1).all(axis=1)
-    if not unit.all():
+    ident = (square == np.eye(kd, dtype=np.int64)).all(axis=(1, 2))
+    if not ident.all():
+        # the stacked check below certifies these coordinates too
         coords = coords.astype(object)
         for m in range(n):
             k = m if len(dst) > 1 else 0
-            if not unit[k]:
-                H = np.asarray(dst[k], dtype=object)
-                cols = [coords_in_hnf(H, v, piv[k]) for v in images[m].T]
-                if None in cols:
-                    raise AssertionError(_OFF_KERNEL)
-                coords[m] = obj_matrix(cols, kd).T
+            if not ident[k]:
+                coords[m] = coords_in_hnf(dst[k], images[m], piv[k])[0]
     lhs, rhs = dst, images
-    if unit.all() and (square == np.eye(kd, dtype=np.int64)).all():
+    if ident.all():
         # H.T @ C is C itself on the pivot rows; compare the other rows
         rest = np.ones((len(dst), dd), dtype=bool)
         rest[np.arange(len(dst))[:, None], piv] = False
@@ -662,8 +700,12 @@ class IntegerLattice:
     def rank(self) -> int:
         return self.basis.shape[0]
 
+    def members(self, cols) -> np.ndarray:
+        """Mask of the columns of cols that lie in the lattice."""
+        return coords_in_hnf(self.basis, cols, self._piv)[1]
+
     def member(self, vec) -> bool:
-        return coords_in_hnf(self.basis, vec, self._piv) is not None
+        return bool(self.members(np.asarray(vec).reshape(-1, 1))[0])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntegerLattice):
@@ -681,15 +723,13 @@ class IntegerLattice:
         sub must be contained in self; factors equal to 1 are kept so the
         list length is always rank(self).
         """
-        coords = []
-        for r in sub.basis:
-            c = coords_in_hnf(self.basis, r, self._piv)
-            if c is None:
-                raise ValueError("not a sublattice")
-            coords.append(c)
-        d = snf_diagonal(obj_matrix(coords, self.rank)) if coords else []
-        free = self.rank - len(d)
-        return d + [0] * free
+        if sub.ambient != self.ambient:
+            raise ValueError("not a sublattice")
+        coords, member = coords_in_hnf(self.basis, sub.basis.T, self._piv)
+        if not member.all():
+            raise ValueError("not a sublattice")
+        d = snf_diagonal(coords.T)
+        return d + [0] * (self.rank - len(d))
 
     def __repr__(self):
         return f"IntegerLattice(ambient={self.ambient}, rank={self.rank})"

@@ -24,7 +24,11 @@ former `transfers` forms `transport_subgroup` and `left_transport`; the
 coset, quotient and composition walks; and the three appendix engines
 that called them one point at a time, with their set checks) are the
 references for the whole-biset masks and array passes of `bisets` and
-of the appendix engines.
+of the appendix engines.  `coords_in_hnf_by_vector`, the former
+one-vector subtraction down the basis rows, is the reference for the
+batched echelon solve `zlinalg.coords_in_hnf`, and
+`constraint_violation_by_edges`, the former edge-by-edge walk of the
+main campaign's witness, the reference for the stacked `residual_check`.
 """
 
 import bisect
@@ -38,7 +42,7 @@ from bfk.campaigns import (_fingerprint, _ints, _outcome, _sample_indices,
                            _signature_reps, _subquotient_fps)
 from bfk.groups import _check_prime_power, _closure, analysis, product_members
 from bfk.limits import CoefficientSystem, _upward_moves, family_contains
-from bfk.zlinalg import _exact_matmul, coords_in_hnf, obj_matrix, obj_zeros, xgcd
+from bfk.zlinalg import _exact_matmul, hnf_pivots, obj_matrix, obj_zeros, xgcd
 
 
 def validate_biset(U: ConcreteBiset) -> ConcreteBiset:
@@ -173,8 +177,8 @@ def _restrict_to_kernels(M: np.ndarray, src_kern: np.ndarray,
     each row of dst_kern.  The coordinates C of the images M @ src_kern.T
     solve dst_kern.T @ C == images.  When every pivot is 1 the pivot
     columns of dst_kern form the identity, so C is the pivot rows of the
-    images; otherwise each column is solved by coords_in_hnf.  Either way
-    C is accepted only after the exact product check.
+    images; otherwise each column is solved by coords_in_hnf_by_vector.
+    Either way C is accepted only after the exact product check.
     """
     images = _exact_matmul(M, src_kern.T)
     k = dst_kern.shape[0]
@@ -183,7 +187,7 @@ def _restrict_to_kernels(M: np.ndarray, src_kern: np.ndarray,
         C = images[piv, :]
     else:
         H = np.asarray(dst_kern, dtype=object)
-        cols = [coords_in_hnf(H, v, dst_piv) for v in images.T]
+        cols = [coords_in_hnf_by_vector(H, v, dst_piv) for v in images.T]
         C = None if None in cols else obj_matrix(cols, k).T
     if C is None or not np.array_equal(_exact_matmul(dst_kern.T, C), images):
         raise AssertionError("image left the mark kernel; upstream map is wrong")
@@ -192,13 +196,13 @@ def _restrict_to_kernels(M: np.ndarray, src_kern: np.ndarray,
 
 def per_column_restrict(M, src_kern, dst_kern):
     """A transitive-basis matrix as a map between kernel bases (HNF rows),
-    by object products and coords_in_hnf one column at a time; the
+    by object products and coords_in_hnf_by_vector one column at a time; the
     reference for _restrict_to_kernels."""
     H = np.asarray(dst_kern, dtype=object)
     images = np.asarray(M, dtype=object) @ np.asarray(src_kern, dtype=object).T
     out = obj_zeros(H.shape[0], images.shape[1])
     for i in range(images.shape[1]):
-        c = coords_in_hnf(H, images[:, i])
+        c = coords_in_hnf_by_vector(H, images[:, i])
         if c is None:
             raise AssertionError("image left the mark kernel")
         out[:, i] = c
@@ -937,3 +941,42 @@ def composite_transporter_rows_by_points(desc, cfg, G, ana, pool, small,
             cases += 2
     return _outcome("transporter-through-composite", desc, failure, cases,
                     small)
+
+
+def coords_in_hnf_by_vector(H: np.ndarray, vec, piv=None) -> list[int] | None:
+    """Coordinates of vec over the HNF basis rows H, or None if not a
+    member: each basis row in turn is subtracted from the vector, and the
+    remainder must vanish.  The reference for zlinalg.coords_in_hnf."""
+    v = np.array([int(x) for x in vec], dtype=object)
+    coords = []
+    for row, j in zip(H, hnf_pivots(H) if piv is None else piv):
+        x = int(v[j])
+        p = int(row[j])
+        if x % p != 0:
+            return None
+        q = x // p
+        coords.append(q)
+        if q != 0:
+            v = v - q * row
+    if np.count_nonzero(v):
+        return None
+    return coords
+
+
+def constraint_violation_by_edges(system: CoefficientSystem, columns) -> dict:
+    """First violated compatibility edge of the given stacked columns, one
+    edge at a time in object arithmetic; the reference for the edge and
+    residual that limits.residual_check raises."""
+    M = np.asarray(columns, dtype=object)
+    for src, dst, tag in system.edges():
+        if system.dims[dst] == 0:
+            continue
+        D = np.asarray(system.edge_matrix(src, dst, tag), dtype=object)
+        a = M[system.offsets[src]:system.offsets[src] + system.dims[src], :]
+        b = M[system.offsets[dst]:system.offsets[dst] + system.dims[dst], :]
+        flat = [int(v) for v in (D @ a - b).ravel()]
+        if any(flat):
+            return {"kind": "constraint-violation",
+                    "edge": [int(src), int(dst), str(tag)],
+                    "residual": flat}
+    return {"kind": "constraint-violation", "edge": None, "residual": []}

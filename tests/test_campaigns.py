@@ -23,14 +23,16 @@ from bfk.campaigns import (
     emit_csv,
     emit_json,
     exit_code,
+    limit_payload,
     recheck,
     run_campaign,
 )
 from bfk.burnside import ring_data
 from bfk.groups import analysis, parse_descriptor
-from bfk.limits import coefficient_system, section_family
+from bfk.limits import coefficient_system, comparison_report, section_family
 from helpers import (
     composite_transporter_rows_by_points,
+    constraint_violation_by_edges,
     section_transport_rows_by_points,
     transporter_rows_by_points,
 )
@@ -236,6 +238,61 @@ def test_limit_disk_cache_recovers_from_corruption(tmp_path):
     lim2 = cached_inverse_limit(G2, "E", "B", cache)
     assert lim2.rank == lim1.rank
     assert json.loads(path.read_text())["format"] == "bfk-limit-basis"
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda b: [[2 * v for v in col] for col in b],
+    lambda b: b[:-1],
+    lambda b: [],
+    lambda b: [[x + y for x, y in zip(b[0], b[1])]] + b[1:],
+], ids=["doubled", "dropped", "empty", "unreduced"])
+def test_limit_cache_rejects_a_basis_that_is_not_the_limit(tmp_path, tamper):
+    # each tampered file still satisfies every constraint and the metadata;
+    # the unreduced one even spans the limit, but prints other bytes
+    desc = "prod:xsp:3,cyclic:3"
+    fresh = cached_inverse_limit(parse_descriptor(desc, 3), "X3", "Kdual", None)
+    want = json.dumps(limit_payload(fresh, "X3", "Kdual"), sort_keys=True)
+    cached_inverse_limit(parse_descriptor(desc, 3), "X3", "Kdual", str(tmp_path))
+    path = next(tmp_path.glob("*.limit.json"))
+    assert path.read_text() == want
+    payload = json.loads(want)
+    payload["basis"] = tamper(payload["basis"])
+    path.write_text(json.dumps(payload, sort_keys=True))
+    G = parse_descriptor(desc, 3)
+    lim = cached_inverse_limit(G, "X3", "Kdual", str(tmp_path))
+    assert json.dumps(limit_payload(lim, "X3", "Kdual"), sort_keys=True) == want
+    assert comparison_report(lim) == comparison_report(fresh)
+    assert comparison_report(lim)["is_isomorphism"]
+    assert path.read_text() == want
+
+
+def test_refuted_unit_row_names_the_first_violated_edge(monkeypatch):
+    # the unit matrix is seeded with two faults after the report is taken
+    import bfk.campaigns as campaigns
+    real = campaigns.comparison_report
+    seeded = []
+
+    def faulty_report(lim):
+        rep = dict(real(lim), unit_in_limit=False)
+        system = lim.system
+        E = system.unit_matrix().copy()
+        if min(E.shape) > 1:
+            E[system.offsets[len(system.dims) // 2], 0] += 1
+            E[-1, -1] -= 2
+            monkeypatch.setattr(system, "unit_matrix", lambda: E)
+            seeded.append((system, E))
+        return rep
+
+    monkeypatch.setattr(campaigns, "comparison_report", faulty_report)
+    rows = campaigns._main_rows("prod:xsp:3,cyclic:3", RunConfig())
+    rows = [r for r in rows if r["witness"]["kind"] == "constraint-violation"]
+    # the first four seeded systems are the group's E, E3, X and X3
+    assert len(rows) == 4 and len(seeded) >= 4
+    for row, (system, E) in zip(rows, seeded):
+        assert row["status"] == "refuted" and recheck(row)
+        want = constraint_violation_by_edges(system, E)
+        assert row["witness"] == dict(want, family=system.family.label)
+        assert row["witness"]["edge"] is not None
 
 
 def test_per_group_results_are_shared_and_freed_with_the_group():

@@ -23,6 +23,8 @@ from bfk import limits
 from bfk.limits import (
     FAMILY_LABELS,
     FUNCTOR_NAMES,
+    CoefficientSystem,
+    ConstraintViolation,
     FamilyError,
     _colimit_relations,
     _mark_rows,
@@ -34,15 +36,14 @@ from bfk.limits import (
     counit_matrix,
     family_contains,
     inverse_limit,
-    limit_coordinates,
     residual_check,
     section_family,
 )
 from helpers import (_direct_limit_basis, _restrict_to_kernels, conj_edges_by_loops,
-                     defres_by_double_cosets, maps_by_edges, mark_rows_by_loops,
-                     per_column_restrict, relation_rows_by_columns,
-                     sections_by_loops, slot_classes_by_union_find,
-                     sparse_kernel)
+                     constraint_violation_by_edges, defres_by_double_cosets,
+                     maps_by_edges, mark_rows_by_loops, per_column_restrict,
+                     relation_rows_by_columns, sections_by_loops,
+                     slot_classes_by_union_find, sparse_kernel)
 
 C3 = cyclic_group(3)
 C9 = cyclic_group(9)
@@ -180,12 +181,12 @@ def test_restrict_to_kernels_matches_per_column_coords(dst_rows, scale):
     assert np.array_equal(got, per_column_restrict(M, src, H))
     kernels, pivots = [src, H], [hnf_pivots(src), piv]
     assert np.array_equal(_restrict_moves([(M, 0, 1)], kernels, pivots)[0], coords)
-    # an image off the lattice is refused, by coords_in_hnf when a pivot
-    # does not divide and otherwise by the exact product check
+    # an image off the lattice is refused, by the exact product check
+    # whether or not a pivot divides it
     for off in ([0, 0, 1], [1, 0, 0]):
         bad = images.copy()
         bad[:, 1] += np.array(off, dtype=object)
-        assert coords_in_hnf(H.astype(object), bad[:, 1]) is None
+        assert coords_in_hnf(H.astype(object), bad)[1].tolist() == [True, False]
         M_bad = np.asarray(bad @ src_t_inv, dtype=dtype)
         with pytest.raises(AssertionError, match="image left the mark kernel"):
             _restrict_to_kernels(M_bad, src, H, piv)
@@ -294,8 +295,8 @@ def test_batched_restriction_matches_per_move_on_forced_kernels():
     # entries past the working range come back exact, as Python ints
     assert got[12].dtype == object and got[12][0, 0] == 2**70
     assert got[-1].dtype == object and got[-1].tolist() == (coords * 2**70).tolist()
-    # an image off the target lattice is refused: by the product check on a
-    # unit-pivot target, by coords_in_hnf where the pivot 2 does not divide
+    # an image off the target lattice is refused by the product check, on a
+    # unit-pivot target and where the pivot 2 does not divide
     for bad in ((np.array([2, 0]), 0, 3), (np.array([0, 1]), 6, 5)):
         for batch in ([bad], moves[:6] + [bad]):
             with pytest.raises(AssertionError, match="image left the mark kernel"):
@@ -514,12 +515,12 @@ def test_limit_element_and_unit():
     f[0, 0] = 2
     el = np.asarray(sys_k.unit_matrix(), dtype=object) @ f
     residual_check(sys_k, el)
-    coords, ok = limit_coordinates(lim, el)
-    assert ok
+    coords, ok = coords_in_hnf(lim.basis.T, el, lim.pivots)
+    assert ok.tolist() == [True]
     assert np.array_equal(lim.basis @ coords, el)
-    off = el.copy()
+    off = np.hstack([el, el])
     off[lim.pivots[0], 0] += 1
-    assert not limit_coordinates(lim, off)[1]
+    assert coords_in_hnf(lim.basis.T, off, lim.pivots)[1].tolist() == [False, True]
 
 
 def test_residual_check_rejects_garbage():
@@ -528,6 +529,32 @@ def test_residual_check_rejects_garbage():
     bad[sys_b.offsets[1], 0] = 1
     with pytest.raises(AssertionError):
         residual_check(sys_b, bad)
+
+
+def test_residual_check_names_the_first_of_two_broken_edges():
+    # the later broken edge sits in the shape group checked first, so the
+    # error must not follow batch order; each must match the edge walk
+    lim = inverse_limit(coefficient_system(X27, "X3", "B"))
+    system = CoefficientSystem(section_family(X27, "X3"), "B")
+    edges = system.edges()
+    shapes = [system.edge_matrix(*e).shape for e in edges]
+    # D[0, 0] + 1 breaks an edge whose source row 0 is nonzero on the limit
+    live = [e for e, (s, _, _) in enumerate(edges) if min(shapes[e])
+            and lim.basis[system.offsets[s]].any()]
+    first = next(e for e in live if shapes[e] != shapes[0])
+    later = next(e for e in live if e > first and shapes[e] == shapes[0])
+    for e in (later, first):
+        D = system.edge_matrix(*edges[e]).copy()
+        D[0, 0] += 1
+        system._map_cache[edges[e]] = D
+    for broken in (first, later):
+        want = constraint_violation_by_edges(system, lim.basis)
+        src, dst, tag = edges[broken]
+        assert want["edge"] == [src, dst, str(tag)]
+        with pytest.raises(ConstraintViolation, match=f"constraint {src}->{dst} ") as exc:
+            residual_check(system, lim.basis)
+        assert (exc.value.edge, exc.value.residual) == (want["edge"], want["residual"])
+        system._map_cache[edges[first]] = lim.system.edge_matrix(*edges[first])
 
 
 def nested_pair_check(system, mat):
@@ -614,7 +641,7 @@ def test_counit_probe_rejects_maps_that_disagree_or_miss_a_relation(monkeypatch)
     system = coefficient_system(X27, "X", "K")
     counit_kernel_report(system)
     i = next(i for i, d in enumerate(system.dims) if d)
-    up = system._base_cache[("up", i)]
+    up = system._map_cache[("up", i)]
     up[0, 0] += 1
     try:
         with pytest.raises(AssertionError, match="upward maps disagree"):

@@ -16,7 +16,7 @@ from bfk.zlinalg import (
     sparse_snf_invariants,
     xgcd,
 )
-from helpers import LatticeBuilder, sparse_kernel
+from helpers import LatticeBuilder, coords_in_hnf_by_vector, sparse_kernel
 
 small_mat = st.integers(min_value=1, max_value=5).flatmap(
     lambda n: st.integers(min_value=1, max_value=5).flatmap(
@@ -157,14 +157,19 @@ def test_sparse_kernel_agrees_with_dense():
     assert np.array_equal(lb.hnf(), kernel_basis(A))
 
 
+def _col(vec):
+    return np.array(vec, dtype=object)[:, None]
+
+
 def test_coords_and_residue():
     H = hnf(obj_matrix([[2, 1, 0], [0, 3, 1]]))
     v = [4, 5, 1]
-    c = coords_in_hnf(H, v)
-    assert c is not None
-    back = [sum(c[i] * int(H[i, j]) for i in range(H.shape[0])) for j in range(3)]
+    C, member = coords_in_hnf(H, _col(v))
+    assert member.tolist() == [True]
+    back = [sum(int(C[i, 0]) * int(H[i, j]) for i in range(H.shape[0]))
+            for j in range(3)]
     assert back == v
-    assert coords_in_hnf(H, [1, 0, 0]) is None
+    assert coords_in_hnf(H, _col([1, 0, 0]))[1].tolist() == [False]
 
 
 # an HNF whose pivots are 2, 3 and 5, in columns 0, 1 and 3
@@ -184,18 +189,90 @@ def test_pivot_list_gives_the_same_coords_and_residue(vec, mult):
     H = NON_UNIT_HNF
     piv = hnf_pivots(H)
     member = [sum(m * int(H[i, j]) for i, m in enumerate(mult)) for j in range(4)]
-    for v in (vec, member):
-        c = coords_in_hnf(H, v)
-        assert coords_in_hnf(H, v, piv) == c
-    assert coords_in_hnf(H, member, piv) == mult
+    V = np.array([vec, member], dtype=object).T
+    for p in (None, piv):
+        C, ok = coords_in_hnf(H, V, p)
+        want = coords_in_hnf_by_vector(H, vec)
+        assert ok.tolist() == [want is not None, True]
+        if want is not None:
+            assert C[:, 0].tolist() == want
+        assert C[:, 1].tolist() == mult
 
 
 def test_pivot_list_rejects_a_non_member():
     H = NON_UNIT_HNF
     piv = hnf_pivots(H)
-    for v in ([1, 0, 0, 0], [0, 0, 0, 1], [2, 1, 0, 4], [0, 0, 1, 0]):
-        assert coords_in_hnf(H, v) is None
-        assert coords_in_hnf(H, v, piv) is None
+    V = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [2, 1, 0, 4], [0, 0, 1, 0]],
+                 dtype=object).T
+    for p in (None, piv):
+        assert coords_in_hnf(H, V, p)[1].tolist() == [False] * 4
+
+
+def _random_hnf(rng, k, n, pivot_max, entry_max):
+    """A canonical HNF of k rows in n columns with pivots up to pivot_max
+    and free entries up to entry_max in size."""
+    piv = np.sort(rng.choice(n, size=k, replace=False))
+    H = obj_zeros(k, n)
+    for i, j in enumerate(piv):
+        H[i, j] = int(rng.integers(1, pivot_max + 1))
+        for c in range(j + 1, n):
+            H[i, c] = int(rng.integers(-entry_max, entry_max + 1))
+    return hnf(H)
+
+
+def _solve_cases(rng, entry_max, scale):
+    for _ in range(40):
+        n = int(rng.integers(1, 8))
+        H = _random_hnf(rng, int(rng.integers(0, n + 1)), n, 6, entry_max)
+        k = H.shape[0]
+        coeffs = [[int(x) * scale for x in rng.integers(-5, 6, size=k)]
+                  for _ in range(4)]
+        members = [[sum(c[i] * int(H[i, j]) for i in range(k)) for j in range(n)]
+                   for c in coeffs]
+        # a member moved by a small vector is mostly not a member
+        near = [[x + int(d) for x, d in zip(m, rng.integers(-2, 3, size=n))]
+                for m in members]
+        yield H, np.array(members + near, dtype=object).T
+
+
+def _check_by_column(H, V):
+    C, ok = coords_in_hnf(H, V)
+    assert C.shape == (H.shape[0], V.shape[1]) and ok.shape == (V.shape[1],)
+    for j in range(V.shape[1]):
+        want = coords_in_hnf_by_vector(H, V[:, j])
+        assert bool(ok[j]) == (want is not None)
+        if want is not None:
+            assert [int(x) for x in C[:, j]] == want
+    return C, ok
+
+
+def test_batched_solve_matches_the_per_vector_reference():
+    rng = np.random.default_rng(16)
+    non_unit = outside = 0
+    for H, V in _solve_cases(rng, 20, 1):
+        C, ok = _check_by_column(H, V)
+        assert C.dtype == np.int64
+        non_unit += int((np.diagonal(H[:, hnf_pivots(H)]) > 1).any())
+        outside += int((~ok).sum())
+    # most bases have a pivot above 1, and most moved columns leave them
+    assert non_unit > 20 and outside > 60
+
+
+def test_batched_solve_takes_python_ints_near_two_to_the_62():
+    # entries past the int64 working range: in the basis off its pivot
+    # columns, where only the exact check reads them, and in the columns
+    rng = np.random.default_rng(62)
+    for entry_max, scale in ((1 << 62, 1), (3, 1 << 60)):
+        for H, V in _solve_cases(rng, entry_max, scale):
+            _check_by_column(H, V)
+    # int64 columns whose substitution passes 2**62 at its second step
+    c = 1 << 54
+    H = obj_matrix([[1, 4095, 0], [0, 4096, 0], [0, 0, 1]])
+    assert np.array_equal(hnf(H), H)
+    V = np.array([[c, -c, 0], [c, -c, 1], [c, 1 - c, 0]], dtype=np.int64).T
+    C, ok = _check_by_column(H, V)
+    assert C.dtype == object and ok.tolist() == [True, True, False]
+    assert C[:, :2].T.tolist() == [[c, -c, 0], [c, -c, 1]]
 
 
 def _first_nonzero_cols(basis):
