@@ -246,13 +246,12 @@ def sum_of_induced_kernels(G: FiniteGroup, label: str) -> IntegerLattice:
     the slot's classes of intermediate subgroups S <= W <= T; inducing
     after inflating sends the class of W/S to the class of W in G.
     """
-    from .limits import _selection_matrix, _slot_kernel, section_family
+    from .limits import _selection_matrix, section_family
 
     family = section_family(G, label)
     rd = ring_data(G)
     images = [np.empty((0, rd.n_classes), dtype=np.int64)]
-    for slot in family.slots:
-        kern, _ = _slot_kernel(family, slot)
+    for slot, (kern, _) in zip(family.slots, family.kernels):
         up = _selection_matrix(family.ana.class_of_sub[slot.classes], rd.n_classes)
         images.append(kern @ up.T)
     return lattice_from_rows(rd.n_classes, np.vstack(images))

@@ -75,8 +75,7 @@ class SectionSlot:
     subgroups outside the interval S <= W <= T.
     """
 
-    __slots__ = ("ti", "si", "classes", "class_pos", "dim", "_kernel",
-                 "_kernel_piv")
+    __slots__ = ("ti", "si", "classes", "class_pos", "dim")
 
     def __init__(self, ti: int, si: int, classes: list, class_pos: np.ndarray):
         self.ti = ti
@@ -84,63 +83,61 @@ class SectionSlot:
         self.classes = classes
         self.class_pos = class_pos
         self.dim = len(classes)
-        self._kernel = None
-        self._kernel_piv = None
 
     def index(self, ana: GroupAnalysis) -> int:
         return (len(ana.subgroup_members[self.ti])
                 // len(ana.subgroup_members[self.si]))
 
 
-def _slot_kernel(family: "SectionFamily", slot: SectionSlot) -> tuple[np.ndarray, list]:
-    """HNF basis (rows, int64) of the mark kernel of the quotient at this
-    slot, with the pivot column of each basis row.
-
-    Rows of the linearization are indexed by the classes whose quotient
-    image is cyclic; the quotient of order dividing p contributes nothing.
-    Slots with the same mark rows share one kernel through the family's
-    memo, keyed by the exact rows.  The whole-group slot (P, 1) has the
-    class representatives as its classes and the linearization as its
-    mark rows, so its entry is the base kernel of ring_data.
-    """
-    if slot._kernel is None:
-        ana = family.ana
-        if slot.index(ana) <= ana.group.prime:
-            got = (np.zeros((0, slot.dim), dtype=np.int64), [])
-        else:
-            rows = _mark_rows(ana, slot)
-            key = (rows.shape, rows.tobytes())
-            got = family._kernel_memo.get(key)
-            if got is None:
-                if slot.index(ana) == ana.group.order:
-                    base = ring_data(ana.group).kernel()
-                    kern, piv = base.basis, base._piv
-                else:
-                    kern = kernel_basis(rows)
-                    piv = hnf_pivots(kern)
-                got = family._kernel_memo[key] = (_as_i64(kern), piv)
-        slot._kernel, slot._kernel_piv = got
-    return slot._kernel, slot._kernel_piv
-
-
-def _mark_rows(ana: GroupAnalysis, slot: SectionSlot) -> np.ndarray:
-    """Marks of the cyclic classes of the quotient at this slot (rows)
-    against all of its classes (columns).
+def _mark_rows(family: "SectionFamily") -> list:
+    """Marks of the cyclic classes (rows) against all classes (columns) of
+    the quotient at each slot of index above p, None at the others, read
+    off the family's (sections x subgroups) arrays in one pass.
 
     V/S fixes |T| / (|cls V| |W|) * #{V' in cls V : V' <= W} points of
-    T/W, with cls V the T-class of V.
+    T/W, with cls V the T-class of V.  Each pair of a member V' of a
+    section's interval S <= V' <= T and a class W of that section is read
+    once: it counts towards the maximal subgroups of W, whose quotient is
+    cyclic iff there is one (a p-group with a unique maximal subgroup), and
+    towards #{V' <= W} of the class of V'.
     """
-    sizes = ana.sizes
-    cls = np.asarray(slot.classes)
-    cand = np.flatnonzero(slot.class_pos >= 0)
-    below = ana.leq[cand][:, cls]
-    # a p-group quotient is cyclic iff it has a unique maximal subgroup
-    maximal = below & (sizes[cand, None] * ana.group.prime == sizes[cls])
-    cyc = cls[(sizes[cls] == sizes[slot.si]) | (maximal.sum(axis=0) == 1)]
-    in_cls = slot.class_pos[cand] == slot.class_pos[cyc][:, None]
-    hits = in_cls.astype(np.int64) @ below
-    mult = sizes[slot.ti] // in_cls.sum(axis=1)
-    return mult[:, None] * hits // sizes[cls]
+    ana = family.ana
+    sizes, p = ana.sizes, ana.group.prime
+    sec = np.flatnonzero(sizes[family._tops] > p * sizes[family._bots])
+    cp = family._class_pos[sec]
+    ks, members = np.nonzero(cp >= 0)            # interval members by section
+    # the least member of a class is its representative and its first
+    # member, and classes are numbered in the order they first appear
+    first_seen = cp > np.maximum.accumulate(np.pad(cp, ((0, 0), (1, 0)),
+                                                   constant_values=-1), axis=1)[:, :-1]
+    rk, reps = np.nonzero(first_seen)            # class entries, in class order
+    dim = np.bincount(rk, minlength=len(sec))
+    first = np.cumsum(dim) - dim                 # first class entry of a section
+    cls = first[ks] + cp[ks, members]            # class entry of each member
+    # every (member, class entry of its section) pair
+    n = dim[ks]
+    m = np.repeat(np.arange(len(ks)), n)
+    w = np.arange(len(m)) - np.repeat(np.cumsum(n) - n - first[ks], n)
+    V, W = members[m], reps[w]
+    below = ana.leq[V, W]
+    maximal = np.bincount(w[below & (sizes[V] * p == sizes[W])], minlength=len(reps))
+    cyc = (sizes[reps] == sizes[family._bots[sec[rk]]]) | (maximal == 1)
+    # a cyclic class entry owns a block of its section's dim columns
+    span = np.where(cyc, dim[rk], 0)
+    start = np.cumsum(span) - span
+    hit = below & cyc[cls[m]]
+    m, w = m[hit], w[hit]
+    hits = np.bincount(start[cls[m]] + w - first[ks[m]], minlength=int(span.sum()))
+    row = np.repeat(np.arange(len(reps)), span)
+    col = np.arange(len(row)) - np.repeat(start - first[rk], span)
+    mult = sizes[family._tops[sec[rk]]] // np.bincount(cls, minlength=len(reps))
+    flat = mult[row] * hits // sizes[reps[col]]
+    ncyc = np.bincount(rk[cyc], minlength=len(sec))
+    ends = np.cumsum(ncyc * dim).tolist()
+    out = [None] * len(family.slots)
+    for k, e, r, d in zip(sec.tolist(), ends, ncyc.tolist(), dim.tolist()):
+        out[k] = flat[e - r * d:e].reshape(r, d)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +183,37 @@ class SectionFamily:
                                                    np.cumsum(dims).tolist())]
         self._systems: dict = {}         # functor -> CoefficientSystem
         self._kernel_memo: dict = {}     # exact mark rows -> (kernel, pivots)
+
+    @cached_property
+    def kernels(self) -> list:
+        """HNF basis (rows, int64) of the mark kernel of the quotient at
+        each slot, with the pivot column of each basis row.
+
+        Rows of the linearization are indexed by the classes whose quotient
+        image is cyclic (_mark_rows); the quotient of order dividing p
+        contributes nothing.  Slots with the same mark rows share one
+        kernel through the memo, keyed by the exact rows.  The whole-group
+        slot (P, 1) has the class representatives as its classes and the
+        linearization as its mark rows, so its entry is the base kernel of
+        ring_data.
+        """
+        out = []
+        for slot, rows in zip(self.slots, _mark_rows(self)):
+            if rows is None:
+                out.append((np.zeros((0, slot.dim), dtype=np.int64), []))
+                continue
+            key = (rows.shape, rows.tobytes())
+            got = self._kernel_memo.get(key)
+            if got is None:
+                if slot.index(self.ana) == self.group.order:
+                    base = ring_data(self.group).kernel()
+                    kern, piv = base.basis, base._piv
+                else:
+                    kern = kernel_basis(rows)
+                    piv = hnf_pivots(kern)
+                got = self._kernel_memo[key] = (_as_i64(kern), piv)
+            out.append(got)
+        return out
 
     def _edges(self, src, tops, bots, tags, kind) -> list:
         """(src, position of (tops, bots), tags[kind]), sharing the ints of
@@ -305,9 +333,8 @@ class CoefficientSystem:
         self._map_cache = {}             # edge and base keys -> matrix
         self._limit = None               # set by campaigns.cached_inverse_limit
         if functor in ("K", "Kdual"):
-            kp = [_slot_kernel(family, s) for s in family.slots]
-            self._kernels = [k for k, _ in kp]
-            self._kernel_pivs = [piv for _, piv in kp]
+            self._kernels = [k for k, _ in family.kernels]
+            self._kernel_pivs = [piv for _, piv in family.kernels]
             self.dims = [k.shape[0] for k in self._kernels]
             self.base_kernel = ring_data(self.group).kernel()
             self.base_rank = self.base_kernel.rank

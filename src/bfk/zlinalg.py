@@ -75,6 +75,8 @@ def hnf_pivots(H: np.ndarray) -> list[int]:
 _I64_BOUND = 1 << 55
 # an int64 product is taken only when amax * bmax * k stays within this
 _PRODUCT_BOUND = (1 << 62) - 1
+# float64 holds every integer of at most this size exactly
+_F64_EXACT = 1 << 53
 
 
 def _i64_absmax(mat):
@@ -93,18 +95,29 @@ def _i64_absmax(mat):
     return (arr, amax) if 0 <= amax <= _I64_BOUND else (None, None)
 
 
-def _exact_matmul(A, B, bound: int = _PRODUCT_BOUND) -> np.ndarray:
-    """A @ B over the integers, also for stacks: in int64 when no product
-    can wrap.
+def _exact_matmul(A, B) -> np.ndarray:
+    """A @ B over the integers, also for stacks, in the cheapest of three
+    tiers that is exact by a bound.
 
-    Each operand is read once for its largest entry; int64 needs every
-    entry within 2**55 and amax * bmax * k at most bound (below 2**62).
+    Each operand is read once for its largest entry, amax and bmax, with
+    k the inner dimension.  When amax, bmax and amax * bmax * k are all at
+    most 2**53, the product runs in float64 through BLAS: every product
+    and every partial sum is then an integer of at most 2**53, which
+    float64 holds exactly in any summation order.  The bound assumes
+    classical GEMM, which numpy's bundled OpenBLAS uses; a fast algorithm
+    of Strassen type would form other intermediate sums.  Otherwise int64
+    needs every entry within 2**55 and amax * bmax * k below 2**62, and
+    past that the product is taken in Python ints.  The first two tiers
+    return int64.
     """
     A64, amax = _i64_absmax(A)
     B64, bmax = _i64_absmax(B)
-    if (A64 is not None and B64 is not None
-            and amax * bmax * max(1, A64.shape[-1]) <= bound):
-        return A64 @ B64
+    if A64 is not None and B64 is not None:
+        reach = amax * bmax * max(1, A64.shape[-1])
+        if reach <= _F64_EXACT and max(amax, bmax) <= _F64_EXACT:
+            return (A64.astype(np.float64) @ B64.astype(np.float64)).astype(np.int64)
+        if reach <= _PRODUCT_BOUND:
+            return A64 @ B64
     return np.asarray(A, dtype=object) @ np.asarray(B, dtype=object)
 
 
@@ -348,13 +361,16 @@ def unit_elimination(rows: list[dict[int, int]]
                      ) -> tuple[list[tuple[int, dict[int, int]]], list[dict[int, int]]]:
     """Eliminate the +-1 pivots of a sparse integer matrix in Markowitz order.
 
-    Pivots come from a lazy heap holding one entry per row push: the row's
-    cheapest unit, costed (len(row)-1)*(len(col)-1) (Duff, Erisman and
-    Reid, Direct Methods for Sparse Matrices, 1986).  A row is pushed again
-    whenever an elimination changes it; a popped entry whose row is gone or
-    whose entry is no longer a unit is dropped, and one whose cost has
-    risen is replaced by a fresh push of its row.  Each step clears its
-    column from every other row, so every step is unimodular.
+    Pivots come from a lazy heap holding at most one entry per row: the
+    row's cheapest unit, costed (len(row)-1)*(len(col)-1) (Duff, Erisman
+    and Reid, Direct Methods for Sparse Matrices, 1986).  A row with an
+    entry that an elimination changes is only marked stale; it is scanned
+    again once, when that entry is popped, and pushed back with its fresh
+    cost if it still holds a unit.  A row without an entry is scanned
+    when an elimination gives it a unit.  A popped entry of an unchanged
+    row whose cost has risen, as its column filled in, is pushed back
+    rescored.  Each step clears its column from every other row, so every
+    step is unimodular.
 
     Returns (steps, core).  steps lists (column, pivot row) in elimination
     order, each pivot row as it stood when taken: a +-1 in its column and
@@ -372,6 +388,8 @@ def unit_elimination(rows: list[dict[int, int]]
             col_rows.setdefault(c, set()).add(ri)
 
     heap: list[tuple[int, int, int]] = []
+    queued: set[int] = set()        # rows with an entry on the heap
+    stale: set[int] = set()         # queued rows changed since their push
 
     def push(ri: int) -> None:
         r = work[ri]
@@ -386,42 +404,53 @@ def unit_elimination(rows: list[dict[int, int]]
                         break
         if best is not None:
             heapq.heappush(heap, best)
+            queued.add(ri)
 
     for ri in work:
         push(ri)
     steps = []
     while heap:
         cost, pri, pc = heapq.heappop(heap)
+        queued.discard(pri)
         prow = work.get(pri)
         if prow is None:
             continue
-        pval = prow.get(pc)
-        if pval != 1 and pval != -1:
+        if pri in stale:
+            stale.discard(pri)
+            push(pri)
             continue
+        # an unchanged row still holds its unit at pc
         if (len(prow) - 1) * (len(col_rows[pc]) - 1) > cost:
             push(pri)
             continue
         del work[pri]
         for c in prow:
             col_rows[c].discard(pri)
+        # row r becomes r - (r[pc] / pval) * prow, and pval is +-1
+        pval = prow[pc]
+        rest = [(c, -v * pval) for c, v in prow.items() if c != pc]
         for ri in col_rows.pop(pc, ()):
             r = work[ri]
-            factor = r[pc] * pval          # pval is +-1 so this is r[pc]/pval
-            for c, v in prow.items():
-                nv = r.get(c, 0) - factor * v
-                if nv == 0:
-                    if c in r:
-                        del r[c]
-                        if c != pc:
-                            col_rows[c].discard(ri)
-                else:
-                    if c not in r:
-                        col_rows.setdefault(c, set()).add(ri)
+            factor = r.pop(pc)
+            for c, v in rest:
+                old = r.get(c)
+                if old is None:
+                    r[c] = factor * v
+                    col_rows[c].add(ri)
+                    continue
+                nv = old + factor * v
+                if nv:
                     r[c] = nv
-            if r:
-                push(ri)
-            else:
+                else:
+                    del r[c]
+                    col_rows[c].discard(ri)
+            if not r:
                 del work[ri]
+                stale.discard(ri)
+            elif ri in queued:
+                stale.add(ri)
+            elif any(r.get(c) in (1, -1) for c in prow):
+                push(ri)
         steps.append((pc, prow))
     return steps, list(work.values())
 

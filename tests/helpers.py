@@ -8,7 +8,9 @@ independent fixtures for the composition, orbit and action tests.
 reference `hnf` is checked against.  `sparse_kernel` and
 `_direct_limit_basis`, a sparse xgcd fold over the raw constraint rows,
 are the reference the sparse limit solver and `kernel_basis` are checked
-against.  The per-subgroup walks at the end (conjugates one tuple at a
+against; `unit_elimination_by_rescans`, the former elimination that
+rescanned every changed row, is the reference for the lazily re-scored
+`zlinalg.unit_elimination`.  The per-subgroup walks at the end (conjugates one tuple at a
 time, marks by walking the group, union-find slot classes, double-coset
 defres) are the references for the reads off the conjugation table
 `GroupAnalysis.conj_sub`.  The quotient-based section rule
@@ -32,6 +34,7 @@ main campaign's witness, the reference for the stacked `residual_check`.
 """
 
 import bisect
+import heapq
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -447,6 +450,74 @@ def sparse_kernel(ncols: int, rows: Iterable[dict[int, int]]) -> list[dict[int, 
         unregister(cid, basis[cid].keys())
         del basis[cid]
     return [basis[k] for k in sorted(basis)]
+
+
+def unit_elimination_by_rescans(rows: list[dict[int, int]]):
+    """The former zlinalg.unit_elimination: (steps, core) as there, with
+    every row an elimination changes scanned again and pushed anew."""
+    work: dict[int, dict[int, int]] = {}
+    col_rows: dict[int, set[int]] = {}
+    for ri, row in enumerate(rows):
+        r = {c: int(v) for c, v in row.items() if v != 0}
+        if not r:
+            continue
+        work[ri] = r
+        for c in r:
+            col_rows.setdefault(c, set()).add(ri)
+
+    heap: list[tuple[int, int, int]] = []
+
+    def push(ri: int) -> None:
+        r = work[ri]
+        rlen = len(r) - 1
+        best = None
+        for c, v in r.items():
+            if v == 1 or v == -1:
+                cost = rlen * (len(col_rows[c]) - 1)
+                if best is None or cost < best[0]:
+                    best = (cost, ri, c)
+                    if cost == 0:
+                        break
+        if best is not None:
+            heapq.heappush(heap, best)
+
+    for ri in work:
+        push(ri)
+    steps = []
+    while heap:
+        cost, pri, pc = heapq.heappop(heap)
+        prow = work.get(pri)
+        if prow is None:
+            continue
+        pval = prow.get(pc)
+        if pval != 1 and pval != -1:
+            continue
+        if (len(prow) - 1) * (len(col_rows[pc]) - 1) > cost:
+            push(pri)
+            continue
+        del work[pri]
+        for c in prow:
+            col_rows[c].discard(pri)
+        for ri in col_rows.pop(pc, ()):
+            r = work[ri]
+            factor = r[pc] * pval
+            for c, v in prow.items():
+                nv = r.get(c, 0) - factor * v
+                if nv == 0:
+                    if c in r:
+                        del r[c]
+                        if c != pc:
+                            col_rows[c].discard(ri)
+                else:
+                    if c not in r:
+                        col_rows.setdefault(c, set()).add(ri)
+                    r[c] = nv
+            if r:
+                push(ri)
+            else:
+                del work[ri]
+        steps.append((pc, prow))
+    return steps, list(work.values())
 
 
 def _direct_limit_basis(system: CoefficientSystem) -> np.ndarray:

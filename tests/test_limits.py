@@ -105,14 +105,16 @@ def test_slot_classes_and_mark_rows_match_the_loops():
             G = group_from_spec(spec, p)
             ana = analysis(G)
             for label in FAMILY_LABELS:
-                for slot in section_family(G, label).slots:
+                fam = section_family(G, label)
+                for slot, rows in zip(fam.slots, _mark_rows(fam)):
                     reps, pos = slot_classes_by_union_find(ana, slot.ti, slot.si)
                     inside = np.flatnonzero(slot.class_pos >= 0).tolist()
                     assert slot.classes == reps, (spec, label)
                     assert {w: slot.class_pos[w] for w in inside} == pos
                     if slot.index(ana) > p:
-                        assert np.array_equal(_mark_rows(ana, slot),
-                                              mark_rows_by_loops(ana, slot))
+                        assert np.array_equal(rows, mark_rows_by_loops(ana, slot))
+                    else:
+                        assert rows is None
 
 
 @pytest.mark.parametrize("spec,p,label", [
@@ -142,9 +144,8 @@ def test_slots_with_equal_mark_rows_share_one_kernel():
         system = coefficient_system(G, "X", "K")
         fam = system.family
         distinct = set()
-        for i, slot in enumerate(fam.slots):
+        for i, (slot, rows) in enumerate(zip(fam.slots, _mark_rows(fam))):
             if slot.index(fam.ana) > 3:
-                rows = _mark_rows(fam.ana, slot)
                 distinct.add((rows.shape, rows.tobytes()))
                 fresh = kernel_basis(obj_matrix(rows.tolist(), slot.dim))
                 assert np.array_equal(system._kernels[i], fresh)
@@ -160,7 +161,7 @@ def test_whole_group_slot_takes_the_base_kernel():
         # the slot reuses the base kernel instead of eliminating again
         assert system._kernel_pivs[i] is base._piv
         assert np.array_equal(system._kernels[i], base.basis)
-        rows = _mark_rows(fam.ana, fam.slots[i])
+        rows = _mark_rows(fam)[i]
         assert np.array_equal(kernel_basis(rows), base.basis)
 
 
@@ -325,6 +326,50 @@ def test_exact_matmul_takes_int64_only_under_both_bounds():
                          np.zeros((0, 3), dtype=np.int64)).dtype == np.int64
 
 
+def object_product(A, B):
+    return np.asarray(A, dtype=object) @ np.asarray(B, dtype=object)
+
+
+def test_exact_matmul_matches_object_products_at_the_float_bound():
+    # amax * bmax * k == 2**53: the float64 tier, with every sum exact
+    A = np.array([[2**26, 2**26], [-2**26, 2**26]], dtype=np.int64)
+    B = np.array([[2**26, -2**26, 0], [2**26, 2**26, 1]], dtype=np.int64)
+    got = _exact_matmul(A, B)
+    assert got.dtype == np.int64 and got.tolist() == object_product(A, B).tolist()
+    assert got[0, 0] == 2**53
+    # amax * bmax * k == 2**53 + 1, where a float64 sum rounds to 2**53
+    third = (2**53 + 1) // 3
+    A = np.array([[third] * 3, [-third] * 3], dtype=np.int64)
+    ones = np.ones((3, 1), dtype=np.int64)
+    assert (A.astype(np.float64) @ ones.astype(np.float64))[0, 0] == 2**53
+    got = _exact_matmul(A, ones)
+    assert got.dtype == np.int64 and got.tolist() == [[2**53 + 1], [-2**53 - 1]]
+    got = _exact_matmul(np.array([[2**53 + 1]]), np.array([[1]]))
+    assert got.dtype == np.int64 and got.tolist() == [[2**53 + 1]]
+    # negative entries up to the bound: 2**25 * 2**25 * 8 == 2**53
+    rng = np.random.default_rng(17)
+    A = rng.integers(-2**25, 2**25, size=(6, 8), endpoint=True)
+    B = rng.integers(-2**25, 2**25, size=(8, 5), endpoint=True)
+    A[0], B[:, 0] = -2**25, -2**25
+    got = _exact_matmul(A, B)
+    assert got.dtype == np.int64 and got.tolist() == object_product(A, B).tolist()
+    assert got[0, 0] == 2**53
+    # stacked operands, the leading axis of A broadcast over that of B
+    A = rng.integers(-2**20, 2**20, size=(1, 4, 5))
+    B = rng.integers(-2**20, 2**20, size=(3, 5, 2))
+    got = _exact_matmul(A, B)
+    assert got.shape == (3, 4, 2) and got.dtype == np.int64
+    for k in range(3):
+        assert got[k].tolist() == object_product(A[0], B[k]).tolist()
+    # an all-zero operand beside entries above 2**53, in int64 and past it
+    zero = np.zeros((2, 3), dtype=np.int64)
+    for big, dtype in ((2**54 + 1, np.int64), (2**70 + 1, object)):
+        B = np.full((3, 2), big, dtype=object)
+        B[1, 1] = -big
+        got = _exact_matmul(zero, B)
+        assert got.dtype == dtype and not got.any() and got.shape == (2, 2)
+
+
 def test_extraspecial_section_only_in_x_families():
     ana = analysis(X27)
     top = ana.n_sub - 1
@@ -475,18 +520,22 @@ def basis_digest(basis) -> str:
 
 def test_limit_bases_match_pinned_digests():
     # keys are "p descriptor label functor"; the digests were recorded from
-    # earlier solvers: the catalog ones from the two-solver code, the
-    # extra ones, up to the hardest order-81 systems, from the
-    # component-merging solver
+    # earlier solvers: the catalog ones to order 27 and 125 from the
+    # two-solver code, prod:xsp:3,cyclic:3 X3 and elab:3:4 E3 K / Kdual
+    # from the component-merging solver, and the other order-81 systems
+    # from the sparse solver that rescanned every changed row.  Every
+    # order-81 system is pinned except those of elab:3:4 with functor B
+    # or Bdual, which take minutes, and its X families, which equal the E
+    # ones for an abelian group.
     pinned = json.loads(PINNED_BASES.read_text(encoding="utf-8"))
     want_keys = {f"{p} {spec} {label} {functor}"
-                 for p, max_order in ((3, 27), (5, 125))
+                 for p, max_order in ((3, 81), (5, 125))
                  for _, spec in catalog_groups(p, max_order)
+                 if spec != "elab:3:4"
                  for label in FAMILY_LABELS for functor in FUNCTOR_NAMES}
-    assert set(pinned) == want_keys | {"3 prod:xsp:3,cyclic:3 X3 Kdual",
-                                       "3 prod:xsp:3,cyclic:3 X3 K",
-                                       "3 prod:xsp:3,cyclic:3 X3 B",
-                                       "3 elab:3:4 E3 Kdual", "3 elab:3:4 E3 K"}
+    want_keys |= {f"3 elab:3:4 {label} {functor}" for label in ("E", "E2", "E3")
+                  for functor in ("K", "Kdual")}
+    assert set(pinned) == want_keys
     for key, digest in sorted(pinned.items()):
         p, spec, label, functor = key.split()
         system = coefficient_system(group_from_spec(spec, int(p)), label, functor)

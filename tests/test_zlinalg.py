@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from bfk import zlinalg
 from bfk.zlinalg import (
     IntegerLattice,
     coords_in_hnf,
@@ -13,10 +16,13 @@ from bfk.zlinalg import (
     obj_zeros,
     rank_of,
     snf_diagonal,
+    sparse_kernel_basis,
     sparse_snf_invariants,
+    unit_elimination,
     xgcd,
 )
-from helpers import LatticeBuilder, coords_in_hnf_by_vector, sparse_kernel
+from helpers import (LatticeBuilder, coords_in_hnf_by_vector, sparse_kernel,
+                     unit_elimination_by_rescans)
 
 small_mat = st.integers(min_value=1, max_value=5).flatmap(
     lambda n: st.integers(min_value=1, max_value=5).flatmap(
@@ -123,6 +129,72 @@ def test_sparse_snf_matches_dense_on_unit_rich_rows(case):
     inv, rank = sparse_snf_invariants(rows, ncols)
     assert inv == snf_diagonal(dense)
     assert rank == rank_of(dense)
+
+
+def solved_both_ways(rows, ncols):
+    """(invariants, canonical kernel) of the sparse solvers with the lazy
+    elimination, then with the rescanning reference in its place."""
+    out = []
+    for elim in (unit_elimination, unit_elimination_by_rescans):
+        with mock.patch.object(zlinalg, "unit_elimination", elim):
+            inv = sparse_snf_invariants(rows, ncols)
+            out.append((inv, hnf(sparse_kernel_basis(rows, ncols).T)))
+    return out
+
+
+def assert_valid_elimination(rows):
+    """Each pivot row holds a +-1 in its column and no earlier pivot
+    column; the core holds no pivot column."""
+    steps, core = unit_elimination(rows)
+    done = set()
+    for c, prow in steps:
+        assert prow[c] in (1, -1) and not done & prow.keys()
+        done.add(c)
+    assert all(r and not done & r.keys() for r in core)
+    return steps, core
+
+
+@seed(20082)
+@settings(max_examples=200, deadline=None, database=None)
+@given(sparse_matrices())
+def test_lazy_elimination_matches_the_rescanning_reference(case):
+    ncols, rows = case
+    (inv, kern), (want_inv, want_kern) = solved_both_ways(rows, ncols)
+    assert inv == want_inv
+    assert np.array_equal(kern, want_kern)
+    assert_valid_elimination(rows)
+
+
+@pytest.mark.parametrize("seed_", range(4))
+def test_lazy_elimination_matches_the_reference_under_fill_in(seed_):
+    # 120 x 100 rows of 2-5 entries, mostly units: eliminations fill rows
+    # in, make them lose and gain units, and leave a dense core
+    rng = np.random.default_rng(seed_)
+    ncols = 100
+    rows = []
+    for _ in range(120):
+        cols = rng.choice(ncols, size=int(rng.integers(2, 6)), replace=False)
+        vals = rng.choice([1, -1, 1, -1, 1, -1, 1, -1, 2, 3], size=len(cols))
+        rows.append(dict(zip(cols.tolist(), vals.tolist())))
+    (inv, kern), (want_inv, want_kern) = solved_both_ways(rows, ncols)
+    assert inv == want_inv
+    assert np.array_equal(kern, want_kern)
+    assert_valid_elimination(rows)
+
+
+def test_row_gains_its_first_unit_after_another_pivot():
+    # the second row holds no unit until the first pivot turns it into
+    # {1: -1, 2: 2}; it must then be taken as a pivot, not left in the core
+    rows = [{0: 1, 1: 2}, {0: 2, 1: 3, 2: 2}]
+    steps, core = assert_valid_elimination(rows)
+    assert [c for c, _ in steps] == [0, 1] and core == []
+    assert steps[1][1] == {1: -1, 2: 2}
+    # a queued row that loses its only unit is rescored and stays in the core
+    steps, core = assert_valid_elimination([{0: 1, 1: 1}, {0: 1, 1: 3, 2: 2}])
+    assert [c for c, _ in steps] == [0] and core == [{1: 2, 2: 2}]
+    for rows in ([{0: 1, 1: 2}, {0: 2, 1: 3, 2: 2}], [{0: 1, 1: 1}, {0: 1, 1: 3, 2: 2}]):
+        (inv, kern), (want_inv, want_kern) = solved_both_ways(rows, 3)
+        assert inv == want_inv and np.array_equal(kern, want_kern)
 
 
 def test_hnf_switches_to_python_ints_mid_insertion():
