@@ -11,7 +11,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .campaigns import (
     RunConfig,
     VerificationReport,
-    cached_inverse_limit,
     catalog_groups,
     emit_csv,
     emit_json,
@@ -52,7 +51,6 @@ __all__ = [
     "SectionFamily",
     "VerificationReport",
     "analysis",
-    "cached_inverse_limit",
     "catalog_groups",
     "claim",
     "coefficient_system",

@@ -18,8 +18,6 @@ import csv
 import hashlib
 import io
 import json
-import os
-import tempfile
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -55,10 +53,8 @@ from .limits import (
     ConstraintViolation,
     InverseLimit,
     SectionSlot,
-    _sparse_rows,
     coefficient_system,
     comparison_report,
-    constraint_rows,
     counit_kernel_report,
     inverse_limit,
     residual_check,
@@ -71,9 +67,8 @@ from .transfers import (
     retraction_identity_holds,
     retraction_matrix,
 )
-from .zlinalg import (_batches, _exact_matmul, coords_in_hnf, hnf,
-                      lattice_from_rows, obj_eye, obj_matrix,
-                      sparse_snf_invariants)
+from .zlinalg import (_batches, _exact_matmul, coords_in_hnf,
+                      lattice_from_rows, obj_eye)
 
 FORMAT_CHOICES = ("json", "csv")
 
@@ -93,7 +88,6 @@ class RunConfig:
     max_order: int = 81
     klass: str = "X"
     functor: str = "Kdual"
-    cache_dir: str | None = None
     seed: int = 0
     jobs: int = 1
     fmt: str = "json"
@@ -119,8 +113,8 @@ class RunConfig:
             raise ValueError(f"unknown output format {self.fmt!r}")
 
     def config_block(self) -> dict:
-        # cache_dir, jobs and fmt do not influence report content, so they
-        # stay out of the emitted config echo
+        # jobs and fmt do not influence report content, so they stay out
+        # of the emitted config echo
         return {
             "p": self.p,
             "max_order": self.max_order,
@@ -282,18 +276,10 @@ def _sample_indices(rng, n: int, k: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# cached inverse limits
+# limit payloads
 
 LIMIT_FORMAT = "bfk-limit-basis"
 LIMIT_VERSION = 1
-
-
-def resolve_cache_dir(explicit=None):
-    """The limit cache directory: the explicit one, else BFK_CACHE_DIR."""
-    if explicit:
-        return str(explicit)
-    env = os.environ.get("BFK_CACHE_DIR")
-    return env or None
 
 
 def limit_payload(lim: InverseLimit, label: str, functor: str) -> dict:
@@ -309,68 +295,6 @@ def limit_payload(lim: InverseLimit, label: str, functor: str) -> dict:
         "basis": [[int(lim.basis[i, j]) for i in range(system.total)]
                   for j in range(lim.rank)],
     }
-
-
-def _limit_from_payload(system, payload: dict, label: str, functor: str) -> InverseLimit:
-    if (payload.get("format") != LIMIT_FORMAT
-            or payload.get("version") != LIMIT_VERSION
-            or payload.get("group_order") != system.group.order
-            or payload.get("label") != label
-            or payload.get("functor") != functor
-            or payload.get("total") != system.total):
-        raise ValueError("limit cache metadata does not match the system")
-    H = obj_matrix(payload["basis"], system.total)
-    residual_check(system, H.T)
-    # a saturated sublattice of the limit with its rank is the limit, and
-    # its canonical HNF is the basis a fresh solve gives
-    n = system.total
-    rank = n - sparse_snf_invariants(constraint_rows(system), n)[1]
-    saturated = set(sparse_snf_invariants(_sparse_rows(H), n)[0]) <= {1}
-    if not (H.shape[0] == rank and saturated and np.array_equal(hnf(H), H)):
-        raise ValueError("limit cache basis is not the canonical limit basis")
-    return InverseLimit(system, H.T.copy())
-
-
-def cached_inverse_limit(G, label: str, functor: str,
-                         cache_dir: str | None = None) -> InverseLimit:
-    """Inverse limit, kept on its coefficient system, with an optional
-    disk cache.
-
-    The in-process result lives on the system, which lives on G's
-    analysis, so it is freed together with G.  The disk payload stores the
-    canonical basis, so loading it back gives the same object a fresh
-    solve would.  A file is read back only if its metadata match and its
-    basis satisfies every constraint, has the limit's rank, is saturated
-    and is in canonical HNF; any other file is solved anew and
-    overwritten.
-    """
-    system = coefficient_system(G, label, functor)
-    if system._limit is not None:
-        return system._limit
-    base = resolve_cache_dir(cache_dir)
-    lim = None
-    path = None
-    if base is not None:
-        os.makedirs(base, exist_ok=True)
-        path = os.path.join(base, f"{G.content_hash()}-{label}-{functor}.limit.json")
-        if os.path.exists(path):
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    payload = json.load(fh)
-                lim = _limit_from_payload(system, payload, label, functor)
-            except (OSError, ValueError, KeyError, TypeError, AssertionError,
-                    json.JSONDecodeError):
-                lim = None
-    if lim is None:
-        lim = inverse_limit(system)
-        if path is not None:
-            payload = limit_payload(lim, label, functor)
-            fd, tmp = tempfile.mkstemp(dir=base, suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, sort_keys=True)
-            os.replace(tmp, path)
-    system._limit = lim
-    return lim
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +522,7 @@ def _main_rows(desc: str, cfg: RunConfig) -> list[dict]:
     reports = {}
     systems = {}
     for label in computed:
-        lim = cached_inverse_limit(G, label, "Kdual", cfg.cache_dir)
+        lim = inverse_limit(coefficient_system(G, label, "Kdual"))
         lims[label] = lim
         systems[label] = lim.system
         reports[label] = comparison_report(lim)
@@ -811,7 +735,7 @@ def _subquotient_fps(ana, ti: int, si: int) -> set:
             for s in np.flatnonzero(ana.normal[:, t] & ana.leq[si]).tolist()}
 
 
-def _appendix_transporter_rows(desc, cfg, G, ana, pool, small, rng) -> list[dict]:
+def _appendix_transporter_rows(desc, G, ana, pool, small, rng) -> list[dict]:
     # conjugation moves the transported subgroup with the point, on each side
     t_choices = []
     seen_orders = set()
@@ -874,7 +798,7 @@ def _appendix_transporter_rows(desc, cfg, G, ana, pool, small, rng) -> list[dict
                        small))
 
 
-def _appendix_section_transport_rows(desc, cfg, G, ana, pool, secs_x3,
+def _appendix_section_transport_rows(desc, G, ana, pool, secs_x3,
                                      small, rng) -> list[dict]:
     sec_choices = [(ti, si, _subquotient_fps(ana, ti, si))
                    for ti, si in _signature_reps(ana, secs_x3, 3)]
@@ -920,7 +844,7 @@ def _appendix_section_transport_rows(desc, cfg, G, ana, pool, secs_x3,
                        cases_bp, small))
 
 
-def _appendix_composite_transporter_rows(desc, cfg, G, ana, pool, small,
+def _appendix_composite_transporter_rows(desc, G, ana, pool, small,
                                          rng) -> list[dict]:
     cases = 0
     failure = None
@@ -966,7 +890,7 @@ def _appendix_composite_transporter_rows(desc, cfg, G, ana, pool, small,
                     small)
 
 
-def _appendix_quotient_collapse_rows(desc, cfg, G, ana, secs_x3, small,
+def _appendix_quotient_collapse_rows(desc, G, ana, secs_x3, small,
                                      rng) -> list[dict]:
     top = ana.n_sub - 1
     normal_cands = []
@@ -1020,7 +944,7 @@ def _whole_group_slot(system):
     return system.family.pos.get((ana.n_sub - 1, 0))
 
 
-def _appendix_unit_component_rows(desc, cfg, G, small) -> list[dict]:
+def _appendix_unit_component_rows(desc, G, small) -> list[dict]:
     labels = ("E", "E3", "X", "X3") if small else ("E", "X")
     cases = 0
     failure = None
@@ -1047,7 +971,7 @@ def _appendix_unit_component_rows(desc, cfg, G, small) -> list[dict]:
                     cases, small, {"combos": combos})
 
 
-def _appendix_limit_action_rows(desc, cfg, G, ana, secs_x3, small,
+def _appendix_limit_action_rows(desc, G, ana, secs_x3, small,
                                 rng) -> list[dict]:
     functors = ("B", "K") if small else ("K",)
     sizes = ana.sizes
@@ -1068,7 +992,7 @@ def _appendix_limit_action_rows(desc, cfg, G, ana, secs_x3, small,
         sys_p = coefficient_system(G, "X3", functor)
         if sys_p.total == 0:
             continue
-        lim_p = cached_inverse_limit(G, "X3", functor, cfg.cache_dir)
+        lim_p = inverse_limit(sys_p)
         if lim_p.rank == 0:
             continue
         for sec in sec_picks:
@@ -1096,7 +1020,7 @@ def _appendix_limit_action_rows(desc, cfg, G, ana, secs_x3, small,
                     small)
 
 
-def _appendix_identity_action_rows(desc, cfg, G, small) -> list[dict]:
+def _appendix_identity_action_rows(desc, G, small) -> list[dict]:
     functors = ("B", "K") if small else ("K",)
     cases = 0
     failure = None
@@ -1116,7 +1040,7 @@ def _appendix_identity_action_rows(desc, cfg, G, small) -> list[dict]:
                     small)
 
 
-def _appendix_composite_action_rows(desc, cfg, G, ana, secs_x3, small,
+def _appendix_composite_action_rows(desc, G, ana, secs_x3, small,
                                     rng) -> list[dict]:
     functors = ("B", "K") if small else ("K",)
     outer_all = [(t, s) for t, s in secs_x3
@@ -1137,7 +1061,7 @@ def _appendix_composite_action_rows(desc, cfg, G, ana, secs_x3, small,
         sys0 = coefficient_system(G, "X3", functor)
         if sys0.total == 0:
             continue
-        lim0 = cached_inverse_limit(G, "X3", functor, cfg.cache_dir)
+        lim0 = inverse_limit(sys0)
         for sec1 in outers:
             if failure:
                 break
@@ -1166,7 +1090,7 @@ def _appendix_composite_action_rows(desc, cfg, G, ana, secs_x3, small,
                     {"pairs": pairs})
 
 
-def _appendix_adjunction_rows(desc, cfg, G, small, rng) -> list[dict]:
+def _appendix_adjunction_rows(desc, G, small, rng) -> list[dict]:
     rows = []
     combos = []
     if small:
@@ -1198,7 +1122,7 @@ def _appendix_adjunction_rows(desc, cfg, G, small, rng) -> list[dict]:
             group_cases += 1
         if failure:
             break
-        lim = cached_inverse_limit(G, label, functor, cfg.cache_dir)
+        lim = inverse_limit(system)
         if lim.rank == 0:
             continue
         unit = np.asarray(system.unit_matrix(), dtype=object)
@@ -1243,21 +1167,21 @@ def _appendix_rows(desc: str, cfg: RunConfig) -> list[dict]:
     pool = [indinf_biset(sec) for sec in _x3_quotients(G, 4)]
     rows = []
     rows += _appendix_transporter_rows(
-        desc, cfg, G, ana, pool, small, _engine_rng(cfg, desc, 1))
+        desc, G, ana, pool, small, _engine_rng(cfg, desc, 1))
     rows += _appendix_section_transport_rows(
-        desc, cfg, G, ana, pool, secs_x3, small, _engine_rng(cfg, desc, 2))
+        desc, G, ana, pool, secs_x3, small, _engine_rng(cfg, desc, 2))
     rows += _appendix_composite_transporter_rows(
-        desc, cfg, G, ana, pool, small, _engine_rng(cfg, desc, 3))
+        desc, G, ana, pool, small, _engine_rng(cfg, desc, 3))
     rows += _appendix_quotient_collapse_rows(
-        desc, cfg, G, ana, secs_x3, small, _engine_rng(cfg, desc, 4))
-    rows += _appendix_unit_component_rows(desc, cfg, G, small)
+        desc, G, ana, secs_x3, small, _engine_rng(cfg, desc, 4))
+    rows += _appendix_unit_component_rows(desc, G, small)
     rows += _appendix_limit_action_rows(
-        desc, cfg, G, ana, secs_x3, small, _engine_rng(cfg, desc, 5))
-    rows += _appendix_identity_action_rows(desc, cfg, G, small)
+        desc, G, ana, secs_x3, small, _engine_rng(cfg, desc, 5))
+    rows += _appendix_identity_action_rows(desc, G, small)
     rows += _appendix_composite_action_rows(
-        desc, cfg, G, ana, secs_x3, small, _engine_rng(cfg, desc, 6))
+        desc, G, ana, secs_x3, small, _engine_rng(cfg, desc, 6))
     rows += _appendix_adjunction_rows(
-        desc, cfg, G, small, _engine_rng(cfg, desc, 7))
+        desc, G, small, _engine_rng(cfg, desc, 7))
     return rows
 
 

@@ -21,7 +21,6 @@ import sys
 
 from .campaigns import (
     RunConfig,
-    cached_inverse_limit,
     catalog_groups,
     emit_csv,
     emit_json,
@@ -30,7 +29,8 @@ from .campaigns import (
     run_campaign,
 )
 from .groups import group_from_spec
-from .limits import FAMILY_LABELS, FUNCTOR_NAMES
+from .limits import (FAMILY_LABELS, FUNCTOR_NAMES, coefficient_system,
+                     inverse_limit)
 
 CATALOG_FORMAT = "bfk-catalog"
 CATALOG_VERSION = 1
@@ -41,9 +41,8 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="odd prime (default 3)")
     sp.add_argument("--max-order", type=int, default=81, dest="max_order",
                     help="largest group order, a power of p (default 81)")
-    sp.add_argument("--cache-dir", default=None, dest="cache_dir",
-                    help="directory for limit caches "
-                         "(default: BFK_CACHE_DIR or no cache)")
+    # ignored (bfk keeps no disk cache); perfbench/run.py still passes it
+    sp.add_argument("--cache-dir", help=argparse.SUPPRESS)
     sp.add_argument("--seed", type=int, default=0,
                     help="seed for sampled case engines (default 0)")
     sp.add_argument("--jobs", type=int, default=1,
@@ -122,7 +121,7 @@ def _cmd_campaign(campaign: str, args) -> int:
 def _cmd_limit(args) -> int:
     cfg = _config(args)
     G = group_from_spec(args.group, p_default=cfg.p)
-    lim = cached_inverse_limit(G, args.klass, args.functor, cfg.cache_dir)
+    lim = inverse_limit(coefficient_system(G, args.klass, args.functor))
     payload = limit_payload(lim, args.klass, args.functor)
     payload["group"] = G.name
     if cfg.fmt == "csv":
@@ -142,7 +141,6 @@ def _config(args) -> RunConfig:
         max_order=args.max_order,
         klass=getattr(args, "klass", "X"),
         functor=getattr(args, "functor", "Kdual"),
-        cache_dir=args.cache_dir,
         seed=args.seed,
         jobs=args.jobs,
         fmt=args.fmt,

@@ -331,7 +331,7 @@ class CoefficientSystem:
         self.group = family.group
         self.ana = family.ana
         self._map_cache = {}             # edge and base keys -> matrix
-        self._limit = None               # set by campaigns.cached_inverse_limit
+        self._limit = None               # set by inverse_limit
         if functor in ("K", "Kdual"):
             self._kernels = [k for k, _ in family.kernels]
             self._kernel_pivs = [piv for _, piv in family.kernels]
@@ -505,8 +505,9 @@ def residual_check(system: CoefficientSystem, mat: np.ndarray) -> None:
 
 
 def constraint_rows(system: CoefficientSystem) -> list[dict[int, int]]:
-    """Sparse rows v[dst] - D v[src] = 0 over the unknowns of the product
-    of the values, one per generating edge and entry of v[dst]."""
+    """The constraints D v[src] - v[dst] = 0 that inverse_limit solves, as
+    sparse rows over the unknowns of the product of the values: one per
+    generating edge and entry of v[dst]."""
     rows = []
     edges = system.edges()
     for (src, dst, _), D in zip(edges, system._maps(edges)):
@@ -528,10 +529,14 @@ def inverse_limit(system: CoefficientSystem) -> InverseLimit:
     sparse_kernel_basis solves the constraint rows exactly.  One
     zlinalg.hnf call of its solution columns gives the canonical basis,
     which is checked against the raw constraints before it is returned.
+    The result is kept on the system, which lives on G's analysis, so a
+    second call returns the same object and it is freed together with G.
     """
-    basis = hnf(sparse_kernel_basis(constraint_rows(system), system.total).T).T.copy()
-    residual_check(system, basis)
-    return InverseLimit(system, basis)
+    if system._limit is None:
+        basis = hnf(sparse_kernel_basis(constraint_rows(system), system.total).T).T.copy()
+        residual_check(system, basis)
+        system._limit = InverseLimit(system, basis)
+    return system._limit
 
 
 # ---------------------------------------------------------------------------

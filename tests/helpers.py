@@ -857,7 +857,7 @@ def is_normal_inside(Q, sub, top) -> bool:
     return all(Q.mul(Q.mul(t, s), Q.inv_of(t)) in sset for t in top for s in sub)
 
 
-def transporter_rows_by_points(desc, cfg, G, ana, pool, small, rng) -> list[dict]:
+def transporter_rows_by_points(desc, G, ana, pool, small, rng) -> list[dict]:
     # conjugation moves the transported subgroup with the point, on each side
     t_choices = []
     seen_orders = set()
@@ -926,7 +926,7 @@ def transporter_rows_by_points(desc, cfg, G, ana, pool, small, rng) -> list[dict
                        small))
 
 
-def section_transport_rows_by_points(desc, cfg, G, ana, pool, secs_x3,
+def section_transport_rows_by_points(desc, G, ana, pool, secs_x3,
                                      small, rng) -> list[dict]:
     sec_choices = [(ti, si, _subquotient_fps(ana, ti, si))
                    for ti, si in _signature_reps(ana, secs_x3, 3)]
@@ -971,7 +971,7 @@ def section_transport_rows_by_points(desc, cfg, G, ana, pool, secs_x3,
                        cases_bp, small))
 
 
-def composite_transporter_rows_by_points(desc, cfg, G, ana, pool, small,
+def composite_transporter_rows_by_points(desc, G, ana, pool, small,
                                          rng) -> list[dict]:
     cases = 0
     failure = None

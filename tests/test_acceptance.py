@@ -30,13 +30,8 @@ from bfk.zlinalg import lattice_from_rows, rank_of
 
 
 @pytest.fixture(scope="session")
-def cache_dir(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("limit-cache"))
-
-
-@pytest.fixture(scope="session")
-def cfg81(cache_dir):
-    return RunConfig(max_order=81, cache_dir=cache_dir)
+def cfg81():
+    return RunConfig(max_order=81)
 
 
 def _timed(campaign, cfg):

@@ -4,7 +4,6 @@ import weakref
 from importlib import resources
 
 import jsonschema
-import numpy as np
 import pytest
 
 from bfk.bisets import ConcreteBiset, identity_biset, indinf_biset
@@ -18,18 +17,16 @@ from bfk.campaigns import (
     _engine_rng,
     _probe_rows,
     _x3_quotients,
-    cached_inverse_limit,
     catalog_groups,
     emit_csv,
     emit_json,
     exit_code,
-    limit_payload,
     recheck,
     run_campaign,
 )
 from bfk.burnside import ring_data
 from bfk.groups import analysis, parse_descriptor
-from bfk.limits import coefficient_system, comparison_report, section_family
+from bfk.limits import coefficient_system, inverse_limit, section_family
 from helpers import (
     composite_transporter_rows_by_points,
     constraint_violation_by_edges,
@@ -94,7 +91,7 @@ def test_run_config_rejects_bad_values():
 
 
 def test_run_config_echo_hides_scheduling_fields():
-    cfg = RunConfig(cache_dir="/tmp/x", jobs=4, fmt="csv", seed=9)
+    cfg = RunConfig(jobs=4, fmt="csv", seed=9)
     assert cfg.config_block() == {
         "p": 3, "max_order": 81, "class": "X", "functor": "Kdual", "seed": 9}
 
@@ -214,58 +211,6 @@ def test_csv_emission_shape():
     assert all(line.endswith(",") for line in lines[1:])  # wall_time empty
 
 
-def test_limit_disk_cache_round_trip(tmp_path):
-    cache = str(tmp_path)
-    G1 = parse_descriptor("xsp:3", 3)
-    lim1 = cached_inverse_limit(G1, "X3", "Kdual", cache)
-    files = list(tmp_path.glob("*.limit.json"))
-    assert len(files) == 1
-    # a fresh group object forces the disk path rather than the memo
-    G2 = parse_descriptor("xsp:3", 3)
-    lim2 = cached_inverse_limit(G2, "X3", "Kdual", cache)
-    assert lim2.rank == lim1.rank == 5
-    assert np.array_equal(np.asarray(lim2.basis, dtype=object),
-                          np.asarray(lim1.basis, dtype=object))
-
-
-def test_limit_disk_cache_recovers_from_corruption(tmp_path):
-    cache = str(tmp_path)
-    G1 = parse_descriptor("elab:3:2", 3)
-    lim1 = cached_inverse_limit(G1, "E", "B", cache)
-    path = next(tmp_path.glob("*.limit.json"))
-    path.write_text("{not json")
-    G2 = parse_descriptor("elab:3:2", 3)
-    lim2 = cached_inverse_limit(G2, "E", "B", cache)
-    assert lim2.rank == lim1.rank
-    assert json.loads(path.read_text())["format"] == "bfk-limit-basis"
-
-
-@pytest.mark.parametrize("tamper", [
-    lambda b: [[2 * v for v in col] for col in b],
-    lambda b: b[:-1],
-    lambda b: [],
-    lambda b: [[x + y for x, y in zip(b[0], b[1])]] + b[1:],
-], ids=["doubled", "dropped", "empty", "unreduced"])
-def test_limit_cache_rejects_a_basis_that_is_not_the_limit(tmp_path, tamper):
-    # each tampered file still satisfies every constraint and the metadata;
-    # the unreduced one even spans the limit, but prints other bytes
-    desc = "prod:xsp:3,cyclic:3"
-    fresh = cached_inverse_limit(parse_descriptor(desc, 3), "X3", "Kdual", None)
-    want = json.dumps(limit_payload(fresh, "X3", "Kdual"), sort_keys=True)
-    cached_inverse_limit(parse_descriptor(desc, 3), "X3", "Kdual", str(tmp_path))
-    path = next(tmp_path.glob("*.limit.json"))
-    assert path.read_text() == want
-    payload = json.loads(want)
-    payload["basis"] = tamper(payload["basis"])
-    path.write_text(json.dumps(payload, sort_keys=True))
-    G = parse_descriptor(desc, 3)
-    lim = cached_inverse_limit(G, "X3", "Kdual", str(tmp_path))
-    assert json.dumps(limit_payload(lim, "X3", "Kdual"), sort_keys=True) == want
-    assert comparison_report(lim) == comparison_report(fresh)
-    assert comparison_report(lim)["is_isomorphism"]
-    assert path.read_text() == want
-
-
 def test_refuted_unit_row_names_the_first_violated_edge(monkeypatch):
     # the unit matrix is seeded with two faults after the report is taken
     import bfk.campaigns as campaigns
@@ -298,7 +243,7 @@ def test_refuted_unit_row_names_the_first_violated_edge(monkeypatch):
 def test_per_group_results_are_shared_and_freed_with_the_group():
     G = parse_descriptor("xsp:3", 3)
     builders = (analysis, ring_data, lambda H: section_family(H, "X3"),
-                lambda H: cached_inverse_limit(H, "X3", "Kdual", None))
+                lambda H: inverse_limit(coefficient_system(H, "X3", "Kdual")))
     results = [build(G) for build in builders]
     assert all(build(G) is got for build, got in zip(builders, results))
     refs = [weakref.ref(got) for got in results]
@@ -307,10 +252,10 @@ def test_per_group_results_are_shared_and_freed_with_the_group():
     assert [ref() for ref in refs] == [None] * len(refs)
 
 
-def test_main_worker_unit_matrix_matches_systems(tmp_path):
-    # the cached limit and a freshly built system agree on shape
+def test_main_worker_unit_matrix_matches_systems():
+    # the kept limit and a freshly built system agree on shape
     G = parse_descriptor("xsp:3", 3)
-    lim = cached_inverse_limit(G, "X3", "Kdual", str(tmp_path))
+    lim = inverse_limit(coefficient_system(G, "X3", "Kdual"))
     system = coefficient_system(G, "X3", "Kdual")
     assert lim.basis.shape == (system.total, lim.rank)
 
@@ -344,9 +289,9 @@ def test_biset_engines_fail_like_the_reference_loops(p, desc):
     ]
     rows = []
     for engine, reference, salt, extra in engines:
-        got = engine(desc, cfg, G, ana, pool, *extra, small,
+        got = engine(desc, G, ana, pool, *extra, small,
                      _engine_rng(cfg, desc, salt))
-        want = reference(desc, cfg, G, ana, pool, *extra, small,
+        want = reference(desc, G, ana, pool, *extra, small,
                          _engine_rng(cfg, desc, salt))
         assert got == want
         rows += got
@@ -366,7 +311,7 @@ def test_section_transport_refutes_a_pair_that_is_no_section():
     top = ana.n_sub - 1
     bottom = next(si for si in range(ana.n_sub) if not ana.normal[si, top])
     cfg = RunConfig(p=3, max_order=27)
-    args = ("xsp:3", cfg, G, ana, [identity_biset(G)], [(top, bottom)], True)
+    args = ("xsp:3", G, ana, [identity_biset(G)], [(top, bottom)], True)
     got = _appendix_section_transport_rows(*args, _engine_rng(cfg, "xsp:3", 2))
     want = section_transport_rows_by_points(*args, _engine_rng(cfg, "xsp:3", 2))
     assert got == want
@@ -386,7 +331,7 @@ def test_identity_action_names_the_first_wrong_cell(monkeypatch):
 
     monkeypatch.setattr(campaigns, "act_on_limit_matrix", tampered)
     G = parse_descriptor("elab:3:2", 3)
-    row, = _appendix_identity_action_rows("elab:3:2", RunConfig(), G, True)
+    row, = _appendix_identity_action_rows("elab:3:2", G, True)
     assert row["status"] == "refuted"
     assert row["witness"]["case"] == {"functor": "B", "cell": [2, 1]}
     assert (row["witness"]["left"], row["witness"]["right"]) == ([3], [0])

@@ -13,13 +13,11 @@ import bfk
 
 def child_env() -> dict:
     """Environment for a child Python that imports the same bfk as the
-    tests, with no BFK_CACHE_DIR, so a developer's limit cache is never
-    read or written; tests that want a cache pass --cache-dir."""
+    tests."""
     # The directory holding the bfk package this process imported: the
     # checkout's src under PYTHONPATH=src, or site-packages after an install.
     root = str(Path(bfk.__file__).resolve().parents[1])
     env = dict(os.environ)
-    env.pop("BFK_CACHE_DIR", None)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (root, env.get("PYTHONPATH"))))
     return env
@@ -83,8 +81,8 @@ def test_probe_command_reports_counit_data():
 
 
 def test_limit_command_emits_basis_payload(tmp_path):
-    proc = run_cli("limit", "--group", "xsp:3", "--class", "X3",
-                   "--functor", "Kdual", "--cache-dir", str(tmp_path))
+    args = ("limit", "--group", "xsp:3", "--class", "X3", "--functor", "Kdual")
+    proc = run_cli(*args)
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["format"] == "bfk-limit-basis"
@@ -92,6 +90,12 @@ def test_limit_command_emits_basis_payload(tmp_path):
     assert doc["rank"] == 5
     assert len(doc["basis"]) == 5
     assert all(len(row) == 10 for row in doc["basis"])
+    # --cache-dir is still accepted, and ignored: no cache is written
+    unused = tmp_path / "cache"
+    again = run_cli(*args, "--cache-dir", str(unused))
+    assert again.returncode == 0
+    assert again.stdout == proc.stdout
+    assert not unused.exists()
 
 
 def test_limit_command_csv_rows_match_rank():
@@ -125,7 +129,7 @@ print(code, "numpy.ma" in sys.modules, "concurrent.futures.process" in sys.modul
 """
 
 
-def test_probe_and_limit_do_not_import_numpy_ma(tmp_path):
+def test_probe_and_limit_do_not_import_numpy_ma():
     # a plain np.unique imports numpy.ma, about 10 ms per process; the
     # process pool behind --jobs costs about 16 ms to import
     bare = subprocess.run(
@@ -134,8 +138,7 @@ def test_probe_and_limit_do_not_import_numpy_ma(tmp_path):
     numpy_alone_loads_ma = bare.stdout.strip() != "False"
     for args in (("probe", "m", "--p", "3", "--max-order", "27", "--jobs", "1"),
                  ("limit", "--group", "xsp:3", "--class", "X3",
-                  "--functor", "Kdual", "--cache-dir", str(tmp_path),
-                  "--jobs", "1")):
+                  "--functor", "Kdual", "--jobs", "1")):
         proc = subprocess.run([sys.executable, "-c", _LOADS_NUMPY_MA, *args],
                               capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
