@@ -3,9 +3,10 @@ p-groups, with batch verification campaigns over a group catalog."""
 
 import os
 
-# No results path calls BLAS, and a threaded OpenBLAS only burns CPU
-# spinning up; this must run before numpy is first imported.  A value
-# already in the environment wins.
+# BLAS runs only on small exact products (the float64 tier of
+# zlinalg._exact_matmul), where a threaded OpenBLAS costs more than it
+# saves; this must run before numpy is first imported.  A value already
+# in the environment wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .campaigns import (

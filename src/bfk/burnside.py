@@ -21,12 +21,12 @@ from .bisets import ConcreteBiset, opposite
 from .groups import FiniteGroup, analysis, product_members, section_shape
 from .zlinalg import (
     IntegerLattice,
+    coords_in_hnf,
     hnf,
     kernel_basis,
     lattice_from_rows,
-    obj_eye,
     obj_zeros,
-    rank_of,
+    snf_diagonal,
 )
 
 
@@ -188,25 +188,13 @@ def character_dual_sublattice(G: FiniteGroup) -> IntegerLattice:
     the dual basis of the image lattice of fixed-point counts."""
     rd = ring_data(G)
     L = rd.linearization()
-    r = len(rd.cyclic_positions)
-    if rank_of(L) != r:
-        raise ValueError("linearization is rank-deficient")
     H = hnf(L.T)                       # basis of the image of the transpose
-    Ht = H.T                           # lower triangular, full rank
-    n = rd.n_classes
-    M = obj_zeros(r, n)
-    for i in range(r):
-        acc = L[i, :].copy()
-        for k in range(i):
-            if Ht[i, k] != 0:
-                acc = acc - int(Ht[i, k]) * M[k, :]
-        piv = int(Ht[i, i])
-        for j in range(n):
-            q, rem = divmod(int(acc[j]), piv)
-            if rem != 0:
-                raise AssertionError("dual basis pullback must be integral")
-            M[i, j] = q
-    return lattice_from_rows(n, M)
+    if H.shape[0] != len(rd.cyclic_positions):
+        raise ValueError("linearization is rank-deficient")
+    M, exact = coords_in_hnf(H, L)     # H.T @ M == L
+    if not exact.all():
+        raise AssertionError("dual basis pullback must be integral")
+    return lattice_from_rows(rd.n_classes, M)
 
 
 def dual_exactness_report(G: FiniteGroup) -> dict:
@@ -219,8 +207,9 @@ def dual_exactness_report(G: FiniteGroup) -> dict:
     K = rd.kernel()
     rstar = character_dual_sublattice(G)
     kperp = IntegerLattice.from_hnf(kernel_basis(K.basis))
-    full = lattice_from_rows(n, obj_eye(n))
-    inv = full.quotient_invariants(rstar)
+    # Z^n / rstar: its invariant factors, then one 0 per free rank
+    inv = snf_diagonal(rstar.basis)
+    inv += [0] * (n - len(inv))
     torsion = [d for d in inv if d not in (0,)]
     return {
         "basis_rank": n,

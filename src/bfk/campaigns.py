@@ -798,8 +798,8 @@ def _appendix_transporter_rows(desc, G, ana, pool, small, rng) -> list[dict]:
                        small))
 
 
-def _appendix_section_transport_rows(desc, G, ana, pool, secs_x3,
-                                     small, rng) -> list[dict]:
+def _appendix_section_transport_rows(desc, ana, pool, secs_x3, small,
+                                     rng) -> list[dict]:
     sec_choices = [(ti, si, _subquotient_fps(ana, ti, si))
                    for ti, si in _signature_reps(ana, secs_x3, 3)]
     cases_b = 0
@@ -844,8 +844,7 @@ def _appendix_section_transport_rows(desc, G, ana, pool, secs_x3,
                        cases_bp, small))
 
 
-def _appendix_composite_transporter_rows(desc, G, ana, pool, small,
-                                         rng) -> list[dict]:
+def _appendix_composite_transporter_rows(desc, pool, small, rng) -> list[dict]:
     cases = 0
     failure = None
     for U in pool[:2]:
@@ -1169,9 +1168,9 @@ def _appendix_rows(desc: str, cfg: RunConfig) -> list[dict]:
     rows += _appendix_transporter_rows(
         desc, G, ana, pool, small, _engine_rng(cfg, desc, 1))
     rows += _appendix_section_transport_rows(
-        desc, G, ana, pool, secs_x3, small, _engine_rng(cfg, desc, 2))
+        desc, ana, pool, secs_x3, small, _engine_rng(cfg, desc, 2))
     rows += _appendix_composite_transporter_rows(
-        desc, G, ana, pool, small, _engine_rng(cfg, desc, 3))
+        desc, pool, small, _engine_rng(cfg, desc, 3))
     rows += _appendix_quotient_collapse_rows(
         desc, G, ana, secs_x3, small, _engine_rng(cfg, desc, 4))
     rows += _appendix_unit_component_rows(desc, G, small)

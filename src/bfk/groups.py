@@ -8,7 +8,6 @@ one analysis.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -56,8 +55,7 @@ class FiniteGroup:
     """Immutable finite group on points 0..order-1 given by its full table."""
 
     __slots__ = ("prime", "order", "table", "inv", "name",
-                 "_abelian", "_elt_order", "_hash_hex", "_lock", "_analysis",
-                 "_gens")
+                 "_abelian", "_elt_order", "_lock", "_analysis", "_gens")
 
     def __init__(self, prime: int, table, name: str = "", validate: bool = True,
                  check_associativity: bool = False):
@@ -95,7 +93,6 @@ class FiniteGroup:
                 raise ValueError("table is not associative")
         self._abelian = None
         self._elt_order = None
-        self._hash_hex = None
         self._lock = threading.Lock()
         self._analysis = None
         self._gens = None
@@ -141,14 +138,6 @@ class FiniteGroup:
                         break
             self._gens = tuple(gens)
         return self._gens
-
-    def content_hash(self) -> str:
-        if self._hash_hex is None:
-            h = hashlib.sha256()
-            h.update(f"p={self.prime};n={self.order};".encode())
-            h.update(self.table.astype(np.int32).tobytes())
-            self._hash_hex = h.hexdigest()
-        return self._hash_hex
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"

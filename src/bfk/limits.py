@@ -558,11 +558,12 @@ def comparison_report(limit: InverseLimit) -> dict:
     X, member = coords_in_hnf(limit.basis.T, E, limit.pivots)
     unit_in_limit = bool(member.all())
     if unit_in_limit:
-        inv, rank_unit = sparse_snf_invariants(_sparse_rows(X), r)
+        inv = sparse_snf_invariants(_sparse_rows(X))
     else:
         # the unit satisfies every constraint, so this cannot happen for
         # a correctly solved limit; report it rather than assert
-        inv, rank_unit = [], 0
+        inv = []
+    rank_unit = len(inv)
     report = {
         "group": system.group.name,
         "family": system.family.label,
@@ -681,8 +682,8 @@ def _spans_everything(U: np.ndarray) -> bool:
     """Do the columns of U span all of Z^rows?  True iff the column lattice
     has full rank and every invariant factor is 1; for the rows of an
     echelon basis, iff their lattice is saturated."""
-    invariants, rank = sparse_snf_invariants(_sparse_rows(U.T), U.shape[0])
-    return rank == U.shape[0] and all(d == 1 for d in invariants)
+    invariants = sparse_snf_invariants(_sparse_rows(U.T))
+    return len(invariants) == U.shape[0] and all(d == 1 for d in invariants)
 
 
 def counit_kernel_report(system: CoefficientSystem) -> dict:
@@ -697,7 +698,8 @@ def counit_kernel_report(system: CoefficientSystem) -> dict:
         raise FamilyError("the counit probe is defined for functor K")
     rel = _colimit_relations(system)
     U = counit_matrix(system)
-    invariants, rel_rank = sparse_snf_invariants(rel, system.total)
+    invariants = sparse_snf_invariants(rel)
+    rel_rank = len(invariants)
     # U is written in base-kernel coordinates, and the base-kernel basis has
     # full row rank, so the counit is onto iff U's columns span Z^base_rank
     surjective = _spans_everything(U)

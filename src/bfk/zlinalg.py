@@ -7,9 +7,10 @@ no product or sum can wrap (hnf and the kernel elimination check it
 before every row operation); without such a bound it runs in Python ints,
 so no result is ever computed modulo 2**64.
 Vectors are rows; a lattice is the set of integer row combinations of its
-basis.  Every lattice (IntegerLattice, lattice_from_rows, rank_of) is
-built by one call of hnf, whose form is canonical, which makes lattice
-equality a plain array comparison.
+basis.  Every lattice (IntegerLattice, lattice_from_rows) is built by
+one call of hnf, whose form is canonical, which makes lattice equality a
+plain array comparison.  hnf is also the one dense elimination behind
+every Smith form: snf_diagonal alternates it on the rows and the columns.
 """
 
 from __future__ import annotations
@@ -297,61 +298,17 @@ def _snf_diag_chain(diag: list[int]) -> list[int]:
 
 
 def snf_diagonal(mat) -> list[int]:
-    """Invariant factors (nonzero SNF diagonal, divisibility-chained)."""
-    A = np.asarray(mat, dtype=object).copy()
-    m, n = A.shape
-    diag: list[int] = []
-    top = 0
-    while top < min(m, n):
-        sub = A[top:, top:]
-        # locate a nonzero entry of smallest magnitude
-        best = None
-        for i in range(sub.shape[0]):
-            for j in range(sub.shape[1]):
-                x = sub[i, j]
-                if x != 0 and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-                    if abs(x) == 1:
-                        break
-            if best is not None and best[0] == 1:
-                break
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != 0:
-            sub[[0, bi], :] = sub[[bi, 0], :]
-        if bj != 0:
-            sub[:, [0, bj]] = sub[:, [bj, 0]]
-        while True:
-            piv = int(sub[0, 0])
-            done = True
-            for i in range(1, sub.shape[0]):
-                x = int(sub[i, 0])
-                if x == 0:
-                    continue
-                q = x // piv
-                sub[i, :] = sub[i, :] - q * sub[0, :]
-                if sub[i, 0] != 0:          # remainder smaller than pivot
-                    sub[[0, i], :] = sub[[i, 0], :]
-                    done = False
-                    break
-            if not done:
-                continue
-            for j in range(1, sub.shape[1]):
-                x = int(sub[0, j])
-                if x == 0:
-                    continue
-                q = x // piv
-                sub[:, j] = sub[:, j] - q * sub[:, 0]
-                if sub[0, j] != 0:
-                    sub[:, [0, j]] = sub[:, [j, 0]]
-                    done = False
-                    break
-            if done:
-                break
-        diag.append(abs(int(sub[0, 0])))
-        top += 1
-    return _snf_diag_chain(diag)
+    """Invariant factors (nonzero SNF diagonal, divisibility-chained).
+
+    Row HNFs of the matrix and of its transpose alternate until the form
+    is square and diagonal (Kannan and Bachem, SIAM J. Comput. 8, 1979).
+    Each pass is unimodular on one side and hnf keeps entries bounded by
+    the pivots; the diagonal left is then made a divisibility chain.
+    """
+    A = hnf(mat)
+    while A.shape[0] != A.shape[1] or np.count_nonzero(A) != A.shape[0]:
+        A = hnf(A.T)
+    return _snf_diag_chain([int(d) for d in np.diagonal(A)])
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +423,8 @@ def _dense_core(core: list[dict[int, int]]) -> tuple[list[int], np.ndarray]:
     return live_cols, dense
 
 
-def sparse_snf_invariants(rows: list[dict[int, int]], ncols: int) -> tuple[list[int], int]:
-    """Invariant factors and rank of a sparse integer matrix.
+def sparse_snf_invariants(rows: list[dict[int, int]]) -> list[int]:
+    """Invariant factors of a sparse integer matrix; their number is its rank.
 
     Phase 1 is unit_elimination (cheap for the relation matrices built
     here, where almost every row carries a unit); each step contributes an
@@ -476,8 +433,7 @@ def sparse_snf_invariants(rows: list[dict[int, int]], ncols: int) -> tuple[list[
     only the work, never the result.
     """
     steps, core = unit_elimination(rows)
-    rest = snf_diagonal(_dense_core(core)[1])
-    return [1] * len(steps) + rest, len(steps) + len(rest)
+    return [1] * len(steps) + snf_diagonal(_dense_core(core)[1])
 
 
 def sparse_kernel_basis(rows: list[dict[int, int]], ncols: int) -> np.ndarray:
@@ -695,10 +651,6 @@ def hnf(mat) -> np.ndarray:
     return np.vstack(rows).astype(object)
 
 
-def rank_of(mat) -> int:
-    return hnf(mat).shape[0]
-
-
 # ---------------------------------------------------------------------------
 
 class IntegerLattice:
@@ -745,20 +697,6 @@ class IntegerLattice:
 
     def __hash__(self):
         return hash((self.ambient, self.basis.shape))
-
-    def quotient_invariants(self, sub: "IntegerLattice") -> list[int]:
-        """SNF diagonal of self/sub: torsion factors then one 0 per free rank.
-
-        sub must be contained in self; factors equal to 1 are kept so the
-        list length is always rank(self).
-        """
-        if sub.ambient != self.ambient:
-            raise ValueError("not a sublattice")
-        coords, member = coords_in_hnf(self.basis, sub.basis.T, self._piv)
-        if not member.all():
-            raise ValueError("not a sublattice")
-        d = snf_diagonal(coords.T)
-        return d + [0] * (self.rank - len(d))
 
     def __repr__(self):
         return f"IntegerLattice(ambient={self.ambient}, rank={self.rank})"

@@ -926,8 +926,8 @@ def transporter_rows_by_points(desc, G, ana, pool, small, rng) -> list[dict]:
                        small))
 
 
-def section_transport_rows_by_points(desc, G, ana, pool, secs_x3,
-                                     small, rng) -> list[dict]:
+def section_transport_rows_by_points(desc, ana, pool, secs_x3, small,
+                                     rng) -> list[dict]:
     sec_choices = [(ti, si, _subquotient_fps(ana, ti, si))
                    for ti, si in _signature_reps(ana, secs_x3, 3)]
     cases_b = 0
@@ -971,8 +971,7 @@ def section_transport_rows_by_points(desc, G, ana, pool, secs_x3,
                        cases_bp, small))
 
 
-def composite_transporter_rows_by_points(desc, G, ana, pool, small,
-                                         rng) -> list[dict]:
+def composite_transporter_rows_by_points(desc, pool, small, rng) -> list[dict]:
     cases = 0
     failure = None
     for U in pool[:2]:

@@ -26,7 +26,7 @@ from bfk.campaigns import (
 )
 from bfk.claims import CLAIMS
 from bfk.groups import parse_descriptor
-from bfk.zlinalg import lattice_from_rows, rank_of
+from bfk.zlinalg import hnf, lattice_from_rows
 
 
 @pytest.fixture(scope="session")
@@ -78,7 +78,7 @@ def test_01_rank_bookkeeping_at_the_rank_two_group():
     G = parse_descriptor("elab:3:2", 3)
     rd = ring_data(G)
     assert rd.n_classes == 6
-    assert rank_of(np.asarray(rd.linearization(), dtype=object)) == 5
+    assert hnf(np.asarray(rd.linearization(), dtype=object)).shape[0] == 5
     kern = linearization_kernel(G)
     assert kern.rank == 1
     eps = np.asarray(rank_two_kernel_element(G), dtype=object)

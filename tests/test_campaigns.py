@@ -281,18 +281,17 @@ def test_biset_engines_fail_like_the_reference_loops(p, desc):
     pool = _tampered_pool(G)
     secs_x3 = section_family(G, "X3").sections
     engines = [
-        (_appendix_transporter_rows, transporter_rows_by_points, 1, ()),
+        (_appendix_transporter_rows, transporter_rows_by_points, 1,
+         (desc, G, ana, pool, small)),
         (_appendix_section_transport_rows, section_transport_rows_by_points,
-         2, (secs_x3,)),
+         2, (desc, ana, pool, secs_x3, small)),
         (_appendix_composite_transporter_rows,
-         composite_transporter_rows_by_points, 3, ()),
+         composite_transporter_rows_by_points, 3, (desc, pool, small)),
     ]
     rows = []
-    for engine, reference, salt, extra in engines:
-        got = engine(desc, G, ana, pool, *extra, small,
-                     _engine_rng(cfg, desc, salt))
-        want = reference(desc, G, ana, pool, *extra, small,
-                         _engine_rng(cfg, desc, salt))
+    for engine, reference, salt, args in engines:
+        got = engine(*args, _engine_rng(cfg, desc, salt))
+        want = reference(*args, _engine_rng(cfg, desc, salt))
         assert got == want
         rows += got
     refuted = {r["claim"] for r in rows if r["status"] == "refuted"}
@@ -311,7 +310,7 @@ def test_section_transport_refutes_a_pair_that_is_no_section():
     top = ana.n_sub - 1
     bottom = next(si for si in range(ana.n_sub) if not ana.normal[si, top])
     cfg = RunConfig(p=3, max_order=27)
-    args = ("xsp:3", G, ana, [identity_biset(G)], [(top, bottom)], True)
+    args = ("xsp:3", ana, [identity_biset(G)], [(top, bottom)], True)
     got = _appendix_section_transport_rows(*args, _engine_rng(cfg, "xsp:3", 2))
     want = section_transport_rows_by_points(*args, _engine_rng(cfg, "xsp:3", 2))
     assert got == want

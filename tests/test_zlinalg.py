@@ -13,8 +13,8 @@ from bfk.zlinalg import (
     kernel_basis,
     lattice_from_rows,
     obj_matrix,
+    obj_eye,
     obj_zeros,
-    rank_of,
     snf_diagonal,
     sparse_kernel_basis,
     sparse_snf_invariants,
@@ -68,7 +68,7 @@ def test_kernel_annihilates_and_is_saturated(rows):
     A = obj_matrix(rows)
     K = kernel_basis(A)
     m, n = A.shape
-    assert K.shape[0] == n - rank_of(A)
+    assert K.shape[0] == n - hnf(A).shape[0]
     for k in K:
         prod = [sum(int(A[i, j]) * int(k[j]) for j in range(n)) for i in range(m)]
         assert all(x == 0 for x in prod)
@@ -82,25 +82,72 @@ def test_kernel_annihilates_and_is_saturated(rows):
         assert lb.member([3 * int(x) for x in v]) and lb.member(v)
 
 
-@settings(max_examples=40, deadline=None)
-@given(small_mat)
-def test_snf_matches_sympy(rows):
+def sympy_invariants(rows) -> list[int]:
+    """Nonzero SNF diagonal of the integer rows, by sympy's smith_normal_form."""
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import smith_normal_form
 
-    A = obj_matrix(rows)
-    mine = snf_diagonal(A)
+    if not rows or not rows[0]:
+        return []
     S = smith_normal_form(sympy.Matrix([[int(x) for x in r] for r in rows]))
-    theirs = sorted(abs(S[i, i]) for i in range(min(S.shape)) if S[i, i] != 0)
-    assert mine == theirs
+    return sorted(abs(int(S[i, i])) for i in range(min(S.shape)) if S[i, i] != 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_mat)
+def test_snf_matches_sympy(rows):
+    assert snf_diagonal(obj_matrix(rows)) == sympy_invariants(rows)
+
+
+def _unimodular(rng, n: int, steps: int) -> np.ndarray:
+    """A product of random elementary integer matrices of size n."""
+    U = obj_eye(n)
+    for _ in range(steps):
+        i, j = (int(x) for x in rng.choice(n, size=2, replace=False))
+        kind = int(rng.integers(4))
+        if kind == 0:
+            U[[i, j]] = U[[j, i]]
+        elif kind == 1:
+            U[i] = -U[i]
+        else:
+            U[i] = U[i] + int(rng.integers(-3, 4)) * U[j]
+    return U
+
+
+@pytest.mark.parametrize("m,n,diag,want", [
+    (2, 2, [4, 6], [2, 12]),                    # not yet a chain
+    (4, 5, [6, 4, 10], [2, 2, 60]),
+    (3, 3, [], []),
+    (6, 4, [2, 4], [2, 4]),                     # rank-deficient both ways
+    (7, 5, [1, 3, 3 * 2**70], [1, 3, 3 * 2**70]),      # past 2**63
+    (12, 9, [1, 1, 1, 2, 2, 4, 12, 12], [1, 1, 1, 2, 2, 4, 12, 12]),
+    (40, 60, [1] * 30 + [3, 3, 9, 27, 81, 0, 0],
+     [1] * 30 + [3, 3, 9, 27, 81]),
+])
+def test_snf_recovers_a_known_diagonal(m, n, diag, want):
+    rng = np.random.default_rng(m * n)
+    D = obj_zeros(m, n)
+    for i, d in enumerate(diag):
+        D[i, i] = d
+    A = _unimodular(rng, m, 6 * m) @ D @ _unimodular(rng, n, 6 * n)
+    assert snf_diagonal(A) == want
+    rows = [{c: int(v) for c, v in enumerate(r) if v} for r in A]
+    assert sparse_snf_invariants(rows) == want
+
+
+def test_snf_alternates_until_the_form_is_diagonal():
+    # after one row and one column HNF these are still triangular, and
+    # their diagonals (1, 3, 66) and (1, 2, 4) are not the Smith forms
+    A = obj_matrix([[3, -3, 2], [5, 4, -5], [6, 3, 3]])
+    assert snf_diagonal(A) == [1, 1, 198]
+    B = obj_matrix([[4, -6, -2, 4], [4, 6, 5, 5], [-6, 3, -3, 2]])
+    assert snf_diagonal(B) == [1, 1, 8]
 
 
 def test_sparse_matches_dense_snf():
     rows = [{0: 2, 2: 4}, {1: 3}, {0: 2, 1: 3, 2: 4}, {3: 6, 0: 2}]
-    dense = obj_matrix([[2, 0, 4, 0], [0, 3, 0, 0], [2, 3, 4, 0], [2, 0, 0, 6]])
-    inv, rank = sparse_snf_invariants(rows, 4)
-    assert inv == snf_diagonal(dense)
-    assert rank == rank_of(dense)
+    dense = [[2, 0, 4, 0], [0, 3, 0, 0], [2, 3, 4, 0], [2, 0, 0, 6]]
+    assert sparse_snf_invariants(rows) == sympy_invariants(dense)
 
 
 @st.composite
@@ -124,11 +171,8 @@ def sparse_matrices(draw):
 @given(sparse_matrices())
 def test_sparse_snf_matches_dense_on_unit_rich_rows(case):
     ncols, rows = case
-    dense = obj_matrix([[row.get(c, 0) for c in range(ncols)] for row in rows],
-                       ncols)
-    inv, rank = sparse_snf_invariants(rows, ncols)
-    assert inv == snf_diagonal(dense)
-    assert rank == rank_of(dense)
+    dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+    assert sparse_snf_invariants(rows) == sympy_invariants(dense)
 
 
 def solved_both_ways(rows, ncols):
@@ -137,7 +181,7 @@ def solved_both_ways(rows, ncols):
     out = []
     for elim in (unit_elimination, unit_elimination_by_rescans):
         with mock.patch.object(zlinalg, "unit_elimination", elim):
-            inv = sparse_snf_invariants(rows, ncols)
+            inv = sparse_snf_invariants(rows)
             out.append((inv, hnf(sparse_kernel_basis(rows, ncols).T)))
     return out
 
@@ -363,20 +407,6 @@ def test_lattice_pivots_match_the_basis(rows_a, rows_b):
         assert lat._piv == _first_nonzero_cols(lat.basis)
         for r in lat.basis:
             assert lat.member(r)
-
-
-def test_quotient_invariants_snf_diagonal():
-    amb = lattice_from_rows(2, [[1, 0], [0, 1]])
-    sub = lattice_from_rows(2, [[2, 0], [0, 3]])
-    assert amb.quotient_invariants(sub) == [1, 6]
-
-
-def test_quotient_invariants_free_part():
-    amb = lattice_from_rows(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    sub = lattice_from_rows(3, [[0, 2, 0]])
-    assert amb.quotient_invariants(sub) == [2, 0, 0]
-    with pytest.raises(ValueError):
-        amb.quotient_invariants(lattice_from_rows(2, [[1, 0]]))
 
 
 def test_lattice_equality_and_sum():
