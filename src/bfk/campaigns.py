@@ -15,7 +15,6 @@ recorded Hermite basis).
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 from dataclasses import asdict, dataclass
@@ -227,6 +226,9 @@ def _members(row) -> list[int]:
 
 
 def _group_key(desc: str) -> int:
+    # imported here: hashlib maps OpenSSL's libcrypto (a few MB of RSS), and
+    # only the seeded engines need it, whose numpy.random loads it anyway
+    import hashlib
     return int.from_bytes(hashlib.sha256(desc.encode()).digest()[:8], "big")
 
 

@@ -114,18 +114,19 @@ def _mark_rows(family: "SectionFamily") -> list:
     dim = np.bincount(rk, minlength=len(sec))
     first = np.cumsum(dim) - dim                 # first class entry of a section
     cls = first[ks] + cp[ks, members]            # class entry of each member
-    # every (member, class entry of its section) pair
+    # every (member, class entry of its section) pair with member <= class
     n = dim[ks]
     m = np.repeat(np.arange(len(ks)), n)
     w = np.arange(len(m)) - np.repeat(np.cumsum(n) - n - first[ks], n)
-    V, W = members[m], reps[w]
-    below = ana.leq[V, W]
-    maximal = np.bincount(w[below & (sizes[V] * p == sizes[W])], minlength=len(reps))
+    below = ana.leq[members[m], reps[w]]
+    m, w = m[below], w[below]
+    maximal = np.bincount(w[sizes[members[m]] * p == sizes[reps[w]]],
+                          minlength=len(reps))
     cyc = (sizes[reps] == sizes[family._bots[sec[rk]]]) | (maximal == 1)
     # a cyclic class entry owns a block of its section's dim columns
     span = np.where(cyc, dim[rk], 0)
     start = np.cumsum(span) - span
-    hit = below & cyc[cls[m]]
+    hit = cyc[cls[m]]
     m, w = m[hit], w[hit]
     hits = np.bincount(start[cls[m]] + w - first[ks[m]], minlength=int(span.sum()))
     row = np.repeat(np.arange(len(reps)), span)
@@ -588,52 +589,52 @@ def comparison_report(limit: InverseLimit) -> dict:
 # colimits of upward systems and the kernel-of-counit probe
 
 
-def _upward_moves(system: CoefficientSystem) -> tuple[list, list, list]:
-    """(edges, pairs, maps): maps[e] sends value(a) into value(b), (a, b) =
-    pairs[e], along edges[e]: the dual cover map before its transpose or
-    the conjugation matrix.  Moves out of a zero value are left out."""
+def _upward_moves(system: CoefficientSystem) -> tuple[list, list]:
+    """(edges, moves): moves[e] = (B, a, b) is the transitive-basis move
+    that sends value(a) into value(b) along edges[e], a cover edge read as
+    its dual or a conjugation edge, ready for system._restricted.  Moves
+    out of a zero value are left out; covers come first, as in edges()."""
     if system.functor not in ("B", "K"):
         raise FamilyError("colimits are built from functor B or K")
     dims = system.dims
-    cover, conj = [], []
-    for src, dst, tag in system.edges():
-        if tag[0] == "conj":
-            if dims[src]:
-                conj.append((src, dst, tag))
-        elif dims[dst]:
-            cover.append((src, dst, tag))
-    maps = (system._restricted([system._move(e, dual=True) for e in cover])
-            + system._maps(conj))
-    pairs = [(d, s) for s, d, _ in cover] + [(s, d) for s, d, _ in conj]
-    return cover + conj, pairs, maps
+    edges, moves = [], []
+    for e in system.edges():
+        src, dst, tag = e
+        if dims[src if tag[0] == "conj" else dst]:
+            edges.append(e)
+            moves.append(system._move(e, dual=tag[0] != "conj"))
+    return edges, moves
 
 
 def _colimit_relations(system: CoefficientSystem) -> list[dict[int, int]]:
     """Sparse relation rows presenting the colimit of an upward system.
 
-    Moves M with equal shapes of M and of the upward map of b are stacked
-    in batches; per batch one product checks that the map of b after M is
-    the map of a, so that the counit kills the rows (see _relation_rows)
-    read off the same stack."""
-    edges, pairs, maps = _upward_moves(system)
-    ups = system._maps([("up", i) for i in range(len(system.dims))])
+    Moves M with equal shapes are restricted to kernel coordinates and
+    stacked one batch at a time; per batch one product checks that the
+    map of b after M is the map of a, so that the counit kills the rows
+    (see _relation_rows) read off the same stack, which is then dropped."""
+    edges, moves = _upward_moves(system)
+    dims = system.dims
+    ups = system._maps([("up", i) for i in range(len(dims))])
     groups = {}
-    for e, ((a, b), M) in enumerate(zip(pairs, maps)):
-        groups.setdefault((ups[b].shape, M.shape), []).append(e)
-    starts = np.cumsum([0] + [M.shape[1] for M in maps]).tolist()
+    for e, (_, a, b) in enumerate(moves):
+        groups.setdefault((dims[b], dims[a]), []).append(e)
+    starts = np.cumsum([0] + [dims[a] for _, a, _ in moves]).tolist()
     rows = [None] * starts[-1]
     bad = []
-    for ((r, kb), (_, ka)), members in groups.items():
+    r = system.base_rank
+    for (kb, ka), members in groups.items():
         # an up map every member shares is stacked once and broadcast
-        shared = len({pairs[e][1] for e in members}) == 1
+        shared = len({moves[e][2] for e in members}) == 1
         for chunk in _batches(members, r * (kb * (not shared) + 2 * ka) + kb * ka,
                               r * kb * shared):
-            Ms = np.stack([maps[e] for e in chunk])
-            lhs = _exact_matmul(_stack_shared([ups[pairs[e][1]] for e in chunk]), Ms)
-            rhs = _stack_shared([ups[pairs[e][0]] for e in chunk])
+            pairs = [moves[e][1:] for e in chunk]
+            Ms = np.stack(system._restricted([moves[e] for e in chunk]))
+            lhs = _exact_matmul(_stack_shared([ups[b] for _, b in pairs]), Ms)
+            rhs = _stack_shared([ups[a] for a, _ in pairs])
             wrong = (lhs != rhs).reshape(len(chunk), -1).any(axis=1)
             bad.extend(chunk[k] for k in np.flatnonzero(wrong))
-            got = _relation_rows(system.offsets, [pairs[e] for e in chunk], Ms)
+            got = _relation_rows(system.offsets, pairs, Ms)
             for m, e in enumerate(chunk):
                 rows[starts[e]:starts[e + 1]] = got[m * ka:(m + 1) * ka]
     if bad:
@@ -662,28 +663,44 @@ def _relation_rows(off: list, pairs: list, Ms: np.ndarray) -> list[dict[int, int
     return [dict(zip(ks[lo:hi], vs[lo:hi])) for lo, hi in zip([0] + ends, ends)]
 
 
-def counit_matrix(system: CoefficientSystem) -> np.ndarray:
-    """Summed upward maps: product of values -> F(P)."""
-    blocks = system._maps([("up", i) for i in range(len(system.dims))])
-    if not blocks:
-        return np.zeros((system.base_rank, 0), dtype=np.int64)
-    return np.hstack(blocks)
+def _dict_rows(rs, cs, vs, n: int) -> list[dict[int, int]]:
+    """n rows as {column: entry} dicts from nonzeros sorted by row."""
+    ends = np.cumsum(np.bincount(rs, minlength=n)).tolist()
+    ks, vs = cs.tolist(), vs.tolist()
+    return [dict(zip(ks[lo:hi], vs[lo:hi])) for lo, hi in zip([0] + ends, ends)]
 
 
 def _sparse_rows(M: np.ndarray) -> list[dict[int, int]]:
     """The rows of M as {column: entry} dicts, zeros dropped."""
     rs, cs = np.nonzero(M)
-    ends = np.cumsum(np.bincount(rs, minlength=M.shape[0])).tolist()
-    ks, vs = cs.tolist(), M[rs, cs].tolist()
-    return [dict(zip(ks[lo:hi], vs[lo:hi])) for lo, hi in zip([0] + ends, ends)]
+    return _dict_rows(rs, cs, M[rs, cs], M.shape[0])
 
 
-def _spans_everything(U: np.ndarray) -> bool:
-    """Do the columns of U span all of Z^rows?  True iff the column lattice
-    has full rank and every invariant factor is 1; for the rows of an
+def _counit_columns(system: CoefficientSystem) -> list[dict[int, int]]:
+    """The columns of the counit, the summed upward maps from the product
+    of the values to F(P), as {row: entry} dicts, one per generator.  The
+    nonzeros of each up map are read in place and joined once; the dense
+    counit is never formed."""
+    ups = system._maps([("up", i) for i in range(len(system.dims))])
+    cols, rows, vals = [], [], []
+    for o, B in zip(system.offsets, ups):
+        if B.size:
+            c, r = np.nonzero(B.T)
+            cols.append(c + o)
+            rows.append(r)
+            vals.append(B.T[c, r])
+    if not cols:
+        return [{} for _ in range(system.total)]
+    return _dict_rows(np.concatenate(cols), np.concatenate(rows),
+                      np.concatenate(vals), system.total)
+
+
+def _spans_everything(cols: list[dict[int, int]], n: int) -> bool:
+    """Do the sparse vectors cols span all of Z^n?  True iff their lattice
+    has rank n and every invariant factor is 1; for the rows of an
     echelon basis, iff their lattice is saturated."""
-    invariants = sparse_snf_invariants(_sparse_rows(U.T))
-    return len(invariants) == U.shape[0] and all(d == 1 for d in invariants)
+    invariants = sparse_snf_invariants(cols)
+    return len(invariants) == n and all(d == 1 for d in invariants)
 
 
 def counit_kernel_report(system: CoefficientSystem) -> dict:
@@ -696,13 +713,12 @@ def counit_kernel_report(system: CoefficientSystem) -> dict:
     """
     if system.functor != "K":
         raise FamilyError("the counit probe is defined for functor K")
-    rel = _colimit_relations(system)
-    U = counit_matrix(system)
-    invariants = sparse_snf_invariants(rel)
+    invariants = sparse_snf_invariants(_colimit_relations(system))
     rel_rank = len(invariants)
-    # U is written in base-kernel coordinates, and the base-kernel basis has
-    # full row rank, so the counit is onto iff U's columns span Z^base_rank
-    surjective = _spans_everything(U)
+    # the counit is written in base-kernel coordinates, and the base-kernel
+    # basis has full row rank, so it is onto iff its columns span
+    # Z^base_rank; they are read after the relation rows are freed
+    surjective = _spans_everything(_counit_columns(system), system.base_rank)
     finite = rel_rank + system.base_rank == system.total
     m_invariants = [int(d) for d in invariants if d != 1]
     return {

@@ -20,7 +20,9 @@ references for `section_shape`, `family_contains` and the slot-based
 induced kernel sums.  `sections_by_loops`, `conj_edges_by_loops` and
 `relation_rows_by_columns` are the former per-pair, per-generator and
 per-column loops of `SectionFamily` and of the colimit relations, the
-references for their whole-family array reads.  The per-point biset
+references for their whole-family array reads; `counit_matrix`, the
+former dense counit, with `spans_everything_dense` is the reference for
+the sparse surjectivity test of the counit probe.  The per-point biset
 references at the end (`left_transporter`, `right_transporter` and the
 former `transfers` forms `transport_subgroup` and `left_transport`; the
 coset, quotient and composition walks; and the three appendix engines
@@ -45,7 +47,7 @@ from bfk.campaigns import (_fingerprint, _ints, _outcome, _sample_indices,
                            _signature_reps, _subquotient_fps)
 from bfk.groups import _check_prime_power, _closure, analysis, product_members
 from bfk.limits import CoefficientSystem, _upward_moves, family_contains
-from bfk.zlinalg import _exact_matmul, hnf_pivots, obj_matrix, obj_zeros, xgcd
+from bfk.zlinalg import _exact_matmul, hnf, hnf_pivots, obj_matrix, obj_zeros, xgcd
 
 
 def validate_biset(U: ConcreteBiset) -> ConcreteBiset:
@@ -596,10 +598,10 @@ def relation_rows_by_columns(system: CoefficientSystem) -> list:
     """The former per-column read of limits._colimit_relations: one row
     per column of each upward move, entry by entry; the reference for the
     stacked read of each shape group."""
-    _, pairs, maps = _upward_moves(system)
+    _, moves = _upward_moves(system)
     rows = []
     offsets = system.offsets
-    for (a, b), M in zip(pairs, maps):
+    for (_, a, b), M in zip(moves, system._restricted(moves)):
         ao, bo = offsets[a], offsets[b]
         for j, col in enumerate(M.T.tolist()):
             row = {ao + j: 1}
@@ -608,6 +610,23 @@ def relation_rows_by_columns(system: CoefficientSystem) -> list:
                     row[bo + i] = row.get(bo + i, 0) - int(v)
             rows.append({c: v for c, v in row.items() if v})
     return rows
+
+
+def counit_matrix(system: CoefficientSystem) -> np.ndarray:
+    """The former dense counit of limits: the summed upward maps, product
+    of values -> F(P), as one (base rank x generators) matrix."""
+    blocks = system._maps([("up", i) for i in range(len(system.dims))])
+    if not blocks:
+        return np.zeros((system.base_rank, 0), dtype=np.int64)
+    return np.hstack(blocks)
+
+
+def spans_everything_dense(U: np.ndarray) -> bool:
+    """Do the columns of U span all of Z^rows?  The row HNF of U.T is then
+    the identity; the reference for the sparse Smith-form test
+    limits._spans_everything, by an independent elimination."""
+    H = hnf(np.asarray(U).T)
+    return H.shape[0] == U.shape[0] and np.array_equal(H, np.eye(U.shape[0], dtype=int))
 
 
 def _normal_by_members(ana, si: int, ti: int) -> bool:

@@ -1,7 +1,11 @@
-"""Every name a module imports is used in that module."""
+"""Every name a module imports is used in that module, and importing the
+CLI loads no module it does not need."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -67,3 +71,18 @@ def test_every_public_definition_is_reached():
                  and count[node.name] == (node.name in own)
                  and node.name not in readme]
     assert not unreached, "unreached: " + ", ".join(unreached)
+
+
+def test_cli_import_adds_neither_hashlib_nor_numpy_random():
+    # hashlib maps OpenSSL's libcrypto, a few MB of RSS, into the process;
+    # only the seeded appendix engines need it, and their numpy.random
+    # loads it anyway.  Modules numpy itself loads are left out, so the
+    # test holds on a numpy that imports either of them.
+    code = ("import sys, numpy; before = set(sys.modules); import bfk.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH")))))
+    added = set(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                               text=True, env=env, check=True).stdout.split())
+    assert {"bfk", "bfk.cli"} <= added
+    assert not added & {"hashlib", "_hashlib", "numpy.random"}

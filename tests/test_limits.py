@@ -29,21 +29,22 @@ from bfk.limits import (
     _colimit_relations,
     _mark_rows,
     _selection_matrix,
+    _sparse_rows,
     _spans_everything,
     coefficient_system,
     comparison_report,
     counit_kernel_report,
-    counit_matrix,
     family_contains,
     inverse_limit,
     residual_check,
     section_family,
 )
 from helpers import (_direct_limit_basis, _restrict_to_kernels, conj_edges_by_loops,
-                     constraint_violation_by_edges, defres_by_double_cosets,
-                     maps_by_edges, mark_rows_by_loops, per_column_restrict,
-                     relation_rows_by_columns, sections_by_loops,
-                     slot_classes_by_union_find, sparse_kernel)
+                     constraint_violation_by_edges, counit_matrix,
+                     defres_by_double_cosets, maps_by_edges, mark_rows_by_loops,
+                     per_column_restrict, relation_rows_by_columns,
+                     sections_by_loops, slot_classes_by_union_find,
+                     spans_everything_dense, sparse_kernel)
 
 C3 = cyclic_group(3)
 C9 = cyclic_group(9)
@@ -667,13 +668,15 @@ def test_counit_probe_x27_family_widens_image():
 
 def test_counit_surjectivity_in_base_kernel_coordinates():
     # columns spanning a proper finite-index sublattice, a rank-deficient
-    # set, and sets that span everything, including Z^0
-    assert not _spans_everything(np.array([[2, 0], [0, 1]], dtype=np.int64))
-    assert not _spans_everything(np.array([[3, 6], [1, 2]], dtype=np.int64))
-    assert _spans_everything(np.array([[2, 3]], dtype=np.int64))
-    assert _spans_everything(np.array([[2, 0, 1], [0, 1, 5]], dtype=np.int64))
-    assert _spans_everything(np.zeros((0, 4), dtype=np.int64))
-    assert not _spans_everything(np.zeros((2, 0), dtype=np.int64))
+    # set, and sets that span everything, including Z^0; the sparse test
+    # and the dense HNF reference agree on each
+    cases = [(np.array([[2, 0], [0, 1]]), False), (np.array([[3, 6], [1, 2]]), False),
+             (np.array([[2, 3]]), True), (np.array([[2, 0, 1], [0, 1, 5]]), True),
+             (np.zeros((0, 4)), True), (np.zeros((2, 0)), False)]
+    for U, onto in cases:
+        U = U.astype(np.int64)
+        assert _spans_everything(_sparse_rows(U.T), U.shape[0]) is onto
+        assert spans_everything_dense(U) is onto
     # same answer as comparing the image lattice in the ambient basis,
     # on a counit that is onto and one that is not
     for label, onto in (("E", False), ("X", True)):
@@ -682,8 +685,23 @@ def test_counit_surjectivity_in_base_kernel_coordinates():
         base = system.base_kernel
         image = lattice_from_rows(base.ambient, np.asarray(U.T, dtype=object) @ base.basis)
         assert (image == base) is onto
-        assert _spans_everything(U) is onto
         assert counit_kernel_report(system)["counit_surjective"] is onto
+
+
+def test_counit_columns_match_the_dense_counit():
+    # every K system up to order 81 at p = 3: the columns the probe reads
+    # block by block are those of the dense counit, and its surjectivity
+    # verdict is the dense reference's
+    for _, desc in catalog_groups(3, 81):
+        G = group_from_spec(desc, 3)
+        for label in FAMILY_LABELS:
+            system = coefficient_system(G, label, "K")
+            U = counit_matrix(system)
+            cols = limits._counit_columns(system)
+            assert [list(c.items()) for c in cols] == \
+                [list(c.items()) for c in _sparse_rows(U.T)], (desc, label)
+            assert (counit_kernel_report(system)["counit_surjective"]
+                    is spans_everything_dense(U)), (desc, label)
 
 
 def test_counit_probe_rejects_maps_that_disagree_or_miss_a_relation(monkeypatch):
@@ -697,32 +715,32 @@ def test_counit_probe_rejects_maps_that_disagree_or_miss_a_relation(monkeypatch)
             counit_kernel_report(system)
     finally:
         up[0, 0] -= 1
-    # a conjugation map that is off gives a relation the counit misses
-    key = next(e for e in system.edges()
-               if e[2][0] == "conj" and system.dims[e[0]])
-    conj = system.edge_matrix(*key)
-    conj[0, 0] += 1
-    try:
-        with pytest.raises(AssertionError,
-                           match=f"upward maps disagree along {key[0]}->{key[1]}"):
-            counit_kernel_report(system)
-    finally:
-        conj[0, 0] -= 1
-    # and so does one flipped entry of a cover map; cover maps are built
-    # afresh on each call, so the flip goes in through _upward_moves
-    edges, pairs, maps = limits._upward_moves(system)
+    # one flipped entry of a conjugation or a cover map gives a relation
+    # the counit misses; those maps are built afresh, one batch at a time,
+    # so the flip goes in through the restriction of that edge's move
+    edges, moves = limits._upward_moves(system)
     ups = system._maps([("up", i) for i in range(len(system.dims))])
-    e = max(e for e, (_, _, tag) in enumerate(edges)
-            if tag[0] == "cover" and ups[pairs[e][1]].any())
-    flipped = list(maps)
-    flipped[e] = maps[e].copy()
-    flipped[e][np.flatnonzero(ups[pairs[e][1]].any(axis=0))[0], 0] += 1
-    src, dst, tag = edges[e]
-    with monkeypatch.context() as m:
-        m.setattr(limits, "_upward_moves", lambda _: (edges, pairs, flipped))
-        with pytest.raises(AssertionError,
-                           match=re.escape(f"disagree along {src}->{dst} {tag}")):
-            _colimit_relations(system)
+    restricted = system._restricted
+    for kind, pick in (("conj", min), ("cover", max)):
+        e = pick(e for e, (_, _, tag) in enumerate(edges)
+                 if tag[0] == kind and ups[moves[e][2]].any())
+        row = np.flatnonzero(ups[moves[e][2]].any(axis=0))[0]
+
+        def flip(batch, e=e, row=row):
+            out = restricted(batch)
+            for k, move in enumerate(batch):
+                if move is moves[e]:
+                    out[k] = out[k].copy()
+                    out[k][row, 0] += 1
+            return out
+
+        src, dst, tag = edges[e]
+        with monkeypatch.context() as m:
+            m.setattr(limits, "_upward_moves", lambda _: (edges, moves))
+            m.setattr(system, "_restricted", flip)
+            with pytest.raises(AssertionError,
+                               match=re.escape(f"disagree along {src}->{dst} {tag}")):
+                counit_kernel_report(system)
     counit_kernel_report(system)
 
 
