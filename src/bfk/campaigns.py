@@ -1,4 +1,4 @@
-"""Verification campaigns: catalog, per-group checks, reports, re-checking.
+"""Verification campaigns: per-group checks, reports, re-checking.
 
 A campaign runs one bundle of claims over every catalog group within the
 configured order bound and returns a report document.  Reports are
@@ -43,14 +43,10 @@ from .burnside import (
     ring_data,
     sum_of_induced_kernels,
 )
-from .claims import CAMPAIGNS
-from .groups import (analysis, is_prime, parse_descriptor, product_members,
-                     section_shape)
+from .claims import CAMPAIGNS, RunConfig, catalog_groups
+from .groups import analysis, parse_descriptor, product_members, section_shape
 from .limits import (
-    FAMILY_LABELS,
-    FUNCTOR_NAMES,
     ConstraintViolation,
-    InverseLimit,
     SectionSlot,
     coefficient_system,
     comparison_report,
@@ -69,58 +65,12 @@ from .transfers import (
 from .zlinalg import (_batches, _exact_matmul, coords_in_hnf,
                       lattice_from_rows, obj_eye)
 
-FORMAT_CHOICES = ("json", "csv")
-
 REPORT_FORMAT = "bfk-report"
 REPORT_VERSION = 1
 
 EXIT_VERIFIED = 0
 EXIT_REFUTED = 2
 EXIT_SKIPPED = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One campaign invocation: bounds, selectors, io and scheduling."""
-
-    p: int = 3
-    max_order: int = 81
-    klass: str = "X"
-    functor: str = "Kdual"
-    seed: int = 0
-    jobs: int = 1
-    fmt: str = "json"
-
-    def __post_init__(self):
-        if self.p < 3 or self.p % 2 == 0 or not is_prime(self.p):
-            raise ValueError(f"p must be an odd prime, got {self.p}")
-        m = self.max_order
-        if m < 1:
-            raise ValueError("max_order must be positive")
-        while m % self.p == 0:
-            m //= self.p
-        if m != 1:
-            raise ValueError(
-                f"max_order must be a power of p={self.p}, got {self.max_order}")
-        if self.klass not in FAMILY_LABELS + ("custom",):
-            raise ValueError(f"unknown section class {self.klass!r}")
-        if self.functor not in FUNCTOR_NAMES:
-            raise ValueError(f"unknown functor {self.functor!r}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
-        if self.fmt not in FORMAT_CHOICES:
-            raise ValueError(f"unknown output format {self.fmt!r}")
-
-    def config_block(self) -> dict:
-        # jobs and fmt do not influence report content, so they stay out
-        # of the emitted config echo
-        return {
-            "p": self.p,
-            "max_order": self.max_order,
-            "class": self.klass,
-            "functor": self.functor,
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True)
@@ -147,58 +97,6 @@ class VerificationReport:
 
 def _row(campaign: str, claim: str, group: str, status: str, witness: dict) -> dict:
     return VerificationReport(campaign, group, claim, status, witness).as_row()
-
-
-# ---------------------------------------------------------------------------
-# the group catalog
-
-
-@lru_cache(maxsize=None)
-def _partitions(n: int, largest: int | None = None) -> tuple:
-    """Partitions of n with parts bounded by largest, descending tuples."""
-    if largest is None:
-        largest = n
-    if n == 0:
-        return ((),)
-    out = []
-    for first in range(min(n, largest), 0, -1):
-        for rest in _partitions(n - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
-def abelian_descriptor(p: int, part: tuple) -> str:
-    if not part:
-        return "cyclic:1"
-    if len(part) == 1:
-        return f"cyclic:{p ** part[0]}"
-    if all(a == 1 for a in part):
-        return f"elab:{p}:{len(part)}"
-    return "prod:" + ",".join(f"cyclic:{p ** a}" for a in part)
-
-
-def catalog_groups(p: int, max_order: int) -> list[tuple[int, str]]:
-    """(order, descriptor) pairs covered by the descriptor grammar.
-
-    Every abelian p-group up to the bound, plus the extraspecial group of
-    exponent p and its direct products with abelian groups.  Sorted by
-    order then descriptor so every run lists groups identically.
-    """
-    out = []
-    n = 0
-    while p ** n <= max_order:
-        q = p ** n
-        for part in _partitions(n):
-            out.append((q, abelian_descriptor(p, part)))
-        if n == 3:
-            out.append((q, f"xsp:{p}"))
-        if n >= 4:
-            for part in _partitions(n - 3):
-                tail = ",".join(f"cyclic:{p ** a}" for a in part)
-                out.append((q, f"prod:xsp:{p},{tail}"))
-        n += 1
-    out.sort()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -275,28 +173,6 @@ def _sample_indices(rng, n: int, k: int) -> list[int]:
         return list(range(n))
     picked = rng.choice(n, size=k, replace=False)
     return sorted(int(i) for i in picked)
-
-
-# ---------------------------------------------------------------------------
-# limit payloads
-
-LIMIT_FORMAT = "bfk-limit-basis"
-LIMIT_VERSION = 1
-
-
-def limit_payload(lim: InverseLimit, label: str, functor: str) -> dict:
-    system = lim.system
-    return {
-        "format": LIMIT_FORMAT,
-        "version": LIMIT_VERSION,
-        "group_order": system.group.order,
-        "label": label,
-        "functor": functor,
-        "total": system.total,
-        "rank": lim.rank,
-        "basis": [[int(lim.basis[i, j]) for i in range(system.total)]
-                  for j in range(lim.rank)],
-    }
 
 
 # ---------------------------------------------------------------------------

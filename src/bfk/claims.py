@@ -1,14 +1,19 @@
-"""The static registry of claims the verification campaigns check.
+"""The static registry of claims the verification campaigns check, and
+the scope they run over.
 
 Every report row points at one entry here by id.  Ids are descriptive and
 stable; statements say what is computed and what must hold, in terms of
 the package's own operations.  Campaign runners own the scheduling; this
-module owns the meaning.
+module owns the meaning: the claims, the section classes and functors a
+run may name, the run configuration and the catalog of groups.  It
+imports no numpy, so the CLI parses its arguments and lists the catalog
+without loading the numeric layers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 CAMPAIGNS = ("induction", "exact", "main", "probe", "appendix")
@@ -297,3 +302,114 @@ def claim(claim_id: str) -> Claim:
         return _BY_ID[claim_id]
     except KeyError:
         raise KeyError(f"unknown claim id {claim_id!r}") from None
+
+
+# ---------------------------------------------------------------------------
+# the scope of a run: section classes, functors, configuration, catalog
+
+FAMILY_LABELS = ("E", "E2", "E3", "X", "X2", "X3")
+FUNCTOR_NAMES = ("B", "K", "Bdual", "Kdual")
+FORMAT_CHOICES = ("json", "csv")
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """One campaign invocation: bounds, selectors, io and scheduling."""
+
+    p: int = 3
+    max_order: int = 81
+    klass: str = "X"
+    functor: str = "Kdual"
+    seed: int = 0
+    jobs: int = 1
+    fmt: str = "json"
+
+    def __post_init__(self):
+        if self.p < 3 or self.p % 2 == 0 or not is_prime(self.p):
+            raise ValueError(f"p must be an odd prime, got {self.p}")
+        m = self.max_order
+        if m < 1:
+            raise ValueError("max_order must be positive")
+        while m % self.p == 0:
+            m //= self.p
+        if m != 1:
+            raise ValueError(
+                f"max_order must be a power of p={self.p}, got {self.max_order}")
+        if self.klass not in FAMILY_LABELS + ("custom",):
+            raise ValueError(f"unknown section class {self.klass!r}")
+        if self.functor not in FUNCTOR_NAMES:
+            raise ValueError(f"unknown functor {self.functor!r}")
+        if self.jobs < 1:
+            raise ValueError("jobs must be at least 1")
+        if self.fmt not in FORMAT_CHOICES:
+            raise ValueError(f"unknown output format {self.fmt!r}")
+
+    def config_block(self) -> dict:
+        # jobs and fmt do not influence report content, so they stay out
+        # of the emitted config echo
+        return {
+            "p": self.p,
+            "max_order": self.max_order,
+            "class": self.klass,
+            "functor": self.functor,
+            "seed": self.seed,
+        }
+
+
+@lru_cache(maxsize=None)
+def _partitions(n: int, largest: int | None = None) -> tuple:
+    """Partitions of n with parts bounded by largest, descending tuples."""
+    if largest is None:
+        largest = n
+    if n == 0:
+        return ((),)
+    out = []
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            out.append((first,) + rest)
+    return tuple(out)
+
+
+def abelian_descriptor(p: int, part: tuple) -> str:
+    if not part:
+        return "cyclic:1"
+    if len(part) == 1:
+        return f"cyclic:{p ** part[0]}"
+    if all(a == 1 for a in part):
+        return f"elab:{p}:{len(part)}"
+    return "prod:" + ",".join(f"cyclic:{p ** a}" for a in part)
+
+
+def catalog_groups(p: int, max_order: int) -> list[tuple[int, str]]:
+    """(order, descriptor) pairs covered by the descriptor grammar.
+
+    Every abelian p-group up to the bound, plus the extraspecial group of
+    exponent p and its direct products with abelian groups.  Sorted by
+    order then descriptor so every run lists groups identically.
+    """
+    out = []
+    n = 0
+    while p ** n <= max_order:
+        q = p ** n
+        for part in _partitions(n):
+            out.append((q, abelian_descriptor(p, part)))
+        if n == 3:
+            out.append((q, f"xsp:{p}"))
+        if n >= 4:
+            for part in _partitions(n - 3):
+                tail = ",".join(f"cyclic:{p ** a}" for a in part)
+                out.append((q, f"prod:xsp:{p},{tail}"))
+        n += 1
+    out.sort()
+    return out

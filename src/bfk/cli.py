@@ -9,6 +9,9 @@ Exit codes from verification commands: 0 when every row is verified,
 2 when any row is refuted, 3 when rows were skipped because a scoped
 group lies beyond the order bound.  Operational failures (bad
 descriptor, bad flags) exit 1.
+
+Each command imports only the modules it runs: `catalog`, `--help` and
+argument errors load no numpy, and `limit` loads no campaign engine.
 """
 
 from __future__ import annotations
@@ -19,21 +22,13 @@ import io
 import json
 import sys
 
-from .campaigns import (
-    RunConfig,
-    catalog_groups,
-    emit_csv,
-    emit_json,
-    exit_code,
-    limit_payload,
-    run_campaign,
-)
-from .groups import group_from_spec
-from .limits import (FAMILY_LABELS, FUNCTOR_NAMES, coefficient_system,
-                     inverse_limit)
+from .claims import (FAMILY_LABELS, FORMAT_CHOICES, FUNCTOR_NAMES, RunConfig,
+                     catalog_groups)
 
 CATALOG_FORMAT = "bfk-catalog"
 CATALOG_VERSION = 1
+LIMIT_FORMAT = "bfk-limit-basis"
+LIMIT_VERSION = 1
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
@@ -47,7 +42,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="seed for sampled case engines (default 0)")
     sp.add_argument("--jobs", type=int, default=1,
                     help="worker processes across groups (default 1)")
-    sp.add_argument("--format", choices=("json", "csv"), default="json",
+    sp.add_argument("--format", choices=FORMAT_CHOICES, default="json",
                     dest="fmt", help="output format (default json)")
 
 
@@ -113,13 +108,36 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_campaign(campaign: str, args) -> int:
     cfg = _config(args)
+    # imported once the arguments are valid, as in _cmd_limit
+    from .campaigns import emit_csv, emit_json, exit_code, run_campaign
     doc = run_campaign(campaign, cfg)
     sys.stdout.write(emit_csv(doc) if cfg.fmt == "csv" else emit_json(doc))
     return exit_code(doc)
 
 
+def limit_payload(lim, label: str, functor: str) -> dict:
+    """The `bfk limit` document of an InverseLimit: one basis column per
+    row of "basis"."""
+    system = lim.system
+    return {
+        "format": LIMIT_FORMAT,
+        "version": LIMIT_VERSION,
+        "group_order": system.group.order,
+        "label": label,
+        "functor": functor,
+        "total": system.total,
+        "rank": lim.rank,
+        "basis": [[int(lim.basis[i, j]) for i in range(system.total)]
+                  for j in range(lim.rank)],
+    }
+
+
 def _cmd_limit(args) -> int:
     cfg = _config(args)
+    # imported here, once the arguments are valid: a limit needs groups
+    # and limits but none of the campaign engines
+    from .groups import group_from_spec
+    from .limits import coefficient_system, inverse_limit
     G = group_from_spec(args.group, p_default=cfg.p)
     lim = inverse_limit(coefficient_system(G, args.klass, args.functor))
     payload = limit_payload(lim, args.klass, args.functor)

@@ -15,6 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .claims import is_prime
+
 
 class GroupTooLarge(ValueError):
     """Order exceeds the configured enumeration bound."""
@@ -22,17 +24,6 @@ class GroupTooLarge(ValueError):
 
 class DescriptorError(ValueError):
     """Malformed or unsupported group descriptor."""
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def default_order_bound(p: int) -> int:

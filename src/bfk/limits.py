@@ -35,9 +35,7 @@ from .zlinalg import (_batches, _exact_matmul, _first_mismatch, _i64_absmax,
                       hnf_pivots, kernel_basis, sparse_kernel_basis,
                       sparse_snf_invariants)
 from .burnside import ring_data
-
-FAMILY_LABELS = ("E", "E2", "E3", "X", "X2", "X3")
-FUNCTOR_NAMES = ("B", "K", "Bdual", "Kdual")
+from .claims import FAMILY_LABELS, FUNCTOR_NAMES
 
 
 class FamilyError(ValueError):
@@ -216,22 +214,29 @@ class SectionFamily:
             out.append(got)
         return out
 
-    def _edges(self, src, tops, bots, tags, kind) -> list:
-        """(src, position of (tops, bots), tags[kind]), sharing the ints of
-        pos; families are closed under the moves, so a miss is a bug."""
+    def _add_edges(self, out: list, src, tops, bots, tags, kind) -> None:
+        """Append (src, position of (tops, bots), tags[kind]) to out, sharing
+        the ints of pos and one tag per kind; families are closed under the
+        moves, so a miss is a bug."""
         at = np.full(self.ana.leq.shape, -1, dtype=np.int32)
         at[self._tops, self._bots] = np.arange(len(self.sections))
         dst = at[tops, bots]
         if (dst < 0).any():
             raise AssertionError("a generating move left the family")
         ids = list(self.pos.values())
-        return [(ids[s], ids[d], tags[k])
-                for s, d, k in zip(src.tolist(), dst.tolist(), kind.tolist())]
+        out.extend((ids[s], ids[d], tags[k])
+                   for s, d, k in zip(src.tolist(), dst.tolist(), kind.tolist()))
 
     @cached_property
-    def cover_edges(self) -> list:
-        """(src, dst, "def" | "res") by source, its deflations first, each
-        run in subgroup order of the new bottom or top."""
+    def edges(self) -> list:
+        """Every generating edge (src, dst, tag), each built once.
+
+        First the cover edges, tag ("cover", "def" | "res"), by source,
+        its deflations first, each run in subgroup order of the new bottom
+        or top; then the conjugation edges, tag ("conj", u), by source and
+        then generator, for each generator u that moves the section or one
+        of its classes.  Every system of the family shares this one list,
+        so a caller that extends it copies it first."""
         ana, tops, bots = self.ana, self._tops, self._bots
         sizes, p = ana.sizes, self.group.prime
         between = ana.leq[bots] & ana.leq[:, tops].T
@@ -239,24 +244,32 @@ class SectionFamily:
         shrink = between & (sizes * p == sizes[tops, None])
         src, w = np.nonzero(np.hstack([grow, shrink]))
         res, w = np.divmod(w, ana.n_sub)
-        return self._edges(src, np.where(res, w, tops[src]),
-                           np.where(res, bots[src], w), ("def", "res"), res)
+        out = []
+        self._add_edges(out, src, np.where(res, w, tops[src]),
+                        np.where(res, bots[src], w),
+                        (("cover", "def"), ("cover", "res")), res)
+        self._n_cover = len(out)
+        if not self.group.is_abelian:
+            cp = self._class_pos
+            cu = ana.conj_sub[list(ana.generators)]       # (generator, subgroup)
+            keep = (cu[:, tops] != tops) | (cu[:, bots] != bots)
+            for k, row in enumerate(cu):
+                fixed = np.flatnonzero(~keep[k])
+                keep[k, fixed] = (cp[fixed][:, row] != cp[fixed]).any(axis=1)
+            src, k = np.nonzero(keep.T)
+            self._add_edges(out, src, cu[k, tops[src]], cu[k, bots[src]],
+                            [("conj", u) for u in ana.generators], k)
+        return out
 
-    @cached_property
+    @property
+    def cover_edges(self) -> list:
+        """The cover edges, the leading run of edges."""
+        return self.edges[:self._n_cover]
+
+    @property
     def conj_edges(self) -> list:
-        """(src, dst, u) by source and then generator, for each generator u
-        that moves the section or one of its classes."""
-        if self.group.is_abelian:
-            return []
-        ana, tops, bots, cp = self.ana, self._tops, self._bots, self._class_pos
-        cu = ana.conj_sub[list(ana.generators)]           # (generator, subgroup)
-        keep = (cu[:, tops] != tops) | (cu[:, bots] != bots)
-        for k, row in enumerate(cu):
-            fixed = np.flatnonzero(~keep[k])
-            keep[k, fixed] = (cp[fixed][:, row] != cp[fixed]).any(axis=1)
-        src, k = np.nonzero(keep.T)
-        return self._edges(src, cu[k, tops[src]], cu[k, bots[src]],
-                           ana.generators, k)
+        """The conjugation edges, the run of edges after the covers."""
+        return self.edges[self._n_cover:]
 
 
 def section_family(G: FiniteGroup, label: str) -> SectionFamily:
@@ -412,11 +425,10 @@ class CoefficientSystem:
                 cache[key] = M.T if dual else M
         return [cache[k] for k in keys]
 
-    def edges(self):
-        fam = self.family
-        out = [(s, d, ("cover", kind)) for s, d, kind in fam.cover_edges]
-        out.extend((s, d, ("conj", u)) for s, d, u in fam.conj_edges)
-        return out
+    def edges(self) -> list:
+        """The family's generating edges (src, dst, tag): one shared list,
+        which callers copy before they change it."""
+        return self.family.edges
 
     def edge_matrix(self, src: int, dst: int, tag) -> np.ndarray:
         """Matrix of the downward move src -> dst on this functor's values.

@@ -549,8 +549,8 @@ def _direct_limit_basis(system: CoefficientSystem) -> np.ndarray:
 
 def sections_by_loops(ana, label: str):
     """The former pair loops of SectionFamily: the sections in (top, bottom)
-    order, their positions and the def/res cover edges; the reference for
-    the normality-matrix reads."""
+    order, their positions and the cover edges, tagged ("cover", "def") or
+    ("cover", "res"); the reference for the normality-matrix reads."""
     secs = []
     for ti in range(ana.n_sub):
         for si in range(ana.n_sub):
@@ -568,17 +568,17 @@ def sections_by_loops(ana, label: str):
             if (ana.leq[si, sp] and ana.leq[sp, ti]
                     and len(ana.subgroup_members[sp]) == so * p
                     and _normal_by_members(ana, sp, ti)):
-                cover.append((i, pos[(ti, sp)], "def"))
+                cover.append((i, pos[(ti, sp)], ("cover", "def")))
         for tm in range(ana.n_sub):
             if (ana.leq[si, tm] and ana.leq[tm, ti]
                     and len(ana.subgroup_members[tm]) * p == to):
-                cover.append((i, pos[(tm, si)], "res"))
+                cover.append((i, pos[(tm, si)], ("cover", "res")))
     return secs, pos, cover
 
 
 def conj_edges_by_loops(fam) -> list:
     """The former per-section x generator loop of SectionFamily: the
-    conjugation edges (i, j, u), skipping a generator that fixes the
+    conjugation edges (i, j, ("conj", u)), skipping a generator that fixes the
     section and each of its classes; the reference for the mask read."""
     ana = fam.ana
     conj = []
@@ -590,7 +590,7 @@ def conj_edges_by_loops(fam) -> list:
                 if j == i and np.array_equal(slot.class_pos[cu[slot.classes]],
                                              np.arange(slot.dim)):
                     continue
-                conj.append((i, j, u))
+                conj.append((i, j, ("conj", u)))
     return conj
 
 

@@ -1,5 +1,6 @@
-"""Every name a module imports is used in that module, and importing the
-CLI loads no module it does not need."""
+"""Every name a module imports is used in that module, each CLI command
+loads no module it does not need, and the README's library tour runs as
+written."""
 
 import ast
 import os
@@ -9,9 +10,17 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import bfk
 
 PACKAGE = Path(bfk.__file__).resolve().parent
+
+
+def _child_env() -> dict:
+    """Environment for a child Python that imports the same bfk."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH")))))
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -80,9 +89,49 @@ def test_cli_import_adds_neither_hashlib_nor_numpy_random():
     # test holds on a numpy that imports either of them.
     code = ("import sys, numpy; before = set(sys.modules); import bfk.cli; "
             "print(' '.join(sorted(set(sys.modules) - before)))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH")))))
     added = set(subprocess.run([sys.executable, "-c", code], capture_output=True,
-                               text=True, env=env, check=True).stdout.split())
+                               text=True, env=_child_env(), check=True).stdout.split())
     assert {"bfk", "bfk.cli"} <= added
     assert not added & {"hashlib", "_hashlib", "numpy.random"}
+
+
+# runs one CLI command as `python -m bfk.cli` does, then prints its exit
+# code and the numpy and bfk modules it loaded
+_CLI_MODULES = """
+import contextlib, io, runpy, sys
+sys.argv[0] = "bfk"
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    try:
+        runpy.run_module("bfk.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+print(code, *sorted(m for m in sys.modules if m == "numpy" or m.startswith("bfk.")))
+"""
+
+
+@pytest.mark.parametrize("args,code,loaded,absent", [
+    (("catalog",), 0, {"bfk.claims"}, {"numpy"}),
+    (("catalog", "--p", "2"), 1, {"bfk.claims"}, {"numpy"}),
+    (("--help",), 0, {"bfk.claims"}, {"numpy"}),
+    (("limit", "--group", "xsp:3", "--class", "X3", "--functor", "Kdual"), 0,
+     {"numpy", "bfk.limits"}, {"bfk.campaigns", "bfk.transfers"}),
+])
+def test_each_command_imports_only_what_it_runs(args, code, loaded, absent):
+    proc = subprocess.run([sys.executable, "-c", _CLI_MODULES, *args],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    got, *modules = proc.stdout.split()
+    assert int(got) == code, args
+    assert loaded <= set(modules), args
+    assert not absent & set(modules), args
+
+
+def test_readme_library_tour_runs():
+    text = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = text.split("## Library tour", 1)[1]
+    code = re.search(r"```python\n(.*?)```", tour, flags=re.S).group(1)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"

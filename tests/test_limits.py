@@ -75,6 +75,20 @@ def test_family_counts_order_81():
     assert len(xfam.conj_edges) == 636
 
 
+def test_systems_share_the_family_edges():
+    # each edge is built once, with its final tag, in one list per family
+    # that every functor's system reads
+    fam = section_family(X27, "X")
+    assert all(coefficient_system(X27, "X", f).edges() is fam.edges
+               for f in FUNCTOR_NAMES)
+    assert fam.edges == fam.cover_edges + fam.conj_edges
+    assert {tag for _, _, tag in fam.cover_edges} == {("cover", "def"), ("cover", "res")}
+    assert {tag[0] for _, _, tag in fam.conj_edges} == {"conj"}
+    # one tag tuple per kind of move, shared by its edges
+    assert (len({id(tag) for _, _, tag in fam.edges})
+            == len({tag for _, _, tag in fam.edges}))
+
+
 def test_sections_and_cover_edges_match_the_pair_loops():
     # the normality-matrix reads against the former per-pair loops, on
     # every catalog group at p = 3 to order 81 and p = 5 to order 125
