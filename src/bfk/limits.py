@@ -248,7 +248,6 @@ class SectionFamily:
         self._add_edges(out, src, np.where(res, w, tops[src]),
                         np.where(res, bots[src], w),
                         (("cover", "def"), ("cover", "res")), res)
-        self._n_cover = len(out)
         if not self.group.is_abelian:
             cp = self._class_pos
             cu = ana.conj_sub[list(ana.generators)]       # (generator, subgroup)
@@ -261,15 +260,15 @@ class SectionFamily:
                             [("conj", u) for u in ana.generators], k)
         return out
 
+    # the two kinds apart; only perfbench/traced.py reads them, and it
+    # needs no more than len(self.edges)
     @property
     def cover_edges(self) -> list:
-        """The cover edges, the leading run of edges."""
-        return self.edges[:self._n_cover]
+        return [e for e in self.edges if e[2][0] == "cover"]
 
     @property
     def conj_edges(self) -> list:
-        """The conjugation edges, the run of edges after the covers."""
-        return self.edges[self._n_cover:]
+        return [e for e in self.edges if e[2][0] == "conj"]
 
 
 def section_family(G: FiniteGroup, label: str) -> SectionFamily:

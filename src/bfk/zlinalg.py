@@ -465,14 +465,6 @@ def sparse_kernel_basis(rows: list[dict[int, int]], ncols: int) -> np.ndarray:
 
 
 _WRAP = 1 << 62
-# hnf reduces the rows above a new pivot as one block when they and the
-# basis rows from that pivot down make at least _BLOCK_PAIRS pairs and the
-# rows have at most _BLOCK_WIDTH entries; smaller blocks cost more numpy
-# calls than one row at a time, and longer rows are bound by their data
-# (timed on the order-81 induced-kernel stacks, the elab:3:4 limit bases
-# and the hnf calls of the p = 5 campaigns)
-_BLOCK_PAIRS = 128
-_BLOCK_WIDTH = 1024
 
 
 def _absmax(a: np.ndarray) -> int:
@@ -582,12 +574,11 @@ def hnf(mat) -> np.ndarray:
     column is folded with xgcd, which shrinks that pivot, and what is left
     is inserted in turn.  A new or changed basis row is reduced by the rows
     below it and the rows above it are reduced by it, so entries stay
-    bounded by the pivots; many short rows above are reduced as one block.
-    Rows are int64, each with a Python-int bound on its largest entry: a
-    step a*u + b*w stays in int64 while |a|*bound(u) + |b|*bound(w) is
-    below 2**62 (the rule of _sub_multiples).  Past that the exact maxima
-    replace both bounds, and only if the rule still fails do all rows move
-    to Python ints, for good.
+    bounded by the pivots.  Rows are int64, each with a Python-int bound
+    on its largest entry: a step a*u + b*w stays in int64 while
+    |a|*bound(u) + |b|*bound(w) is below 2**62 (the rule of
+    _sub_multiples).  Past that the exact maxima replace both bounds, and
+    only if the rule still fails do all rows move to Python ints, for good.
     """
     A = _int_matrix(mat)
     rows: list[np.ndarray] = []     # the basis by pivot column, then the row
@@ -614,49 +605,13 @@ def hnf(mat) -> np.ndarray:
                 comb(i, 1, -q, k)
 
     def settle(k):
-        """Reduce row k by the rows below it, then the rows above that it
-        leaves out of range by row k and the rows below it.  Those rows
-        take their quotients from their own entries only, so a large
-        enough block U of short rows is reduced at once, one basis row at a
-        time; each row of U keeps its bound as comb does, and top bounds
-        them all."""
-        nonlocal wide
+        """Reduce row k by the rows below it and the rows above by it."""
         reduce(k, k + 1)
-        j, d = piv[k], pv[k]
-        up = [(i, q) for i in range(k) if (q := int(rows[i][j]) // d)]
-        if len(up) * (len(piv) - k) < _BLOCK_PAIRS or A.shape[1] > _BLOCK_WIDTH:
-            for i, q in up:
+        for i in range(k):
+            q = int(rows[i][piv[k]]) // pv[k]
+            if q:
                 comb(i, 1, -q, k)
                 reduce(i, k + 1)
-            return
-        up = [i for i, _ in up]
-        U = np.stack([rows[i] for i in up])
-        ub = np.array([bnd[i] for i in up], dtype=U.dtype)
-        top = max(bnd[i] for i in up)
-        P, D = np.array(piv[k:]), np.array(pv[k:])
-        m = 0
-        while True:
-            # the next basis row that leaves a quotient in the block
-            Q = U[:, P[m:]] // D[m:]
-            hit = np.flatnonzero(Q.any(axis=0))
-            if not hit.size:
-                break
-            m += int(hit[0])
-            q, b = Q[:, hit[0]], k + m
-            qmax = _absmax(q)
-            if not wide and top + qmax * bnd[b] >= _WRAP:
-                ub, bnd[b] = np.abs(U).max(axis=1), _absmax(rows[b])
-                top = int(ub.max())
-                if top + qmax * bnd[b] >= _WRAP:
-                    wide = True
-                    rows[:] = [r.astype(object) for r in rows]
-                    U, q, ub = U.astype(object), q.astype(object), ub.astype(object)
-            top += qmax * bnd[b]
-            ub += np.abs(q) * bnd[b]
-            U -= q[:, None] * rows[b]
-            m += 1
-        for i, row, u in zip(up, U, ub.tolist()):
-            rows[i], bnd[i] = row, u
 
     for v in A:
         r = len(piv)

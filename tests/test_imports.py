@@ -39,8 +39,7 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 def test_modules_use_every_name_they_import():
-    # __init__.py imports names to re-export them, so it is left out
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) >= 8
     unused = [u for p in modules for u in _unused_imports(p)]
     assert unused == []
@@ -66,9 +65,9 @@ def _names_in(node) -> set[str]:
 def test_every_public_definition_is_reached():
     # a top-level public function or class must be named by another
     # definition or by module-level code in the package, or by the README;
-    # re-exports in __init__.py and uses in tests do not count
+    # uses in tests do not count
     nodes = [(p.name, node)
-             for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"
+             for p in sorted(PACKAGE.glob("*.py"))
              for node in ast.parse(p.read_text(encoding="utf-8")).body]
     names = [_names_in(node) for _, node in nodes]
     count = Counter(n for ns in names for n in ns)

@@ -260,39 +260,6 @@ def test_hnf_switches_to_python_ints_mid_insertion():
         assert all(type(x) is int for x in H.ravel())
 
 
-def _staircase(entry: int, pivot: int) -> np.ndarray:
-    """40 rows: pivots in columns 0..19 with entries up to `entry` to their
-    right, then pivots in columns 39 down to 20 with small entries to their
-    right.  Each later pivot has the first 20 rows above it and a growing
-    run of basis rows below it, so hnf reduces the rows above as a block."""
-    rng = np.random.default_rng(7)
-    A = obj_zeros(40, 40)
-    for i in range(20):
-        A[i, i] = pivot
-        A[i, i + 1:] = [int(x) * entry // 9 for x in rng.integers(-9, 10, 39 - i)]
-    for t, j in enumerate(range(39, 19, -1)):
-        A[20 + t, j] = pivot
-        A[20 + t, j + 1:] = [int(x) for x in rng.integers(-4, 5, 39 - j)]
-    return A
-
-
-@pytest.mark.parametrize("entry,pivot", [(9, 1), (9, 3), (1 << 40, 1), (1 << 61, 2)])
-def test_hnf_block_settle_matches_row_by_row(entry, pivot):
-    # the block reduction of the rows above a new pivot, forced on and off,
-    # against LatticeBuilder; the large entries take it past 2**62 and into
-    # Python ints inside a block
-    A = _staircase(entry, pivot)
-    lb = LatticeBuilder(A.shape[1])
-    for r in A:
-        lb.add(r)
-    for pairs, width in ((1, 1 << 20), (1 << 20, 0)):
-        with mock.patch.object(zlinalg, "_BLOCK_PAIRS", pairs), \
-                mock.patch.object(zlinalg, "_BLOCK_WIDTH", width):
-            H = hnf(A)
-        assert H.dtype == object and np.array_equal(H, lb.hnf()), (pairs, width)
-        assert all(type(x) is int for x in H.ravel())
-
-
 def test_sparse_kernel_agrees_with_dense():
     rows = [{0: 1, 1: -1}, {1: 2, 2: -2}, {0: 3, 3: 1}]
     A = obj_matrix([[1, -1, 0, 0], [0, 2, -2, 0], [3, 0, 0, 1]])
