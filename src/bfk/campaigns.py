@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -1109,7 +1109,7 @@ def run_campaign(campaign: str, cfg: RunConfig) -> dict:
         raise ValueError(
             "campaigns run over the named section classes; build a custom "
             "family through the library instead")
-    tasks = [(campaign, desc, asdict(cfg))
+    tasks = [(campaign, desc, cfg._asdict())
              for _, desc in catalog_groups(cfg.p, cfg.max_order)]
     if cfg.jobs > 1 and len(tasks) > 1:
         # imported here: a serial run should not pay for loading it

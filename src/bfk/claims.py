@@ -7,24 +7,20 @@ the package's own operations.  Campaign runners own the scheduling; this
 module owns the meaning: the claims, the section classes and functors a
 run may name, the run configuration and the catalog of groups.  It
 imports no numpy, so the CLI parses its arguments and lists the catalog
-without loading the numeric layers.
+without loading the numeric layers.  Its records are named tuples, not
+dataclasses: importing dataclasses, and inspect through it, was the
+largest cost of the catalog command after interpreter start-up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 
 CAMPAIGNS = ("induction", "exact", "main", "probe", "appendix")
 
-
-@dataclass(frozen=True)
-class Claim:
-    id: str
-    campaign: str
-    statement: str
-    scope: str
+Claim = namedtuple("Claim", ("id", "campaign", "statement", "scope"))
 
 
 CLAIMS: tuple[Claim, ...] = (
@@ -323,19 +319,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One campaign invocation: bounds, selectors, io and scheduling."""
+class RunConfig(namedtuple("RunConfig",
+                           ("p", "max_order", "klass", "functor", "seed", "jobs", "fmt"),
+                           defaults=(3, 81, "X", "Kdual", 0, 1, "json"))):
+    """One campaign invocation: bounds, selectors, io and scheduling,
+    checked when it is made."""
 
-    p: int = 3
-    max_order: int = 81
-    klass: str = "X"
-    functor: str = "Kdual"
-    seed: int = 0
-    jobs: int = 1
-    fmt: str = "json"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.p < 3 or self.p % 2 == 0 or not is_prime(self.p):
             raise ValueError(f"p must be an odd prime, got {self.p}")
         m = self.max_order
@@ -354,6 +347,7 @@ class RunConfig:
             raise ValueError("jobs must be at least 1")
         if self.fmt not in FORMAT_CHOICES:
             raise ValueError(f"unknown output format {self.fmt!r}")
+        return self
 
     def config_block(self) -> dict:
         # jobs and fmt do not influence report content, so they stay out

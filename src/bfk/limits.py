@@ -21,6 +21,14 @@ fills in the eliminated unknowns.  Columns are checked against every
 constraint at once by residual_check, in stacked exact products of the
 edges with one shape, and are written in the canonical limit basis by
 zlinalg.coords_in_hnf.
+
+The colimit of K along the upward moves is presented by a generator per
+coordinate of a value and a relation per column of a move.  Each section
+with a nonzero value keeps its first upward cover move as its tree move
+(the others are roots); it goes strictly up, so its relations have +1
+pivots on the section's own generators.  Eliminating them leaves unit
+invariants and the other moves over the root generators, which the counit
+kills, so they are zero when the root up maps have full column rank.
 """
 
 from __future__ import annotations
@@ -90,7 +98,8 @@ class SectionSlot:
 def _mark_rows(family: "SectionFamily") -> list:
     """Marks of the cyclic classes (rows) against all classes (columns) of
     the quotient at each slot of index above p, None at the others, read
-    off the family's (sections x subgroups) arrays in one pass.
+    off the family's (sections x subgroups) arrays in chunks of
+    _BATCH_ENTRIES // n_sub sections.
 
     V/S fixes |T| / (|cls V| |W|) * #{V' in cls V : V' <= W} points of
     T/W, with cls V the T-class of V.  Each pair of a member V' of a
@@ -101,41 +110,42 @@ def _mark_rows(family: "SectionFamily") -> list:
     """
     ana = family.ana
     sizes, p = ana.sizes, ana.group.prime
-    sec = np.flatnonzero(sizes[family._tops] > p * sizes[family._bots])
-    cp = family._class_pos[sec]
-    ks, members = np.nonzero(cp >= 0)            # interval members by section
-    # the least member of a class is its representative and its first
-    # member, and classes are numbered in the order they first appear
-    first_seen = cp > np.maximum.accumulate(np.pad(cp, ((0, 0), (1, 0)),
-                                                   constant_values=-1), axis=1)[:, :-1]
-    rk, reps = np.nonzero(first_seen)            # class entries, in class order
-    dim = np.bincount(rk, minlength=len(sec))
-    first = np.cumsum(dim) - dim                 # first class entry of a section
-    cls = first[ks] + cp[ks, members]            # class entry of each member
-    # every (member, class entry of its section) pair with member <= class
-    n = dim[ks]
-    m = np.repeat(np.arange(len(ks)), n)
-    w = np.arange(len(m)) - np.repeat(np.cumsum(n) - n - first[ks], n)
-    below = ana.leq[members[m], reps[w]]
-    m, w = m[below], w[below]
-    maximal = np.bincount(w[sizes[members[m]] * p == sizes[reps[w]]],
-                          minlength=len(reps))
-    cyc = (sizes[reps] == sizes[family._bots[sec[rk]]]) | (maximal == 1)
-    # a cyclic class entry owns a block of its section's dim columns
-    span = np.where(cyc, dim[rk], 0)
-    start = np.cumsum(span) - span
-    hit = cyc[cls[m]]
-    m, w = m[hit], w[hit]
-    hits = np.bincount(start[cls[m]] + w - first[ks[m]], minlength=int(span.sum()))
-    row = np.repeat(np.arange(len(reps)), span)
-    col = np.arange(len(row)) - np.repeat(start - first[rk], span)
-    mult = sizes[family._tops[sec[rk]]] // np.bincount(cls, minlength=len(reps))
-    flat = mult[row] * hits // sizes[reps[col]]
-    ncyc = np.bincount(rk[cyc], minlength=len(sec))
-    ends = np.cumsum(ncyc * dim).tolist()
     out = [None] * len(family.slots)
-    for k, e, r, d in zip(sec.tolist(), ends, ncyc.tolist(), dim.tolist()):
-        out[k] = flat[e - r * d:e].reshape(r, d)
+    for sec in _batches(np.flatnonzero(sizes[family._tops] > p * sizes[family._bots]),
+                        ana.n_sub):
+        cp = family._class_pos[sec]
+        ks, members = np.nonzero(cp >= 0)            # interval members by section
+        # the least member of a class is its representative and its first
+        # member, and classes are numbered in the order they first appear
+        first_seen = cp > np.maximum.accumulate(np.pad(cp, ((0, 0), (1, 0)),
+                                                       constant_values=-1), axis=1)[:, :-1]
+        rk, reps = np.nonzero(first_seen)            # class entries, in class order
+        dim = np.bincount(rk, minlength=len(sec))
+        first = np.cumsum(dim) - dim                 # first class entry of a section
+        cls = first[ks] + cp[ks, members]            # class entry of each member
+        # every (member, class entry of its section) pair with member <= class
+        n = dim[ks]
+        m = np.repeat(np.arange(len(ks)), n)
+        w = np.arange(len(m)) - np.repeat(np.cumsum(n) - n - first[ks], n)
+        below = ana.leq[members[m], reps[w]]
+        m, w = m[below], w[below]
+        maximal = np.bincount(w[sizes[members[m]] * p == sizes[reps[w]]],
+                              minlength=len(reps))
+        cyc = (sizes[reps] == sizes[family._bots[sec[rk]]]) | (maximal == 1)
+        # a cyclic class entry owns a block of its section's dim columns
+        span = np.where(cyc, dim[rk], 0)
+        start = np.cumsum(span) - span
+        hit = cyc[cls[m]]
+        m, w = m[hit], w[hit]
+        hits = np.bincount(start[cls[m]] + w - first[ks[m]], minlength=int(span.sum()))
+        row = np.repeat(np.arange(len(reps)), span)
+        col = np.arange(len(row)) - np.repeat(start - first[rk], span)
+        mult = sizes[family._tops[sec[rk]]] // np.bincount(cls, minlength=len(reps))
+        flat = mult[row] * hits // sizes[reps[col]]
+        ncyc = np.bincount(rk[cyc], minlength=len(sec))
+        ends = np.cumsum(ncyc * dim).tolist()
+        for k, e, r, d in zip(sec.tolist(), ends, ncyc.tolist(), dim.tolist()):
+            out[k] = flat[e - r * d:e].reshape(r, d)
     return out
 
 
@@ -233,21 +243,23 @@ class SectionFamily:
 
         First the cover edges, tag ("cover", "def" | "res"), by source,
         its deflations first, each run in subgroup order of the new bottom
-        or top; then the conjugation edges, tag ("conj", u), by source and
+        or top, read off masks of _BATCH_ENTRIES // n_sub sections at a
+        time; then the conjugation edges, tag ("conj", u), by source and
         then generator, for each generator u that moves the section or one
         of its classes.  Every system of the family shares this one list,
         so a caller that extends it copies it first."""
         ana, tops, bots = self.ana, self._tops, self._bots
         sizes, p = ana.sizes, self.group.prime
-        between = ana.leq[bots] & ana.leq[:, tops].T
-        grow = between & (sizes == sizes[bots, None] * p) & ana.normal[:, tops].T
-        shrink = between & (sizes * p == sizes[tops, None])
-        src, w = np.nonzero(np.hstack([grow, shrink]))
-        res, w = np.divmod(w, ana.n_sub)
-        out = []
-        self._add_edges(out, src, np.where(res, w, tops[src]),
-                        np.where(res, bots[src], w),
-                        (("cover", "def"), ("cover", "res")), res)
+        out, cover = [], (("cover", "def"), ("cover", "res"))
+        for sec in _batches(np.arange(len(tops)), ana.n_sub):
+            t, b = tops[sec], bots[sec]
+            between = ana.leq[b] & ana.leq[:, t].T
+            grow = between & (sizes == sizes[b, None] * p) & ana.normal[:, t].T
+            shrink = between & (sizes * p == sizes[t, None])
+            src, w = np.nonzero(np.hstack([grow, shrink]))
+            res, w = np.divmod(w, ana.n_sub)
+            self._add_edges(out, sec[src], np.where(res, w, t[src]),
+                            np.where(res, b[src], w), cover, res)
         if not self.group.is_abelian:
             cp = self._class_pos
             cu = ana.conj_sub[list(ana.generators)]       # (generator, subgroup)
@@ -617,120 +629,107 @@ def _upward_moves(system: CoefficientSystem) -> tuple[list, list]:
     return edges, moves
 
 
-def _colimit_relations(system: CoefficientSystem) -> list[dict[int, int]]:
-    """Sparse relation rows presenting the colimit of an upward system.
-
-    Moves M with equal shapes are restricted to kernel coordinates and
-    stacked one batch at a time; per batch one product checks that the
-    map of b after M is the map of a, so that the counit kills the rows
-    (see _relation_rows) read off the same stack, which is then dropped."""
-    edges, moves = _upward_moves(system)
-    dims = system.dims
-    ups = system._maps([("up", i) for i in range(len(dims))])
+def _check_cocone(system: CoefficientSystem, edges: list, moves: list,
+                  keep: bool) -> dict:
+    """Check ups[b] @ M == ups[a] for every move M from value(a) into
+    value(b), one batch of equal-shape moves and one product at a time; a
+    failure names the first failing edge.  Up maps are restricted per batch
+    and never cached: a target's lives until its last move, a source's for
+    one batch.  Returns the restricted moves by index, kept if keep is set."""
+    dims, r = system.dims, system.base_rank
     groups = {}
     for e, (_, a, b) in enumerate(moves):
         groups.setdefault((dims[b], dims[a]), []).append(e)
-    starts = np.cumsum([0] + [dims[a] for _, a, _ in moves]).tolist()
-    rows = [None] * starts[-1]
-    bad = []
-    r = system.base_rank
+    left = np.bincount([b for _, _, b in moves], minlength=len(dims)).tolist()
+    held, kept, bad = {}, {}, []
     for (kb, ka), members in groups.items():
         # an up map every member shares is stacked once and broadcast
         shared = len({moves[e][2] for e in members}) == 1
-        for chunk in _batches(members, r * (kb * (not shared) + 2 * ka) + kb * ka,
+        for chunk in _batches(members, r * (kb * (not shared) + 3 * ka) + kb * ka,
                               r * kb * shared):
             pairs = [moves[e][1:] for e in chunk]
             Ms = np.stack(system._restricted([moves[e] for e in chunk]))
-            lhs = _exact_matmul(_stack_shared([ups[b] for _, b in pairs]), Ms)
-            rhs = _stack_shared([ups[a] for a, _ in pairs])
+            new = [i for i in dict.fromkeys(i for ab in pairs for i in ab)
+                   if i not in held]
+            ups = dict(zip(new, system._restricted(
+                [system._move(("up", i), False) for i in new])))
+            held.update((b, ups[b]) for _, b in pairs if b in ups)
+            lhs = _exact_matmul(_stack_shared([held[b] for _, b in pairs]), Ms)
+            rhs = _stack_shared([held[a] if a in held else ups[a] for a, _ in pairs])
             wrong = (lhs != rhs).reshape(len(chunk), -1).any(axis=1)
             bad.extend(chunk[k] for k in np.flatnonzero(wrong))
-            got = _relation_rows(system.offsets, pairs, Ms)
-            for m, e in enumerate(chunk):
-                rows[starts[e]:starts[e + 1]] = got[m * ka:(m + 1) * ka]
+            if keep:
+                kept.update(zip(chunk, Ms))
+            for _, b in pairs:
+                left[b] -= 1
+                if not left[b]:
+                    del held[b]
     if bad:
         src, dst, tag = edges[min(bad)]
         raise AssertionError(f"upward maps disagree along {src}->{dst} {tag}")
+    return kept
+
+
+def _residual_rows(system: CoefficientSystem, moves: list, tree: dict,
+                   roots: list, Ms: dict) -> list[dict[int, int]]:
+    """The relations of the moves off the tree over the root generators, in
+    which each root's value has its own block.  Along its tree move a -> b,
+    value(a) has the coordinates C_a = C_b M in the block of b's root (none
+    if value(b) is zero), and column j of a move M: a -> b off the tree
+    reads C_a e_j - C_b M e_j."""
+    dims, n = system.dims, 0
+    at = {i: (0, np.zeros((0, 0), dtype=np.int64)) for i, d in enumerate(dims) if not d}
+    for i in roots:
+        at[i] = (n, np.eye(dims[i], dtype=np.int64))
+        n += dims[i]
+    for a in sorted(tree, key=lambda a: -system.family.slots[a].index(system.ana)):
+        o, C = at[moves[tree[a]][2]]
+        at[a] = (o, _exact_matmul(C, Ms[tree[a]]))
+    rows = []
+    for e, (_, a, b) in enumerate(moves):
+        if tree.get(a) != e:
+            (oa, Ca), (ob, Cb) = at[a], at[b]
+            block = np.zeros((dims[a], n), dtype=object)
+            block[:, oa:oa + len(Ca)] += Ca.T
+            block[:, ob:ob + len(Cb)] -= _exact_matmul(Cb, Ms[e]).T
+            rows.extend(_sparse_rows(block))
     return rows
-
-
-def _relation_rows(off: list, pairs: list, Ms: np.ndarray) -> list[dict[int, int]]:
-    """Per move of a stack (move, kb, ka) and column j, {a_j: 1} less column
-    j over the b generators, keys in that order, zeros dropped; a move
-    inside one value folds its own entry into the leading 1."""
-    k, kb, ka = Ms.shape
-    vals = np.empty((k, ka, kb + 1), dtype=np.int64)
-    keys = np.empty_like(vals)
-    vals[..., 0] = 1
-    vals[..., 1:] = -Ms.transpose(0, 2, 1)
-    keys[..., 0] = np.array([off[a] for a, _ in pairs])[:, None] + np.arange(ka)
-    keys[..., 1:] = np.array([off[b] for _, b in pairs])[:, None, None] + np.arange(kb)
-    own = keys[..., 1:] == keys[..., :1]
-    vals[..., 0] += (vals[..., 1:] * own).sum(axis=2)
-    vals[..., 1:][own] = 0
-    live = vals != 0
-    ks, vs = keys[live].tolist(), vals[live].tolist()
-    ends = np.cumsum(live.sum(axis=2)).tolist()
-    return [dict(zip(ks[lo:hi], vs[lo:hi])) for lo, hi in zip([0] + ends, ends)]
-
-
-def _dict_rows(rs, cs, vs, n: int) -> list[dict[int, int]]:
-    """n rows as {column: entry} dicts from nonzeros sorted by row."""
-    ends = np.cumsum(np.bincount(rs, minlength=n)).tolist()
-    ks, vs = cs.tolist(), vs.tolist()
-    return [dict(zip(ks[lo:hi], vs[lo:hi])) for lo, hi in zip([0] + ends, ends)]
 
 
 def _sparse_rows(M: np.ndarray) -> list[dict[int, int]]:
     """The rows of M as {column: entry} dicts, zeros dropped."""
     rs, cs = np.nonzero(M)
-    return _dict_rows(rs, cs, M[rs, cs], M.shape[0])
-
-
-def _counit_columns(system: CoefficientSystem) -> list[dict[int, int]]:
-    """The columns of the counit, the summed upward maps from the product
-    of the values to F(P), as {row: entry} dicts, one per generator.  The
-    nonzeros of each up map are read in place and joined once; the dense
-    counit is never formed."""
-    ups = system._maps([("up", i) for i in range(len(system.dims))])
-    cols, rows, vals = [], [], []
-    for o, B in zip(system.offsets, ups):
-        if B.size:
-            c, r = np.nonzero(B.T)
-            cols.append(c + o)
-            rows.append(r)
-            vals.append(B.T[c, r])
-    if not cols:
-        return [{} for _ in range(system.total)]
-    return _dict_rows(np.concatenate(cols), np.concatenate(rows),
-                      np.concatenate(vals), system.total)
-
-
-def _spans_everything(cols: list[dict[int, int]], n: int) -> bool:
-    """Do the sparse vectors cols span all of Z^n?  True iff their lattice
-    has rank n and every invariant factor is 1; for the rows of an
-    echelon basis, iff their lattice is saturated."""
-    invariants = sparse_snf_invariants(cols)
-    return len(invariants) == n and all(d == 1 for d in invariants)
+    ends = np.cumsum(np.bincount(rs, minlength=M.shape[0])).tolist()
+    ks, vs = cs.tolist(), M[rs, cs].tolist()
+    return [dict(zip(ks[lo:hi], vs[lo:hi])) for lo, hi in zip([0] + ends, ends)]
 
 
 def counit_kernel_report(system: CoefficientSystem) -> dict:
-    """Presentation-level data for the kernel of the counit.
-
-    The counit descends to the colimit because it kills every relation;
-    its kernel is finite exactly when the relation rank plus the rank of
-    the base value fills the generator count, and then its invariant
-    factors are the nontrivial relation invariants.
-    """
+    """The kernel of the counit, by forest elimination of the colimit's
+    relations (module docstring): finite exactly when the relation rank
+    plus the base rank fills the generator count, and then its invariant
+    factors are the nontrivial relation invariants."""
     if system.functor != "K":
         raise FamilyError("the counit probe is defined for functor K")
-    invariants = sparse_snf_invariants(_colimit_relations(system))
-    rel_rank = len(invariants)
-    # the counit is written in base-kernel coordinates, and the base-kernel
-    # basis has full row rank, so it is onto iff its columns span
-    # Z^base_rank; they are read after the relation rows are freed
-    surjective = _spans_everything(_counit_columns(system), system.base_rank)
-    finite = rel_rank + system.base_rank == system.total
+    edges, moves = _upward_moves(system)
+    dims, r = system.dims, system.base_rank
+    tree = {}                    # section -> its first upward cover move
+    for e, ((_, _, tag), (_, a, _)) in enumerate(zip(edges, moves)):
+        if tag[0] == "cover":
+            tree.setdefault(a, e)
+    roots = [i for i, d in enumerate(dims) if d and i not in tree]
+    root_gens = sum(dims[i] for i in roots)
+    # every up map factors through a root's, so the counit's image is the
+    # span of the root up maps: onto iff their row HNF is the identity
+    H = hnf(np.hstack([np.zeros((r, 0), dtype=np.int64)] + system._restricted(
+        [system._move(("up", i), False) for i in roots])).T)
+    keep, surjective = len(H) < root_gens, np.array_equal(H, np.eye(r, dtype=np.int64))
+    del H                        # freed before the cocone pass
+    kept = _check_cocone(system, edges, moves, keep)
+    invariants = sparse_snf_invariants(
+        _residual_rows(system, moves, tree, roots, kept)) if keep else []
+    rel_rank = system.total - root_gens + len(invariants)
+    finite = rel_rank + r == system.total
     m_invariants = [int(d) for d in invariants if d != 1]
     return {
         "group": system.group.name,
@@ -738,7 +737,7 @@ def counit_kernel_report(system: CoefficientSystem) -> dict:
         "functor": system.functor,
         "generators": system.total,
         "relation_rank": int(rel_rank),
-        "base_rank": int(system.base_rank),
+        "base_rank": int(r),
         "counit_surjective": bool(surjective),
         "kernel_finite": bool(finite),
         "kernel_invariants": m_invariants,

@@ -22,7 +22,11 @@ induced kernel sums.  `sections_by_loops`, `conj_edges_by_loops` and
 per-column loops of `SectionFamily` and of the colimit relations, the
 references for their whole-family array reads; `counit_matrix`, the
 former dense counit, with `spans_everything_dense` is the reference for
-the sparse surjectivity test of the counit probe.  The per-point biset
+the sparse counit columns.  `counit_report_by_relations`, the former
+counit probe, takes the Smith invariants of every relation row
+(`colimit_relations`, `relation_rows`) and the span of every counit
+column (`counit_columns`, `spans_everything`); it is the reference for
+the forest elimination of `limits.counit_kernel_report`.  The per-point biset
 references at the end (`left_transporter`, `right_transporter` and the
 former `transfers` forms `transport_subgroup` and `left_transport`; the
 coset, quotient and composition walks; and the three appendix engines
@@ -47,7 +51,8 @@ from bfk.campaigns import (_fingerprint, _ints, _outcome, _sample_indices,
                            _signature_reps, _subquotient_fps)
 from bfk.groups import _check_prime_power, _closure, analysis, product_members
 from bfk.limits import CoefficientSystem, _upward_moves, family_contains
-from bfk.zlinalg import _exact_matmul, hnf, hnf_pivots, obj_matrix, obj_zeros, xgcd
+from bfk.zlinalg import (_batches, _exact_matmul, _stack_shared, hnf, hnf_pivots,
+                         obj_matrix, obj_zeros, sparse_snf_invariants, xgcd)
 
 
 def validate_biset(U: ConcreteBiset) -> ConcreteBiset:
@@ -627,6 +632,114 @@ def spans_everything_dense(U: np.ndarray) -> bool:
     limits._spans_everything, by an independent elimination."""
     H = hnf(np.asarray(U).T)
     return H.shape[0] == U.shape[0] and np.array_equal(H, np.eye(U.shape[0], dtype=int))
+
+
+def colimit_relations(system: CoefficientSystem) -> list[dict[int, int]]:
+    """The former sparse relation rows of limits.counit_kernel_report,
+    presenting the colimit of an upward system: one row per column of
+    each upward move.
+
+    Moves M with equal shapes are restricted to kernel coordinates and
+    stacked one batch at a time; per batch one product checks that the
+    map of b after M is the map of a, so that the counit kills the rows
+    (see relation_rows) read off the same stack."""
+    edges, moves = _upward_moves(system)
+    dims = system.dims
+    ups = system._maps([("up", i) for i in range(len(dims))])
+    groups = {}
+    for e, (_, a, b) in enumerate(moves):
+        groups.setdefault((dims[b], dims[a]), []).append(e)
+    starts = np.cumsum([0] + [dims[a] for _, a, _ in moves]).tolist()
+    rows = [None] * starts[-1]
+    bad = []
+    r = system.base_rank
+    for (kb, ka), members in groups.items():
+        shared = len({moves[e][2] for e in members}) == 1
+        for chunk in _batches(members, r * (kb * (not shared) + 2 * ka) + kb * ka,
+                              r * kb * shared):
+            pairs = [moves[e][1:] for e in chunk]
+            Ms = np.stack(system._restricted([moves[e] for e in chunk]))
+            lhs = _exact_matmul(_stack_shared([ups[b] for _, b in pairs]), Ms)
+            rhs = _stack_shared([ups[a] for a, _ in pairs])
+            wrong = (lhs != rhs).reshape(len(chunk), -1).any(axis=1)
+            bad.extend(chunk[k] for k in np.flatnonzero(wrong))
+            got = relation_rows(system.offsets, pairs, Ms)
+            for m, e in enumerate(chunk):
+                rows[starts[e]:starts[e + 1]] = got[m * ka:(m + 1) * ka]
+    if bad:
+        src, dst, tag = edges[min(bad)]
+        raise AssertionError(f"upward maps disagree along {src}->{dst} {tag}")
+    return rows
+
+
+def relation_rows(off: list, pairs: list, Ms: np.ndarray) -> list[dict[int, int]]:
+    """Per move of a stack (move, kb, ka) and column j, {a_j: 1} less column
+    j over the b generators, keys in that order, zeros dropped; a move
+    inside one value folds its own entry into the leading 1."""
+    k, kb, ka = Ms.shape
+    vals = np.empty((k, ka, kb + 1), dtype=np.int64)
+    keys = np.empty_like(vals)
+    vals[..., 0] = 1
+    vals[..., 1:] = -Ms.transpose(0, 2, 1)
+    keys[..., 0] = np.array([off[a] for a, _ in pairs])[:, None] + np.arange(ka)
+    keys[..., 1:] = np.array([off[b] for _, b in pairs])[:, None, None] + np.arange(kb)
+    own = keys[..., 1:] == keys[..., :1]
+    vals[..., 0] += (vals[..., 1:] * own).sum(axis=2)
+    vals[..., 1:][own] = 0
+    live = vals != 0
+    ks, vs = keys[live].tolist(), vals[live].tolist()
+    ends = np.cumsum(live.sum(axis=2)).tolist()
+    return [dict(zip(ks[lo:hi], vs[lo:hi])) for lo, hi in zip([0] + ends, ends)]
+
+
+def counit_columns(system: CoefficientSystem) -> list[dict[int, int]]:
+    """The former sparse counit columns of limits: the summed upward maps
+    from the product of the values to F(P), as {row: entry} dicts, one
+    per generator, read from the nonzeros of each up map."""
+    ups = system._maps([("up", i) for i in range(len(system.dims))])
+    cols, rows, vals = [], [], []
+    for o, B in zip(system.offsets, ups):
+        if B.size:
+            c, r = np.nonzero(B.T)
+            cols.append(c + o)
+            rows.append(r)
+            vals.append(B.T[c, r])
+    if not cols:
+        return [{} for _ in range(system.total)]
+    cs, rs, vs = np.concatenate(cols), np.concatenate(rows), np.concatenate(vals)
+    ends = np.cumsum(np.bincount(cs, minlength=system.total)).tolist()
+    rs, vs = rs.tolist(), vs.tolist()
+    return [dict(zip(rs[lo:hi], vs[lo:hi])) for lo, hi in zip([0] + ends, ends)]
+
+
+def spans_everything(cols: list[dict[int, int]], n: int) -> bool:
+    """Do the sparse vectors cols span all of Z^n?  True iff their lattice
+    has rank n and every invariant factor is 1."""
+    invariants = sparse_snf_invariants(cols)
+    return len(invariants) == n and all(d == 1 for d in invariants)
+
+
+def counit_report_by_relations(system: CoefficientSystem) -> dict:
+    """The former limits.counit_kernel_report: the Smith invariants of
+    every relation row, and surjectivity from every counit column; the
+    reference for the forest elimination."""
+    invariants = sparse_snf_invariants(colimit_relations(system))
+    rel_rank = len(invariants)
+    surjective = spans_everything(counit_columns(system), system.base_rank)
+    finite = rel_rank + system.base_rank == system.total
+    m_invariants = [int(d) for d in invariants if d != 1]
+    return {
+        "group": system.group.name,
+        "family": system.family.label,
+        "functor": system.functor,
+        "generators": system.total,
+        "relation_rank": int(rel_rank),
+        "base_rank": int(system.base_rank),
+        "counit_surjective": bool(surjective),
+        "kernel_finite": bool(finite),
+        "kernel_invariants": m_invariants,
+        "kernel_trivial": bool(finite and not m_invariants),
+    }
 
 
 def _normal_by_members(ana, si: int, ti: int) -> bool:

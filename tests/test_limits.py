@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +27,9 @@ from bfk.limits import (
     CoefficientSystem,
     ConstraintViolation,
     FamilyError,
-    _colimit_relations,
     _mark_rows,
     _selection_matrix,
     _sparse_rows,
-    _spans_everything,
     coefficient_system,
     comparison_report,
     counit_kernel_report,
@@ -39,12 +38,13 @@ from bfk.limits import (
     residual_check,
     section_family,
 )
-from helpers import (_direct_limit_basis, _restrict_to_kernels, conj_edges_by_loops,
-                     constraint_violation_by_edges, counit_matrix,
+from helpers import (_direct_limit_basis, _restrict_to_kernels, colimit_relations,
+                     conj_edges_by_loops, constraint_violation_by_edges,
+                     counit_columns, counit_matrix, counit_report_by_relations,
                      defres_by_double_cosets, maps_by_edges, mark_rows_by_loops,
                      per_column_restrict, relation_rows_by_columns,
                      sections_by_loops, slot_classes_by_union_find,
-                     spans_everything_dense, sparse_kernel)
+                     spans_everything, spans_everything_dense, sparse_kernel)
 
 C3 = cyclic_group(3)
 C9 = cyclic_group(9)
@@ -245,7 +245,8 @@ def test_batched_maps_match_the_per_edge_restriction():
             assert np.array_equal(got, M), (spec, label, functor, key)
         if functor == "K":
             # the colimit reads its cover maps as the dual cover edges
-            # before their transpose, and its conjugation maps as K edges
+            # before their transpose, and its conjugation maps as K edges;
+            # the relation rows of the reference report show it
             dual = maps_by_edges(coefficient_system(system.group, label, "Kdual"))
             rows = []
             for s, d, tag in system.edges():
@@ -261,14 +262,14 @@ def test_batched_maps_match_the_per_edge_restriction():
                     for i in np.flatnonzero(M[:, j]).tolist():
                         row[bo + i] = row.get(bo + i, 0) - int(M[i, j])
                     rows.append({c: v for c, v in row.items() if v})
-            assert _colimit_relations(system) == rows, (spec, label)
+            assert colimit_relations(system) == rows, (spec, label)
 
 
 @pytest.mark.parametrize("spec,label", [
     ("elab:3:3", "E"), ("xsp:3", "X"), ("prod:xsp:3,cyclic:3", "X3")])
 def test_relation_rows_match_the_column_loop(spec, label):
     system = coefficient_system(group_from_spec(spec, 3), label, "K")
-    got = _colimit_relations(system)
+    got = colimit_relations(system)
     want = relation_rows_by_columns(system)
     # the same rows with their keys in the same order, which sets the
     # Markowitz pivot order of the Smith invariants
@@ -695,7 +696,7 @@ def test_counit_surjectivity_in_base_kernel_coordinates():
              (np.zeros((0, 4)), True), (np.zeros((2, 0)), False)]
     for U, onto in cases:
         U = U.astype(np.int64)
-        assert _spans_everything(_sparse_rows(U.T), U.shape[0]) is onto
+        assert spans_everything(_sparse_rows(U.T), U.shape[0]) is onto
         assert spans_everything_dense(U) is onto
     # same answer as comparing the image lattice in the ambient basis,
     # on a counit that is onto and one that is not
@@ -709,15 +710,15 @@ def test_counit_surjectivity_in_base_kernel_coordinates():
 
 
 def test_counit_columns_match_the_dense_counit():
-    # every K system up to order 81 at p = 3: the columns the probe reads
-    # block by block are those of the dense counit, and its surjectivity
-    # verdict is the dense reference's
+    # every K system up to order 81 at p = 3: the columns the reference
+    # report reads block by block are those of the dense counit, and the
+    # probe's surjectivity verdict is the dense reference's
     for _, desc in catalog_groups(3, 81):
         G = group_from_spec(desc, 3)
         for label in FAMILY_LABELS:
             system = coefficient_system(G, label, "K")
             U = counit_matrix(system)
-            cols = limits._counit_columns(system)
+            cols = counit_columns(system)
             assert [list(c.items()) for c in cols] == \
                 [list(c.items()) for c in _sparse_rows(U.T)], (desc, label)
             assert (counit_kernel_report(system)["counit_surjective"]
@@ -727,14 +728,23 @@ def test_counit_columns_match_the_dense_counit():
 def test_counit_probe_rejects_maps_that_disagree_or_miss_a_relation(monkeypatch):
     system = coefficient_system(X27, "X", "K")
     counit_kernel_report(system)
+    # up maps are built afresh, one batch at a time, so a flipped entry of
+    # one goes in through the restriction of its move to the base
     i = next(i for i, d in enumerate(system.dims) if d)
-    up = system._map_cache[("up", i)]
-    up[0, 0] += 1
-    try:
+    restricted = system._restricted
+
+    def flip_up(batch):
+        out = restricted(batch)
+        for k, (_, s, d) in enumerate(batch):
+            if (s, d) == (i, len(system.dims)):
+                out[k] = out[k].copy()
+                out[k][0, 0] += 1
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(system, "_restricted", flip_up)
         with pytest.raises(AssertionError, match="upward maps disagree"):
             counit_kernel_report(system)
-    finally:
-        up[0, 0] -= 1
     # one flipped entry of a conjugation or a cover map gives a relation
     # the counit misses; those maps are built afresh, one batch at a time,
     # so the flip goes in through the restriction of that edge's move
@@ -762,6 +772,48 @@ def test_counit_probe_rejects_maps_that_disagree_or_miss_a_relation(monkeypatch)
                                match=re.escape(f"disagree along {src}->{dst} {tag}")):
                 counit_kernel_report(system)
     counit_kernel_report(system)
+
+
+def test_counit_report_matches_the_relation_rows(monkeypatch):
+    # every K system at p = 3 up to order 81 and p = 5 up to order 125:
+    # the forest elimination gives the rank, invariants and surjectivity
+    # of the Smith form of every relation row and counit column, and it
+    # forms residual rows only where the root up maps lose rank
+    residual, formed = limits._residual_rows, []
+    monkeypatch.setattr(limits, "_residual_rows",
+                        lambda *a: formed.append(a[0]) or residual(*a))
+    took = set()
+    for p, bound in ((3, 81), (5, 125)):
+        for _, desc in catalog_groups(p, bound):
+            G = group_from_spec(desc, p)
+            for label in FAMILY_LABELS:
+                system = coefficient_system(G, label, "K")
+                got = counit_kernel_report(system)
+                assert got == counit_report_by_relations(system), (desc, label)
+                if formed and formed[-1] is system:
+                    took.add((desc, label))
+    assert {("prod:xsp:3,cyclic:3", "X"),
+            ("prod:cyclic:9,cyclic:3,cyclic:3", "E")} <= took
+    assert ("elab:3:4", "E") not in took
+
+
+def test_counit_probe_caches_no_up_map_and_stays_small():
+    # the largest probe system: no up map enters the map cache, and the
+    # traced peak of the report stays under 3 MB (7.5 MB with the relation
+    # rows and cached up maps; forming its zero residuals takes it past 3)
+    fam = section_family(group_from_spec("elab:3:4", 3), "E")
+    fam.kernels, fam.edges
+    system = CoefficientSystem(fam, "K")
+    tracemalloc.start()
+    try:
+        rep = counit_kernel_report(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not [k for k in system._map_cache if k[0] == "up"]
+    assert peak < 3_000_000, peak
+    assert (rep["relation_rank"], rep["counit_surjective"], rep["kernel_trivial"]) \
+        == (1900, True, True)
 
 
 def test_counit_probe_needs_functor_k():
