@@ -7,9 +7,10 @@ workers derive their randomness from the seed and the group descriptor,
 and rows are sorted before emission so parallel runs aggregate to the
 same bytes.
 
-Refuted rows always carry a witness that `recheck` can confirm with one
-pass of plain arithmetic (no solving beyond back-substitution against a
-recorded Hermite basis).
+Each check returns its refuted row at its first failing case and
+otherwise a census of the cases it passed.  Refuted rows always carry a
+witness that `recheck` can confirm with one pass of plain arithmetic (no
+solving beyond back-substitution against a recorded Hermite basis).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -73,30 +73,10 @@ EXIT_REFUTED = 2
 EXIT_SKIPPED = 3
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    campaign: str
-    group: str
-    claim: str
-    status: str          # verified | refuted | skipped
-    witness: dict
-    wall_time: float | None = None
-
-    def as_row(self) -> dict:
-        return {
-            "campaign": self.campaign,
-            "claim": self.claim,
-            "group": self.group,
-            "status": self.status,
-            "witness": self.witness,
-            # reports must be byte-stable across runs, so timings never
-            # enter rows
-            "wall_time": None,
-        }
-
-
 def _row(campaign: str, claim: str, group: str, status: str, witness: dict) -> dict:
-    return VerificationReport(campaign, group, claim, status, witness).as_row()
+    # reports must be byte-stable across runs, so timings never enter rows
+    return {"campaign": campaign, "claim": claim, "group": group,
+            "status": status, "witness": witness, "wall_time": None}
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +85,6 @@ def _row(campaign: str, claim: str, group: str, status: str, witness: dict) -> d
 
 def _ints(vec) -> list[int]:
     return [int(v) for v in np.asarray(vec).ravel()]
-
-
-def _mat_eq(A, B) -> bool:
-    A = np.asarray(A, dtype=object)
-    B = np.asarray(B, dtype=object)
-    return A.shape == B.shape and (A.size == 0 or bool(np.all(A == B)))
 
 
 def _first(bad) -> int | None:
@@ -179,6 +153,15 @@ def _sample_indices(rng, n: int, k: int) -> list[int]:
 # induction campaign
 
 
+def _membership_row(camp, claim, desc, vector, lattice, **extra) -> dict:
+    """Refuted row naming a vector outside a lattice, with the lattice's
+    basis to confirm it by."""
+    witness = {"kind": "membership-failure", "vector": _ints(vector),
+               "basis": [_ints(b) for b in lattice.basis],
+               "ambient": lattice.ambient, **extra}
+    return _row(camp, claim, desc, "refuted", witness)
+
+
 def _lattice_identity_row(camp, claim, desc, left, right) -> dict:
     """Row for an exact lattice equality, with a concrete miss on failure."""
     if left == right:
@@ -188,10 +171,7 @@ def _lattice_identity_row(camp, claim, desc, left, right) -> dict:
     for a, b in ((left, right), (right, left)):
         j = _first(~b.members(a.basis.T))
         if j is not None:
-            witness = {"kind": "membership-failure", "vector": _ints(a.basis[j]),
-                       "basis": [_ints(r) for r in b.basis],
-                       "ambient": b.ambient}
-            return _row(camp, claim, desc, "refuted", witness)
+            return _membership_row(camp, claim, desc, a.basis[j], b)
     # same members, different HNF cannot happen; keep the row honest anyway
     witness = {"kind": "lattice-identity", "rank": left.rank,
                "ambient": left.ambient}
@@ -234,7 +214,7 @@ def _delta_identity_row(cfg: RunConfig, factor: int | None = None) -> dict:
     delta = np.asarray(extraspecial_kernel_element(G, 0, 1), dtype=object)
     left = inds[1] - inds[0]
     right = scale * delta
-    status = "verified" if _mat_eq(left, right) else "refuted"
+    status = "verified" if np.array_equal(left, right) else "refuted"
     witness = {"kind": "vector-identity", "left": _ints(left),
                "right": _ints(right), "scale": scale}
     return _row("induction", "induction-difference-is-scaled-delta",
@@ -248,16 +228,13 @@ def _eps_generator_row(cfg: RunConfig) -> dict:
     kern = linearization_kernel(G)
     eps = np.asarray(rank_two_kernel_element(G), dtype=object)
     span = lattice_from_rows(kern.ambient, [eps])
+    claim = "induction-eps-generates-rank-two-kernel"
     if kern.rank == 1 and span == kern:
         witness = {"kind": "generator-span", "generator": _ints(eps),
                    "rank": kern.rank}
-        return _row("induction", "induction-eps-generates-rank-two-kernel",
-                    desc, "verified", witness)
-    witness = {"kind": "membership-failure", "vector": _ints(eps),
-               "basis": [_ints(b) for b in kern.basis],
-               "ambient": kern.ambient, "rank": kern.rank}
-    return _row("induction", "induction-eps-generates-rank-two-kernel",
-                desc, "refuted", witness)
+        return _row("induction", claim, desc, "verified", witness)
+    return _membership_row("induction", claim, desc, eps, kern,
+                           rank=kern.rank)
 
 
 def _induction_rows(desc: str, cfg: RunConfig) -> list[dict]:
@@ -278,19 +255,16 @@ def _induction_rows(desc: str, cfg: RunConfig) -> list[dict]:
     rows.append(_lattice_identity_row(
         "induction", "induction-eps-part-matches-e2-sum", desc, eps_part, e2_sum))
 
+    claim = "induction-scaling-lands-in-eps-part"
     scaled = p * kern.basis.T
     bad = _first(~eps_part.members(scaled))
     if bad is None:
         witness = {"kind": "scaled-membership", "scale": p,
                    "checked": kern.rank}
-        rows.append(_row("induction", "induction-scaling-lands-in-eps-part",
-                         desc, "verified", witness))
+        rows.append(_row("induction", claim, desc, "verified", witness))
     else:
-        witness = {"kind": "membership-failure", "vector": _ints(scaled[:, bad]),
-                   "basis": [_ints(b) for b in eps_part.basis],
-                   "ambient": eps_part.ambient}
-        rows.append(_row("induction", "induction-scaling-lands-in-eps-part",
-                         desc, "refuted", witness))
+        rows.append(_membership_row("induction", claim, desc, scaled[:, bad],
+                                    eps_part))
 
     if desc == f"elab:{p}:2":
         rows.append(_eps_generator_row(cfg))
@@ -326,11 +300,16 @@ def _exact_rows(desc: str, cfg: RunConfig) -> list[dict]:
                "annihilator_matches": bool(rep["annihilator_matches"])}
     rows.append(_row("exact", "dual-quotient-free", desc,
                      "verified" if ok else "refuted", witness))
+    rows.append(_dual_descent_row(desc, G))
+    return rows
 
+
+def _dual_descent_row(desc, G) -> dict:
+    """Induce-after-inflate bisets, and their opposites, at a few X3
+    sections carry character functionals to character functionals."""
     secs = _x3_quotients(G, 3)
     char_g = character_dual_sublattice(G)
     checked = 0
-    failure = None
     for sec in secs:
         U = indinf_biset(sec)
         char_q = character_dual_sublattice(sec.group)
@@ -338,24 +317,12 @@ def _exact_rows(desc: str, cfg: RunConfig) -> list[dict]:
             images = _exact_matmul(dual_action_matrix(biset), src.basis.T)
             j = _first(~dst.members(images))
             if j is not None:
-                failure = (images[:, j], dst)
-                break
+                return _membership_row("exact", "dual-action-descends", desc,
+                                       images[:, j], dst)
             checked += src.rank
-        if failure:
-            break
-    if failure is None:
-        witness = {"kind": "dual-descent", "bisets": 2 * len(secs),
-                   "cases": checked}
-        rows.append(_row("exact", "dual-action-descends", desc,
-                         "verified", witness))
-    else:
-        v, lat = failure
-        witness = {"kind": "membership-failure", "vector": _ints(v),
-                   "basis": [_ints(b) for b in lat.basis],
-                   "ambient": lat.ambient}
-        rows.append(_row("exact", "dual-action-descends", desc,
-                         "refuted", witness))
-    return rows
+    witness = {"kind": "dual-descent", "bisets": 2 * len(secs),
+               "cases": checked}
+    return _row("exact", "dual-action-descends", desc, "verified", witness)
 
 
 # ---------------------------------------------------------------------------
@@ -539,12 +506,10 @@ def _probe_rows(desc: str, cfg: RunConfig) -> list[dict]:
 # appendix campaign: concrete-biset case engines
 
 
-def _outcome(claim: str, desc: str, failure, cases: int, small: bool,
-             extra: dict | None = None) -> list[dict]:
-    """The row of one appendix claim: refuted on its first failure, a
-    (case, left, right) triple, else a census of its cases if it has any."""
-    if failure:
-        return [_fail_row(claim, desc, *failure)]
+def _census(claim: str, desc: str, cases: int, small: bool,
+            extra: dict | None = None) -> list[dict]:
+    """The verified row of one appendix claim, a census of its cases, if
+    it has any."""
     if not cases:
         return []
     witness = {"kind": "case-census", "cases": int(cases),
@@ -553,21 +518,11 @@ def _outcome(claim: str, desc: str, failure, cases: int, small: bool,
     return [_row("appendix", claim, desc, "verified", witness)]
 
 
-def _fail_row(claim: str, desc: str, case: dict, left, right) -> dict:
+def _fail_row(claim: str, desc: str, case: dict, left, right) -> list[dict]:
+    """The refuted row of one appendix claim at its first failing case."""
     witness = {"kind": "case-failure", "case": case,
                "left": left, "right": right}
-    return _row("appendix", claim, desc, "refuted", witness)
-
-
-def _conjugation_cases(U, mask, members, us, gs, conj, moved):
-    """(first failure or None, cases passed before it) where mask row us[i]
-    read through conj[i] must equal mask row moved[i]."""
-    lhs, rhs = mask[us[:, None], conj], mask[moved]
-    i = _first((lhs != rhs).any(axis=1))
-    if i is None:
-        return None, len(us)
-    return ({"biset": U.name, "point": int(us[i]), "element": int(gs[i]),
-             "subgroup": _ints(members)}, _members(lhs[i]), _members(rhs[i])), i
+    return [_row("appendix", claim, desc, "refuted", witness)]
 
 
 def _closed(table, left, right, into) -> np.ndarray:
@@ -613,6 +568,24 @@ def _subquotient_fps(ana, ti: int, si: int) -> set:
             for s in np.flatnonzero(ana.normal[:, t] & ana.leq[si]).tolist()}
 
 
+def _conjugation_row(claim, desc, transporters, checks, small) -> list[dict]:
+    """Row of one transporter side: for each (biset U, subgroup members,
+    points us, elements gs, conj, moved), row us[i] of the transporter
+    mask read through conj[i] must equal its row moved[i]."""
+    cases = 0
+    for U, members, us, gs, conj, moved in checks:
+        mask = transporters(U, members)
+        lhs, rhs = mask[us[:, None], conj], mask[moved]
+        i = _first((lhs != rhs).any(axis=1))
+        if i is not None:
+            case = {"biset": U.name, "point": int(us[i]),
+                    "element": int(gs[i]), "subgroup": _ints(members)}
+            return _fail_row(claim, desc, case, _members(lhs[i]),
+                             _members(rhs[i]))
+        cases += len(us)
+    return _census(claim, desc, cases, small)
+
+
 def _appendix_transporter_rows(desc, G, ana, pool, small, rng) -> list[dict]:
     # conjugation moves the transported subgroup with the point, on each side
     t_choices = []
@@ -628,10 +601,10 @@ def _appendix_transporter_rows(desc, G, ana, pool, small, rng) -> list[dict]:
     if not t_choices:
         t_choices = [[0]]
 
-    cases_a = 0
-    fail_a = None
-    cases_ap = 0
-    fail_ap = None
+    # every biset's points are drawn before any check runs; z lies in
+    # T^(u.x) iff x z x^-1 lies in T^u, and in ^(y.u)S iff y^-1 z y lies
+    # in ^uS
+    right, left = [], []
     for U in pool:
         Q = U.right_group
         ana_q = analysis(Q)
@@ -652,41 +625,29 @@ def _appendix_transporter_rows(desc, G, ana, pool, small, rng) -> list[dict]:
                    for _ in range(10)]
             lefts = [(int(rng.integers(U.size)), int(rng.integers(G.order)))
                      for _ in range(10)]
-        # z lies in T^(u.x) iff x z x^-1 lies in T^u, and in ^(y.u)S iff
-        # y^-1 z y lies in ^uS
         us, xs = np.array(pts).T
-        for tmem in t_choices[:2]:
-            if fail_a:
-                break
-            fail_a, n = _conjugation_cases(
-                U, right_transporters(U, tmem), tmem, us, xs,
-                Q.table[Q.table[xs], Q.inv[xs][:, None]], U.right[us, xs])
-            cases_a += n
+        conj = Q.table[Q.table[xs], Q.inv[xs][:, None]]
+        right += [(U, tmem, us, xs, conj, U.right[us, xs])
+                  for tmem in t_choices[:2]]
         us, ys = np.array(lefts).T
-        for smem in s_choices[:2]:
-            if fail_ap:
-                break
-            fail_ap, n = _conjugation_cases(
-                U, left_transporters(U, smem), smem, us, ys,
-                G.table[G.table[G.inv[ys]], ys[:, None]], U.left[ys, us])
-            cases_ap += n
-    return (_outcome("transporter-conjugation-right", desc, fail_a, cases_a,
-                     small)
-            + _outcome("transporter-conjugation-left", desc, fail_ap, cases_ap,
-                       small))
+        conj = G.table[G.table[G.inv[ys]], ys[:, None]]
+        left += [(U, smem, us, ys, conj, U.left[ys, us]) for smem in s_choices]
+    return (_conjugation_row("transporter-conjugation-right", desc,
+                             right_transporters, right, small)
+            + _conjugation_row("transporter-conjugation-left", desc,
+                               left_transporters, left, small))
 
 
 def _appendix_section_transport_rows(desc, ana, pool, secs_x3, small,
                                      rng) -> list[dict]:
+    """Both claims share one count: a case is a point whose transported
+    pair is a section and whose quotient is a subquotient."""
     sec_choices = [(ti, si, _subquotient_fps(ana, ti, si))
                    for ti, si in _signature_reps(ana, secs_x3, 3)]
-    cases_b = 0
-    fail_b = None
-    cases_bp = 0
-    fail_bp = None
+    pair = "transported-pair-is-section"
+    quotient = "transported-quotient-is-subquotient"
+    cases = 0
     for U in pool:
-        if fail_b or fail_bp:
-            break
         Q = U.right_group
         ana_q = analysis(Q)
         if small:
@@ -695,8 +656,6 @@ def _appendix_section_transport_rows(desc, ana, pool, secs_x3, small,
             pts = _sample_indices(rng, U.size, 4)
         conj = Q.table[Q.table, Q.inv[:, None]]         # conj[t, s] = t s t^-1
         for ti, si, fps in sec_choices:
-            if fail_b or fail_bp:
-                break
             tmem, smem = ana.subgroup_members[ti], ana.subgroup_members[si]
             tq, sq = (right_transporters(U, m)[pts] for m in (tmem, smem))
             ok = (tq[:, 0] & sq[:, 0] & ~(sq & ~tq).any(axis=1)
@@ -706,28 +665,26 @@ def _appendix_section_transport_rows(desc, ana, pool, secs_x3, small,
                 case = {"biset": U.name, "point": int(u),
                         "top_order": len(tmem), "bottom_order": len(smem)}
                 if not ok[i]:
-                    fail_b = (case, _members(sq[i]), _members(tq[i]))
-                    break
-                cases_b += 1
+                    return (_fail_row(pair, desc, case, _members(sq[i]),
+                                      _members(tq[i]))
+                            + _census(quotient, desc, cases, small))
                 fp = _fingerprint(ana_q, ana_q.index_of(_members(tq[i])),
                                   ana_q.index_of(_members(sq[i])))
                 if fp not in fps:
-                    fail_bp = (case, [fp[0], fp[1], list(fp[2])],
-                               sorted([f[0], f[1], list(f[2])] for f in fps))
-                    break
-                cases_bp += 1
-    return (_outcome("transported-pair-is-section", desc, fail_b, cases_b,
-                     small)
-            + _outcome("transported-quotient-is-subquotient", desc, fail_bp,
-                       cases_bp, small))
+                    return (_census(pair, desc, cases + 1, small)
+                            + _fail_row(quotient, desc, case,
+                                        [fp[0], fp[1], list(fp[2])],
+                                        sorted([f[0], f[1], list(f[2])]
+                                               for f in fps)))
+                cases += 1
+    return (_census(pair, desc, cases, small)
+            + _census(quotient, desc, cases, small))
 
 
 def _appendix_composite_transporter_rows(desc, pool, small, rng) -> list[dict]:
+    claim = "transporter-through-composite"
     cases = 0
-    failure = None
     for U in pool[:2]:
-        if failure:
-            break
         V = opposite(U)
         W, pairs = compose(V, U, return_pairs=True)
         Q = V.left_group
@@ -757,14 +714,14 @@ def _appendix_composite_transporter_rows(desc, pool, small, rng) -> list[dict]:
         ldirect = left_transporters(W, smem)[ws]
         bad_right = (chain != direct).any(axis=1)
         i = _first(bad_right | (lchain != ldirect).any(axis=1))
-        cases += 2 * (len(pvu) if i is None else i)
         if i is not None:
             case = {"biset": U.name, "v": int(vs[i]), "u": int(us[i]),
                     "w": int(ws[i])}
             lhs, rhs = (chain, direct) if bad_right[i] else (lchain, ldirect)
-            failure = (case, _members(lhs[i]), _members(rhs[i]))
-    return _outcome("transporter-through-composite", desc, failure, cases,
-                    small)
+            return _fail_row(claim, desc, case, _members(lhs[i]),
+                             _members(rhs[i]))
+        cases += 2 * len(pvu)
+    return _census(claim, desc, cases, small)
 
 
 def _appendix_quotient_collapse_rows(desc, G, ana, secs_x3, small,
@@ -788,13 +745,8 @@ def _appendix_quotient_collapse_rows(desc, G, ana, secs_x3, small,
         sec_limit)
     built = {}              # ts -> outer biset, [(inner biset, composite)]
     cases = 0
-    failure = None
     for cmem in picks:
-        if failure:
-            break
         for ts in sec_picks:
-            if failure:
-                break
             if ts not in built:
                 V = indinf_biset(_section(ana, ts))
                 inner = _x3_quotients(V.right_group, 2 if small else 4)
@@ -806,50 +758,42 @@ def _appendix_quotient_collapse_rows(desc, G, ana, secs_x3, small,
             for U, VU in inner:
                 lhs = compose(Vq, left_quotient_biset(U, ak))
                 rhs = left_quotient_biset(VU, cmem)
-                case = {"collapsed": _ints(cmem), "outer": V.name,
-                        "inner": U.name}
                 if not is_biset_iso(lhs, rhs):
-                    failure = (case, [lhs.size], [rhs.size])
-                    break
+                    case = {"collapsed": _ints(cmem), "outer": V.name,
+                            "inner": U.name}
+                    return _fail_row("quotient-collapse-composition", desc,
+                                     case, [lhs.size], [rhs.size])
                 cases += 1
-    return _outcome("quotient-collapse-composition", desc, failure, cases,
-                    small)
-
-
-def _whole_group_slot(system):
-    ana = system.ana
-    return system.family.pos.get((ana.n_sub - 1, 0))
+    return _census("quotient-collapse-composition", desc, cases, small)
 
 
 def _appendix_unit_component_rows(desc, G, small) -> list[dict]:
+    claim = "whole-group-unit-component-identity"
     labels = ("E", "E3", "X", "X3") if small else ("E", "X")
     cases = 0
-    failure = None
     combos = []
     for label in labels:
         if not small and G.is_abelian and label == "X":
             # identical section family; the E pass already covers it
             continue
+        slot = section_family(G, label).whole_pos
+        if slot is None:
+            continue
         for functor in ("B", "K", "Kdual"):
             system = coefficient_system(G, label, functor)
-            slot = _whole_group_slot(system)
-            if slot is None:
-                continue
             block = np.asarray(system.defres_from_base(slot), dtype=object)
-            if not _mat_eq(block, obj_eye(system.base_rank)):
-                failure = ({"family": label, "functor": functor},
-                           _ints(block), _ints(obj_eye(system.base_rank)))
-                break
+            eye = obj_eye(system.base_rank)
+            if not np.array_equal(block, eye):
+                case = {"family": label, "functor": functor}
+                return _fail_row(claim, desc, case, _ints(block), _ints(eye))
             cases += system.base_rank
             combos.append(f"{label}/{functor}")
-        if failure:
-            break
-    return _outcome("whole-group-unit-component-identity", desc, failure,
-                    cases, small, {"combos": combos})
+    return _census(claim, desc, cases, small, {"combos": combos})
 
 
 def _appendix_limit_action_rows(desc, G, ana, secs_x3, small,
                                 rng) -> list[dict]:
+    claim = "limit-image-stays-compatible"
     functors = ("B", "K") if small else ("K",)
     sizes = ana.sizes
     proper = [(t, s) for t, s in secs_x3
@@ -862,10 +806,7 @@ def _appendix_limit_action_rows(desc, G, ana, secs_x3, small,
     sec_picks = [_section(ana, ts) for ts in sec_picks]
 
     cases = 0
-    failure = None
     for functor in functors:
-        if failure:
-            break
         sys_p = coefficient_system(G, "X3", functor)
         if sys_p.total == 0:
             continue
@@ -882,39 +823,32 @@ def _appendix_limit_action_rows(desc, G, ana, secs_x3, small,
             try:
                 residual_check(sys_q, img)
             except ConstraintViolation as err:
-                failure = (case, err.edge, err.residual)
-                break
+                return _fail_row(claim, desc, case, err.edge, err.residual)
             lim_q = inverse_limit(sys_q)
             jbad = _first(~coords_in_hnf(lim_q.basis.T, img, lim_q.pivots)[1])
             if jbad is not None:
-                failure = (case, _ints(img[:, jbad]),
-                           [_ints(lim_q.basis[:, j]) for j in range(lim_q.rank)])
-                break
+                return _fail_row(claim, desc, case, _ints(img[:, jbad]),
+                                 [_ints(col) for col in lim_q.basis.T])
             cases += lim_p.rank
-        if failure:
-            break
-    return _outcome("limit-image-stays-compatible", desc, failure, cases,
-                    small)
+    return _census(claim, desc, cases, small)
 
 
 def _appendix_identity_action_rows(desc, G, small) -> list[dict]:
     functors = ("B", "K") if small else ("K",)
     cases = 0
-    failure = None
     for functor in functors:
         system = coefficient_system(G, "X3", functor)
         if system.total == 0:
             continue
         A = act_on_limit_matrix(identity_biset(G), system, system)
         eye = obj_eye(system.total)
-        if not _mat_eq(A, eye):
+        if not np.array_equal(A, eye):
             i, j = np.argwhere(A != eye)[0].tolist()
-            failure = ({"functor": functor, "cell": [i, j]},
-                       [int(A[i, j])], [int(eye[i, j])])
-            break
+            return _fail_row("identity-biset-acts-trivially", desc,
+                             {"functor": functor, "cell": [i, j]},
+                             [int(A[i, j])], [int(eye[i, j])])
         cases += system.total
-    return _outcome("identity-biset-acts-trivially", desc, failure, cases,
-                    small)
+    return _census("identity-biset-acts-trivially", desc, cases, small)
 
 
 def _appendix_composite_action_rows(desc, G, ana, secs_x3, small,
@@ -931,17 +865,12 @@ def _appendix_composite_action_rows(desc, G, ana, secs_x3, small,
 
     cases = 0
     pairs = 0
-    failure = None
     for functor in functors:
-        if failure:
-            break
         sys0 = coefficient_system(G, "X3", functor)
         if sys0.total == 0:
             continue
         lim0 = inverse_limit(sys0)
         for sec1 in outers:
-            if failure:
-                break
             Q1 = sec1.group
             U = defres_biset(sec1)
             sys1 = coefficient_system(Q1, "X3", functor)
@@ -952,53 +881,42 @@ def _appendix_composite_action_rows(desc, G, ana, secs_x3, small,
                 M2 = act_on_limit_matrix(V, sys2, sys1)
                 W = compose(V, U)
                 MW = act_on_limit_matrix(W, sys2, sys0)
-                case = {"functor": functor,
-                        "outer_quotient": Q1.order,
-                        "inner_quotient": sec2.group.order}
                 got = _exact_matmul(M2, M1)
-                if not _mat_eq(got, MW):
+                if not np.array_equal(got, MW):
                     i, j = np.argwhere(got != MW)[0].tolist()
-                    case["cell"] = [i, j]
-                    failure = (case, [int(got[i, j])], [int(MW[i, j])])
-                    break
+                    case = {"functor": functor,
+                            "outer_quotient": Q1.order,
+                            "inner_quotient": sec2.group.order,
+                            "cell": [i, j]}
+                    return _fail_row("action-matches-composite", desc, case,
+                                     [int(got[i, j])], [int(MW[i, j])])
                 pairs += 1
                 cases += max(lim0.rank, 1)
-    return _outcome("action-matches-composite", desc, failure, cases, small,
-                    {"pairs": pairs})
+    return _census("action-matches-composite", desc, cases, small,
+                   {"pairs": pairs})
 
 
 def _appendix_adjunction_rows(desc, G, small, rng) -> list[dict]:
-    rows = []
-    combos = []
-    if small:
-        for functor in ("B", "Kdual"):
-            combos.append(("X3", functor))
-    else:
-        combos.append(("E", "Kdual"))
-
+    claim = "adjunction-round-trips"
+    combos = [("X3", "B"), ("X3", "Kdual")] if small else [("E", "Kdual")]
     group_cases = 0
     limit_cases = 0
-    failure = None
     for label, functor in combos:
-        system = coefficient_system(G, label, functor)
-        slot = _whole_group_slot(system)
+        slot = section_family(G, label).whole_pos
         if slot is None:
             continue
-        dims = system.dims
+        system = coefficient_system(G, label, functor)
         scalars = (1, 2, -1, 3) if small else tuple(
             int(c) for c in rng.integers(-4, 5, size=6) if c != 0) or (2,)
         for c in scalars:
-            comps = [c * obj_eye(d) for d in dims]
+            comps = [c * obj_eye(d) for d in system.dims]
             stacked = adjunction_plus(system, system, comps)
             back = adjunction_minus(system, stacked)
             want = c * obj_eye(system.base_rank)
-            if not _mat_eq(back, want):
-                failure = ({"family": label, "functor": functor,
-                            "scalar": int(c)}, _ints(back), _ints(want))
-                break
+            if not np.array_equal(back, want):
+                case = {"family": label, "functor": functor, "scalar": int(c)}
+                return _fail_row(claim, desc, case, _ints(back), _ints(want))
             group_cases += 1
-        if failure:
-            break
         lim = inverse_limit(system)
         if lim.rank == 0:
             continue
@@ -1010,29 +928,20 @@ def _appendix_adjunction_rows(desc, G, small, rng) -> list[dict]:
             mix = rng.integers(-3, 4, size=(lim.rank, 40)).astype(object)
             columns.append(_exact_matmul(lim.basis, mix))
         for mat in columns:
-            base_block = mat[off:off + d0, :]
-            completed = _exact_matmul(unit, base_block)
-            if not _mat_eq(completed, mat):
+            completed = _exact_matmul(unit, mat[off:off + d0, :])
+            if not np.array_equal(completed, mat):
                 jbad = _first((completed != mat).any(axis=0)) or 0
-                failure = ({"family": label, "functor": functor,
-                            "column": jbad},
-                           _ints(completed[:, jbad]), _ints(mat[:, jbad]))
-                break
+                case = {"family": label, "functor": functor, "column": jbad}
+                return _fail_row(claim, desc, case, _ints(completed[:, jbad]),
+                                 _ints(mat[:, jbad]))
             limit_cases += mat.shape[1]
-        if failure:
-            break
-    if failure:
-        case, left, right = failure
-        rows.append(_fail_row("adjunction-round-trips", desc, case,
-                              left, right))
-    elif group_cases or limit_cases:
-        witness = {"kind": "adjunction-census",
-                   "groupwise_cases": group_cases,
-                   "limitwise_cases": limit_cases,
-                   "mode": "exhaustive" if small else "sampled"}
-        rows.append(_row("appendix", "adjunction-round-trips", desc,
-                         "verified", witness))
-    return rows
+    if not group_cases + limit_cases:
+        return []
+    witness = {"kind": "adjunction-census",
+               "groupwise_cases": group_cases,
+               "limitwise_cases": limit_cases,
+               "mode": "exhaustive" if small else "sampled"}
+    return [_row("appendix", claim, desc, "verified", witness)]
 
 
 def _appendix_rows(desc: str, cfg: RunConfig) -> list[dict]:
@@ -1105,10 +1014,6 @@ def _bounds_rows(campaign: str, cfg: RunConfig) -> list[dict]:
 def run_campaign(campaign: str, cfg: RunConfig) -> dict:
     if campaign not in CAMPAIGNS:
         raise ValueError(f"unknown campaign {campaign!r}")
-    if cfg.klass == "custom":
-        raise ValueError(
-            "campaigns run over the named section classes; build a custom "
-            "family through the library instead")
     tasks = [(campaign, desc, cfg._asdict())
              for _, desc in catalog_groups(cfg.p, cfg.max_order)]
     if cfg.jobs > 1 and len(tasks) > 1:

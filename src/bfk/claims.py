@@ -290,16 +290,6 @@ CLAIMS: tuple[Claim, ...] = (
 )
 
 
-_BY_ID = {c.id: c for c in CLAIMS}
-
-
-def claim(claim_id: str) -> Claim:
-    try:
-        return _BY_ID[claim_id]
-    except KeyError:
-        raise KeyError(f"unknown claim id {claim_id!r}") from None
-
-
 # ---------------------------------------------------------------------------
 # the scope of a run: section classes, functors, configuration, catalog
 
@@ -339,7 +329,7 @@ class RunConfig(namedtuple("RunConfig",
         if m != 1:
             raise ValueError(
                 f"max_order must be a power of p={self.p}, got {self.max_order}")
-        if self.klass not in FAMILY_LABELS + ("custom",):
+        if self.klass not in FAMILY_LABELS:
             raise ValueError(f"unknown section class {self.klass!r}")
         if self.functor not in FUNCTOR_NAMES:
             raise ValueError(f"unknown functor {self.functor!r}")

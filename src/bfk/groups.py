@@ -577,11 +577,6 @@ def analysis(G: FiniteGroup, bound: int | None = None) -> GroupAnalysis:
 # ---------------------------------------------------------------------------
 # public wrappers
 
-def center(G: FiniteGroup) -> Subgroup:
-    ana = analysis(G)
-    return Subgroup(G, ana.center_members)
-
-
 # the codes of GroupAnalysis.shapes that are no elementary abelian rank
 SHAPE_OTHER = -1
 SHAPE_XSP = -2

@@ -170,6 +170,7 @@ class SectionFamily:
         self.sections = list(zip(tops.tolist(), bots.tolist()))
         self.pos = {ts: i for i, ts in enumerate(self.sections)}
         n = ana.n_sub
+        self.whole_pos = self.pos.get((n - 1, 0))    # the section (P, 1)
         pos_t = np.min_scalar_type(-n - 1)   # holds -1 and every count up to n
         if G.is_abelian:
             least = np.arange(n, dtype=pos_t)[None, :]
@@ -207,14 +208,14 @@ class SectionFamily:
         ring_data.
         """
         out = []
-        for slot, rows in zip(self.slots, _mark_rows(self)):
+        for i, (slot, rows) in enumerate(zip(self.slots, _mark_rows(self))):
             if rows is None:
                 out.append((np.zeros((0, slot.dim), dtype=np.int64), []))
                 continue
             key = (rows.shape, rows.tobytes())
             got = self._kernel_memo.get(key)
             if got is None:
-                if slot.index(self.ana) == self.group.order:
+                if i == self.whole_pos:
                     base = ring_data(self.group).kernel()
                     kern, piv = base.basis, base._piv
                 else:

@@ -136,10 +136,7 @@ def adjunction_minus(sys_g: CoefficientSystem, stacked: np.ndarray) -> np.ndarra
     matrix at that section is the groupwise map, in the coordinates of
     the value at (P, 1), which equal those of the value at P itself.
     """
-    ana = sys_g.ana
-    top = ana.n_sub - 1
-    bottom = 0
-    pos = sys_g.family.pos.get((top, bottom))
+    pos = sys_g.family.whole_pos
     if pos is None:
         raise FamilyError("family does not contain the whole-group section")
     off = sys_g.offsets[pos]

@@ -30,7 +30,9 @@ the forest elimination of `limits.counit_kernel_report`.  The per-point biset
 references at the end (`left_transporter`, `right_transporter` and the
 former `transfers` forms `transport_subgroup` and `left_transport`; the
 coset, quotient and composition walks; and the three appendix engines
-that called them one point at a time, with their set checks) are the
+that called them one point at a time, with their set checks and the
+former `_outcome`, which turned a first failure or a case count into a
+row) are the
 references for the whole-biset masks and array passes of `bisets` and
 of the appendix engines.  `coords_in_hnf_by_vector`, the former
 one-vector subtraction down the basis rows, is the reference for the
@@ -47,8 +49,8 @@ import numpy as np
 
 from bfk.bisets import ConcreteBiset, compose, defres_biset, indinf_biset, opposite
 from bfk.burnside import ring_data
-from bfk.campaigns import (_fingerprint, _ints, _outcome, _sample_indices,
-                           _signature_reps, _subquotient_fps)
+from bfk.campaigns import (_census, _fail_row, _fingerprint, _ints,
+                           _sample_indices, _signature_reps, _subquotient_fps)
 from bfk.groups import _check_prime_power, _closure, analysis, product_members
 from bfk.limits import CoefficientSystem, _upward_moves, family_contains
 from bfk.zlinalg import (_batches, _exact_matmul, _stack_shared, hnf, hnf_pivots,
@@ -987,6 +989,14 @@ def is_subgroup(Q, members) -> bool:
 def is_normal_inside(Q, sub, top) -> bool:
     sset = set(sub)
     return all(Q.mul(Q.mul(t, s), Q.inv_of(t)) in sset for t in top for s in sub)
+
+
+def _outcome(claim: str, desc: str, failure, cases: int, small: bool) -> list[dict]:
+    """The row of one appendix claim: refuted on its first failure, a
+    (case, left, right) triple, else a census of its cases if it has any."""
+    if failure:
+        return _fail_row(claim, desc, *failure)
+    return _census(claim, desc, cases, small)
 
 
 def transporter_rows_by_points(desc, G, ana, pool, small, rng) -> list[dict]:

@@ -21,7 +21,6 @@ from bfk.burnside import act_on_basis_element, decompose_left_action, ring_data
 from bfk.campaigns import _x3_quotients, catalog_groups
 from bfk.groups import (
     analysis,
-    center,
     cyclic_group,
     direct_product,
     extraspecial_group,
@@ -100,7 +99,7 @@ def test_opposite_of_induction_is_restriction():
 
 def test_opposite_is_an_involution():
     ana = analysis(X27)
-    sec = ana.section_at(range(27), center(X27).members)
+    sec = ana.section_at(range(27), analysis(X27).center_members)
     U = indinf_biset(sec)
     UU = opposite(opposite(U))
     assert np.array_equal(UU.left, U.left)
@@ -162,7 +161,7 @@ def test_orbit_sizes_match_stabilizers():
 
 def test_opposite_reverses_composition():
     ana = analysis(X27)
-    Z = center(X27).members
+    Z = analysis(X27).center_members
     M = next(m for m in ana.subgroup_members if len(m) == 9)
     V = defres_biset(ana.section_at(range(27), Z))
     U = indinf_biset(ana.section_at(M, Z))
@@ -173,7 +172,7 @@ def test_opposite_reverses_composition():
 
 def test_composition_is_associative_up_to_iso():
     ana = analysis(X27)
-    Z = center(X27).members
+    Z = analysis(X27).center_members
     M = next(m for m in ana.subgroup_members if len(m) == 9)
     sec_m = ana.section_at(M, Z)
     W = defres_biset(ana.section_at(range(27), Z))     # quotient <- X
@@ -195,7 +194,7 @@ def test_coset_counts():
 def test_section_transport_and_cocycle():
     ana = analysis(X27)
     L = next(m for m in ana.subgroup_members
-             if len(m) == 3 and m != center(X27).members)
+             if len(m) == 3 and m != analysis(X27).center_members)
     N = normalizer(ana, L)
     sec = ana.section_at(N, L)
     u = next(x for x in range(27) if x not in N)
@@ -211,7 +210,7 @@ def test_section_transport_and_cocycle():
 
 def test_non_isomorphic_transitive_bisets_detected():
     ana = analysis(X27)
-    Z = center(X27).members
+    Z = analysis(X27).center_members
     M1, M2 = [m for m in ana.subgroup_members if len(m) == 9][:2]
     U1 = indinf_biset(ana.section_at(M1, Z))
     U2 = indinf_biset(ana.section_at(M2, Z))
@@ -223,7 +222,7 @@ def test_non_isomorphic_transitive_bisets_detected():
 def test_transport_compatible_with_indinf():
     ana = analysis(X27)
     L = next(m for m in ana.subgroup_members
-             if len(m) == 3 and m != center(X27).members)
+             if len(m) == 3 and m != analysis(X27).center_members)
     N = normalizer(ana, L)
     sec = ana.section_at(N, L)
     u = next(x for x in range(27) if x not in N)
@@ -234,7 +233,7 @@ def test_transport_compatible_with_indinf():
 def test_canonical_stabilizer_is_conjugation_invariant():
     ana = analysis(X27)
     L = next(m for m in ana.subgroup_members
-             if len(m) == 3 and m != center(X27).members)
+             if len(m) == 3 and m != analysis(X27).center_members)
     U = induction_biset(ana, L)
     labels = set()
     for rep, _, stab in orbit_decompose(U):
@@ -248,7 +247,7 @@ def _row(mask, u: int) -> list:
 
 def test_trivial_transporters_are_stabilizers():
     ana = analysis(X27)
-    Z = center(X27).members
+    Z = analysis(X27).center_members
     U = indinf_biset(ana.section_at(range(27), Z))
     left, right = left_transporters(U, [0]), right_transporters(U, [0])
     for u in range(U.size):
@@ -272,7 +271,7 @@ def test_left_transporter_of_induction_is_conjugation():
 
 def test_transporters_move_with_the_point():
     ana = analysis(X27)
-    Z = center(X27).members
+    Z = analysis(X27).center_members
     M = next(m for m in ana.subgroup_members if len(m) == 9)
     U = induction_biset(ana, M)
     Q, T = U.left_group, U.right_group
@@ -292,7 +291,7 @@ def test_transporters_move_with_the_point():
 
 def test_composite_transporters_through_pair_map():
     ana = analysis(X27)
-    Z = center(X27).members
+    Z = analysis(X27).center_members
     M = next(m for m in ana.subgroup_members if len(m) == 9)
     U = induction_biset(ana, M)
     V = opposite(U)
@@ -402,7 +401,7 @@ def test_left_quotient_validates_and_rejects():
     ana = analysis(X27)
     M = next(m for m in ana.subgroup_members if len(m) == 9)
     U = induction_biset(ana, M)
-    Z = center(X27).members
+    Z = analysis(X27).center_members
     Wq = validate_biset(left_quotient_biset(U, Z))
     assert Wq.size == 9
     same = left_quotient_biset(U, [0])

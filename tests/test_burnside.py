@@ -18,7 +18,6 @@ from bfk.burnside import (
 from bfk.campaigns import catalog_groups
 from bfk.groups import (
     analysis,
-    center,
     cyclic_group,
     direct_product,
     elementary_abelian_group,
@@ -104,7 +103,7 @@ def test_marks_shape_and_triangularity():
 def test_marks_spot_values_on_extraspecial():
     rd = ring_data(X27)
     ana = rd.ana
-    zmem = center(X27).members
+    zmem = analysis(X27).center_members
     z_pos = rd.class_position(zmem)
     nc = [j for j, m in enumerate(rd.reps_members)
           if len(m) == 3 and m != zmem]
@@ -181,7 +180,7 @@ def test_extraspecial_kernel_element():
 def test_induced_rank_two_element_frozen():
     rd = ring_data(X27)
     ana = rd.ana
-    zmem = center(X27).members
+    zmem = analysis(X27).center_members
     nc = [j for j, m in enumerate(rd.reps_members)
           if len(m) == 3 and m != zmem]
     want = [0] * rd.n_classes
@@ -227,7 +226,7 @@ def test_fast_paths_match_generic_action():
 def test_generic_action_against_point_biset_oracle():
     ana = analysis(X27)
     dq = ring_data(X27)
-    sec = ana.section_at(tuple(range(27)), center(X27).members)
+    sec = ana.section_at(tuple(range(27)), analysis(X27).center_members)
     U = indinf_biset(sec)
     dqq = ring_data(U.left_group)
     dp = ring_data(U.right_group)
@@ -241,7 +240,7 @@ def test_generic_action_against_point_biset_oracle():
 
 def test_biset_matrix_is_functorial():
     ana = analysis(X27)
-    sec = ana.section_at(tuple(range(27)), center(X27).members)
+    sec = ana.section_at(tuple(range(27)), analysis(X27).center_members)
     U = indinf_biset(sec)
     V = defres_biset(sec)
     MV, MU = biset_matrix(V), biset_matrix(U)
@@ -251,7 +250,7 @@ def test_biset_matrix_is_functorial():
 def test_iso_class_matrix_permutes():
     ana = analysis(X27)
     L = next(m for m in ana.subgroup_members
-             if len(m) == 3 and m != center(X27).members)
+             if len(m) == 3 and m != analysis(X27).center_members)
     N = normalizer(ana, L)
     sec = ana.section_at(N, L)
     u = next(x for x in range(27) if x not in N)
@@ -283,7 +282,7 @@ def test_kernel_is_preserved_by_section_maps():
 
 def test_dual_action_of_cosets_transposes_to_the_opposite_map():
     ana = analysis(X27)
-    sec = ana.section_at(tuple(range(27)), center(X27).members)
+    sec = ana.section_at(tuple(range(27)), analysis(X27).center_members)
     U = indinf_biset(sec)
     assert np.array_equal(dual_action_matrix(U),
                           biset_matrix(defres_biset(sec)).T)
@@ -291,7 +290,7 @@ def test_dual_action_of_cosets_transposes_to_the_opposite_map():
 
 def test_kernel_dual_action_commutes_with_projection():
     ana = analysis(X27)
-    sec = ana.section_at(tuple(range(27)), center(X27).members)
+    sec = ana.section_at(tuple(range(27)), analysis(X27).center_members)
     for U in (indinf_biset(sec), defres_biset(sec)):
         Mstar = dual_action_matrix(U)
         kq = ring_data(U.left_group).kernel()

@@ -2,10 +2,13 @@ import gc
 import json
 import weakref
 from importlib import resources
+from types import SimpleNamespace
 
 import jsonschema
+import numpy as np
 import pytest
 
+import bfk.campaigns as campaigns
 from bfk.bisets import ConcreteBiset, identity_biset, indinf_biset
 from bfk.campaigns import (
     RunConfig,
@@ -25,8 +28,10 @@ from bfk.campaigns import (
     run_campaign,
 )
 from bfk.burnside import ring_data
+from bfk.claims import CAMPAIGNS, CLAIMS
 from bfk.groups import analysis, parse_descriptor
 from bfk.limits import coefficient_system, inverse_limit, section_family
+from bfk.zlinalg import lattice_from_rows
 from helpers import (
     composite_transporter_rows_by_points,
     constraint_violation_by_edges,
@@ -83,6 +88,8 @@ def test_run_config_rejects_bad_values():
     with pytest.raises(ValueError):
         RunConfig(klass="Y")
     with pytest.raises(ValueError):
+        RunConfig(klass="custom")
+    with pytest.raises(ValueError):
         RunConfig(functor="Q")
     with pytest.raises(ValueError):
         RunConfig(jobs=0)
@@ -94,12 +101,6 @@ def test_run_config_echo_hides_scheduling_fields():
     cfg = RunConfig(jobs=4, fmt="csv", seed=9)
     assert cfg.config_block() == {
         "p": 3, "max_order": 81, "class": "X", "functor": "Kdual", "seed": 9}
-
-
-def test_custom_class_is_a_library_only_route():
-    cfg = RunConfig(klass="custom")
-    with pytest.raises(ValueError):
-        run_campaign("main", cfg)
 
 
 def test_unknown_campaign_rejected():
@@ -213,7 +214,6 @@ def test_csv_emission_shape():
 
 def test_refuted_unit_row_names_the_first_violated_edge(monkeypatch):
     # the unit matrix is seeded with two faults after the report is taken
-    import bfk.campaigns as campaigns
     real = campaigns.comparison_report
     seeded = []
 
@@ -319,7 +319,6 @@ def test_section_transport_refutes_a_pair_that_is_no_section():
 
 
 def test_identity_action_names_the_first_wrong_cell(monkeypatch):
-    import bfk.campaigns as campaigns
     act = campaigns.act_on_limit_matrix
 
     def tampered(U, sys_q, sys_p):
@@ -335,3 +334,261 @@ def test_identity_action_names_the_first_wrong_cell(monkeypatch):
     assert row["witness"]["case"] == {"functor": "B", "cell": [2, 1]}
     assert (row["witness"]["left"], row["witness"]["right"]) == ([3], [0])
     assert recheck(row)
+
+
+# ---------------------------------------------------------------------------
+# refuted paths: each check is fed one fault through a name it reads from
+# bfk.campaigns, and its refuted row must name the first failing case with
+# a witness recheck confirms; no catalog run refutes, so these pin the bytes
+
+
+def _eye_ints(n, shift=0):
+    return [int(v) for v in (np.eye(n, dtype=int) * (1 + shift)).ravel()]
+
+
+def test_induced_sums_that_miss_the_kernel_are_refuted(monkeypatch):
+    real = campaigns.sum_of_induced_kernels
+
+    def doubled(G, label):
+        lat = real(G, label)
+        return lattice_from_rows(lat.ambient, 2 * lat.basis)
+
+    monkeypatch.setattr(campaigns, "sum_of_induced_kernels", doubled)
+    rows = {r["claim"]: r for r in campaigns._induction_rows("elab:3:2", RunConfig())}
+    for claim in ("induction-kernel-matches-x2-sum",
+                  "induction-eps-part-matches-e2-sum"):
+        row = rows[claim]
+        assert row["status"] == "refuted" and recheck(row)
+        assert row["witness"] == {
+            "kind": "membership-failure", "vector": [1, -1, -1, -1, -1, 3],
+            "basis": [[2, -2, -2, -2, -2, 6]], "ambient": 6}
+    assert rows["induction-scaling-lands-in-eps-part"]["status"] == "verified"
+
+
+def test_eps_outside_the_kernel_is_refuted(monkeypatch):
+    real = campaigns.rank_two_kernel_element
+
+    def shifted(G):
+        eps = np.array(real(G), dtype=object)
+        eps[0] += 1
+        return eps
+
+    monkeypatch.setattr(campaigns, "rank_two_kernel_element", shifted)
+    row = campaigns._eps_generator_row(RunConfig())
+    assert row["status"] == "refuted" and recheck(row)
+    assert row["witness"] == {
+        "kind": "membership-failure", "vector": [2, -1, -1, -1, -1, 3],
+        "basis": [[1, -1, -1, -1, -1, 3]], "ambient": 6, "rank": 1}
+
+
+def test_scaled_kernel_outside_the_eps_part_is_refuted(monkeypatch):
+    real = campaigns._induced_rank_two
+    monkeypatch.setattr(campaigns, "_induced_rank_two",
+                        lambda ana, slot: 2 * real(ana, slot))
+    rows = {r["claim"]: r for r in campaigns._induction_rows("elab:3:2", RunConfig())}
+    row = rows["induction-scaling-lands-in-eps-part"]
+    assert row["status"] == "refuted" and recheck(row)
+    assert row["witness"] == {
+        "kind": "membership-failure", "vector": [3, -3, -3, -3, -3, 9],
+        "basis": [[2, -2, -2, -2, -2, 6]], "ambient": 6}
+
+
+def test_dual_action_leaving_the_characters_is_refuted(monkeypatch):
+    real = campaigns.dual_action_matrix
+
+    def shifted(biset):
+        M = np.array(real(biset), dtype=object)
+        M[0, :] += 1
+        return M
+
+    monkeypatch.setattr(campaigns, "dual_action_matrix", shifted)
+    rows = {r["claim"]: r for r in campaigns._exact_rows("elab:3:2", RunConfig())}
+    row = rows["dual-action-descends"]
+    assert row["status"] == "refuted" and recheck(row)
+    assert row["witness"] == {
+        "kind": "membership-failure", "vector": [10, 3, 3, 3, 3, 1],
+        "basis": [[1, 0, 0, 0, 1, 0], [0, 1, 0, 0, 2, 1], [0, 0, 1, 0, 2, 1],
+                  [0, 0, 0, 1, 2, 1], [0, 0, 0, 0, 3, 1]],
+        "ambient": 6}
+
+
+def _appendix_args(desc):
+    G = parse_descriptor(desc, 3)
+    return G, analysis(G), section_family(G, "X3").sections
+
+
+def test_transported_quotient_outside_the_subquotients_is_refuted(monkeypatch):
+    # each section of order > 1 loses its own fingerprint, so the first
+    # point that transports it whole fails; the pair claim keeps its count
+    real = campaigns._subquotient_fps
+
+    def without_self(ana, ti, si):
+        fps = real(ana, ti, si)
+        if ana.sizes[ti] > ana.sizes[si]:
+            fps.discard(campaigns._fingerprint(ana, ti, si))
+        return fps
+
+    monkeypatch.setattr(campaigns, "_subquotient_fps", without_self)
+    G, ana, secs = _appendix_args("elab:3:2")
+    pool = [indinf_biset(sec) for sec in _x3_quotients(G, 4)]
+    rows = _appendix_section_transport_rows(
+        "elab:3:2", ana, pool, secs, True,
+        _engine_rng(RunConfig(max_order=27), "elab:3:2", 2))
+    assert [(r["claim"], r["status"]) for r in rows] == [
+        ("transported-pair-is-section", "verified"),
+        ("transported-quotient-is-subquotient", "refuted")]
+    assert rows[0]["witness"] == {"kind": "case-census", "cases": 37,
+                                  "mode": "exhaustive"}
+    assert rows[1]["witness"] == {
+        "kind": "case-failure",
+        "case": {"biset": "indinf[((0, 1, 2), (0,))]", "point": 0,
+                 "top_order": 3, "bottom_order": 1},
+        "left": [3, True, [1, 3, 3]], "right": [[1, True, [1]]]}
+    assert all(recheck(r) for r in rows)
+
+
+def test_collapse_skipped_after_composing_is_refuted(monkeypatch):
+    real = campaigns.left_quotient_biset
+    monkeypatch.setattr(campaigns, "left_quotient_biset",
+                        lambda U, members: U if ")o(" in U.name else real(U, members))
+    G, ana, secs = _appendix_args("elab:3:2")
+    row, = campaigns._appendix_quotient_collapse_rows(
+        "elab:3:2", G, ana, secs, True,
+        _engine_rng(RunConfig(max_order=27), "elab:3:2", 4))
+    assert row["status"] == "refuted" and recheck(row)
+    assert row["witness"] == {
+        "kind": "case-failure",
+        "case": {"collapsed": [0, 1, 2], "outer": "indinf[((0,), (0,))]",
+                 "inner": "indinf[((0,), (0,))]"},
+        "left": [3], "right": [9]}
+
+
+def test_unit_component_off_the_identity_is_refuted(monkeypatch):
+    real = campaigns.obj_eye
+    monkeypatch.setattr(campaigns, "obj_eye", lambda n: 2 * real(n))
+    G = parse_descriptor("elab:3:2", 3)
+    row, = campaigns._appendix_unit_component_rows("elab:3:2", G, True)
+    assert row["status"] == "refuted" and recheck(row)
+    assert row["witness"] == {
+        "kind": "case-failure", "case": {"family": "E", "functor": "B"},
+        "left": _eye_ints(6), "right": _eye_ints(6, shift=1)}
+
+
+def test_limit_image_off_the_constraints_is_refuted(monkeypatch):
+    real = campaigns.act_on_limit_matrix
+
+    def shifted(U, sys_q, sys_p):
+        A = real(U, sys_q, sys_p).copy()
+        A[0, 0] += 1
+        return A
+
+    monkeypatch.setattr(campaigns, "act_on_limit_matrix", shifted)
+    G, ana, secs = _appendix_args("elab:3:2")
+    row, = campaigns._appendix_limit_action_rows(
+        "elab:3:2", G, ana, secs, True,
+        _engine_rng(RunConfig(max_order=27), "elab:3:2", 5))
+    assert row["status"] == "refuted" and recheck(row)
+    # the trivial quotient has no edge; the first edge of C3 breaks
+    assert row["witness"] == {
+        "kind": "case-failure",
+        "case": {"functor": "B", "top_order": 3, "bottom_order": 1},
+        "left": [1, 0, "('cover', 'res')"], "right": [-1, 0, 0, 0, 0, 0]}
+
+
+def test_limit_image_outside_the_target_limit_is_refuted(monkeypatch):
+    # the limit of each proper nontrivial quotient is replaced by twice it,
+    # so a compatible image falls outside it
+    real = campaigns.inverse_limit
+    G, ana, secs = _appendix_args("elab:3:2")
+
+    def doubled(system):
+        lim = real(system)
+        if system.group.order in (1, G.order):
+            return lim
+        return SimpleNamespace(basis=2 * lim.basis, pivots=lim.pivots,
+                               rank=lim.rank)
+
+    monkeypatch.setattr(campaigns, "inverse_limit", doubled)
+    row, = campaigns._appendix_limit_action_rows(
+        "elab:3:2", G, ana, secs, True,
+        _engine_rng(RunConfig(max_order=27), "elab:3:2", 5))
+    assert row["status"] == "refuted" and recheck(row)
+    assert row["witness"] == {
+        "kind": "case-failure",
+        "case": {"functor": "B", "top_order": 3, "bottom_order": 1},
+        "left": [1, 0, 1, 1], "right": [[2, 0, 2, 2], [0, 2, -6, -4]]}
+
+
+def test_composite_action_off_by_one_cell_is_refuted(monkeypatch):
+    # only products with more than one row are touched, so the pairs
+    # through the trivial quotient pass first
+    real = campaigns._exact_matmul
+
+    def shifted(A, B):
+        C = real(A, B)
+        if C.shape[0] > 1:
+            C = C.copy()
+            C[1, 2] += 1
+        return C
+
+    monkeypatch.setattr(campaigns, "_exact_matmul", shifted)
+    G, ana, secs = _appendix_args("elab:3:2")
+    row, = campaigns._appendix_composite_action_rows(
+        "elab:3:2", G, ana, secs, True,
+        _engine_rng(RunConfig(max_order=27), "elab:3:2", 6))
+    assert row["status"] == "refuted" and recheck(row)
+    assert row["witness"] == {
+        "kind": "case-failure",
+        "case": {"functor": "B", "outer_quotient": 3, "inner_quotient": 3,
+                 "cell": [1, 2]},
+        "left": [1], "right": [0]}
+
+
+def test_groupwise_round_trip_off_the_scalar_is_refuted(monkeypatch):
+    real = campaigns.adjunction_minus
+
+    def shifted(system, stacked):
+        back = real(system, stacked).copy()
+        back[0, -1] += 1
+        return back
+
+    monkeypatch.setattr(campaigns, "adjunction_minus", shifted)
+    G = parse_descriptor("elab:3:2", 3)
+    row, = campaigns._appendix_adjunction_rows(
+        "elab:3:2", G, True, _engine_rng(RunConfig(max_order=27), "elab:3:2", 7))
+    assert row["status"] == "refuted" and recheck(row)
+    left = _eye_ints(6)
+    left[5] = 1
+    assert row["witness"] == {
+        "kind": "case-failure",
+        "case": {"family": "X3", "functor": "B", "scalar": 1},
+        "left": left, "right": _eye_ints(6)}
+
+
+def test_limitwise_round_trip_off_the_limit_is_refuted(monkeypatch):
+    real = campaigns._exact_matmul
+
+    def shifted(A, B):
+        C = real(A, B).copy()
+        C[-1, -1] += 1
+        return C
+
+    monkeypatch.setattr(campaigns, "_exact_matmul", shifted)
+    G = parse_descriptor("elab:3:2", 3)
+    row, = campaigns._appendix_adjunction_rows(
+        "elab:3:2", G, True, _engine_rng(RunConfig(max_order=27), "elab:3:2", 7))
+    assert row["status"] == "refuted" and recheck(row)
+    lim = inverse_limit(coefficient_system(G, "X3", "B"))
+    right = [int(v) for v in lim.basis[:, -1]]
+    left = right[:-1] + [right[-1] + 1]
+    assert row["witness"] == {
+        "kind": "case-failure",
+        "case": {"family": "X3", "functor": "B", "column": lim.rank - 1},
+        "left": left, "right": right}
+
+
+def test_report_claims_match_the_registry():
+    for name in CAMPAIGNS:
+        doc = run_campaign(name, RunConfig(max_order=27))
+        assert ({r["claim"] for r in doc["rows"]}
+                == {c.id for c in CLAIMS if c.campaign == name}), name

@@ -1,6 +1,4 @@
-import pytest
-
-from bfk.claims import CAMPAIGNS, CLAIMS, claim
+from bfk.claims import CAMPAIGNS, CLAIMS
 
 
 def claims_for(campaign):
@@ -36,10 +34,3 @@ def test_expected_campaign_sizes():
     sizes = {name: len(claims_for(name)) for name in CAMPAIGNS}
     assert sizes == {"induction": 5, "exact": 3, "main": 11,
                      "probe": 2, "appendix": 11}
-
-
-def test_lookup_round_trip_and_errors():
-    first = CLAIMS[0]
-    assert claim(first.id) is first
-    with pytest.raises(KeyError):
-        claim("no-such-claim")

@@ -52,13 +52,38 @@ def _code_in_readme() -> set[str]:
     return set(re.findall(r"[A-Za-z_]\w*", " ".join(code)))
 
 
-def _names_in(node) -> set[str]:
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _bound_in(scope) -> set[str]:
+    """Parameters and assigned names of one function, its nested
+    functions left out."""
+    args = scope.args
+    out = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+           + [a for a in (args.vararg, args.kwarg) if a]}
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        sub = todo.pop()
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+            out.add(sub.id)
+        if not isinstance(sub, _SCOPES):
+            todo.extend(ast.iter_child_nodes(sub))
+    return out
+
+
+def _names_in(node, shadowed: frozenset = frozenset()) -> set[str]:
+    """Attribute names and module-level names a node reads; a name a
+    parameter or local variable of an enclosing function shadows is no
+    read of the module-level one."""
+    if isinstance(node, _SCOPES):
+        shadowed = shadowed | _bound_in(node)
     out = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+    for sub in ast.iter_child_nodes(node):
+        if isinstance(sub, ast.Name) and sub.id not in shadowed:
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             out.add(sub.attr)
+        out |= _names_in(sub, shadowed)
     return out
 
 
