@@ -88,8 +88,6 @@ def test_run_config_rejects_bad_values():
     with pytest.raises(ValueError):
         RunConfig(klass="Y")
     with pytest.raises(ValueError):
-        RunConfig(klass="custom")
-    with pytest.raises(ValueError):
         RunConfig(functor="Q")
     with pytest.raises(ValueError):
         RunConfig(jobs=0)
@@ -101,6 +99,12 @@ def test_run_config_echo_hides_scheduling_fields():
     cfg = RunConfig(jobs=4, fmt="csv", seed=9)
     assert cfg.config_block() == {
         "p": 3, "max_order": 81, "class": "X", "functor": "Kdual", "seed": 9}
+
+
+def test_custom_class_is_a_library_only_route():
+    # "custom" is no campaign class: RunConfig turns it away before a run
+    with pytest.raises(ValueError):
+        run_campaign("main", RunConfig(klass="custom"))
 
 
 def test_unknown_campaign_rejected():
