@@ -21,9 +21,12 @@ from .bisets import ConcreteBiset, opposite
 from .groups import FiniteGroup, analysis, product_members, section_shape
 from .zlinalg import (
     IntegerLattice,
+    KernelPlan,
+    _i64_absmax,
     coords_in_hnf,
     hnf,
     kernel_basis,
+    kernel_plan,
     lattice_from_rows,
     obj_zeros,
     snf_diagonal,
@@ -44,6 +47,7 @@ class RingData:
         self._lock = threading.RLock()
         self._lin = None
         self._kernel = None
+        self._plan = None
 
     def class_position(self, members) -> int:
         return int(self.ana.class_of_sub[self.ana.index_of(members)])
@@ -71,6 +75,18 @@ class RingData:
                 self._kernel = IntegerLattice.from_hnf(
                     kernel_basis(self.linearization()))
             return self._kernel
+
+    def kernel_plan(self) -> KernelPlan:
+        """The restriction plan of the kernel, over one int64 copy of its
+        basis, shared by every K system and the whole-group slots."""
+        with self._lock:
+            if self._plan is None:
+                kern = self.kernel()
+                basis, _ = _i64_absmax(kern.basis)
+                if basis is None:
+                    raise OverflowError("entry exceeds the int64 working range")
+                self._plan = kernel_plan(basis, kern._piv)
+            return self._plan
 
 
 def ring_data(G: FiniteGroup) -> RingData:
@@ -240,7 +256,7 @@ def sum_of_induced_kernels(G: FiniteGroup, label: str) -> IntegerLattice:
     family = section_family(G, label)
     rd = ring_data(G)
     images = [np.empty((0, rd.n_classes), dtype=np.int64)]
-    for slot, (kern, _) in zip(family.slots, family.kernels):
-        up = _selection_matrix(family.ana.class_of_sub[slot.classes], rd.n_classes)
-        images.append(kern @ up.T)
+    for i, kern in enumerate(family.kernels):
+        up = _selection_matrix(family.ana.class_of_sub[family.classes(i)], rd.n_classes)
+        images.append(kern.basis @ up.T)
     return lattice_from_rows(rd.n_classes, np.vstack(images))

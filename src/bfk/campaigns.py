@@ -47,7 +47,6 @@ from .claims import CAMPAIGNS, RunConfig, catalog_groups
 from .groups import analysis, parse_descriptor, product_members, section_shape
 from .limits import (
     ConstraintViolation,
-    SectionSlot,
     coefficient_system,
     comparison_report,
     counit_kernel_report,
@@ -178,15 +177,16 @@ def _lattice_identity_row(camp, claim, desc, left, right) -> dict:
     return _row(camp, claim, desc, "refuted", witness)
 
 
-def _induced_rank_two(ana, slot: SectionSlot) -> np.ndarray:
+def _induced_rank_two(ana, classes, si: int) -> np.ndarray:
     """Induce-after-inflate image of the rank-two kernel generator of the
-    quotient at an index-p^2 slot: the class of W/S weighs 1, -1 or p by
-    |W|/|S|, and goes to the class of W."""
+    quotient at an index-p^2 slot with bottom si and the given classes:
+    the class of W/S weighs 1, -1 or p by |W|/|S|, and goes to the class
+    of W."""
     p = ana.group.prime
     weight = {1: 1, p: -1, p * p: p}
     out = np.zeros(len(ana.classes), dtype=object)
-    for w in slot.classes:
-        out[ana.class_of_sub[w]] += weight[int(ana.sizes[w] // ana.sizes[slot.si])]
+    for w in classes.tolist():
+        out[ana.class_of_sub[w]] += weight[int(ana.sizes[w] // ana.sizes[si])]
     return out
 
 
@@ -209,7 +209,7 @@ def _delta_identity_row(cfg: RunConfig, factor: int | None = None) -> dict:
     inds = []
     for pos in noncentral[:2]:
         J = product_members(G, rd.reps_members[pos], sorted(center))
-        inds.append(_induced_rank_two(ana, fam.slots[fam.pos[(ana.index_of(J), 0)]]))
+        inds.append(_induced_rank_two(ana, fam.classes(fam.index(ana.index_of(J), 0)), 0))
     scale = p if factor is None else int(factor)
     delta = np.asarray(extraspecial_kernel_element(G, 0, 1), dtype=object)
     left = inds[1] - inds[0]
@@ -248,9 +248,10 @@ def _induction_rows(desc: str, cfg: RunConfig) -> list[dict]:
     rows.append(_lattice_identity_row(
         "induction", "induction-kernel-matches-x2-sum", desc, kern, x2_sum))
 
+    fam = section_family(G, "E2")
     eps_part = lattice_from_rows(kern.ambient, [
-        _induced_rank_two(ana, slot) for slot in section_family(G, "E2").slots
-        if slot.index(ana) == p * p])
+        _induced_rank_two(ana, fam.classes(i), si) for i, (ti, si) in enumerate(fam.sections)
+        if ana.sizes[ti] // ana.sizes[si] == p * p])
     e2_sum = sum_of_induced_kernels(G, "E2")
     rows.append(_lattice_identity_row(
         "induction", "induction-eps-part-matches-e2-sum", desc, eps_part, e2_sum))

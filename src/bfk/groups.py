@@ -67,16 +67,12 @@ class FiniteGroup:
             ident = np.arange(n, dtype=np.int32)
             if not (np.array_equal(tbl[0], ident) and np.array_equal(tbl[:, 0], ident)):
                 raise ValueError("element 0 must be the identity")
-            for i in range(n):
-                if len(set(tbl[i].tolist())) != n:
-                    raise ValueError("rows must be permutations")
-        inv = np.empty(n, dtype=np.int32)
-        for i in range(n):
-            hits = np.nonzero(tbl[i] == 0)[0]
-            if len(hits) != 1:
-                raise ValueError("missing or non-unique inverse")
-            inv[i] = hits[0]
-        self.inv = inv
+            if not (np.sort(tbl, axis=1) == ident).all():
+                raise ValueError("rows must be permutations")
+        hits = tbl == 0
+        if not (hits.sum(axis=1) == 1).all():
+            raise ValueError("missing or non-unique inverse")
+        self.inv = hits.argmax(axis=1).astype(np.int32)
         if check_associativity:
             left = tbl[tbl, :]            # left[i,j,k] = (ij)k
             right = tbl[:, tbl]           # right[i,j,k] = i(jk)
@@ -102,13 +98,15 @@ class FiniteGroup:
 
     def element_orders(self) -> np.ndarray:
         if self._elt_order is None:
-            out = np.empty(self.order, dtype=np.int32)
-            for g in range(self.order):
-                x, k = int(self.table[0, g]), 1
-                while x != 0:
-                    x = int(self.table[x, g])
-                    k += 1
-                out[g] = k
+            # step every element at once, holding each at the identity
+            # once its power gets there
+            g = np.arange(self.order)
+            x, out = g.copy(), np.ones(self.order, dtype=np.int32)
+            live = x != 0
+            while live.any():
+                x[live] = self.table[x[live], g[live]]
+                out += live
+                live = x != 0
             self._elt_order = out
         return self._elt_order
 
@@ -211,20 +209,13 @@ def extraspecial_group(p: int) -> FiniteGroup:
     """The nonabelian group of order p^3 and exponent p (upper unitriangular
     3x3 matrices over the field with p elements)."""
     n = p ** 3
-    def enc(a, b, c):
-        return a + p * b + p * p * c
-    table = np.empty((n, n), dtype=np.int32)
-    for a1 in range(p):
-        for b1 in range(p):
-            for c1 in range(p):
-                i = enc(a1, b1, c1)
-                for a2 in range(p):
-                    for b2 in range(p):
-                        for c2 in range(p):
-                            table[i, enc(a2, b2, c2)] = enc(
-                                (a1 + a2) % p, (b1 + b2) % p,
-                                (c1 + c2 + a1 * b2) % p)
-    return FiniteGroup(p, table, name=f"X{n}")
+    # element a + p b + p^2 c is the matrix with a, b above the diagonal
+    # and c in the corner; rows are the left factor
+    idx = np.arange(n)
+    a, b, c = idx % p, idx // p % p, idx // (p * p)
+    table = ((a[:, None] + a) % p + p * ((b[:, None] + b) % p)
+             + p * p * ((c[:, None] + c + a[:, None] * b) % p))
+    return FiniteGroup(p, table.astype(np.int32), name=f"X{n}")
 
 
 def direct_product(*factors: FiniteGroup) -> FiniteGroup:
@@ -360,15 +351,14 @@ class GroupAnalysis:
         self.class_reps = [cls[0] for cls in classes]
 
         orders = G.element_orders()
-        self.is_cyclic_sub = [any(int(orders[m]) == len(mem) for m in mem)
-                              for mem in subs]
+        # cyclic iff some member has the subgroup's order
+        self.is_cyclic_sub = ((mask == 1) & (orders == sizes[:, None])).any(axis=1).tolist()
         self.cyclic_class_positions = [ci for ci, cls in enumerate(self.classes)
                                        if self.is_cyclic_sub[cls[0]]]
 
         self.generators = G.generators()
         self.center_members = tuple(
-            int(x) for x in range(n)
-            if np.array_equal(G.table[x], G.table[:, x]))
+            np.flatnonzero((G.table == G.table.T).all(axis=1)).tolist())
 
         self._quotients: dict[tuple, Section] = {}
         # results of other layers, kept here so they live as long as G

@@ -13,11 +13,12 @@ quotient T/S is the set of T-conjugacy classes of intermediate subgroups
 S <= W <= T, and every structure map is written in those coordinates on
 the ambient group; the kernel functors rewrite whole batches of such maps
 in kernel coordinates at once.  The shape table picks a family's sections,
-and (sections x subgroups) arrays give its slots and edges.  Every limit
-is the integer kernel of the sparse constraint rows v[dst] - D v[src] = 0,
-solved in one exact pass: +-1 pivots are eliminated in Markowitz order in
-Python ints, kernel_basis solves the dense core left, and back-substitution
-fills in the eliminated unknowns.  Columns are checked against every
+and bounded passes over (sections x subgroups) masks fill the flat arrays
+of its slots and edges.  Every limit is the integer kernel of the sparse
+constraint rows v[dst] - D v[src] = 0, solved in one exact pass: +-1
+pivots are eliminated in Markowitz order in Python ints, kernel_basis
+solves the dense core left, and back-substitution fills in the eliminated
+unknowns.  Columns are checked against every
 constraint at once by residual_check, in stacked exact products of the
 edges with one shape, and are written in the canonical limit basis by
 zlinalg.coords_in_hnf.
@@ -39,9 +40,9 @@ import numpy as np
 
 from .groups import SHAPE_XSP, FiniteGroup, GroupAnalysis, analysis
 from .zlinalg import (_batches, _exact_matmul, _first_mismatch, _i64_absmax,
-                      _restrict_moves, _stack_shared, coords_in_hnf, hnf,
-                      hnf_pivots, kernel_basis, sparse_kernel_basis,
-                      sparse_snf_invariants)
+                      _restrict_moves, _stack_shared, _weighted_batches,
+                      coords_in_hnf, hnf, hnf_pivots, kernel_basis, kernel_plan,
+                      sparse_kernel_basis, sparse_snf_invariants)
 from .burnside import ring_data
 from .claims import FAMILY_LABELS, FUNCTOR_NAMES
 
@@ -69,209 +70,281 @@ def family_contains(ana: GroupAnalysis, ti: int, si: int, label: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# section slots: transitive-set bases in ambient coordinates
+# the family of sections of one group, with its generating moves
 
 
-class SectionSlot:
-    """Basis data for one section (T, S) of the ambient group.
-
-    classes holds one representative subgroup index per T-conjugacy class
-    of intermediate subgroups, the least member of the class; class_pos
-    maps every subgroup index to the position of its class, or -1 for
-    subgroups outside the interval S <= W <= T.
-    """
-
-    __slots__ = ("ti", "si", "classes", "class_pos", "dim")
-
-    def __init__(self, ti: int, si: int, classes: list, class_pos: np.ndarray):
-        self.ti = ti
-        self.si = si
-        self.classes = classes
-        self.class_pos = class_pos
-        self.dim = len(classes)
-
-    def index(self, ana: GroupAnalysis) -> int:
-        return (len(ana.subgroup_members[self.ti])
-                // len(ana.subgroup_members[self.si]))
+def _ranges(lo, hi) -> np.ndarray:
+    """The ranges lo[k] <= j < hi[k], concatenated."""
+    n = hi - lo
+    return np.arange(int(n.sum())) + np.repeat(lo - (np.cumsum(n) - n), n)
 
 
-def _mark_rows(family: "SectionFamily") -> list:
+def _mark_rows(family: "SectionFamily"):
     """Marks of the cyclic classes (rows) against all classes (columns) of
-    the quotient at each slot of index above p, None at the others, read
-    off the family's (sections x subgroups) arrays in chunks of
-    _BATCH_ENTRIES // n_sub sections.
+    the quotient at each section in order: an array at the slots of index
+    above p, None at the others, in passes of at most _BATCH_ENTRIES
+    (class, member) pairs.
 
     V/S fixes |T| / (|cls V| |W|) * #{V' in cls V : V' <= W} points of
-    T/W, with cls V the T-class of V.  Each pair of a member V' of a
-    section's interval S <= V' <= T and a class W of that section is read
-    once: it counts towards the maximal subgroups of W, whose quotient is
-    cyclic iff there is one (a p-group with a unique maximal subgroup), and
-    towards #{V' <= W} of the class of V'.
+    T/W, with cls V the T-class of V.  Each pair of a class W of a section
+    and a member V' <= W of its interval is read once: it counts towards
+    the maximal subgroups of W, whose quotient is cyclic iff there is one
+    (a p-group with a unique maximal subgroup), and towards #{V' <= W} of
+    the class of V'.
     """
+    ana, dims = family.ana, np.diff(family._class_off)
+    owner = np.repeat(np.arange(len(dims)), dims)
+    # a class is a member, and subgroups come in order of size, so only the
+    # members up to a class in its section's member list can lie below it
+    reach = (np.searchsorted(family._member_keys(), owner * ana.n_sub + family._classes)
+             + 1 - family._member_off[owner])
+    big = np.flatnonzero(ana.sizes[family._tops] > ana.group.prime * ana.sizes[family._bots])
+    done = 0
+    for sec in _weighted_batches(big, np.bincount(owner, reach)[big]):
+        for k, rows in zip(sec.tolist(), _mark_blocks(family, sec, reach)):
+            yield from [None] * (k - done)
+            yield rows
+            done = k + 1
+    yield from [None] * (len(dims) - done)
+
+
+def _mark_blocks(family: "SectionFamily", sec: np.ndarray, reach: np.ndarray) -> list:
+    """The mark rows of the sections sec, where class entry c of the
+    family has reach[c] members up to it (_mark_rows)."""
     ana = family.ana
     sizes, p = ana.sizes, ana.group.prime
-    out = [None] * len(family.slots)
-    for sec in _batches(np.flatnonzero(sizes[family._tops] > p * sizes[family._bots]),
-                        ana.n_sub):
-        cp = family._class_pos[sec]
-        ks, members = np.nonzero(cp >= 0)            # interval members by section
-        # the least member of a class is its representative and its first
-        # member, and classes are numbered in the order they first appear
-        first_seen = cp > np.maximum.accumulate(np.pad(cp, ((0, 0), (1, 0)),
-                                                       constant_values=-1), axis=1)[:, :-1]
-        rk, reps = np.nonzero(first_seen)            # class entries, in class order
-        dim = np.bincount(rk, minlength=len(sec))
-        first = np.cumsum(dim) - dim                 # first class entry of a section
-        cls = first[ks] + cp[ks, members]            # class entry of each member
-        # every (member, class entry of its section) pair with member <= class
-        n = dim[ks]
-        m = np.repeat(np.arange(len(ks)), n)
-        w = np.arange(len(m)) - np.repeat(np.cumsum(n) - n - first[ks], n)
-        below = ana.leq[members[m], reps[w]]
-        m, w = m[below], w[below]
-        maximal = np.bincount(w[sizes[members[m]] * p == sizes[reps[w]]],
-                              minlength=len(reps))
-        cyc = (sizes[reps] == sizes[family._bots[sec[rk]]]) | (maximal == 1)
-        # a cyclic class entry owns a block of its section's dim columns
-        span = np.where(cyc, dim[rk], 0)
-        start = np.cumsum(span) - span
-        hit = cyc[cls[m]]
-        m, w = m[hit], w[hit]
-        hits = np.bincount(start[cls[m]] + w - first[ks[m]], minlength=int(span.sum()))
-        row = np.repeat(np.arange(len(reps)), span)
-        col = np.arange(len(row)) - np.repeat(start - first[rk], span)
-        mult = sizes[family._tops[sec[rk]]] // np.bincount(cls, minlength=len(reps))
-        flat = mult[row] * hits // sizes[reps[col]]
-        ncyc = np.bincount(rk[cyc], minlength=len(sec))
-        ends = np.cumsum(ncyc * dim).tolist()
-        for k, e, r, d in zip(sec.tolist(), ends, ncyc.tolist(), dim.tolist()):
-            out[k] = flat[e - r * d:e].reshape(r, d)
+    moff, coff = family._member_off, family._class_off
+    dim = np.diff(coff)[sec]
+    first = np.cumsum(dim) - dim                 # first class entry of a section
+    ci = _ranges(coff[sec], coff[sec + 1])
+    reps = family._classes[ci]                   # class entries, in class order
+    rk = np.repeat(np.arange(len(sec)), dim)
+    # each pair of a class entry w and a member m up to it, in the least
+    # integer types that hold them
+    r = reach[ci]
+    idx_t = np.promote_types(np.int32,
+                             np.min_scalar_type(-len(family._members) - int(r.sum())))
+    w = np.repeat(np.arange(len(ci), dtype=np.int32), r)
+    m = np.repeat((moff[sec[rk]] - np.cumsum(r) + r).astype(idx_t), r)
+    m += np.arange(len(w), dtype=idx_t)
+    member = family._members[m]
+    below = ana.leq[member, reps[w]]
+    m, w, member = m[below], w[below], member[below]
+    maximal = np.bincount(w[sizes[member] * p == sizes[reps[w]]], minlength=len(reps))
+    cyc = (sizes[reps] == sizes[family._bots[sec[rk]]]) | (maximal == 1)
+    # a cyclic class entry owns a block of its section's dim columns
+    span = np.where(cyc, dim[rk], 0)
+    start = np.cumsum(span) - span
+    m_cls = first[rk[w]] + family._member_pos[m]  # class entry of the member
+    hit = cyc[m_cls]
+    w, m_cls = w[hit], m_cls[hit]
+    hits = np.bincount(start[m_cls] + w - first[rk[w]], minlength=int(span.sum()))
+    # |T| / |cls V| for the cyclic class entries V, in order
+    cls = (np.repeat(first, np.diff(moff)[sec])
+           + family._member_pos[_ranges(moff[sec], moff[sec + 1])])
+    mult = (sizes[family._tops[sec[rk]]] // np.bincount(cls, minlength=len(reps)))[cyc]
+    out, e, c = [], 0, 0
+    for r, d, f in zip(np.bincount(rk[cyc], minlength=len(sec)).tolist(),
+                       dim.tolist(), first.tolist()):
+        out.append(mult[c:c + r, None] * hits[e:e + r * d].reshape(r, d)
+                   // sizes[reps[f:f + d]])
+        e, c = e + r * d, c + r
     return out
-
-
-# ---------------------------------------------------------------------------
-# the family of sections of one group, with its generating moves
 
 
 class SectionFamily:
     """All sections (T, S) of one group whose shape the label admits, in
-    (top index, bottom index) order.  Slots are read off (sections x
-    subgroups) arrays: the interval mask S <= W <= T, the least T-conjugate
-    of each W, and a running count of the class representatives; each
-    class_pos is a row of the counts.  The edges, one-step deflations (grow
-    the bottom by p) and restrictions (shrink the top by p) and conjugation
-    by the generators, are read off masks of that shape on first use."""
+    (top index, bottom index) order, held in flat arrays.
+
+    Section k is (_tops[k], _bots[k]).  Its slot has dims[k] classes,
+    _classes[_class_off[k]:_class_off[k + 1]]: the least member of each
+    T-conjugacy class of intermediate subgroups S <= W <= T, in class
+    order.  Entries _member_off[k]:_member_off[k + 1] of _members and
+    _member_pos hold each such W, ascending, and the position of its class.
+    All are read off the interval mask, the least T-conjugate of each W and
+    a running count of the class representatives, in passes over at most
+    _BATCH_ENTRIES (section, subgroup) entries.  The edges are built on
+    first use (edge_arrays)."""
 
     def __init__(self, G: FiniteGroup, label: str):
         self.group = G
         self.label = label
         ana = self.ana = analysis(G)
-        tops, bots = self._tops, self._bots = np.nonzero(_admits(label, ana.shapes))
-        self.sections = list(zip(tops.tolist(), bots.tolist()))
-        self.pos = {ts: i for i, ts in enumerate(self.sections)}
         n = ana.n_sub
-        self.whole_pos = self.pos.get((n - 1, 0))    # the section (P, 1)
+        tops, bots = self._tops, self._bots = np.nonzero(_admits(label, ana.shapes))
+        self._keys = tops * n + bots                 # ascending
+        self.whole_pos = self.index(n - 1, 0)        # the section (P, 1)
+        self.edge_tags = (("cover", "def"), ("cover", "res")) + tuple(
+            ("conj", u) for u in ana.generators)
         pos_t = np.min_scalar_type(-n - 1)   # holds -1 and every count up to n
-        if G.is_abelian:
-            least = np.arange(n, dtype=pos_t)[None, :]
+        self.dims, self._classes, counts, self._members, self._member_pos = (
+            np.concatenate(a) for a in zip(*(
+                self._slot_arrays(sec, pos_t)
+                for sec in _batches(np.arange(len(tops)), n))))
+        self._class_off = np.concatenate([[0], np.cumsum(self.dims)])
+        self._member_off = np.concatenate([[0], np.cumsum(counts)])
+        self._systems: dict = {}         # functor -> CoefficientSystem
+        self._kernel_memo: dict = {}     # exact mark rows -> KernelPlan
+
+    def _slot_arrays(self, sec, pos_t) -> tuple:
+        """(dims, classes, member counts, members, member positions) of the
+        sections sec."""
+        ana, n = self.ana, self.ana.n_sub
+        t, b = self._tops[sec], self._bots[sec]
+        between = ana.leq[b] & ana.leq[:, t].T
+        if self.group.is_abelian:
+            least = np.arange(n)[None, :]
         else:
-            least = np.zeros((n, n), dtype=pos_t)
-            for t in np.flatnonzero(np.bincount(tops, minlength=n)).tolist():
-                least[t] = ana.conj_sub[list(ana.subgroup_members[t])].min(axis=0)
-            least = least[tops]
-        between = ana.leq[bots] & ana.leq[:, tops].T
+            ut, at = np.unique(t, return_inverse=True)
+            least = np.stack([ana.conj_sub[list(ana.subgroup_members[x])].min(axis=0)
+                              for x in ut.tolist()])[at]
         reps = between & (least == np.arange(n))
         count = np.cumsum(reps, axis=1, dtype=pos_t)
-        dims = count[:, -1].tolist()
-        count -= 1
-        cp = self._class_pos = np.take_along_axis(
-            count, np.broadcast_to(least, count.shape), axis=1)
-        cp[~between] = -1
-        classes = np.nonzero(reps)[1].tolist()
-        self.slots = [SectionSlot(t, s, classes[e - d:e], row)
-                      for (t, s), row, d, e in zip(self.sections, cp, dims,
-                                                   np.cumsum(dims).tolist())]
-        self._systems: dict = {}         # functor -> CoefficientSystem
-        self._kernel_memo: dict = {}     # exact mark rows -> (kernel, pivots)
+        k, w = np.nonzero(between)
+        # a copy, not a view that would keep the whole count alive
+        return (count[:, -1].copy(), np.nonzero(reps)[1].astype(pos_t),
+                np.bincount(k, minlength=len(sec)), w.astype(pos_t),
+                count[k, np.broadcast_to(least, count.shape)[k, w]] - 1)
+
+    @property
+    def sections(self) -> list:
+        """The (top, bottom) index pairs, built on access."""
+        return list(zip(self._tops.tolist(), self._bots.tolist()))
+
+    def _positions(self, tops, bots) -> np.ndarray:
+        """Positions of the sections (tops, bots), -1 outside the family."""
+        want = np.asarray(tops) * self.ana.n_sub + bots
+        k = np.minimum(np.searchsorted(self._keys, want), len(self._keys) - 1)
+        return np.where(self._keys[k] == want, k, -1)
+
+    def index(self, ti: int, si: int) -> int | None:
+        """Position of the section (ti, si), or None outside the family."""
+        k = int(self._positions(ti, si))
+        return None if k < 0 else k
+
+    def classes(self, i: int) -> np.ndarray:
+        """The class representatives of slot i, in class order."""
+        return self._classes[self._class_off[i]:self._class_off[i + 1]]
+
+    def _interval(self, i: int) -> tuple:
+        """(W, class position of W) for every W in the interval of section
+        i, in subgroup order."""
+        lo, hi = self._member_off[i], self._member_off[i + 1]
+        return self._members[lo:hi], self._member_pos[lo:hi]
+
+    def _member_keys(self) -> np.ndarray:
+        """k * n_sub + W for every member W of every section k: ascending."""
+        return (np.repeat(np.arange(len(self._tops)) * self.ana.n_sub,
+                          np.diff(self._member_off)) + self._members)
+
+    def _locate(self, secs, subs) -> np.ndarray:
+        """Class positions of the subgroups subs in the sections secs, -1
+        where one lies outside the interval."""
+        keys = self._member_keys()
+        want = np.asarray(secs, dtype=np.int64) * self.ana.n_sub + subs
+        k = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        return np.where(keys[k] == want, self._member_pos[k], -1)
+
+    def _class_images(self, a, b, u) -> np.ndarray:
+        """The class positions in section b[k] of the classes of section
+        a[k] conjugated by the element u[k], for every k in turn."""
+        n_cls = self.dims[a]
+        subs = self.ana.conj_sub[np.repeat(u, n_cls), self._classes[
+            _ranges(self._class_off[a], self._class_off[a + 1])]]
+        return self._locate(np.repeat(b, n_cls), subs)
+
+    def _selection_rows(self, a, b, u) -> list:
+        """_class_images, one array per k."""
+        rows, ends = self._class_images(a, b, u), np.cumsum(self.dims[a]).tolist()
+        return [rows[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
+    def class_positions(self, i: int) -> np.ndarray:
+        """The class position of every subgroup in section i, -1 outside
+        its interval: one scatter into a row of length n_sub."""
+        members, pos = self._interval(i)
+        row = np.full(self.ana.n_sub, -1, dtype=pos.dtype)
+        row[members] = pos
+        return row
 
     @cached_property
     def kernels(self) -> list:
-        """HNF basis (rows, int64) of the mark kernel of the quotient at
-        each slot, with the pivot column of each basis row.
+        """KernelPlan of the HNF basis (rows, int64) of the mark kernel of
+        the quotient at each slot.
 
         Rows of the linearization are indexed by the classes whose quotient
         image is cyclic (_mark_rows); the quotient of order dividing p
-        contributes nothing.  Slots with the same mark rows share one
-        kernel through the memo, keyed by the exact rows.  The whole-group
-        slot (P, 1) has the class representatives as its classes and the
-        linearization as its mark rows, so its entry is the base kernel of
-        ring_data.
+        contributes nothing, and its slots share one empty kernel per
+        dimension.  Slots with the same mark rows share one kernel through
+        the memo, keyed by the exact rows.  The whole-group slot (P, 1) has
+        the class representatives as its classes and the linearization as
+        its mark rows, so its entry is the base kernel plan of ring_data.
         """
-        out = []
-        for i, (slot, rows) in enumerate(zip(self.slots, _mark_rows(self))):
+        out, empty = [], {}
+        for i, (d, rows) in enumerate(zip(self.dims.tolist(), _mark_rows(self))):
             if rows is None:
-                out.append((np.zeros((0, slot.dim), dtype=np.int64), []))
+                if d not in empty:
+                    empty[d] = kernel_plan(np.zeros((0, d), dtype=np.int64))
+                out.append(empty[d])
                 continue
             key = (rows.shape, rows.tobytes())
             got = self._kernel_memo.get(key)
             if got is None:
-                if i == self.whole_pos:
-                    base = ring_data(self.group).kernel()
-                    kern, piv = base.basis, base._piv
-                else:
-                    kern = kernel_basis(rows)
-                    piv = hnf_pivots(kern)
-                got = self._kernel_memo[key] = (_as_i64(kern), piv)
+                got = self._kernel_memo[key] = (
+                    ring_data(self.group).kernel_plan() if i == self.whole_pos
+                    else kernel_plan(_as_i64(kernel_basis(rows))))
             out.append(got)
         return out
 
-    def _add_edges(self, out: list, src, tops, bots, tags, kind) -> None:
-        """Append (src, position of (tops, bots), tags[kind]) to out, sharing
-        the ints of pos and one tag per kind; families are closed under the
-        moves, so a miss is a bug."""
-        at = np.full(self.ana.leq.shape, -1, dtype=np.int32)
-        at[self._tops, self._bots] = np.arange(len(self.sections))
-        dst = at[tops, bots]
-        if (dst < 0).any():
-            raise AssertionError("a generating move left the family")
-        ids = list(self.pos.values())
-        out.extend((ids[s], ids[d], tags[k])
-                   for s, d, k in zip(src.tolist(), dst.tolist(), kind.tolist()))
-
     @cached_property
-    def edges(self) -> list:
-        """Every generating edge (src, dst, tag), each built once.
+    def edge_arrays(self) -> tuple:
+        """(src, dst, kind) of every generating edge, each built once: int32
+        section positions and int8 indices into edge_tags.
 
-        First the cover edges, tag ("cover", "def" | "res"), by source,
-        its deflations first, each run in subgroup order of the new bottom
-        or top, read off masks of _BATCH_ENTRIES // n_sub sections at a
-        time; then the conjugation edges, tag ("conj", u), by source and
-        then generator, for each generator u that moves the section or one
-        of its classes.  Every system of the family shares this one list,
-        so a caller that extends it copies it first."""
+        First the cover edges: one-step deflations (grow the bottom by p,
+        tag ("cover", "def")) and restrictions (shrink the top by p, tag
+        ("cover", "res")), by source with its deflations first, each run in
+        subgroup order of the new bottom or top, read off masks of at most
+        _BATCH_ENTRIES entries.  Then the conjugation edges, tag ("conj",
+        u), by source and then generator, for each generator u that moves
+        the section or one of its classes.  Families are closed under the moves, so a move
+        that leaves the family is a bug."""
         ana, tops, bots = self.ana, self._tops, self._bots
-        sizes, p = ana.sizes, self.group.prime
-        out, cover = [], (("cover", "def"), ("cover", "res"))
-        for sec in _batches(np.arange(len(tops)), ana.n_sub):
+        sizes, p, n = ana.sizes, self.group.prime, ana.n_sub
+        parts = []
+        for sec in _batches(np.arange(len(tops)), 2 * n):
             t, b = tops[sec], bots[sec]
             between = ana.leq[b] & ana.leq[:, t].T
             grow = between & (sizes == sizes[b, None] * p) & ana.normal[:, t].T
             shrink = between & (sizes * p == sizes[t, None])
             src, w = np.nonzero(np.hstack([grow, shrink]))
-            res, w = np.divmod(w, ana.n_sub)
-            self._add_edges(out, sec[src], np.where(res, w, t[src]),
-                            np.where(res, b[src], w), cover, res)
+            res, w = np.divmod(w, n)
+            parts.append((sec[src], self._positions(np.where(res, w, t[src]),
+                                                    np.where(res, b[src], w)), res))
         if not self.group.is_abelian:
-            cp = self._class_pos
             cu = ana.conj_sub[list(ana.generators)]       # (generator, subgroup)
             keep = (cu[:, tops] != tops) | (cu[:, bots] != bots)
-            for k, row in enumerate(cu):
+            for k, u in enumerate(ana.generators):
                 fixed = np.flatnonzero(~keep[k])
-                keep[k, fixed] = (cp[fixed][:, row] != cp[fixed]).any(axis=1)
+                n_cls = self.dims[fixed]
+                moved = (self._class_images(fixed, fixed, np.full(len(fixed), u))
+                         != _ranges(np.zeros_like(n_cls), n_cls))
+                keep[k, fixed] = np.bincount(np.repeat(np.arange(len(fixed)), n_cls),
+                                             moved, minlength=len(fixed)) > 0
             src, k = np.nonzero(keep.T)
-            self._add_edges(out, src, cu[k, tops[src]], cu[k, bots[src]],
-                            [("conj", u) for u in ana.generators], k)
-        return out
+            parts.append((src, self._positions(cu[k, tops[src]], cu[k, bots[src]]),
+                          k + 2))
+        src, dst, kind = (np.concatenate(a) for a in zip(*parts))
+        if (dst < 0).any():
+            raise AssertionError("a generating move left the family")
+        return src.astype(np.int32), dst.astype(np.int32), kind.astype(np.int8)
+
+    @property
+    def edges(self) -> list:
+        """Every generating edge as (src, dst, tag), decoded on access; the
+        edges of one kind share one tag tuple."""
+        src, dst, kind = self.edge_arrays
+        return list(zip(src.tolist(), dst.tolist(),
+                        map(self.edge_tags.__getitem__, kind.tolist())))
 
     # the two kinds apart; only perfbench/traced.py reads them, and it
     # needs no more than len(self.edges)
@@ -313,11 +386,11 @@ def _selection_matrix(rows, n: int) -> np.ndarray:
     return M
 
 
-def _defres_counts(ana: GroupAnalysis, top: int, class_pos: np.ndarray,
-                   dst: SectionSlot) -> np.ndarray:
-    """Restrict-then-deflate of B to the section dst = (T', S') from the
-    classes of subgroups under conjugation by top >= T'; class_pos gives
-    the column of each subgroup's class, -1 for none.
+def _defres_counts(ana: GroupAnalysis, top: int, cand: np.ndarray, cols: np.ndarray,
+                   family: SectionFamily, j: int) -> np.ndarray:
+    """Restrict-then-deflate of B to the section j = (T', S') of family
+    from the classes of subgroups under conjugation by top >= T'; cols
+    gives the column of the class of each subgroup in cand.
 
     Each double coset T' x W in top sends the class of W to the class of
     (xWx^-1 meet T') S'.  Summing over every x in top with weight
@@ -327,15 +400,17 @@ def _defres_counts(ana: GroupAnalysis, top: int, class_pos: np.ndarray,
     No double coset is listed, and a deflation (T' = top) writes one 1.
     """
     sizes = ana.sizes
-    cand = np.flatnonzero(class_pos >= 0)
-    cols = class_pos[cand]
-    inter = ana.meet[cand, dst.ti]
-    D = np.zeros((dst.dim, int(cols.max()) + 1), dtype=np.int64)
-    np.add.at(D, (dst.class_pos[ana.join[inter, dst.si]], cols), sizes[inter])
+    ti, si = family._tops[j], family._bots[j]
+    inter = ana.meet[cand, ti]
+    # (xWx^-1 meet T') S' lies in the interval of section j
+    members, pos = family._interval(j)
+    rows = pos[np.searchsorted(members, ana.join[inter, si])]
+    D = np.zeros((family.dims[j], int(cols.max()) + 1), dtype=np.int64)
+    np.add.at(D, (rows, cols), sizes[inter])
     w_size = np.zeros(D.shape[1], dtype=np.int64)
     w_size[cols] = sizes[cand]
     D, rem = np.divmod(D * sizes[top],
-                       np.bincount(cols) * w_size * sizes[dst.ti])
+                       np.bincount(cols) * w_size * sizes[ti])
     if rem.any():
         raise AssertionError("double coset counts must be integral")
     return D
@@ -359,15 +434,15 @@ class CoefficientSystem:
         self._map_cache = {}             # edge and base keys -> matrix
         self._limit = None               # set by inverse_limit
         if functor in ("K", "Kdual"):
-            self._kernels = [k for k, _ in family.kernels]
-            self._kernel_pivs = [piv for _, piv in family.kernels]
-            self.dims = [k.shape[0] for k in self._kernels]
-            self.base_kernel = ring_data(self.group).kernel()
+            rd = ring_data(self.group)
+            self._kernels = family.kernels
+            self.dims = [k.basis.shape[0] for k in self._kernels]
+            self.base_kernel = rd.kernel()
             self.base_rank = self.base_kernel.rank
-            self._base_basis = _as_i64(self.base_kernel.basis)
+            self._base = rd.kernel_plan()
         else:
-            self._kernels = self._kernel_pivs = None
-            self.dims = [s.dim for s in family.slots]
+            self._kernels = None
+            self.dims = family.dims.tolist()
             self.base_rank = ring_data(self.group).n_classes
         self.offsets = []
         run = 0
@@ -378,41 +453,51 @@ class CoefficientSystem:
 
     # -- structure maps, built in one batched pass per request -------------
 
-    def _b_defres_between(self, src: SectionSlot, dst: SectionSlot) -> np.ndarray:
+    def _b_defres_between(self, src: int, dst: int) -> np.ndarray:
         """Downward map of B between nested sections, ambient coordinates."""
-        return _defres_counts(self.ana, src.ti, src.class_pos, dst)
+        fam = self.family
+        return _defres_counts(self.ana, fam._tops[src], *fam._interval(src), fam, dst)
 
     def _b_defres_from_base(self, i: int) -> np.ndarray:
         ana = self.ana
-        return _defres_counts(ana, ana.n_sub - 1, ana.class_of_sub,
-                              self.family.slots[i])
+        return _defres_counts(ana, ana.n_sub - 1, np.arange(ana.n_sub),
+                              ana.class_of_sub, self.family, i)
 
-    def _move(self, key, dual: bool):
-        """(B, src, dst): the transitive-basis move behind the map under a
-        cache key, between value indices, len(dims) being the whole group.
+    def _moves(self, keys, dual: bool) -> list:
+        """(B, src, dst) for each cache key: the transitive-basis move
+        behind its map, between value indices, len(dims) being the whole
+        group.
 
         B is a full matrix, or for a selection move the row of the single
         1 in each column: induction and inflation keep the subgroup of each
         class, conjugation moves it.  A dual functor's map is the
-        transpose of the map of the move that runs the other way.
+        transpose of the map of the move that runs the other way.  The
+        rows of every selection move along an edge come from one lookup.
         """
-        ana, slots = self.ana, self.family.slots
-        if key[0] in ("down", "up"):
-            i = key[1]
-            if dual and key[0] == "up":
-                raise FamilyError("upward maps to the base need functor B or K")
-            if dual or key[0] == "up":
-                return ana.class_of_sub[slots[i].classes], i, len(slots)
-            return self._b_defres_from_base(i), len(slots), i
-        src, dst, (kind, u) = key
-        a, b = slots[src], slots[dst]
-        if kind == "cover":
-            if dual:
-                return a.class_pos[b.classes], dst, src
-            return self._b_defres_between(a, b), src, dst
-        if dual:
-            return a.class_pos[ana.conj_sub[ana.group.inv_of(u), b.classes]], dst, src
-        return b.class_pos[ana.conj_sub[u, a.classes]], src, dst
+        ana, fam, whole = self.ana, self.family, len(self.dims)
+        out, sel = [None] * len(keys), []
+        for k, key in enumerate(keys):
+            if key[0] in ("down", "up"):
+                i = key[1]
+                if dual and key[0] == "up":
+                    raise FamilyError("upward maps to the base need functor B or K")
+                out[k] = ((ana.class_of_sub[fam.classes(i)], i, whole)
+                          if dual or key[0] == "up"
+                          else (self._b_defres_from_base(i), whole, i))
+                continue
+            src, dst, (kind, u) = key
+            if kind == "cover" and not dual:
+                out[k] = (self._b_defres_between(src, dst), src, dst)
+            elif dual:
+                sel.append((k, dst, src, 0 if kind == "cover" else ana.group.inv_of(u)))
+            else:
+                sel.append((k, src, dst, u))
+        if sel:
+            ks, a, b, u = (np.array(c) for c in zip(*sel))
+            for k, rows, ai, bi in zip(ks.tolist(), fam._selection_rows(a, b, u),
+                                       a.tolist(), b.tolist()):
+                out[k] = (rows, ai, bi)
+        return out
 
     def _restricted(self, moves) -> list:
         """Moves as maps between this system's values: the transitive-basis
@@ -421,9 +506,7 @@ class CoefficientSystem:
             dims = self.dims + [self.base_rank]
             return [B if B.ndim == 2 else _selection_matrix(B, dims[d])
                     for B, _, d in moves]
-        kernels = self._kernels + [self._base_basis]
-        pivots = self._kernel_pivs + [self.base_kernel._piv]
-        return [_as_i64(C) for C in _restrict_moves(moves, kernels, pivots)]
+        return [_as_i64(C) for C in _restrict_moves(moves, self._kernels + [self._base])]
 
     def _maps(self, keys) -> list:
         """The maps under edge keys (src, dst, tag) and base keys ("down",
@@ -432,14 +515,13 @@ class CoefficientSystem:
         missing = [k for k in dict.fromkeys(keys) if k not in cache]
         if missing:
             dual = self.functor in ("Bdual", "Kdual")
-            mats = self._restricted([self._move(k, dual) for k in missing])
+            mats = self._restricted(self._moves(missing, dual))
             for key, M in zip(missing, mats):
                 cache[key] = M.T if dual else M
         return [cache[k] for k in keys]
 
     def edges(self) -> list:
-        """The family's generating edges (src, dst, tag): one shared list,
-        which callers copy before they change it."""
+        """The family's generating edges (src, dst, tag), decoded afresh."""
         return self.family.edges
 
     def edge_matrix(self, src: int, dst: int, tag) -> np.ndarray:
@@ -613,28 +695,32 @@ def comparison_report(limit: InverseLimit) -> dict:
 # colimits of upward systems and the kernel-of-counit probe
 
 
-def _upward_moves(system: CoefficientSystem) -> tuple[list, list]:
-    """(edges, moves): moves[e] = (B, a, b) is the transitive-basis move
-    that sends value(a) into value(b) along edges[e], a cover edge read as
-    its dual or a conjugation edge, ready for system._restricted.  Moves
-    out of a zero value are left out; covers come first, as in edges()."""
+def _upward_moves(system: CoefficientSystem) -> tuple[np.ndarray, list]:
+    """(ids, moves): moves[k] = (B, a, b) is the transitive-basis move
+    that sends value(a) into value(b) along the family edge ids[k], a
+    cover edge read as its dual or a conjugation edge, ready for
+    system._restricted.  Moves out of a zero value are left out; covers
+    come first, as in the edge arrays.  The selection rows of every move
+    come from one lookup of the family's class positions."""
     if system.functor not in ("B", "K"):
         raise FamilyError("colimits are built from functor B or K")
-    dims = system.dims
-    edges, moves = [], []
-    for e in system.edges():
-        src, dst, tag = e
-        if dims[src if tag[0] == "conj" else dst]:
-            edges.append(e)
-            moves.append(system._move(e, dual=tag[0] != "conj"))
-    return edges, moves
+    fam = system.family
+    src, dst, kind = fam.edge_arrays
+    conj = kind >= 2
+    ids = np.flatnonzero(np.asarray(system.dims)[np.where(conj, src, dst)])
+    a = np.where(conj, src, dst)[ids]
+    b = np.where(conj, dst, src)[ids]
+    # a cover's dual keeps each class of its bottom: conjugation by 1
+    u = np.array((0, 0) + system.ana.generators)[kind[ids]]
+    return ids, list(zip(fam._selection_rows(a, b, u), a.tolist(), b.tolist()))
 
 
-def _check_cocone(system: CoefficientSystem, edges: list, moves: list,
+def _check_cocone(system: CoefficientSystem, ids: np.ndarray, moves: list,
                   keep: bool) -> dict:
     """Check ups[b] @ M == ups[a] for every move M from value(a) into
     value(b), one batch of equal-shape moves and one product at a time; a
-    failure names the first failing edge.  Up maps are restricted per batch
+    failure names the first failing edge, moves[k] running along the
+    family edge ids[k].  Up maps are restricted per batch
     and never cached: a target's lives until its last move, a source's for
     one batch.  Returns the restricted moves by index, kept if keep is set."""
     dims, r = system.dims, system.base_rank
@@ -653,7 +739,7 @@ def _check_cocone(system: CoefficientSystem, edges: list, moves: list,
             new = [i for i in dict.fromkeys(i for ab in pairs for i in ab)
                    if i not in held]
             ups = dict(zip(new, system._restricted(
-                [system._move(("up", i), False) for i in new])))
+                system._moves([("up", i) for i in new], False))))
             held.update((b, ups[b]) for _, b in pairs if b in ups)
             lhs = _exact_matmul(_stack_shared([held[b] for _, b in pairs]), Ms)
             rhs = _stack_shared([held[a] if a in held else ups[a] for a, _ in pairs])
@@ -666,7 +752,7 @@ def _check_cocone(system: CoefficientSystem, edges: list, moves: list,
                 if not left[b]:
                     del held[b]
     if bad:
-        src, dst, tag = edges[min(bad)]
+        src, dst, tag = system.family.edges[ids[min(bad)]]
         raise AssertionError(f"upward maps disagree along {src}->{dst} {tag}")
     return kept
 
@@ -683,7 +769,9 @@ def _residual_rows(system: CoefficientSystem, moves: list, tree: dict,
     for i in roots:
         at[i] = (n, np.eye(dims[i], dtype=np.int64))
         n += dims[i]
-    for a in sorted(tree, key=lambda a: -system.family.slots[a].index(system.ana)):
+    sizes, fam = system.ana.sizes, system.family
+    index = (sizes[fam._tops] // sizes[fam._bots]).tolist()
+    for a in sorted(tree, key=lambda a: -index[a]):
         o, C = at[moves[tree[a]][2]]
         at[a] = (o, _exact_matmul(C, Ms[tree[a]]))
     rows = []
@@ -712,21 +800,22 @@ def counit_kernel_report(system: CoefficientSystem) -> dict:
     factors are the nontrivial relation invariants."""
     if system.functor != "K":
         raise FamilyError("the counit probe is defined for functor K")
-    edges, moves = _upward_moves(system)
+    ids, moves = _upward_moves(system)
     dims, r = system.dims, system.base_rank
     tree = {}                    # section -> its first upward cover move
-    for e, ((_, _, tag), (_, a, _)) in enumerate(zip(edges, moves)):
-        if tag[0] == "cover":
+    cover = (system.family.edge_arrays[2][ids] < 2).tolist()
+    for e, ((_, a, _), c) in enumerate(zip(moves, cover)):
+        if c:
             tree.setdefault(a, e)
     roots = [i for i, d in enumerate(dims) if d and i not in tree]
     root_gens = sum(dims[i] for i in roots)
     # every up map factors through a root's, so the counit's image is the
     # span of the root up maps: onto iff their row HNF is the identity
     H = hnf(np.hstack([np.zeros((r, 0), dtype=np.int64)] + system._restricted(
-        [system._move(("up", i), False) for i in roots])).T)
+        system._moves([("up", i) for i in roots], False))).T)
     keep, surjective = len(H) < root_gens, np.array_equal(H, np.eye(r, dtype=np.int64))
     del H                        # freed before the cocone pass
-    kept = _check_cocone(system, edges, moves, keep)
+    kept = _check_cocone(system, ids, moves, keep)
     invariants = sparse_snf_invariants(
         _residual_rows(system, moves, tree, roots, kept)) if keep else []
     rel_rank = system.total - root_gens + len(invariants)

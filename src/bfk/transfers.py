@@ -54,9 +54,9 @@ def retraction_matrix(system: CoefficientSystem, reading: str = "A") -> np.ndarr
             continue
         coeff = len(ana.subgroup_members[si]) * mu
         if reading == "A":
-            j = fam.pos[(si, ana.frattini_of(ti))]
+            j = fam.index(si, ana.frattini_of(ti))
         elif reading == "B":
-            j = fam.pos[(ti, si)]
+            j = fam.index(ti, si)
         else:
             raise ValueError(f"unknown reading {reading!r}")
         up = _upward_to_base(system, j)
@@ -177,18 +177,19 @@ def act_on_limit_matrix(U: ConcreteBiset, sys_q: CoefficientSystem,
     ana_q, ana_p = sys_q.ana, sys_p.ana
     up = {}                 # T^x for every point x, by subgroup T
     moves = []              # (selection rows, source slot, target slot)
-    for qi, (ti, si) in enumerate(sys_q.family.sections):
+    fam_q, fam_p = sys_q.family, sys_p.family
+    for qi, (ti, si) in enumerate(fam_q.sections):
         if sys_q.dims[qi] == 0:
             continue
         t_mem, s_mem = ana_q.subgroup_members[ti], ana_q.subgroup_members[si]
-        t_arr, slot_q = np.asarray(t_mem), sys_q.family.slots[qi]
+        t_arr, pos_q = np.asarray(t_mem), fam_q.class_positions(qi)
         up.update({i: right_transporters(U, ana_q.subgroup_members[i])
                    for i in (ti, si) if i not in up})
         for x in double_coset_reps(U, t_mem):
             # the section (T^x, S^x) of the right group
             tx = ana_p.index_of(np.flatnonzero(up[ti][x]))
             sx = ana_p.index_of(np.flatnonzero(up[si][x]))
-            pj = sys_p.family.pos.get((tx, sx))
+            pj = fam_p.index(tx, sx)
             # section families are closed under the transported sections,
             # so a missing slot indicates corrupted biset data
             if pj is None:
@@ -196,20 +197,19 @@ def act_on_limit_matrix(U: ConcreteBiset, sys_q: CoefficientSystem,
             if sys_p.dims[pj] == 0:
                 continue
             rows = []
-            for w in sys_p.family.slots[pj].classes:
+            for w in fam_p.classes(pj).tolist():
                 # the t in T with t.x in x.W, times S
                 xw = np.zeros(U.size, dtype=bool)
                 xw[U.right[x, np.asarray(ana_p.subgroup_members[w])]] = True
                 moved = t_arr[xw[U.left[t_arr, x]]]
                 tgt = product_members(ana_q.group, moved, s_mem)
-                rows.append(slot_q.class_pos[ana_q.index_of(tgt)])
+                rows.append(pos_q[ana_q.index_of(tgt)])
             moves.append((np.array(rows), pj, qi))
     if functor == "K":
         # source kernels first, then the target kernels after them
         n_p = len(sys_p.dims)
         blocks = _restrict_moves([(r, pj, n_p + qi) for r, pj, qi in moves],
-                                 sys_p._kernels + sys_q._kernels,
-                                 sys_p._kernel_pivs + sys_q._kernel_pivs)
+                                 sys_p._kernels + sys_q._kernels)
     else:
         blocks = [_selection_matrix(r, sys_q.dims[qi]) for r, _, qi in moves]
     A = obj_zeros(sys_q.total, sys_p.total)

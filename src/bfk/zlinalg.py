@@ -18,7 +18,7 @@ from __future__ import annotations
 import bisect
 import heapq
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -169,6 +169,18 @@ def _batches(members: list, entries: int, shared: int = 0):
     return (members[lo:lo + step] for lo in range(0, len(members), step))
 
 
+def _weighted_batches(members, entries):
+    """Consecutive slices of members, each holding at most _BATCH_ENTRIES
+    entries, or one member, when members[i] holds entries[i]."""
+    ends = np.cumsum(entries)
+    lo = 0
+    while lo < len(members):
+        start = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, start + _BATCH_ENTRIES, "right")))
+        yield members[lo:hi]
+        lo = hi
+
+
 def _stack_shared(arrs) -> np.ndarray:
     """np.stack(arrs), or one leading entry to broadcast when every item
     is the same object."""
@@ -204,48 +216,70 @@ def _first_mismatch(quads) -> int | None:
     return first
 
 
-def _restrict_moves(moves, kernels, pivots) -> list:
+class KernelPlan(NamedTuple):
+    """An HNF basis (rows) with what restricting maps into it reads: the
+    pivot column of each row, whether the pivot columns form the
+    identity, and the columns off the pivots, in order."""
+    basis: np.ndarray
+    piv: np.ndarray
+    ident: bool
+    rest: np.ndarray
+
+
+def kernel_plan(H: np.ndarray, piv: Sequence[int] | None = None) -> KernelPlan:
+    """The restriction plan of the HNF basis H; piv is hnf_pivots(H) when
+    the caller keeps it."""
+    piv = np.asarray(hnf_pivots(H) if piv is None else piv, dtype=np.intp)
+    ident = bool((H[:, piv] == np.eye(len(piv), dtype=np.int64)).all())
+    off = np.ones(H.shape[1], dtype=bool)
+    off[piv] = False
+    return KernelPlan(H, piv, ident, np.flatnonzero(off))
+
+
+def _restrict_moves(moves, kernels) -> list:
     """Coordinates, in HNF bases, of the images of kernel bases under many
     integer maps.
 
     A move (B, s, d) maps Z^(kernels[s] columns) to Z^(kernels[d]
     columns), by a full matrix B or, for a selection move, by the row of
-    the single 1 in each column.  kernels[s] is an HNF basis (rows) with
-    pivot columns pivots[s].  The coordinates C of the images
-    B @ kernels[s].T solve kernels[d].T @ C == images.  Moves are batched
-    by kind and by the shapes of both kernels (not by identity: empty
-    kernels are often distinct objects).  Per batch the images are one
-    scatter of kernel columns or one stacked product, C is their pivot
-    rows where the pivot columns of the target kernel form the identity
-    (else one coords_in_hnf solve per move), and C is accepted only after
-    one stacked exact check; where every target is of the first kind, the
-    check holds on the pivot rows by construction and is taken on the
-    others.  Returns the C of each move, in order, each in int64 or, past
-    the bounds, in Python ints.
+    the single 1 in each column; kernels holds a KernelPlan per index.
+    The coordinates C of the images B @ H_s.T solve H_d.T @ C == images.
+    Moves are batched by kind and by the shapes of both kernels.  Per
+    batch the images are one scatter of kernel columns or one stacked
+    product, C is their pivot rows where the target's plan says the pivot
+    columns form the identity (else one coords_in_hnf solve per move), and
+    C is accepted only after one exact check; where every target is of the
+    first kind, the check holds on the pivot rows by construction and is
+    taken on the others.  Returns the C of each move, in order, each in
+    int64 or, past the bounds, in Python ints.
     """
     out = [None] * len(moves)
     groups = {}
     for m, (B, s, d) in enumerate(moves):
-        groups.setdefault((kernels[s].shape, kernels[d].shape, B.ndim),
+        groups.setdefault((kernels[s].basis.shape, kernels[d].basis.shape, B.ndim),
                           []).append(m)
     for ((ks, ds), (kd, dd), _), members in groups.items():
         for chunk in _batches(members, dd * (ks + ds) + kd * ks):
             if ks == 0:
                 coords = np.zeros((len(chunk), kd, 0), dtype=np.int64)
             else:
-                coords = _restrict_batch([moves[m] for m in chunk], kernels, pivots)
+                coords = _restrict_batch([moves[m] for m in chunk], kernels)
             for m, C in zip(chunk, coords):
                 out[m] = C
     return out
 
 
-def _restrict_batch(moves, kernels, pivots) -> np.ndarray:
-    """Stacked coordinates (move, kd, ks) of one batch of _restrict_moves."""
+def _restrict_batch(moves, kernels) -> np.ndarray:
+    """Stacked coordinates (move, kd, ks) of one batch of _restrict_moves.
+
+    A target kernel shared by the whole batch is read once and certified
+    by one 2-D product over the columns of every move side by side."""
     n = len(moves)
-    src = _stack_shared([kernels[s] for _, s, _ in moves]).transpose(0, 2, 1)
-    dst = _stack_shared([kernels[d] for _, _, d in moves])
-    piv = _stack_shared([pivots[d] for _, _, d in moves]).astype(np.intp)
-    kd, dd = dst.shape[1:]
+    src = _stack_shared([kernels[s].basis for _, s, _ in moves]).transpose(0, 2, 1)
+    plans = [kernels[d] for _, _, d in moves]
+    if all(k is plans[0] for k in plans):
+        plans = plans[:1]
+    kd, dd = plans[0].basis.shape
     at = np.arange(n)[:, None]
     if moves[0][0].ndim == 2:
         images = _exact_matmul(np.stack([B for B, _, _ in moves]), src)
@@ -256,26 +290,26 @@ def _restrict_batch(moves, kernels, pivots) -> np.ndarray:
         wide = src64 is None or smax * rows.shape[1] > _PRODUCT_BOUND
         images = np.zeros((n, dd, src.shape[2]), dtype=object if wide else np.int64)
         np.add.at(images, (at, rows), src.astype(object) if wide else src64)
-    coords = images[at, piv]
-    # rows of H^T, gathered: a take_along_axis of H's columns indexes
-    # every entry and took four times as long on the base kernel
-    HT, at_d = dst.transpose(0, 2, 1), np.arange(len(dst))[:, None]
-    ident = (HT[at_d, piv] == np.eye(kd, dtype=np.int64)).all(axis=(1, 2))
-    if not ident.all():
-        # the stacked check below certifies these coordinates too
+    coords = images[at, np.stack([k.piv for k in plans])]
+    ident = all(k.ident for k in plans)
+    if not ident:
+        # the product check below certifies these coordinates too
         coords = coords.astype(object)
         for m in range(n):
-            k = m if len(dst) > 1 else 0
-            if not ident[k]:
-                coords[m] = coords_in_hnf(dst[k], images[m], piv[k])[0]
-    lhs, rhs = HT, images
-    if ident.all():
+            k = plans[m % len(plans)]
+            if not k.ident:
+                coords[m] = coords_in_hnf(k.basis, images[m], k.piv)[0]
+    lhs = _stack_shared([k.basis for k in plans]).transpose(0, 2, 1)
+    rhs = images
+    if ident:
         # H.T @ C is C itself on the pivot rows; compare the other rows
-        rest = np.ones((len(dst), dd), dtype=bool)
-        rest[at_d, piv] = False
-        rest = np.nonzero(rest)[1].reshape(len(dst), dd - kd)
-        lhs, rhs = HT[at_d, rest], images[at, rest]
-    if not np.array_equal(_exact_matmul(lhs, coords), rhs):
+        rest = np.stack([k.rest for k in plans])
+        lhs, rhs = lhs[np.arange(len(plans))[:, None], rest], images[at, rest]
+    if len(plans) == 1:
+        ok = np.array_equal(_exact_matmul(lhs[0], np.hstack(coords)), np.hstack(rhs))
+    else:
+        ok = np.array_equal(_exact_matmul(lhs, coords), rhs)
+    if not ok:
         raise AssertionError(_OFF_KERNEL)
     return coords
 

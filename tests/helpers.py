@@ -20,7 +20,11 @@ references for `section_shape`, `family_contains` and the slot-based
 induced kernel sums.  `sections_by_loops`, `conj_edges_by_loops` and
 `relation_rows_by_columns` are the former per-pair, per-generator and
 per-column loops of `SectionFamily` and of the colimit relations, the
-references for their whole-family array reads; `counit_matrix`, the
+references for their whole-family array reads.  `DenseFamily`, the
+former family with one (sections x subgroups) array of class positions,
+a `SectionSlot` per section and tuple edges, is the reference for the
+flat arrays of `SectionFamily`, and `slots_of` scatters those arrays
+back into slots for the per-slot references; `counit_matrix`, the
 former dense counit, with `spans_everything_dense` is the reference for
 the sparse counit columns.  `counit_report_by_relations`, the former
 counit probe, takes the Smith invariants of every relation row
@@ -34,7 +38,10 @@ that called them one point at a time, with their set checks and the
 former `_outcome`, which turned a first failure or a case count into a
 row) are the
 references for the whole-biset masks and array passes of `bisets` and
-of the appendix engines.  `coords_in_hnf_by_vector`, the former
+of the appendix engines.  `extraspecial_table_by_loops`, `table_checks_by_loops`,
+`element_orders_by_loops`, `center_by_loops` and `cyclic_subs_by_loops`
+are the former per-element loops of group construction, the references
+for its whole-array forms.  `coords_in_hnf_by_vector`, the former
 one-vector subtraction down the basis rows, is the reference for the
 batched echelon solve `zlinalg.coords_in_hnf`, and
 `constraint_violation_by_edges`, the former edge-by-edge walk of the
@@ -52,8 +59,9 @@ from bfk.burnside import ring_data
 from bfk.campaigns import (_census, _fail_row, _fingerprint, _ints,
                            _sample_indices, _signature_reps, _subquotient_fps)
 from bfk.groups import _check_prime_power, _closure, analysis, product_members
-from bfk.limits import CoefficientSystem, _upward_moves, family_contains
+from bfk.limits import CoefficientSystem, _admits, _upward_moves, family_contains
 from bfk.zlinalg import (_batches, _exact_matmul, _stack_shared, hnf, hnf_pivots,
+                         kernel_basis,
                          obj_matrix, obj_zeros, sparse_snf_invariants, xgcd)
 
 
@@ -236,9 +244,10 @@ def maps_by_edges(system: CoefficientSystem) -> dict:
     Keys are those of the system's caches: (src, dst, tag) for edges,
     ("down", i) and, for K, ("up", i).
     """
-    ana, slots = system.ana, system.family.slots
-    kern, piv = system._kernels, system._kernel_pivs
-    base, base_piv = system._base_basis, system.base_kernel._piv
+    ana, slots = system.ana, slots_of(system.family)
+    kern = [k.basis for k in system._kernels]
+    piv = [k.piv for k in system._kernels]
+    base, base_piv = system._base.basis, system._base.piv
 
     def restrict(M, s_kern, d_kern, d_piv):
         return np.asarray(_restrict_to_kernels(M, s_kern, d_kern, d_piv),
@@ -254,7 +263,7 @@ def maps_by_edges(system: CoefficientSystem) -> dict:
     for s, d, tag in system.edges():
         a, b = slots[s], slots[d]
         if system.functor == "K":
-            M = (system._b_defres_between(a, b) if tag[0] == "cover"
+            M = (system._b_defres_between(s, d) if tag[0] == "cover"
                  else into(a, b, tag[1]))
             out[(s, d, tag)] = restrict(M, kern[s], kern[d], piv[d])
         else:
@@ -554,6 +563,163 @@ def _direct_limit_basis(system: CoefficientSystem) -> np.ndarray:
     return basis
 
 
+class SectionSlot:
+    """Basis data for one section (T, S) of the ambient group, as the
+    family kept it per section before its flat arrays.
+
+    classes holds one representative subgroup index per T-conjugacy class
+    of intermediate subgroups, the least member of the class; class_pos
+    maps every subgroup index to the position of its class, or -1 for
+    subgroups outside the interval S <= W <= T.
+    """
+
+    __slots__ = ("ti", "si", "classes", "class_pos", "dim")
+
+    def __init__(self, ti: int, si: int, classes: list, class_pos: np.ndarray):
+        self.ti = ti
+        self.si = si
+        self.classes = classes
+        self.class_pos = class_pos
+        self.dim = len(classes)
+
+    def index(self, ana) -> int:
+        return (len(ana.subgroup_members[self.ti])
+                // len(ana.subgroup_members[self.si]))
+
+
+def slots_of(fam) -> list:
+    """The SectionSlot of every section of a family, scattered from its
+    flat arrays."""
+    return [SectionSlot(ti, si, fam.classes(i).tolist(), fam.class_positions(i))
+            for i, (ti, si) in enumerate(fam.sections)]
+
+
+class DenseFamily:
+    """The former section family, the reference for the flat arrays of
+    limits.SectionFamily: one (sections x subgroups) array of class
+    positions, a SectionSlot per section, a dict of positions, mark rows
+    in chunks of sections, kernels as (basis, pivots) and the edges as a
+    list of (src, dst, tag) tuples."""
+
+    def __init__(self, G, label: str):
+        self.group = G
+        ana = self.ana = analysis(G)
+        tops, bots = self._tops, self._bots = np.nonzero(_admits(label, ana.shapes))
+        self.sections = list(zip(tops.tolist(), bots.tolist()))
+        self.pos = {ts: i for i, ts in enumerate(self.sections)}
+        n = ana.n_sub
+        self.whole_pos = self.pos.get((n - 1, 0))
+        pos_t = np.min_scalar_type(-n - 1)
+        if G.is_abelian:
+            least = np.arange(n, dtype=pos_t)[None, :]
+        else:
+            least = np.zeros((n, n), dtype=pos_t)
+            for t in np.flatnonzero(np.bincount(tops, minlength=n)).tolist():
+                least[t] = ana.conj_sub[list(ana.subgroup_members[t])].min(axis=0)
+            least = least[tops]
+        between = ana.leq[bots] & ana.leq[:, tops].T
+        reps = between & (least == np.arange(n))
+        count = np.cumsum(reps, axis=1, dtype=pos_t)
+        dims = count[:, -1].tolist()
+        count -= 1
+        cp = self._class_pos = np.take_along_axis(
+            count, np.broadcast_to(least, count.shape), axis=1)
+        cp[~between] = -1
+        classes = np.nonzero(reps)[1].tolist()
+        self.slots = [SectionSlot(t, s, classes[e - d:e], row)
+                      for (t, s), row, d, e in zip(self.sections, cp, dims,
+                                                   np.cumsum(dims).tolist())]
+
+    def mark_rows(self) -> list:
+        ana = self.ana
+        sizes, p = ana.sizes, ana.group.prime
+        out = [None] * len(self.slots)
+        for sec in _batches(np.flatnonzero(sizes[self._tops] > p * sizes[self._bots]),
+                            ana.n_sub):
+            cp = self._class_pos[sec]
+            ks, members = np.nonzero(cp >= 0)
+            first_seen = cp > np.maximum.accumulate(np.pad(cp, ((0, 0), (1, 0)),
+                                                           constant_values=-1), axis=1)[:, :-1]
+            rk, reps = np.nonzero(first_seen)
+            dim = np.bincount(rk, minlength=len(sec))
+            first = np.cumsum(dim) - dim
+            cls = first[ks] + cp[ks, members]
+            n = dim[ks]
+            m = np.repeat(np.arange(len(ks)), n)
+            w = np.arange(len(m)) - np.repeat(np.cumsum(n) - n - first[ks], n)
+            below = ana.leq[members[m], reps[w]]
+            m, w = m[below], w[below]
+            maximal = np.bincount(w[sizes[members[m]] * p == sizes[reps[w]]],
+                                  minlength=len(reps))
+            cyc = (sizes[reps] == sizes[self._bots[sec[rk]]]) | (maximal == 1)
+            span = np.where(cyc, dim[rk], 0)
+            start = np.cumsum(span) - span
+            hit = cyc[cls[m]]
+            m, w = m[hit], w[hit]
+            hits = np.bincount(start[cls[m]] + w - first[ks[m]],
+                               minlength=int(span.sum()))
+            row = np.repeat(np.arange(len(reps)), span)
+            col = np.arange(len(row)) - np.repeat(start - first[rk], span)
+            mult = sizes[self._tops[sec[rk]]] // np.bincount(cls, minlength=len(reps))
+            flat = mult[row] * hits // sizes[reps[col]]
+            ncyc = np.bincount(rk[cyc], minlength=len(sec))
+            ends = np.cumsum(ncyc * dim).tolist()
+            for k, e, r, d in zip(sec.tolist(), ends, ncyc.tolist(), dim.tolist()):
+                out[k] = flat[e - r * d:e].reshape(r, d)
+        return out
+
+    def kernels(self) -> list:
+        out, memo = [], {}
+        for i, (slot, rows) in enumerate(zip(self.slots, self.mark_rows())):
+            if rows is None:
+                out.append((np.zeros((0, slot.dim), dtype=np.int64), []))
+                continue
+            key = (rows.shape, rows.tobytes())
+            if key not in memo:
+                if i == self.whole_pos:
+                    base = ring_data(self.group).kernel()
+                    kern, piv = base.basis, base._piv
+                else:
+                    kern = kernel_basis(rows)
+                    piv = hnf_pivots(kern)
+                memo[key] = (np.asarray(kern, dtype=np.int64), piv)
+            out.append(memo[key])
+        return out
+
+    def _add_edges(self, out: list, src, tops, bots, tags, kind) -> None:
+        at = np.full(self.ana.leq.shape, -1, dtype=np.int32)
+        at[self._tops, self._bots] = np.arange(len(self.sections))
+        dst = at[tops, bots]
+        assert (dst >= 0).all(), "a generating move left the family"
+        out.extend((s, d, tags[k])
+                   for s, d, k in zip(src.tolist(), dst.tolist(), kind.tolist()))
+
+    def edges(self) -> list:
+        ana, tops, bots = self.ana, self._tops, self._bots
+        sizes, p = ana.sizes, self.group.prime
+        out, cover = [], (("cover", "def"), ("cover", "res"))
+        for sec in _batches(np.arange(len(tops)), ana.n_sub):
+            t, b = tops[sec], bots[sec]
+            between = ana.leq[b] & ana.leq[:, t].T
+            grow = between & (sizes == sizes[b, None] * p) & ana.normal[:, t].T
+            shrink = between & (sizes * p == sizes[t, None])
+            src, w = np.nonzero(np.hstack([grow, shrink]))
+            res, w = np.divmod(w, ana.n_sub)
+            self._add_edges(out, sec[src], np.where(res, w, t[src]),
+                            np.where(res, b[src], w), cover, res)
+        if not self.group.is_abelian:
+            cp = self._class_pos
+            cu = ana.conj_sub[list(ana.generators)]
+            keep = (cu[:, tops] != tops) | (cu[:, bots] != bots)
+            for k, row in enumerate(cu):
+                fixed = np.flatnonzero(~keep[k])
+                keep[k, fixed] = (cp[fixed][:, row] != cp[fixed]).any(axis=1)
+            src, k = np.nonzero(keep.T)
+            self._add_edges(out, src, cu[k, tops[src]], cu[k, bots[src]],
+                            [("conj", u) for u in ana.generators], k)
+        return out
+
+
 def sections_by_loops(ana, label: str):
     """The former pair loops of SectionFamily: the sections in (top, bottom)
     order, their positions and the cover edges, tagged ("cover", "def") or
@@ -590,10 +756,10 @@ def conj_edges_by_loops(fam) -> list:
     ana = fam.ana
     conj = []
     if not fam.group.is_abelian:
-        for i, ((ti, si), slot) in enumerate(zip(fam.sections, fam.slots)):
+        for i, ((ti, si), slot) in enumerate(zip(fam.sections, slots_of(fam))):
             for u in ana.generators:
                 cu = ana.conj_sub[u]
-                j = fam.pos[(int(cu[ti]), int(cu[si]))]
+                j = fam.index(int(cu[ti]), int(cu[si]))
                 if j == i and np.array_equal(slot.class_pos[cu[slot.classes]],
                                              np.arange(slot.dim)):
                     continue
@@ -645,7 +811,7 @@ def colimit_relations(system: CoefficientSystem) -> list[dict[int, int]]:
     stacked one batch at a time; per batch one product checks that the
     map of b after M is the map of a, so that the counit kills the rows
     (see relation_rows) read off the same stack."""
-    edges, moves = _upward_moves(system)
+    ids, moves = _upward_moves(system)
     dims = system.dims
     ups = system._maps([("up", i) for i in range(len(dims))])
     groups = {}
@@ -669,7 +835,7 @@ def colimit_relations(system: CoefficientSystem) -> list[dict[int, int]]:
             for m, e in enumerate(chunk):
                 rows[starts[e]:starts[e + 1]] = got[m * ka:(m + 1) * ka]
     if bad:
-        src, dst, tag = edges[min(bad)]
+        src, dst, tag = system.family.edges[ids[min(bad)]]
         raise AssertionError(f"upward maps disagree along {src}->{dst} {tag}")
     return rows
 
@@ -742,6 +908,71 @@ def counit_report_by_relations(system: CoefficientSystem) -> dict:
         "kernel_invariants": m_invariants,
         "kernel_trivial": bool(finite and not m_invariants),
     }
+
+
+def extraspecial_table_by_loops(p: int) -> np.ndarray:
+    """The former six nested loops of groups.extraspecial_group: upper
+    unitriangular matrices (a, b, c) encoded as a + p b + p^2 c."""
+    n = p ** 3
+
+    def enc(a, b, c):
+        return a + p * b + p * p * c
+    table = np.empty((n, n), dtype=np.int32)
+    for a1 in range(p):
+        for b1 in range(p):
+            for c1 in range(p):
+                i = enc(a1, b1, c1)
+                for a2 in range(p):
+                    for b2 in range(p):
+                        for c2 in range(p):
+                            table[i, enc(a2, b2, c2)] = enc(
+                                (a1 + a2) % p, (b1 + b2) % p,
+                                (c1 + c2 + a1 * b2) % p)
+    return table
+
+
+def table_checks_by_loops(table) -> np.ndarray:
+    """The former row loops of FiniteGroup.__init__: each row must be a
+    permutation, then each row must hold the identity exactly once; the
+    inverses, or the ValueError of the first failing check."""
+    tbl = np.asarray(table, dtype=np.int32)
+    n = tbl.shape[0]
+    for i in range(n):
+        if len(set(tbl[i].tolist())) != n:
+            raise ValueError("rows must be permutations")
+    inv = np.empty(n, dtype=np.int32)
+    for i in range(n):
+        hits = np.nonzero(tbl[i] == 0)[0]
+        if len(hits) != 1:
+            raise ValueError("missing or non-unique inverse")
+        inv[i] = hits[0]
+    return inv
+
+
+def element_orders_by_loops(G) -> np.ndarray:
+    """The former per-element walk of FiniteGroup.element_orders."""
+    out = np.empty(G.order, dtype=np.int32)
+    for g in range(G.order):
+        x, k = int(G.table[0, g]), 1
+        while x != 0:
+            x = int(G.table[x, g])
+            k += 1
+        out[g] = k
+    return out
+
+
+def center_by_loops(G) -> tuple:
+    """The former per-element test of GroupAnalysis.center_members."""
+    return tuple(int(x) for x in range(G.order)
+                 if np.array_equal(G.table[x], G.table[:, x]))
+
+
+def cyclic_subs_by_loops(ana) -> list:
+    """The former per-subgroup test of GroupAnalysis.is_cyclic_sub: some
+    member has the subgroup's order."""
+    orders = ana.group.element_orders()
+    return [any(int(orders[m]) == len(mem) for m in mem)
+            for mem in ana.subgroup_members]
 
 
 def _normal_by_members(ana, si: int, ti: int) -> bool:

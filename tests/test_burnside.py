@@ -27,9 +27,10 @@ from bfk.groups import (
     trivial_group,
 )
 from bfk.limits import coefficient_system
-from bfk.zlinalg import _restrict_moves, hnf, obj_zeros
+from bfk.zlinalg import _restrict_moves, hnf, kernel_plan, obj_zeros
 from helpers import (_restrict_to_kernels, all_sections, indinf_class_matrix, mark_count,
-                     normalizer, per_column_restrict, preimage, section_transport)
+                     normalizer, per_column_restrict, preimage, section_transport,
+                     slots_of)
 
 X27 = extraspecial_group(3)
 C9x3 = direct_product(cyclic_group(9), cyclic_group(3))
@@ -214,7 +215,7 @@ def test_fast_paths_match_generic_action():
         # the section families write defres in slot coordinates: one class
         # of intermediate subgroups S <= W <= T per class of W/S in T/S
         system = coefficient_system(G, "X", "B")
-        for i, slot in enumerate(system.family.slots):
+        for i, slot in enumerate(slots_of(system.family)):
             sec = ana.section_at(ana.subgroup_members[slot.ti],
                                  ana.subgroup_members[slot.si])
             order = [slot.class_pos[ana.index_of(preimage(sec, m))]
@@ -272,8 +273,8 @@ def test_kernel_is_preserved_by_section_maps():
         up = indinf_class_matrix(ana, sec)
         # each raises if an image leaves the target kernel
         for M, src, dst in ((down, K, kq), (up, kq, K)):
-            got = _restrict_moves([(M, 0, 1)], [src.basis, dst.basis],
-                                  [src._piv, dst._piv])[0]
+            got = _restrict_moves([(M, 0, 1)], [kernel_plan(src.basis, src._piv),
+                                                kernel_plan(dst.basis, dst._piv)])[0]
             assert np.array_equal(
                 got, per_column_restrict(M, src.basis, dst.basis))
             assert np.array_equal(

@@ -388,7 +388,7 @@ def test_eps_outside_the_kernel_is_refuted(monkeypatch):
 def test_scaled_kernel_outside_the_eps_part_is_refuted(monkeypatch):
     real = campaigns._induced_rank_two
     monkeypatch.setattr(campaigns, "_induced_rank_two",
-                        lambda ana, slot: 2 * real(ana, slot))
+                        lambda ana, classes, si: 2 * real(ana, classes, si))
     rows = {r["claim"]: r for r in campaigns._induction_rows("elab:3:2", RunConfig())}
     row = rows["induction-scaling-lands-in-eps-part"]
     assert row["status"] == "refuted" and recheck(row)

@@ -24,7 +24,10 @@ from bfk.groups import (
 )
 from bfk.groups import _closure
 from bfk.limits import section_family
-from helpers import all_sections, conjugate_members, double_coset_reps, preimage
+from helpers import (all_sections, center_by_loops, conjugate_members,
+                     cyclic_subs_by_loops, double_coset_reps,
+                     element_orders_by_loops, extraspecial_table_by_loops, preimage,
+                     table_checks_by_loops)
 
 
 def naive_closure(G, gens):
@@ -115,6 +118,48 @@ def test_extraspecial_is_a_group_of_exponent_p():
     # full associativity via the ingestion validator
     group_from_table(3, X.table, name="copy")
     assert len(analysis(X).center_members) == 3
+
+
+def test_group_construction_matches_the_element_loops():
+    # the whole-array forms of the table, the checks, the inverses, the
+    # element orders, the center and the cyclic flags against the former
+    # loops, for xsp:3/5/7 and every catalog group at p = 3 and p = 5
+    for p in (3, 5, 7):
+        assert np.array_equal(extraspecial_group(p).table, extraspecial_table_by_loops(p))
+    groups = [extraspecial_group(7)] + [
+        parse_descriptor(desc, p) for p, bound in ((3, 81), (5, 125))
+        for _, desc in catalog_groups(p, bound)]
+    for G in groups:
+        assert np.array_equal(G.inv, table_checks_by_loops(G.table)), G.name
+        assert np.array_equal(G.element_orders(), element_orders_by_loops(G)), G.name
+        if G.order <= 125:
+            ana = analysis(G)
+            assert ana.center_members == center_by_loops(G), G.name
+            assert ana.is_cyclic_sub == cyclic_subs_by_loops(ana), G.name
+
+
+@pytest.mark.parametrize("table,message", [
+    ([[0, 1, 2], [1, 1, 0], [2, 0, 1]], "rows must be permutations"),
+    ([[0, 1, 2], [1, 1, 1], [2, 0, 1]], "rows must be permutations"),
+    ([[0, 1, 2], [1, 2, 0], [2, 0, 1]], None),
+])
+def test_table_checks_fail_like_the_row_loops(table, message):
+    # the same message from the whole-array checks as from the row loops,
+    # the permutation check before the inverse check
+    if message is None:
+        assert np.array_equal(FiniteGroup(3, table).inv, table_checks_by_loops(table))
+        return
+    with pytest.raises(ValueError, match=message):
+        table_checks_by_loops(table)
+    with pytest.raises(ValueError, match=message):
+        FiniteGroup(3, table)
+
+
+def test_inverse_check_without_validation():
+    # an unvalidated table still needs exactly one identity per row
+    bad = [[0, 1, 2], [1, 0, 0], [2, 1, 1]]
+    with pytest.raises(ValueError, match="missing or non-unique inverse"):
+        FiniteGroup(3, bad, validate=False)
 
 
 def test_direct_product_and_names():

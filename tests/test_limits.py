@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from bfk.campaigns import catalog_groups
 from bfk.zlinalg import (_exact_matmul, _restrict_moves, coords_in_hnf, hnf_pivots,
-                         kernel_basis, lattice_from_rows, obj_matrix,
+                         kernel_basis, kernel_plan, lattice_from_rows, obj_matrix,
                          sparse_kernel_basis, unit_elimination)
 from bfk.groups import (
     analysis,
@@ -21,12 +21,14 @@ from bfk.groups import (
     group_from_spec,
 )
 from bfk import limits
+from bfk.burnside import ring_data
 from bfk.limits import (
     FAMILY_LABELS,
     FUNCTOR_NAMES,
     CoefficientSystem,
     ConstraintViolation,
     FamilyError,
+    SectionFamily,
     _mark_rows,
     _selection_matrix,
     _sparse_rows,
@@ -38,12 +40,13 @@ from bfk.limits import (
     residual_check,
     section_family,
 )
-from helpers import (_direct_limit_basis, _restrict_to_kernels, colimit_relations,
+from helpers import (DenseFamily, _direct_limit_basis, _restrict_to_kernels,
+                     colimit_relations,
                      conj_edges_by_loops, constraint_violation_by_edges,
                      counit_columns, counit_matrix, counit_report_by_relations,
                      defres_by_double_cosets, maps_by_edges, mark_rows_by_loops,
                      per_column_restrict, relation_rows_by_columns,
-                     sections_by_loops, slot_classes_by_union_find,
+                     sections_by_loops, slot_classes_by_union_find, slots_of,
                      spans_everything, spans_everything_dense, sparse_kernel)
 
 C3 = cyclic_group(3)
@@ -65,6 +68,49 @@ def _edges(fam, kind: str) -> list:
     return [e for e in fam.edges if e[2][0] == kind]
 
 
+def test_lean_family_matches_the_dense_family():
+    # the flat arrays against the former dense family, on every label and
+    # every catalog group at p = 3 to order 81 and p = 5 to order 125: the
+    # same sections, slot classes, class positions of interval members and
+    # kernels, and the same edges in the same order
+    for p, max_order in ((3, 81), (5, 125)):
+        for _, spec in catalog_groups(p, max_order):
+            G = group_from_spec(spec, p)
+            for label in FAMILY_LABELS:
+                fam, dense = section_family(G, label), DenseFamily(G, label)
+                assert fam.sections == dense.sections, (spec, label)
+                assert fam.whole_pos == dense.whole_pos, (spec, label)
+                for i, slot in enumerate(dense.slots):
+                    assert fam.classes(i).tolist() == slot.classes, (spec, label, i)
+                    members, pos = fam._interval(i)
+                    assert members.tolist() == np.flatnonzero(slot.class_pos >= 0).tolist()
+                    assert pos.tolist() == slot.class_pos[members].tolist()
+                    assert np.array_equal(fam.class_positions(i), slot.class_pos)
+                    assert np.array_equal(fam._locate(i, np.arange(fam.ana.n_sub)),
+                                          slot.class_pos)
+                for got, (kern, piv) in zip(fam.kernels, dense.kernels()):
+                    assert np.array_equal(got.basis, kern), (spec, label)
+                    assert got.piv.tolist() == list(piv), (spec, label)
+                assert fam.edges == dense.edges(), (spec, label)
+
+
+def test_section_family_build_stays_small():
+    # the E family of elab:3:4 (2,193 sections, 10,640 edges) with its
+    # slot kernels and edges stays under a traced 3 MB; the former dense
+    # family reached 6.0 MB
+    G = group_from_spec("elab:3:4", 3)
+    ring_data(G).kernel()            # the analysis and the base kernel first
+    tracemalloc.start()
+    try:
+        fam = SectionFamily(G, "E")
+        fam.kernels, fam.edge_arrays
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000, peak
+    assert (len(fam.sections), len(fam.edge_arrays[0])) == (2193, 10640)
+
+
 def test_family_counts_on_x27():
     for label, expect in (("E", 57), ("E2", 57), ("E3", 57), ("X3", 58), ("X", 58)):
         assert len(section_family(X27, label).sections) == expect
@@ -81,11 +127,15 @@ def test_family_counts_order_81():
 
 
 def test_systems_share_the_family_edges():
-    # each edge is built once, with its final tag, in one list per family
-    # that every functor's system reads
+    # each edge is built once, into the family's edge arrays, and every
+    # functor's system reads them decoded through the family's tags
     fam = section_family(X27, "X")
-    assert all(coefficient_system(X27, "X", f).edges() is fam.edges
+    arrays = fam.edge_arrays
+    assert all(coefficient_system(X27, "X", f).edges() == fam.edges
                for f in FUNCTOR_NAMES)
+    assert fam.edge_arrays is arrays
+    assert [a.dtype for a in arrays] == [np.int32, np.int32, np.int8]
+    assert len(fam.edges) == len(arrays[0])
     cover = _edges(fam, "cover")
     assert fam.edges == cover + _edges(fam, "conj")
     assert {tag for _, _, tag in cover} == {("cover", "def"), ("cover", "res")}
@@ -103,8 +153,9 @@ def test_sections_and_cover_edges_match_the_pair_loops():
             G = group_from_spec(spec, p)
             for label in FAMILY_LABELS:
                 fam = section_family(G, label)
-                want = sections_by_loops(analysis(G), label)
-                assert (fam.sections, fam.pos, _edges(fam, "cover")) == want, (spec, label)
+                secs, pos, cover = sections_by_loops(analysis(G), label)
+                assert (fam.sections, _edges(fam, "cover")) == (secs, cover), (spec, label)
+                assert {ts: fam.index(*ts) for ts in secs} == pos, (spec, label)
 
 
 def test_conj_edges_match_the_generator_loop():
@@ -127,7 +178,7 @@ def test_slot_classes_and_mark_rows_match_the_loops():
             ana = analysis(G)
             for label in FAMILY_LABELS:
                 fam = section_family(G, label)
-                for slot, rows in zip(fam.slots, _mark_rows(fam)):
+                for slot, rows in zip(slots_of(fam), _mark_rows(fam)):
                     reps, pos = slot_classes_by_union_find(ana, slot.ti, slot.si)
                     inside = np.flatnonzero(slot.class_pos >= 0).tolist()
                     assert slot.classes == reps, (spec, label)
@@ -143,12 +194,11 @@ def test_slot_classes_and_mark_rows_match_the_loops():
     ("elab:3:3", 3, "E"), ("xsp:5", 5, "X3")])
 def test_defres_counts_match_the_double_coset_loops(spec, p, label):
     system = coefficient_system(group_from_spec(spec, p), label, "B")
-    ana, slots = system.ana, system.family.slots
+    ana, slots = system.ana, slots_of(system.family)
     for src, dst, _ in _edges(system.family, "cover"):
         want = defres_by_double_cosets(ana, slots[src].ti, slots[src].classes,
                                        slots[dst])
-        assert np.array_equal(system._b_defres_between(slots[src], slots[dst]),
-                              want)
+        assert np.array_equal(system._b_defres_between(src, dst), want)
     for i, slot in enumerate(slots):
         want = defres_by_double_cosets(ana, ana.n_sub - 1, ana.class_reps, slot)
         assert np.array_equal(system._b_defres_from_base(i), want)
@@ -157,19 +207,23 @@ def test_defres_counts_match_the_double_coset_loops(spec, p, label):
 def test_c3_slot_dimensions():
     fam = section_family(C3, "E")
     assert fam.sections == [(0, 0), (1, 0), (1, 1)]
-    assert [s.dim for s in fam.slots] == [1, 2, 1]
+    assert fam.dims.tolist() == [1, 2, 1]
 
 
 def test_slots_with_equal_mark_rows_share_one_kernel():
     for G in (X27, direct_product(X27, C3)):
         system = coefficient_system(G, "X", "K")
         fam = system.family
-        distinct = set()
-        for i, (slot, rows) in enumerate(zip(fam.slots, _mark_rows(fam))):
+        distinct, empty = set(), {}
+        for i, (slot, rows) in enumerate(zip(slots_of(fam), _mark_rows(fam))):
             if slot.index(fam.ana) > 3:
                 distinct.add((rows.shape, rows.tobytes()))
                 fresh = kernel_basis(obj_matrix(rows.tolist(), slot.dim))
-                assert np.array_equal(system._kernels[i], fresh)
+                assert np.array_equal(system._kernels[i].basis, fresh)
+            else:
+                # one empty kernel per dimension
+                assert system._kernels[i] is empty.setdefault(slot.dim, system._kernels[i])
+                assert system._kernels[i].basis.shape == (0, slot.dim)
         assert len(fam._kernel_memo) == len(distinct)
 
 
@@ -177,12 +231,14 @@ def test_whole_group_slot_takes_the_base_kernel():
     for G in (X27, V2, V3):
         system = coefficient_system(G, "X", "K")
         fam = system.family
-        i = fam.pos[(fam.ana.n_sub - 1, 0)]
+        i = fam.index(fam.ana.n_sub - 1, 0)
         base = system.base_kernel
-        # the slot reuses the base kernel instead of eliminating again
-        assert system._kernel_pivs[i] is base._piv
-        assert np.array_equal(system._kernels[i], base.basis)
-        rows = _mark_rows(fam)[i]
+        # the slot reuses the system's base kernel plan instead of
+        # eliminating again
+        assert system._kernels[i] is system._base
+        assert np.array_equal(system._base.basis, base.basis)
+        assert system._base.piv.tolist() == base._piv
+        rows = list(_mark_rows(fam))[i]
         assert np.array_equal(kernel_basis(rows), base.basis)
 
 
@@ -201,8 +257,8 @@ def test_restrict_to_kernels_matches_per_column_coords(dst_rows, scale):
     got = _restrict_to_kernels(M, src, H, piv)
     assert np.array_equal(got, coords)
     assert np.array_equal(got, per_column_restrict(M, src, H))
-    kernels, pivots = [src, H], [hnf_pivots(src), piv]
-    assert np.array_equal(_restrict_moves([(M, 0, 1)], kernels, pivots)[0], coords)
+    kernels = [kernel_plan(src), kernel_plan(H, piv)]
+    assert np.array_equal(_restrict_moves([(M, 0, 1)], kernels)[0], coords)
     # an image off the lattice is refused, by the exact product check
     # whether or not a pivot divides it
     for off in ([0, 0, 1], [1, 0, 0]):
@@ -215,7 +271,7 @@ def test_restrict_to_kernels_matches_per_column_coords(dst_rows, scale):
         with pytest.raises(AssertionError, match="image left the mark kernel"):
             per_column_restrict(M_bad, src, H)
         with pytest.raises(AssertionError, match="image left the mark kernel"):
-            _restrict_moves([(M_bad, 0, 1)], kernels, pivots)
+            _restrict_moves([(M_bad, 0, 1)], kernels)
 
 
 def _batched_cases():
@@ -290,6 +346,10 @@ def _forced_kernels():
     return kernels, [hnf_pivots(k) for k in kernels]
 
 
+def _plans(kernels):
+    return [kernel_plan(k) for k in kernels]
+
+
 def test_batched_restriction_matches_per_move_on_forced_kernels():
     kernels, pivots = _forced_kernels()
     assert pivots[5] == [0, 1] and kernels[5][0, 0] == 2
@@ -308,13 +368,13 @@ def test_batched_restriction_matches_per_move_on_forced_kernels():
     batches = [moves] + [[m for m in moves if m[2] == d] for d in (3, 4, 5)]
     batches += [[m] for m in moves]
     for batch in batches:
-        for (B, s, d), C in zip(batch, _restrict_moves(batch, kernels, pivots)):
+        for (B, s, d), C in zip(batch, _restrict_moves(batch, _plans(kernels))):
             full = _selection_matrix(B, 3) if B.ndim == 1 else B
             want = _restrict_to_kernels(full, kernels[s], kernels[d], pivots[d])
             assert C.shape == want.shape and np.array_equal(C, want), (B, s, d)
             assert np.array_equal(C, per_column_restrict(full, kernels[s],
                                                          kernels[d]))
-    got = _restrict_moves(moves, kernels, pivots)
+    got = _restrict_moves(moves, _plans(kernels))
     # entries past the working range come back exact, as Python ints
     assert got[12].dtype == object and got[12][0, 0] == 2**70
     assert got[-1].dtype == object and got[-1].tolist() == (coords * 2**70).tolist()
@@ -323,7 +383,7 @@ def test_batched_restriction_matches_per_move_on_forced_kernels():
     for bad in ((np.array([2, 0]), 0, 3), (np.array([0, 1]), 6, 5)):
         for batch in ([bad], moves[:6] + [bad]):
             with pytest.raises(AssertionError, match="image left the mark kernel"):
-                _restrict_moves(batch, kernels, pivots)
+                _restrict_moves(batch, _plans(kernels))
 
 
 def test_exact_matmul_takes_int64_only_under_both_bounds():
@@ -638,10 +698,10 @@ def nested_pair_check(system, mat):
             if (i == j or system.dims[j] == 0
                     or not (ana.leq[tj, ti] and ana.leq[si, sj] and ana.leq[sj, tj])):
                 continue
-            D = system._b_defres_between(fam.slots[i], fam.slots[j])
+            D = system._b_defres_between(i, j)
             if system.functor == "K":
-                D = _restrict_to_kernels(D, system._kernels[i], system._kernels[j],
-                                         system._kernel_pivs[j])
+                D = _restrict_to_kernels(D, system._kernels[i].basis,
+                                         system._kernels[j].basis, system._kernels[j].piv)
             a = mat[system.offsets[i]:system.offsets[i] + system.dims[i], :]
             b = mat[system.offsets[j]:system.offsets[j] + system.dims[j], :]
             assert not np.any(np.asarray(D, dtype=object) @ a - b), (i, j)
@@ -661,7 +721,7 @@ def test_projection_restricts_limits():
     lim = inverse_limit(big)
     rows = []
     for ts in small.family.sections:
-        i = big.family.pos[ts]
+        i = big.family.index(*ts)
         rows.extend(range(big.offsets[i], big.offsets[i] + big.dims[i]))
     residual_check(small, lim.basis[rows, :])
 
@@ -748,7 +808,9 @@ def test_counit_probe_rejects_maps_that_disagree_or_miss_a_relation(monkeypatch)
     # one flipped entry of a conjugation or a cover map gives a relation
     # the counit misses; those maps are built afresh, one batch at a time,
     # so the flip goes in through the restriction of that edge's move
-    edges, moves = limits._upward_moves(system)
+    ids, moves = limits._upward_moves(system)
+    edges = system.family.edges
+    edges = [edges[e] for e in ids]
     ups = system._maps([("up", i) for i in range(len(system.dims))])
     restricted = system._restricted
     for kind, pick in (("conj", min), ("cover", max)):
@@ -766,7 +828,7 @@ def test_counit_probe_rejects_maps_that_disagree_or_miss_a_relation(monkeypatch)
 
         src, dst, tag = edges[e]
         with monkeypatch.context() as m:
-            m.setattr(limits, "_upward_moves", lambda _: (edges, moves))
+            m.setattr(limits, "_upward_moves", lambda _: (ids, moves))
             m.setattr(system, "_restricted", flip)
             with pytest.raises(AssertionError,
                                match=re.escape(f"disagree along {src}->{dst} {tag}")):

@@ -53,10 +53,11 @@ def test_one_classifier_matches_the_quotient_rule():
             assert sum_of_induced_kernels(G, label) == \
                 _induced_sum_by_quotients(G, ana, images, label), (G.name, label)
         p = G.prime
-        for slot in section_family(G, "E2").slots:
-            if slot.index(ana) != p * p:
+        fam = section_family(G, "E2")
+        for i, (ti, si) in enumerate(fam.sections):
+            if ana.sizes[ti] // ana.sizes[si] != p * p:
                 continue
-            sec, M = images[(slot.ti, slot.si)]
+            sec, M = images[(ti, si)]
             want = M @ rank_two_kernel_element(sec.group)
-            assert np.array_equal(_induced_rank_two(ana, slot), want)
+            assert np.array_equal(_induced_rank_two(ana, fam.classes(i), si), want)
     assert checked == 1428

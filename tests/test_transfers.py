@@ -80,7 +80,7 @@ def subfamily_retraction_matrix(system):
     sig_e = retraction_matrix(esys, "A")
     out = obj_zeros(system.base_rank, system.total)
     for idx, ts in enumerate(esys.family.sections):
-        j = system.family.pos[ts]
+        j = system.family.index(*ts)
         d = system.dims[j]
         out[:, system.offsets[j]:system.offsets[j] + d] = \
             sig_e[:, esys.offsets[idx]:esys.offsets[idx] + d]
