@@ -490,6 +490,8 @@ def _probe_rows(desc: str, cfg: RunConfig) -> list[dict]:
     witness = {"kind": "counit-surjectivity", "family": "X",
                "generators": int(rep["generators"]),
                "base_rank": int(rep["base_rank"])}
+    if not rep["counit_surjective"]:
+        witness["hnf_diagonal"] = [int(d) for d in rep["hnf_diagonal"]]
     rows.append(_row("probe", "counit-surjective", desc, status, witness))
 
     status = "verified" if rep["kernel_finite"] else "refuted"
@@ -1092,7 +1094,6 @@ _SIMPLE_COUNT_KEYS = {
     "scaled-membership": ("scale", "checked"),
     "dual-descent": ("bisets", "cases"),
     "unit-in-limit": ("columns",),
-    "counit-surjectivity": ("generators", "base_rank"),
     "generator-span": ("rank",),
 }
 
@@ -1154,6 +1155,13 @@ def recheck(row: dict) -> bool:
                            and w["premise_subquotients_iso"]))
                      or w["conclusion_bounded_iso"])
             return holds if status == "verified" else not holds
+        if kind == "counit-surjectivity":
+            if status == "verified":
+                return int(w["generators"]) >= 0 and int(w["base_rank"]) >= 0
+            # the pivots of a row HNF in Z^base_rank: onto iff it is the identity
+            diagonal, r = [int(d) for d in w["hnf_diagonal"]], int(w["base_rank"])
+            return (len(diagonal) <= r and all(d >= 1 for d in diagonal)
+                    and (len(diagonal) < r or any(d != 1 for d in diagonal)))
         if kind == "counit-kernel":
             finite = (int(w["relation_rank"]) + int(w["base_rank"])
                       == int(w["generators"]))

@@ -487,18 +487,21 @@ class GroupAnalysis:
         abelian, SHAPE_XSP when it is extraspecial of order p^3 and exponent
         p, else SHAPE_OTHER, also off the sections.  T/S has exponent p iff
         the p-th power closure of T lies in S, and it is abelian iff the
-        derived subgroup of T does."""
+        derived subgroup of T does.  Every temporary takes one byte per
+        entry."""
         G, mask = self.group, self.member_mask
         rows, cols = np.nonzero(mask)
         powers = np.zeros(mask.shape, dtype=bool)
         powers[rows, self.pth_power[cols]] = True
         exp_p = self.leq[self._generated(powers)]          # [ti, si]: T^p <= S
         abelian = self.leq[self.derived]                   # [ti, si]: T' <= S
-        level = np.array([_check_prime_power(int(n), G.prime) for n in self.sizes])
+        level = np.array([_check_prime_power(int(n), G.prime) for n in self.sizes],
+                         dtype=np.int8)
         rank = level[:, None] - level[None, :]
+        other = np.int8(SHAPE_OTHER)
         code = np.where(exp_p & abelian, rank,
-                        np.where(exp_p & (rank == 3), SHAPE_XSP, SHAPE_OTHER))
-        return np.where(self.normal.T, code, SHAPE_OTHER).astype(np.int8)
+                        np.where(exp_p & (rank == 3), np.int8(SHAPE_XSP), other))
+        return np.where(self.normal.T, code, other)
 
     def moebius(self, si: int, ti: int) -> int:
         """Moebius function of the subgroup poset on the interval [si, ti].

@@ -30,6 +30,11 @@ with a nonzero value keeps its first upward cover move as its tree move
 pivots on the section's own generators.  Eliminating them leaves unit
 invariants and the other moves over the root generators, which the counit
 kills, so they are zero when the root up maps have full column rank.
+Every move M from value(a) into value(b) must commute with the up maps,
+U_b M = U_a in base kernel coordinates.  Restricting the up selection
+S_x certifies H_P.T U_x = S_x H_x.T, and H_P.T is injective, so the
+check is made as S_b H_b.T M = S_a H_a.T in the transitive basis of P:
+only the root up maps, whose HNF decides surjectivity, are restricted.
 """
 
 from __future__ import annotations
@@ -715,42 +720,53 @@ def _upward_moves(system: CoefficientSystem) -> tuple[np.ndarray, list]:
     return ids, list(zip(fam._selection_rows(a, b, u), a.tolist(), b.tolist()))
 
 
+def _up_rows(fam: SectionFamily) -> np.ndarray:
+    """The up selection of every class entry of the family, in the order of
+    fam._classes: the class of P that holds it.  The up map of value(x)
+    sends class j of section x to class _up_rows(fam)[_class_off[x] + j]."""
+    return fam.ana.class_of_sub[fam._classes]
+
+
 def _check_cocone(system: CoefficientSystem, ids: np.ndarray, moves: list,
                   keep: bool) -> dict:
-    """Check ups[b] @ M == ups[a] for every move M from value(a) into
-    value(b), one batch of equal-shape moves and one product at a time; a
+    """Check U_b @ M == U_a for every move M from value(a) into value(b),
+    U_x being the up map of value(x) in base kernel coordinates, without
+    forming any U_x.
+
+    U_x is the restriction of the up selection S_x to the kernel bases, so
+    H_P.T @ U_x == S_x @ H_x.T, and H_P.T is injective: the check reads
+    S_b @ (H_b.T @ M) == S_a @ H_a.T in the transitive basis of P.  Moves
+    with equal kernel shapes at both ends are taken in batches of about
+    _BATCH_ENTRIES entries, each checked by one stacked exact product
+    H_b.T @ M and one scatter-add of both sides into the classes of P.  A
     failure names the first failing edge, moves[k] running along the
-    family edge ids[k].  Up maps are restricted per batch
-    and never cached: a target's lives until its last move, a source's for
-    one batch.  Returns the restricted moves by index, kept if keep is set."""
-    dims, r = system.dims, system.base_rank
+    family edge ids[k].  Returns the restricted moves by index, kept if
+    keep is set."""
+    fam, plans = system.family, system._kernels
+    up, off = _up_rows(fam), fam._class_off
+    n = system._base.basis.shape[1]
     groups = {}
     for e, (_, a, b) in enumerate(moves):
-        groups.setdefault((dims[b], dims[a]), []).append(e)
-    left = np.bincount([b for _, _, b in moves], minlength=len(dims)).tolist()
-    held, kept, bad = {}, {}, []
-    for (kb, ka), members in groups.items():
-        # an up map every member shares is stacked once and broadcast
-        shared = len({moves[e][2] for e in members}) == 1
-        for chunk in _batches(members, r * (kb * (not shared) + 3 * ka) + kb * ka,
-                              r * kb * shared):
-            pairs = [moves[e][1:] for e in chunk]
+        groups.setdefault((plans[b].basis.shape, plans[a].basis.shape), []).append(e)
+    kept, bad = {}, []
+    for ((kb, db), (ka, da)), members in groups.items():
+        # a target basis every member shares is stacked once and broadcast
+        shared = len({id(plans[moves[e][2]]) for e in members}) == 1
+        for chunk in _batches(members, kb * ka + (db + da + n) * ka + db * kb * (not shared),
+                              db * kb * shared):
+            a, b = (np.array([moves[e][k] for e in chunk]) for k in (1, 2))
             Ms = np.stack(system._restricted([moves[e] for e in chunk]))
-            new = [i for i in dict.fromkeys(i for ab in pairs for i in ab)
-                   if i not in held]
-            ups = dict(zip(new, system._restricted(
-                system._moves([("up", i) for i in new], False))))
-            held.update((b, ups[b]) for _, b in pairs if b in ups)
-            lhs = _exact_matmul(_stack_shared([held[b] for _, b in pairs]), Ms)
-            rhs = _stack_shared([held[a] if a in held else ups[a] for a, _ in pairs])
-            wrong = (lhs != rhs).reshape(len(chunk), -1).any(axis=1)
+            Hb, Ha = (_stack_shared([plans[i].basis for i in x.tolist()]).transpose(0, 2, 1)
+                      for x in (b, a))
+            lhs = _exact_matmul(Hb, Ms)
+            at = np.arange(len(chunk))[:, None]
+            diff = np.zeros((len(chunk), n, ka), dtype=np.result_type(lhs, Ha))
+            np.add.at(diff, (at, up[off[b][:, None] + np.arange(db)]), lhs)
+            np.subtract.at(diff, (at, up[off[a][:, None] + np.arange(da)]), Ha)
+            wrong = diff.reshape(len(chunk), -1).any(axis=1)
             bad.extend(chunk[k] for k in np.flatnonzero(wrong))
             if keep:
                 kept.update(zip(chunk, Ms))
-            for _, b in pairs:
-                left[b] -= 1
-                if not left[b]:
-                    del held[b]
     if bad:
         src, dst, tag = system.family.edges[ids[min(bad)]]
         raise AssertionError(f"upward maps disagree along {src}->{dst} {tag}")
@@ -797,7 +813,9 @@ def counit_kernel_report(system: CoefficientSystem) -> dict:
     """The kernel of the counit, by forest elimination of the colimit's
     relations (module docstring): finite exactly when the relation rank
     plus the base rank fills the generator count, and then its invariant
-    factors are the nontrivial relation invariants."""
+    factors are the nontrivial relation invariants.  The counit is onto
+    when the row HNF of the root up maps is the identity; hnf_diagonal
+    holds its pivot entries in row order, the diagonal when it is square."""
     if system.functor != "K":
         raise FamilyError("the counit probe is defined for functor K")
     ids, moves = _upward_moves(system)
@@ -814,6 +832,7 @@ def counit_kernel_report(system: CoefficientSystem) -> dict:
     H = hnf(np.hstack([np.zeros((r, 0), dtype=np.int64)] + system._restricted(
         system._moves([("up", i) for i in roots], False))).T)
     keep, surjective = len(H) < root_gens, np.array_equal(H, np.eye(r, dtype=np.int64))
+    diagonal = [int(H[k, j]) for k, j in enumerate(hnf_pivots(H))]
     del H                        # freed before the cocone pass
     kept = _check_cocone(system, ids, moves, keep)
     invariants = sparse_snf_invariants(
@@ -829,6 +848,7 @@ def counit_kernel_report(system: CoefficientSystem) -> dict:
         "relation_rank": int(rel_rank),
         "base_rank": int(r),
         "counit_surjective": bool(surjective),
+        "hnf_diagonal": diagonal,
         "kernel_finite": bool(finite),
         "kernel_invariants": m_invariants,
         "kernel_trivial": bool(finite and not m_invariants),

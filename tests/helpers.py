@@ -41,7 +41,8 @@ references for the whole-biset masks and array passes of `bisets` and
 of the appendix engines.  `extraspecial_table_by_loops`, `table_checks_by_loops`,
 `element_orders_by_loops`, `center_by_loops` and `cyclic_subs_by_loops`
 are the former per-element loops of group construction, the references
-for its whole-array forms.  `coords_in_hnf_by_vector`, the former
+for its whole-array forms, and `shapes_through_int64` is the former
+shape table, the reference for its one-byte temporaries.  `coords_in_hnf_by_vector`, the former
 one-vector subtraction down the basis rows, is the reference for the
 batched echelon solve `zlinalg.coords_in_hnf`, and
 `constraint_violation_by_edges`, the former edge-by-edge walk of the
@@ -58,7 +59,8 @@ from bfk.bisets import ConcreteBiset, compose, defres_biset, indinf_biset, oppos
 from bfk.burnside import ring_data
 from bfk.campaigns import (_census, _fail_row, _fingerprint, _ints,
                            _sample_indices, _signature_reps, _subquotient_fps)
-from bfk.groups import _check_prime_power, _closure, analysis, product_members
+from bfk.groups import (SHAPE_OTHER, SHAPE_XSP, _check_prime_power, _closure, analysis,
+                        product_members)
 from bfk.limits import CoefficientSystem, _admits, _upward_moves, family_contains
 from bfk.zlinalg import (_batches, _exact_matmul, _stack_shared, hnf, hnf_pivots,
                          kernel_basis,
@@ -802,16 +804,19 @@ def spans_everything_dense(U: np.ndarray) -> bool:
     return H.shape[0] == U.shape[0] and np.array_equal(H, np.eye(U.shape[0], dtype=int))
 
 
-def colimit_relations(system: CoefficientSystem) -> list[dict[int, int]]:
+def colimit_relations(system: CoefficientSystem, upward=None) -> list[dict[int, int]]:
     """The former sparse relation rows of limits.counit_kernel_report,
     presenting the colimit of an upward system: one row per column of
     each upward move.
 
     Moves M with equal shapes are restricted to kernel coordinates and
     stacked one batch at a time; per batch one product checks that the
-    map of b after M is the map of a, so that the counit kills the rows
-    (see relation_rows) read off the same stack."""
-    ids, moves = _upward_moves(system)
+    map of b after M is the map of a in base kernel coordinates, so that
+    the counit kills the rows (see relation_rows) read off the same stack.
+    This is the reference for limits._check_cocone, which checks the same
+    equations in the transitive basis of P.  upward is the (ids, moves)
+    of limits._upward_moves, built afresh when not given."""
+    ids, moves = _upward_moves(system) if upward is None else upward
     dims = system.dims
     ups = system._maps([("up", i) for i in range(len(dims))])
     groups = {}
@@ -890,10 +895,12 @@ def spans_everything(cols: list[dict[int, int]], n: int) -> bool:
 def counit_report_by_relations(system: CoefficientSystem) -> dict:
     """The former limits.counit_kernel_report: the Smith invariants of
     every relation row, and surjectivity from every counit column; the
-    reference for the forest elimination."""
+    reference for the forest elimination, with the HNF of every counit
+    column in place of the root up maps."""
     invariants = sparse_snf_invariants(colimit_relations(system))
     rel_rank = len(invariants)
     surjective = spans_everything(counit_columns(system), system.base_rank)
+    H = hnf(counit_matrix(system).T)
     finite = rel_rank + system.base_rank == system.total
     m_invariants = [int(d) for d in invariants if d != 1]
     return {
@@ -904,6 +911,7 @@ def counit_report_by_relations(system: CoefficientSystem) -> dict:
         "relation_rank": int(rel_rank),
         "base_rank": int(system.base_rank),
         "counit_surjective": bool(surjective),
+        "hnf_diagonal": [int(H[k, j]) for k, j in enumerate(hnf_pivots(H))],
         "kernel_finite": bool(finite),
         "kernel_invariants": m_invariants,
         "kernel_trivial": bool(finite and not m_invariants),
@@ -973,6 +981,22 @@ def cyclic_subs_by_loops(ana) -> list:
     orders = ana.group.element_orders()
     return [any(int(orders[m]) == len(mem) for m in mem)
             for mem in ana.subgroup_members]
+
+
+def shapes_through_int64(ana) -> np.ndarray:
+    """The former GroupAnalysis.shapes, built through int64 level, rank and
+    code tables: the reference for its one-byte temporaries."""
+    G, mask = ana.group, ana.member_mask
+    rows, cols = np.nonzero(mask)
+    powers = np.zeros(mask.shape, dtype=bool)
+    powers[rows, ana.pth_power[cols]] = True
+    exp_p = ana.leq[ana._generated(powers)]
+    abelian = ana.leq[ana.derived]
+    level = np.array([_check_prime_power(int(n), G.prime) for n in ana.sizes])
+    rank = level[:, None] - level[None, :]
+    code = np.where(exp_p & abelian, rank,
+                    np.where(exp_p & (rank == 3), SHAPE_XSP, SHAPE_OTHER))
+    return np.where(ana.normal.T, code, SHAPE_OTHER).astype(np.int8)
 
 
 def _normal_by_members(ana, si: int, ti: int) -> bool:

@@ -591,6 +591,43 @@ def test_limitwise_round_trip_off_the_limit_is_refuted(monkeypatch):
         "left": left, "right": right}
 
 
+def _probe_over(monkeypatch, label: str) -> None:
+    """Run the probe's engine over the K system of another family."""
+    real = campaigns.counit_kernel_report
+    monkeypatch.setattr(campaigns, "counit_kernel_report", lambda system: real(
+        coefficient_system(system.group, label, "K")))
+
+
+def test_counit_that_misses_the_extraspecial_section_is_refuted(monkeypatch):
+    # over E, the sections of xsp:3 miss the whole group, and the root up
+    # maps span a sublattice of index 27
+    _probe_over(monkeypatch, "E")
+    rows = {r["claim"]: r for r in _probe_rows("xsp:3", RunConfig(max_order=27))}
+    row = rows["counit-surjective"]
+    assert row["status"] == "refuted" and recheck(row)
+    assert row["witness"] == {"kind": "counit-surjectivity", "family": "X",
+                              "generators": 5, "base_rank": 5,
+                              "hnf_diagonal": [1, 3, 3, 3, 1]}
+    onto = dict(row, witness=dict(row["witness"], hnf_diagonal=[1] * 5))
+    assert not recheck(onto)
+    # more pivots than the base rank is no HNF in Z^base_rank
+    assert not recheck(dict(row, witness=dict(row["witness"], base_rank=4)))
+
+
+def test_counit_kernel_under_a_rank_cap_of_two_is_refuted(monkeypatch):
+    # over X2, prod:xsp:3,cyclic:3 loses the sections of rank three, and
+    # the relations fall 36 short of a finite kernel
+    _probe_over(monkeypatch, "X2")
+    rows = {r["claim"]: r for r in _probe_rows("prod:xsp:3,cyclic:3",
+                                               RunConfig(max_order=81))}
+    row = rows["counit-kernel-finite"]
+    assert row["status"] == "refuted" and recheck(row)
+    assert row["witness"] == {"kind": "counit-kernel", "family": "X",
+                              "generators": 183, "relation_rank": 108, "base_rank": 39,
+                              "invariants": [3] * 16, "trivial": False}
+    assert not recheck(dict(row, witness=dict(row["witness"], relation_rank=144)))
+
+
 def test_report_claims_match_the_registry():
     for name in CAMPAIGNS:
         doc = run_campaign(name, RunConfig(max_order=27))

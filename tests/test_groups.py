@@ -27,7 +27,7 @@ from bfk.limits import section_family
 from helpers import (all_sections, center_by_loops, conjugate_members,
                      cyclic_subs_by_loops, double_coset_reps,
                      element_orders_by_loops, extraspecial_table_by_loops, preimage,
-                     table_checks_by_loops)
+                     shapes_through_int64, table_checks_by_loops)
 
 
 def naive_closure(G, gens):
@@ -136,6 +136,15 @@ def test_group_construction_matches_the_element_loops():
             ana = analysis(G)
             assert ana.center_members == center_by_loops(G), G.name
             assert ana.is_cyclic_sub == cyclic_subs_by_loops(ana), G.name
+
+
+def test_shape_table_matches_the_int64_build():
+    # every catalog group at p = 3 up to order 81: the same int8 bytes as
+    # the former build through int64 temporaries
+    for _, spec in catalog_groups(3, 81):
+        ana = analysis(parse_descriptor(spec, 3))
+        assert ana.shapes.dtype == np.int8
+        assert ana.shapes.tobytes() == shapes_through_int64(ana).tobytes(), spec
 
 
 @pytest.mark.parametrize("table,message", [

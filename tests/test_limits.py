@@ -785,30 +785,48 @@ def test_counit_columns_match_the_dense_counit():
                     is spans_everything_dense(U)), (desc, label)
 
 
+def _first_edge_at_flipped_class(system, ids, moves, i) -> tuple:
+    """The first edge whose move the cocone check must reject when the up
+    selection of section i sends its first class elsewhere: one with
+    source or target i whose first-class row of H_b.T @ M (target i) less
+    H_a.T (source i) is nonzero."""
+    H = system._kernels[i].basis.T
+    edges = system.family.edges
+    for e, ((_, a, b), M) in enumerate(zip(moves, system._restricted(moves))):
+        v = np.zeros(M.shape[1], dtype=np.int64)
+        if b == i:
+            v += (H @ M)[0]
+        if a == i:
+            v -= H[0]
+        if v.any():
+            return edges[ids[e]]
+    raise AssertionError("no move reads the first class of section i")
+
+
 def test_counit_probe_rejects_maps_that_disagree_or_miss_a_relation(monkeypatch):
     system = coefficient_system(X27, "X", "K")
     counit_kernel_report(system)
-    # up maps are built afresh, one batch at a time, so a flipped entry of
-    # one goes in through the restriction of its move to the base
-    i = next(i for i, d in enumerate(system.dims) if d)
-    restricted = system._restricted
-
-    def flip_up(batch):
-        out = restricted(batch)
-        for k, (_, s, d) in enumerate(batch):
-            if (s, d) == (i, len(system.dims)):
-                out[k] = out[k].copy()
-                out[k][0, 0] += 1
-        return out
-
+    ids, moves = limits._upward_moves(system)
+    # the check reads the up selection of every class entry, and only the
+    # roots have their up maps restricted, so a fault in the up map of a
+    # section off the roots goes in there: its first class is sent to
+    # another class of P
+    fam = system.family
+    cover = fam.edge_arrays[2][ids] < 2
+    tree = {a for (_, a, _), c in zip(moves, cover) if c}
+    i = next(i for i, d in enumerate(system.dims) if d and i in tree)
+    flipped = limits._up_rows(fam).copy()
+    k = fam._class_off[i]
+    flipped[k] = (flipped[k] + 1) % system._base.basis.shape[1]
+    src, dst, tag = _first_edge_at_flipped_class(system, ids, moves, i)
     with monkeypatch.context() as m:
-        m.setattr(system, "_restricted", flip_up)
-        with pytest.raises(AssertionError, match="upward maps disagree"):
+        m.setattr(limits, "_up_rows", lambda _: flipped)
+        with pytest.raises(AssertionError,
+                           match=re.escape(f"disagree along {src}->{dst} {tag}")):
             counit_kernel_report(system)
     # one flipped entry of a conjugation or a cover map gives a relation
     # the counit misses; those maps are built afresh, one batch at a time,
     # so the flip goes in through the restriction of that edge's move
-    ids, moves = limits._upward_moves(system)
     edges = system.family.edges
     edges = [edges[e] for e in ids]
     ups = system._maps([("up", i) for i in range(len(system.dims))])
@@ -834,6 +852,60 @@ def test_counit_probe_rejects_maps_that_disagree_or_miss_a_relation(monkeypatch)
                                match=re.escape(f"disagree along {src}->{dst} {tag}")):
                 counit_kernel_report(system)
     counit_kernel_report(system)
+
+
+def _outcome(check) -> str | None:
+    """The message of the AssertionError check() raises, None if none."""
+    try:
+        check()
+    except AssertionError as err:
+        return str(err)
+    return None
+
+
+def test_cocone_check_agrees_with_the_kernel_coordinate_check(monkeypatch):
+    # every K system of every family at p = 3 up to order 81 and p = 5 up
+    # to order 125: the check in P's transitive basis and the former check
+    # in base kernel coordinates both pass, and in each of three trials,
+    # with one seeded entry flipped in one seeded restricted move of each
+    # shape, both fail at the same first edge (or both pass, where every
+    # flip lies in the kernel of U_b)
+    rng = np.random.default_rng(0)
+    caught = 0
+    for p, bound in ((3, 81), (5, 125)):
+        for _, desc in catalog_groups(p, bound):
+            G = group_from_spec(desc, p)
+            for label in FAMILY_LABELS:
+                system = coefficient_system(G, label, "K")
+                ids, moves = limits._upward_moves(system)
+                assert limits._check_cocone(system, ids, moves, False) == {}
+                colimit_relations(system, (ids, moves))
+                dims, restricted = system.dims, system._restricted
+                shapes = {}
+                for e, (_, a, b) in enumerate(moves):
+                    if dims[b]:
+                        shapes.setdefault((dims[b], dims[a]), []).append(e)
+                for _ in range(3 if shapes else 0):
+                    faults = {}
+                    for (kb, ka), members in shapes.items():
+                        faults[id(moves[rng.choice(members)])] = (rng.integers(kb),
+                                                                  rng.integers(ka))
+
+                    def flip(batch):
+                        out = restricted(batch)
+                        for k, move in enumerate(batch):
+                            if id(move) in faults:
+                                out[k] = out[k].copy()
+                                out[k][faults[id(move)]] += 1
+                        return out
+
+                    with monkeypatch.context() as m:
+                        m.setattr(system, "_restricted", flip)
+                        new = _outcome(lambda: limits._check_cocone(system, ids, moves, False))
+                        old = _outcome(lambda: colimit_relations(system, (ids, moves)))
+                    assert new == old, (desc, label)
+                    caught += new is not None
+    assert caught >= 100, caught
 
 
 def test_counit_report_matches_the_relation_rows(monkeypatch):
