@@ -8,9 +8,14 @@ and rows are sorted before emission so parallel runs aggregate to the
 same bytes.
 
 Each check returns its refuted row at its first failing case and
-otherwise a census of the cases it passed.  Refuted rows always carry a
-witness that `recheck` can confirm with one pass of plain arithmetic (no
-solving beyond back-substitution against a recorded Hermite basis).
+otherwise a census of the cases it passed.  Every witness names its
+kind, and one table, `_KINDS`, gives each kind the statuses its rows may
+carry and a predicate on the witness's own fields that says whether the
+claim holds.  `recheck` reads only that table, with one pass of plain
+arithmetic (no solving beyond back-substitution against a recorded
+Hermite basis).  Where the witness carries everything the verdict rests
+on, the engine takes the row's status from the same predicate
+(`_judged`), so the two cannot disagree.
 """
 
 from __future__ import annotations
@@ -76,6 +81,13 @@ def _row(campaign: str, claim: str, group: str, status: str, witness: dict) -> d
     # reports must be byte-stable across runs, so timings never enter rows
     return {"campaign": campaign, "claim": claim, "group": group,
             "status": status, "witness": witness, "wall_time": None}
+
+
+def _judged(campaign: str, claim: str, group: str, witness: dict) -> dict:
+    """The row whose status is its witness kind's verdict on the witness."""
+    holds = _KINDS[witness["kind"]][1](witness)
+    return _row(campaign, claim, group, "verified" if holds else "refuted",
+                witness)
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +224,10 @@ def _delta_identity_row(cfg: RunConfig, factor: int | None = None) -> dict:
         inds.append(_induced_rank_two(ana, fam.classes(fam.index(ana.index_of(J), 0)), 0))
     scale = p if factor is None else int(factor)
     delta = np.asarray(extraspecial_kernel_element(G, 0, 1), dtype=object)
-    left = inds[1] - inds[0]
-    right = scale * delta
-    status = "verified" if np.array_equal(left, right) else "refuted"
-    witness = {"kind": "vector-identity", "left": _ints(left),
-               "right": _ints(right), "scale": scale}
-    return _row("induction", "induction-difference-is-scaled-delta",
-                desc, status, witness)
+    witness = {"kind": "vector-identity", "left": _ints(inds[1] - inds[0]),
+               "right": _ints(scale * delta), "scale": scale}
+    return _judged("induction", "induction-difference-is-scaled-delta",
+                   desc, witness)
 
 
 def _eps_generator_row(cfg: RunConfig) -> dict:
@@ -281,28 +290,19 @@ def _induction_rows(desc: str, cfg: RunConfig) -> list[dict]:
 def _exact_rows(desc: str, cfg: RunConfig) -> list[dict]:
     G = parse_descriptor(desc, cfg.p)
     rep = dual_exactness_report(G)
-    rows = []
-
-    status = "verified" if rep["rank_identity"] else "refuted"
-    witness = {"kind": "rank-additivity",
-               "basis_rank": int(rep["basis_rank"]),
-               "character_rank": int(rep["character_rank"]),
-               "kernel_rank": int(rep["kernel_rank"])}
-    rows.append(_row("exact", "dual-rank-additivity", desc, status, witness))
-
+    additivity = {"kind": "rank-additivity",
+                  "basis_rank": int(rep["basis_rank"]),
+                  "character_rank": int(rep["character_rank"]),
+                  "kernel_rank": int(rep["kernel_rank"])}
     inv = rep["dual_quotient_invariants"]
-    nontrivial = [int(d) for d in inv if d not in (0, 1)]
-    ok = (rep["dual_quotient_torsion_free"]
-          and rep["dual_quotient_free_rank"] == rep["kernel_rank"])
-    witness = {"kind": "free-quotient",
-               "nontrivial_invariants": nontrivial,
-               "free_rank": int(rep["dual_quotient_free_rank"]),
-               "kernel_rank": int(rep["kernel_rank"]),
-               "annihilator_matches": bool(rep["annihilator_matches"])}
-    rows.append(_row("exact", "dual-quotient-free", desc,
-                     "verified" if ok else "refuted", witness))
-    rows.append(_dual_descent_row(desc, G))
-    return rows
+    quotient = {"kind": "free-quotient",
+                "nontrivial_invariants": [int(d) for d in inv if d not in (0, 1)],
+                "free_rank": int(rep["dual_quotient_free_rank"]),
+                "kernel_rank": int(rep["kernel_rank"]),
+                "annihilator_matches": bool(rep["annihilator_matches"])}
+    return [_judged("exact", "dual-rank-additivity", desc, additivity),
+            _judged("exact", "dual-quotient-free", desc, quotient),
+            _dual_descent_row(desc, G)]
 
 
 def _dual_descent_row(desc, G) -> dict:
@@ -385,50 +385,46 @@ def _main_rows(desc: str, cfg: RunConfig) -> list[dict]:
                        "columns": int(rep["value_rank"])}
             rows.append(_row("main", _UNIT_LANDS[label], desc,
                              "verified", witness))
-        else:
-            witness = {"kind": "constraint-violation", "edge": None,
-                       "residual": []}
-            try:
-                residual_check(systems[label], systems[label].unit_matrix())
-            except ConstraintViolation as err:
-                witness.update(edge=err.edge, residual=err.residual)
-            witness["family"] = label
+            continue
+        system = systems[label]
+        E = system.unit_matrix()
+        try:
+            residual_check(system, E)
+        except ConstraintViolation as err:
+            witness = {"kind": "constraint-violation", "edge": err.edge,
+                       "residual": err.residual, "family": label}
             rows.append(_row("main", _UNIT_LANDS[label], desc,
                              "refuted", witness))
+            continue
+        # every constraint holds, so some unit column misses the lattice
+        lat = lattice_from_rows(system.total, lims[label].basis.T)
+        j = _first(~lat.members(E)) or 0
+        rows.append(_membership_row("main", _UNIT_LANDS[label], desc,
+                                    E[:, j], lat, family=label))
 
     for label, claim in (("X", "unit-iso-x"), ("X3", "unit-iso-x3")):
         rep = reports[label]
-        witness = {"kind": "unit-iso", "family": label,
-                   "rank": int(rep["unit_rank"]),
-                   "value_rank": int(rep["value_rank"]),
-                   "limit_rank": int(rep["limit_rank"]),
-                   "nontrivial_invariants": [int(d) for d in rep["cokernel_torsion"]],
-                   "kernel_rank": int(rep["kernel_rank"]),
-                   "cokernel_free_rank": int(rep["cokernel_free_rank"])}
-        status = "verified" if rep["is_isomorphism"] else "refuted"
-        rows.append(_row("main", claim, desc, status, witness))
+        rows.append(_judged("main", claim, desc, {
+            "kind": "unit-iso", "family": label,
+            "rank": int(rep["unit_rank"]),
+            "value_rank": int(rep["value_rank"]),
+            "limit_rank": int(rep["limit_rank"]),
+            "nontrivial_invariants": [int(d) for d in rep["cokernel_torsion"]],
+            "kernel_rank": int(rep["kernel_rank"]),
+            "cokernel_free_rank": int(rep["cokernel_free_rank"])}))
 
     for label, claim in (("E", "unit-cokernel-divides-order-e"),
-                         ("X", "unit-cokernel-divides-order-x")):
+                         ("X", "unit-cokernel-divides-order-x"),
+                         ("E3", "unit-cokernel-finite-e3")):
         rep = reports[label]
-        torsion = [int(d) for d in rep["cokernel_torsion"]]
-        free = int(rep["cokernel_free_rank"])
-        ok = (rep["unit_in_limit"] and free == 0
-              and all(G.order % d == 0 for d in torsion))
-        witness = {"kind": "cokernel-bound", "family": label,
-                   "invariants": torsion, "free_rank": free,
-                   "order": G.order}
-        rows.append(_row("main", claim, desc,
-                         "verified" if ok else "refuted", witness))
-
-    rep = reports["E3"]
-    torsion = [int(d) for d in rep["cokernel_torsion"]]
-    free = int(rep["cokernel_free_rank"])
-    finite = bool(rep["unit_in_limit"]) and free == 0
-    witness = {"kind": "cokernel-data", "family": "E3",
-               "invariants": torsion, "free_rank": free}
-    rows.append(_row("main", "unit-cokernel-finite-e3", desc,
-                     "verified" if finite else "refuted", witness))
+        witness = {"kind": "cokernel-data", "family": label,
+                   "invariants": [int(d) for d in rep["cokernel_torsion"]],
+                   "free_rank": int(rep["cokernel_free_rank"])}
+        if label != "E3":
+            witness.update(kind="cokernel-bound", order=G.order)
+        if not rep["unit_in_limit"]:
+            witness["unit_in_limit"] = False
+        rows.append(_judged("main", claim, desc, witness))
 
     if G.order <= 27:
         lim_e = lims["E"]
@@ -462,16 +458,13 @@ def _main_rows(desc: str, cfg: RunConfig) -> list[dict]:
     sub_types = sorted(types)
     premise_group = bool(reports["X"]["is_isomorphism"])
     premise_subs = all(_small_x3_iso(t, p) for t in sub_types)
-    conclusion = bool(reports["X3"]["is_isomorphism"])
-    holds = (not (premise_group and premise_subs)) or conclusion
-    witness = {"kind": "implication",
-               "premise_group_iso": premise_group,
-               "premise_subquotients_iso": bool(premise_subs),
-               "subquotient_types": sub_types,
-               "conclusion_bounded_iso": conclusion,
-               "vacuous": not (premise_group and premise_subs)}
-    rows.append(_row("main", "unit-iso-descends-to-bounded-family", desc,
-                     "verified" if holds else "refuted", witness))
+    rows.append(_judged("main", "unit-iso-descends-to-bounded-family", desc, {
+        "kind": "implication",
+        "premise_group_iso": premise_group,
+        "premise_subquotients_iso": premise_subs,
+        "subquotient_types": sub_types,
+        "conclusion_bounded_iso": bool(reports["X3"]["is_isomorphism"]),
+        "vacuous": not (premise_group and premise_subs)}))
     return rows
 
 
@@ -494,14 +487,13 @@ def _probe_rows(desc: str, cfg: RunConfig) -> list[dict]:
         witness["hnf_diagonal"] = [int(d) for d in rep["hnf_diagonal"]]
     rows.append(_row("probe", "counit-surjective", desc, status, witness))
 
-    status = "verified" if rep["kernel_finite"] else "refuted"
-    witness = {"kind": "counit-kernel", "family": "X",
-               "generators": int(rep["generators"]),
-               "relation_rank": int(rep["relation_rank"]),
-               "base_rank": int(rep["base_rank"]),
-               "invariants": [int(d) for d in rep["kernel_invariants"]],
-               "trivial": bool(rep["kernel_trivial"])}
-    rows.append(_row("probe", "counit-kernel-finite", desc, status, witness))
+    rows.append(_judged("probe", "counit-kernel-finite", desc, {
+        "kind": "counit-kernel", "family": "X",
+        "generators": int(rep["generators"]),
+        "relation_rank": int(rep["relation_rank"]),
+        "base_rank": int(rep["base_rank"]),
+        "invariants": [int(d) for d in rep["kernel_invariants"]],
+        "trivial": bool(rep["kernel_trivial"])}))
     return rows
 
 
@@ -1070,109 +1062,89 @@ def exit_code(doc: dict) -> int:
 
 
 # ---------------------------------------------------------------------------
-# independent re-checking of report rows
+# witness kinds: the statuses a row of each kind may carry, and whether
+# the claim holds by the witness's own fields
 
 
-def _recheck_vector_identity(row, w) -> bool:
-    same = list(w["left"]) == list(w["right"])
-    return same if row["status"] == "verified" else not same
+def _counts(*keys, least=0):
+    return lambda w: all(int(w[k]) >= least for k in keys)
 
 
-def _recheck_membership_failure(row, w) -> bool:
-    if row["status"] != "refuted":
-        return False
+def _inside(w) -> bool:
     vec = [int(v) for v in w["vector"]]
-    return not lattice_from_rows(len(vec), w["basis"]).member(vec)
+    return lattice_from_rows(len(vec), w["basis"]).member(vec)
 
 
-def _recheck_case_failure(row, w) -> bool:
-    return row["status"] == "refuted" and w["left"] != w["right"]
+def _onto(w) -> bool:
+    # the pivots of a row HNF in Z^base_rank: onto iff it is the identity;
+    # only refuted rows record them
+    r = int(w["base_rank"])
+    diagonal = [int(d) for d in w.get("hnf_diagonal", [1] * r)]
+    if (int(w["generators"]) < 0 or len(diagonal) > r
+            or min(diagonal, default=1) < 1):
+        raise ValueError("no row HNF in Z^base_rank")
+    return diagonal == [1] * r
 
 
-_SIMPLE_COUNT_KEYS = {
-    "lattice-identity": ("rank", "ambient"),
-    "scaled-membership": ("scale", "checked"),
-    "dual-descent": ("bisets", "cases"),
-    "unit-in-limit": ("columns",),
-    "generator-span": ("rank",),
+def _finite(w) -> bool:
+    # only rows whose unit misses the limit record unit_in_limit
+    return w.get("unit_in_limit", True) and int(w["free_rank"]) == 0
+
+
+_VERIFIED, _REFUTED, _EITHER = ("verified",), ("refuted",), ("verified", "refuted")
+
+_KINDS = {
+    "bounds": (("skipped",), lambda w: bool(w["reason"])),
+    "lattice-identity": (_VERIFIED, _counts("rank", "ambient")),
+    "scaled-membership": (_VERIFIED, _counts("scale", "checked")),
+    "dual-descent": (_VERIFIED, _counts("bisets", "cases")),
+    "unit-in-limit": (_VERIFIED, _counts("columns")),
+    "generator-span": (_VERIFIED, _counts("rank")),
+    "case-census": (_VERIFIED, _counts("cases", least=1)),
+    "adjunction-census": (_VERIFIED, lambda w: int(w["groupwise_cases"])
+                          + int(w["limitwise_cases"]) >= 1),
+    # reading "B" is the one that fails (transfers.retraction_matrix)
+    "retraction-scale": (_VERIFIED, lambda w: w["reading"] == "A"
+                         and int(w["scale"]) >= 1),
+    "membership-failure": (_REFUTED, _inside),
+    "constraint-violation": (_REFUTED, lambda w: not any(
+        int(v) for v in w["residual"])),
+    "case-failure": (_REFUTED, lambda w: w["left"] == w["right"]),
+    "vector-identity": (_EITHER, lambda w: list(w["left"]) == list(w["right"])),
+    "rank-additivity": (_EITHER, lambda w: int(w["basis_rank"])
+                        == int(w["character_rank"]) + int(w["kernel_rank"])),
+    "free-quotient": (_EITHER, lambda w: not w["nontrivial_invariants"]
+                      and int(w["free_rank"]) == int(w["kernel_rank"])),
+    "unit-iso": (_EITHER, lambda w: not w["nontrivial_invariants"]
+                 and int(w["kernel_rank"]) == int(w["cokernel_free_rank"]) == 0
+                 and int(w["rank"]) == int(w["value_rank"]) == int(w["limit_rank"])),
+    "cokernel-bound": (_EITHER, lambda w: _finite(w) and all(
+        d > 0 and int(w["order"]) % int(d) == 0 for d in w["invariants"])),
+    "cokernel-data": (_EITHER, _finite),
+    "implication": (_EITHER, lambda w: not (w["premise_group_iso"]
+                                            and w["premise_subquotients_iso"])
+                    or w["conclusion_bounded_iso"]),
+    "counit-surjectivity": (_EITHER, _onto),
+    "counit-kernel": (_EITHER, lambda w: int(w["relation_rank"])
+                      + int(w["base_rank"]) == int(w["generators"])),
 }
 
 
 def recheck(row: dict) -> bool:
     """One-pass confirmation that a row's witness supports its status.
 
-    Verified rows get structural validation plus any arithmetic the
-    witness makes possible; refuted rows must demonstrate their failure
-    from recorded data alone.  No solving happens here beyond
-    back-substitution against a recorded basis.
+    The row's status must be one its witness kind may carry (only
+    `bounds` rows are skipped), and the kind's predicate must hold
+    exactly when the row is not refuted: a skipped row needs a reason,
+    a verified row the arithmetic its witness makes possible, and a
+    refuted row must show its failure from recorded data alone.  No
+    solving happens here beyond back-substitution against a recorded
+    basis.
     """
     try:
         w = row["witness"]
-        kind = w["kind"]
+        statuses, holds = _KINDS[w["kind"]]
         status = row["status"]
-        if status == "skipped":
-            return kind == "bounds" and bool(w.get("reason"))
-        if kind in _SIMPLE_COUNT_KEYS:
-            if status != "verified":
-                return False
-            return all(int(w[k]) >= 0 for k in _SIMPLE_COUNT_KEYS[kind])
-        if kind == "vector-identity":
-            return _recheck_vector_identity(row, w)
-        if kind == "membership-failure":
-            return _recheck_membership_failure(row, w)
-        if kind == "constraint-violation":
-            return (status == "refuted"
-                    and any(int(v) for v in w["residual"]))
-        if kind == "rank-additivity":
-            same = int(w["basis_rank"]) == (int(w["character_rank"])
-                                            + int(w["kernel_rank"]))
-            return same if status == "verified" else not same
-        if kind == "free-quotient":
-            ok = (not w["nontrivial_invariants"]
-                  and int(w["free_rank"]) == int(w["kernel_rank"]))
-            return ok if status == "verified" else not ok
-        if kind == "unit-iso":
-            ok = (not w["nontrivial_invariants"]
-                  and int(w["kernel_rank"]) == 0
-                  and int(w["cokernel_free_rank"]) == 0
-                  and int(w["rank"]) == int(w["value_rank"])
-                  == int(w["limit_rank"]))
-            return ok if status == "verified" else not ok
-        if kind == "cokernel-bound":
-            order = int(w["order"])
-            ok = (int(w["free_rank"]) == 0
-                  and all(d > 0 and order % int(d) == 0
-                          for d in w["invariants"]))
-            return ok if status == "verified" else not ok
-        if kind == "cokernel-data":
-            ok = int(w["free_rank"]) == 0
-            return ok if status == "verified" else not ok
-        if kind == "retraction-scale":
-            return (status == "verified" and w["reading"] in ("A", "B")
-                    and int(w["scale"]) >= 1)
-        if kind == "implication":
-            holds = ((not (w["premise_group_iso"]
-                           and w["premise_subquotients_iso"]))
-                     or w["conclusion_bounded_iso"])
-            return holds if status == "verified" else not holds
-        if kind == "counit-surjectivity":
-            if status == "verified":
-                return int(w["generators"]) >= 0 and int(w["base_rank"]) >= 0
-            # the pivots of a row HNF in Z^base_rank: onto iff it is the identity
-            diagonal, r = [int(d) for d in w["hnf_diagonal"]], int(w["base_rank"])
-            return (len(diagonal) <= r and all(d >= 1 for d in diagonal)
-                    and (len(diagonal) < r or any(d != 1 for d in diagonal)))
-        if kind == "counit-kernel":
-            finite = (int(w["relation_rank"]) + int(w["base_rank"])
-                      == int(w["generators"]))
-            return finite if status == "verified" else not finite
-        if kind == "case-census":
-            return status == "verified" and int(w["cases"]) >= 1
-        if kind == "case-failure":
-            return _recheck_case_failure(row, w)
-        if kind == "adjunction-census":
-            return (status == "verified"
-                    and int(w["groupwise_cases"]) + int(w["limitwise_cases"]) >= 1)
-        return False
+        return status in statuses and bool(holds(w)) == (status != "refuted")
     except (KeyError, TypeError, ValueError):
         return False

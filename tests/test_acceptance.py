@@ -200,3 +200,12 @@ def test_10_identical_config_and_seed_reproduce_bytes(cfg81, appendix81):
     doc, _ = appendix81
     again = run_campaign("appendix", cfg81)
     assert emit_json(doc) == emit_json(again)
+
+
+def test_11_every_row_rechecks_and_its_flipped_copy_does_not(
+        induction81, exact81, main81, probe81, appendix81):
+    for doc, _ in (induction81, exact81, main81, probe81, appendix81):
+        for row in doc["rows"]:
+            flipped = dict(row, status="refuted" if row["status"] == "verified"
+                           else "verified")
+            assert recheck(row) and not recheck(flipped), (row["claim"], row["group"])

@@ -30,7 +30,7 @@ from bfk.campaigns import (
 from bfk.burnside import ring_data
 from bfk.claims import CAMPAIGNS, CLAIMS
 from bfk.groups import analysis, parse_descriptor
-from bfk.limits import coefficient_system, inverse_limit, section_family
+from bfk.limits import InverseLimit, coefficient_system, inverse_limit, section_family
 from bfk.zlinalg import lattice_from_rows
 from helpers import (
     composite_transporter_rows_by_points,
@@ -186,6 +186,14 @@ def test_recheck_rejects_unknown_kinds_and_malformed_rows():
     assert not recheck({"status": "verified", "witness": {"kind": "mystery"}})
     assert not recheck({"status": "verified", "witness": {}})
     assert not recheck({"status": "verified"})
+
+
+def test_recheck_accepts_only_the_retraction_reading_the_engine_writes():
+    # reading "B" is the one transfers.retraction_matrix keeps to fail
+    row = {"status": "verified",
+           "witness": {"kind": "retraction-scale", "reading": "A", "scale": 9}}
+    assert recheck(row)
+    assert not recheck(dict(row, witness=dict(row["witness"], reading="B")))
 
 
 def test_reports_are_byte_identical_across_runs():
@@ -626,6 +634,105 @@ def test_counit_kernel_under_a_rank_cap_of_two_is_refuted(monkeypatch):
                               "generators": 183, "relation_rank": 108, "base_rank": 39,
                               "invariants": [3] * 16, "trivial": False}
     assert not recheck(dict(row, witness=dict(row["witness"], relation_rank=144)))
+
+
+def _swapped(monkeypatch, swap: dict) -> None:
+    """Build the systems of the order-27 group under the labels in swap;
+    its sections keep theirs."""
+    real = campaigns.coefficient_system
+    monkeypatch.setattr(campaigns, "coefficient_system", lambda G, label, functor: real(
+        G, swap.get(label, label) if G.order == 27 else label, functor))
+
+
+def _doubled(monkeypatch, label: str) -> None:
+    """Solve the order-27 group's limit over one family as twice itself:
+    every constraint still holds on the unit, but it leaves the lattice."""
+    real = campaigns.inverse_limit
+
+    def doubled(system):
+        lim = real(system)
+        if system.group.order == 27 and system.family.label == label:
+            return InverseLimit(system, 2 * lim.basis)
+        return lim
+
+    monkeypatch.setattr(campaigns, "inverse_limit", doubled)
+
+
+def _reading_b(monkeypatch) -> None:
+    for name in ("retraction_matrix", "retraction_identity_holds"):
+        real = getattr(campaigns, name)
+        monkeypatch.setattr(campaigns, name,
+                            lambda x, reading, real=real: real(x, "B"))
+
+
+def _kernel_rank_up(monkeypatch) -> None:
+    real = campaigns.dual_exactness_report
+    monkeypatch.setattr(campaigns, "dual_exactness_report", lambda G: dict(
+        real(G), kernel_rank=real(G)["kernel_rank"] + 1))
+
+
+CAMPAIGN_OF = {c.id: c.campaign for c in CLAIMS}
+
+
+@pytest.mark.parametrize("fault,desc,claims", [
+    (lambda mp: _swapped(mp, {"X3": "X2", "E3": "E2"}), "elab:3:3",
+     ["unit-iso-x3", "unit-iso-descends-to-bounded-family",
+      "unit-cokernel-finite-e3"]),
+    (lambda mp: _swapped(mp, {"X": "E"}), "xsp:3", ["unit-iso-x"]),
+    (lambda mp: _doubled(mp, "E"), "xsp:3", ["unit-cokernel-divides-order-e"]),
+    (lambda mp: _doubled(mp, "X"), "xsp:3", ["unit-cokernel-divides-order-x"]),
+    (_reading_b, "elab:3:2", ["unit-retraction-scales-by-order"]),
+    (_kernel_rank_up, "elab:3:2", ["dual-rank-additivity", "dual-quotient-free"]),
+], ids=["rank-two-bounded-families", "x-as-e", "doubled-e-limit",
+        "doubled-x-limit", "reading-b", "kernel-rank-off-by-one"])
+def test_seeded_fault_is_refuted_with_a_witness_recheck_confirms(
+        monkeypatch, fault, desc, claims):
+    # _small_x3_iso caches across tests: nothing computed under the fault
+    # may outlive it
+    campaigns._small_x3_iso.cache_clear()
+    fault(monkeypatch)
+    try:
+        rows = campaigns._WORKERS[CAMPAIGN_OF[claims[0]]](desc, RunConfig())
+    finally:
+        campaigns._small_x3_iso.cache_clear()
+    rows = {r["claim"]: r for r in rows}
+    for claim in claims:
+        row = rows[claim]
+        assert row["status"] == "refuted" and recheck(row), claim
+        assert not recheck(dict(row, status="verified")), claim
+
+
+def test_unit_inside_every_constraint_but_outside_the_limit_is_refuted(monkeypatch):
+    # no edge is violated, so the row names a unit column off the lattice
+    _doubled(monkeypatch, "E")
+    rows = {r["claim"]: r for r in campaigns._main_rows("xsp:3", RunConfig())}
+    row = rows["unit-lands-in-limit-e"]
+    assert row["status"] == "refuted" and recheck(row)
+    assert row["witness"] == {
+        "kind": "membership-failure", "vector": [1, 1, 1, 1, 0],
+        "basis": [[2 * (i == j) for j in range(5)] for i in range(5)],
+        "ambient": 5, "family": "E"}
+    cokernel = rows["unit-cokernel-divides-order-e"]["witness"]
+    assert cokernel["free_rank"] == 5 and cokernel["unit_in_limit"] is False
+
+
+def test_cokernel_rows_record_a_unit_outside_the_limit(monkeypatch):
+    # the report says the unit misses the limit while its cokernel counts
+    # pass: only the recorded flag refutes the cokernel rows
+    real = campaigns.comparison_report
+    monkeypatch.setattr(campaigns, "comparison_report",
+                        lambda lim: dict(real(lim), unit_in_limit=False))
+    rows = {r["claim"]: r for r in campaigns._main_rows("xsp:3", RunConfig())}
+    for claim in ("unit-cokernel-divides-order-e", "unit-cokernel-divides-order-x",
+                  "unit-cokernel-finite-e3"):
+        row = rows[claim]
+        assert row["status"] == "refuted" and recheck(row), claim
+        assert row["witness"]["unit_in_limit"] is False
+        assert row["witness"]["free_rank"] == 0
+        assert not recheck(dict(row, status="verified")), claim
+    # the unit does lie in the limit, so recheck refuses the rows that say
+    # it does not
+    assert not any(recheck(rows[c]) for c in campaigns._UNIT_LANDS.values())
 
 
 def test_report_claims_match_the_registry():
