@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groups import FiniteGroup, Section
+from .groups import FiniteGroup, Section, _coset_ids
 from .zlinalg import _batches
 
 
@@ -57,41 +57,27 @@ def identity_biset(G: FiniteGroup) -> ConcreteBiset:
     return ConcreteBiset(G, G, G.table, G.table, name=f"id[{G.name}]")
 
 
-def _coset_ids(P: FiniteGroup, members, side: str):
-    """Index cosets of a subgroup by ascending least representative.
-
-    side 'left' indexes cosets xS, side 'right' indexes cosets Sx.
-    Returns (ids array over P, reps array).
-    """
-    arr = np.asarray(members, dtype=np.intp)
-    least = P.table[:, arr].min(axis=1) if side == "left" else P.table[arr, :].min(axis=0)
-    reps, ids = np.unique(least, return_inverse=True)
-    return ids.astype(np.int32), reps
-
-
 def indinf_biset(sec: Section) -> ConcreteBiset:
     """Left cosets of the bottom of sec in the parent, as a
     (parent, quotient)-biset. Composing with it induces from the top after
     inflating from the quotient."""
     P = sec.parent
-    ids, reps_arr = _coset_ids(P, sec.bottom.members, "left")
+    ids, reps_arr = _coset_ids(P, sec.bottom, "left")
     left = ids[P.table[:, reps_arr]]
-    qreps = np.asarray(sec.reps, dtype=np.int32)
-    right = ids[P.table[np.ix_(reps_arr, qreps)]]
+    right = ids[P.table[np.ix_(reps_arr, sec.reps)]]
     return ConcreteBiset(P, sec.group, left, right,
-                         name=f"indinf[{sec.key}]")
+                         name=f"indinf[{(sec.top, sec.bottom)}]")
 
 
 def defres_biset(sec: Section) -> ConcreteBiset:
     """Right cosets of the bottom of sec, as a (quotient, parent)-biset.
     Composing with it restricts to the top then deflates to the quotient."""
     P = sec.parent
-    ids, reps_arr = _coset_ids(P, sec.bottom.members, "right")
-    qreps = np.asarray(sec.reps, dtype=np.int32)
-    left = ids[P.table[np.ix_(qreps, reps_arr)]]
+    ids, reps_arr = _coset_ids(P, sec.bottom, "right")
+    left = ids[P.table[np.ix_(sec.reps, reps_arr)]]
     right = ids[P.table[reps_arr, :]]
     return ConcreteBiset(sec.group, P, left, right,
-                         name=f"defres[{sec.key}]")
+                         name=f"defres[{(sec.top, sec.bottom)}]")
 
 
 def opposite(U: ConcreteBiset) -> ConcreteBiset:

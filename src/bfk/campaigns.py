@@ -16,6 +16,12 @@ arithmetic (no solving beyond back-substitution against a recorded
 Hermite basis).  Where the witness carries everything the verdict rests
 on, the engine takes the row's status from the same predicate
 (`_judged`), so the two cannot disagree.
+
+Every engine names a section by its subgroup indices (ti, si), as the
+section families list them, and asks the group's analysis for its
+quotient (`section_at`).  The module keeps no cache of its own: what an
+engine computes, down to the subquotient verdicts of the main campaign,
+is kept on the group it belongs to and is freed with it.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from functools import lru_cache
 
 import numpy as np
 
@@ -137,18 +142,11 @@ def _signature_reps(ana, pairs, limit: int) -> list:
     return out
 
 
-def _section(ana, ts):
-    """The concrete section at the pair ts = (ti, si), with its quotient
-    group, for the bisets along it."""
-    ti, si = ts
-    return ana.section_at(ana.subgroup_members[ti], ana.subgroup_members[si])
-
-
 def _x3_quotients(Q, limit: int) -> list:
     """Concrete sections at the first X3 section of each shape of Q."""
     fam = section_family(Q, "X3")
-    return [_section(fam.ana, ts)
-            for ts in _signature_reps(fam.ana, fam.sections, limit)]
+    return [fam.ana.section_at(ti, si)
+            for ti, si in _signature_reps(fam.ana, fam.sections, limit)]
 
 
 def _sample_indices(rng, n: int, k: int) -> list[int]:
@@ -202,12 +200,8 @@ def _induced_rank_two(ana, classes, si: int) -> np.ndarray:
     return out
 
 
-def _delta_identity_row(cfg: RunConfig, factor: int | None = None) -> dict:
-    """Difference of two induced generators against the scaled kernel element.
-
-    factor defaults to p; passing another value exists so the refuted
-    path and its witness stay testable end to end.
-    """
+def _delta_identity_row(cfg: RunConfig) -> dict:
+    """Difference of two induced generators against p times delta."""
     p = cfg.p
     desc = f"xsp:{p}"
     G = parse_descriptor(desc, p)
@@ -222,10 +216,9 @@ def _delta_identity_row(cfg: RunConfig, factor: int | None = None) -> dict:
     for pos in noncentral[:2]:
         J = product_members(G, rd.reps_members[pos], sorted(center))
         inds.append(_induced_rank_two(ana, fam.classes(fam.index(ana.index_of(J), 0)), 0))
-    scale = p if factor is None else int(factor)
     delta = np.asarray(extraspecial_kernel_element(G, 0, 1), dtype=object)
     witness = {"kind": "vector-identity", "left": _ints(inds[1] - inds[0]),
-               "right": _ints(scale * delta), "scale": scale}
+               "right": _ints(p * delta), "scale": p}
     return _judged("induction", "induction-difference-is-scaled-delta",
                    desc, witness)
 
@@ -338,13 +331,6 @@ _UNIT_LANDS = {
 }
 
 
-@lru_cache(maxsize=None)
-def _small_x3_iso(desc: str, p: int) -> bool:
-    G = parse_descriptor(desc, p)
-    lim = inverse_limit(coefficient_system(G, "X3", "Kdual"))
-    return bool(comparison_report(lim)["is_isomorphism"])
-
-
 def _section_type_descriptor(shape, p: int) -> str:
     kind, r = shape
     if kind == "xsp":
@@ -448,16 +434,20 @@ def _main_rows(desc: str, cfg: RunConfig) -> list[dict]:
 
     # one-step descent: the X-side isomorphism at the group plus the
     # bounded-family isomorphism at every smaller section type forces the
-    # bounded-family isomorphism at the group
+    # bounded-family isomorphism at the group; each smaller type is solved
+    # on the quotient of its first section, which G's analysis keeps
     x_label = "E" if G.is_abelian else "X"
     ana = analysis(G)
-    types = set()
+    firsts = {}
     for ti, si in section_family(G, x_label).sections:
         if ana.sizes[ti] // ana.sizes[si] < G.order:
-            types.add(_section_type_descriptor(section_shape(ana, ti, si), p))
-    sub_types = sorted(types)
+            firsts.setdefault(_section_type_descriptor(
+                section_shape(ana, ti, si), p), (ti, si))
+    sub_types = sorted(firsts)
     premise_group = bool(reports["X"]["is_isomorphism"])
-    premise_subs = all(_small_x3_iso(t, p) for t in sub_types)
+    premise_subs = all(comparison_report(inverse_limit(coefficient_system(
+        ana.section_at(ti, si).group, "X3", "Kdual")))["is_isomorphism"]
+        for ti, si in firsts.values())
     rows.append(_judged("main", "unit-iso-descends-to-bounded-family", desc, {
         "kind": "implication",
         "premise_group_iso": premise_group,
@@ -743,7 +733,7 @@ def _appendix_quotient_collapse_rows(desc, G, ana, secs_x3, small,
     for cmem in picks:
         for ts in sec_picks:
             if ts not in built:
-                V = indinf_biset(_section(ana, ts))
+                V = indinf_biset(ana.section_at(*ts))
                 inner = _x3_quotients(V.right_group, 2 if small else 4)
                 built[ts] = V, [(U, compose(V, U)) for U in map(indinf_biset, inner)]
             V, inner = built[ts]
@@ -798,7 +788,7 @@ def _appendix_limit_action_rows(desc, G, ana, secs_x3, small,
     else:
         reps = _signature_reps(ana, proper, 8)
         sec_picks = [reps[i] for i in _sample_indices(rng, len(reps), 3)]
-    sec_picks = [_section(ana, ts) for ts in sec_picks]
+    sec_picks = [ana.section_at(ti, si) for ti, si in sec_picks]
 
     cases = 0
     for functor in functors:
@@ -813,8 +803,8 @@ def _appendix_limit_action_rows(desc, G, ana, secs_x3, small,
             sys_q = coefficient_system(sec.group, "X3", functor)
             A = act_on_limit_matrix(U, sys_q, sys_p)
             img = _exact_matmul(A, lim_p.basis)
-            case = {"functor": functor, "top_order": sec.top.order,
-                    "bottom_order": sec.bottom.order}
+            case = {"functor": functor, "top_order": len(sec.top),
+                    "bottom_order": len(sec.bottom)}
             try:
                 residual_check(sys_q, img)
             except ConstraintViolation as err:
@@ -856,7 +846,7 @@ def _appendix_composite_action_rows(desc, G, ana, secs_x3, small,
     else:
         reps = _signature_reps(ana, outer_all, 6)
         outers = [reps[i] for i in _sample_indices(rng, len(reps), 2)]
-    outers = [_section(ana, ts) for ts in outers]
+    outers = [ana.section_at(ti, si) for ti, si in outers]
 
     cases = 0
     pairs = 0

@@ -74,7 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("limit", help="compute one inverse limit basis")
     sp.add_argument("--group", required=True,
                     help="group descriptor (e.g. xsp:3, prod:cyclic:9,cyclic:3) "
-                         "or a path to a JSON multiplication table")
+                         "or a path to a group file: 'p <prime>', 'order <n>', "
+                         "then n rows of the multiplication table")
     sp.add_argument("--class", dest="klass", choices=FAMILY_LABELS,
                     required=True, help="section class")
     sp.add_argument("--functor", choices=FUNCTOR_NAMES, required=True,

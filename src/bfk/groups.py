@@ -3,15 +3,16 @@
 Element 0 is always the identity. Everything downstream (subgroup lattices,
 sections, quotients, classification) lives here, built lazily per group,
 kept on the group object and guarded by its lock so threaded callers share
-one analysis.
+one analysis.  A section is named by the subgroup indices (ti, si) of its
+top and bottom; `GroupAnalysis.section_at` builds its quotient, with the
+cosets labelled by `_coset_ids`, and keeps it on the analysis.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,10 +75,12 @@ class FiniteGroup:
             raise ValueError("missing or non-unique inverse")
         self.inv = hits.argmax(axis=1).astype(np.int32)
         if check_associativity:
-            left = tbl[tbl, :]            # left[i,j,k] = (ij)k
-            right = tbl[:, tbl]           # right[i,j,k] = i(jk)
-            if not np.array_equal(left, right):
-                raise ValueError("table is not associative")
+            # (ij)k against i(jk) for a block of rows i at a time, so no
+            # temporary holds more than about 2^18 entries
+            step = max(1, (1 << 18) // (n * n))
+            for rows in (tbl[i:i + step] for i in range(0, n, step)):
+                if not np.array_equal(tbl[rows], rows[:, tbl]):
+                    raise ValueError("table is not associative")
         self._abelian = None
         self._elt_order = None
         self._lock = threading.Lock()
@@ -132,45 +135,22 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    parent: FiniteGroup
-    members: tuple
-
-    @property
-    def order(self) -> int:
-        return len(self.members)
-
-    def __repr__(self):
-        return f"Subgroup(order={self.order}, members={self.members})"
-
-
-class Section:
+class Section(NamedTuple):
     """A pair S normal-in T of subgroups of one parent, with its quotient
     built as a group of its own, for the concrete bisets along it.
 
-    quotient elements are cosets of S in T, ordered by least parent member,
-    so element 0 is the coset S. proj maps parent elements of T to quotient
-    indices (-1 outside T); reps holds the least member of each coset.
+    top and bottom are the member tuples of T and S.  The quotient's
+    elements are the cosets tS, ordered by least parent member, so element
+    0 is the coset S.  proj maps parent elements of T to quotient indices
+    (-1 outside T); reps holds the least member of each coset.
     """
 
-    __slots__ = ("top", "bottom", "group", "proj", "reps", "key")
-
-    def __init__(self, top: Subgroup, bottom: Subgroup, group: FiniteGroup,
-                 proj: np.ndarray, reps: list[int]):
-        self.top = top
-        self.bottom = bottom
-        self.group = group
-        self.proj = proj
-        self.reps = reps
-        self.key = (top.members, bottom.members)
-
-    @property
-    def parent(self) -> FiniteGroup:
-        return self.top.parent
-
-    def __repr__(self):
-        return f"Section(|T|={self.top.order}, |S|={self.bottom.order})"
+    parent: FiniteGroup
+    top: tuple
+    bottom: tuple
+    group: FiniteGroup
+    proj: np.ndarray
+    reps: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +275,18 @@ def group_from_spec(spec: str, p_default: int | None = None) -> FiniteGroup:
 
 # ---------------------------------------------------------------------------
 # per-group analysis
+
+def _coset_ids(P: FiniteGroup, members, side: str):
+    """Index cosets of a subgroup by ascending least representative.
+
+    side 'left' indexes cosets xS, side 'right' indexes cosets Sx.
+    Returns (ids array over P, reps array).
+    """
+    arr = np.asarray(members, dtype=np.intp)
+    least = P.table[:, arr].min(axis=1) if side == "left" else P.table[arr, :].min(axis=0)
+    reps, ids = np.unique(least, return_inverse=True)
+    return ids.astype(np.int32), reps
+
 
 def _closure(table: np.ndarray, gens: Sequence[int]) -> tuple:
     members = {0}
@@ -431,9 +423,6 @@ class GroupAnalysis:
 
     # -- queries -------------------------------------------------------------
 
-    def subgroup(self, idx: int) -> Subgroup:
-        return Subgroup(self.group, self.subgroup_members[idx])
-
     def index_of(self, members: Iterable[int]) -> int:
         key = tuple(sorted(int(m) for m in members))
         try:
@@ -521,29 +510,24 @@ class GroupAnalysis:
 
     def _make_section(self, ti: int, si: int) -> Section:
         G = self.group
-        T = self.subgroup_members[ti]
-        S = np.array(self.subgroup_members[si], dtype=np.int32)
-        proj = np.full(G.order, -1, dtype=np.int32)
-        reps: list[int] = []
-        for t in T:
-            if proj[t] >= 0:
-                continue
-            coset = G.table[t, S]
-            proj[coset] = len(reps)
-            reps.append(int(t))
-        nq = len(reps)
-        qt = np.empty((nq, nq), dtype=np.int32)
-        for a, ra in enumerate(reps):
-            qt[a, :] = proj[G.table[ra, np.array(reps, dtype=np.int32)]]
-        q = FiniteGroup(G.prime, qt, name=f"{G.name}.sec{ti}.{si}", validate=False)
-        return Section(self.subgroup(ti), self.subgroup(si), q, proj, reps)
+        T, S = self.subgroup_members[ti], self.subgroup_members[si]
+        ids, reps = _coset_ids(G, S, "left")
+        # a coset lies in T iff its least member does
+        in_t = self.member_mask[ti].astype(bool)
+        keep = in_t[reps]
+        proj = np.where(in_t, np.cumsum(keep, dtype=np.int32)[ids] - 1, -1)
+        reps = reps[keep].astype(np.int32)
+        q = FiniteGroup(G.prime, proj[G.table[np.ix_(reps, reps)]],
+                        name=f"{G.name}.sec{ti}.{si}", validate=False)
+        return Section(G, T, S, q, proj, reps)
 
-    def section_at(self, t_members, s_members) -> Section:
-        """The section (T, S) with its quotient group, built on the first
-        request and kept, so every caller gets the same quotient object."""
-        key = (self.index_of(t_members), self.index_of(s_members))
-        if not self.normal[key[1], key[0]]:
+    def section_at(self, ti: int, si: int) -> Section:
+        """The section (T, S) at the subgroup indices (ti, si) with its
+        quotient group, built on the first request and kept, so every
+        caller gets the same quotient object."""
+        if not self.normal[si, ti]:
             raise ValueError("no such section")
+        key = (int(ti), int(si))
         sec = self._quotients.get(key)
         if sec is None:
             sec = self._quotients.setdefault(key, self._make_section(*key))

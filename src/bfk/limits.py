@@ -189,7 +189,6 @@ class SectionFamily:
         self._class_off = np.concatenate([[0], np.cumsum(self.dims)])
         self._member_off = np.concatenate([[0], np.cumsum(counts)])
         self._systems: dict = {}         # functor -> CoefficientSystem
-        self._kernel_memo: dict = {}     # exact mark rows -> KernelPlan
 
     def _slot_arrays(self, sec, pos_t) -> tuple:
         """(dims, classes, member counts, members, member positions) of the
@@ -284,7 +283,7 @@ class SectionFamily:
         the class representatives as its classes and the linearization as
         its mark rows, so its entry is the base kernel plan of ring_data.
         """
-        out, empty = [], {}
+        out, empty, memo = [], {}, {}     # memo: exact mark rows -> KernelPlan
         for i, (d, rows) in enumerate(zip(self.dims.tolist(), _mark_rows(self))):
             if rows is None:
                 if d not in empty:
@@ -292,9 +291,9 @@ class SectionFamily:
                 out.append(empty[d])
                 continue
             key = (rows.shape, rows.tobytes())
-            got = self._kernel_memo.get(key)
+            got = memo.get(key)
             if got is None:
-                got = self._kernel_memo[key] = (
+                got = memo[key] = (
                     ring_data(self.group).kernel_plan() if i == self.whole_pos
                     else kernel_plan(_as_i64(kernel_basis(rows))))
             out.append(got)

@@ -91,8 +91,7 @@ def validate_biset(U: ConcreteBiset) -> ConcreteBiset:
 def all_sections(ana) -> list:
     """Every section (T, S) of the analysed group with its quotient built,
     in (top index, bottom index) order."""
-    subs = ana.subgroup_members
-    return [ana.section_at(subs[ti], subs[si]) for ti in range(ana.n_sub)
+    return [ana.section_at(ti, si) for ti in range(ana.n_sub)
             for si in np.flatnonzero(ana.normal[:, ti]).tolist()]
 
 
@@ -121,7 +120,7 @@ QUOTIENT_CLASSES = {
 def preimage(sec, quotient_members: Iterable[int]) -> tuple:
     """Members of the top of sec that project into the given cosets."""
     want = set(int(m) for m in quotient_members)
-    return tuple(t for t in sec.top.members if int(sec.proj[t]) in want)
+    return tuple(t for t in sec.top if int(sec.proj[t]) in want)
 
 
 def indinf_class_matrix(ana, sec) -> np.ndarray:
@@ -141,15 +140,15 @@ def normalizer(ana, members) -> tuple:
 
 
 def restriction_biset(ana, members) -> ConcreteBiset:
-    return defres_biset(ana.section_at(members, (0,)))
+    return defres_biset(ana.section_at(ana.index_of(members), 0))
 
 
 def induction_biset(ana, members) -> ConcreteBiset:
-    return indinf_biset(ana.section_at(members, (0,)))
+    return indinf_biset(ana.section_at(ana.index_of(members), 0))
 
 
 def _top_and_lifts(ana, sec):
-    tsec = ana.section_at(sec.top.members, (0,))
+    tsec = ana.section_at(ana.index_of(sec.top), 0)
     lift = np.asarray(tsec.reps, dtype=np.int32)
     qreps = np.asarray([sec.reps[t] for t in range(sec.group.order)],
                        dtype=np.int32)
@@ -182,8 +181,8 @@ def section_transport(ana, sec, u: int):
     """Conjugate a section by u: the target section and the
     (target-quotient, source-quotient)-biset carried by conjugation."""
     G = ana.group
-    target = ana.section_at(conjugate_members(ana, u, sec.top.members),
-                            conjugate_members(ana, u, sec.bottom.members))
+    target = ana.section_at(ana.index_of(conjugate_members(ana, u, sec.top)),
+                            ana.index_of(conjugate_members(ana, u, sec.bottom)))
     ui = G.inv_of(u)
     f = [int(target.proj[G.mul(G.mul(u, sec.reps[t]), ui)])
          for t in range(sec.group.order)]
@@ -1181,7 +1180,7 @@ def left_transport(U: ConcreteBiset, x: int, t_members, w_members) -> tuple:
 
 
 def coset_ids_by_loop(P, members, side: str):
-    """The former walk of bisets._coset_ids: (ids over P, reps), cosets in
+    """The former walk of groups._coset_ids: (ids over P, reps), cosets in
     order of their least member."""
     arr = np.asarray(sorted(members), dtype=np.int32)
     ids = np.full(P.order, -1, dtype=np.int32)
@@ -1193,6 +1192,24 @@ def coset_ids_by_loop(P, members, side: str):
         ids[coset] = len(reps)
         reps.append(x)
     return ids, reps
+
+
+def section_by_loop(ana, ti: int, si: int):
+    """The former walk of GroupAnalysis._make_section: (proj, reps,
+    quotient table), cosets tS in order of their least member."""
+    G = ana.group
+    S = np.array(ana.subgroup_members[si], dtype=np.int32)
+    proj = np.full(G.order, -1, dtype=np.int32)
+    reps: list[int] = []
+    for t in ana.subgroup_members[ti]:
+        if proj[t] >= 0:
+            continue
+        proj[G.table[t, S]] = len(reps)
+        reps.append(int(t))
+    qt = np.empty((len(reps), len(reps)), dtype=np.int32)
+    for a, ra in enumerate(reps):
+        qt[a, :] = proj[G.table[ra, np.array(reps, dtype=np.int32)]]
+    return proj, reps, qt
 
 
 def quotient_ids_by_loop(U: ConcreteBiset, c_members):

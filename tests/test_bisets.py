@@ -9,7 +9,6 @@ from bfk.bisets import (
     identity_biset,
     indinf_biset,
     is_biset_iso,
-    _coset_ids,
     left_quotient_biset,
     left_transporters,
     opposite,
@@ -20,6 +19,7 @@ from bfk.bisets import double_coset_reps as point_orbit_reps
 from bfk.burnside import act_on_basis_element, decompose_left_action, ring_data
 from bfk.campaigns import _x3_quotients, catalog_groups
 from bfk.groups import (
+    _coset_ids,
     analysis,
     cyclic_group,
     direct_product,
@@ -76,13 +76,13 @@ def test_validate_catches_bad_tables():
 
 def test_indinf_of_whole_group_is_identity():
     ana = analysis(X27)
-    sec = ana.section_at(range(27), (0,))
+    sec = ana.section_at(ana.n_sub - 1, 0)
     assert is_biset_iso(indinf_biset(sec), identity_biset(X27))
 
 
 def test_full_deflation_has_one_point():
     ana = analysis(X27)
-    sec = ana.section_at(range(27), range(27))
+    sec = ana.section_at(ana.n_sub - 1, ana.n_sub - 1)
     U = defres_biset(sec)
     assert U.size == 1 and U.left_group.order == 1
 
@@ -99,7 +99,7 @@ def test_opposite_of_induction_is_restriction():
 
 def test_opposite_is_an_involution():
     ana = analysis(X27)
-    sec = ana.section_at(range(27), analysis(X27).center_members)
+    sec = ana.section_at(ana.n_sub - 1, ana.index_of(ana.center_members))
     U = indinf_biset(sec)
     UU = opposite(opposite(U))
     assert np.array_equal(UU.left, U.left)
@@ -119,7 +119,7 @@ def test_indinf_factors_through_induction_and_inflation():
         ana = analysis(G)
         for sec in all_sections(ana):
             whole = indinf_biset(sec)
-            steps = compose(induction_biset(ana, sec.top.members),
+            steps = compose(induction_biset(ana, sec.top),
                             inflation_biset(ana, sec))
             assert whole.size == steps.size
             assert is_biset_iso(whole, steps)
@@ -131,7 +131,7 @@ def test_defres_factors_through_deflation_and_restriction():
         for sec in all_sections(ana):
             whole = defres_biset(sec)
             steps = compose(deflation_biset(ana, sec),
-                            restriction_biset(ana, sec.top.members))
+                            restriction_biset(ana, sec.top))
             assert is_biset_iso(whole, steps)
 
 
@@ -161,10 +161,10 @@ def test_orbit_sizes_match_stabilizers():
 
 def test_opposite_reverses_composition():
     ana = analysis(X27)
-    Z = analysis(X27).center_members
-    M = next(m for m in ana.subgroup_members if len(m) == 9)
-    V = defres_biset(ana.section_at(range(27), Z))
-    U = indinf_biset(ana.section_at(M, Z))
+    z = ana.index_of(ana.center_members)
+    m = next(i for i, mem in enumerate(ana.subgroup_members) if len(mem) == 9)
+    V = defres_biset(ana.section_at(ana.n_sub - 1, z))
+    U = indinf_biset(ana.section_at(m, z))
     lhs = opposite(compose(V, U))
     rhs = compose(opposite(U), opposite(V))
     assert is_biset_iso(lhs, rhs)
@@ -172,11 +172,11 @@ def test_opposite_reverses_composition():
 
 def test_composition_is_associative_up_to_iso():
     ana = analysis(X27)
-    Z = analysis(X27).center_members
-    M = next(m for m in ana.subgroup_members if len(m) == 9)
-    sec_m = ana.section_at(M, Z)
-    W = defres_biset(ana.section_at(range(27), Z))     # quotient <- X
-    V = induction_biset(ana, M)                        # X <- M
+    z = ana.index_of(ana.center_members)
+    m = next(i for i, mem in enumerate(ana.subgroup_members) if len(mem) == 9)
+    sec_m = ana.section_at(m, z)
+    W = defres_biset(ana.section_at(ana.n_sub - 1, z))  # quotient <- X
+    V = induction_biset(ana, sec_m.top)                 # X <- M
     U = inflation_biset(ana, sec_m)                    # M <- M/Z
     left = compose(compose(W, V), U)
     right = compose(W, compose(V, U))
@@ -186,7 +186,7 @@ def test_composition_is_associative_up_to_iso():
 def test_coset_counts():
     ana = analysis(X27)
     for sec in all_sections(ana):
-        ns = sec.bottom.order
+        ns = len(sec.bottom)
         assert indinf_biset(sec).size == 27 // ns
         assert defres_biset(sec).size == 27 // ns
 
@@ -196,24 +196,24 @@ def test_section_transport_and_cocycle():
     L = next(m for m in ana.subgroup_members
              if len(m) == 3 and m != analysis(X27).center_members)
     N = normalizer(ana, L)
-    sec = ana.section_at(N, L)
+    sec = ana.section_at(ana.index_of(N), ana.index_of(L))
     u = next(x for x in range(27) if x not in N)
     tgt, cu = section_transport(ana, sec, u)
-    assert tgt.key != sec.key
+    assert (tgt.top, tgt.bottom) != (sec.top, sec.bottom)
     validate_biset(cu)
     # transporting twice by u lands at the conjugate by u.u
     tgt2, cuu = section_transport(ana, sec, X27.mul(u, u))
     mid, cu2 = section_transport(ana, tgt, u)
-    assert mid.key == tgt2.key
+    assert (mid.top, mid.bottom) == (tgt2.top, tgt2.bottom)
     assert is_biset_iso(compose(cu2, cu), cuu)
 
 
 def test_non_isomorphic_transitive_bisets_detected():
     ana = analysis(X27)
-    Z = analysis(X27).center_members
-    M1, M2 = [m for m in ana.subgroup_members if len(m) == 9][:2]
-    U1 = indinf_biset(ana.section_at(M1, Z))
-    U2 = indinf_biset(ana.section_at(M2, Z))
+    z = ana.index_of(ana.center_members)
+    m1, m2 = [i for i, mem in enumerate(ana.subgroup_members) if len(mem) == 9][:2]
+    U1 = indinf_biset(ana.section_at(m1, z))
+    U2 = indinf_biset(ana.section_at(m2, z))
     assert U1.size == U2.size == 9
     assert np.array_equal(U1.right_group.table, U2.right_group.table)
     assert not is_biset_iso(U1, U2)
@@ -224,7 +224,7 @@ def test_transport_compatible_with_indinf():
     L = next(m for m in ana.subgroup_members
              if len(m) == 3 and m != analysis(X27).center_members)
     N = normalizer(ana, L)
-    sec = ana.section_at(N, L)
+    sec = ana.section_at(ana.index_of(N), ana.index_of(L))
     u = next(x for x in range(27) if x not in N)
     tgt, cu = section_transport(ana, sec, u)
     assert is_biset_iso(compose(indinf_biset(tgt), cu), indinf_biset(sec))
@@ -247,8 +247,7 @@ def _row(mask, u: int) -> list:
 
 def test_trivial_transporters_are_stabilizers():
     ana = analysis(X27)
-    Z = analysis(X27).center_members
-    U = indinf_biset(ana.section_at(range(27), Z))
+    U = indinf_biset(ana.section_at(ana.n_sub - 1, ana.index_of(ana.center_members)))
     left, right = left_transporters(U, [0]), right_transporters(U, [0])
     for u in range(U.size):
         assert _row(left, u) == [y for y in range(27) if U.left[y, u] == u]
@@ -511,18 +510,17 @@ def orbit_kernel_pairs(G):
     three of them."""
     ana = analysis(G)
     secs = [sec for sec in all_sections(ana)
-            if sec.top.order == 9 and sec.bottom.order == 3][:2]
+            if len(sec.top) == 9 and len(sec.bottom) == 3][:2]
     top = ana.n_sub - 1
-    secs.append(ana.section_at(range(G.order),
-                               ana.subgroup_members[ana.frattini_of(top)]))
+    secs.append(ana.section_at(top, ana.frattini_of(top)))
     out = []
     for sec in secs:
-        T = sec.top.members
+        T = sec.top
         ind, res = induction_biset(ana, T), restriction_biset(ana, T)
         inf, dfl = inflation_biset(ana, sec), deflation_biset(ana, sec)
         u = next((x for x in range(G.order) if x not in T), 1)
         target, tr = section_transport(ana, sec, u)
-        ind_t = induction_biset(ana, target.top.members)
+        ind_t = induction_biset(ana, target.top)
         inf_t = inflation_biset(ana, target)
         out += [(ind, inf), (dfl, res), (res, ind), (inf_t, tr),
                 (compose(ind_t, inf_t), tr), (dfl, compose(res, ind))]

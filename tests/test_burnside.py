@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bfk.bisets import ConcreteBiset, _coset_ids, compose, defres_biset, indinf_biset
+from bfk.bisets import ConcreteBiset, compose, defres_biset, indinf_biset
 from bfk.burnside import (
     act_on_basis_element,
     biset_matrix,
@@ -17,6 +17,7 @@ from bfk.burnside import (
 )
 from bfk.campaigns import catalog_groups
 from bfk.groups import (
+    _coset_ids,
     analysis,
     cyclic_group,
     direct_product,
@@ -189,7 +190,7 @@ def test_induced_rank_two_element_frozen():
     for which, pos in enumerate(nc[:2]):
         mem = rd.reps_members[pos]
         mz = product_members(X27, mem, zmem)
-        sec = ana.section_at(mz, (0,))
+        sec = ana.section_at(ana.index_of(mz), 0)
         eps = rank_two_kernel_element(sec.group)
         out[which] = indinf_class_matrix(ana, sec) @ eps
     got = out[0]
@@ -216,8 +217,7 @@ def test_fast_paths_match_generic_action():
         # of intermediate subgroups S <= W <= T per class of W/S in T/S
         system = coefficient_system(G, "X", "B")
         for i, slot in enumerate(slots_of(system.family)):
-            sec = ana.section_at(ana.subgroup_members[slot.ti],
-                                 ana.subgroup_members[slot.si])
+            sec = ana.section_at(slot.ti, slot.si)
             order = [slot.class_pos[ana.index_of(preimage(sec, m))]
                      for m in ring_data(sec.group).reps_members]
             assert np.array_equal(system._b_defres_from_base(i)[order],
@@ -227,7 +227,7 @@ def test_fast_paths_match_generic_action():
 def test_generic_action_against_point_biset_oracle():
     ana = analysis(X27)
     dq = ring_data(X27)
-    sec = ana.section_at(tuple(range(27)), analysis(X27).center_members)
+    sec = ana.section_at(ana.n_sub - 1, ana.index_of(ana.center_members))
     U = indinf_biset(sec)
     dqq = ring_data(U.left_group)
     dp = ring_data(U.right_group)
@@ -241,7 +241,7 @@ def test_generic_action_against_point_biset_oracle():
 
 def test_biset_matrix_is_functorial():
     ana = analysis(X27)
-    sec = ana.section_at(tuple(range(27)), analysis(X27).center_members)
+    sec = ana.section_at(ana.n_sub - 1, ana.index_of(ana.center_members))
     U = indinf_biset(sec)
     V = defres_biset(sec)
     MV, MU = biset_matrix(V), biset_matrix(U)
@@ -253,7 +253,7 @@ def test_iso_class_matrix_permutes():
     L = next(m for m in ana.subgroup_members
              if len(m) == 3 and m != analysis(X27).center_members)
     N = normalizer(ana, L)
-    sec = ana.section_at(N, L)
+    sec = ana.section_at(ana.index_of(N), ana.index_of(L))
     u = next(x for x in range(27) if x not in N)
     tgt, cu = section_transport(ana, sec, u)
     f = np.array([int(cu.right[0, a]) for a in range(sec.group.order)])
@@ -283,7 +283,7 @@ def test_kernel_is_preserved_by_section_maps():
 
 def test_dual_action_of_cosets_transposes_to_the_opposite_map():
     ana = analysis(X27)
-    sec = ana.section_at(tuple(range(27)), analysis(X27).center_members)
+    sec = ana.section_at(ana.n_sub - 1, ana.index_of(ana.center_members))
     U = indinf_biset(sec)
     assert np.array_equal(dual_action_matrix(U),
                           biset_matrix(defres_biset(sec)).T)
@@ -291,7 +291,7 @@ def test_dual_action_of_cosets_transposes_to_the_opposite_map():
 
 def test_kernel_dual_action_commutes_with_projection():
     ana = analysis(X27)
-    sec = ana.section_at(tuple(range(27)), analysis(X27).center_members)
+    sec = ana.section_at(ana.n_sub - 1, ana.index_of(ana.center_members))
     for U in (indinf_biset(sec), defres_biset(sec)):
         Mstar = dual_action_matrix(U)
         kq = ring_data(U.left_group).kernel()

@@ -160,9 +160,14 @@ def test_probe_rows_record_kernel_invariants_as_data():
     assert all(recheck(r) for r in rows)
 
 
-def test_injected_delta_mismatch_is_refuted_with_checkable_witness():
-    row = _delta_identity_row(RunConfig(), factor=4)
+def test_injected_delta_mismatch_is_refuted_with_checkable_witness(monkeypatch):
+    # a doubled kernel element puts the right side at 2p delta
+    real = campaigns.extraspecial_kernel_element
+    monkeypatch.setattr(campaigns, "extraspecial_kernel_element",
+                        lambda G, a, b: [2 * x for x in real(G, a, b)])
+    row = _delta_identity_row(RunConfig())
     assert row["status"] == "refuted"
+    assert row["witness"]["right"] == [2 * x for x in row["witness"]["left"]]
     assert recheck(row)
     tampered = dict(row, witness=dict(row["witness"],
                                       right=row["witness"]["left"]))
@@ -687,19 +692,33 @@ CAMPAIGN_OF = {c.id: c.campaign for c in CLAIMS}
         "doubled-x-limit", "reading-b", "kernel-rank-off-by-one"])
 def test_seeded_fault_is_refuted_with_a_witness_recheck_confirms(
         monkeypatch, fault, desc, claims):
-    # _small_x3_iso caches across tests: nothing computed under the fault
-    # may outlive it
-    campaigns._small_x3_iso.cache_clear()
     fault(monkeypatch)
-    try:
-        rows = campaigns._WORKERS[CAMPAIGN_OF[claims[0]]](desc, RunConfig())
-    finally:
-        campaigns._small_x3_iso.cache_clear()
-    rows = {r["claim"]: r for r in rows}
+    rows = {r["claim"]: r
+            for r in campaigns._WORKERS[CAMPAIGN_OF[claims[0]]](desc, RunConfig())}
     for claim in claims:
         row = rows[claim]
         assert row["status"] == "refuted" and recheck(row), claim
         assert not recheck(dict(row, status="verified")), claim
+
+
+def test_subquotient_verdicts_do_not_outlive_their_group(monkeypatch):
+    # the descent premise solves the order-27 quotients of the group; a
+    # verdict reached under a fault must be gone once the fault is
+    desc = "prod:cyclic:9,cyclic:3,cyclic:3"
+    claim = "unit-iso-descends-to-bounded-family"
+
+    def descent():
+        return {r["claim"]: r for r in campaigns._main_rows(desc, RunConfig())}[claim]
+
+    _swapped(monkeypatch, {"X3": "X2", "E3": "E2"})
+    faulted = descent()
+    assert faulted["witness"]["premise_subquotients_iso"] is False
+    assert "elab:3:3" in faulted["witness"]["subquotient_types"]
+    monkeypatch.undo()
+    row = descent()
+    assert row == descent()
+    assert row["witness"]["premise_subquotients_iso"] is True
+    assert row["witness"]["vacuous"] is False and recheck(row)
 
 
 def test_unit_inside_every_constraint_but_outside_the_limit_is_refuted(monkeypatch):

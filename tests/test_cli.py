@@ -112,6 +112,32 @@ def test_bad_descriptor_exits_one_with_message():
     assert "bfk:" in proc.stderr
 
 
+def _xsp3_group_file(path: Path) -> Path:
+    from bfk.groups import extraspecial_group
+    rows = [" ".join(map(str, row)) for row in extraspecial_group(3).table.tolist()]
+    path.write_text("\n".join(["p 3", "order 27", *rows]) + "\n")
+    return path
+
+
+def test_limit_reads_a_group_file(tmp_path):
+    path = _xsp3_group_file(tmp_path / "x27.grp")
+    args = ("--class", "X3", "--functor", "Kdual")
+    from_file = run_cli("limit", "--group", str(path), *args)
+    by_name = run_cli("limit", "--group", "xsp:3", *args)
+    assert from_file.returncode == by_name.returncode == 0
+    assert json.loads(from_file.stdout)["basis"] == json.loads(by_name.stdout)["basis"]
+    assert "group file" in run_cli("limit", "--help").stdout
+
+
+def test_malformed_group_file_exits_one_with_message(tmp_path):
+    path = _xsp3_group_file(tmp_path / "x27.grp")
+    path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+    proc = run_cli("limit", "--group", str(path), "--class", "X3",
+                   "--functor", "Kdual")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("bfk: ") and "expected 27 table rows" in proc.stderr
+
+
 def test_bad_prime_exits_one():
     proc = run_cli("catalog", "--p", "2")
     assert proc.returncode == 1

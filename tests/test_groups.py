@@ -1,5 +1,6 @@
 import itertools
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from bfk.groups import (
     DescriptorError,
     FiniteGroup,
     GroupTooLarge,
-    Subgroup,
     analysis,
     cyclic_group,
     default_order_bound,
@@ -27,7 +27,7 @@ from bfk.limits import section_family
 from helpers import (all_sections, center_by_loops, conjugate_members,
                      cyclic_subs_by_loops, double_coset_reps,
                      element_orders_by_loops, extraspecial_table_by_loops, preimage,
-                     shapes_through_int64, table_checks_by_loops)
+                     section_by_loop, shapes_through_int64, table_checks_by_loops)
 
 
 def naive_closure(G, gens):
@@ -118,6 +118,35 @@ def test_extraspecial_is_a_group_of_exponent_p():
     # full associativity via the ingestion validator
     group_from_table(3, X.table, name="copy")
     assert len(analysis(X).center_members) == 3
+
+
+def test_associativity_check_takes_no_cube_of_memory():
+    # the check walks blocks of rows: a whole (ij)k array at order 243
+    # would take 55 MiB, and two of them are compared
+    table = elementary_abelian_group(3, 5).table
+    tracemalloc.start()
+    try:
+        group_from_table(3, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def test_non_associative_latin_square_is_rejected():
+    # swapping rows 1 and 4 of the C9 table on the coset {1, 4, 7} of <3>
+    # keeps a Latin square with identity 0 and one inverse per element
+    table = cyclic_group(9).table.copy()
+    cols = [1, 4, 7]
+    table[1, cols], table[4, cols] = table[4, cols], table[1, cols].copy()
+    ident = np.arange(9)
+    assert (np.sort(table, axis=0) == ident[:, None]).all()
+    assert (np.sort(table, axis=1) == ident).all()
+    # the cheap checks pass: only associativity fails, as (1 1) 2 != 1 (1 2)
+    assert FiniteGroup(3, table).inv.tolist() == [0, 8, 7, 6, 5, 4, 3, 2, 1]
+    assert table[table[1, 1], 2] != table[1, table[1, 2]]
+    with pytest.raises(ValueError, match="not associative"):
+        group_from_table(3, table)
 
 
 def test_group_construction_matches_the_element_loops():
@@ -391,12 +420,12 @@ def test_sections_of_c3_squared():
     assert len(section_family(G, "E2").sections) == 15
     # quotient projection is a homomorphism with identity coset first
     for sec in all_sections(ana):
-        assert sec.proj[sec.top.members[0]] == 0 or sec.top.members[0] != 0
-        for a in sec.top.members:
-            for b in sec.top.members:
+        assert sec.proj[sec.top[0]] == 0 or sec.top[0] != 0
+        for a in sec.top:
+            for b in sec.top:
                 ab = G.mul(a, b)
                 assert sec.group.table[sec.proj[a], sec.proj[b]] == sec.proj[ab]
-        assert sec.reps[0] == min(sec.bottom.members)
+        assert sec.reps[0] == min(sec.bottom)
 
 
 def test_sections_of_x27():
@@ -433,17 +462,20 @@ def test_section_quotient_labels():
     top = ana.n_sub - 1
     assert section_shape(ana, top, ana.index_of(Zm)) == ("elab", 2)
     assert section_shape(ana, top, 0) == ("xsp", None)
-    full = ana.section_at(range(27), [0])
+    full = ana.section_at(top, 0)
     assert full.group.order == 27
-    assert ana.section_at(range(27), [0]) is full
+    assert ana.section_at(top, 0) is full
+    assert full.top == tuple(range(27)) and full.bottom == (0,)
+    # a subgroup that is not normal in the top is no section of it
+    lone = next(si for si in range(ana.n_sub) if not ana.normal[si, top])
     with pytest.raises(ValueError):
-        ana.section_at(tuple(range(27)), (0, 1))
+        ana.section_at(top, lone)
 
 
 def test_section_preimage_and_image():
     X = extraspecial_group(3)
     ana = analysis(X)
-    sec = ana.section_at(range(27), [0])
+    sec = ana.section_at(ana.n_sub - 1, 0)
     for members in ana.subgroup_members:
         img = {int(sec.proj[m]) for m in members}
         assert preimage(sec, img) == members
@@ -472,12 +504,17 @@ def test_analysis_is_shared_across_threads():
     assert all(a is seen[0] for a in seen)
 
 
-def test_subgroup_value_semantics():
-    G = cyclic_group(3)
-    a = Subgroup(G, (0, 1, 2))
-    b = Subgroup(G, (0, 1, 2))
-    assert a == b and hash(a) == hash(b)
-    assert a != Subgroup(G, (0,))
+def test_section_quotients_match_the_coset_walk():
+    # whole-array coset labels against the former walk over the top, on
+    # every section of a few groups
+    for desc in ("xsp:3", "prod:cyclic:9,cyclic:3", "elab:3:3", "xsp:5"):
+        ana = analysis(parse_descriptor(desc))
+        for sec in all_sections(ana):
+            ti, si = ana.index_of(sec.top), ana.index_of(sec.bottom)
+            proj, reps, qt = section_by_loop(ana, ti, si)
+            assert np.array_equal(sec.proj, proj), (desc, ti, si)
+            assert sec.reps.tolist() == reps
+            assert np.array_equal(sec.group.table, qt)
 
 
 def loop_double_coset_reps(G, left, right, within=None):

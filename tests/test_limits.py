@@ -214,17 +214,19 @@ def test_slots_with_equal_mark_rows_share_one_kernel():
     for G in (X27, direct_product(X27, C3)):
         system = coefficient_system(G, "X", "K")
         fam = system.family
-        distinct, empty = set(), {}
+        distinct, kernels, empty = set(), set(), {}
         for i, (slot, rows) in enumerate(zip(slots_of(fam), _mark_rows(fam))):
             if slot.index(fam.ana) > 3:
                 distinct.add((rows.shape, rows.tobytes()))
+                kernels.add(id(system._kernels[i]))
                 fresh = kernel_basis(obj_matrix(rows.tolist(), slot.dim))
                 assert np.array_equal(system._kernels[i].basis, fresh)
             else:
                 # one empty kernel per dimension
                 assert system._kernels[i] is empty.setdefault(slot.dim, system._kernels[i])
                 assert system._kernels[i].basis.shape == (0, slot.dim)
-        assert len(fam._kernel_memo) == len(distinct)
+        # one kernel object per distinct set of mark rows
+        assert len(kernels) == len(distinct)
 
 
 def test_whole_group_slot_takes_the_base_kernel():

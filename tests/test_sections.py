@@ -40,7 +40,7 @@ def test_one_classifier_matches_the_quotient_rule():
         ana = analysis(G)
         images = {}
         for sec in all_sections(ana):
-            ti, si = ana.index_of(sec.top.members), ana.index_of(sec.bottom.members)
+            ti, si = ana.index_of(sec.top), ana.index_of(sec.bottom)
             shape = classify_quotient(sec.group)
             assert section_shape(ana, ti, si) == shape, (G.name, ti, si)
             for label in FAMILY_LABELS:

@@ -200,7 +200,7 @@ def test_unit_naturality_for_restriction_and_induction():
 
 def test_unit_naturality_for_inflation_and_deflation():
     ana = analysis(C9)
-    sec = ana.section_at(range(9), [0, 3, 6])
+    sec = ana.section_at(ana.n_sub - 1, ana.index_of([0, 3, 6]))
     infl = inflation_biset(ana, sec)
     defl = deflation_biset(ana, sec)
     for functor in ("B", "K"):
