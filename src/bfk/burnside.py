@@ -19,18 +19,7 @@ import numpy as np
 
 from .bisets import ConcreteBiset, opposite
 from .groups import FiniteGroup, analysis, product_members, section_shape
-from .zlinalg import (
-    IntegerLattice,
-    KernelPlan,
-    _i64_absmax,
-    coords_in_hnf,
-    hnf,
-    kernel_basis,
-    kernel_plan,
-    lattice_from_rows,
-    obj_zeros,
-    snf_diagonal,
-)
+from .zlinalg import IntegerLattice, obj_zeros, snf_diagonal
 
 
 class RingData:
@@ -47,7 +36,6 @@ class RingData:
         self._lock = threading.RLock()
         self._lin = None
         self._kernel = None
-        self._plan = None
 
     def class_position(self, members) -> int:
         return int(self.ana.class_of_sub[self.ana.index_of(members)])
@@ -70,23 +58,12 @@ class RingData:
             return self._lin
 
     def kernel(self) -> IntegerLattice:
+        """The kernel of the linearization, shared by every K system and
+        the whole-group slots."""
         with self._lock:
             if self._kernel is None:
-                self._kernel = IntegerLattice.from_hnf(
-                    kernel_basis(self.linearization()))
+                self._kernel = IntegerLattice.kernel(self.linearization())
             return self._kernel
-
-    def kernel_plan(self) -> KernelPlan:
-        """The restriction plan of the kernel, over one int64 copy of its
-        basis, shared by every K system and the whole-group slots."""
-        with self._lock:
-            if self._plan is None:
-                kern = self.kernel()
-                basis, _ = _i64_absmax(kern.basis)
-                if basis is None:
-                    raise OverflowError("entry exceeds the int64 working range")
-                self._plan = kernel_plan(basis, kern._piv)
-            return self._plan
 
 
 def ring_data(G: FiniteGroup) -> RingData:
@@ -204,13 +181,13 @@ def character_dual_sublattice(G: FiniteGroup) -> IntegerLattice:
     the dual basis of the image lattice of fixed-point counts."""
     rd = ring_data(G)
     L = rd.linearization()
-    H = hnf(L.T)                       # basis of the image of the transpose
-    if H.shape[0] != len(rd.cyclic_positions):
+    image = IntegerLattice(L.shape[0], L.T)     # the image of the transpose
+    if image.rank != len(rd.cyclic_positions):
         raise ValueError("linearization is rank-deficient")
-    M, exact = coords_in_hnf(H, L)     # H.T @ M == L
+    M, exact = image.coords(L)                  # image.basis.T @ M == L
     if not exact.all():
         raise AssertionError("dual basis pullback must be integral")
-    return lattice_from_rows(rd.n_classes, M)
+    return IntegerLattice(rd.n_classes, M)
 
 
 def dual_exactness_report(G: FiniteGroup) -> dict:
@@ -222,7 +199,7 @@ def dual_exactness_report(G: FiniteGroup) -> dict:
     r = len(rd.cyclic_positions)
     K = rd.kernel()
     rstar = character_dual_sublattice(G)
-    kperp = IntegerLattice.from_hnf(kernel_basis(K.basis))
+    kperp = IntegerLattice.kernel(K.basis)
     # Z^n / rstar: its invariant factors, then one 0 per free rank
     inv = snf_diagonal(rstar.basis)
     inv += [0] * (n - len(inv))
@@ -258,5 +235,5 @@ def sum_of_induced_kernels(G: FiniteGroup, label: str) -> IntegerLattice:
     images = [np.empty((0, rd.n_classes), dtype=np.int64)]
     for i, kern in enumerate(family.kernels):
         up = _selection_matrix(family.ana.class_of_sub[family.classes(i)], rd.n_classes)
-        images.append(kern.basis @ up.T)
-    return lattice_from_rows(rd.n_classes, np.vstack(images))
+        images.append(kern.working_basis @ up.T)
+    return IntegerLattice(rd.n_classes, np.vstack(images))

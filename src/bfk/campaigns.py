@@ -71,8 +71,7 @@ from .transfers import (
     retraction_identity_holds,
     retraction_matrix,
 )
-from .zlinalg import (_batches, _exact_matmul, coords_in_hnf,
-                      lattice_from_rows, obj_eye)
+from .zlinalg import IntegerLattice, _batches, _exact_matmul, obj_eye
 
 REPORT_FORMAT = "bfk-report"
 REPORT_VERSION = 1
@@ -100,7 +99,8 @@ def _judged(campaign: str, claim: str, group: str, witness: dict) -> dict:
 
 
 def _ints(vec) -> list[int]:
-    return [int(v) for v in np.asarray(vec).ravel()]
+    # as objects: numpy reads a list holding an int past 2**63 as float64
+    return [int(v) for v in np.asarray(vec, dtype=object).ravel()]
 
 
 def _first(bad) -> int | None:
@@ -229,7 +229,7 @@ def _eps_generator_row(cfg: RunConfig) -> dict:
     G = parse_descriptor(desc, p)
     kern = linearization_kernel(G)
     eps = np.asarray(rank_two_kernel_element(G), dtype=object)
-    span = lattice_from_rows(kern.ambient, [eps])
+    span = IntegerLattice(kern.ambient, [eps])
     claim = "induction-eps-generates-rank-two-kernel"
     if kern.rank == 1 and span == kern:
         witness = {"kind": "generator-span", "generator": _ints(eps),
@@ -251,7 +251,7 @@ def _induction_rows(desc: str, cfg: RunConfig) -> list[dict]:
         "induction", "induction-kernel-matches-x2-sum", desc, kern, x2_sum))
 
     fam = section_family(G, "E2")
-    eps_part = lattice_from_rows(kern.ambient, [
+    eps_part = IntegerLattice(kern.ambient, [
         _induced_rank_two(ana, fam.classes(i), si) for i, (ti, si) in enumerate(fam.sections)
         if ana.sizes[ti] // ana.sizes[si] == p * p])
     e2_sum = sum_of_induced_kernels(G, "E2")
@@ -383,7 +383,7 @@ def _main_rows(desc: str, cfg: RunConfig) -> list[dict]:
                              "refuted", witness))
             continue
         # every constraint holds, so some unit column misses the lattice
-        lat = lattice_from_rows(system.total, lims[label].basis.T)
+        lat = lims[label].lattice
         j = _first(~lat.members(E)) or 0
         rows.append(_membership_row("main", _UNIT_LANDS[label], desc,
                                     E[:, j], lat, family=label))
@@ -810,7 +810,7 @@ def _appendix_limit_action_rows(desc, G, ana, secs_x3, small,
             except ConstraintViolation as err:
                 return _fail_row(claim, desc, case, err.edge, err.residual)
             lim_q = inverse_limit(sys_q)
-            jbad = _first(~coords_in_hnf(lim_q.basis.T, img, lim_q.pivots)[1])
+            jbad = _first(~lim_q.lattice.members(img))
             if jbad is not None:
                 return _fail_row(claim, desc, case, _ints(img[:, jbad]),
                                  [_ints(col) for col in lim_q.basis.T])
@@ -1062,7 +1062,7 @@ def _counts(*keys, least=0):
 
 def _inside(w) -> bool:
     vec = [int(v) for v in w["vector"]]
-    return lattice_from_rows(len(vec), w["basis"]).member(vec)
+    return IntegerLattice(len(vec), w["basis"]).member(vec)
 
 
 def _onto(w) -> bool:

@@ -21,7 +21,7 @@ solves the dense core left, and back-substitution fills in the eliminated
 unknowns.  Columns are checked against every
 constraint at once by residual_check, in stacked exact products of the
 edges with one shape, and are written in the canonical limit basis by
-zlinalg.coords_in_hnf.
+the limit's IntegerLattice.
 
 The colimit of K along the upward moves is presented by a generator per
 coordinate of a value and a relation per column of a move.  Each section
@@ -44,9 +44,8 @@ from functools import cached_property
 import numpy as np
 
 from .groups import SHAPE_XSP, FiniteGroup, GroupAnalysis, analysis
-from .zlinalg import (_batches, _exact_matmul, _first_mismatch, _i64_absmax,
-                      _restrict_moves, _stack_shared, _weighted_batches,
-                      coords_in_hnf, hnf, hnf_pivots, kernel_basis, kernel_plan,
+from .zlinalg import (IntegerLattice, _batches, _exact_matmul, _first_mismatch,
+                      _i64_absmax, _restrict_moves, _stack_shared, _weighted_batches,
                       sparse_kernel_basis, sparse_snf_invariants)
 from .burnside import ring_data
 from .claims import FAMILY_LABELS, FUNCTOR_NAMES
@@ -272,8 +271,8 @@ class SectionFamily:
 
     @cached_property
     def kernels(self) -> list:
-        """KernelPlan of the HNF basis (rows, int64) of the mark kernel of
-        the quotient at each slot.
+        """The IntegerLattice of the mark kernel of the quotient at each
+        slot.
 
         Rows of the linearization are indexed by the classes whose quotient
         image is cyclic (_mark_rows); the quotient of order dividing p
@@ -281,21 +280,21 @@ class SectionFamily:
         dimension.  Slots with the same mark rows share one kernel through
         the memo, keyed by the exact rows.  The whole-group slot (P, 1) has
         the class representatives as its classes and the linearization as
-        its mark rows, so its entry is the base kernel plan of ring_data.
+        its mark rows, so its entry is the base kernel of ring_data.
         """
-        out, empty, memo = [], {}, {}     # memo: exact mark rows -> KernelPlan
+        out, empty, memo = [], {}, {}     # memo: exact mark rows -> lattice
         for i, (d, rows) in enumerate(zip(self.dims.tolist(), _mark_rows(self))):
             if rows is None:
                 if d not in empty:
-                    empty[d] = kernel_plan(np.zeros((0, d), dtype=np.int64))
+                    empty[d] = IntegerLattice(d)
                 out.append(empty[d])
                 continue
             key = (rows.shape, rows.tobytes())
             got = memo.get(key)
             if got is None:
                 got = memo[key] = (
-                    ring_data(self.group).kernel_plan() if i == self.whole_pos
-                    else kernel_plan(_as_i64(kernel_basis(rows))))
+                    ring_data(self.group).kernel() if i == self.whole_pos
+                    else IntegerLattice.kernel(rows))
             out.append(got)
         return out
 
@@ -440,10 +439,9 @@ class CoefficientSystem:
         if functor in ("K", "Kdual"):
             rd = ring_data(self.group)
             self._kernels = family.kernels
-            self.dims = [k.basis.shape[0] for k in self._kernels]
+            self.dims = [k.rank for k in self._kernels]
             self.base_kernel = rd.kernel()
             self.base_rank = self.base_kernel.rank
-            self._base = rd.kernel_plan()
         else:
             self._kernels = None
             self.dims = family.dims.tolist()
@@ -510,7 +508,8 @@ class CoefficientSystem:
             dims = self.dims + [self.base_rank]
             return [B if B.ndim == 2 else _selection_matrix(B, dims[d])
                     for B, _, d in moves]
-        return [_as_i64(C) for C in _restrict_moves(moves, self._kernels + [self._base])]
+        kernels = self._kernels + [self.base_kernel]
+        return [_as_i64(C) for C in _restrict_moves(moves, kernels)]
 
     def _maps(self, keys) -> list:
         """The maps under edge keys (src, dst, tag) and base keys ("down",
@@ -569,18 +568,18 @@ def coefficient_system(G: FiniteGroup, label: str, functor: str) -> CoefficientS
 
 
 class InverseLimit:
-    """Basis of the limit lattice inside the product of the values.
+    """The limit lattice inside the product of the values.
 
-    The stored basis is canonical: columns are the transposed reduced
-    row-echelon integer basis of the solution lattice, so two solvers
-    that find the same lattice produce identical objects.
+    lattice holds it by its canonical HNF basis, so two solvers that find
+    the same lattice produce identical objects; basis is that basis with
+    one column per basis row (total x rank, object entries).
     """
 
-    def __init__(self, system: CoefficientSystem, basis: np.ndarray):
+    def __init__(self, system: CoefficientSystem, lattice: IntegerLattice):
         self.system = system
-        self.basis = basis          # total x rank, object entries
-        self.rank = basis.shape[1]
-        self.pivots = hnf_pivots(basis.T)
+        self.lattice = lattice
+        self.basis = lattice.basis.T
+        self.rank = lattice.rank
 
 
 class ConstraintViolation(AssertionError):
@@ -637,16 +636,17 @@ def constraint_rows(system: CoefficientSystem) -> list[dict[int, int]]:
 def inverse_limit(system: CoefficientSystem) -> InverseLimit:
     """Solve the compatibility constraints; basis columns span the limit.
 
-    sparse_kernel_basis solves the constraint rows exactly.  One
-    zlinalg.hnf call of its solution columns gives the canonical basis,
-    which is checked against the raw constraints before it is returned.
+    sparse_kernel_basis solves the constraint rows exactly.  The lattice
+    its solution columns span gives the canonical basis, which is checked
+    against the raw constraints before it is returned.
     The result is kept on the system, which lives on G's analysis, so a
     second call returns the same object and it is freed together with G.
     """
     if system._limit is None:
-        basis = hnf(sparse_kernel_basis(constraint_rows(system), system.total).T).T.copy()
-        residual_check(system, basis)
-        system._limit = InverseLimit(system, basis)
+        lat = IntegerLattice(system.total, sparse_kernel_basis(
+            constraint_rows(system), system.total).T)
+        residual_check(system, lat.working_basis.T)
+        system._limit = InverseLimit(system, lat)
     return system._limit
 
 
@@ -663,17 +663,14 @@ def comparison_report(limit: InverseLimit) -> dict:
     """
     system = limit.system
     E = system.unit_matrix()
-    residual_check(system, E)
     k = limit.rank
     r = E.shape[1]
-    X, member = coords_in_hnf(limit.basis.T, E, limit.pivots)
+    # the limit basis met every constraint in inverse_limit, so a column
+    # certified a member meets them too; a faulty unit is reported here,
+    # and the main campaign names the constraint or the column it breaks
+    X, member = limit.lattice.coords(E)
     unit_in_limit = bool(member.all())
-    if unit_in_limit:
-        inv = sparse_snf_invariants(_sparse_rows(X))
-    else:
-        # the unit satisfies every constraint, so this cannot happen for
-        # a correctly solved limit; report it rather than assert
-        inv = []
+    inv = sparse_snf_invariants(_sparse_rows(X)) if unit_in_limit else []
     rank_unit = len(inv)
     report = {
         "group": system.group.name,
@@ -741,22 +738,22 @@ def _check_cocone(system: CoefficientSystem, ids: np.ndarray, moves: list,
     failure names the first failing edge, moves[k] running along the
     family edge ids[k].  Returns the restricted moves by index, kept if
     keep is set."""
-    fam, plans = system.family, system._kernels
+    fam, lats = system.family, system._kernels
     up, off = _up_rows(fam), fam._class_off
-    n = system._base.basis.shape[1]
+    n = system.base_kernel.ambient
     groups = {}
     for e, (_, a, b) in enumerate(moves):
-        groups.setdefault((plans[b].basis.shape, plans[a].basis.shape), []).append(e)
+        groups.setdefault((lats[b].basis.shape, lats[a].basis.shape), []).append(e)
     kept, bad = {}, []
     for ((kb, db), (ka, da)), members in groups.items():
         # a target basis every member shares is stacked once and broadcast
-        shared = len({id(plans[moves[e][2]]) for e in members}) == 1
+        shared = len({id(lats[moves[e][2]]) for e in members}) == 1
         for chunk in _batches(members, kb * ka + (db + da + n) * ka + db * kb * (not shared),
                               db * kb * shared):
             a, b = (np.array([moves[e][k] for e in chunk]) for k in (1, 2))
             Ms = np.stack(system._restricted([moves[e] for e in chunk]))
-            Hb, Ha = (_stack_shared([plans[i].basis for i in x.tolist()]).transpose(0, 2, 1)
-                      for x in (b, a))
+            Hb, Ha = (_stack_shared([lats[i].working_basis for i in x.tolist()])
+                      .transpose(0, 2, 1) for x in (b, a))
             lhs = _exact_matmul(Hb, Ms)
             at = np.arange(len(chunk))[:, None]
             diff = np.zeros((len(chunk), n, ka), dtype=np.result_type(lhs, Ha))
@@ -828,11 +825,11 @@ def counit_kernel_report(system: CoefficientSystem) -> dict:
     root_gens = sum(dims[i] for i in roots)
     # every up map factors through a root's, so the counit's image is the
     # span of the root up maps: onto iff their row HNF is the identity
-    H = hnf(np.hstack([np.zeros((r, 0), dtype=np.int64)] + system._restricted(
-        system._moves([("up", i) for i in roots], False))).T)
-    keep, surjective = len(H) < root_gens, np.array_equal(H, np.eye(r, dtype=np.int64))
-    diagonal = [int(H[k, j]) for k, j in enumerate(hnf_pivots(H))]
-    del H                        # freed before the cocone pass
+    ups = system._restricted(system._moves([("up", i) for i in roots], False))
+    image = IntegerLattice(r, np.hstack([np.zeros((r, 0), dtype=np.int64)] + ups).T)
+    keep, surjective = image.rank < root_gens, image.rank == r and image.ident
+    diagonal = [int(d) for d in image.basis[np.arange(image.rank), image.piv]]
+    del ups, image               # freed before the cocone pass
     kept = _check_cocone(system, ids, moves, keep)
     invariants = sparse_snf_invariants(
         _residual_rows(system, moves, tree, roots, kept)) if keep else []

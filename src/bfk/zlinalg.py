@@ -7,10 +7,19 @@ no product or sum can wrap (hnf and the kernel elimination check it
 before every row operation); without such a bound it runs in Python ints,
 so no result is ever computed modulo 2**64.
 Vectors are rows; a lattice is the set of integer row combinations of its
-basis.  Every lattice (IntegerLattice, lattice_from_rows) is built by
-one call of hnf, whose form is canonical, which makes lattice equality a
-plain array comparison.  hnf is also the one dense elimination behind
-every Smith form: snf_diagonal alternates it on the rows and the columns.
+basis.  IntegerLattice is the one type that holds a lattice, by its
+canonical HNF basis, which makes lattice equality a plain array
+comparison.  It is built in one of two ways, and both give that one
+array: hnf inserts spanning rows, and kernel_basis eliminates [A^T | I]
+for the right kernel of A and sweeps the rows left column by column.
+Each route is the faster one on its own inputs (Intel Xeon, 2 cores): on
+the rows the elimination leaves for the 35 mark kernels of
+`probe m --p 3 --max-order 81` and one `bfk limit` of xsp:3 x C3, the
+sweep takes 0.016 s and hnf 0.040 s, while on the 171 x 1900 solver
+columns of the X3/K limit of elab:3:4 (68,536 nonzeros) hnf takes 0.19 s
+and the sweep 6.0 s.  Both gave identical arrays on all of these inputs.
+hnf is also the one dense elimination behind every Smith form:
+snf_diagonal alternates it on the rows and the columns.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from __future__ import annotations
 import bisect
 import heapq
 from math import gcd
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -132,7 +141,7 @@ def coords_in_hnf(H: np.ndarray, V, piv: Sequence[int] | None = None):
     product H.T @ C == V then certifies each column, and that check alone
     makes a column a member.  The substitution runs in int64 while every
     step stays under the bound of _exact_matmul, else in Python ints.
-    piv is hnf_pivots(H); callers that keep it beside H pass it in.
+    piv is hnf_pivots(H); an IntegerLattice passes the pivots it keeps.
     """
     V = np.asarray(V)
     piv = hnf_pivots(H) if piv is None else piv
@@ -216,38 +225,18 @@ def _first_mismatch(quads) -> int | None:
     return first
 
 
-class KernelPlan(NamedTuple):
-    """An HNF basis (rows) with what restricting maps into it reads: the
-    pivot column of each row, whether the pivot columns form the
-    identity, and the columns off the pivots, in order."""
-    basis: np.ndarray
-    piv: np.ndarray
-    ident: bool
-    rest: np.ndarray
-
-
-def kernel_plan(H: np.ndarray, piv: Sequence[int] | None = None) -> KernelPlan:
-    """The restriction plan of the HNF basis H; piv is hnf_pivots(H) when
-    the caller keeps it."""
-    piv = np.asarray(hnf_pivots(H) if piv is None else piv, dtype=np.intp)
-    ident = bool((H[:, piv] == np.eye(len(piv), dtype=np.int64)).all())
-    off = np.ones(H.shape[1], dtype=bool)
-    off[piv] = False
-    return KernelPlan(H, piv, ident, np.flatnonzero(off))
-
-
 def _restrict_moves(moves, kernels) -> list:
     """Coordinates, in HNF bases, of the images of kernel bases under many
     integer maps.
 
     A move (B, s, d) maps Z^(kernels[s] columns) to Z^(kernels[d]
     columns), by a full matrix B or, for a selection move, by the row of
-    the single 1 in each column; kernels holds a KernelPlan per index.
+    the single 1 in each column; kernels holds an IntegerLattice per index.
     The coordinates C of the images B @ H_s.T solve H_d.T @ C == images.
     Moves are batched by kind and by the shapes of both kernels.  Per
     batch the images are one scatter of kernel columns or one stacked
-    product, C is their pivot rows where the target's plan says the pivot
-    columns form the identity (else one coords_in_hnf solve per move), and
+    product, C is their pivot rows where the target's pivot columns form
+    the identity (else one coords solve per move), and
     C is accepted only after one exact check; where every target is of the
     first kind, the check holds on the pivot rows by construction and is
     taken on the others.  Returns the C of each move, in order, each in
@@ -275,11 +264,11 @@ def _restrict_batch(moves, kernels) -> np.ndarray:
     A target kernel shared by the whole batch is read once and certified
     by one 2-D product over the columns of every move side by side."""
     n = len(moves)
-    src = _stack_shared([kernels[s].basis for _, s, _ in moves]).transpose(0, 2, 1)
-    plans = [kernels[d] for _, _, d in moves]
-    if all(k is plans[0] for k in plans):
-        plans = plans[:1]
-    kd, dd = plans[0].basis.shape
+    src = _stack_shared([kernels[s].working_basis for _, s, _ in moves]).transpose(0, 2, 1)
+    lats = [kernels[d] for _, _, d in moves]
+    if all(k is lats[0] for k in lats):
+        lats = lats[:1]
+    kd, dd = lats[0].basis.shape
     at = np.arange(n)[:, None]
     if moves[0][0].ndim == 2:
         images = _exact_matmul(np.stack([B for B, _, _ in moves]), src)
@@ -290,22 +279,22 @@ def _restrict_batch(moves, kernels) -> np.ndarray:
         wide = src64 is None or smax * rows.shape[1] > _PRODUCT_BOUND
         images = np.zeros((n, dd, src.shape[2]), dtype=object if wide else np.int64)
         np.add.at(images, (at, rows), src.astype(object) if wide else src64)
-    coords = images[at, np.stack([k.piv for k in plans])]
-    ident = all(k.ident for k in plans)
+    coords = images[at, np.stack([k.piv for k in lats])]
+    ident = all(k.ident for k in lats)
     if not ident:
         # the product check below certifies these coordinates too
         coords = coords.astype(object)
         for m in range(n):
-            k = plans[m % len(plans)]
+            k = lats[m % len(lats)]
             if not k.ident:
-                coords[m] = coords_in_hnf(k.basis, images[m], k.piv)[0]
-    lhs = _stack_shared([k.basis for k in plans]).transpose(0, 2, 1)
+                coords[m] = k.coords(images[m])[0]
+    lhs = _stack_shared([k.working_basis for k in lats]).transpose(0, 2, 1)
     rhs = images
     if ident:
         # H.T @ C is C itself on the pivot rows; compare the other rows
-        rest = np.stack([k.rest for k in plans])
-        lhs, rhs = lhs[np.arange(len(plans))[:, None], rest], images[at, rest]
-    if len(plans) == 1:
+        rest = np.stack([k.rest for k in lats])
+        lhs, rhs = lhs[np.arange(len(lats))[:, None], rest], images[at, rest]
+    if len(lats) == 1:
         ok = np.array_equal(_exact_matmul(lhs[0], np.hstack(coords)), np.hstack(rhs))
     else:
         ok = np.array_equal(_exact_matmul(lhs, coords), rhs)
@@ -690,39 +679,67 @@ def hnf(mat) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class IntegerLattice:
-    """A sublattice of Z^ambient with a canonical HNF basis.
+    """A sublattice of Z^ambient, held by its canonical HNF basis.
 
-    _piv holds the pivot column of each basis row, so membership and
-    coordinates never rescan the basis for them.
+    IntegerLattice(ambient, basis_rows) is the span of the rows, by hnf,
+    and IntegerLattice.kernel(mat) the right kernel of mat, by
+    kernel_basis; both give the canonical basis (module docstring).
+    Beside that basis (rows, dtype=object) a lattice keeps what
+    coordinates in it read: piv, the pivot column of each row; basis64, an
+    int64 copy of the basis when every entry lies in the int64 working
+    range of _i64_absmax, else None; ident, whether the pivot columns form
+    the identity; and rest, the columns off the pivots, in order.
     """
 
     def __init__(self, ambient: int, basis_rows=None):
-        self.ambient = ambient
         mat = (np.empty((0, ambient), dtype=object) if basis_rows is None
                else basis_rows if isinstance(basis_rows, np.ndarray)
                else obj_matrix(basis_rows, ambient))
         if mat.ndim != 2 or mat.shape[1] != ambient:
             raise ValueError(f"need a 2-D matrix with {ambient} columns")
-        self.basis = hnf(mat)
-        self._piv = hnf_pivots(self.basis)
+        self._adopt(hnf(mat))
 
     @classmethod
-    def from_hnf(cls, basis: np.ndarray) -> "IntegerLattice":
-        """Wrap a basis that is already in canonical HNF."""
-        lat = cls(basis.shape[1])
-        lat.basis, lat._piv = basis, hnf_pivots(basis)
+    def kernel(cls, mat) -> "IntegerLattice":
+        """The lattice {x in Z^n : mat @ x == 0}, n the columns of mat."""
+        lat = cls.__new__(cls)
+        lat._adopt(kernel_basis(mat))
         return lat
+
+    def _adopt(self, basis: np.ndarray) -> None:
+        self.ambient = basis.shape[1]
+        self.basis = basis
+        self.piv = np.asarray(hnf_pivots(basis), dtype=np.intp)
+        self.basis64 = _i64_absmax(basis)[0]
+        # a pivot of 1 leaves its column zero elsewhere in a canonical HNF
+        self.ident = bool((basis[np.arange(self.rank), self.piv] == 1).all())
+        off = np.ones(self.ambient, dtype=bool)
+        off[self.piv] = False
+        self.rest = np.flatnonzero(off)
 
     @property
     def rank(self) -> int:
         return self.basis.shape[0]
 
+    @property
+    def working_basis(self) -> np.ndarray:
+        """basis64 when present, else the exact basis: the array products
+        and coordinates read, so none converts the basis again."""
+        return self.basis if self.basis64 is None else self.basis64
+
+    def coords(self, cols):
+        """(C, member) of coords_in_hnf for the columns of cols: their
+        coordinates in the basis and the mask of those in the lattice."""
+        return coords_in_hnf(self.working_basis, cols, self.piv)
+
     def members(self, cols) -> np.ndarray:
         """Mask of the columns of cols that lie in the lattice."""
-        return coords_in_hnf(self.basis, cols, self._piv)[1]
+        return self.coords(cols)[1]
 
     def member(self, vec) -> bool:
-        return bool(self.members(np.asarray(vec).reshape(-1, 1))[0])
+        # as Python ints: numpy reads a list holding an int past 2**63 as
+        # float64 when no integer dtype holds every entry
+        return bool(self.members(np.array(vec, dtype=object).reshape(-1, 1))[0])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntegerLattice):
@@ -736,7 +753,3 @@ class IntegerLattice:
 
     def __repr__(self):
         return f"IntegerLattice(ambient={self.ambient}, rank={self.rank})"
-
-
-def lattice_from_rows(ambient: int, rows) -> IntegerLattice:
-    return IntegerLattice(ambient, rows)

@@ -246,9 +246,9 @@ def maps_by_edges(system: CoefficientSystem) -> dict:
     ("down", i) and, for K, ("up", i).
     """
     ana, slots = system.ana, slots_of(system.family)
-    kern = [k.basis for k in system._kernels]
+    kern = [k.working_basis for k in system._kernels]
     piv = [k.piv for k in system._kernels]
-    base, base_piv = system._base.basis, system._base.piv
+    base, base_piv = system.base_kernel.working_basis, system.base_kernel.piv
 
     def restrict(M, s_kern, d_kern, d_piv):
         return np.asarray(_restrict_to_kernels(M, s_kern, d_kern, d_piv),
@@ -679,7 +679,7 @@ class DenseFamily:
             if key not in memo:
                 if i == self.whole_pos:
                     base = ring_data(self.group).kernel()
-                    kern, piv = base.basis, base._piv
+                    kern, piv = base.basis, base.piv
                 else:
                     kern = kernel_basis(rows)
                     piv = hnf_pivots(kern)

@@ -26,7 +26,7 @@ from bfk.campaigns import (
 )
 from bfk.claims import CLAIMS
 from bfk.groups import parse_descriptor
-from bfk.zlinalg import hnf, lattice_from_rows
+from bfk.zlinalg import IntegerLattice, hnf
 
 
 @pytest.fixture(scope="session")
@@ -82,7 +82,7 @@ def test_01_rank_bookkeeping_at_the_rank_two_group():
     kern = linearization_kernel(G)
     assert kern.rank == 1
     eps = np.asarray(rank_two_kernel_element(G), dtype=object)
-    assert lattice_from_rows(kern.ambient, [eps]) == kern
+    assert IntegerLattice(kern.ambient, [eps]) == kern
     assert time.perf_counter() - t0 < 1.0
 
 

@@ -2,7 +2,6 @@ import gc
 import json
 import weakref
 from importlib import resources
-from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
@@ -18,6 +17,7 @@ from bfk.campaigns import (
     _appendix_transporter_rows,
     _delta_identity_row,
     _engine_rng,
+    _membership_row,
     _probe_rows,
     _x3_quotients,
     catalog_groups,
@@ -30,8 +30,9 @@ from bfk.campaigns import (
 from bfk.burnside import ring_data
 from bfk.claims import CAMPAIGNS, CLAIMS
 from bfk.groups import analysis, parse_descriptor
-from bfk.limits import InverseLimit, coefficient_system, inverse_limit, section_family
-from bfk.zlinalg import lattice_from_rows
+from bfk.limits import (CoefficientSystem, InverseLimit, coefficient_system, inverse_limit,
+                         section_family)
+from bfk.zlinalg import IntegerLattice
 from helpers import (
     composite_transporter_rows_by_points,
     constraint_violation_by_edges,
@@ -257,6 +258,46 @@ def test_refuted_unit_row_names_the_first_violated_edge(monkeypatch):
         assert row["witness"]["edge"] is not None
 
 
+def test_unit_faulty_before_the_report_gives_refuted_rows(monkeypatch):
+    # every unit matrix carries a +1 from the start: the comparison report
+    # takes it as it is, and each unit row names the constraint it breaks
+    real = CoefficientSystem.unit_matrix
+
+    def faulty(system):
+        E = real(system).copy()
+        if system.group.order == 81:
+            E[system.offsets[len(system.dims) // 2], 0] += 1
+        return E
+
+    monkeypatch.setattr(CoefficientSystem, "unit_matrix", faulty)
+    rows = campaigns._main_rows("prod:xsp:3,cyclic:3", RunConfig())
+    unit = [r for r in rows if r["claim"].startswith("unit-lands-in-limit")]
+    assert len(unit) == 4
+    for row in unit:
+        assert row["status"] == "refuted" and recheck(row)
+        assert row["witness"]["kind"] == "constraint-violation"
+
+
+def test_lattice_past_int64_stays_exact():
+    # no int64 holds 2**63 + 1, and float64 reads 2**63 + 2 as 2**63
+    big = 2**63 + 1
+    lat = IntegerLattice(2, [[big, 0], [0, 1]])
+    assert lat.basis64 is None and lat.basis[0, 0] == big
+    cols = np.array([[big, 3 * big, 0, big + 1, big - 1], [5, -7, 1, 0, 0]], dtype=object)
+    assert lat.members(cols).tolist() == [True, True, True, False, False]
+    assert lat.member([2 * big, -1]) and not lat.member([big + 1, 1])
+    assert lat == IntegerLattice(2, [[2 * big, 0], [big, 1], [0, 1]])
+    assert lat != IntegerLattice(2, [[big + 1, 0], [0, 1]])
+    # a witness carrying that basis is confirmed exactly, and one whose
+    # vector lies in the lattice is not
+    for vec, outside in (([big + 1, 1], True), ([big - 1, 0], True),
+                         ([big, -1], False), ([2 * big, 1], False)):
+        row = _membership_row("induction", "induction-kernel-matches-x2-sum",
+                              "elab:3:2", vec, lat)
+        assert row["witness"]["basis"] == [[big, 0], [0, 1]]
+        assert recheck(row) is outside, vec
+
+
 def test_per_group_results_are_shared_and_freed_with_the_group():
     G = parse_descriptor("xsp:3", 3)
     builders = (analysis, ring_data, lambda H: section_family(H, "X3"),
@@ -368,7 +409,7 @@ def test_induced_sums_that_miss_the_kernel_are_refuted(monkeypatch):
 
     def doubled(G, label):
         lat = real(G, label)
-        return lattice_from_rows(lat.ambient, 2 * lat.basis)
+        return IntegerLattice(lat.ambient, 2 * lat.basis)
 
     monkeypatch.setattr(campaigns, "sum_of_induced_kernels", doubled)
     rows = {r["claim"]: r for r in campaigns._induction_rows("elab:3:2", RunConfig())}
@@ -522,8 +563,7 @@ def test_limit_image_outside_the_target_limit_is_refuted(monkeypatch):
         lim = real(system)
         if system.group.order in (1, G.order):
             return lim
-        return SimpleNamespace(basis=2 * lim.basis, pivots=lim.pivots,
-                               rank=lim.rank)
+        return InverseLimit(system, IntegerLattice(system.total, 2 * lim.lattice.basis))
 
     monkeypatch.setattr(campaigns, "inverse_limit", doubled)
     row, = campaigns._appendix_limit_action_rows(
@@ -657,7 +697,7 @@ def _doubled(monkeypatch, label: str) -> None:
     def doubled(system):
         lim = real(system)
         if system.group.order == 27 and system.family.label == label:
-            return InverseLimit(system, 2 * lim.basis)
+            return InverseLimit(system, IntegerLattice(system.total, 2 * lim.lattice.basis))
         return lim
 
     monkeypatch.setattr(campaigns, "inverse_limit", doubled)

@@ -87,22 +87,40 @@ def _names_in(node, shadowed: frozenset = frozenset()) -> set[str]:
     return out
 
 
+def _identifiers_in_perfbench() -> set[str]:
+    """Identifiers in perfbench/*.py, also inside strings: the tracer names
+    what it wraps as "module.Class.method"."""
+    return {name for p in sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))
+            for name in re.findall(r"[A-Za-z_]\w*", p.read_text(encoding="utf-8"))}
+
+
 def test_every_public_definition_is_reached():
-    # a top-level public function or class must be named by another
-    # definition or by module-level code in the package, or by the README;
-    # uses in tests do not count
+    # a top-level public function or class, and a public method of a public
+    # class, must be named by another definition or by module-level code in
+    # the package, by the README's code or by perfbench/*.py; uses in tests
+    # do not count, and neither do a method's uses of its own name
     nodes = [(p.name, node)
              for p in sorted(PACKAGE.glob("*.py"))
              for node in ast.parse(p.read_text(encoding="utf-8")).body]
     names = [_names_in(node) for _, node in nodes]
     count = Counter(n for ns in names for n in ns)
-    readme = _code_in_readme()
+    outside = _code_in_readme() | _identifiers_in_perfbench()
     unreached = [f"{mod}:{node.lineno} {node.name}"
                  for (mod, node), own in zip(nodes, names)
                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                  and not node.name.startswith("_")
                  and count[node.name] == (node.name in own)
-                 and node.name not in readme]
+                 and node.name not in outside]
+    for (mod, node), own in zip(nodes, names):
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        members = [(sub, _names_in(sub)) for sub in node.body]
+        for sub, _ in members:
+            if (isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")
+                    and count[sub.name] == (sub.name in own)
+                    and not any(sub.name in ns for other, ns in members if other is not sub)
+                    and sub.name not in outside):
+                unreached.append(f"{mod}:{sub.lineno} {node.name}.{sub.name}")
     assert not unreached, "unreached: " + ", ".join(unreached)
 
 

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bfk.campaigns import catalog_groups
-from bfk.zlinalg import (_exact_matmul, _restrict_moves, coords_in_hnf, hnf_pivots,
-                         kernel_basis, kernel_plan, lattice_from_rows, obj_matrix,
-                         sparse_kernel_basis, unit_elimination)
+from bfk.zlinalg import (IntegerLattice, _exact_matmul, _restrict_moves, coords_in_hnf,
+                         hnf, hnf_pivots, kernel_basis, obj_matrix, sparse_kernel_basis,
+                         unit_elimination)
 from bfk.groups import (
     analysis,
     cyclic_group,
@@ -234,24 +234,37 @@ def test_whole_group_slot_takes_the_base_kernel():
         system = coefficient_system(G, "X", "K")
         fam = system.family
         i = fam.index(fam.ana.n_sub - 1, 0)
-        base = system.base_kernel
-        # the slot reuses the system's base kernel plan instead of
-        # eliminating again
-        assert system._kernels[i] is system._base
-        assert np.array_equal(system._base.basis, base.basis)
-        assert system._base.piv.tolist() == base._piv
+        # the slot reuses the system's base kernel instead of eliminating
+        # again
+        assert system._kernels[i] is system.base_kernel
         rows = list(_mark_rows(fam))[i]
-        assert np.array_equal(kernel_basis(rows), base.basis)
+        assert np.array_equal(kernel_basis(rows), system.base_kernel.basis)
+
+
+@pytest.mark.parametrize("p,max_order", [(3, 27), (5, 25)])
+def test_both_lattice_routes_give_fixed_points_of_hnf(p, max_order):
+    # lattice equality compares arrays, so the kernel route (kernel_basis)
+    # must give the array the span route (hnf) gives: every family kernel,
+    # the base kernel and every limit lattice of the catalog groups
+    for _, spec in catalog_groups(p, max_order):
+        G = group_from_spec(spec, p_default=p)
+        lats = [ring_data(G).kernel()]
+        for label in FAMILY_LABELS:
+            lats += section_family(G, label).kernels
+            lats += [inverse_limit(coefficient_system(G, label, functor)).lattice
+                     for functor in FUNCTOR_NAMES]
+        for lat in {id(lat): lat for lat in lats}.values():
+            assert np.array_equal(hnf(lat.basis), lat.basis), (spec, lat)
 
 
 @pytest.mark.parametrize("dst_rows", [[[1, 0, 2], [0, 1, -3]], [[2, 1, 0]]],
                          ids=["unit-pivots", "pivot-2"])
 @pytest.mark.parametrize("scale", [1, 2**70], ids=["int64", "exact"])
 def test_restrict_to_kernels_matches_per_column_coords(dst_rows, scale):
-    H = np.asarray(lattice_from_rows(3, dst_rows).basis, dtype=np.int64)
+    H = np.asarray(IntegerLattice(3, dst_rows).basis, dtype=np.int64)
     piv = hnf_pivots(H)
-    src = np.array([[1, 1], [0, 1]], dtype=np.int64)
-    src_t_inv = obj_matrix([[1, 0], [-1, 1]])      # inverse of src.T
+    src = np.array([[1, 0, 1], [0, 1, 2]], dtype=np.int64)
+    src_t_inv = obj_matrix([[1, 0, 0], [0, 1, 0]])    # src_t_inv @ src.T == 1
     coords = obj_matrix([[1, -2], [3, 5]][:H.shape[0]]) * scale
     images = np.asarray(H.T, dtype=object) @ coords
     dtype = np.int64 if scale == 1 else object
@@ -259,7 +272,8 @@ def test_restrict_to_kernels_matches_per_column_coords(dst_rows, scale):
     got = _restrict_to_kernels(M, src, H, piv)
     assert np.array_equal(got, coords)
     assert np.array_equal(got, per_column_restrict(M, src, H))
-    kernels = [kernel_plan(src), kernel_plan(H, piv)]
+    kernels = [IntegerLattice(3, src), IntegerLattice(3, H)]
+    assert np.array_equal(kernels[0].basis, src)
     assert np.array_equal(_restrict_moves([(M, 0, 1)], kernels)[0], coords)
     # an image off the lattice is refused, by the exact product check
     # whether or not a pivot divides it
@@ -335,21 +349,24 @@ def test_relation_rows_match_the_column_loop(spec, label):
 
 
 def _forced_kernels():
-    """Source kernels 0-2 with even entries in column 0, one past 2**55
-    and one past the int64 range; target kernels 3 and 4 with unit pivots
-    (one shape) and 5 with a pivot 2; source kernel 6 with an odd entry."""
-    kernels = [np.array([[2, 1], [0, 1]], dtype=np.int64),
-               np.array([[2**56, 3], [0, 1]], dtype=np.int64),
-               obj_matrix([[2**70, 1], [0, 1]])]
-    kernels += [np.array(lattice_from_rows(3, rows).basis, dtype=np.int64)
+    """Canonical HNF bases: source kernels 0-2 with even entries in column
+    0, one past 2**55 and one past the int64 range; target kernels 3 and 4
+    with unit pivots (one shape) and 5 with a pivot 2; source kernel 6
+    with an odd entry."""
+    kernels = [np.array([[2, 1], [0, 3]], dtype=np.int64),
+               np.array([[2**56, 3], [0, 5]], dtype=np.int64),
+               obj_matrix([[2**70, 1], [0, 3]])]
+    kernels += [np.array(IntegerLattice(3, rows).basis, dtype=np.int64)
                 for rows in ([[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 0, 1]],
                              [[2, 0, 0], [0, 1, 0]])]
-    kernels.append(np.array([[1, 1], [0, 1]], dtype=np.int64))
+    kernels.append(np.array([[1, 0, 1], [0, 1, 2]], dtype=np.int64))
     return kernels, [hnf_pivots(k) for k in kernels]
 
 
-def _plans(kernels):
-    return [kernel_plan(k) for k in kernels]
+def _lattices(kernels):
+    lats = [IntegerLattice(k.shape[1], k) for k in kernels]
+    assert all(np.array_equal(lat.basis, k) for lat, k in zip(lats, kernels))
+    return lats
 
 
 def test_batched_restriction_matches_per_move_on_forced_kernels():
@@ -362,7 +379,7 @@ def test_batched_restriction_matches_per_move_on_forced_kernels():
     # full moves onto chosen coordinates, in int64 and past it
     coords = obj_matrix([[1, -2], [3, 5]])
     H = np.asarray(kernels[3], dtype=object)
-    src_t_inv = obj_matrix([[1, 0], [-1, 1]])        # inverse of kernels[6].T
+    src_t_inv = obj_matrix([[1, 0, 0], [0, 1, 0]])   # src_t_inv @ kernels[6].T == 1
     for scale in (1, 2**70):
         M = H.T @ (coords * scale) @ src_t_inv
         moves.append((np.asarray(M, dtype=np.int64 if scale == 1 else object), 6, 3))
@@ -370,22 +387,22 @@ def test_batched_restriction_matches_per_move_on_forced_kernels():
     batches = [moves] + [[m for m in moves if m[2] == d] for d in (3, 4, 5)]
     batches += [[m] for m in moves]
     for batch in batches:
-        for (B, s, d), C in zip(batch, _restrict_moves(batch, _plans(kernels))):
+        for (B, s, d), C in zip(batch, _restrict_moves(batch, _lattices(kernels))):
             full = _selection_matrix(B, 3) if B.ndim == 1 else B
             want = _restrict_to_kernels(full, kernels[s], kernels[d], pivots[d])
             assert C.shape == want.shape and np.array_equal(C, want), (B, s, d)
             assert np.array_equal(C, per_column_restrict(full, kernels[s],
                                                          kernels[d]))
-    got = _restrict_moves(moves, _plans(kernels))
+    got = _restrict_moves(moves, _lattices(kernels))
     # entries past the working range come back exact, as Python ints
     assert got[12].dtype == object and got[12][0, 0] == 2**70
     assert got[-1].dtype == object and got[-1].tolist() == (coords * 2**70).tolist()
     # an image off the target lattice is refused by the product check, on a
     # unit-pivot target and where the pivot 2 does not divide
-    for bad in ((np.array([2, 0]), 0, 3), (np.array([0, 1]), 6, 5)):
+    for bad in ((np.array([2, 0]), 0, 3), (np.array([0, 1, 1]), 6, 5)):
         for batch in ([bad], moves[:6] + [bad]):
             with pytest.raises(AssertionError, match="image left the mark kernel"):
-                _restrict_moves(batch, _plans(kernels))
+                _restrict_moves(batch, _lattices(kernels))
 
 
 def test_exact_matmul_takes_int64_only_under_both_bounds():
@@ -533,7 +550,7 @@ def test_x27_dual_kernel_over_e_has_small_torsion():
 
 
 def canonical_columns(basis):
-    return lattice_from_rows(basis.shape[0], basis.T).basis
+    return IntegerLattice(basis.shape[0], basis.T).basis
 
 
 def test_sparse_solver_and_direct_bases_identical():
@@ -547,8 +564,8 @@ def test_sparse_solver_and_direct_bases_identical():
 
 def reference_kernel(ncols, rows):
     """Canonical row basis of the kernel of rows by the xgcd fold."""
-    return lattice_from_rows(ncols, [[s.get(c, 0) for c in range(ncols)]
-                                     for s in sparse_kernel(ncols, rows)]).basis
+    return IntegerLattice(ncols, [[s.get(c, 0) for c in range(ncols)]
+                                  for s in sparse_kernel(ncols, rows)]).basis
 
 
 def test_sparse_solver_takes_python_ints_partway():
@@ -648,12 +665,12 @@ def test_limit_element_and_unit():
     f[0, 0] = 2
     el = np.asarray(sys_k.unit_matrix(), dtype=object) @ f
     residual_check(sys_k, el)
-    coords, ok = coords_in_hnf(lim.basis.T, el, lim.pivots)
+    coords, ok = lim.lattice.coords(el)
     assert ok.tolist() == [True]
     assert np.array_equal(lim.basis @ coords, el)
     off = np.hstack([el, el])
-    off[lim.pivots[0], 0] += 1
-    assert coords_in_hnf(lim.basis.T, off, lim.pivots)[1].tolist() == [False, True]
+    off[lim.lattice.piv[0], 0] += 1
+    assert lim.lattice.members(off).tolist() == [False, True]
 
 
 def test_residual_check_rejects_garbage():
@@ -766,7 +783,7 @@ def test_counit_surjectivity_in_base_kernel_coordinates():
         system = coefficient_system(X27, label, "K")
         U = counit_matrix(system)
         base = system.base_kernel
-        image = lattice_from_rows(base.ambient, np.asarray(U.T, dtype=object) @ base.basis)
+        image = IntegerLattice(base.ambient, np.asarray(U.T, dtype=object) @ base.basis)
         assert (image == base) is onto
         assert counit_kernel_report(system)["counit_surjective"] is onto
 
@@ -792,7 +809,7 @@ def _first_edge_at_flipped_class(system, ids, moves, i) -> tuple:
     selection of section i sends its first class elsewhere: one with
     source or target i whose first-class row of H_b.T @ M (target i) less
     H_a.T (source i) is nonzero."""
-    H = system._kernels[i].basis.T
+    H = system._kernels[i].working_basis.T
     edges = system.family.edges
     for e, ((_, a, b), M) in enumerate(zip(moves, system._restricted(moves))):
         v = np.zeros(M.shape[1], dtype=np.int64)
@@ -819,7 +836,7 @@ def test_counit_probe_rejects_maps_that_disagree_or_miss_a_relation(monkeypatch)
     i = next(i for i, d in enumerate(system.dims) if d and i in tree)
     flipped = limits._up_rows(fam).copy()
     k = fam._class_off[i]
-    flipped[k] = (flipped[k] + 1) % system._base.basis.shape[1]
+    flipped[k] = (flipped[k] + 1) % system.base_kernel.ambient
     src, dst, tag = _first_edge_at_flipped_class(system, ids, moves, i)
     with monkeypatch.context() as m:
         m.setattr(limits, "_up_rows", lambda _: flipped)

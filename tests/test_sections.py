@@ -13,7 +13,7 @@ from bfk.burnside import rank_two_kernel_element, ring_data, sum_of_induced_kern
 from bfk.campaigns import _induced_rank_two, catalog_groups
 from bfk.groups import analysis, group_from_spec, section_shape
 from bfk.limits import FAMILY_LABELS, family_contains, section_family
-from bfk.zlinalg import lattice_from_rows
+from bfk.zlinalg import IntegerLattice
 from helpers import QUOTIENT_CLASSES, all_sections, classify_quotient, indinf_class_matrix
 
 
@@ -31,7 +31,7 @@ def _induced_sum_by_quotients(G, ana, images, label):
     for ts in section_family(G, label).sections:
         sec, M = images[ts]
         rows.extend(M @ b for b in ring_data(sec.group).kernel().basis)
-    return lattice_from_rows(len(ana.classes), rows)
+    return IntegerLattice(len(ana.classes), rows)
 
 
 def test_one_classifier_matches_the_quotient_rule():

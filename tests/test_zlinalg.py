@@ -11,7 +11,6 @@ from bfk.zlinalg import (
     hnf,
     hnf_pivots,
     kernel_basis,
-    lattice_from_rows,
     obj_matrix,
     obj_eye,
     obj_zeros,
@@ -400,21 +399,26 @@ def _first_nonzero_cols(basis):
 def test_lattice_pivots_match_the_basis(rows_a, rows_b):
     n = len(rows_a[0])
     rows_b = [(r * n)[:n] for r in rows_b]      # resized to n columns
+    # both build routes, spanning rows and the kernel of a matrix
     built = [IntegerLattice(n, rows_a), IntegerLattice(n, obj_matrix(rows_a)),
-             lattice_from_rows(n, rows_a), lattice_from_rows(n, rows_b)]
-    built.append(lattice_from_rows(n, rows_a + rows_b))
-    for lat in built + [IntegerLattice(n)]:
-        assert lat._piv == _first_nonzero_cols(lat.basis)
+             IntegerLattice(n, rows_b), IntegerLattice(n, rows_a + rows_b),
+             IntegerLattice.kernel(obj_matrix(rows_a)), IntegerLattice(n)]
+    for lat in built:
+        piv = _first_nonzero_cols(lat.basis)
+        assert lat.piv.tolist() == piv
+        assert lat.rest.tolist() == [j for j in range(n) if j not in piv]
+        assert lat.ident == bool((lat.basis[:, piv] == np.eye(len(piv))).all())
+        assert lat.basis64.dtype == np.int64 and np.array_equal(lat.basis64, lat.basis)
         for r in lat.basis:
             assert lat.member(r)
 
 
 def test_lattice_equality_and_sum():
-    a = lattice_from_rows(2, [[2, 0]])
-    b = lattice_from_rows(2, [[0, 3]])
-    c = lattice_from_rows(2, np.vstack([a.basis, b.basis]))
+    a = IntegerLattice(2, [[2, 0]])
+    b = IntegerLattice(2, [[0, 3]])
+    c = IntegerLattice(2, np.vstack([a.basis, b.basis]))
     assert c.rank == 2 and c.member([2, 3])
-    assert a == lattice_from_rows(2, [[4, 0], [2, 0], [-2, 0]])
+    assert a == IntegerLattice(2, [[4, 0], [2, 0], [-2, 0]])
     assert a != b
     assert not b.member(a.basis[0])
     assert all(c.member(r) for r in np.vstack([a.basis, b.basis]))
