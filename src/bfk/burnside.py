@@ -6,9 +6,9 @@ a column vector over that basis; maps act as matrix-times-column.
 
 Fixed-point counts against cyclic subgroups linearize the ring; the kernel
 of that linearization is the lattice this package mostly studies. Concrete
-bisets act through orbit counting; the sums of kernels induced from the
-sections of a family are read off the families' section slots, with no
-quotient group built.
+bisets act through orbit counting, each orbit classed by its located
+stabilizer; the sums of kernels induced from the sections of a family are
+read off the families' section slots, with no quotient group built.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import threading
 import numpy as np
 
 from .bisets import ConcreteBiset, opposite
-from .groups import FiniteGroup, analysis, product_members, section_shape
-from .zlinalg import IntegerLattice, obj_zeros, snf_diagonal
+from .groups import FiniteGroup, analysis, section_shape
+from .zlinalg import IntegerLattice, _exact_matmul, obj_zeros, snf_diagonal
 
 
 class RingData:
@@ -29,16 +29,10 @@ class RingData:
         self.group = G
         self.ana = analysis(G)
         self.n_classes = len(self.ana.classes)
-        self.reps_members = [self.ana.subgroup_members[i]
-                             for i in self.ana.class_reps]
-        self.orders = [len(m) for m in self.reps_members]
         self.cyclic_positions = list(self.ana.cyclic_class_positions)
         self._lock = threading.RLock()
         self._lin = None
         self._kernel = None
-
-    def class_position(self, members) -> int:
-        return int(self.ana.class_of_sub[self.ana.index_of(members)])
 
     def linearization(self) -> np.ndarray:
         """Rows are fixed-point counts against the cyclic classes.
@@ -78,10 +72,6 @@ def ring_data(G: FiniteGroup) -> RingData:
     return rd
 
 
-def linearization_kernel(G: FiniteGroup) -> IntegerLattice:
-    return ring_data(G).kernel()
-
-
 # ---------------------------------------------------------------------------
 # distinguished kernel elements
 
@@ -97,9 +87,9 @@ def rank_two_kernel_element(G: FiniteGroup) -> np.ndarray:
     p = G.prime
     if _whole_group_shape(G) != ("elab", 2):
         raise ValueError("needs an elementary abelian group of rank 2")
-    rd = ring_data(G)
+    ana = analysis(G)
     coeffs = [1 if order == 1 else (-1 if order == p else p)
-              for order in rd.orders]
+              for order in ana.sizes[ana.class_reps].tolist()]
     return np.array(coeffs, dtype=object)
 
 
@@ -110,20 +100,15 @@ def extraspecial_kernel_element(G: FiniteGroup, first: int = 0,
     maximal subgroups they generate with the center."""
     if _whole_group_shape(G)[0] != "xsp":
         raise ValueError("needs the extraspecial group of exponent p")
-    rd = ring_data(G)
-    ana = rd.ana
-    zmem = ana.center_members
-    noncentral = [j for j, m in enumerate(rd.reps_members)
-                  if len(m) == G.prime and m != zmem]
+    ana = analysis(G)
+    noncentral = [j for j, r in enumerate(ana.class_reps)
+                  if ana.sizes[r] == G.prime and r != ana.center]
     if first == second:
         raise ValueError("the two classes must differ")
-    i_pos, j_pos = noncentral[first], noncentral[second]
-    coeffs = [0] * rd.n_classes
-    for pos, sign in ((i_pos, 1), (j_pos, -1)):
-        mem = rd.reps_members[pos]
-        with_center = product_members(G, mem, zmem)
+    coeffs = [0] * len(ana.classes)
+    for pos, sign in ((noncentral[first], 1), (noncentral[second], -1)):
         coeffs[pos] += sign
-        coeffs[rd.class_position(with_center)] -= sign
+        coeffs[ana.class_of_sub[ana.join[ana.class_reps[pos], ana.center]]] -= sign
     return np.array(coeffs, dtype=object)
 
 
@@ -131,20 +116,12 @@ def extraspecial_kernel_element(G: FiniteGroup, first: int = 0,
 # biset action by orbit counting
 
 def decompose_left_action(left: np.ndarray, dq: RingData) -> list:
-    """Coefficients of a finite left action in the orbit basis."""
-    anaQ = dq.ana
-    nq = left.shape[1]
-    coeffs = [0] * dq.n_classes
-    seen = np.zeros(nq, dtype=bool)
-    for x in range(nq):
-        if seen[x]:
-            continue
-        col = left[:, x]
-        orbit = sorted(set(col.tolist()))
-        seen[orbit] = True
-        stab = tuple(int(q) for q in range(left.shape[0]) if col[q] == x)
-        coeffs[dq.class_position(stab)] += 1
-    return coeffs
+    """Coefficients of a finite left action in the orbit basis: each orbit
+    is counted once, at its least point, by the class of its stabilizer."""
+    reps = np.unique(left.min(axis=0))
+    stabs = (left[:, reps] == reps).T               # stabs[k, q]: q fixes reps[k]
+    found = dq.ana.class_of_sub[dq.ana.locate(stabs)]
+    return np.bincount(found, minlength=dq.n_classes).tolist()
 
 
 def act_on_basis_element(U: ConcreteBiset, t_members, dq: RingData) -> list:
@@ -162,8 +139,8 @@ def biset_matrix(U: ConcreteBiset) -> np.ndarray:
     dq = ring_data(U.left_group)
     dp = ring_data(U.right_group)
     out = obj_zeros(dq.n_classes, dp.n_classes)
-    for j, tm in enumerate(dp.reps_members):
-        out[:, j] = act_on_basis_element(U, tm, dq)
+    for j, ti in enumerate(dp.ana.class_reps):
+        out[:, j] = act_on_basis_element(U, dp.ana.subgroup_members[ti], dq)
     return out
 
 
@@ -235,5 +212,5 @@ def sum_of_induced_kernels(G: FiniteGroup, label: str) -> IntegerLattice:
     images = [np.empty((0, rd.n_classes), dtype=np.int64)]
     for i, kern in enumerate(family.kernels):
         up = _selection_matrix(family.ana.class_of_sub[family.classes(i)], rd.n_classes)
-        images.append(kern.working_basis @ up.T)
+        images.append(_exact_matmul(kern.working_basis, up.T))
     return IntegerLattice(rd.n_classes, np.vstack(images))

@@ -48,13 +48,12 @@ from .burnside import (
     dual_action_matrix,
     dual_exactness_report,
     extraspecial_kernel_element,
-    linearization_kernel,
     rank_two_kernel_element,
     ring_data,
     sum_of_induced_kernels,
 )
 from .claims import CAMPAIGNS, RunConfig, catalog_groups
-from .groups import analysis, parse_descriptor, product_members, section_shape
+from .groups import analysis, parse_descriptor, section_shape
 from .limits import (
     ConstraintViolation,
     coefficient_system,
@@ -206,16 +205,13 @@ def _delta_identity_row(cfg: RunConfig) -> dict:
     desc = f"xsp:{p}"
     G = parse_descriptor(desc, p)
     ana = analysis(G)
-    rd = ring_data(G)
-    center = set(ana.center_members)
-    noncentral = [i for i, m in enumerate(rd.reps_members)
-                  if len(m) == p and any(x not in center for x in m)]
+    noncentral = [r for r in ana.class_reps if ana.sizes[r] == p and r != ana.center]
     # J / 1 is elementary abelian of order p^2, so it is a slot of E2
     fam = section_family(G, "E2")
     inds = []
-    for pos in noncentral[:2]:
-        J = product_members(G, rd.reps_members[pos], sorted(center))
-        inds.append(_induced_rank_two(ana, fam.classes(fam.index(ana.index_of(J), 0)), 0))
+    for r in noncentral[:2]:
+        J = ana.join[r, ana.center]
+        inds.append(_induced_rank_two(ana, fam.classes(fam.index(J, 0)), 0))
     delta = np.asarray(extraspecial_kernel_element(G, 0, 1), dtype=object)
     witness = {"kind": "vector-identity", "left": _ints(inds[1] - inds[0]),
                "right": _ints(p * delta), "scale": p}
@@ -227,7 +223,7 @@ def _eps_generator_row(cfg: RunConfig) -> dict:
     p = cfg.p
     desc = f"elab:{p}:2"
     G = parse_descriptor(desc, p)
-    kern = linearization_kernel(G)
+    kern = ring_data(G).kernel()
     eps = np.asarray(rank_two_kernel_element(G), dtype=object)
     span = IntegerLattice(kern.ambient, [eps])
     claim = "induction-eps-generates-rank-two-kernel"
@@ -245,7 +241,7 @@ def _induction_rows(desc: str, cfg: RunConfig) -> list[dict]:
     ana = analysis(G)
     rows = []
 
-    kern = linearization_kernel(G)
+    kern = ring_data(G).kernel()
     x2_sum = sum_of_induced_kernels(G, "X2")
     rows.append(_lattice_identity_row(
         "induction", "induction-kernel-matches-x2-sum", desc, kern, x2_sum))
@@ -532,7 +528,7 @@ def _fingerprint(ana, ti: int, si: int) -> tuple:
     """Order, commutativity and sorted element orders of the quotient of
     section (ti, si), read on the ambient group: the coset tS has order
     the least p^k with t^(p^k) in S, and each coset has |S| members."""
-    in_s = ana.member_mask[si].astype(bool)
+    in_s = ana.member_mask[si]
     x = np.asarray(ana.subgroup_members[ti])
     orders = np.ones(len(x), dtype=np.int64)
     live = ~in_s[x]
@@ -646,6 +642,9 @@ def _appendix_section_transport_rows(desc, ana, pool, secs_x3, small,
             ok = (tq[:, 0] & sq[:, 0] & ~(sq & ~tq).any(axis=1)
                   & _closed(Q.table, tq, tq, tq) & _closed(Q.table, sq, sq, sq)
                   & _closed(conj, tq, sq, sq))
+            # only the pairs that passed are subgroups to locate
+            moved = np.zeros((2, len(pts)), dtype=np.intp)
+            moved[:, ok] = ana_q.locate(np.vstack([tq[ok], sq[ok]])).reshape(2, -1)
             for i, u in enumerate(pts):
                 case = {"biset": U.name, "point": int(u),
                         "top_order": len(tmem), "bottom_order": len(smem)}
@@ -653,8 +652,7 @@ def _appendix_section_transport_rows(desc, ana, pool, secs_x3, small,
                     return (_fail_row(pair, desc, case, _members(sq[i]),
                                       _members(tq[i]))
                             + _census(quotient, desc, cases, small))
-                fp = _fingerprint(ana_q, ana_q.index_of(_members(tq[i])),
-                                  ana_q.index_of(_members(sq[i])))
+                fp = _fingerprint(ana_q, moved[0, i], moved[1, i])
                 if fp not in fps:
                     return (_census(pair, desc, cases + 1, small)
                             + _fail_row(quotient, desc, case,

@@ -3,16 +3,19 @@
 Element 0 is always the identity. Everything downstream (subgroup lattices,
 sections, quotients, classification) lives here, built lazily per group,
 kept on the group object and guarded by its lock so threaded callers share
-one analysis.  A section is named by the subgroup indices (ti, si) of its
-top and bottom; `GroupAnalysis.section_at` builds its quotient, with the
-cosets labelled by `_coset_ids`, and keeps it on the analysis.
+one analysis.  A subgroup is named by its index in the lattice, and a set
+of elements becomes an index only through `GroupAnalysis.locate`, which
+raises on a set that is no subgroup.  A section is named by the subgroup
+indices (ti, si) of its top and bottom; `GroupAnalysis.section_at` builds
+its quotient, with the cosets labelled by `_coset_ids`, and keeps it on
+the analysis.
 """
 
 from __future__ import annotations
 
 import threading
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -321,18 +324,16 @@ class GroupAnalysis:
         self.normalizes = np.array([norm[m] for m in subs])
         self.subgroup_members: list[tuple] = subs
         self.n_sub = len(subs)
-        self.index_by_members = {m: i for i, m in enumerate(subs)}
 
-        mask = np.zeros((self.n_sub, n), dtype=np.int64)
+        mask = np.zeros((self.n_sub, n), dtype=bool)
         for i, m in enumerate(subs):
-            mask[i, list(m)] = 1
+            mask[i, list(m)] = True
         self.member_mask = mask          # member_mask[si, x]: x in si
-        common = mask @ mask.T
+        self._mask_t = mask.T.astype(np.float32)
         self.sizes = sizes = mask.sum(axis=1)
-        self.leq = common == sizes[:, None]
+        self.leq = self._holders(mask)
         # normal[si, ti]: si lies in ti and every member of ti normalizes it
-        self.normal = self.leq & (self.normalizes.astype(np.int64) @ mask.T
-                                  == sizes)
+        self.normal = self.leq & (self._counts(self.normalizes) == sizes)
 
         # conj_sub[x, si]: index of the subgroup x si x^-1
         self.conj_sub, classes = self._conjugation_table()
@@ -344,13 +345,12 @@ class GroupAnalysis:
 
         orders = G.element_orders()
         # cyclic iff some member has the subgroup's order
-        self.is_cyclic_sub = ((mask == 1) & (orders == sizes[:, None])).any(axis=1).tolist()
+        self.is_cyclic_sub = (mask & (orders == sizes[:, None])).any(axis=1).tolist()
         self.cyclic_class_positions = [ci for ci, cls in enumerate(self.classes)
                                        if self.is_cyclic_sub[cls[0]]]
 
         self.generators = G.generators()
-        self.center_members = tuple(
-            np.flatnonzero((G.table == G.table.T).all(axis=1)).tolist())
+        self.center = int(self.locate((G.table == G.table.T).all(axis=1)[None])[0])
 
         self._quotients: dict[tuple, Section] = {}
         # results of other layers, kept here so they live as long as G
@@ -408,13 +408,14 @@ class GroupAnalysis:
         table, inv = G.table, G.inv
         conj = np.full((n, ns), -1, dtype=np.int32)
         classes = []
+        at = np.arange(n)[:, None]
         for i, mem in enumerate(self.subgroup_members):
             if conj[0, i] >= 0:
                 continue
             arr = np.asarray(mem, dtype=np.int32)
-            rows = np.sort(table[table[:, arr], inv[:, None]], axis=1)
-            col = np.array([self.index_by_members[tuple(r)]
-                            for r in rows.tolist()], dtype=np.int32)
+            rows = np.zeros((n, n), dtype=bool)     # rows[x]: x S_i x^-1
+            rows[at, table[table[:, arr], inv[:, None]]] = True
+            col = self.locate(rows)
             members, first = np.unique(col, return_index=True)
             for j, g in zip(members.tolist(), first.tolist()):
                 conj[:, j] = col[table[:, g]]
@@ -423,12 +424,25 @@ class GroupAnalysis:
 
     # -- queries -------------------------------------------------------------
 
-    def index_of(self, members: Iterable[int]) -> int:
-        key = tuple(sorted(int(m) for m in members))
-        try:
-            return self.index_by_members[key]
-        except KeyError:
-            raise ValueError("not a subgroup of this group") from None
+    def _counts(self, sets: np.ndarray) -> np.ndarray:
+        """counts[k, si]: how many members of subgroup si row k of a
+        (k x order) 0/1 mask holds.  One float32 product, exact since no
+        count exceeds the group order (below 2**24)."""
+        return sets.astype(np.float32) @ self._mask_t
+
+    def _holders(self, sets: np.ndarray) -> np.ndarray:
+        """holds[k, si]: subgroup si contains every element of row k."""
+        return self._counts(sets) == sets.sum(axis=1)[:, None]
+
+    def locate(self, masks: np.ndarray) -> np.ndarray:
+        """Subgroup index of each row of a (k x order) bool mask: the least
+        subgroup holding the row, which must equal it; a row that is no
+        subgroup raises ValueError."""
+        masks = np.asarray(masks, dtype=bool)
+        found = np.argmax(self._holders(masks), axis=1)
+        if not np.array_equal(self.member_mask[found], masks):
+            raise ValueError("not a subgroup of this group")
+        return found
 
     def is_normal_in(self, si: int, ti: int) -> bool:
         return bool(self.normal[si, ti])
@@ -452,12 +466,6 @@ class GroupAnalysis:
             out[:, b] = np.argmax(self.leq & self.leq[b], axis=1)
         return out
 
-    def _generated(self, sets: np.ndarray) -> np.ndarray:
-        """Index of the subgroup generated by each row of a (k x order)
-        element mask: the first subgroup, in size order, holding it."""
-        outside = sets.astype(np.int64) @ (1 - self.member_mask).T
-        return np.argmax(outside == 0, axis=1)
-
     @cached_property
     def derived(self) -> np.ndarray:
         """derived[ti]: index of the commutator subgroup of subgroup ti."""
@@ -468,21 +476,22 @@ class GroupAnalysis:
         comms = np.zeros(self.member_mask.shape, dtype=bool)
         for i, mem in enumerate(self.subgroup_members):
             comms[i, comm[np.ix_(mem, mem)]] = True
-        return self._generated(comms)
+        # the least subgroup holding every commutator
+        return np.argmax(self._holders(comms), axis=1)
 
     @cached_property
     def shapes(self) -> np.ndarray:
         """shapes[ti, si] (int8): the rank of T/S when it is elementary
         abelian, SHAPE_XSP when it is extraspecial of order p^3 and exponent
         p, else SHAPE_OTHER, also off the sections.  T/S has exponent p iff
-        the p-th power closure of T lies in S, and it is abelian iff the
-        derived subgroup of T does.  Every temporary takes one byte per
-        entry."""
+        every p-th power in T lies in S, and it is abelian iff the derived
+        subgroup of T does.  Past the count product of _holders, every
+        temporary takes one byte per entry."""
         G, mask = self.group, self.member_mask
         rows, cols = np.nonzero(mask)
         powers = np.zeros(mask.shape, dtype=bool)
         powers[rows, self.pth_power[cols]] = True
-        exp_p = self.leq[self._generated(powers)]          # [ti, si]: T^p <= S
+        exp_p = self._holders(powers)                      # [ti, si]: T^p <= S
         abelian = self.leq[self.derived]                   # [ti, si]: T' <= S
         level = np.array([_check_prime_power(int(n), G.prime) for n in self.sizes],
                          dtype=np.int8)
@@ -513,7 +522,7 @@ class GroupAnalysis:
         T, S = self.subgroup_members[ti], self.subgroup_members[si]
         ids, reps = _coset_ids(G, S, "left")
         # a coset lies in T iff its least member does
-        in_t = self.member_mask[ti].astype(bool)
+        in_t = self.member_mask[ti]
         keep = in_t[reps]
         proj = np.where(in_t, np.cumsum(keep, dtype=np.int32)[ids] - 1, -1)
         reps = reps[keep].astype(np.int32)
@@ -565,12 +574,3 @@ def section_shape(ana: GroupAnalysis, ti: int, si: int) -> tuple:
     group of order p^3 and exponent p, or ("other", None)."""
     code = int(ana.shapes[ti, si])
     return ("elab", code) if code >= 0 else ("xsp" if code == SHAPE_XSP else "other", None)
-
-
-def product_members(G: FiniteGroup, a_members: Sequence[int],
-                    b_members: Sequence[int]) -> tuple:
-    """All products a.b as a sorted member tuple (a subgroup when one
-    factor normalizes the other)."""
-    a = np.asarray(a_members, dtype=np.int32)
-    b = np.asarray(b_members, dtype=np.int32)
-    return tuple(sorted(set(G.table[np.ix_(a, b)].ravel().tolist())))

@@ -523,10 +523,6 @@ class CoefficientSystem:
                 cache[key] = M.T if dual else M
         return [cache[k] for k in keys]
 
-    def edges(self) -> list:
-        """The family's generating edges (src, dst, tag), decoded afresh."""
-        return self.family.edges
-
     def edge_matrix(self, src: int, dst: int, tag) -> np.ndarray:
         """Matrix of the downward move src -> dst on this functor's values.
 
@@ -534,7 +530,7 @@ class CoefficientSystem:
         key = (src, dst, tag)
         got = self._map_cache.get(key)
         if got is None:
-            got = self._maps(self.edges() + [key])[-1]
+            got = self._maps(self.family.edges + [key])[-1]
         return got
 
     # -- maps to and from the value at the whole group ---------------------
@@ -604,7 +600,7 @@ def residual_check(system: CoefficientSystem, mat: np.ndarray) -> None:
     except OverflowError:
         M = np.asarray(mat, dtype=object)
     blocks = [M[o:o + d] for o, d in zip(system.offsets, system.dims)]
-    edges = system.edges()
+    edges = system.family.edges
     live = [(e, D) for e, D in zip(edges, system._maps(edges)) if D.shape[0]]
     e = _first_mismatch([(D, blocks[s], blocks[d], None) for (s, d, _), D in live])
     if e is not None:
@@ -619,7 +615,7 @@ def constraint_rows(system: CoefficientSystem) -> list[dict[int, int]]:
     sparse rows over the unknowns of the product of the values: one per
     generating edge and entry of v[dst]."""
     rows = []
-    edges = system.edges()
+    edges = system.family.edges
     for (src, dst, _), D in zip(edges, system._maps(edges)):
         if not D.shape[0]:
             continue

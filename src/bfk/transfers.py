@@ -3,16 +3,16 @@
 Everything here moves values across groups rather than within one system:
 the Moebius-weighted retraction from a limit back to the value at the
 whole group, the two adjunction directions between groupwise maps and
-maps into limits, and the action of a concrete biset on limit elements.
+maps into limits, and the action of a concrete biset on limit elements,
+which names every transported subgroup by its located lattice index.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .groups import product_members
-from .bisets import (ConcreteBiset, double_coset_reps, opposite,
-                     right_transporters)
+from .bisets import (ConcreteBiset, double_coset_reps, left_transporters,
+                     opposite, right_transporters)
 from .zlinalg import _exact_matmul, _first_mismatch, _restrict_moves, obj_zeros
 from .limits import (CoefficientSystem, FamilyError, InverseLimit, _as_i64,
                      _selection_matrix, coefficient_system)
@@ -97,7 +97,7 @@ def check_section_naturality(sys_f: CoefficientSystem, sys_g: CoefficientSystem,
 
     Edges whose four matrices have equal shapes are checked in stacked
     exact products; the error names the first failing edge in edge order."""
-    edges = sys_f.edges()
+    edges = sys_f.family.edges
     try:                    # int64 where it fits, so no stack is converted
         comps = [_as_i64(c) for c in components]
     except OverflowError:
@@ -155,7 +155,10 @@ def act_on_limit_matrix(U: ConcreteBiset, sys_q: CoefficientSystem,
     sys_p; both systems carry the same functor over the same family
     label.  For the downward functors each target section accumulates one
     term per double coset, read off a source section of the right group;
-    the dual functor acts through the opposite biset, transposed.
+    the dual functor acts through the opposite biset, transposed.  At a
+    point x the source section is (T^x, S^x), and the slot class W goes
+    to the class of (T meet ^xW) S, the join of T meet ^xW with S, as S is
+    normal in T.
 
     Transposition reverses the downward compatibilities, so for the dual
     functors the image of a limit element is again a limit element only
@@ -175,20 +178,20 @@ def act_on_limit_matrix(U: ConcreteBiset, sys_q: CoefficientSystem,
         kq = coefficient_system(sys_q.group, sys_q.family.label, base)
         return act_on_limit_matrix(opposite(U), kp, kq).T.copy()
     ana_q, ana_p = sys_q.ana, sys_p.ana
-    up = {}                 # T^x for every point x, by subgroup T
-    moves = []              # (selection rows, source slot, target slot)
     fam_q, fam_p = sys_q.family, sys_p.family
+    up = {}                 # T^u for every point u, by subgroup T of Q
+    down = {}               # the index of ^uW in Q at every point u, by W of P
+    moves = []              # (selection rows, source slot, target slot)
     for qi, (ti, si) in enumerate(fam_q.sections):
         if sys_q.dims[qi] == 0:
             continue
-        t_mem, s_mem = ana_q.subgroup_members[ti], ana_q.subgroup_members[si]
-        t_arr, pos_q = np.asarray(t_mem), fam_q.class_positions(qi)
         up.update({i: right_transporters(U, ana_q.subgroup_members[i])
                    for i in (ti, si) if i not in up})
-        for x in double_coset_reps(U, t_mem):
-            # the section (T^x, S^x) of the right group
-            tx = ana_p.index_of(np.flatnonzero(up[ti][x]))
-            sx = ana_p.index_of(np.flatnonzero(up[si][x]))
+        xs = double_coset_reps(U, ana_q.subgroup_members[ti])
+        # the section (T^x, S^x) of the right group at each point x
+        moved = ana_p.locate(np.vstack([up[ti][xs], up[si][xs]]))
+        pos_q = fam_q.class_positions(qi)
+        for x, tx, sx in zip(xs, *moved.reshape(2, -1).tolist()):
             pj = fam_p.index(tx, sx)
             # section families are closed under the transported sections,
             # so a missing slot indicates corrupted biset data
@@ -196,15 +199,12 @@ def act_on_limit_matrix(U: ConcreteBiset, sys_q: CoefficientSystem,
                 raise AssertionError("transported section left the family")
             if sys_p.dims[pj] == 0:
                 continue
-            rows = []
-            for w in fam_p.classes(pj).tolist():
-                # the t in T with t.x in x.W, times S
-                xw = np.zeros(U.size, dtype=bool)
-                xw[U.right[x, np.asarray(ana_p.subgroup_members[w])]] = True
-                moved = t_arr[xw[U.left[t_arr, x]]]
-                tgt = product_members(ana_q.group, moved, s_mem)
-                rows.append(pos_q[ana_q.index_of(tgt)])
-            moves.append((np.array(rows), pj, qi))
+            ws = fam_p.classes(pj).tolist()
+            down.update({w: ana_q.locate(left_transporters(U, ana_p.subgroup_members[w]))
+                         for w in ws if w not in down})
+            # (T meet ^xW) S: the t in T with t.x in x.W, times S
+            xw = np.array([down[w][x] for w in ws])
+            moves.append((pos_q[ana_q.join[ana_q.meet[ti, xw], si]], pj, qi))
     if functor == "K":
         # source kernels first, then the target kernels after them
         n_p = len(sys_p.dims)

@@ -83,8 +83,9 @@ def hnf_pivots(H: np.ndarray) -> list[int]:
 # exact products and batched coordinates in HNF bases
 
 _I64_BOUND = 1 << 55
-# an int64 product is taken only when amax * bmax * k stays within this
-_PRODUCT_BOUND = (1 << 62) - 1
+# int64 arithmetic runs only while a bound on every value it forms, such
+# as amax * bmax * k for a product, stays below this, so nothing wraps
+_WRAP = 1 << 62
 # float64 holds every integer of at most this size exactly
 _F64_EXACT = 1 << 53
 
@@ -126,7 +127,7 @@ def _exact_matmul(A, B) -> np.ndarray:
         reach = amax * bmax * max(1, A64.shape[-1])
         if reach <= _F64_EXACT and max(amax, bmax) <= _F64_EXACT:
             return (A64.astype(np.float64) @ B64.astype(np.float64)).astype(np.int64)
-        if reach <= _PRODUCT_BOUND:
+        if reach < _WRAP:
             return A64 @ B64
     return np.asarray(A, dtype=object) @ np.asarray(B, dtype=object)
 
@@ -154,7 +155,7 @@ def coords_in_hnf(H: np.ndarray, V, piv: Sequence[int] | None = None):
     ok = np.ones(W.shape[1], dtype=bool)
     cmax = 0
     for j in range(len(piv)):
-        if not wide and wmax + j * tmax * cmax > _PRODUCT_BOUND:
+        if not wide and wmax + j * tmax * cmax >= _WRAP:
             wide = True
             T, W, C = T.astype(object), W.astype(object), C.astype(object)
         r = W[j] - T[:j, j] @ C[:j]
@@ -276,7 +277,7 @@ def _restrict_batch(moves, kernels) -> np.ndarray:
         # images[m, rows[m, j]] += column j of the source kernel
         rows = np.stack([B for B, _, _ in moves])
         src64, smax = _i64_absmax(src)
-        wide = src64 is None or smax * rows.shape[1] > _PRODUCT_BOUND
+        wide = src64 is None or smax * rows.shape[1] >= _WRAP
         images = np.zeros((n, dd, src.shape[2]), dtype=object if wide else np.int64)
         np.add.at(images, (at, rows), src.astype(object) if wide else src64)
     coords = images[at, np.stack([k.piv for k in lats])]
@@ -487,9 +488,6 @@ def sparse_kernel_basis(rows: list[dict[int, int]], ncols: int) -> np.ndarray:
                 acc = acc + v * X[c]
         X[pc] = -prow[pc] * acc
     return X
-
-
-_WRAP = 1 << 62
 
 
 def _absmax(a: np.ndarray) -> int:

@@ -47,6 +47,13 @@ one-vector subtraction down the basis rows, is the reference for the
 batched echelon solve `zlinalg.coords_in_hnf`, and
 `constraint_violation_by_edges`, the former edge-by-edge walk of the
 main campaign's witness, the reference for the stacked `residual_check`.
+`index_by_members`, the former member-tuple dict of `GroupAnalysis`, is
+the reference for `GroupAnalysis.locate`; `index_of` reads a member list
+through `locate` for the tests that name subgroups by members.
+`decompose_by_orbit_loop` and `act_on_limit_by_loops`, the former orbit
+walk and per-(x, W) transporter loop, are the references for the located
+stabilizers of `burnside.decompose_left_action` and the meet-join reads
+of `transfers.act_on_limit_matrix`.
 """
 
 import bisect
@@ -56,14 +63,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from bfk.bisets import ConcreteBiset, compose, defres_biset, indinf_biset, opposite
+from bfk.bisets import double_coset_reps as point_orbit_reps
 from bfk.burnside import ring_data
 from bfk.campaigns import (_census, _fail_row, _fingerprint, _ints,
                            _sample_indices, _signature_reps, _subquotient_fps)
-from bfk.groups import (SHAPE_OTHER, SHAPE_XSP, _check_prime_power, _closure, analysis,
-                        product_members)
-from bfk.limits import CoefficientSystem, _admits, _upward_moves, family_contains
-from bfk.zlinalg import (_batches, _exact_matmul, _stack_shared, hnf, hnf_pivots,
-                         kernel_basis,
+from bfk.groups import SHAPE_OTHER, SHAPE_XSP, _check_prime_power, _closure, analysis
+from bfk.limits import (CoefficientSystem, FamilyError, _admits, _selection_matrix,
+                        _upward_moves, coefficient_system, family_contains)
+from bfk.zlinalg import (_batches, _exact_matmul, _restrict_moves, _stack_shared, hnf,
+                         hnf_pivots, kernel_basis,
                          obj_matrix, obj_zeros, sparse_snf_invariants, xgcd)
 
 
@@ -123,32 +131,68 @@ def preimage(sec, quotient_members: Iterable[int]) -> tuple:
     return tuple(t for t in sec.top if int(sec.proj[t]) in want)
 
 
+def index_by_members(ana) -> dict:
+    """The subgroup index of each sorted member tuple: the former member
+    dict of GroupAnalysis, the reference for GroupAnalysis.locate."""
+    return {m: i for i, m in enumerate(ana.subgroup_members)}
+
+
+def index_of(ana, members) -> int:
+    """Subgroup index of a member list, read through GroupAnalysis.locate."""
+    mask = np.zeros((1, ana.group.order), dtype=bool)
+    mask[0, np.asarray(list(members), dtype=np.intp)] = True
+    return int(ana.locate(mask)[0])
+
+
+def center_members(G) -> tuple:
+    ana = analysis(G)
+    return ana.subgroup_members[ana.center]
+
+
+def class_reps_members(ana) -> list:
+    """Member tuples of the conjugacy class representatives, in class order."""
+    return [ana.subgroup_members[r] for r in ana.class_reps]
+
+
+def class_position(ana, members) -> int:
+    """Class of the subgroup given by its members."""
+    return int(ana.class_of_sub[index_of(ana, members)])
+
+
+def product_members(G, a_members: Sequence[int], b_members: Sequence[int]) -> tuple:
+    """All products a.b as a sorted member tuple (a subgroup when one
+    factor normalizes the other)."""
+    a = np.asarray(a_members, dtype=np.int32)
+    b = np.asarray(b_members, dtype=np.int32)
+    return tuple(sorted(set(G.table[np.ix_(a, b)].ravel().tolist())))
+
+
 def indinf_class_matrix(ana, sec) -> np.ndarray:
     """Induce from the top after inflating from the built quotient: each
     quotient orbit goes to the orbit of its preimage subgroup."""
     dp = ring_data(ana.group)
     dq = ring_data(sec.group)
     out = obj_zeros(dp.n_classes, dq.n_classes)
-    for j, wbar in enumerate(dq.reps_members):
-        out[dp.class_position(preimage(sec, wbar)), j] = 1
+    for j, wbar in enumerate(class_reps_members(dq.ana)):
+        out[class_position(ana, preimage(sec, wbar)), j] = 1
     return out
 
 
 def normalizer(ana, members) -> tuple:
     """Members of the normalizer of a subgroup given by its members."""
-    return tuple(np.flatnonzero(ana.normalizes[ana.index_of(members)]).tolist())
+    return tuple(np.flatnonzero(ana.normalizes[index_of(ana, members)]).tolist())
 
 
 def restriction_biset(ana, members) -> ConcreteBiset:
-    return defres_biset(ana.section_at(ana.index_of(members), 0))
+    return defres_biset(ana.section_at(index_of(ana, members), 0))
 
 
 def induction_biset(ana, members) -> ConcreteBiset:
-    return indinf_biset(ana.section_at(ana.index_of(members), 0))
+    return indinf_biset(ana.section_at(index_of(ana, members), 0))
 
 
 def _top_and_lifts(ana, sec):
-    tsec = ana.section_at(ana.index_of(sec.top), 0)
+    tsec = ana.section_at(index_of(ana, sec.top), 0)
     lift = np.asarray(tsec.reps, dtype=np.int32)
     qreps = np.asarray([sec.reps[t] for t in range(sec.group.order)],
                        dtype=np.int32)
@@ -181,8 +225,8 @@ def section_transport(ana, sec, u: int):
     """Conjugate a section by u: the target section and the
     (target-quotient, source-quotient)-biset carried by conjugation."""
     G = ana.group
-    target = ana.section_at(ana.index_of(conjugate_members(ana, u, sec.top)),
-                            ana.index_of(conjugate_members(ana, u, sec.bottom)))
+    target = ana.section_at(index_of(ana, conjugate_members(ana, u, sec.top)),
+                            index_of(ana, conjugate_members(ana, u, sec.bottom)))
     ui = G.inv_of(u)
     f = [int(target.proj[G.mul(G.mul(u, sec.reps[t]), ui)])
          for t in range(sec.group.order)]
@@ -261,7 +305,7 @@ def maps_by_edges(system: CoefficientSystem) -> dict:
                        dst.dim)
 
     out = {}
-    for s, d, tag in system.edges():
+    for s, d, tag in system.family.edges:
         a, b = slots[s], slots[d]
         if system.functor == "K":
             M = (system._b_defres_between(s, d) if tag[0] == "cover"
@@ -541,7 +585,7 @@ def unit_elimination_by_rescans(rows: list[dict[int, int]]):
 
 def _direct_limit_basis(system: CoefficientSystem) -> np.ndarray:
     rows = []
-    for src, dst, tag in system.edges():
+    for src, dst, tag in system.family.edges:
         if system.dims[dst] == 0:
             continue
         D = system.edge_matrix(src, dst, tag)
@@ -969,7 +1013,7 @@ def element_orders_by_loops(G) -> np.ndarray:
 
 
 def center_by_loops(G) -> tuple:
-    """The former per-element test of GroupAnalysis.center_members."""
+    """The former per-element test behind GroupAnalysis.center."""
     return tuple(int(x) for x in range(G.order)
                  if np.array_equal(G.table[x], G.table[:, x]))
 
@@ -989,7 +1033,10 @@ def shapes_through_int64(ana) -> np.ndarray:
     rows, cols = np.nonzero(mask)
     powers = np.zeros(mask.shape, dtype=bool)
     powers[rows, ana.pth_power[cols]] = True
-    exp_p = ana.leq[ana._generated(powers)]
+    # T^p <= S iff the closure of the p-th powers of T lies in S
+    find = index_by_members(ana)
+    exp_p = ana.leq[[find[_closure(G.table, np.flatnonzero(row).tolist())]
+                     for row in powers]]
     abelian = ana.leq[ana.derived]
     level = np.array([_check_prime_power(int(n), G.prime) for n in ana.sizes])
     rank = level[:, None] - level[None, :]
@@ -1081,7 +1128,7 @@ def slot_classes_by_union_find(ana, ti: int, si: int):
         for w in cand:
             wm = ana.subgroup_members[w]
             for u in gens:
-                cw = pos[ana.index_of(conjugate_members(ana, u, wm))]
+                cw = pos[index_of(ana, conjugate_members(ana, u, wm))]
                 ra, rb = find(pos[w]), find(cw)
                 if ra != rb:
                     parent[max(ra, rb)] = min(ra, rb)
@@ -1143,7 +1190,7 @@ def defres_by_double_cosets(ana, top: int, reps, dst) -> np.ndarray:
             cw = conjugate_members(ana, x, wmem)
             inter = tuple(m for m in cw if m in t_set)
             tgt = product_members(ana.group, inter, sp_mem)
-            D[dst.class_pos[ana.index_of(tgt)], j] += 1
+            D[dst.class_pos[index_of(ana, tgt)], j] += 1
     return D
 
 
@@ -1177,6 +1224,81 @@ def left_transport(U: ConcreteBiset, x: int, t_members, w_members) -> tuple:
     """Members t of T with t.x inside x.W, for W in the right group."""
     xw = {int(U.right[x, w]) for w in w_members}
     return tuple(t for t in t_members if int(U.left[t, x]) in xw)
+
+
+def oracle_bisets(G) -> list:
+    """The identity biset of G, indinf from a maximal subgroup, defres to
+    the Frattini quotient, and the composite of the last two: the bisets
+    the action and orbit references are compared on."""
+    from bfk.bisets import identity_biset
+    ana = analysis(G)
+    top = ana.n_sub - 1
+    maximal = int(np.flatnonzero(ana.sizes * G.prime == G.order)[0]) if top else 0
+    ind = indinf_biset(ana.section_at(maximal, 0))
+    dfr = defres_biset(ana.section_at(top, ana.frattini_of(top)))
+    return [identity_biset(G), ind, dfr, compose(dfr, ind)]
+
+
+def decompose_by_orbit_loop(left: np.ndarray, dq) -> list:
+    """The former orbit walk of burnside.decompose_left_action: each unseen
+    point's orbit and stabilizer, the stabilizer found by its member
+    tuple."""
+    find = index_by_members(dq.ana)
+    coeffs = [0] * dq.n_classes
+    seen = np.zeros(left.shape[1], dtype=bool)
+    for x in range(left.shape[1]):
+        if seen[x]:
+            continue
+        col = left[:, x]
+        seen[sorted(set(col.tolist()))] = True
+        stab = tuple(int(q) for q in range(left.shape[0]) if col[q] == x)
+        coeffs[dq.ana.class_of_sub[find[stab]]] += 1
+    return coeffs
+
+
+def act_on_limit_by_loops(U: ConcreteBiset, sys_q: CoefficientSystem,
+                          sys_p: CoefficientSystem) -> np.ndarray:
+    """The former transfers.act_on_limit_matrix: one transporter, one
+    product with S and member-tuple lookups for every double-coset point x
+    and every slot class W."""
+    if sys_q.family.label != sys_p.family.label or sys_q.functor != sys_p.functor:
+        raise FamilyError("action needs one family label and functor on both sides")
+    functor = sys_q.functor
+    if functor in ("Kdual", "Bdual"):
+        base = "K" if functor == "Kdual" else "B"
+        kp = coefficient_system(sys_p.group, sys_p.family.label, base)
+        kq = coefficient_system(sys_q.group, sys_q.family.label, base)
+        return act_on_limit_by_loops(opposite(U), kp, kq).T.copy()
+    ana_q, ana_p = sys_q.ana, sys_p.ana
+    find_q, find_p = index_by_members(ana_q), index_by_members(ana_p)
+    fam_q, fam_p = sys_q.family, sys_p.family
+    moves = []
+    for qi, (ti, si) in enumerate(fam_q.sections):
+        if sys_q.dims[qi] == 0:
+            continue
+        t_mem, s_mem = ana_q.subgroup_members[ti], ana_q.subgroup_members[si]
+        pos_q = fam_q.class_positions(qi)
+        for x in point_orbit_reps(U, t_mem):
+            pj = fam_p.index(find_p[tuple(right_transporter(U, t_mem, x))],
+                             find_p[tuple(right_transporter(U, s_mem, x))])
+            if sys_p.dims[pj] == 0:
+                continue
+            rows = []
+            for w in fam_p.classes(pj).tolist():
+                moved = left_transport(U, x, t_mem, ana_p.subgroup_members[w])
+                rows.append(pos_q[find_q[product_members(ana_q.group, moved, s_mem)]])
+            moves.append((np.array(rows), pj, qi))
+    if functor == "K":
+        n_p = len(sys_p.dims)
+        blocks = _restrict_moves([(r, pj, n_p + qi) for r, pj, qi in moves],
+                                 sys_p._kernels + sys_q._kernels)
+    else:
+        blocks = [_selection_matrix(r, sys_q.dims[qi]) for r, _, qi in moves]
+    A = obj_zeros(sys_q.total, sys_p.total)
+    for (_, pj, qi), blk in zip(moves, blocks):
+        ro, co = sys_q.offsets[qi], sys_p.offsets[pj]
+        A[ro:ro + sys_q.dims[qi], co:co + sys_p.dims[pj]] += blk.astype(object)
+    return A
 
 
 def coset_ids_by_loop(P, members, side: str):
@@ -1373,7 +1495,7 @@ def section_transport_rows_by_points(desc, ana, pool, secs_x3, small,
                     fail_b = (case, _ints(sq), _ints(tq))
                     break
                 cases_b += 1
-                fp = _fingerprint(ana_q, ana_q.index_of(tq), ana_q.index_of(sq))
+                fp = _fingerprint(ana_q, index_of(ana_q, tq), index_of(ana_q, sq))
                 if fp not in fps:
                     fail_bp = (case, [fp[0], fp[1], list(fp[2])],
                                sorted([f[0], f[1], list(f[2])] for f in fps))
@@ -1452,7 +1574,7 @@ def constraint_violation_by_edges(system: CoefficientSystem, columns) -> dict:
     edge at a time in object arithmetic; the reference for the edge and
     residual that limits.residual_check raises."""
     M = np.asarray(columns, dtype=object)
-    for src, dst, tag in system.edges():
+    for src, dst, tag in system.family.edges:
         if system.dims[dst] == 0:
             continue
         D = np.asarray(system.edge_matrix(src, dst, tag), dtype=object)

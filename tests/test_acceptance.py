@@ -12,7 +12,6 @@ import pytest
 
 from bfk.burnside import (
     extraspecial_kernel_element,
-    linearization_kernel,
     rank_two_kernel_element,
     ring_data,
 )
@@ -79,7 +78,7 @@ def test_01_rank_bookkeeping_at_the_rank_two_group():
     rd = ring_data(G)
     assert rd.n_classes == 6
     assert hnf(np.asarray(rd.linearization(), dtype=object)).shape[0] == 5
-    kern = linearization_kernel(G)
+    kern = ring_data(G).kernel()
     assert kern.rank == 1
     eps = np.asarray(rank_two_kernel_element(G), dtype=object)
     assert IntegerLattice(kern.ambient, [eps]) == kern

@@ -28,10 +28,13 @@ from bfk.groups import (
 )
 from helpers import (
     all_sections,
+    center_members,
+    class_reps_members,
     compose_by_loop,
     coset_ids_by_loop,
     deflation_biset,
     double_coset_reps,
+    index_of,
     induction_biset,
     inflation_biset,
     left_transport,
@@ -99,7 +102,7 @@ def test_opposite_of_induction_is_restriction():
 
 def test_opposite_is_an_involution():
     ana = analysis(X27)
-    sec = ana.section_at(ana.n_sub - 1, ana.index_of(ana.center_members))
+    sec = ana.section_at(ana.n_sub - 1, ana.center)
     U = indinf_biset(sec)
     UU = opposite(opposite(U))
     assert np.array_equal(UU.left, U.left)
@@ -161,7 +164,7 @@ def test_orbit_sizes_match_stabilizers():
 
 def test_opposite_reverses_composition():
     ana = analysis(X27)
-    z = ana.index_of(ana.center_members)
+    z = ana.center
     m = next(i for i, mem in enumerate(ana.subgroup_members) if len(mem) == 9)
     V = defres_biset(ana.section_at(ana.n_sub - 1, z))
     U = indinf_biset(ana.section_at(m, z))
@@ -172,7 +175,7 @@ def test_opposite_reverses_composition():
 
 def test_composition_is_associative_up_to_iso():
     ana = analysis(X27)
-    z = ana.index_of(ana.center_members)
+    z = ana.center
     m = next(i for i, mem in enumerate(ana.subgroup_members) if len(mem) == 9)
     sec_m = ana.section_at(m, z)
     W = defres_biset(ana.section_at(ana.n_sub - 1, z))  # quotient <- X
@@ -194,9 +197,9 @@ def test_coset_counts():
 def test_section_transport_and_cocycle():
     ana = analysis(X27)
     L = next(m for m in ana.subgroup_members
-             if len(m) == 3 and m != analysis(X27).center_members)
+             if len(m) == 3 and m != center_members(X27))
     N = normalizer(ana, L)
-    sec = ana.section_at(ana.index_of(N), ana.index_of(L))
+    sec = ana.section_at(index_of(ana, N), index_of(ana, L))
     u = next(x for x in range(27) if x not in N)
     tgt, cu = section_transport(ana, sec, u)
     assert (tgt.top, tgt.bottom) != (sec.top, sec.bottom)
@@ -210,7 +213,7 @@ def test_section_transport_and_cocycle():
 
 def test_non_isomorphic_transitive_bisets_detected():
     ana = analysis(X27)
-    z = ana.index_of(ana.center_members)
+    z = ana.center
     m1, m2 = [i for i, mem in enumerate(ana.subgroup_members) if len(mem) == 9][:2]
     U1 = indinf_biset(ana.section_at(m1, z))
     U2 = indinf_biset(ana.section_at(m2, z))
@@ -222,9 +225,9 @@ def test_non_isomorphic_transitive_bisets_detected():
 def test_transport_compatible_with_indinf():
     ana = analysis(X27)
     L = next(m for m in ana.subgroup_members
-             if len(m) == 3 and m != analysis(X27).center_members)
+             if len(m) == 3 and m != center_members(X27))
     N = normalizer(ana, L)
-    sec = ana.section_at(ana.index_of(N), ana.index_of(L))
+    sec = ana.section_at(index_of(ana, N), index_of(ana, L))
     u = next(x for x in range(27) if x not in N)
     tgt, cu = section_transport(ana, sec, u)
     assert is_biset_iso(compose(indinf_biset(tgt), cu), indinf_biset(sec))
@@ -233,7 +236,7 @@ def test_transport_compatible_with_indinf():
 def test_canonical_stabilizer_is_conjugation_invariant():
     ana = analysis(X27)
     L = next(m for m in ana.subgroup_members
-             if len(m) == 3 and m != analysis(X27).center_members)
+             if len(m) == 3 and m != center_members(X27))
     U = induction_biset(ana, L)
     labels = set()
     for rep, _, stab in orbit_decompose(U):
@@ -247,7 +250,7 @@ def _row(mask, u: int) -> list:
 
 def test_trivial_transporters_are_stabilizers():
     ana = analysis(X27)
-    U = indinf_biset(ana.section_at(ana.n_sub - 1, ana.index_of(ana.center_members)))
+    U = indinf_biset(ana.section_at(ana.n_sub - 1, ana.center))
     left, right = left_transporters(U, [0]), right_transporters(U, [0])
     for u in range(U.size):
         assert _row(left, u) == [y for y in range(27) if U.left[y, u] == u]
@@ -270,7 +273,7 @@ def test_left_transporter_of_induction_is_conjugation():
 
 def test_transporters_move_with_the_point():
     ana = analysis(X27)
-    Z = analysis(X27).center_members
+    Z = center_members(X27)
     M = next(m for m in ana.subgroup_members if len(m) == 9)
     U = induction_biset(ana, M)
     Q, T = U.left_group, U.right_group
@@ -290,7 +293,7 @@ def test_transporters_move_with_the_point():
 
 def test_composite_transporters_through_pair_map():
     ana = analysis(X27)
-    Z = analysis(X27).center_members
+    Z = center_members(X27)
     M = next(m for m in ana.subgroup_members if len(m) == 9)
     U = induction_biset(ana, M)
     V = opposite(U)
@@ -400,7 +403,7 @@ def test_left_quotient_validates_and_rejects():
     ana = analysis(X27)
     M = next(m for m in ana.subgroup_members if len(m) == 9)
     U = induction_biset(ana, M)
-    Z = analysis(X27).center_members
+    Z = center_members(X27)
     Wq = validate_biset(left_quotient_biset(U, Z))
     assert Wq.size == 9
     same = left_quotient_biset(U, [0])
@@ -541,9 +544,9 @@ def test_orbit_kernels_match_union_find(G):
         bisets += [V, U, W]
     for U in bisets:
         dq = ring_data(U.left_group)
-        for tm in ring_data(U.right_group).reps_members:
+        for tm in class_reps_members(analysis(U.right_group)):
             assert act_on_basis_element(U, tm, dq) == uf_act_on_basis_element(U, tm, dq)
-        for tm in dq.reps_members:
+        for tm in class_reps_members(dq.ana):
             assert point_orbit_reps(U, tm) == uf_point_orbit_reps(U, tm)
 
 

@@ -10,7 +10,6 @@ from bfk.burnside import (
     dual_action_matrix,
     dual_exactness_report,
     extraspecial_kernel_element,
-    linearization_kernel,
     rank_two_kernel_element,
     ring_data,
     sum_of_induced_kernels,
@@ -24,13 +23,14 @@ from bfk.groups import (
     elementary_abelian_group,
     extraspecial_group,
     group_from_spec,
-    product_members,
     trivial_group,
 )
 from bfk.limits import coefficient_system
 from bfk.zlinalg import _restrict_moves, hnf, obj_zeros
-from helpers import (_restrict_to_kernels, all_sections, indinf_class_matrix, mark_count,
-                     normalizer, per_column_restrict, preimage, section_transport,
+from helpers import (_restrict_to_kernels, all_sections, center_members, class_position,
+                     class_reps_members, decompose_by_orbit_loop, index_of,
+                     indinf_class_matrix, mark_count, normalizer, oracle_bisets,
+                     per_column_restrict, preimage, product_members, section_transport,
                      slots_of)
 
 X27 = extraspecial_group(3)
@@ -41,13 +41,13 @@ E2 = elementary_abelian_group(3, 2)
 def table_of_marks(G):
     """Marks of every class representative on every one at least as large;
     the upper triangle of the table, read through mark_count."""
-    rd = ring_data(G)
-    n = rd.n_classes
-    M = obj_zeros(n, n)
-    for i, sm in enumerate(rd.reps_members):
-        for j, tm in enumerate(rd.reps_members):
-            if rd.orders[i] <= rd.orders[j]:
-                M[i, j] = mark_count(rd.ana, sm, tm)
+    ana = analysis(G)
+    reps = class_reps_members(ana)
+    M = obj_zeros(len(reps), len(reps))
+    for i, sm in enumerate(reps):
+        for j, tm in enumerate(reps):
+            if len(sm) <= len(tm):
+                M[i, j] = mark_count(ana, sm, tm)
     return M
 
 
@@ -65,8 +65,8 @@ def iso_class_matrix(f, src, dst):
     """Permutation of orbit bases induced by a group isomorphism."""
     ds, dd = ring_data(src), ring_data(dst)
     out = obj_zeros(dd.n_classes, ds.n_classes)
-    for j, mem in enumerate(ds.reps_members):
-        out[dd.class_position(sorted(int(f[m]) for m in mem)), j] = 1
+    for j, mem in enumerate(class_reps_members(ds.ana)):
+        out[class_position(dd.ana, sorted(int(f[m]) for m in mem)), j] = 1
     return out
 
 
@@ -90,29 +90,30 @@ def test_marks_of_rank_two_by_hand():
 
 def test_marks_shape_and_triangularity():
     for G in (X27, C9x3, cyclic_group(27)):
-        rd = ring_data(G)
+        ana = analysis(G)
+        orders = ana.sizes[ana.class_reps].tolist()
         M = table_of_marks(G)
-        for i in range(rd.n_classes):
+        for i in range(len(orders)):
             assert M[i, i] > 0
-            for j in range(rd.n_classes):
-                if rd.orders[i] > rd.orders[j]:
+            for j in range(len(orders)):
+                if orders[i] > orders[j]:
                     assert M[i, j] == 0
         # the point row counts cosets
-        for j, order in enumerate(rd.orders):
+        for j, order in enumerate(orders):
             assert M[0, j] == G.order // order
 
 
 def test_marks_spot_values_on_extraspecial():
     rd = ring_data(X27)
     ana = rd.ana
-    zmem = analysis(X27).center_members
-    z_pos = rd.class_position(zmem)
-    nc = [j for j, m in enumerate(rd.reps_members)
+    zmem = center_members(X27)
+    z_pos = class_position(rd.ana, zmem)
+    nc = [j for j, m in enumerate(class_reps_members(rd.ana))
           if len(m) == 3 and m != zmem]
     i_pos = nc[0]
-    iz = product_members(X27, rd.reps_members[i_pos], zmem)
-    iz_pos = rd.class_position(iz)
-    other_max = next(j for j, m in enumerate(rd.reps_members)
+    iz = product_members(X27, class_reps_members(rd.ana)[i_pos], zmem)
+    iz_pos = class_position(rd.ana, iz)
+    other_max = next(j for j, m in enumerate(class_reps_members(rd.ana))
                      if len(m) == 9 and j != iz_pos)
     M = table_of_marks(X27)
     assert M[z_pos, iz_pos] == 3
@@ -126,8 +127,8 @@ def test_marks_spot_values_on_extraspecial():
 def test_linearization_matches_mark_counts(p, max_order):
     for _, desc in catalog_groups(p, max_order):
         rd = ring_data(group_from_spec(desc, p))
-        want = [[mark_count(rd.ana, rd.reps_members[ci], tm)
-                 for tm in rd.reps_members] for ci in rd.cyclic_positions]
+        want = [[mark_count(rd.ana, class_reps_members(rd.ana)[ci], tm)
+                 for tm in class_reps_members(rd.ana)] for ci in rd.cyclic_positions]
         L = rd.linearization()
         assert L.dtype == object and L.tolist() == want, desc
 
@@ -162,7 +163,7 @@ def test_rank_two_kernel_element_frozen():
     eps = rank_two_kernel_element(E2)
     assert tuple(int(x) for x in eps) == (1, -1, -1, -1, -1, 3)
     assert not np.any(ring_data(E2).linearization() @ eps)
-    K = linearization_kernel(E2)
+    K = ring_data(E2).kernel()
     assert K.rank == 1
     assert np.array_equal(K.basis[0], eps)
     with pytest.raises(ValueError):
@@ -182,22 +183,22 @@ def test_extraspecial_kernel_element():
 def test_induced_rank_two_element_frozen():
     rd = ring_data(X27)
     ana = rd.ana
-    zmem = analysis(X27).center_members
-    nc = [j for j, m in enumerate(rd.reps_members)
+    zmem = center_members(X27)
+    nc = [j for j, m in enumerate(class_reps_members(rd.ana))
           if len(m) == 3 and m != zmem]
     want = [0] * rd.n_classes
     out = {}
     for which, pos in enumerate(nc[:2]):
-        mem = rd.reps_members[pos]
+        mem = class_reps_members(rd.ana)[pos]
         mz = product_members(X27, mem, zmem)
-        sec = ana.section_at(ana.index_of(mz), 0)
+        sec = ana.section_at(index_of(ana, mz), 0)
         eps = rank_two_kernel_element(sec.group)
         out[which] = indinf_class_matrix(ana, sec) @ eps
     got = out[0]
-    want[rd.class_position((0,))] = 1
-    want[rd.class_position(zmem)] = -1
+    want[class_position(rd.ana, (0,))] = 1
+    want[class_position(rd.ana, zmem)] = -1
     want[nc[0]] = -3
-    i_mz = rd.class_position(product_members(X27, rd.reps_members[nc[0]], zmem))
+    i_mz = class_position(rd.ana, product_members(X27, class_reps_members(rd.ana)[nc[0]], zmem))
     want[i_mz] = 3
     assert [int(x) for x in got] == want
     # the difference of the two induced elements is p times the two-class
@@ -218,8 +219,8 @@ def test_fast_paths_match_generic_action():
         system = coefficient_system(G, "X", "B")
         for i, slot in enumerate(slots_of(system.family)):
             sec = ana.section_at(slot.ti, slot.si)
-            order = [slot.class_pos[ana.index_of(preimage(sec, m))]
-                     for m in ring_data(sec.group).reps_members]
+            order = [slot.class_pos[index_of(ana, preimage(sec, m))]
+                     for m in class_reps_members(analysis(sec.group))]
             assert np.array_equal(system._b_defres_from_base(i)[order],
                                   biset_matrix(defres_biset(sec)))
 
@@ -227,13 +228,13 @@ def test_fast_paths_match_generic_action():
 def test_generic_action_against_point_biset_oracle():
     ana = analysis(X27)
     dq = ring_data(X27)
-    sec = ana.section_at(ana.n_sub - 1, ana.index_of(ana.center_members))
+    sec = ana.section_at(ana.n_sub - 1, ana.center)
     U = indinf_biset(sec)
     dqq = ring_data(U.left_group)
     dp = ring_data(U.right_group)
     M = biset_matrix(U)
     pa = analysis(U.right_group)
-    for j, tm in enumerate(dp.reps_members):
+    for j, tm in enumerate(class_reps_members(dp.ana)):
         comp = compose(U, point_biset(pa, tm))
         col = decompose_left_action(comp.left, dqq)
         assert [int(x) for x in M[:, j]] == col
@@ -241,7 +242,7 @@ def test_generic_action_against_point_biset_oracle():
 
 def test_biset_matrix_is_functorial():
     ana = analysis(X27)
-    sec = ana.section_at(ana.n_sub - 1, ana.index_of(ana.center_members))
+    sec = ana.section_at(ana.n_sub - 1, ana.center)
     U = indinf_biset(sec)
     V = defres_biset(sec)
     MV, MU = biset_matrix(V), biset_matrix(U)
@@ -251,9 +252,9 @@ def test_biset_matrix_is_functorial():
 def test_iso_class_matrix_permutes():
     ana = analysis(X27)
     L = next(m for m in ana.subgroup_members
-             if len(m) == 3 and m != analysis(X27).center_members)
+             if len(m) == 3 and m != center_members(X27))
     N = normalizer(ana, L)
-    sec = ana.section_at(ana.index_of(N), ana.index_of(L))
+    sec = ana.section_at(index_of(ana, N), index_of(ana, L))
     u = next(x for x in range(27) if x not in N)
     tgt, cu = section_transport(ana, sec, u)
     f = np.array([int(cu.right[0, a]) for a in range(sec.group.order)])
@@ -266,9 +267,9 @@ def test_iso_class_matrix_permutes():
 
 def test_kernel_is_preserved_by_section_maps():
     ana = analysis(X27)
-    K = linearization_kernel(X27)
+    K = ring_data(X27).kernel()
     for sec in all_sections(ana):
-        kq = linearization_kernel(sec.group)
+        kq = ring_data(sec.group).kernel()
         down = biset_matrix(defres_biset(sec))
         up = indinf_class_matrix(ana, sec)
         # each raises if an image leaves the target kernel
@@ -282,7 +283,7 @@ def test_kernel_is_preserved_by_section_maps():
 
 def test_dual_action_of_cosets_transposes_to_the_opposite_map():
     ana = analysis(X27)
-    sec = ana.section_at(ana.n_sub - 1, ana.index_of(ana.center_members))
+    sec = ana.section_at(ana.n_sub - 1, ana.center)
     U = indinf_biset(sec)
     assert np.array_equal(dual_action_matrix(U),
                           biset_matrix(defres_biset(sec)).T)
@@ -290,7 +291,7 @@ def test_dual_action_of_cosets_transposes_to_the_opposite_map():
 
 def test_kernel_dual_action_commutes_with_projection():
     ana = analysis(X27)
-    sec = ana.section_at(ana.n_sub - 1, ana.index_of(ana.center_members))
+    sec = ana.section_at(ana.n_sub - 1, ana.center)
     for U in (indinf_biset(sec), defres_biset(sec)):
         Mstar = dual_action_matrix(U)
         kq = ring_data(U.left_group).kernel()
@@ -319,7 +320,7 @@ def test_character_dual_contains_transposed_rows():
 
 def test_sum_of_induced_kernels():
     for G in (X27, elementary_abelian_group(3, 3), C9x3):
-        K = linearization_kernel(G)
+        K = ring_data(G).kernel()
         full = sum_of_induced_kernels(G, "X2")
         assert full == K
         narrow = sum_of_induced_kernels(G, "E2")
@@ -332,8 +333,23 @@ def test_act_on_basis_element_identity():
     dq = ring_data(X27)
     from bfk.bisets import identity_biset
     U = identity_biset(X27)
-    for j, tm in enumerate(dq.reps_members):
+    for j, tm in enumerate(class_reps_members(dq.ana)):
         col = act_on_basis_element(U, tm, dq)
         want = [0] * dq.n_classes
         want[j] = 1
         assert col == want
+
+
+@pytest.mark.parametrize("p,max_order", [(3, 27), (5, 125)])
+def test_orbit_decomposition_matches_the_orbit_loop(p, max_order):
+    # each biset collapsed by every class of its right group, as in
+    # act_on_basis_element
+    for _, desc in catalog_groups(p, max_order):
+        for U in oracle_bisets(group_from_spec(desc, p)):
+            dq, anaP = ring_data(U.left_group), analysis(U.right_group)
+            for tm in class_reps_members(anaP):
+                least = U.right[:, np.asarray(tm)].min(axis=1)
+                roots, index = np.unique(least, return_inverse=True)
+                left = index[U.left[:, roots]]
+                assert decompose_left_action(left, dq) \
+                    == decompose_by_orbit_loop(left, dq), (desc, U.name, tm)

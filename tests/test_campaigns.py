@@ -505,6 +505,40 @@ def test_transported_quotient_outside_the_subquotients_is_refuted(monkeypatch):
     assert all(recheck(r) for r in rows)
 
 
+def test_section_transport_refutes_a_transporter_that_is_no_subgroup(monkeypatch):
+    # the last point's transporter of every nontrivial subgroup gains or
+    # loses the last element, so it is no subgroup: the engine locates only
+    # the pairs that passed, and that point gives the refuted row instead
+    # of an error
+    real = campaigns.right_transporters
+
+    def toggled(U, members):
+        mask = real(U, members)
+        if len(members) > 1:
+            mask = mask.copy()
+            mask[-1, -1] ^= True
+        return mask
+
+    monkeypatch.setattr(campaigns, "right_transporters", toggled)
+    G, ana, secs = _appendix_args("elab:3:2")
+    pool = [indinf_biset(sec) for sec in _x3_quotients(G, 4)]
+    rows = _appendix_section_transport_rows(
+        "elab:3:2", ana, pool, secs, True,
+        _engine_rng(RunConfig(max_order=27), "elab:3:2", 2))
+    assert [(r["claim"], r["status"]) for r in rows] == [
+        ("transported-pair-is-section", "refuted"),
+        ("transported-quotient-is-subquotient", "verified")]
+    case = rows[0]["witness"]["case"]
+    assert case["point"] == pool[0].size - 1 and case["top_order"] > 1
+    top = rows[0]["witness"]["right"]
+    mask = np.zeros((1, pool[0].right_group.order), dtype=bool)
+    mask[0, top] = True
+    with pytest.raises(ValueError):
+        analysis(pool[0].right_group).locate(mask)
+    assert all(recheck(r) for r in rows)
+    assert not recheck(dict(rows[0], status="verified"))
+
+
 def test_collapse_skipped_after_composing_is_refuted(monkeypatch):
     real = campaigns.left_quotient_biset
     monkeypatch.setattr(campaigns, "left_quotient_biset",

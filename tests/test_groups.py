@@ -24,9 +24,10 @@ from bfk.groups import (
 )
 from bfk.groups import _closure
 from bfk.limits import section_family
-from helpers import (all_sections, center_by_loops, conjugate_members,
+from helpers import (all_sections, center_by_loops, center_members, conjugate_members,
                      cyclic_subs_by_loops, double_coset_reps,
-                     element_orders_by_loops, extraspecial_table_by_loops, preimage,
+                     element_orders_by_loops, extraspecial_table_by_loops,
+                     index_by_members, index_of, preimage,
                      section_by_loop, shapes_through_int64, table_checks_by_loops)
 
 
@@ -117,7 +118,7 @@ def test_extraspecial_is_a_group_of_exponent_p():
     assert X.exponent == 3
     # full associativity via the ingestion validator
     group_from_table(3, X.table, name="copy")
-    assert len(analysis(X).center_members) == 3
+    assert len(center_members(X)) == 3
 
 
 def test_associativity_check_takes_no_cube_of_memory():
@@ -163,7 +164,7 @@ def test_group_construction_matches_the_element_loops():
         assert np.array_equal(G.element_orders(), element_orders_by_loops(G)), G.name
         if G.order <= 125:
             ana = analysis(G)
-            assert ana.center_members == center_by_loops(G), G.name
+            assert ana.subgroup_members[ana.center] == center_by_loops(G), G.name
             assert ana.is_cyclic_sub == cyclic_subs_by_loops(ana), G.name
 
 
@@ -276,7 +277,8 @@ def test_conjugation_table_matches_conjugating_members(p, max_order):
     for _, desc in catalog_groups(p, max_order):
         G = parse_descriptor(desc, p)
         ana = analysis(G, max_order)
-        want = [[ana.index_of(conjugate_members(ana, x, mem))
+        find = index_by_members(ana)
+        want = [[find[conjugate_members(ana, x, mem)]
                  for mem in ana.subgroup_members] for x in range(G.order)]
         assert ana.conj_sub.tolist() == want, desc
         for ci, cls in enumerate(ana.classes):
@@ -290,11 +292,36 @@ def test_meet_and_join_tables_match_member_sets(desc):
     ana = analysis(G)
     subs = ana.subgroup_members
     sets = [frozenset(m) for m in subs]
+    find = index_by_members(ana)
     for a in range(ana.n_sub):
-        assert [ana.index_of(sets[a] & sets[b]) for b in range(ana.n_sub)] \
+        assert [find[tuple(sorted(sets[a] & sets[b]))] for b in range(ana.n_sub)] \
             == ana.meet[a].tolist()
-        assert [ana.index_of(_closure(G.table, subs[a] + subs[b]))
+        assert [find[_closure(G.table, subs[a] + subs[b])]
                 for b in range(ana.n_sub)] == ana.join[a].tolist()
+
+
+@pytest.mark.parametrize("p,max_order", [(3, 81), (5, 125)])
+def test_locate_matches_the_member_dict_and_refuses_other_sets(p, max_order):
+    for _, desc in catalog_groups(p, max_order):
+        G = parse_descriptor(desc, p)
+        ana = analysis(G, max_order)
+        find = index_by_members(ana)
+        # every subgroup, in reverse lattice order so no row is its own index
+        subs = ana.subgroup_members[::-1]
+        masks = np.zeros((len(subs), G.order), dtype=bool)
+        for row, m in zip(masks, subs):
+            row[list(m)] = True
+        assert ana.locate(masks).tolist() == [find[m] for m in subs], desc
+        for si in range(1, ana.n_sub - 1):
+            mem = ana.subgroup_members[si]
+            x = next(g for g in range(G.order) if g not in mem)
+            coset = np.zeros((1, G.order), dtype=bool)
+            coset[0, G.table[x, list(mem)]] = True
+            with pytest.raises(ValueError):
+                ana.locate(coset)
+            # the subgroup with one more element is no subgroup either
+            with pytest.raises(ValueError):
+                ana.locate(masks[[ana.n_sub - 1 - si]] | (np.arange(G.order) == x))
 
 
 def test_normalizers_of_section_quotients_by_direct_conjugation():
@@ -336,7 +363,7 @@ def test_conjugacy_classes_x27():
     # classes are closed under conjugation and reps are lattice-least
     for cls in ana.classes:
         mem = ana.subgroup_members[cls[0]]
-        orbit = {ana.index_of(conjugate_members(ana, x, mem)) for x in range(27)}
+        orbit = {index_of(ana, conjugate_members(ana, x, mem)) for x in range(27)}
         assert tuple(sorted(orbit)) == cls
 
 
@@ -378,21 +405,21 @@ def test_frattini():
     assert len(frattini(cyclic_group(27))) == 9
     assert len(frattini(elementary_abelian_group(3, 3))) == 1
     X = extraspecial_group(3)
-    assert frattini(X) == analysis(X).center_members
+    assert frattini(X) == center_members(X)
 
 
 def test_normality_and_normalizer():
     X = extraspecial_group(3)
     ana = analysis(X)
     top = ana.n_sub - 1
-    z = ana.index_of(analysis(X).center_members)
+    z = ana.center
     assert ana.is_normal_in(z, top)
     nc = next(i for i, m in enumerate(ana.subgroup_members)
               if len(m) == 3 and i != z)
     assert not ana.is_normal_in(nc, top)
     N = np.flatnonzero(ana.normalizes[nc]).tolist()
     assert len(N) == 9
-    assert ana.is_normal_in(nc, ana.index_of(N))
+    assert ana.is_normal_in(nc, index_of(ana, N))
     y = next(x for x in range(27) if x not in N)
     assert conjugate_members(ana, y, ana.subgroup_members[nc]) != ana.subgroup_members[nc]
 
@@ -458,9 +485,9 @@ def test_section_count_c3_4():
 def test_section_quotient_labels():
     X = extraspecial_group(3)
     ana = analysis(X)
-    Zm = analysis(X).center_members
+    Zm = center_members(X)
     top = ana.n_sub - 1
-    assert section_shape(ana, top, ana.index_of(Zm)) == ("elab", 2)
+    assert section_shape(ana, top, index_of(ana, Zm)) == ("elab", 2)
     assert section_shape(ana, top, 0) == ("xsp", None)
     full = ana.section_at(top, 0)
     assert full.group.order == 27
@@ -510,7 +537,7 @@ def test_section_quotients_match_the_coset_walk():
     for desc in ("xsp:3", "prod:cyclic:9,cyclic:3", "elab:3:3", "xsp:5"):
         ana = analysis(parse_descriptor(desc))
         for sec in all_sections(ana):
-            ti, si = ana.index_of(sec.top), ana.index_of(sec.bottom)
+            ti, si = index_of(ana, sec.top), index_of(ana, sec.bottom)
             proj, reps, qt = section_by_loop(ana, ti, si)
             assert np.array_equal(sec.proj, proj), (desc, ti, si)
             assert sec.reps.tolist() == reps
@@ -542,7 +569,7 @@ def test_double_coset_reps_match_the_point_loop(desc):
         a, b, c = (subs[int(i)] for i in rng.integers(len(subs), size=3))
         assert double_coset_reps(G, a, b) == loop_double_coset_reps(G, a, b)
         # within a subgroup W, for subgroups of W
-        w = ana.index_of(c)
+        w = index_of(ana, c)
         inside = [m for i, m in enumerate(subs) if ana.leq[i, w]]
         l, r = (inside[int(i)] for i in rng.integers(len(inside), size=2))
         assert (double_coset_reps(G, l, r, within=c)

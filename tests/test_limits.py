@@ -131,7 +131,7 @@ def test_systems_share_the_family_edges():
     # functor's system reads them decoded through the family's tags
     fam = section_family(X27, "X")
     arrays = fam.edge_arrays
-    assert all(coefficient_system(X27, "X", f).edges() == fam.edges
+    assert all(coefficient_system(X27, "X", f).family.edges == fam.edges
                for f in FUNCTOR_NAMES)
     assert fam.edge_arrays is arrays
     assert [a.dtype for a in arrays] == [np.int32, np.int32, np.int8]
@@ -305,7 +305,7 @@ def test_batched_maps_match_the_per_edge_restriction():
         system = coefficient_system(group_from_spec(spec, 3), label, functor)
         want = maps_by_edges(system)
         per_slot = 2 if functor == "K" else 1
-        assert len(want) == len(system.edges()) + per_slot * len(system.dims)
+        assert len(want) == len(system.family.edges) + per_slot * len(system.dims)
         for key, M in want.items():
             if key[0] == "down":
                 got = system.defres_from_base(key[1])
@@ -321,7 +321,7 @@ def test_batched_maps_match_the_per_edge_restriction():
             # the relation rows of the reference report show it
             dual = maps_by_edges(coefficient_system(system.group, label, "Kdual"))
             rows = []
-            for s, d, tag in system.edges():
+            for s, d, tag in system.family.edges:
                 if tag[0] == "cover" and system.dims[d]:
                     a, b, M = d, s, dual[(s, d, tag)].T
                 elif tag[0] == "conj" and system.dims[s]:
@@ -686,7 +686,7 @@ def test_residual_check_names_the_first_of_two_broken_edges():
     # error must not follow batch order; each must match the edge walk
     lim = inverse_limit(coefficient_system(X27, "X3", "B"))
     system = CoefficientSystem(section_family(X27, "X3"), "B")
-    edges = system.edges()
+    edges = system.family.edges
     shapes = [system.edge_matrix(*e).shape for e in edges]
     # D[0, 0] + 1 breaks an edge whose source row 0 is nonzero on the limit
     live = [e for e, (s, _, _) in enumerate(edges) if min(shapes[e])

@@ -14,7 +14,8 @@ from bfk.campaigns import _induced_rank_two, catalog_groups
 from bfk.groups import analysis, group_from_spec, section_shape
 from bfk.limits import FAMILY_LABELS, family_contains, section_family
 from bfk.zlinalg import IntegerLattice
-from helpers import QUOTIENT_CLASSES, all_sections, classify_quotient, indinf_class_matrix
+from helpers import (QUOTIENT_CLASSES, all_sections, classify_quotient, index_of,
+                     indinf_class_matrix)
 
 
 def _groups():
@@ -40,7 +41,7 @@ def test_one_classifier_matches_the_quotient_rule():
         ana = analysis(G)
         images = {}
         for sec in all_sections(ana):
-            ti, si = ana.index_of(sec.top), ana.index_of(sec.bottom)
+            ti, si = index_of(ana, sec.top), index_of(ana, sec.bottom)
             shape = classify_quotient(sec.group)
             assert section_shape(ana, ti, si) == shape, (G.name, ti, si)
             for label in FAMILY_LABELS:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bfk.bisets import identity_biset
+from bfk.campaigns import catalog_groups
 from bfk.burnside import biset_matrix, ring_data
 from bfk.zlinalg import obj_zeros
 from bfk.groups import (
@@ -10,6 +11,7 @@ from bfk.groups import (
     direct_product,
     elementary_abelian_group,
     extraspecial_group,
+    group_from_spec,
 )
 from bfk.limits import (CoefficientSystem, coefficient_system, inverse_limit,
                         section_family, FamilyError)
@@ -23,10 +25,13 @@ from bfk.transfers import (
     retraction_matrix,
 )
 from helpers import (
+    act_on_limit_by_loops,
     deflation_biset,
     induction_biset,
+    index_of,
     inflation_biset,
     iso_biset,
+    oracle_bisets,
     per_column_restrict,
     restriction_biset,
 )
@@ -137,7 +142,7 @@ def test_naturality_names_the_earlier_of_two_broken_edges():
     # that is checked first, so the error must not follow batch order
     sys_f = coefficient_system(X27, "E", "B")
     sys_g = CoefficientSystem(section_family(X27, "E"), "B")
-    edges = sys_g.edges()
+    edges = sys_g.family.edges
     shapes = [sys_g.edge_matrix(*e).shape for e in edges]
     first = next(e for e in range(len(edges)) if shapes[e] != shapes[0])
     later = next(e for e in range(first + 1, len(edges)) if shapes[e] == shapes[0])
@@ -200,7 +205,7 @@ def test_unit_naturality_for_restriction_and_induction():
 
 def test_unit_naturality_for_inflation_and_deflation():
     ana = analysis(C9)
-    sec = ana.section_at(ana.n_sub - 1, ana.index_of([0, 3, 6]))
+    sec = ana.section_at(ana.n_sub - 1, index_of(ana, [0, 3, 6]))
     infl = inflation_biset(ana, sec)
     defl = deflation_biset(ana, sec)
     for functor in ("B", "K"):
@@ -231,3 +236,17 @@ def test_action_rejects_mismatched_systems():
     small_wrong = coefficient_system(res.left_group, "X", "B")
     with pytest.raises(FamilyError):
         act_on_limit_matrix(res, small_wrong, big)
+
+
+@pytest.mark.parametrize("p,max_order", [(3, 27), (5, 125)])
+def test_action_matches_the_per_point_loops(p, max_order):
+    # the located transporters and meet-join reads against one transporter
+    # and one product with S for every double-coset point and slot class
+    for _, desc in catalog_groups(p, max_order):
+        for U in oracle_bisets(group_from_spec(desc, p)):
+            for functor in ("B", "K", "Kdual"):
+                sys_q = coefficient_system(U.left_group, "X3", functor)
+                sys_p = coefficient_system(U.right_group, "X3", functor)
+                assert np.array_equal(act_on_limit_matrix(U, sys_q, sys_p),
+                                      act_on_limit_by_loops(U, sys_q, sys_p)), \
+                    (desc, U.name, functor)
