@@ -115,16 +115,17 @@ def compose(V: ConcreteBiset, U: ConcreteBiset, return_pairs: bool = False):
     return W, pairs
 
 
-def left_transporters(U: ConcreteBiset, s_members) -> np.ndarray:
-    """mask[u, y]: y lies in ^uS, the y of the left group with y.u = u.s for
-    some s in S, one row per point.
+def left_transporters(U: ConcreteBiset, s_members, points=None) -> np.ndarray:
+    """mask[k, y]: y lies in ^uS for the k-th point u, the y of the left group
+    with y.u = u.s for some s in S; one row per point, or per given point.
 
     For a subgroup S of the right group each row is a subgroup of the left
     group; ^u{1} is the left stabilizer of u."""
-    at = np.arange(U.size)[:, None]
-    hit = np.zeros((U.size, U.size), dtype=bool)        # hit[u, w]: w in u.S
-    hit[at, U.right[:, np.asarray(s_members, dtype=np.intp)]] = True
-    return hit[at, U.left.T]
+    us = np.arange(U.size) if points is None else np.asarray(points, dtype=np.intp)
+    at = np.arange(len(us))[:, None]
+    hit = np.zeros((len(us), U.size), dtype=bool)       # hit[k, w]: w in u.S
+    hit[at, U.right[us[:, None], np.asarray(s_members, dtype=np.intp)]] = True
+    return hit[at, U.left.T[us]]
 
 
 def right_transporters(U: ConcreteBiset, t_members) -> np.ndarray:

@@ -5,7 +5,9 @@ configured order bound and returns a report document.  Reports are
 deterministic for a fixed config and seed: rows carry no timing, group
 workers derive their randomness from the seed and the group descriptor,
 and rows are sorted before emission so parallel runs aggregate to the
-same bytes.
+same bytes.  The sampled engines draw from `sampling.Stream`, the
+package's own copy of numpy's seeded stream, so a seed gives the same
+bytes on any numpy.
 
 Each check returns its refuted row at its first failing case and
 otherwise a census of the cases it passed.  Every witness names its
@@ -112,17 +114,12 @@ def _members(row) -> list[int]:
     return np.flatnonzero(row).tolist()
 
 
-def _group_key(desc: str) -> int:
-    # imported here: hashlib maps OpenSSL's libcrypto (a few MB of RSS), and
-    # only the seeded engines need it, whose numpy.random loads it anyway
-    import hashlib
-    return int.from_bytes(hashlib.sha256(desc.encode()).digest()[:8], "big")
-
-
-def _engine_rng(cfg: "RunConfig", desc: str, salt: int) -> np.random.Generator:
+def _engine_rng(cfg: "RunConfig", desc: str, salt: int) -> "Stream":
     # one stream per (seed, group, engine) so adding an engine never
-    # shifts the draws of another
-    return np.random.default_rng([cfg.seed, _group_key(desc), salt])
+    # shifts the draws of another; imported here, so only the seeded
+    # engines load the sampler
+    from .sampling import Stream, group_key
+    return Stream([cfg.seed, group_key(desc), salt])
 
 
 def _signature_reps(ana, pairs, limit: int) -> list:
@@ -153,8 +150,7 @@ def _sample_indices(rng, n: int, k: int) -> list[int]:
         return []
     if k >= n:
         return list(range(n))
-    picked = rng.choice(n, size=k, replace=False)
-    return sorted(int(i) for i in picked)
+    return sorted(rng.sample(n, k))
 
 
 # ---------------------------------------------------------------------------
@@ -602,9 +598,9 @@ def _appendix_transporter_rows(desc, G, ana, pool, small, rng) -> list[dict]:
             pts = [(u, x) for u in range(U.size) for x in range(Q.order)]
             lefts = [(u, y) for u in range(U.size) for y in range(G.order)]
         else:
-            pts = [(int(rng.integers(U.size)), int(rng.integers(Q.order)))
+            pts = [(rng.integers(U.size), rng.integers(Q.order))
                    for _ in range(10)]
-            lefts = [(int(rng.integers(U.size)), int(rng.integers(G.order)))
+            lefts = [(rng.integers(U.size), rng.integers(G.order))
                      for _ in range(10)]
         us, xs = np.array(pts).T
         conj = Q.table[Q.table[xs], Q.inv[xs][:, None]]
@@ -684,7 +680,7 @@ def _appendix_composite_transporter_rows(desc, pool, small, rng) -> list[dict]:
         if small:
             pvu = [(v, u) for v in range(V.size) for u in range(U.size)]
         else:
-            pvu = [(int(rng.integers(V.size)), int(rng.integers(U.size)))
+            pvu = [(rng.integers(V.size), rng.integers(U.size))
                    for _ in range(18)]
         vs, us = np.array(pvu).T
         ws = pairs[vs, us]
@@ -890,7 +886,7 @@ def _appendix_adjunction_rows(desc, G, small, rng) -> list[dict]:
             continue
         system = coefficient_system(G, label, functor)
         scalars = (1, 2, -1, 3) if small else tuple(
-            int(c) for c in rng.integers(-4, 5, size=6) if c != 0) or (2,)
+            c for c in rng.integers(-4, 5, 6) if c != 0) or (2,)
         for c in scalars:
             comps = [c * obj_eye(d) for d in system.dims]
             stacked = adjunction_plus(system, system, comps)
@@ -908,7 +904,8 @@ def _appendix_adjunction_rows(desc, G, small, rng) -> list[dict]:
         d0 = system.dims[slot]
         columns = [lim.basis]
         if not small:
-            mix = rng.integers(-3, 4, size=(lim.rank, 40)).astype(object)
+            mix = np.array(rng.integers(-3, 4, lim.rank * 40),
+                           dtype=object).reshape(lim.rank, 40)
             columns.append(_exact_matmul(lim.basis, mix))
         for mat in columns:
             completed = _exact_matmul(unit, mat[off:off + d0, :])

@@ -180,8 +180,8 @@ def act_on_limit_matrix(U: ConcreteBiset, sys_q: CoefficientSystem,
     ana_q, ana_p = sys_q.ana, sys_p.ana
     fam_q, fam_p = sys_q.family, sys_p.family
     up = {}                 # T^u for every point u, by subgroup T of Q
-    down = {}               # the index of ^uW in Q at every point u, by W of P
-    moves = []              # (selection rows, source slot, target slot)
+    reads = []              # (target slot, T, S, [(point x, source slot)])
+    need = {}               # the points x at which ^xW is read, by W of P
     for qi, (ti, si) in enumerate(fam_q.sections):
         if sys_q.dims[qi] == 0:
             continue
@@ -190,7 +190,8 @@ def act_on_limit_matrix(U: ConcreteBiset, sys_q: CoefficientSystem,
         xs = double_coset_reps(U, ana_q.subgroup_members[ti])
         # the section (T^x, S^x) of the right group at each point x
         moved = ana_p.locate(np.vstack([up[ti][xs], up[si][xs]]))
-        pos_q = fam_q.class_positions(qi)
+        points = []
+        reads.append((qi, ti, si, points))
         for x, tx, sx in zip(xs, *moved.reshape(2, -1).tolist()):
             pj = fam_p.index(tx, sx)
             # section families are closed under the transported sections,
@@ -199,11 +200,21 @@ def act_on_limit_matrix(U: ConcreteBiset, sys_q: CoefficientSystem,
                 raise AssertionError("transported section left the family")
             if sys_p.dims[pj] == 0:
                 continue
-            ws = fam_p.classes(pj).tolist()
-            down.update({w: ana_q.locate(left_transporters(U, ana_p.subgroup_members[w]))
-                         for w in ws if w not in down})
+            points.append((x, pj))
+            for w in fam_p.classes(pj).tolist():
+                need.setdefault(w, set()).add(x)
+    # the index of ^xW in Q at the points read, one locate per W
+    down = {}
+    for w, xs in need.items():
+        xs = list(xs)
+        found = ana_q.locate(left_transporters(U, ana_p.subgroup_members[w], xs))
+        down.update(zip(((w, x) for x in xs), found.tolist()))
+    moves = []              # (selection rows, source slot, target slot)
+    for qi, ti, si, points in reads:
+        pos_q = fam_q.class_positions(qi)
+        for x, pj in points:
             # (T meet ^xW) S: the t in T with t.x in x.W, times S
-            xw = np.array([down[w][x] for w in ws])
+            xw = np.array([down[w, x] for w in fam_p.classes(pj).tolist()])
             moves.append((pos_q[ana_q.join[ana_q.meet[ti, xw], si]], pj, qi))
     if functor == "K":
         # source kernels first, then the target kernels after them

@@ -1428,9 +1428,9 @@ def transporter_rows_by_points(desc, G, ana, pool, small, rng) -> list[dict]:
             pts = [(u, x) for u in range(U.size) for x in range(Q.order)]
             lefts = [(u, y) for u in range(U.size) for y in range(G.order)]
         else:
-            pts = [(int(rng.integers(U.size)), int(rng.integers(Q.order)))
+            pts = [(rng.integers(U.size), rng.integers(Q.order))
                    for _ in range(10)]
-            lefts = [(int(rng.integers(U.size)), int(rng.integers(G.order)))
+            lefts = [(rng.integers(U.size), rng.integers(G.order))
                      for _ in range(10)]
         for tmem in t_choices[:2]:
             if fail_a:
@@ -1529,7 +1529,7 @@ def composite_transporter_rows_by_points(desc, pool, small, rng) -> list[dict]:
         if small:
             pvu = [(v, u) for v in range(V.size) for u in range(U.size)]
         else:
-            pvu = [(int(rng.integers(V.size)), int(rng.integers(U.size)))
+            pvu = [(rng.integers(V.size), rng.integers(U.size))
                    for _ in range(18)]
         for v, u in pvu:
             w = int(pairs[v, u])

@@ -271,6 +271,17 @@ def test_left_transporter_of_induction_is_conjugation():
         assert _row(mask, u) == want
 
 
+def test_left_transporters_at_given_points_are_their_rows():
+    ana = analysis(X27)
+    U = indinf_biset(ana.section_at(ana.n_sub - 1, ana.center))
+    Q = U.right_group
+    for members in ([0], analysis(Q).subgroup_members[1], range(Q.order)):
+        every = left_transporters(U, members)
+        for points in ([], [0], [5, 2, 5], list(range(U.size))[::-1]):
+            assert np.array_equal(left_transporters(U, members, points),
+                                  every[points])
+
+
 def test_transporters_move_with_the_point():
     ana = analysis(X27)
     Z = center_members(X27)

@@ -125,16 +125,31 @@ def test_every_public_definition_is_reached():
 
 
 def test_cli_import_adds_neither_hashlib_nor_numpy_random():
-    # hashlib maps OpenSSL's libcrypto, a few MB of RSS, into the process;
-    # only the seeded appendix engines need it, and their numpy.random
-    # loads it anyway.  Modules numpy itself loads are left out, so the
-    # test holds on a numpy that imports either of them.
+    # hashlib maps OpenSSL's libcrypto, a few MB of RSS, into the process,
+    # and no command needs it.  Modules numpy itself loads are left out, so
+    # the test holds on a numpy that imports either of them.
     code = ("import sys, numpy; before = set(sys.modules); import bfk.cli; "
             "print(' '.join(sorted(set(sys.modules) - before)))")
     added = set(subprocess.run([sys.executable, "-c", code], capture_output=True,
                                text=True, env=_child_env(), check=True).stdout.split())
     assert {"bfk", "bfk.cli"} <= added
     assert not added & {"hashlib", "_hashlib", "numpy.random"}
+
+
+def test_seeded_appendix_maps_no_openssl():
+    # a serial seeded run draws through the sampler alone: numpy's generator
+    # module and the OpenSSL-backed hash module stay unloaded
+    code = ("import contextlib, io, sys\n"
+            "from bfk import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['verify', 'appendix', '--p', '3',"
+            " '--max-order', '27', '--seed', '3'])\n"
+            "print(code, *sorted({'numpy.random', 'hashlib', '_hashlib',"
+            " 'bfk.sampling'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "bfk.sampling"]
 
 
 # runs one CLI command as `python -m bfk.cli` does, then prints its exit
